@@ -254,19 +254,12 @@ pub fn analyze(root: &Path, allowlist_path: &Path) -> Result<Outcome, String> {
         if in_crates(&file.rel, &ADDR_CRATES) || file.rel == "crates/sim/src/machine.rs" {
             lints::addr_domain(&file.rel, &file.tokens, &file.test_spans, &mut diags);
         }
-        if file.rel.starts_with("crates/sim/src/") || file.rel.starts_with("crates/trace/src/") {
+        if file.rel.starts_with("crates/sim/src/") {
             let charge = lexer::fn_span(&file.tokens, "charge");
-            let replay: Vec<(u32, u32)> = [
-                "memo_access",
-                "stream",
-                "execute_inner",
-                "commit_span_agg",
-                "loop_fast_forward",
-                "replay_scalar_span",
-            ]
-            .iter()
-            .filter_map(|f| lexer::fn_span(&file.tokens, f))
-            .collect();
+            let replay: Vec<(u32, u32)> = ["memo_access", "stream", "execute_inner"]
+                .iter()
+                .filter_map(|f| lexer::fn_span(&file.tokens, f))
+                .collect();
             lints::cycle_funnel(
                 &file.rel,
                 &file.tokens,

@@ -137,12 +137,8 @@ pub fn addr_domain(path: &str, tokens: &[Token], skip: &[(u32, u32)], out: &mut 
 /// component hit counters via `.note_fast_hits(…)` skips the real
 /// lookup path, so any call site outside the sanctioned batch-charge
 /// entry points (`replay_spans`: the page-resident engines
-/// `memo_access`/`stream`/`execute_inner` plus the trace-replay
-/// engines `commit_span_agg`/`loop_fast_forward`/`replay_scalar_span`)
-/// would let simulated statistics drift from the slow path silently.
-/// The perimeter covers `crates/sim/src/` and `crates/trace/src/` —
-/// the batch replayer interprets recorded ops against the same
-/// machine, so a rogue counter write there is just as corrupting.
+/// `memo_access`/`stream`/`execute_inner`) would let simulated
+/// statistics drift from the slow path silently.
 pub fn cycle_funnel(
     path: &str,
     tokens: &[Token],
@@ -190,8 +186,7 @@ pub fn cycle_funnel(
                     col: tokens[i].col,
                     msg: "fast-hit counter replay `.note_fast_hits(…)` outside the \
                           sanctioned batch-charge entry points \
-                          (`memo_access`/`stream`/`execute_inner`/`commit_span_agg`/\
-                          `loop_fast_forward`/`replay_scalar_span`)"
+                          (`memo_access`/`stream`/`execute_inner`)"
                         .into(),
                 });
             }

@@ -4,7 +4,8 @@
 //! ```text
 //! repro [all|fig2|fig3|fig4a|fig4b|fig5|fig6|costs|paging|ablations|extensions] \
 //!       [--test-scale] [--csv-dir DIR] [--json-dir DIR] [--jobs N] \
-//!       [--cores N] [--trace] [--bench-report]
+//!       [--cores N] [--trace] [--bench-report] [--bench-out PATH] \
+//!       [--record-traces DIR] [--replay-traces DIR]
 //! ```
 //!
 //! With `--test-scale` the workloads run at reduced sizes (seconds);
@@ -26,19 +27,17 @@
 //! cycle counts and host metadata (thread count, parallelism, cargo
 //! profile).
 //!
-//! Trace record/replay decouples stream generation from simulation,
-//! and replay is the **default** execution mode: each `(workload,
-//! scale)` pair's op stream is recorded once, then every later
-//! configuration of the same pair replays it through the batched
-//! SoA + loop-fast-forward engine (`mtlb_trace::replay_batched`)
-//! instead of re-executing the workload's host logic. Simulated
-//! cycles are byte-identical live or replayed — the op stream fully
-//! determines them; only host wall time changes. `--record-traces
-//! DIR` additionally saves the recorded streams (`mtlb-trace` format,
+//! Sweeps run every job live. Trace record/replay decouples stream
+//! generation from simulation and is selected by naming a trace
+//! directory: `--record-traces DIR` records each `(workload, scale)`
+//! pair's op stream on its first run, replays it op by op
+//! (`mtlb_trace::replay`) for every later configuration of the pair,
+//! and saves the streams (`mtlb-trace` format,
 //! `DIR/<workload>_<scale>.mtr`); `--replay-traces DIR` seeds the
 //! cache from such files so no workload host logic runs at all.
-//! `--no-replay` forces pure live runs (recording is disabled too) —
-//! CI diffs the two modes byte-for-byte.
+//! Simulated cycles are byte-identical live or replayed — the op
+//! stream fully determines them — and CI diffs the three modes
+//! byte-for-byte.
 //!
 //! Unknown experiment names and unknown flags print the usage line to
 //! stderr and exit with status 2 before any experiment output.
@@ -75,7 +74,7 @@ fn usage() -> String {
     format!(
         "usage: repro [{}] [--test-scale] [--csv-dir DIR] [--json-dir DIR] \
          [--jobs N] [--cores N] [--trace] [--bench-report] [--bench-out PATH] \
-         [--record-traces DIR] [--replay-traces DIR] [--no-replay]",
+         [--record-traces DIR] [--replay-traces DIR]",
         EXPERIMENTS.join("|")
     )
 }
@@ -108,7 +107,6 @@ fn parse_args() -> Options {
     let mut bench_out = PathBuf::from("BENCH_baseline.json");
     let mut record_traces = None;
     let mut replay_traces: Option<PathBuf> = None;
-    let mut no_replay = false;
     let mut args = env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -159,7 +157,6 @@ fn parse_args() -> Options {
                 cores = n;
             }
             "--trace" => trace = true,
-            "--no-replay" => no_replay = true,
             "--record-traces" => {
                 let Some(dir) = args.next() else {
                     eprintln!("error: --record-traces requires a directory");
@@ -201,15 +198,12 @@ fn parse_args() -> Options {
             }
         }
     }
-    // Replay-first: every sweep records each (workload, scale) once
-    // and replays all later configurations through the batched
-    // loop-fast-forward engine. `--no-replay` forces pure live runs
-    // (and disables recording with them).
-    let replay = !no_replay;
+    // Sweeps run live; naming a trace directory is what selects the
+    // record/replay cache.
     let runner = Runner::with_jobs(jobs)
         .live_progress(true)
         .with_trace(trace)
-        .with_replay(replay);
+        .with_replay(record_traces.is_some() || replay_traces.is_some());
     if let Some(dir) = &replay_traces {
         preload_traces(&runner, dir);
     }
@@ -229,13 +223,7 @@ fn parse_args() -> Options {
 /// The static registry name a trace header's workload name refers to,
 /// if it names a registered workload.
 fn static_workload_name(name: &str) -> Option<&'static str> {
-    const EXTRA: [&str; 5] = [
-        "oltp",
-        "synth_seq",
-        "synth_stride",
-        "synth_rand",
-        "synth_loop",
-    ];
+    const EXTRA: [&str; 4] = ["oltp", "synth_seq", "synth_stride", "synth_rand"];
     WORKLOADS
         .iter()
         .chain(EXTRA.iter())

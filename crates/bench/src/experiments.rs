@@ -20,8 +20,7 @@ use mtlb_sim::{Machine, MachineConfig, MachineOp, RunReport, VecOpSink};
 use mtlb_tlb::{CpuTlb, LookupOutcome, MicroItlb, SubblockOutcome, SubblockTlb, TlbEntry};
 use mtlb_types::{ClockRatio, PageSize, Ppn, Prot, VirtAddr, PAGE_SIZE};
 use mtlb_workloads::{
-    AccessExt, Cc1, Compress95, Em3d, Oltp, Radix, Scale, SynthLoop, SyntheticTrace, Vortex,
-    Workload,
+    AccessExt, Cc1, Compress95, Em3d, Oltp, Radix, Scale, SyntheticTrace, Vortex, Workload,
 };
 
 use crate::runner::{JobResult, JobSpec, Runner, Task};
@@ -43,7 +42,6 @@ pub fn workload_by_name(name: &str, scale: Scale) -> Box<dyn Workload> {
         "vortex" => Box::new(Vortex::new(scale)),
         "cc1" => Box::new(Cc1::new(scale)),
         "oltp" => Box::new(Oltp::new(scale)),
-        "synth_loop" => Box::new(SynthLoop::new(scale)),
         other => match SyntheticTrace::by_name(other, scale) {
             Some(synth) => Box::new(synth),
             None => panic!("unknown workload {other:?}"),

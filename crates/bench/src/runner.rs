@@ -133,17 +133,6 @@ type TraceCache = BTreeMap<(&'static str, Scale), Arc<Vec<u8>>>;
 /// one sweep (`fig3` and `fig3.4` share several) run once.
 type ResultCache = BTreeMap<(&'static str, Scale, String), (Outcome, RunReport)>;
 
-/// Decoded-batch cache: each recorded trace is varint-decoded into
-/// SoA batches once, and every further configuration replays straight
-/// from the decoded ops ([`mtlb_trace::replay_decoded`]).
-type DecodedCache = BTreeMap<(&'static str, Scale), Arc<mtlb_trace::DecodedTrace>>;
-
-/// Ceiling on total ops held in the decoded-batch cache. Decoded
-/// batches cost ~17 bytes per op (several times the encoded trace);
-/// past the ceiling, further traces decode per replay instead of
-/// caching. The full paper-scale workload set is ~75M ops.
-const DECODED_OPS_CAP: u64 = 128_000_000;
-
 /// Executes independent jobs across OS threads, returning results in
 /// deterministic job order.
 #[derive(Debug)]
@@ -153,7 +142,6 @@ pub struct Runner {
     trace: bool,
     replay: bool,
     traces: Mutex<TraceCache>,
-    decoded: Mutex<DecodedCache>,
     results: Mutex<ResultCache>,
     records: Mutex<Vec<JobRecord>>,
 }
@@ -187,9 +175,8 @@ impl Runner {
             jobs,
             live: false,
             trace: false,
-            replay: true,
+            replay: false,
             traces: Mutex::new(BTreeMap::new()),
-            decoded: Mutex::new(BTreeMap::new()),
             results: Mutex::new(BTreeMap::new()),
             records: Mutex::new(Vec::new()),
         }
@@ -214,26 +201,17 @@ impl Runner {
         self
     }
 
-    /// Enables or disables the trace record/replay cache (**on** by
-    /// default): the first run of each `(workload, scale)` pair is
-    /// recorded through a [`TraceWriter`], and every later run of the
-    /// same pair — whatever its machine configuration — replays the
-    /// recorded op stream instead of re-executing the workload's host
-    /// logic. Simulated cycles are byte-identical either way (the op
-    /// stream fully determines them); only host wall time changes.
-    ///
-    /// Recording captures the op stream both as encoded bytes and as
-    /// decoded SoA batches ([`mtlb_trace::DecodedTrace`]); every
-    /// further configuration replays straight from the decoded batches
-    /// through [`mtlb_trace::replay_decoded`] — batched dispatch, span
-    /// coalescing and the steady-state loop fast-forward, with no
-    /// decode pass at all. That makes record-once/replay-many the
-    /// cheapest execution mode for multi-config sweeps: each
-    /// workload's host logic and RNG run once, and every further
-    /// configuration consumes the already-decoded address stream.
-    /// `with_replay(false)` (the `repro --no-replay` flag) restores
-    /// pure live execution; the CI triple-diff pins the two modes to
-    /// byte-identical output.
+    /// Enables or disables the trace record/replay cache (**off** by
+    /// default — sweeps run every job live, which measures faster than
+    /// replaying; see DESIGN.md §9). When on, the first run of each
+    /// `(workload, scale)` pair is recorded through a [`TraceWriter`],
+    /// and every later run of the same pair — whatever its machine
+    /// configuration — replays the recorded op stream through
+    /// [`mtlb_trace::replay`] instead of re-executing the workload's
+    /// host logic. Simulated cycles are byte-identical either way (the
+    /// op stream fully determines them). `repro` turns this on exactly
+    /// when given a trace directory (`--record-traces` /
+    /// `--replay-traces`).
     #[must_use]
     pub fn with_replay(mut self, on: bool) -> Self {
         self.replay = on;
@@ -310,37 +288,18 @@ impl Runner {
         (outcome, report)
     }
 
-    /// The decoded batches for this job's `(workload, scale)` trace,
-    /// if one has been recorded: served from the decoded-batch cache,
-    /// or decoded now — and cached, while the total stays under
-    /// [`DECODED_OPS_CAP`] — from the encoded trace cache.
-    fn decoded_trace(&self, spec: &JobSpec) -> Option<Arc<mtlb_trace::DecodedTrace>> {
-        let key = (spec.workload, spec.scale);
-        if let Some(hit) = self.decoded.lock().expect("decoded").get(&key) {
-            return Some(Arc::clone(hit));
-        }
-        let bytes = self.traces.lock().expect("traces").get(&key).cloned()?;
-        // A decode error means a corrupt preloaded trace; fall back to
-        // a live run rather than failing the sweep.
-        let decoded = Arc::new(mtlb_trace::decode_trace(&bytes).ok()?);
-        let mut cache = self.decoded.lock().expect("decoded");
-        let held: u64 = cache.values().map(|d| d.ops()).sum();
-        if held + decoded.ops() <= DECODED_OPS_CAP {
-            cache.entry(key).or_insert_with(|| Arc::clone(&decoded));
-        }
-        Some(decoded)
-    }
-
     /// Runs the simulation for real: replayed from the trace cache when
     /// possible, live (and recorded) otherwise.
     fn simulate_uncached(&self, spec: &JobSpec) -> (Outcome, RunReport) {
         if self.replay {
-            if let Some(decoded) = self.decoded_trace(spec) {
+            let key = (spec.workload, spec.scale);
+            let recorded = self.traces.lock().expect("traces").get(&key).cloned();
+            if let Some(bytes) = recorded {
                 let mut machine = Machine::new(spec.cfg.clone());
                 if self.trace {
                     machine.set_trace_sink(Box::new(RingTrace::new(1024)));
                 }
-                if let Ok(header) = mtlb_trace::replay_decoded(&mut machine, &decoded) {
+                if let Ok(header) = mtlb_trace::replay(&mut machine, &bytes) {
                     let report = machine.report();
                     self.trace_summary(&spec.label, &mut machine);
                     let outcome = Outcome {
@@ -349,10 +308,12 @@ impl Runner {
                     };
                     return (outcome, report);
                 }
-                // A replay fault means the trace does not apply to this
+                // A decode error means a corrupt preloaded trace; a
+                // replay fault means the trace does not apply to this
                 // machine (it shouldn't happen for the registered
-                // workloads, whose op streams are config-independent) —
-                // fall back to a live run rather than failing the sweep.
+                // workloads, whose op streams are config-independent).
+                // Either way fall back to a live run rather than
+                // failing the sweep.
             }
         }
         let mut machine = Machine::new(spec.cfg.clone());
@@ -360,45 +321,23 @@ impl Runner {
             machine.set_trace_sink(Box::new(RingTrace::new(1024)));
         }
         if self.replay {
-            // Capture SoA batches alongside the encoded bytes so the
-            // replay jobs that follow never pay a decode pass.
-            machine.set_op_sink(Box::new(TraceWriter::capturing()));
+            machine.set_op_sink(Box::new(TraceWriter::new()));
         }
         let outcome = workload_by_name(spec.workload, spec.scale).run(&mut machine);
         let report = machine.report();
         if let Some(sink) = machine.take_op_sink() {
             if let Ok(writer) = sink.into_any().downcast::<TraceWriter>() {
-                let (bytes, decoded) = writer.finish_decoded(
+                let bytes = writer.finish(
                     spec.workload,
                     scale_byte(spec.scale),
                     outcome.checksum,
                     outcome.verified,
                 );
                 self.preload_trace(spec.workload, spec.scale, bytes);
-                if let Some(decoded) = decoded {
-                    self.preload_decoded(spec.workload, spec.scale, decoded);
-                }
             }
         }
         self.trace_summary(&spec.label, &mut machine);
         (outcome, report)
-    }
-
-    /// Inserts freshly captured decoded batches into the decoded-batch
-    /// cache, while the total held stays under [`DECODED_OPS_CAP`].
-    fn preload_decoded(
-        &self,
-        workload: &'static str,
-        scale: Scale,
-        decoded: mtlb_trace::DecodedTrace,
-    ) {
-        let mut cache = self.decoded.lock().expect("decoded");
-        let held: u64 = cache.values().map(|d| d.ops()).sum();
-        if held + decoded.ops() <= DECODED_OPS_CAP {
-            cache
-                .entry((workload, scale))
-                .or_insert_with(|| Arc::new(decoded));
-        }
     }
 
     /// Prints the per-job cycle-attribution summary when `--trace` is
@@ -541,10 +480,13 @@ mod tests {
                 )
             })
             .collect();
-        // Replay on (the default): first job records, the rest replay.
+        // Replay on: first job records, the rest replay.
         let replayed = Runner::serial().with_replay(true).run(&specs);
-        // Replay off: every job runs the workload live.
-        let live = Runner::serial().with_replay(false).run(&specs);
+        // The default: every job runs the workload live, recording
+        // nothing.
+        let default = Runner::serial();
+        let live = default.run(&specs);
+        assert!(default.recorded_traces().is_empty());
         for (a, b) in replayed.iter().zip(&live) {
             assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
             assert_eq!(a.outcome, b.outcome);

@@ -51,8 +51,14 @@ fn fig3_specs() -> Vec<JobSpec> {
 #[test]
 fn replayed_fig3_rows_are_byte_identical_to_live() {
     let specs = fig3_specs();
-    let replayed = Runner::serial().with_replay(true).run(&specs);
-    let live = Runner::serial().run(&specs);
+    let replaying = Runner::serial().with_replay(true);
+    let replayed = replaying.run(&specs);
+    let default = Runner::serial();
+    let live = default.run(&specs);
+    // Replay is opt-in: a default runner records nothing, an opted-in
+    // one records exactly once per (workload, scale).
+    assert!(default.recorded_traces().is_empty());
+    assert_eq!(replaying.recorded_traces().len(), 5);
     assert_eq!(replayed.len(), live.len());
     for (r, l) in replayed.iter().zip(&live) {
         assert_eq!(r.label, l.label);

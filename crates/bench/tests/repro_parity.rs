@@ -92,7 +92,11 @@ fn json_dir_reports_have_buckets_summing_to_total_cycles() {
 
 #[test]
 fn unknown_experiments_and_flags_exit_2_with_usage() {
-    for args in [&["frobnicate"][..], &["fig3", "--bogus-flag"][..]] {
+    for args in [
+        &["frobnicate"][..],
+        &["fig3", "--bogus-flag"][..],
+        &["fig3", "--test-scale", "--no-replay"][..],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
             .output()

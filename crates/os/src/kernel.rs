@@ -1525,7 +1525,8 @@ impl Kernel {
     /// mappings (§2.3 notes mappings may change "from real to shadow
     /// addresses (or back)"): swapped-out base pages are brought in, the
     /// virtual region is flushed and shot down, PTEs are re-pointed at
-    /// the real frames, and the shadow region returns to the allocator.
+    /// the real frames, and the shadow region returns to the allocator
+    /// (a recolored page's shadow page returns to the recolor pool).
     ///
     /// # Panics
     ///
@@ -1609,6 +1610,9 @@ impl Kernel {
 
             let mmc_cycles = ctx.mmc.set_mapping(index, ShadowPte::invalid(), ctx.mem);
             cycles += ctx.ratio.device_to_cpu(mmc_cycles);
+            // The shadow page is being released: its swap copy must not
+            // outlive it, or the index's next tenant inherits it.
+            self.swap.discard(index);
             if let Some(pos) = self.resident.iter().position(|x| *x == index) {
                 self.resident.swap_remove(pos);
                 if self.clock_hand > pos {
@@ -1620,7 +1624,20 @@ impl Kernel {
 
         self.proc_mut().aspace.remove_superpage(sp.vpn_base);
         self.shadow_regions.remove(&base);
-        self.shadow.free(sp.shadow_base.base_addr(), sp.size);
+        if sp.size == PageSize::Base4K {
+            // A recolored page: its shadow page was carved out of a
+            // 16 KB pool allocation and goes back to the pool.
+            let color = ctx
+                .cache
+                .config()
+                .color_of(sp.shadow_base.bus().base_addr());
+            self.recolor_pool
+                .entry(color)
+                .or_default()
+                .push(sp.shadow_base);
+        } else {
+            self.shadow.free(sp.shadow_base.base_addr(), sp.size);
+        }
         self.stats.service_cycles += cycles;
         cycles
     }

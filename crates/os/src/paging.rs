@@ -63,6 +63,14 @@ impl SwapDevice {
         self.slots.contains_key(&key)
     }
 
+    /// Drops the copy stored under `key`, if any. Slots are keyed by
+    /// shadow page index, so a page whose shadow region is released
+    /// must give up its slot: the index's next tenant would otherwise
+    /// pass [`has_copy`](SwapDevice::has_copy) with someone else's data.
+    pub fn discard(&mut self, key: u64) {
+        self.slots.remove(&key);
+    }
+
     /// Page writes performed so far.
     #[must_use]
     pub fn writes(&self) -> u64 {
@@ -140,6 +148,16 @@ mod tests {
         assert_eq!(s.writes(), 2);
         assert_eq!(s.pages_stored(), 1);
         assert_eq!(s.read(1).unwrap()[0], 0xbb);
+    }
+
+    #[test]
+    fn discard_drops_the_copy() {
+        let mut s = SwapDevice::new();
+        s.write(3, vec![0xcc; PAGE_SIZE as usize]);
+        s.discard(3);
+        assert!(!s.has_copy(3));
+        assert_eq!(s.read(3), None);
+        s.discard(3); // absent keys are fine
     }
 
     #[test]

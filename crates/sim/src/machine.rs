@@ -155,11 +155,6 @@ pub struct Machine {
     /// Deferred user-bucket cycles from fast-forwarded instruction
     /// batches (see `ff_accesses`).
     ff_instructions: u64,
-    /// Loop-body repetitions committed by
-    /// [`loop_fast_forward`](Machine::loop_fast_forward) — a host-side
-    /// diagnostic (never part of [`RunReport`]), so tests can assert
-    /// the batched replay engine actually engaged.
-    loop_ff_reps: u64,
     /// Optional operation recorder for trace record/replay; `None`
     /// costs one branch per public API call.
     op_sink: Option<Box<dyn OpSink>>,
@@ -268,60 +263,7 @@ struct Lane {
 /// Maximum lanes a batched operation may drive.
 const MAX_LANES: usize = 2;
 
-/// Deferred state of an in-progress pure-hit run inside
-/// [`Machine::replay_scalar_span`]: counters and fast-hit notes
-/// accumulate here while every op is a provable pure hit, and
-/// [`Machine::commit_span_agg`] lands them — in op order, exactly as
-/// the per-op engine would have — before any slow-path op runs.
-#[derive(Default)]
-struct SpanAgg {
-    loads: u64,
-    stores: u64,
-    instr_total: u64,
-    exec_notes: u64,
-    read_hits: u64,
-    write_hits: u64,
-    last_read: Option<(VirtAddr, PhysAddr)>,
-    last_write: Option<(VirtAddr, PhysAddr)>,
-    /// TLB notes flush per consecutive same-slot group, in op order,
-    /// so the final MRU slot matches per-op replay.
-    slot_run: Option<(usize, u64)>,
-    /// Pure hits never bump the memo generation, so a memo validated
-    /// once stays valid until the next slow-path op: the last
-    /// validated memo per direction settles same-page runs (the
-    /// overwhelmingly common shape) on a vpn compare alone.
-    hot: [Option<AccessMemo>; 2],
-}
-
 impl Machine {
-    /// Commits an aggregated pure-hit run and resets the aggregate:
-    /// the remaining TLB slot group, one cache fast-hit note per
-    /// direction, the micro-ITLB note, and the deferred counters. Also
-    /// drops the hot memos — the caller is about to run a slow-path op
-    /// that may invalidate them.
-    fn commit_span_agg(&mut self, agg: &mut SpanAgg) {
-        if let Some((slot, hits)) = agg.slot_run.take() {
-            self.tlb.note_fast_hits(slot, hits);
-        }
-        if let Some((va, pa)) = agg.last_read.take() {
-            self.cache.note_fast_hits(va, pa, agg.read_hits, false);
-        }
-        if let Some((va, pa)) = agg.last_write.take() {
-            self.cache.note_fast_hits(va, pa, agg.write_hits, true);
-        }
-        if agg.exec_notes > 0 {
-            self.itlb.note_fast_hits(agg.exec_notes);
-        }
-        self.loads = self.loads.saturating_add(agg.loads);
-        self.stores = self.stores.saturating_add(agg.stores);
-        self.instructions = self.instructions.saturating_add(agg.instr_total);
-        self.ff_instructions = self.ff_instructions.saturating_add(agg.instr_total);
-        self.ff_accesses = self
-            .ff_accesses
-            .saturating_add(agg.read_hits + agg.write_hits);
-        *agg = SpanAgg::default();
-    }
-
     /// Builds and boots a machine.
     ///
     /// # Panics
@@ -363,7 +305,6 @@ impl Machine {
             ff_line_mask,
             ff_accesses: 0,
             ff_instructions: 0,
-            loop_ff_reps: 0,
             op_sink: None,
             cores: Vec::new(),
             active: 0,
@@ -1219,454 +1160,6 @@ impl Machine {
         // just paged back in, possibly into a different real frame.
         // The memo is already dead (generation moved); re-derive.
         (pa, self.functional_addr(pa))
-    }
-
-    /// Bulk-commits up to `max_reps` further repetitions of an
-    /// already-applied loop-body `window` of operations, where
-    /// repetition `r` of window op `j` accesses `va_j + r * shifts[j]`
-    /// bytes (executes re-run unchanged). This is the machine half of
-    /// the batched replay engine's steady-state loop fast-forward (see
-    /// `mtlb-trace`): the trace layer proves the decoded op stream
-    /// repeats the window with per-op constant address strides, and
-    /// this call proves every repeated access would take the
-    /// page-resident pure-hit path before committing the aggregate.
-    ///
-    /// Validation fails closed to `0` (the caller then replays per-op)
-    /// unless, for every repetition up to the returned count:
-    ///
-    /// - the window contains only `Execute { n > 0 }`, `Read` and
-    ///   `Write` ops — kernel services, paging and stats ops have side
-    ///   effects a pure hit cannot have, and a zero-length execute
-    ///   drains deferred fast-forward state on the live path;
-    /// - every memory op is naturally aligned, stays inside its
-    ///   memoized page at every repetition, holds a live memo
-    ///   (generation and vpn both current), and every line it touches
-    ///   has its residency bit — resident, and dirty for stores, by
-    ///   the write-memo bit invariant;
-    /// - every execute batch satisfies the single-window micro-ITLB
-    ///   shortcut at its own repetition's program counter.
-    ///
-    /// On success the counters, TLB/cache fast-hit notes, deferred
-    /// [`TraceEvent::FastForward`] cycles and the program counter
-    /// advance exactly as `k` per-op pure-hit repetitions would have
-    /// advanced them (pure hits touch no other state, so aggregating
-    /// per op in window order is order-equivalent), and `k` is
-    /// returned. Repeated stores land zero bytes in guest memory,
-    /// matching the per-op replay engine (this call's only caller —
-    /// recorded traces carry no data). The same two-layer invalidation
-    /// as the per-access fast paths applies: any fill, purge,
-    /// shootdown, remap, paging operation or context switch since the
-    /// window ran has bumped `memo_gen`, and validation fails closed.
-    /// An attached op recorder also fails the call closed: bulk
-    /// commits bypass the public-API recording hooks.
-    pub fn loop_fast_forward(
-        &mut self,
-        window: &[MachineOp],
-        shifts: &[i64],
-        max_reps: u64,
-    ) -> u64 {
-        /// Per-op commit plan recorded during validation so the commit
-        /// loop needs no second memo lookup (and no can't-fail memo
-        /// unwrap).
-        #[derive(Clone, Copy)]
-        enum Commit {
-            Exec {
-                n: u64,
-            },
-            Mem {
-                slot: usize,
-                va: VirtAddr,
-                pa: PhysAddr,
-                write: bool,
-                size: u64,
-                shift: i64,
-                real_page: PhysAddr,
-                off0: u64,
-            },
-        }
-        /// Longest accepted window, sizing the stack-allocated commit
-        /// plan — bulk commits must not pay a heap allocation per
-        /// attempt, and loop bodies beyond this are no longer loops
-        /// the detector should chase.
-        const MAX_LOOP_WINDOW: usize = 64;
-        if window.is_empty()
-            || window.len() > MAX_LOOP_WINDOW
-            || window.len() != shifts.len()
-            || max_reps == 0
-            || !self.fast_paths
-            || !self.page_ff
-            || self.ff_line_mask.is_none()
-            || self.op_sink.is_some()
-        {
-            return 0;
-        }
-        let mut k = max_reps;
-        let mut plan = [Commit::Exec { n: 0 }; MAX_LOOP_WINDOW];
-        let mut plan_len = 0usize;
-        for (op, &shift) in window.iter().zip(shifts) {
-            let (va, size, write) = match *op {
-                MachineOp::Execute { n } => {
-                    // `execute(0)` charges zero cycles on the live path,
-                    // which still drains deferred fast-forward state;
-                    // a pure-hit repetition cannot reproduce that.
-                    if n == 0 {
-                        return 0;
-                    }
-                    plan[plan_len] = Commit::Exec { n };
-                    plan_len += 1;
-                    continue;
-                }
-                MachineOp::Read { va, size } => (va, size, false),
-                MachineOp::Write { va, size } => (va, size, true),
-                _ => return 0,
-            };
-            // Replay dispatches any size other than 1/2/4 as a 64-bit
-            // access; mirror that normalization here.
-            let size = match size {
-                1 | 2 | 4 => u64::from(size),
-                _ => 8,
-            };
-            if !va.is_aligned(size) {
-                // Misaligned scalars split into two accesses.
-                return 0;
-            }
-            if shift != 0 && shift.unsigned_abs() % size != 0 {
-                return 0;
-            }
-            let off0 = va.page_offset();
-            // Bound the repetition count so every repetition's access
-            // stays inside the one memoized page.
-            if shift > 0 {
-                k = k.min((PAGE_SIZE - size - off0) / shift.unsigned_abs());
-            } else if shift < 0 {
-                k = k.min(off0 / shift.unsigned_abs());
-            }
-            if k == 0 {
-                return 0;
-            }
-            let vpn = va.vpn().index();
-            let way = (vpn as usize) & (MEMO_WAYS - 1);
-            let memo = if write {
-                self.write_memos[way]
-            } else {
-                self.read_memos[way]
-            };
-            let Some(mo) = memo else { return 0 };
-            if mo.gen != self.memo_gen || mo.vpn != vpn {
-                return 0;
-            }
-            debug_assert_eq!(
-                self.tlb.generation(),
-                mo.tlb_gen,
-                "access memo outlived its TLB generation"
-            );
-            // Largest prefix of repetitions whose touched line holds
-            // its residency bit (aligned scalars never straddle a
-            // line). Earlier ops validated against a possibly larger
-            // `k` checked a superset of repetitions — still sound.
-            let mut good = 0;
-            let mut prev_line = usize::MAX;
-            let mut r = 1u64;
-            while r <= k {
-                let off = (off0 as i64 + shift.wrapping_mul(r as i64)) as u64;
-                let line = (off >> CACHE_LINE_SHIFT) as usize;
-                if line != prev_line {
-                    if mo.resident[line >> 6] & (1u64 << (line & 63)) == 0 {
-                        break;
-                    }
-                    prev_line = line;
-                }
-                good = r;
-                r += 1;
-            }
-            k = k.min(good);
-            if k == 0 {
-                return 0;
-            }
-            // Repetition 1's addresses, for the aggregated cache note;
-            // the residency bits guarantee the probed line is present
-            // for every repetition.
-            let raw = va.get().wrapping_add(shift as u64);
-            let va1 = VirtAddr::new(raw);
-            let pa1 = mo.bus_page + va1.page_offset();
-            plan[plan_len] = Commit::Mem {
-                slot: mo.slot,
-                va: va1,
-                pa: pa1,
-                write,
-                size,
-                shift,
-                real_page: mo.real_page,
-                off0,
-            };
-            plan_len += 1;
-        }
-        // Instruction batches: keep only the prefix of repetitions in
-        // which every execute takes the micro-ITLB single-window
-        // shortcut — the slow path charges cycles immediately and walks
-        // translations, which a bulk commit must never paper over.
-        let plan = &plan[..plan_len];
-        let mut pc_final = self.pc_offset;
-        if plan.iter().any(|c| matches!(c, Commit::Exec { .. })) {
-            let mut pc = self.pc_offset;
-            let mut reps = 0u64;
-            'reps: while reps < k {
-                for c in plan {
-                    let Commit::Exec { n } = *c else { continue };
-                    let va = self.code_base + pc;
-                    let bytes = n.saturating_mul(4);
-                    let fetch_window = (PAGE_SIZE - va.page_offset()).min(self.code_len - pc);
-                    if bytes > fetch_window || !self.itlb.covers(va) {
-                        break 'reps;
-                    }
-                    pc = (pc + bytes) % self.code_len;
-                }
-                pc_final = pc;
-                reps += 1;
-            }
-            k = reps;
-            if k == 0 {
-                return 0;
-            }
-        }
-        // Commit the aggregate of `k` pure-hit repetitions, per op in
-        // window order.
-        for c in plan {
-            match *c {
-                Commit::Exec { n } => {
-                    let total = k.saturating_mul(n);
-                    self.instructions = self.instructions.saturating_add(total);
-                    self.ff_instructions = self.ff_instructions.saturating_add(total);
-                    self.itlb.note_fast_hits(k);
-                }
-                Commit::Mem {
-                    slot,
-                    va,
-                    pa,
-                    write,
-                    size,
-                    shift,
-                    real_page,
-                    off0,
-                } => {
-                    if write {
-                        self.stores = self.stores.saturating_add(k);
-                        // Per-op replay stores zeros; land the same
-                        // bytes so batched and per-op replay agree on
-                        // guest memory, not just simulated state.
-                        for r in 1..=k {
-                            let off = (off0 as i64 + shift.wrapping_mul(r as i64)) as u64;
-                            let real = real_page + off;
-                            match size {
-                                1 => self.mem.write_u8(real, 0),
-                                2 => self.mem.write_u16(real, 0),
-                                4 => self.mem.write_u32(real, 0),
-                                _ => self.mem.write_u64(real, 0),
-                            }
-                        }
-                    } else {
-                        self.loads = self.loads.saturating_add(k);
-                    }
-                    self.tlb.note_fast_hits(slot, k);
-                    self.cache.note_fast_hits(va, pa, k, write);
-                    self.ff_accesses = self.ff_accesses.saturating_add(k);
-                }
-            }
-        }
-        self.pc_offset = pc_final;
-        self.loop_ff_reps = self.loop_ff_reps.saturating_add(k);
-        k
-    }
-
-    /// Total loop-body repetitions committed by
-    /// [`loop_fast_forward`](Machine::loop_fast_forward) — a host-side
-    /// diagnostic (not part of [`RunReport`]) for asserting the batched
-    /// replay engine engaged.
-    pub fn loop_ff_reps(&self) -> u64 {
-        self.loop_ff_reps
-    }
-
-    /// Whether [`loop_fast_forward`](Machine::loop_fast_forward) can
-    /// currently commit anything at all: both host fast-path layers
-    /// enabled, the cache geometry supporting residency tracking, and
-    /// no op recorder attached (bulk commits bypass the recording
-    /// hooks). Replay engines use this to skip periodicity detection
-    /// entirely on machines where validation would always fail closed.
-    pub fn loop_ff_capable(&self) -> bool {
-        self.fast_paths && self.page_ff && self.ff_line_mask.is_some() && self.op_sink.is_none()
-    }
-
-    /// Replays a decoded run of scalar ops, handed in as the parallel
-    /// structure-of-arrays slices the batch decoder produces
-    /// (`kinds[i]` is op `i`'s MTR1 wire tag, `vas[i]`/`args[i]` its
-    /// address and size/count). Returns how many leading ops were
-    /// consumed, and the fault (if any) that stopped the run — the op
-    /// at the returned index did **not** commit.
-    ///
-    /// This is the second, weaker-precondition half of the batched
-    /// replay engine: where
-    /// [`loop_fast_forward`](Machine::loop_fast_forward) needs a
-    /// periodic window, this consumes *any* run of scalar reads,
-    /// writes and execute batches (wire tags 0–2) — no pattern
-    /// required. Ops that individually take the live engine's
-    /// page-resident pure-hit path — naturally aligned with a live
-    /// access memo (generation and vpn current) and the touched line's
-    /// residency bit set, or an execute batch inside its single
-    /// micro-ITLB window — aggregate without touching the dispatch
-    /// machinery; every other scalar op (memo miss, cold line,
-    /// misalignment, window break, `Execute { 0 }`) runs through the
-    /// same public per-op calls the per-op engine uses, after the
-    /// pending aggregate commits. Only a wire tag above 2 (kernel
-    /// services, block/stream ops) or a fault returns control.
-    ///
-    /// Aggregation is order-exact: pure hits touch no shared state, so
-    /// notes land per consecutive same-slot group for the TLB
-    /// (preserving the final MRU), in one count per direction for the
-    /// cache (a store's line is already dirty by the write-memo bit
-    /// invariant), and in one count for the micro-ITLB; stores land
-    /// the same zero bytes the per-op engine would, and the aggregate
-    /// always commits before a slow-path op so every slow path sees
-    /// exactly the per-op engine's state. Fails closed to `(0, None)`
-    /// whenever the fast-path layers are off or an op recorder is
-    /// attached (aggregated commits bypass the recording hooks).
-    pub fn replay_scalar_span(
-        &mut self,
-        kinds: &[u8],
-        vas: &[u64],
-        args: &[u64],
-    ) -> (usize, Option<Fault>) {
-        if !self.fast_paths || !self.page_ff || self.op_sink.is_some() {
-            return (0, None);
-        }
-        let len = kinds.len().min(vas.len()).min(args.len());
-        let mut agg = SpanAgg::default();
-        // Refreshed after every slow-path op: slow paths may bump the
-        // generation (invalidating every memo, hot copies included).
-        let mut memo_gen = self.memo_gen;
-        let mut pc = self.pc_offset;
-        let mut i = 0usize;
-        while i < len {
-            match kinds[i] {
-                0 => {
-                    let n = args[i];
-                    let va = self.code_base + pc;
-                    let bytes = n.saturating_mul(4);
-                    let window = (PAGE_SIZE - va.page_offset()).min(self.code_len - pc);
-                    if n > 0 && bytes <= window && self.itlb.covers(va) {
-                        pc = (pc + bytes) % self.code_len;
-                        agg.instr_total = agg.instr_total.saturating_add(n);
-                        agg.exec_notes += 1;
-                    } else {
-                        self.pc_offset = pc;
-                        self.commit_span_agg(&mut agg);
-                        if let Err(fault) = self.try_execute(n) {
-                            return (i, Some(fault));
-                        }
-                        pc = self.pc_offset;
-                        memo_gen = self.memo_gen;
-                    }
-                }
-                kind @ (1 | 2) => {
-                    let write = kind == 2;
-                    // Replay dispatches any recorded size other than
-                    // 1/2/4 as a 64-bit access; mirror it.
-                    let size = match args[i] as u8 {
-                        s @ (1 | 2 | 4) => u64::from(s),
-                        _ => 8,
-                    };
-                    let va = VirtAddr::new(vas[i]);
-                    let pure = 'pure: {
-                        if !va.is_aligned(size) {
-                            break 'pure None;
-                        }
-                        let vpn = va.vpn().index();
-                        let mo = match agg.hot[usize::from(write)] {
-                            Some(m) if m.vpn == vpn => m,
-                            _ => {
-                                let way = (vpn as usize) & (MEMO_WAYS - 1);
-                                let memo = if write {
-                                    self.write_memos[way]
-                                } else {
-                                    self.read_memos[way]
-                                };
-                                let Some(m) = memo else { break 'pure None };
-                                if m.gen != memo_gen || m.vpn != vpn {
-                                    break 'pure None;
-                                }
-                                agg.hot[usize::from(write)] = Some(m);
-                                m
-                            }
-                        };
-                        let off = va.page_offset();
-                        let line = (off >> CACHE_LINE_SHIFT) as usize;
-                        if mo.resident[line >> 6] & (1u64 << (line & 63)) == 0 {
-                            break 'pure None;
-                        }
-                        Some((mo, off))
-                    };
-                    if let Some((mo, off)) = pure {
-                        debug_assert_eq!(
-                            self.tlb.generation(),
-                            mo.tlb_gen,
-                            "access memo outlived its TLB generation"
-                        );
-                        let pa = mo.bus_page + off;
-                        match &mut agg.slot_run {
-                            Some((slot, hits)) if *slot == mo.slot => *hits += 1,
-                            run => {
-                                if let Some((slot, hits)) = run.take() {
-                                    self.tlb.note_fast_hits(slot, hits);
-                                }
-                                *run = Some((mo.slot, 1));
-                            }
-                        }
-                        if write {
-                            agg.stores = agg.stores.saturating_add(1);
-                            agg.write_hits += 1;
-                            agg.last_write = Some((va, pa));
-                            let real = mo.real_page + off;
-                            match size {
-                                1 => self.mem.write_u8(real, 0),
-                                2 => self.mem.write_u16(real, 0),
-                                4 => self.mem.write_u32(real, 0),
-                                _ => self.mem.write_u64(real, 0),
-                            }
-                        } else {
-                            agg.loads = agg.loads.saturating_add(1);
-                            agg.read_hits += 1;
-                            agg.last_read = Some((va, pa));
-                        }
-                    } else {
-                        self.pc_offset = pc;
-                        self.commit_span_agg(&mut agg);
-                        let result = if write {
-                            match size {
-                                1 => self.try_write_u8(va, 0),
-                                2 => self.try_write_u16(va, 0),
-                                4 => self.try_write_u32(va, 0),
-                                _ => self.try_write_u64(va, 0),
-                            }
-                        } else {
-                            match size {
-                                1 => self.try_read_u8(va).map(drop),
-                                2 => self.try_read_u16(va).map(drop),
-                                4 => self.try_read_u32(va).map(drop),
-                                _ => self.try_read_u64(va).map(drop),
-                            }
-                        };
-                        if let Err(fault) = result {
-                            return (i, Some(fault));
-                        }
-                        memo_gen = self.memo_gen;
-                    }
-                }
-                _ => break,
-            }
-            i += 1;
-        }
-        self.pc_offset = pc;
-        self.commit_span_agg(&mut agg);
-        (i, None)
     }
 
     /// Scalar access at an address that is *not* naturally aligned for

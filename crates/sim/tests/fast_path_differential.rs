@@ -16,12 +16,9 @@
 //! on/off × page-resident fast-forward on/off — and the op stream
 //! recorded from the reference machine is additionally replayed
 //! (`mtlb-trace` round trip) through a fresh machine in a random mode,
-//! which must reproduce the same report byte-for-byte — once through
-//! the per-op replayer and once through the batched SoA replayer
-//! (both from wire bytes and from a pre-decoded trace), so the loop
-//! fast-forward and scalar-span engines are pinned to the live slow
-//! path too. Replay writes zeros instead of data, so guest-memory
-//! digests are compared among the live machines only.
+//! which must reproduce the same report byte-for-byte. Replay writes
+//! zeros instead of data, so guest-memory digests are compared among
+//! the live machines only.
 
 use mtlb_sim::{Machine, MachineConfig, OpSink, VecOpSink};
 use mtlb_types::{Prot, VirtAddr};
@@ -288,31 +285,13 @@ proptest! {
             .downcast::<mtlb_trace::TraceWriter>()
             .expect("trace writer");
         let bytes = writer.finish("differential", 0, 0, true);
-        let mut replayed = Machine::new(cfg.clone());
+        let mut replayed = Machine::new(cfg);
         replayed.set_fast_paths(replay_fast);
         replayed.set_page_fast_forward(replay_page_ff);
         mtlb_trace::replay(&mut replayed, &bytes).expect("replay");
         prop_assert_eq!(
             &replayed.report().to_json(), &reference_json,
             "replay divergence (fast={}, page_ff={})", replay_fast, replay_page_ff
-        );
-
-        // Batched-replay leg: the SoA batch replayer (periodicity
-        // probe, loop fast-forward, scalar span aggregation) must land
-        // on the same report as the per-op replayer — both from the
-        // wire bytes and from a pre-decoded trace.
-        let mut batched = Machine::new(cfg.clone());
-        mtlb_trace::replay_batched(&mut batched, &bytes).expect("replay_batched");
-        prop_assert_eq!(
-            &batched.report().to_json(), &reference_json,
-            "batched replay divergence"
-        );
-        let decoded = mtlb_trace::decode_trace(&bytes).expect("decode_trace");
-        let mut from_decoded = Machine::new(cfg);
-        mtlb_trace::replay_decoded(&mut from_decoded, &decoded).expect("replay_decoded");
-        prop_assert_eq!(
-            &from_decoded.report().to_json(), &reference_json,
-            "decoded replay divergence"
         );
     }
 

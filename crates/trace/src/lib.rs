@@ -8,12 +8,9 @@
 //! [`replay`] drives those ops back through a fresh machine's *public*
 //! API, reproducing the exact address stream — and therefore, because
 //! simulated timing depends only on addresses and shapes, a
-//! byte-identical [`RunReport`](mtlb_sim::RunReport). [`replay_batched`]
-//! produces the same state faster: it decodes ops in bulk into
-//! structure-of-arrays batches ([`OpBatch`]) and fast-forwards
-//! steady-state loops it proves stable, which is what makes
-//! record-once/replay-many the sweep `Runner`'s default execution
-//! mode.
+//! byte-identical [`RunReport`](mtlb_sim::RunReport). [`apply_op`] is
+//! the only place a decoded op becomes machine calls; [`replay`] and
+//! every scheduler that interleaves recorded streams go through it.
 //!
 //! What replay does **not** reproduce is data: stores write zeros, so
 //! guest-memory contents and workload checksums differ from the live
@@ -43,10 +40,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-mod batch;
-
-pub use batch::{decode_trace, replay_batched, replay_decoded, DecodedTrace, OpBatch};
 
 use std::any::Any;
 use std::fmt;
@@ -149,27 +142,17 @@ pub struct TraceHeader {
 
 /// A streaming [`OpSink`] that encodes each recorded op into the MTR1
 /// body format; [`finish`](TraceWriter::finish) prepends the header.
-///
-/// A writer built with [`capturing`](TraceWriter::capturing) also
-/// mirrors every op into SoA batches as it encodes — batch-for-batch
-/// what [`decode_trace`] would later produce from the bytes — so a
-/// record-once/replay-many sweep can seed its decoded-batch cache
-/// straight from the recording pass and never run the decoder at all
-/// (see [`finish_decoded`](TraceWriter::finish_decoded)).
 #[derive(Debug, Default)]
 pub struct TraceWriter {
     body: Vec<u8>,
     ops: u64,
     last_va: u64,
-    capture: Option<Vec<OpBatch>>,
 }
 
-/// The wire-field tuple `(tag, va, vb, arg, instr)` of an op — the
-/// single source of truth for how each [`MachineOp`] maps onto the
-/// MTR1 field slots, shared by the byte encoder and the SoA capture so
-/// the two can never disagree. The values are exactly what
-/// [`TraceReader`] hands back: raw address bits, sizes widened to
-/// `u64`, protection bits and boolean flags as integers.
+/// The wire-field tuple `(tag, va, vb, arg, instr)` of an op: how each
+/// [`MachineOp`] maps onto the MTR1 field slots. The values are
+/// exactly what [`TraceReader`] hands back: raw address bits, sizes
+/// widened to `u64`, protection bits and boolean flags as integers.
 fn wire_fields(op: &MachineOp) -> (u8, u64, u64, u64, u64) {
     match *op {
         MachineOp::Execute { n } => (0, 0, 0, n, 0),
@@ -205,18 +188,6 @@ impl TraceWriter {
         TraceWriter::default()
     }
 
-    /// An empty writer that additionally captures the SoA batches of
-    /// the stream it encodes, for
-    /// [`finish_decoded`](TraceWriter::finish_decoded). Costs ~17
-    /// bytes of memory per recorded op on top of the encoded bytes.
-    #[must_use]
-    pub fn capturing() -> Self {
-        TraceWriter {
-            capture: Some(Vec::new()),
-            ..TraceWriter::default()
-        }
-    }
-
     /// Ops encoded so far.
     #[must_use]
     pub fn ops(&self) -> u64 {
@@ -239,32 +210,6 @@ impl TraceWriter {
         out
     }
 
-    /// Seals the trace like [`finish`](TraceWriter::finish) and also
-    /// returns the captured SoA batches as a ready-to-replay
-    /// [`DecodedTrace`] — `None` for a writer built with
-    /// [`new`](TraceWriter::new). The bytes and the decoded trace
-    /// describe the same op stream: `decode_trace(&bytes)` would
-    /// reproduce the returned batches exactly.
-    #[must_use]
-    pub fn finish_decoded(
-        mut self,
-        name: &str,
-        scale: u8,
-        checksum: u64,
-        verified: bool,
-    ) -> (Vec<u8>, Option<DecodedTrace>) {
-        let decoded = self.capture.take().map(|batches| {
-            let header = TraceHeader {
-                name: name.to_string(),
-                scale,
-                checksum,
-                verified,
-            };
-            DecodedTrace::from_parts(header, batches)
-        });
-        (self.finish(name, scale, checksum, verified), decoded)
-    }
-
     fn put_va(&mut self, raw: u64) {
         put_ivarint(&mut self.body, raw.wrapping_sub(self.last_va) as i64);
         self.last_va = raw;
@@ -274,7 +219,7 @@ impl TraceWriter {
         self.ops += 1;
         let (tag, va, vb, arg, instr) = wire_fields(op);
         self.body.push(tag);
-        // Field layout per tag group mirrors `TraceReader::next_batch`.
+        // Field layout per tag group mirrors `TraceReader::next_op`.
         match tag {
             0 | 11..=14 | 16 => put_uvarint(&mut self.body, arg),
             1 | 2 | 10 => {
@@ -301,14 +246,6 @@ impl TraceWriter {
                 debug_assert_eq!(tag, 18);
                 put_uvarint(&mut self.body, arg);
                 self.body.push(instr as u8);
-            }
-        }
-        if let Some(batches) = &mut self.capture {
-            if batches.last().is_none_or(|b| b.len() >= batch::BATCH_OPS) {
-                batches.push(OpBatch::default());
-            }
-            if let Some(batch) = batches.last_mut() {
-                batch.push_raw(tag, va, vb, arg, instr);
             }
         }
     }
@@ -741,73 +678,6 @@ mod tests {
             decoded.push(op);
         }
         assert_eq!(decoded, ops);
-    }
-
-    #[test]
-    fn captured_batches_match_decoded_batches() {
-        // Every tag once, plus enough scalar filler to roll the capture
-        // over a batch boundary — the captured SoA batches must be
-        // exactly what decode_trace reproduces from the bytes.
-        let mut ops: Vec<MachineOp> = vec![
-            MachineOp::SpawnProcess,
-            MachineOp::SwitchProcess { pid: 1 },
-            MachineOp::Sbrk { increment: 4096 },
-            MachineOp::SwapOutSuperpage { vpn: Vpn::new(7) },
-            MachineOp::DemoteSuperpage { vpn: Vpn::new(8) },
-            MachineOp::PageBits { vpn: Vpn::new(9) },
-            MachineOp::RecolorPage {
-                vpn: Vpn::new(10),
-                color: 3,
-            },
-            MachineOp::ReadBlock {
-                va: VirtAddr::new(0x2000_0000),
-                len: 128,
-                instr: 32,
-            },
-            MachineOp::WriteBlock {
-                va: VirtAddr::new(0x2000_1000),
-                len: 128,
-                instr: 32,
-            },
-            MachineOp::StreamReadU32 {
-                base: VirtAddr::new(0x2000_2000),
-                count: 16,
-                instr: 1,
-            },
-            MachineOp::StreamWritePairU32 {
-                a: VirtAddr::new(0x2000_3000),
-                b: VirtAddr::new(0x2000_4000),
-                count: 16,
-                instr: 2,
-            },
-            MachineOp::StreamWriteU32F64 {
-                a: VirtAddr::new(0x2000_5000),
-                b: VirtAddr::new(0x2000_6000),
-                count: 16,
-                instr: 2,
-            },
-        ];
-        ops.extend(sample_ops());
-        for i in 0..5000u64 {
-            ops.push(MachineOp::Read {
-                va: VirtAddr::new(0x3000_0000 + i * 8),
-                size: if i % 3 == 0 { 4 } else { 8 },
-            });
-            ops.push(MachineOp::Execute { n: 2 });
-        }
-        let mut w = TraceWriter::capturing();
-        for op in &ops {
-            w.record(op);
-        }
-        let (bytes, captured) = w.finish_decoded("cap", 1, 42, true);
-        let captured = captured.expect("capturing writer yields batches");
-        let decoded = decode_trace(&bytes).expect("own bytes decode");
-        assert_eq!(captured.header(), decoded.header());
-        assert_eq!(captured.ops(), decoded.ops());
-        assert_eq!(captured.batches(), decoded.batches());
-        // And a plain writer yields no batches.
-        let (_, none) = TraceWriter::new().finish_decoded("cap", 1, 42, true);
-        assert!(none.is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the header survives arbitrary name/outcome values.
 
 use mtlb_sim::{MachineOp, OpSink};
-use mtlb_trace::{decode_trace, OpBatch, TraceReader, TraceWriter};
+use mtlb_trace::{TraceReader, TraceWriter};
 use mtlb_types::{Prot, VirtAddr, Vpn};
 use proptest::prelude::*;
 
@@ -106,73 +106,6 @@ proptest! {
                 match r.next_op() {
                     Ok(Some(_)) => continue,
                     Ok(None) | Err(_) => break,
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_decode_matches_scalar_decode(
-        ops in proptest::collection::vec(op_strategy(), 0..300),
-        max in 1usize..97,
-        checksum in any::<u64>(),
-    ) {
-        // The SoA batch decoder and the scalar reader are two
-        // independent walks over the same wire bytes; they must
-        // reconstruct identical op streams regardless of how the
-        // batch boundary (`max`) slices the stream. The record-side
-        // capture path (`TraceWriter::capturing`) must agree with
-        // both without ever touching the decoder.
-        let mut w = TraceWriter::capturing();
-        for op in &ops {
-            w.record(op);
-        }
-        let (bytes, captured) = w.finish_decoded("synth_stride", 0, checksum, true);
-
-        let mut r = TraceReader::new(&bytes).unwrap();
-        let mut batch = OpBatch::default();
-        let mut batched = Vec::with_capacity(ops.len());
-        loop {
-            let n = r.next_batch(&mut batch, max).unwrap();
-            if n == 0 {
-                break;
-            }
-            prop_assert_eq!(batch.len(), n);
-            for i in 0..n {
-                batched.push(batch.op(i));
-            }
-        }
-        prop_assert_eq!(&batched, &ops);
-
-        let decoded = decode_trace(&bytes).unwrap();
-        prop_assert_eq!(decoded.ops(), ops.len() as u64);
-        let mut from_decoded = Vec::with_capacity(ops.len());
-        for b in decoded.batches() {
-            for i in 0..b.len() {
-                from_decoded.push(b.op(i));
-            }
-        }
-        prop_assert_eq!(&from_decoded, &ops);
-
-        let captured = captured.unwrap();
-        prop_assert_eq!(captured.header(), decoded.header());
-        prop_assert_eq!(captured.batches(), decoded.batches());
-    }
-
-    #[test]
-    fn batch_decoder_never_panics_on_corrupt_bytes(
-        bytes in proptest::collection::vec(any::<u8>(), 0..256),
-        max in 1usize..97,
-    ) {
-        // The batch path has its own varint walk and SoA writes; it
-        // must be as corruption-proof as the scalar reader.
-        let _ = decode_trace(&bytes);
-        if let Ok(mut r) = TraceReader::new(&bytes) {
-            let mut batch = OpBatch::default();
-            for _ in 0..4096 {
-                match r.next_batch(&mut batch, max) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => continue,
                 }
             }
         }

@@ -56,7 +56,7 @@ pub use compress::Compress95;
 pub use em3d::Em3d;
 pub use oltp::Oltp;
 pub use radix::Radix;
-pub use synth::{Pattern, SynthLoop, SyntheticTrace};
+pub use synth::{Pattern, SyntheticTrace};
 pub use vortex::Vortex;
 
 use mtlb_sim::Machine;

@@ -20,16 +20,6 @@
 //! recorded `mtlb-trace` of one run replays against any machine
 //! configuration — exactly the one-pass-sweep property the trace
 //! format guarantees.
-//!
-//! A fourth generator, [`SynthLoop`] (`synth_loop`), exists
-//! specifically to exercise the batched replay engine's steady-state
-//! loop fast-forward: nested fixed-stride loops whose op stream is
-//! exactly periodic (the fast-forward must engage), a configurable
-//! kernel-op disturbance that bumps the machine's memo generation
-//! mid-stream (the fast-forward must revalidate, not skip across it),
-//! and a near-periodic jittered phase whose strides wobble
-//! non-affinely (the fast-forward must *not* engage — the span
-//! coalescer carries it instead).
 
 use mtlb_sim::Machine;
 use rand::rngs::StdRng;
@@ -163,150 +153,6 @@ impl Workload for SyntheticTrace {
     }
 }
 
-/// `synth_loop` — nested fixed-stride loops, the loop-fast-forward
-/// torture fixture. See the module docs for the three behaviours it
-/// pins; the phases and the disturbance period are configurable so
-/// tests can isolate each.
-#[derive(Clone, Copy, Debug)]
-pub struct SynthLoop {
-    /// Array footprint in bytes.
-    footprint: u64,
-    /// Inner-loop length (words touched per outer iteration).
-    inner: u64,
-    /// Outer iterations per phase.
-    outer: u64,
-    /// Every `disturb` outer iterations of the periodic phase, a
-    /// kernel op (a one-page re-`remap`) interrupts the stream and
-    /// bumps the machine's memo generation; `0` disables it.
-    disturb: u64,
-    /// Run the exactly-periodic phase.
-    periodic: bool,
-    /// Run the jittered near-periodic phase.
-    jittered: bool,
-}
-
-impl SynthLoop {
-    /// Creates the workload with both phases and a disturbance every
-    /// 16 outer iterations.
-    #[must_use]
-    pub fn new(scale: Scale) -> Self {
-        let (footprint, inner, outer) = match scale {
-            Scale::Paper => (8 * 1024 * 1024, 4096, 256),
-            Scale::Test => (256 * 1024, 512, 24),
-        };
-        SynthLoop {
-            footprint,
-            inner,
-            outer,
-            disturb: 16,
-            periodic: true,
-            jittered: true,
-        }
-    }
-
-    /// Overrides the disturbance period (`0` = never disturb).
-    #[must_use]
-    pub fn with_disturbance(mut self, disturb: u64) -> Self {
-        self.disturb = disturb;
-        self
-    }
-
-    /// Keeps only the exactly-periodic phase — every op window repeats
-    /// with constant strides, so a replay's loop fast-forward must
-    /// engage.
-    #[must_use]
-    pub fn periodic_only(mut self) -> Self {
-        self.jittered = false;
-        self
-    }
-
-    /// Keeps only the jittered phase — kinds and args repeat but the
-    /// strides wobble, so a replay's loop fast-forward must **not**
-    /// engage.
-    #[must_use]
-    pub fn jittered_only(mut self) -> Self {
-        self.periodic = false;
-        self
-    }
-
-    /// One phase: `outer` sweeps of a nested inner loop over distinct
-    /// rows of the array. `wobble(t, j)` perturbs the inner index —
-    /// zero for the periodic phase, non-affine in `j` for the jittered
-    /// one.
-    fn phase(
-        &self,
-        m: &mut Machine,
-        base: mtlb_types::VirtAddr,
-        checksum: &mut u64,
-        disturb: u64,
-        wobble: impl Fn(u64, u64) -> u64,
-    ) {
-        let words = self.footprint / 4;
-        // A small working set of rows, revisited every few outer
-        // iterations: the machine only fast-forwards accesses to lines
-        // already proven resident, so the re-sweeps (not the cold first
-        // pass) are what the loop fast-forward engages on. Rows stay
-        // clear of the last page, which the verification probes expect
-        // untouched.
-        let row_span = self.inner * 2 + 8;
-        let rows = ((words - 1024).saturating_sub(row_span) / row_span).clamp(1, 4);
-        for t in 0..self.outer {
-            if disturb != 0 && t % disturb == disturb - 1 {
-                // A kernel op mid-stream: breaks any op-stream period
-                // at this point and bumps the memo generation, so a
-                // fast-forwarding replay must revalidate rather than
-                // skip across it.
-                m.remap(base, 4096);
-            }
-            let row = (t % rows) * row_span;
-            for j in 0..self.inner {
-                let index = row + j * 2 + wobble(t, j);
-                let va = base + index * 4;
-                let v = m.read_u32(va);
-                if j % 8 == 0 {
-                    m.write_u32(va, v.wrapping_add(1));
-                }
-                m.execute(2);
-                *checksum = fnv1a(*checksum, u64::from(v) ^ index);
-            }
-        }
-    }
-}
-
-impl Workload for SynthLoop {
-    fn name(&self) -> &'static str {
-        "synth_loop"
-    }
-
-    fn run(&mut self, m: &mut Machine) -> Outcome {
-        m.load_program(16 * 1024, true);
-        let words = self.footprint / 4;
-        let base = Heap::malloc(m, self.footprint);
-        m.stream_write_u32(base, words, 2, |j| (j as u32).wrapping_mul(0x9e37_79b9));
-        m.remap(base, self.footprint);
-
-        let mut checksum = FNV_SEED;
-        if self.periodic {
-            self.phase(m, base, &mut checksum, self.disturb, |_, _| 0);
-        }
-        if self.jittered {
-            // Non-affine in `j` and phase-shifted by `t`: consecutive
-            // windows repeat kinds and args but never strides, the
-            // exact shape a periodicity probe must reject.
-            self.phase(m, base, &mut checksum, 0, |t, j| (j * j + t) % 5);
-        }
-        // The last page of the array is never touched by either phase:
-        // its words still hold the init hash.
-        let mut verified = true;
-        for probe in [1u64, 257, 511, 767, 1021] {
-            let slot = words - 1024 + probe;
-            let expect = (slot as u32).wrapping_mul(0x9e37_79b9);
-            verified &= m.read_u32(base + slot * 4) == expect;
-        }
-        Outcome { checksum, verified }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,83 +182,6 @@ mod tests {
             assert_eq!(w.name(), pattern.workload_name());
         }
         assert!(SyntheticTrace::by_name("em3d", Scale::Test).is_none());
-    }
-
-    /// Records `w` live, replays the trace through the batched engine
-    /// on a fresh machine, and returns (live cycles, replay cycles,
-    /// fast-forwarded repetitions).
-    fn record_replay(mut w: SynthLoop) -> (u64, u64, u64) {
-        let cfg = MachineConfig::paper_mtlb(64);
-        let mut live = Machine::new(cfg.clone());
-        live.set_op_sink(Box::new(mtlb_trace::TraceWriter::new()));
-        let outcome = w.run(&mut live);
-        assert!(outcome.verified, "synth_loop failed verification");
-        let live_cycles = live.report().total_cycles.get();
-        let writer = live
-            .take_op_sink()
-            .unwrap()
-            .into_any()
-            .downcast::<mtlb_trace::TraceWriter>()
-            .unwrap();
-        let bytes = writer.finish("synth_loop", 0, outcome.checksum, outcome.verified);
-
-        let mut replayed = Machine::new(cfg);
-        mtlb_trace::replay_batched(&mut replayed, &bytes).expect("replay");
-        (
-            live_cycles,
-            replayed.report().total_cycles.get(),
-            replayed.loop_ff_reps(),
-        )
-    }
-
-    #[test]
-    fn loop_workload_fast_forwards_periodic_phase() {
-        let (live, replay, ff_reps) = record_replay(SynthLoop::new(Scale::Test).periodic_only());
-        assert_eq!(live, replay, "replay must be cycle-identical");
-        // The stream is exactly periodic: the fast-forward must have
-        // bulk-committed a large share of the inner iterations.
-        assert!(
-            ff_reps > 100,
-            "expected heavy fast-forward, got {ff_reps} reps"
-        );
-    }
-
-    #[test]
-    fn loop_workload_disturbance_stays_cycle_identical() {
-        // A frequent generation-bumping kernel op mid-stream: the
-        // fast-forward must revalidate around every disturbance, never
-        // skip across one.
-        for disturb in [1, 3, 16] {
-            let (live, replay, _) = record_replay(
-                SynthLoop::new(Scale::Test)
-                    .periodic_only()
-                    .with_disturbance(disturb),
-            );
-            assert_eq!(live, replay, "disturb={disturb} drifted");
-        }
-    }
-
-    #[test]
-    fn loop_workload_never_fast_forwards_jittered_phase() {
-        let (live, replay, ff_reps) = record_replay(SynthLoop::new(Scale::Test).jittered_only());
-        assert_eq!(live, replay, "replay must be cycle-identical");
-        // Kinds and args repeat but strides wobble: a fast-forward here
-        // would mean the periodicity probe accepted a non-loop.
-        assert_eq!(ff_reps, 0, "near-periodic stream must not fast-forward");
-    }
-
-    #[test]
-    fn loop_workload_runs_deterministic_with_both_phases() {
-        let run = |_| {
-            let mut m = Machine::new(MachineConfig::paper_mtlb(64));
-            let outcome = SynthLoop::new(Scale::Test).run(&mut m);
-            (outcome, m.report().to_json())
-        };
-        let (a, ja) = run(());
-        let (b, jb) = run(());
-        assert!(a.verified);
-        assert_eq!(a, b);
-        assert_eq!(ja, jb);
     }
 
     #[test]

@@ -162,6 +162,27 @@ fn demote_pulls_swapped_pages_back_in() {
 }
 
 #[test]
+fn reused_shadow_region_does_not_inherit_swap_copies() {
+    // Swap-out leaves a copy per shadow page index; demotion releases
+    // the region, and the next remap of the same size gets it back.
+    // The new tenant's clean pages have no copy of their own yet, so
+    // evicting them must write — not trust the old tenant's slots.
+    let len = 64 * 1024;
+    let mut m = filled_machine(len);
+    m.remap(BASE, len);
+    m.swap_out_superpage(BASE.vpn());
+    m.demote_superpage(BASE.vpn());
+    for p in 0..16u64 {
+        m.write_u64(BASE + p * PAGE_SIZE, 0xbeef + p);
+    }
+    m.remap(BASE, len);
+    m.swap_out_superpage(BASE.vpn());
+    for p in 0..16u64 {
+        assert_eq!(m.read_u64(BASE + p * PAGE_SIZE), 0xbeef + p, "page {p}");
+    }
+}
+
+#[test]
 fn all_shadow_machine_runs_transparently() {
     let mut cfg = MachineConfig::paper_mtlb(64);
     cfg.kernel.all_shadow = true;
@@ -204,6 +225,30 @@ fn recoloring_machine_preserves_data() {
     for p in 0..4u64 {
         assert_eq!(m.read_u64(BASE + p * PAGE_SIZE), 0xc0de + p);
     }
+}
+
+#[test]
+fn demoting_a_recolored_page_returns_it_to_a_real_mapping() {
+    // A recolored page is a one-page shadow region carved out of a
+    // 16 KB pool allocation; demoting it must not hand 4 KB back to an
+    // allocator that has no such class.
+    use mtlb_cache::{CacheConfig, CacheIndexing};
+    let mut cfg = MachineConfig::paper_mtlb(64);
+    cfg.cache = CacheConfig::paper_default().with_indexing(CacheIndexing::Physical);
+    let mut m = Machine::new(cfg);
+    m.map_region(BASE, PAGE_SIZE, Prot::RW);
+    m.write_u64(BASE, 0xc0de);
+    let old_color = m.page_color(BASE.vpn());
+    let new_color = (old_color + 7) % m.config().cache.page_colors();
+    m.recolor_page(BASE.vpn(), new_color);
+    m.demote_superpage(BASE.vpn());
+    assert!(m.kernel().aspace().superpages().next().is_none());
+    assert_eq!(m.page_color(BASE.vpn()), old_color);
+    assert_eq!(m.read_u64(BASE), 0xc0de);
+    // The shadow page went back to the pool and serves the next recolor.
+    m.recolor_page(BASE.vpn(), new_color);
+    assert_eq!(m.page_color(BASE.vpn()), new_color);
+    assert_eq!(m.read_u64(BASE), 0xc0de);
 }
 
 #[test]
