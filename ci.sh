@@ -102,12 +102,20 @@ grep -v '^\[trace written' "$DET_DIR/rr_record_raw" > "$DET_DIR/rr_record"
 diff "$DET_DIR/rr_live" "$DET_DIR/rr_record"
 diff "$DET_DIR/rr_live" "$DET_DIR/rr_replay"
 
-echo "== paper-scale cycle-fidelity gate (BENCH_pr6 vs BENCH_pr10)"
-# BENCH_pr6.json predates the fig5/fig6 experiments, so wall totals are
-# structurally incomparable; --cycles-only keeps the teeth where they
-# belong: any simulated-cycle drift or dropped label on a matching job
-# is a hard failure.
-./target/release/bench_compare BENCH_pr6.json BENCH_pr10.json --cycles-only
+echo "== paper-scale cycle-fidelity gate (live pins of benchmark/expected.json)"
+# Runs this tree's simulator at paper scale, one rep, through the
+# benchmark as shipped: `"correct": true` means every unit matched its
+# pinned simulated cycles and counter digest — 22 cells across live
+# runs, per-op replay, four translation front ends and a 4-core co-run.
+# Any simulated-cycle drift this change causes is a hard failure.
+for workload in live_paper5 perop_fig5_fig6; do
+  result="$(bash benchmark/run.sh --workload "$workload" --seed 1 --reps 1 --trace 0 \
+    2>/dev/null | tail -n 1)" || true
+  if [[ "$result" != *'"correct": true'* ]]; then
+    echo "$workload did not match its paper-scale pins: ${result:-no result line}" >&2
+    exit 1
+  fi
+done
 
 echo "== bench_compare self-gate (test-scale wall-clock sanity)"
 # Two back-to-back test-scale runs through the bench-report pipeline,

@@ -58,10 +58,9 @@ pub const REPORT_CRATES: [&str; 11] = [
     "workloads",
 ];
 
-/// The machine's deferred `u64` accumulators that live outside any
-/// `…Stats` struct but feed the same reports (fast-forward batching
-/// and bus-contention counting).
-const EXTRA_COUNTERS: [&str; 3] = ["ff_accesses", "ff_instructions", "contention_events"];
+/// The machine's `u64` counters that live outside any `…Stats` struct
+/// but feed the same reports (bus-contention counting).
+const EXTRA_COUNTERS: [&str; 1] = ["contention_events"];
 
 struct SourceFile {
     /// Repo-relative path with forward slashes.
@@ -256,10 +255,12 @@ pub fn analyze(root: &Path, allowlist_path: &Path) -> Result<Outcome, String> {
         }
         if file.rel.starts_with("crates/sim/src/") {
             let charge = lexer::fn_span(&file.tokens, "charge");
-            let replay: Vec<(u32, u32)> = ["memo_access", "stream", "execute_inner"]
-                .iter()
-                .filter_map(|f| lexer::fn_span(&file.tokens, f))
-                .collect();
+            let replay = lints::replay_spans(
+                &file.rel,
+                &file.tokens,
+                file.rel == "crates/sim/src/machine.rs",
+                &mut diags,
+            );
             lints::cycle_funnel(
                 &file.rel,
                 &file.tokens,

@@ -10,7 +10,7 @@
 //!   shadow vs real confusion a type error, so code must stay in the
 //!   typed domain.
 //! * **counter-overflow** — unchecked `+=` on `u64` counters (fields of
-//!   `pub struct …Stats`, plus the machine's deferred accumulators)
+//!   `pub struct …Stats`, plus the machine's own report counters)
 //!   must be `saturating_add`/`checked_add` outside `Machine::charge`.
 //! * **counter-symmetry** — every `pub struct …Stats` is exhaustively
 //!   destructured by `Machine::audit` (or allowlisted with a reason).

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use crate::callgraph::CallGraph;
-use crate::lexer::{in_spans, Token};
+use crate::lexer::{fn_span, in_spans, Token};
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -128,17 +128,52 @@ pub fn addr_domain(path: &str, tokens: &[Token], skip: &[(u32, u32)], out: &mut 
     }
 }
 
+/// The functions of `crates/sim/src/machine.rs` sanctioned to replay
+/// component hit counters with `.note_fast_hits(…)`.
+pub const REPLAY_SITES: [&str; 2] = ["memo_access", "stream"];
+
+/// Line spans of the [`REPLAY_SITES`] functions in `tokens`, for
+/// [`cycle_funnel`]. With `required` (the machine source itself), a
+/// name that matches no function is reported like a stale allowlist
+/// entry: it sanctions nothing today and would silently exempt any
+/// future function of that name.
+pub fn replay_spans(
+    path: &str,
+    tokens: &[Token],
+    required: bool,
+    out: &mut Vec<Diagnostic>,
+) -> Vec<(u32, u32)> {
+    let mut spans = Vec::new();
+    for name in REPLAY_SITES {
+        match fn_span(tokens, name) {
+            Some(span) => spans.push(span),
+            None if required => out.push(Diagnostic {
+                lint: "cycle-funnel",
+                path: path.into(),
+                line: 1,
+                col: 1,
+                msg: format!(
+                    "stale sanctioned fast-hit replay site: no `fn {name}` in this file — \
+                     remove it from `REPLAY_SITES`"
+                ),
+            }),
+            None => {}
+        }
+    }
+    spans
+}
+
 /// Cycle-funnel lint: every mutation of a `buckets.<field>` cycle
 /// counter must go through `Machine::charge` — the one place that pairs
 /// the charge with its trace event, so the debug auditor can reconcile
 /// buckets against component counters.
 ///
-/// The fast-forward engine adds a second funnel concern: replaying
+/// The host fast paths add a second funnel concern: replaying
 /// component hit counters via `.note_fast_hits(…)` skips the real
-/// lookup path, so any call site outside the sanctioned batch-charge
-/// entry points (`replay_spans`: the page-resident engines
-/// `memo_access`/`stream`/`execute_inner`) would let simulated
-/// statistics drift from the slow path silently.
+/// lookup path, so any call site outside the sanctioned entry points
+/// (`replay_spans`: the translation memo and the batch planner, see
+/// [`REPLAY_SITES`]) would let simulated statistics drift from the
+/// slow path silently.
 pub fn cycle_funnel(
     path: &str,
     tokens: &[Token],
@@ -184,10 +219,11 @@ pub fn cycle_funnel(
                     path: path.into(),
                     line,
                     col: tokens[i].col,
-                    msg: "fast-hit counter replay `.note_fast_hits(…)` outside the \
-                          sanctioned batch-charge entry points \
-                          (`memo_access`/`stream`/`execute_inner`)"
-                        .into(),
+                    msg: format!(
+                        "fast-hit counter replay `.note_fast_hits(…)` outside the \
+                         sanctioned entry points (`{}`)",
+                        REPLAY_SITES.join("`/`")
+                    ),
                 });
             }
         }
@@ -631,7 +667,7 @@ pub fn determinism(path: &str, tokens: &[Token], skip: &[(u32, u32)], out: &mut 
 
 /// Counter-overflow lint: unchecked `+=` (or `x = x + …` self-addition)
 /// on a `u64` counter — a field of a `pub struct …Stats` or one of the
-/// machine's deferred accumulators — must be `saturating_add`/
+/// machine's own report counters — must be `saturating_add`/
 /// `checked_add`. `Cycles`-typed counters are exempt (their arithmetic
 /// already panics on overflow), as is the `Machine::charge` funnel,
 /// whose bucket writes the cycle-funnel lint already confines.
@@ -697,7 +733,7 @@ pub fn counter_overflow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{fn_span, lex, test_spans};
+    use crate::lexer::{lex, test_spans};
 
     fn run_addr(src: &str) -> Vec<Diagnostic> {
         let toks = lex(src);
@@ -767,17 +803,29 @@ mod tests {
     fn cycle_funnel_flags_fast_hit_replay_outside_the_engine() {
         let src = "impl M {\n    fn memo_access(&mut self) {\n        self.tlb.note_fast_hits(s, 1);\n    }\n    fn stream(&mut self) {\n        self.cache.note_fast_hits(va, pa, k, w);\n    }\n    fn rogue(&mut self) {\n        self.tlb.note_fast_hits(s, n);\n    }\n    fn note_fast_hits(&mut self, n: u64) {\n        self.hits += n;\n    }\n}\n";
         let toks = lex(src);
-        let replay: Vec<(u32, u32)> = ["memo_access", "stream"]
-            .iter()
-            .filter_map(|f| fn_span(&toks, f))
-            .collect();
         let mut out = Vec::new();
+        let replay = replay_spans("fixture.rs", &toks, true, &mut out);
+        assert!(out.is_empty(), "every sanctioned site exists: {out:?}");
         cycle_funnel("fixture.rs", &toks, &[], None, &replay, &mut out);
         // Only the call in `rogue` fires: the sanctioned spans cover the
         // engine call sites and the `fn` definition is not a method call.
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].line, 9);
         assert!(out[0].msg.contains("note_fast_hits"));
+    }
+
+    #[test]
+    fn cycle_funnel_reports_a_sanctioned_site_that_no_longer_exists() {
+        let toks = lex("impl M {\n    fn memo_access(&mut self) {}\n}\n");
+        let mut out = Vec::new();
+        // Only the machine source must define every site; other files
+        // of the crate legitimately define none.
+        assert_eq!(replay_spans("trace.rs", &toks, false, &mut out).len(), 1);
+        assert!(out.is_empty());
+        assert_eq!(replay_spans("machine.rs", &toks, true, &mut out).len(), 1);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].lint, "cycle-funnel");
+        assert!(out[0].msg.contains("no `fn stream`"), "{}", out[0].msg);
     }
 
     #[test]

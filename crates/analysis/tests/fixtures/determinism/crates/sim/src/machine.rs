@@ -1,10 +1,15 @@
-//! Minimal machine stub: gives the engine its `Machine::audit` anchor
-//! and a complete `service_shootdowns` drain.
+//! Minimal machine stub: gives the engine its `Machine::audit` anchor,
+//! the sanctioned fast-hit replay sites and a complete
+//! `service_shootdowns` drain.
 
 pub struct Machine;
 
 impl Machine {
     fn audit(&self) {}
+
+    fn memo_access(&mut self) {}
+
+    fn stream(&mut self) {}
 
     fn service_shootdowns(&mut self) {
         for core in self.cores.iter_mut() {

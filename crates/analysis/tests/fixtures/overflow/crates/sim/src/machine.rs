@@ -1,6 +1,7 @@
 //! Machine stub whose `audit` exhaustively destructures the fixture's
-//! stats struct (keeping the counter-symmetry lint quiet) and whose
-//! `service_shootdowns` drain is complete.
+//! stats struct (keeping the counter-symmetry lint quiet), with the
+//! sanctioned fast-hit replay sites and a complete
+//! `service_shootdowns` drain.
 
 pub struct Machine;
 
@@ -9,6 +10,10 @@ impl Machine {
         let FixtureStats { hits, misses } = s;
         let _ = (hits, misses);
     }
+
+    fn memo_access(&mut self) {}
+
+    fn stream(&mut self) {}
 
     fn service_shootdowns(&mut self) {
         for core in self.cores.iter_mut() {

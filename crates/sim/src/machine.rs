@@ -1,6 +1,6 @@
 //! The assembled machine and its execution-driven access paths.
 
-use mtlb_cache::{AccessResult, CacheIndexing, DataCache, FillKind};
+use mtlb_cache::{AccessResult, DataCache, FillKind};
 use mtlb_mem::GuestMemory;
 use mtlb_mmc::{BusOp, Mmc};
 use mtlb_os::{
@@ -11,7 +11,7 @@ use mtlb_schemes::{CoalescedStats, CoalescedTlb, SplitStats, SplitTlb};
 use mtlb_tlb::{LookupOutcome, MicroItlb, TranslationScheme};
 use mtlb_types::{
     AccessKind, Cycles, Fault, Histogram, PhysAddr, PrivilegeLevel, Prot, VirtAddr, Vpn,
-    CACHE_LINE_SHIFT, CACHE_LINE_SIZE, PAGE_SIZE,
+    CACHE_LINE_SIZE, PAGE_SIZE,
 };
 
 use crate::ops::{MachineOp, OpSink};
@@ -58,24 +58,19 @@ macro_rules! kctx {
 ///
 /// # Host-side fast paths
 ///
-/// Three layers accelerate the host simulation without changing a
+/// Two layers accelerate the host simulation without changing a
 /// single simulated cycle or counter (the property the differential
 /// tests pin): a per-access-kind **translation memo** that replays the
-/// last translate hit for same-page runs, a **page-resident
-/// fast-forward** that extends each memo with a per-line residency
-/// bitmap so a provably-hitting access reduces to counter updates plus
-/// one deferred user cycle (drained in bulk as a single
-/// [`TraceEvent::FastForward`] charge), and a **batch engine** behind
-/// the `try_*_block`/`try_stream_*` APIs that fast-forwards whole
-/// cache-resident runs, charging the identical cycles in bulk through
-/// the same internal `charge` funnel. All are guarded by a generation
+/// last translate hit for same-page runs and then runs the ordinary
+/// cache/bus timing, and a stateless **batch planner** behind the
+/// `try_*_block`/`try_stream_*` APIs that re-proves cache residency
+/// with a probe on every run and fast-forwards whole cache-resident
+/// runs, charging the identical cycles in bulk through the same
+/// internal `charge` funnel. The memos are guarded by a generation
 /// counter bumped on every TLB fill, purge, remap, paging operation
-/// and context switch; residency bits are additionally cleared exactly
-/// on every conflicting cache fill.
-/// [`set_fast_paths`](Machine::set_fast_paths) turns everything off to
-/// recover the pure slow-path reference machine;
-/// [`set_page_fast_forward`](Machine::set_page_fast_forward) toggles
-/// the page-resident layer alone.
+/// and context switch.
+/// [`set_fast_paths`](Machine::set_fast_paths) turns both off to
+/// recover the pure slow-path reference machine.
 ///
 /// # Operation recording
 ///
@@ -131,30 +126,6 @@ pub struct Machine {
     /// Disabled by the differential tests to produce a pure slow-path
     /// reference machine.
     fast_paths: bool,
-    /// Page-resident fast-forward enabled (the per-line residency
-    /// bitmaps in the access memos, and the single-window `try_execute`
-    /// shortcut). Effective only while `fast_paths` is also on;
-    /// independently togglable so the differential tests can pin all
-    /// mode combinations.
-    page_ff: bool,
-    /// `num_lines - 1` when the cache geometry admits exact per-fill
-    /// residency-bit invalidation: virtually indexed, a power-of-two
-    /// line count, and at least [`MEMO_WAYS`] pages per cache span —
-    /// then every VIPT index slot maps into the page window of exactly
-    /// one memo way, so a fill can clear the one stale bit in O(1).
-    /// `None` disables the residency bitmaps entirely (bits are never
-    /// set, so the fast path never fires).
-    ff_line_mask: Option<u64>,
-    /// Deferred user-bucket cycles from page-resident fast-forwarded
-    /// accesses: each is a provable single-cycle hit, so only the
-    /// charge is deferred (all counters advance immediately). Drained
-    /// as one summed [`TraceEvent::FastForward`] charge by
-    /// [`flush_fast_forward`](Machine::flush_fast_forward) before
-    /// anything reads or charges the buckets.
-    ff_accesses: u64,
-    /// Deferred user-bucket cycles from fast-forwarded instruction
-    /// batches (see `ff_accesses`).
-    ff_instructions: u64,
     /// Optional operation recorder for trace record/replay; `None`
     /// costs one branch per public API call.
     op_sink: Option<Box<dyn OpSink>>,
@@ -205,16 +176,6 @@ struct CoreState {
 /// of two; indexed by the low bits of the VPN).
 const MEMO_WAYS: usize = 64;
 
-/// Cache lines per 4 KB page — the width of a memo's residency bitmap.
-const LINES_PER_PAGE: u64 = PAGE_SIZE / CACHE_LINE_SIZE;
-
-/// `u64` words in a residency bitmap.
-const LINE_WORDS: usize = (LINES_PER_PAGE as usize).div_ceil(64);
-
-/// log2([`LINES_PER_PAGE`]): shifts a VIPT line index down to the page
-/// slot that the index's page-window position belongs to.
-const PAGE_LINE_SHIFT: u32 = LINES_PER_PAGE.trailing_zeros();
-
 /// One-line translation memo: the last successfully translated data
 /// page for one access kind. Valid while `gen` matches the machine's
 /// `memo_gen` — any TLB fill/purge/remap/paging/context-switch bumps
@@ -239,16 +200,6 @@ struct AccessMemo {
     bus_page: PhysAddr,
     /// Real DRAM address of the page's first byte.
     real_page: PhysAddr,
-    /// Per-line cache-residency bitmap for this page, valid for the
-    /// memo's generation. Read-memo bit `i` set: line `i` is resident
-    /// (so a load is a pure hit). Write-memo bit `i` set: line `i` is
-    /// resident *and dirty* (so a store is a pure hit with no state
-    /// change). Bits are set only by completed slow-path accesses and
-    /// cleared exactly on every conflicting cache fill (see
-    /// `Machine::ff_line_mask`); all paths that invalidate lines
-    /// without a fill (page flushes, paging, remaps) bump the
-    /// generation and kill the whole memo.
-    resident: [u64; LINE_WORDS],
 }
 
 /// One access stream of a batched operation: item `j` accesses
@@ -273,11 +224,6 @@ impl Machine {
     #[must_use]
     pub fn new(cfg: MachineConfig) -> Self {
         assert!(cfg.cores > 0, "a machine needs at least one core");
-        let lines = cfg.cache.num_lines();
-        let ff_line_mask = (matches!(cfg.cache.indexing(), CacheIndexing::Virtual)
-            && lines.is_power_of_two()
-            && lines / LINES_PER_PAGE >= MEMO_WAYS as u64)
-            .then(|| lines - 1);
         let mut m = Machine {
             tlb: cfg.scheme.build(cfg.cpu_tlb_entries),
             itlb: MicroItlb::new(),
@@ -301,10 +247,6 @@ impl Machine {
             read_memos: Box::new([None; MEMO_WAYS]),
             write_memos: Box::new([None; MEMO_WAYS]),
             fast_paths: true,
-            page_ff: true,
-            ff_line_mask,
-            ff_accesses: 0,
-            ff_instructions: 0,
             op_sink: None,
             cores: Vec::new(),
             active: 0,
@@ -394,9 +336,6 @@ impl Machine {
         if core == self.active {
             return;
         }
-        // Deferred fast-forward cycles were earned by the outgoing
-        // core's run; drain them before its state is banked out.
-        self.flush_fast_forward();
         if let Some(mut incoming) = self.cores[core].take() {
             self.swap_core(&mut incoming);
             self.cores[self.active] = Some(incoming);
@@ -488,10 +427,6 @@ impl Machine {
     /// that with no sink attached — the overwhelmingly common case —
     /// constructing the event costs nothing.
     fn charge(&mut self, bucket: Bucket, cycles: Cycles, event: impl FnOnce() -> TraceEvent) {
-        // Any deferred fast-forward cycles were earned before this
-        // charge; drain them first so bucket totals and trace
-        // timestamps stay in program order.
-        self.flush_fast_forward();
         if let Some(sink) = self.trace.as_deref_mut() {
             sink.record(&TraceRecord {
                 at: self.buckets.total(),
@@ -509,37 +444,13 @@ impl Machine {
         }
     }
 
-    /// Drains the deferred page-resident fast-forward accumulator as
-    /// one summed [`TraceEvent::FastForward`] user-bucket charge.
-    /// Called at the top of [`charge`](Machine::charge) and before
-    /// anything reads the buckets. Zeroes the accumulator *before*
-    /// charging, so the nested `charge` → `flush_fast_forward` call
-    /// terminates immediately.
-    fn flush_fast_forward(&mut self) {
-        let accesses = self.ff_accesses;
-        let instructions = self.ff_instructions;
-        if accesses == 0 && instructions == 0 {
-            return;
-        }
-        self.ff_accesses = 0;
-        self.ff_instructions = 0;
-        self.charge(Bucket::User, Cycles::new(accesses + instructions), || {
-            TraceEvent::FastForward {
-                accesses,
-                instructions,
-            }
-        });
-    }
-
     /// Attaches a trace sink; subsequent charges are recorded into it.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.flush_fast_forward();
         self.trace = Some(sink);
     }
 
     /// Detaches and returns the trace sink, if one was attached.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.flush_fast_forward();
         self.trace.take()
     }
 
@@ -568,7 +479,6 @@ impl Machine {
 
     /// Notes a CPU TLB miss for the miss-interval histogram.
     fn note_tlb_miss(&mut self) {
-        self.flush_fast_forward();
         let now = self.buckets.total();
         if let Some(prev) = self.last_miss_at {
             self.miss_intervals.record((now - prev).get());
@@ -591,19 +501,7 @@ impl Machine {
     /// the differential tests pin; disabling recovers the pure slow-path
     /// reference machine they compare against.
     pub fn set_fast_paths(&mut self, on: bool) {
-        self.flush_fast_forward();
         self.fast_paths = on;
-    }
-
-    /// Enables or disables the page-resident fast-forward layer
-    /// specifically (on by default, effective only while the fast
-    /// paths as a whole are on). Simulated cycles and every statistic
-    /// are identical either way; the differential tests pin all four
-    /// [`set_fast_paths`](Machine::set_fast_paths) ×
-    /// `set_page_fast_forward` combinations.
-    pub fn set_page_fast_forward(&mut self, on: bool) {
-        self.flush_fast_forward();
-        self.page_ff = on;
     }
 
     /// The guest DRAM store, for diagnostics (e.g. content digests in
@@ -625,16 +523,13 @@ impl Machine {
         &self.kernel
     }
 
-    /// Total simulated cycles so far, including deferred fast-forward
-    /// cycles not yet drained into their bucket.
+    /// Total simulated cycles so far.
     #[must_use]
     pub fn cycles(&self) -> Cycles {
-        let pending = self.ff_accesses + self.ff_instructions;
-        self.buckets.total() + Cycles::new(pending)
+        self.buckets.total()
     }
 
-    /// Snapshot of all statistics. Drains any deferred fast-forward
-    /// charges first, which is why it takes `&mut self`.
+    /// Snapshot of all statistics.
     ///
     /// In debug builds this also runs the cycle-attribution audit,
     /// panicking if the time buckets have drifted from the
@@ -642,7 +537,6 @@ impl Machine {
     /// `Machine::charge` funnel, which is what makes the audit exact).
     #[must_use]
     pub fn report(&mut self) -> RunReport {
-        self.flush_fast_forward();
         // Merge every parked core's private counters into the active
         // core's — the report describes the whole machine. At one core
         // the loop body never runs and the merge is the identity.
@@ -817,22 +711,6 @@ impl Machine {
     /// for internal callers (the batch engine), so a recorded stream
     /// operation replays as one op rather than one op per item.
     fn execute_inner(&mut self, n: u64) -> Result<(), Fault> {
-        if self.fast_paths && self.page_ff && n > 0 {
-            // Single-window shortcut: when the whole batch provably
-            // stays inside the current micro-ITLB'd text page without
-            // wrapping, it is exactly one translate hit plus `n` user
-            // cycles. Counters advance now; the charge is deferred.
-            let va = self.code_base + self.pc_offset;
-            let bytes = n.saturating_mul(4);
-            let window = (PAGE_SIZE - va.page_offset()).min(self.code_len - self.pc_offset);
-            if bytes <= window && self.itlb.covers(va) {
-                self.instructions = self.instructions.saturating_add(n);
-                self.ff_instructions = self.ff_instructions.saturating_add(n);
-                self.itlb.note_fast_hits(1);
-                self.pc_offset = (self.pc_offset + bytes) % self.code_len;
-                return Ok(());
-            }
-        }
         self.instructions = self.instructions.saturating_add(n);
         self.charge(Bucket::User, Cycles::new(n), || TraceEvent::Execute {
             instructions: n,
@@ -924,25 +802,6 @@ impl Machine {
         // The miss goes to the shared bus: pay arbitration if another
         // core owned it (free at one core).
         self.arbitrate_bus();
-        // The fill replaces whatever line occupies this VIPT index, so
-        // any residency bit a memo holds for the index's page-window
-        // slot is stale. The `ff_line_mask` geometry gate guarantees
-        // the index lands in exactly one way per memo table; clear
-        // that one bit in both tables (a cleared bit only forces the
-        // slow path, so clearing is always safe).
-        if let Some(mask) = self.ff_line_mask {
-            let raw = va.get();
-            let idx = (raw >> CACHE_LINE_SHIFT) & mask;
-            let mway = ((idx >> PAGE_LINE_SHIFT) as usize) & (MEMO_WAYS - 1);
-            let word = ((idx & (LINES_PER_PAGE - 1)) >> 6) as usize;
-            let bit = 1u64 << (idx & 63);
-            if let Some(m) = self.read_memos[mway].as_mut() {
-                m.resident[word] &= !bit;
-            }
-            if let Some(m) = self.write_memos[mway].as_mut() {
-                m.resident[word] &= !bit;
-            }
-        }
         if let Some(victim) = writeback {
             let resp = self
                 .mmc
@@ -1028,7 +887,7 @@ impl Machine {
             };
             if let Some(mo) = memo {
                 if mo.gen == self.memo_gen && mo.vpn == vpn {
-                    return Ok(self.memo_access(va, way, mo, write));
+                    return Ok(self.memo_access(va, mo, write));
                 }
             }
         }
@@ -1055,13 +914,6 @@ impl Machine {
             // Nothing invalidated during the access, so the slot, the
             // bus mapping and the real backing are all current: memoize.
             let off = va.page_offset();
-            let mut resident = [0u64; LINE_WORDS];
-            if self.ff_line_mask.is_some() {
-                // The line this access just touched is resident (and
-                // dirty, for the write memo) — seed its bit.
-                let line = (off >> CACHE_LINE_SHIFT) as usize;
-                resident[line >> 6] = 1u64 << (line & 63);
-            }
             let mo = AccessMemo {
                 gen,
                 tlb_gen,
@@ -1069,7 +921,6 @@ impl Machine {
                 slot,
                 bus_page: pa - off,
                 real_page: real - off,
-                resident,
             };
             if write {
                 self.write_memos[way] = Some(mo);
@@ -1082,18 +933,8 @@ impl Machine {
 
     /// Replays a memo-validated access: identical counters, TLB side
     /// effects, cache/bus timing and returned addresses, with the
-    /// translation lookup skipped. When the page-resident fast-forward
-    /// layer proves the touched line resident (and dirty, for stores),
-    /// the whole access reduces to counter updates plus one deferred
-    /// user cycle; otherwise the cache/bus timing runs as usual and a
-    /// cleanly completed access earns the line its residency bit.
-    fn memo_access(
-        &mut self,
-        va: VirtAddr,
-        way: usize,
-        mo: AccessMemo,
-        write: bool,
-    ) -> (PhysAddr, PhysAddr) {
+    /// translation lookup skipped.
+    fn memo_access(&mut self, va: VirtAddr, mo: AccessMemo, write: bool) -> (PhysAddr, PhysAddr) {
         // A valid memo proves nothing invalidated translations since it
         // was recorded, which in turn means the TLB content generation
         // cannot have moved (fills, purges and shootdowns all bump
@@ -1105,24 +946,6 @@ impl Machine {
             "access memo outlived its TLB generation"
         );
         let off = va.page_offset();
-        let line = (off >> CACHE_LINE_SHIFT) as usize;
-        let (word, bit) = (line >> 6, 1u64 << (line & 63));
-        if self.page_ff && mo.resident[word] & bit != 0 {
-            // Provable pure hit: the line is resident (and already
-            // dirty if this is a store), so the slow path would charge
-            // exactly one user cycle and change no other state. Every
-            // counter advances now; only the charge is deferred.
-            if write {
-                self.stores = self.stores.saturating_add(1);
-            } else {
-                self.loads = self.loads.saturating_add(1);
-            }
-            self.tlb.note_fast_hits(mo.slot, 1);
-            let pa = mo.bus_page + off;
-            self.cache.note_fast_hits(va, pa, 1, write);
-            self.ff_accesses = self.ff_accesses.saturating_add(1);
-            return (pa, mo.real_page + off);
-        }
         if write {
             self.stores = self.stores.saturating_add(1);
         } else {
@@ -1140,20 +963,6 @@ impl Machine {
         );
         self.cached_access(va, pa, write);
         if mo.gen == self.memo_gen {
-            if self.ff_line_mask.is_some() {
-                // Completed with nothing invalidated: the touched line
-                // is now resident (and dirty, for a store) — earn its
-                // residency bit in the memo this access replayed.
-                let memos = if write {
-                    &mut self.write_memos
-                } else {
-                    &mut self.read_memos
-                };
-                if let Some(m) = memos[way].as_mut() {
-                    debug_assert_eq!(m.vpn, mo.vpn);
-                    m.resident[word] |= bit;
-                }
-            }
             return (pa, mo.real_page + off);
         }
         // A shadow fault was serviced inside the access: the page was
@@ -1898,9 +1707,6 @@ impl Machine {
     /// preserving machine state.
     pub fn reset_stats(&mut self) {
         self.record_op(|| MachineOp::ResetStats);
-        // Pending fast-forward cycles were earned pre-reset; drain them
-        // so the trace sink (if any) sees them, then zero everything.
-        self.flush_fast_forward();
         self.buckets = TimeBuckets::default();
         self.loads = 0;
         self.stores = 0;

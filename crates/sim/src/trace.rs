@@ -101,19 +101,6 @@ pub enum TraceEvent {
         /// Instructions replayed (`items × instructions-per-item`).
         instructions: u64,
     },
-    /// A run of page-resident fast-forwarded work, charged in bulk when
-    /// the deferred user-cycle accumulator drains: single-cycle accesses
-    /// that provably hit a memoized page's resident lines, plus
-    /// instruction batches that provably stayed inside the micro-ITLB'd
-    /// text page. The cycle total equals `accesses + instructions`,
-    /// exactly what the slow path would have charged one event at a
-    /// time.
-    FastForward {
-        /// Single-cycle cache accesses fast-forwarded.
-        accesses: u64,
-        /// Instructions fast-forwarded.
-        instructions: u64,
-    },
     /// The CPU TLB missed and the software handler ran (data side).
     TlbMiss {
         /// Faulting virtual address.

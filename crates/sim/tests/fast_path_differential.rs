@@ -7,18 +7,19 @@
 //! slow path on every access. This test drives random operation
 //! sequences — mapping, promotion, scalar access (aligned and
 //! misaligned), instruction fetch, batched streams, swap-out, context
-//! switches and recoloring — through machines in every fast-path mode
-//! combination and requires the *entire* serialized run report (every
-//! cycle bucket, every counter, every TLB-miss interval) and the final
-//! guest memory contents to match.
+//! switches and core switches — through a fast machine and a slow-path
+//! reference on one- and two-core configurations and requires the
+//! *entire* serialized run report (every cycle bucket, every counter,
+//! every TLB-miss interval) and the final guest memory contents to
+//! match.
 //!
-//! Four live mode combinations are pinned to each other — fast paths
-//! on/off × page-resident fast-forward on/off — and the op stream
-//! recorded from the reference machine is additionally replayed
-//! (`mtlb-trace` round trip) through a fresh machine in a random mode,
-//! which must reproduce the same report byte-for-byte. Replay writes
-//! zeros instead of data, so guest-memory digests are compared among
-//! the live machines only.
+//! On the one-core cases the op stream recorded from the fast machine
+//! is additionally replayed (`mtlb-trace` round trip) through a fresh
+//! machine with fast paths randomly on or off, which must reproduce
+//! the same report byte-for-byte (`set_active_core` is a host-level
+//! call, not a recorded op, so two-core runs have no trace form).
+//! Replay writes zeros instead of data, so guest-memory digests are
+//! compared between the live machines only.
 
 use mtlb_sim::{Machine, MachineConfig, OpSink, VecOpSink};
 use mtlb_types::{Prot, VirtAddr};
@@ -71,11 +72,17 @@ enum Op {
     Remap,
     SwapOut,
     ContextSwitchAwayAndBack,
+    /// Moves execution to the next core (a no-op on one core): memos,
+    /// remote shootdowns and bus arbitration across `set_active_core`.
+    SwitchCore,
     Sbrk(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    let off = 0u64..(REGION - 8);
+    // Half the scalar offsets land in two hot pages, so same-page runs
+    // (live memos) are common enough to straddle a core switch.
+    let off =
+        (0u64..2 * (REGION - 8)).prop_map(|o| if o < REGION - 8 { o } else { o % (2 * 4096) });
     // Stream lanes stay inside the region: `off` in the first quarter,
     // counts bounded so even the two-lane ops (second lane at +48 KB)
     // fit.
@@ -109,6 +116,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::Remap),
         1 => Just(Op::SwapOut),
         1 => Just(Op::ContextSwitchAwayAndBack),
+        2 => Just(Op::SwitchCore),
         1 => (1u64..3).prop_map(|n| Op::Sbrk(n * 4096)),
     ]
 }
@@ -207,92 +215,80 @@ fn apply(m: &mut Machine, op: &Op) -> u64 {
             m.try_switch_process(pid).expect("pid was spawned");
             m.try_switch_process(0).expect("pid 0 always exists");
         }
+        Op::SwitchCore => m.set_active_core((m.active_core() + 1) % m.num_cores()),
         Op::Sbrk(n) => digest = m.sbrk(n).get(),
     }
     digest
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every fast-path mode combination stays bit-identical — total
-    /// cycles, every counter and interval in the serialized report, and
-    /// the full guest memory image — across random op sequences on both
-    /// the MTLB and baseline configurations; and a trace-replayed
-    /// machine in a random mode reproduces the same report.
+    /// The fast machine and the slow-path reference stay bit-identical
+    /// — total cycles, every counter and interval in the serialized
+    /// report, and the full guest memory image — across random op
+    /// sequences on the MTLB and baseline configurations with one and
+    /// two cores; and on one core a trace-replayed machine in either
+    /// mode reproduces the same report.
     #[test]
     fn fast_paths_are_observably_absent(
         mtlb in (0u8..2).prop_map(|b| b == 1),
+        cores in 1usize..3,
         replay_fast in (0u8..2).prop_map(|b| b == 1),
-        replay_page_ff in (0u8..2).prop_map(|b| b == 1),
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
         let cfg = if mtlb {
             MachineConfig::paper_mtlb(16)
         } else {
             MachineConfig::paper_base(16)
-        };
-        // The four live mode combinations; index 0 (everything on) is
-        // the reference and records the op stream for the replay leg.
-        const MODES: [(bool, bool); 4] =
-            [(true, true), (true, false), (false, true), (false, false)];
-        let mut machines: Vec<Machine> = MODES
-            .iter()
-            .map(|&(fast, page_ff)| {
-                let mut m = Machine::new(cfg.clone());
-                m.set_fast_paths(fast);
-                m.set_page_fast_forward(page_ff);
-                m
-            })
-            .collect();
-        machines[0].set_op_sink(Box::new(mtlb_trace::TraceWriter::new()));
-        for m in &mut machines {
+        }
+        .with_cores(cores);
+        // The fast machine records the op stream for the replay leg.
+        let mut fast = Machine::new(cfg.clone());
+        fast.set_op_sink(Box::new(mtlb_trace::TraceWriter::new()));
+        let mut slow = Machine::new(cfg.clone());
+        slow.set_fast_paths(false);
+        for m in [&mut fast, &mut slow] {
             m.map_region(BASE, REGION, Prot::RW);
             m.load_program(16 * 4096, false);
         }
         for (i, op) in ops.iter().enumerate() {
-            let reference = apply(&mut machines[0], op);
-            for (m, &(fast, page_ff)) in machines.iter_mut().zip(&MODES).skip(1) {
-                let got = apply(m, op);
-                prop_assert_eq!(
-                    got, reference,
-                    "op {} value divergence (fast={}, page_ff={}): {:?}",
-                    i, fast, page_ff, op
-                );
-            }
-        }
-        let reference_json = machines[0].report().to_json();
-        let reference_digest = machines[0].guest_memory().content_digest();
-        for (m, &(fast, page_ff)) in machines.iter_mut().zip(&MODES).skip(1) {
             prop_assert_eq!(
-                &m.report().to_json(), &reference_json,
-                "cycle/counter divergence (fast={}, page_ff={})", fast, page_ff
-            );
-            prop_assert_eq!(
-                m.guest_memory().content_digest(), reference_digest,
-                "guest memory divergence (fast={}, page_ff={})", fast, page_ff
+                apply(&mut fast, op), apply(&mut slow, op),
+                "op {} value divergence: {:?}", i, op
             );
         }
+        let reference_json = slow.report().to_json();
+        prop_assert_eq!(
+            &fast.report().to_json(), &reference_json,
+            "cycle/counter divergence"
+        );
+        prop_assert_eq!(
+            fast.guest_memory().content_digest(),
+            slow.guest_memory().content_digest(),
+            "guest memory divergence"
+        );
 
-        // Replay leg: the recorded stream, replayed through a fresh
-        // machine in a random mode combination, must reproduce the
+        // Replay leg (one core only): the recorded stream, replayed
+        // through a fresh machine in either mode, must reproduce the
         // reference report byte-for-byte (data digests excluded:
         // replay writes zeros).
-        let writer = machines[0]
-            .take_op_sink()
-            .expect("sink still attached")
-            .into_any()
-            .downcast::<mtlb_trace::TraceWriter>()
-            .expect("trace writer");
-        let bytes = writer.finish("differential", 0, 0, true);
-        let mut replayed = Machine::new(cfg);
-        replayed.set_fast_paths(replay_fast);
-        replayed.set_page_fast_forward(replay_page_ff);
-        mtlb_trace::replay(&mut replayed, &bytes).expect("replay");
-        prop_assert_eq!(
-            &replayed.report().to_json(), &reference_json,
-            "replay divergence (fast={}, page_ff={})", replay_fast, replay_page_ff
-        );
+        if cores == 1 {
+            let writer = fast
+                .take_op_sink()
+                .expect("sink still attached")
+                .into_any()
+                .downcast::<mtlb_trace::TraceWriter>()
+                .expect("trace writer");
+            let bytes = writer.finish("differential", 0, 0, true);
+            let mut replayed = Machine::new(cfg);
+            replayed.set_fast_paths(replay_fast);
+            mtlb_trace::replay(&mut replayed, &bytes).expect("replay");
+            prop_assert_eq!(
+                &replayed.report().to_json(), &reference_json,
+                "replay divergence (fast={})", replay_fast
+            );
+        }
     }
 
     /// The in-memory op record (no encoding) also replays to identical

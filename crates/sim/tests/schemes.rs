@@ -8,8 +8,8 @@
 //!   cycle-attribution audit, which reconciles the scheme-specific fill
 //!   counters (`CoalescedStats`, `SplitStats`) against the shared
 //!   `TlbStats` on every core;
-//! * the host fast paths (access memos, batched streams, page-resident
-//!   fast-forward) are observably absent under the rivals too — the
+//! * the host fast paths (access memos, batched streams) are
+//!   observably absent under the rivals too — the
 //!   generation-counter contract is what makes the memo layer sound
 //!   per scheme, so this differential is the end-to-end proof;
 //! * multi-core TLB shootdowns flow through the trait's purge path:
@@ -90,10 +90,8 @@ fn fast_paths_are_observably_absent_under_rival_schemes() {
         let cfg = MachineConfig::paper_mtlb(64).with_scheme(scheme);
         let mut fast = Machine::new(cfg.clone());
         fast.set_fast_paths(true);
-        fast.set_page_fast_forward(true);
         let mut slow = Machine::new(cfg);
         slow.set_fast_paths(false);
-        slow.set_page_fast_forward(false);
         drive(&mut fast);
         drive(&mut slow);
         assert_eq!(

@@ -84,6 +84,15 @@ pub enum TraceError {
         /// The declared length.
         len: u64,
     },
+    /// A `LoadProgram` op declared an empty text segment.
+    EmptyProgram,
+    /// A stream op's lane base is not aligned to the lane's access size.
+    MisalignedStream {
+        /// The offending lane base.
+        base: VirtAddr,
+        /// The lane's access size in bytes.
+        size: u64,
+    },
     /// Replaying op number `op_index` (0-based) faulted on the target
     /// machine — the trace was recorded against an incompatible
     /// machine state or is corrupt.
@@ -109,6 +118,10 @@ impl fmt::Display for TraceError {
             }
             TraceError::OversizedBlock { len } => {
                 write!(f, "block op length {len} exceeds replay cap")
+            }
+            TraceError::EmptyProgram => write!(f, "program load of zero bytes"),
+            TraceError::MisalignedStream { base, size } => {
+                write!(f, "stream lane base {base} is not {size}-byte aligned")
             }
             TraceError::ReplayFault { op_index, fault } => {
                 write!(f, "replay faulted at op {op_index}: {fault:?}")
@@ -525,10 +538,19 @@ pub fn replay(machine: &mut Machine, bytes: &[u8]) -> Result<TraceHeader, TraceE
 ///
 /// # Errors
 ///
-/// [`TraceError::ReplayFault`] if the op faults, or
-/// [`TraceError::OversizedBlock`] for a block op over the format's
-/// length cap.
+/// [`TraceError::ReplayFault`] if the op faults;
+/// [`TraceError::OversizedBlock`], [`TraceError::EmptyProgram`] or
+/// [`TraceError::MisalignedStream`] for a well-formed op the machine's
+/// API would reject by panicking (a live caller's bug, but here just a
+/// bad file).
 pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<(), TraceError> {
+    let lane = |base: VirtAddr, size: u64| {
+        if base.is_aligned(size) {
+            Ok(())
+        } else {
+            Err(TraceError::MisalignedStream { base, size })
+        }
+    };
     let result: Result<(), Fault> = match *op {
         MachineOp::Execute { n } => machine.try_execute(n),
         MachineOp::Read { va, size } => match size {
@@ -558,15 +580,21 @@ pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<
             machine.try_write_block(va, &data, instr)
         }
         MachineOp::StreamReadU32 { base, count, instr } => {
+            lane(base, 4)?;
             machine.try_stream_read_u32(base, count, instr, |_, _| {})
         }
         MachineOp::StreamWriteU32 { base, count, instr } => {
+            lane(base, 4)?;
             machine.try_stream_write_u32(base, count, instr, |_| 0)
         }
         MachineOp::StreamWritePairU32 { a, b, count, instr } => {
+            lane(a, 4)?;
+            lane(b, 4)?;
             machine.try_stream_write_u32_pair(a, b, count, instr, |_| (0, 0))
         }
         MachineOp::StreamWriteU32F64 { a, b, count, instr } => {
+            lane(a, 4)?;
+            lane(b, 8)?;
             machine.try_stream_write_u32_f64(a, b, count, instr, |_| (0, 0.0))
         }
         MachineOp::MapRegion { start, len, prot } => {
@@ -603,6 +631,9 @@ pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<
             Ok(())
         }
         MachineOp::LoadProgram { len, remap_text } => {
+            if len == 0 {
+                return Err(TraceError::EmptyProgram);
+            }
             machine.load_program(len, remap_text);
             Ok(())
         }

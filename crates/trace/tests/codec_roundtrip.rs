@@ -3,8 +3,8 @@
 //! runs, huge forward/backward address jumps and every op kind — and
 //! the header survives arbitrary name/outcome values.
 
-use mtlb_sim::{MachineOp, OpSink};
-use mtlb_trace::{TraceReader, TraceWriter};
+use mtlb_sim::{Machine, MachineConfig, MachineOp, OpSink};
+use mtlb_trace::{TraceError, TraceReader, TraceWriter};
 use mtlb_types::{Prot, VirtAddr, Vpn};
 use proptest::prelude::*;
 
@@ -109,5 +109,84 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Replays `ops` as a well-formed MTR1 trace on a fresh machine.
+fn replay_ops(ops: &[MachineOp]) -> Result<(), TraceError> {
+    let mut w = TraceWriter::new();
+    for op in ops {
+        w.record(op);
+    }
+    let bytes = w.finish("hostile", 0, 0, true);
+    let mut m = Machine::new(MachineConfig::paper_mtlb(64));
+    mtlb_trace::replay(&mut m, &bytes).map(drop)
+}
+
+/// Well-formed traces whose ops violate a `Machine` API precondition
+/// are rejected with a typed error, not forwarded into the assert
+/// (release builds abort on panic, taking a whole sweep down).
+#[test]
+fn replay_rejects_ops_the_machine_would_panic_on() {
+    assert_eq!(
+        replay_ops(&[MachineOp::LoadProgram {
+            len: 0,
+            remap_text: false,
+        }]),
+        Err(TraceError::EmptyProgram)
+    );
+    let heap = VirtAddr::new(0x1000_0000);
+    let map = MachineOp::MapRegion {
+        start: heap,
+        len: 64 * 1024,
+        prot: Prot::RW,
+    };
+    let (count, instr) = (8, 1);
+    let odd = heap + 2;
+    for (op, base, size) in [
+        (
+            MachineOp::StreamReadU32 {
+                base: odd,
+                count,
+                instr,
+            },
+            odd,
+            4,
+        ),
+        (
+            MachineOp::StreamWriteU32 {
+                base: odd,
+                count,
+                instr,
+            },
+            odd,
+            4,
+        ),
+        (
+            MachineOp::StreamWritePairU32 {
+                a: heap,
+                b: odd + 4096,
+                count,
+                instr,
+            },
+            odd + 4096,
+            4,
+        ),
+        (
+            // 4-aligned but not 8-aligned: only the f64 lane objects.
+            MachineOp::StreamWriteU32F64 {
+                a: heap,
+                b: heap + 4100,
+                count,
+                instr,
+            },
+            heap + 4100,
+            8,
+        ),
+    ] {
+        assert_eq!(
+            replay_ops(&[map, op]),
+            Err(TraceError::MisalignedStream { base, size })
+        );
     }
 }
