@@ -73,9 +73,10 @@ diff "$DET_DIR/fig3_legacy" "$DET_DIR/fig3_cores1"
 diff "$DET_DIR/fig6_j1" "$DET_DIR/fig6_j4"
 
 echo "== fig5 scheme shoot-out determinism (stdout + JSON jobs-invariant)"
-# The rival-scheme comparison replays one recorded stream per workload
-# through every front end; neither the table nor the per-cell JSON
-# reports may depend on how many job threads computed them.
+# The rival-scheme comparison runs every workload live on every front
+# end (the op streams are identical by determinism); neither the table
+# nor the per-cell JSON reports may depend on how many job threads
+# computed them.
 ./target/release/repro fig5 --test-scale --jobs 1 --json-dir "$DET_DIR/fig5_json1" \
   > "$DET_DIR/fig5_j1" 2>/dev/null
 ./target/release/repro fig5 --test-scale --jobs 4 --json-dir "$DET_DIR/fig5_json2" \
@@ -106,8 +107,11 @@ echo "== paper-scale cycle-fidelity gate (live pins of benchmark/expected.json)"
 # Runs this tree's simulator at paper scale, one rep, through the
 # benchmark as shipped: `"correct": true` means every unit matched its
 # pinned simulated cycles and counter digest — 22 cells across live
-# runs, per-op replay, four translation front ends and a 4-core co-run.
-# Any simulated-cycle drift this change causes is a hard failure.
+# runs on four translation front ends, one MTR1 recording and its
+# 4-core co-run. Any simulated-cycle drift this change causes is a hard
+# failure. The same perop_fig5_fig6 run gates memory: no fig5/fig6 task
+# may hold a decoded op vector again (537 MB when they did, about
+# 100 MB since), so its peak RSS must stay under 200 MB.
 for workload in live_paper5 perop_fig5_fig6; do
   result="$(bash benchmark/run.sh --workload "$workload" --seed 1 --reps 1 --trace 0 \
     2>/dev/null | tail -n 1)" || true
@@ -116,6 +120,12 @@ for workload in live_paper5 perop_fig5_fig6; do
     exit 1
   fi
 done
+rss_mb="$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9]*\).*/\1/p' <<<"$result")"
+if [ -z "$rss_mb" ] || [ "$rss_mb" -ge 200 ]; then
+  echo "perop_fig5_fig6 peak RSS ${rss_mb:-unparsed} MB is not under 200 MB: $result" >&2
+  exit 1
+fi
+echo "   perop_fig5_fig6 peak RSS: ${rss_mb} MB"
 
 echo "== bench_compare self-gate (test-scale wall-clock sanity)"
 # Two back-to-back test-scale runs through the bench-report pipeline,

@@ -16,14 +16,15 @@ use mtlb_os::{
     PagingPolicy, ShadowAllocator, UserLayout,
 };
 use mtlb_schemes::SchemeConfig;
-use mtlb_sim::{Machine, MachineConfig, MachineOp, RunReport, VecOpSink};
+use mtlb_sim::{Machine, MachineConfig, MachineOp, RunReport};
 use mtlb_tlb::{CpuTlb, LookupOutcome, MicroItlb, SubblockOutcome, SubblockTlb, TlbEntry};
+use mtlb_trace::{TraceReader, TraceWriter};
 use mtlb_types::{ClockRatio, PageSize, Ppn, Prot, VirtAddr, PAGE_SIZE};
 use mtlb_workloads::{
     AccessExt, Cc1, Compress95, Em3d, Oltp, Radix, Scale, SyntheticTrace, Vortex, Workload,
 };
 
-use crate::runner::{JobResult, JobSpec, Runner, Task};
+use crate::runner::{scale_byte, JobResult, JobSpec, Runner, Task};
 
 /// The five benchmark names, in the paper's Figure 3 order.
 pub const WORKLOADS: [&str; 5] = ["compress95", "em3d", "radix", "vortex", "cc1"];
@@ -1144,11 +1145,12 @@ fn rebase_op(op: &MachineOp, delta: u64) -> Option<MachineOp> {
     })
 }
 
-/// One fig6 co-run: `instances` copies of the recorded op stream, one
-/// per core, each in its own process and virtual window, interleaved
-/// by the deterministic round-robin scheduler (one op per core per
-/// turn).
-fn fig6_corun(ops: &[MachineOp], instances: usize) -> RunReport {
+/// One fig6 co-run: `instances` copies of the recorded MTR1 op stream,
+/// one per core, each in its own process and virtual window,
+/// interleaved by the deterministic round-robin scheduler (one op per
+/// core per turn). One cursor walks the trace; each op is decoded once
+/// and applied to every core with that core's window delta.
+fn fig6_corun(trace: &[u8], instances: usize) -> RunReport {
     let mut m = Machine::new(MachineConfig::paper_mtlb(96).with_cores(instances));
     // Instance 0 stays in the boot process (delta 0 — the stream
     // replays exactly as recorded); every other instance gets a fresh
@@ -1161,28 +1163,34 @@ fn fig6_corun(ops: &[MachineOp], instances: usize) -> RunReport {
         m.try_switch_process(pid).expect("pid just spawned");
     }
     m.set_active_core(0);
-    for (i, op) in ops.iter().enumerate() {
+    let mut reader = TraceReader::new(trace).expect("header of a trace just written");
+    let mut i = 0u64;
+    while let Some(op) = reader
+        .next_op()
+        .unwrap_or_else(|e| panic!("fig6 trace corrupt at op {i}: {e}"))
+    {
         for (core, &delta) in deltas.iter().enumerate() {
-            let Some(op) = rebase_op(op, delta) else {
+            let Some(op) = rebase_op(&op, delta) else {
                 continue;
             };
             m.set_active_core(core);
-            if let Err(e) = mtlb_trace::apply_op(&mut m, &op, i as u64) {
+            if let Err(e) = mtlb_trace::apply_op(&mut m, &op, i) {
                 panic!("fig6 co-run replay diverged on core {core}: {e}");
             }
         }
+        i += 1;
     }
     m.report()
 }
 
 /// The fig6 experiment: co-run 2/4/8 instances of each workload on a
 /// multi-core machine sharing one bus, MMC and MTLB, and compare
-/// against the single-core baseline. Each workload is recorded once
-/// (that recording run *is* the C1 baseline — it is never re-simulated
-/// per instance count); each `(workload, instances)` cell replays the
-/// stream round-robin across the cores. Cells are independent runner
-/// tasks, and rows are assembled in a fixed order, so the output is
-/// byte-identical at every `--jobs` level.
+/// against the single-core baseline. Each workload is recorded once,
+/// as MTR1 bytes (that recording run *is* the C1 baseline — it is never
+/// re-simulated per instance count); each `(workload, instances)` cell
+/// replays the stream round-robin across the cores. Cells are
+/// independent runner tasks, and rows are assembled in a fixed order,
+/// so the output is byte-identical at every `--jobs` level.
 #[must_use]
 pub fn fig6(
     runner: &Runner,
@@ -1195,27 +1203,27 @@ pub fn fig6(
         .map(|&name| {
             Task::new(format!("fig6/{name}/record"), move || {
                 let mut m = Machine::new(MachineConfig::paper_mtlb(96));
-                m.set_op_sink(Box::new(VecOpSink::default()));
+                m.set_op_sink(Box::new(TraceWriter::new()));
                 let outcome = workload_by_name(name, scale).run(&mut m);
                 assert!(outcome.verified, "fig6 record: {name} failed self-check");
                 let sink = m.take_op_sink().expect("sink still attached");
-                let ops = sink
+                let trace = sink
                     .into_any()
-                    .downcast::<VecOpSink>()
-                    .expect("VecOpSink was attached")
-                    .ops;
-                (ops, m.report())
+                    .downcast::<TraceWriter>()
+                    .expect("TraceWriter was attached")
+                    .finish(name, scale_byte(scale), outcome.checksum, outcome.verified);
+                (trace, m.report())
             })
         })
         .collect();
-    let recorded: Vec<(Vec<MachineOp>, RunReport)> = runner.run_tasks(record_tasks);
+    let recorded: Vec<(Vec<u8>, RunReport)> = runner.run_tasks(record_tasks);
 
     let mut tasks = Vec::new();
     for (w, &name) in workloads.iter().enumerate() {
         for &n in instance_counts {
-            let ops = &recorded[w].0;
+            let trace = &recorded[w].0;
             tasks.push(Task::new(format!("fig6/{name}/x{n}"), move || {
-                fig6_corun(ops, n)
+                fig6_corun(trace, n)
             }));
         }
     }
@@ -1247,8 +1255,7 @@ pub fn fig6(
 }
 
 /// One cell of the fig5 rival-scheme comparison: one translation front
-/// end at one capacity, driven by the recorded op stream of one
-/// workload.
+/// end at one capacity, running one workload.
 #[derive(Debug, Clone)]
 pub struct Fig5Row {
     /// Workload name.
@@ -1276,29 +1283,20 @@ pub struct Fig5Row {
     pub report: RunReport,
 }
 
-/// One fig5 matrix cell the record run does not already cover: build
-/// the machine for the scheme under test and re-drive the recorded op
-/// stream through it. Replay panics on divergence, so a returned report
-/// is a verified run.
-fn fig5_replay(
-    name: &str,
-    scheme: &str,
-    ops: &[MachineOp],
-    cfg: MachineConfig,
-) -> (RunReport, u64) {
+/// One fig5 task: the workload live on a machine built from `cfg`,
+/// self-check asserted. Returns the report and the front end's final
+/// reach.
+fn fig5_live(label: &str, name: &str, scale: Scale, cfg: MachineConfig) -> (RunReport, u64) {
     let mut m = Machine::new(cfg);
-    for (i, op) in ops.iter().enumerate() {
-        if let Err(e) = mtlb_trace::apply_op(&mut m, op, i as u64) {
-            panic!("fig5 {scheme} replay of {name} diverged: {e}");
-        }
-    }
+    let outcome = workload_by_name(name, scale).run(&mut m);
+    assert!(outcome.verified, "{label}: workload failed self-check");
     let reach = m.tlb_reach_bytes();
     (m.report(), reach)
 }
 
 /// One column of the fig5 matrix: a scheme at a capacity, with the
-/// machine configuration to build — or `None` when the record run *is*
-/// this cell (the paper machine at 96 entries).
+/// machine configuration to build — or `None` when the reference run
+/// *is* this cell (the paper machine at 96 entries).
 struct Fig5Cell {
     scheme: &'static str,
     entries: usize,
@@ -1329,7 +1327,7 @@ fn fig5_cells(tlb_sizes: &[usize]) -> Vec<Fig5Cell> {
         cells.push(Fig5Cell {
             scheme: "mtlb",
             entries: e,
-            // The record run is the 96-entry paper machine; reuse it.
+            // The reference run is the 96-entry paper machine; reuse it.
             cfg: (e != 96).then(|| MachineConfig::paper_mtlb(e)),
         });
     }
@@ -1351,13 +1349,17 @@ fn fig5_cells(tlb_sizes: &[usize]) -> Vec<Fig5Cell> {
 }
 
 /// The fig5 experiment: rival TLB-reach designs head-to-head on
-/// identical recorded address streams. Each workload is recorded once
-/// on the paper's 96-entry MTLB machine (that run *is* the
-/// `mtlb`/96 cell); every other `(scheme, entries)` cell replays the
-/// stream on a machine built for that scheme. Cells are independent
-/// runner tasks and rows are assembled in a fixed order, so the output
-/// is byte-identical at every `--jobs` level. Runtimes are normalised
-/// per-workload to the 96-entry conventional (`cpu`) cell.
+/// identical address streams. Every cell runs its workload live on a
+/// machine built for that scheme: the workloads are deterministic
+/// programs whose op stream does not depend on the machine
+/// configuration (`tests/stream_identity.rs` pins it), so every cell
+/// sees the stream the `fig5/<w>/record` reference run on the paper's
+/// 96-entry MTLB machine saw (that run *is* the `mtlb`/96 cell) — and
+/// each cell checks its retired-op counts against the reference's as
+/// the runtime witness. Cells are independent runner tasks and rows
+/// are assembled in a fixed order, so the output is byte-identical at
+/// every `--jobs` level. Runtimes are normalised per-workload to the
+/// 96-entry conventional (`cpu`) cell.
 #[must_use]
 pub fn fig5(
     runner: &Runner,
@@ -1365,51 +1367,48 @@ pub fn fig5(
     tlb_sizes: &[usize],
     workloads: &[&'static str],
 ) -> Vec<Fig5Row> {
-    let record_tasks = workloads
+    let reference_tasks = workloads
         .iter()
         .map(|&name| {
-            Task::new(format!("fig5/{name}/record"), move || {
-                let mut m = Machine::new(MachineConfig::paper_mtlb(96));
-                m.set_op_sink(Box::new(VecOpSink::default()));
-                let outcome = workload_by_name(name, scale).run(&mut m);
-                assert!(outcome.verified, "fig5 record: {name} failed self-check");
-                let sink = m.take_op_sink().expect("sink still attached");
-                let ops = sink
-                    .into_any()
-                    .downcast::<VecOpSink>()
-                    .expect("VecOpSink was attached")
-                    .ops;
-                let reach = m.tlb_reach_bytes();
-                (ops, m.report(), reach)
+            let label = format!("fig5/{name}/record");
+            Task::new(label.clone(), move || {
+                fig5_live(&label, name, scale, MachineConfig::paper_mtlb(96))
             })
         })
         .collect();
-    let recorded: Vec<(Vec<MachineOp>, RunReport, u64)> = runner.run_tasks(record_tasks);
+    let reference: Vec<(RunReport, u64)> = runner.run_tasks(reference_tasks);
 
+    let op_counts = |r: &RunReport| (r.instructions, r.loads, r.stores);
     let cells = fig5_cells(tlb_sizes);
     let mut tasks = Vec::new();
     for (w, &name) in workloads.iter().enumerate() {
         for cell in &cells {
             if let Some(cfg) = cell.cfg.clone() {
-                let ops = &recorded[w].0;
-                let scheme = cell.scheme;
-                tasks.push(Task::new(
-                    format!("fig5/{name}/{}{}", cell.scheme, cell.entries),
-                    move || fig5_replay(name, scheme, ops, cfg),
-                ));
+                let label = format!("fig5/{name}/{}{}", cell.scheme, cell.entries);
+                let expect = op_counts(&reference[w].0);
+                tasks.push(Task::new(label.clone(), move || {
+                    let result = fig5_live(&label, name, scale, cfg);
+                    assert_eq!(
+                        op_counts(&result.0),
+                        expect,
+                        "{label}: (instructions, loads, stores) differ from the reference \
+                         run's — the op stream depended on the machine configuration"
+                    );
+                    result
+                }));
             }
         }
     }
-    let replayed: Vec<(RunReport, u64)> = runner.run_tasks(tasks);
+    let live: Vec<(RunReport, u64)> = runner.run_tasks(tasks);
 
     let mut rows = Vec::new();
-    let mut replayed = replayed.into_iter();
+    let mut live = live.into_iter();
     for (w, &name) in workloads.iter().enumerate() {
         let results: Vec<(RunReport, u64)> = cells
             .iter()
             .map(|cell| match &cell.cfg {
-                Some(_) => replayed.next().expect("one result per replay cell"),
-                None => (recorded[w].1.clone(), recorded[w].2),
+                Some(_) => live.next().expect("one result per live cell"),
+                None => reference[w].clone(),
             })
             .collect();
         let base_total = cells

@@ -1,11 +1,13 @@
 //! End-to-end determinism of the parallel sweep runner.
 //!
-//! Two guarantees, checked through the real `repro` binary:
+//! Three guarantees, checked through the real `repro` binary:
 //!
 //! * **Golden cycles** — `fig3 --test-scale` stdout (tables *and* CSV)
 //!   is byte-identical to a fixture captured from the serial,
 //!   pre-optimisation implementation, pinning every simulated cycle
-//!   count through the runner and TLB/MMC fast-path rewrites.
+//!   count through the runner and TLB/MMC fast-path rewrites; `fig5`
+//!   and `fig6` are pinned the same way to fixtures captured from the
+//!   drivers that replayed a recorded op vector per cell.
 //! * **Jobs parity** — `--jobs 4` produces byte-identical stdout to
 //!   `--jobs 1`, whatever order the worker threads finish in.
 //! * **JSON reports** — `--json-dir` writes one report per experiment
@@ -27,16 +29,29 @@ fn repro_stdout(args: &[&str]) -> Vec<u8> {
     out.stdout
 }
 
-#[test]
-fn fig3_serial_output_matches_pre_optimisation_golden() {
-    let golden = include_bytes!("fixtures/fig3_test_scale.txt");
-    let got = repro_stdout(&["fig3", "--test-scale", "--jobs", "1"]);
+/// Asserts `repro <experiment> --test-scale --jobs 1` prints `golden`
+/// byte for byte.
+fn assert_golden(experiment: &str, golden: &[u8]) {
+    let got = repro_stdout(&[experiment, "--test-scale", "--jobs", "1"]);
     assert!(
         got == golden,
-        "fig3 --test-scale output drifted from the golden fixture;\n\
+        "{experiment} --test-scale output drifted from the golden fixture;\n\
          simulated cycle counts must not change.\n--- got ---\n{}",
         String::from_utf8_lossy(&got)
     );
+}
+
+#[test]
+fn fig3_serial_output_matches_pre_optimisation_golden() {
+    assert_golden("fig3", include_bytes!("fixtures/fig3_test_scale.txt"));
+}
+
+/// Captured from the drivers that replayed a recorded `Vec<MachineOp>`
+/// per cell (the parent of the live-cell / MTR1 co-run rewrite).
+#[test]
+fn fig5_and_fig6_serial_output_matches_recorded_replay_golden() {
+    assert_golden("fig5", include_bytes!("fixtures/fig5_test_scale.txt"));
+    assert_golden("fig6", include_bytes!("fixtures/fig6_test_scale.txt"));
 }
 
 #[test]

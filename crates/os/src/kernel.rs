@@ -516,9 +516,9 @@ impl Kernel {
     }
 
     /// Re-points the kernel's notion of the running process without a
-    /// context switch — used when the machine banks one core's state out
-    /// and another's in: each core is already running its process, so no
-    /// purge, shootdown, or cycle cost applies.
+    /// context switch — used when the machine moves its attention from
+    /// one core to another: each core is already running its process,
+    /// so no purge, shootdown, or cycle cost applies.
     ///
     /// The pid must come from [`spawn_process`](Self::spawn_process);
     /// an unknown pid is a host-side bug, not a simulated fault.

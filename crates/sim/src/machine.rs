@@ -22,16 +22,17 @@ use crate::MachineConfig;
 /// Builds a [`KernelCtx`] from the machine's fields without borrowing
 /// `self.kernel`, so kernel services can be invoked in one expression.
 macro_rules! kctx {
-    ($self:ident) => {
+    ($self:ident) => {{
+        let core = &mut $self.cores[$self.active];
         KernelCtx {
-            tlb: &mut *$self.tlb,
-            itlb: &mut $self.itlb,
-            cache: &mut $self.cache,
+            tlb: &mut *core.tlb,
+            itlb: &mut core.itlb,
+            cache: &mut core.cache,
             mmc: &mut $self.mmc,
             mem: &mut $self.mem,
             ratio: $self.cfg.ratio,
         }
-    };
+    }};
 }
 
 /// The complete simulated machine. See the [crate docs](crate) for the
@@ -85,21 +86,22 @@ macro_rules! kctx {
 #[derive(Debug)]
 pub struct Machine {
     cfg: MachineConfig,
-    /// Translation front end (the paper's [`CpuTlb`](mtlb_tlb::CpuTlb)
-    /// by default; fig5 swaps in rival designs behind the same trait).
-    tlb: Box<dyn TranslationScheme>,
-    itlb: MicroItlb,
-    cache: DataCache,
+    /// The per-core front ends, one [`CoreState`] per configured core
+    /// in core-index order. Every hot path reaches its translation,
+    /// cache, program-counter and memo state through
+    /// `cores[active]` — the same code at every core count, so a
+    /// one-core machine is the multi-core machine with a one-element
+    /// list, and whole-machine views (`report`, `per_core_stats`,
+    /// shootdown delivery, `reset_stats`, the audit) iterate this one
+    /// list.
+    cores: Vec<CoreState>,
+    /// Index in `cores` of the core the machine is executing as;
+    /// [`set_active_core`](Machine::set_active_core) moves it.
+    active: usize,
     mmc: Mmc,
     mem: GuestMemory,
     kernel: Kernel,
     buckets: TimeBuckets,
-    loads: u64,
-    stores: u64,
-    instructions: u64,
-    code_base: VirtAddr,
-    code_len: u64,
-    pc_offset: u64,
     /// Optional structured event trace; `None` costs one branch per
     /// cycle charge.
     trace: Option<Box<dyn TraceSink>>,
@@ -116,12 +118,6 @@ pub struct Machine {
     /// residency. A memo is valid only while its recorded generation
     /// matches.
     memo_gen: u64,
-    /// Recently translated data pages for loads, direct-mapped by the
-    /// low VPN bits so page-alternating loops (key + table, source +
-    /// histogram) keep all their hot pages memoized at once.
-    read_memos: Box<[Option<AccessMemo>; MEMO_WAYS]>,
-    /// Recently translated data pages for stores.
-    write_memos: Box<[Option<AccessMemo>; MEMO_WAYS]>,
     /// Host-side fast paths enabled (memos + batch fast-forwarding).
     /// Disabled by the differential tests to produce a pure slow-path
     /// reference machine.
@@ -129,16 +125,6 @@ pub struct Machine {
     /// Optional operation recorder for trace record/replay; `None`
     /// costs one branch per public API call.
     op_sink: Option<Box<dyn OpSink>>,
-    /// Parked per-core front-end state, bank-switched: one slot per
-    /// configured core, with `None` at the active core's index — the
-    /// active core's front end lives in the machine's own fields, so
-    /// every hot path is textually identical to the single-core
-    /// machine (the 1-core bit-identity guarantee by construction).
-    /// [`set_active_core`](Machine::set_active_core) swaps a parked
-    /// state in.
-    cores: Vec<Option<CoreState>>,
-    /// Index of the active core in `cores`.
-    active: usize,
     /// Core that issued the previous user bus transaction. A different
     /// core taking the bus pays [`MachineConfig::bus_arbitration`] —
     /// the shared-bus contention model (irrelevant at one core).
@@ -149,13 +135,14 @@ pub struct Machine {
     contention_cycles: Cycles,
 }
 
-/// One parked CPU front end: everything private to a core — its
-/// translation and cache state, program-counter state, retired-op
-/// counters, the translation memos keyed to its own TLB slots, and the
-/// process it is running. Swapped wholesale with the machine's live
-/// fields by [`Machine::set_active_core`].
+/// One CPU front end: everything private to a core — its translation
+/// and cache state, program-counter state, retired-op counters, the
+/// translation memos keyed to its own TLB slots, and the process it is
+/// running.
 #[derive(Debug)]
 struct CoreState {
+    /// Translation front end (the paper's [`CpuTlb`](mtlb_tlb::CpuTlb)
+    /// by default; fig5 swaps in rival designs behind the same trait).
     tlb: Box<dyn TranslationScheme>,
     itlb: MicroItlb,
     cache: DataCache,
@@ -165,11 +152,48 @@ struct CoreState {
     loads: u64,
     stores: u64,
     instructions: u64,
+    /// Recently translated data pages for loads, direct-mapped by the
+    /// low VPN bits so page-alternating loops (key + table, source +
+    /// histogram) keep all their hot pages memoized at once. Boxed to
+    /// keep the struct's hot scalars within a few cache lines of each
+    /// other (inline tables measured 6 % slower on the live workloads).
     read_memos: Box<[Option<AccessMemo>; MEMO_WAYS]>,
+    /// Recently translated data pages for stores.
     write_memos: Box<[Option<AccessMemo>; MEMO_WAYS]>,
-    /// The process this core is running (restored into the kernel's
-    /// notion of the current process when the core becomes active).
+    /// The process this core was running when the machine last moved
+    /// off it (the kernel's current-process pointer is the truth while
+    /// the core is active; `set_active_core` saves and restores it).
     pid: usize,
+}
+
+impl CoreState {
+    /// One access to this core's L1 cache.
+    #[inline]
+    fn cache_probe(&mut self, va: VirtAddr, pa: PhysAddr, write: bool) -> AccessResult {
+        if write {
+            self.cache.access_write(va, pa)
+        } else {
+            self.cache.access_read(va, pa)
+        }
+    }
+
+    /// A cold front end on process 0, its PC on the boot text page.
+    fn new(cfg: &MachineConfig) -> Self {
+        CoreState {
+            tlb: cfg.scheme.build(cfg.cpu_tlb_entries),
+            itlb: MicroItlb::new(),
+            cache: DataCache::new(cfg.cache),
+            code_base: UserLayout::TEXT_BASE,
+            code_len: PAGE_SIZE,
+            pc_offset: 0,
+            loads: 0,
+            stores: 0,
+            instructions: 0,
+            read_memos: Box::new([None; MEMO_WAYS]),
+            write_memos: Box::new([None; MEMO_WAYS]),
+            pid: 0,
+        }
+    }
 }
 
 /// Direct-mapped translation-memo table size per access kind (a power
@@ -225,31 +249,20 @@ impl Machine {
     pub fn new(cfg: MachineConfig) -> Self {
         assert!(cfg.cores > 0, "a machine needs at least one core");
         let mut m = Machine {
-            tlb: cfg.scheme.build(cfg.cpu_tlb_entries),
-            itlb: MicroItlb::new(),
-            cache: DataCache::new(cfg.cache),
+            cores: vec![CoreState::new(&cfg)],
+            active: 0,
             mmc: Mmc::new(cfg.mmc),
             mem: GuestMemory::new(cfg.mmc.installed_dram),
             kernel: Kernel::new(cfg.mmc, cfg.kernel.clone()),
             cfg,
             buckets: TimeBuckets::default(),
-            loads: 0,
-            stores: 0,
-            instructions: 0,
-            code_base: UserLayout::TEXT_BASE,
-            code_len: PAGE_SIZE,
-            pc_offset: 0,
             trace: None,
             kernel_base: KernelStats::default(),
             miss_intervals: Histogram::new(),
             last_miss_at: None,
             memo_gen: 0,
-            read_memos: Box::new([None; MEMO_WAYS]),
-            write_memos: Box::new([None; MEMO_WAYS]),
             fast_paths: true,
             op_sink: None,
-            cores: Vec::new(),
-            active: 0,
             last_bus_core: None,
             contention_events: 0,
             contention_cycles: Cycles::ZERO,
@@ -269,27 +282,13 @@ impl Machine {
         // kernel block entry boot installed on core 0), micro-ITLB and
         // L1 cache, all starting on process 0. Boot is charged once —
         // the model brings secondary cores up during the same boot
-        // window. At one core this vector is just `[None]`.
-        m.cores.push(None);
+        // window.
         for _ in 1..m.cfg.cores {
-            let mut tlb = m.cfg.scheme.build(m.cfg.cpu_tlb_entries);
+            let mut core = CoreState::new(&m.cfg);
             if let Some(entry) = m.kernel.kernel_block_entry() {
-                tlb.insert_locked(entry);
+                core.tlb.insert_locked(entry);
             }
-            m.cores.push(Some(CoreState {
-                tlb,
-                itlb: MicroItlb::new(),
-                cache: DataCache::new(m.cfg.cache),
-                code_base: UserLayout::TEXT_BASE,
-                code_len: PAGE_SIZE,
-                pc_offset: 0,
-                loads: 0,
-                stores: 0,
-                instructions: 0,
-                read_memos: Box::new([None; MEMO_WAYS]),
-                write_memos: Box::new([None; MEMO_WAYS]),
-                pid: 0,
-            }));
+            m.cores.push(core);
         }
         m
     }
@@ -297,7 +296,7 @@ impl Machine {
     /// Short name of the active translation front end (fig5 labels).
     #[must_use]
     pub fn scheme_name(&self) -> &'static str {
-        self.tlb.name()
+        self.core().tlb.name()
     }
 
     /// Bytes of virtual address space the active core's translation
@@ -305,7 +304,7 @@ impl Machine {
     /// reach" figure the paper's rivals compete on.
     #[must_use]
     pub fn tlb_reach_bytes(&self) -> u64 {
-        self.tlb.reach_bytes()
+        self.core().tlb.reach_bytes()
     }
 
     /// Number of CPU cores.
@@ -320,11 +319,26 @@ impl Machine {
         self.active
     }
 
-    /// Banks the active core's front-end state out and `core`'s in,
-    /// re-pointing the kernel at the process that core is running.
-    /// This is the deterministic round-robin scheduler's primitive: a
-    /// host-level operation (not a recorded [`MachineOp`], like
-    /// [`set_fast_paths`](Machine::set_fast_paths)) costing no
+    /// The active core's front end.
+    #[inline]
+    fn core(&self) -> &CoreState {
+        &self.cores[self.active]
+    }
+
+    /// The active core's front end, mutably. (Paths that also need
+    /// other machine fields while they hold the core index
+    /// `cores[active]` in place, which borrows just that field.)
+    #[inline]
+    fn core_mut(&mut self) -> &mut CoreState {
+        &mut self.cores[self.active]
+    }
+
+    /// Makes `core` the core the machine executes as and re-points the
+    /// kernel at the process that core is running. O(1): the front ends
+    /// stay where they are in the core list, only the active index
+    /// moves. This is the deterministic round-robin scheduler's
+    /// primitive: a host-level operation (not a recorded [`MachineOp`],
+    /// like [`set_fast_paths`](Machine::set_fast_paths)) costing no
     /// simulated cycles — each core is already running; only the
     /// simulator's attention moves. No-op when `core` is active.
     ///
@@ -336,38 +350,17 @@ impl Machine {
         if core == self.active {
             return;
         }
-        if let Some(mut incoming) = self.cores[core].take() {
-            self.swap_core(&mut incoming);
-            self.cores[self.active] = Some(incoming);
-            self.active = core;
-        }
-    }
-
-    /// Exchanges the machine's live front-end fields with a parked
-    /// [`CoreState`], including the kernel's current-process pointer.
-    fn swap_core(&mut self, parked: &mut CoreState) {
-        core::mem::swap(&mut self.tlb, &mut parked.tlb);
-        core::mem::swap(&mut self.itlb, &mut parked.itlb);
-        core::mem::swap(&mut self.cache, &mut parked.cache);
-        core::mem::swap(&mut self.code_base, &mut parked.code_base);
-        core::mem::swap(&mut self.code_len, &mut parked.code_len);
-        core::mem::swap(&mut self.pc_offset, &mut parked.pc_offset);
-        core::mem::swap(&mut self.loads, &mut parked.loads);
-        core::mem::swap(&mut self.stores, &mut parked.stores);
-        core::mem::swap(&mut self.instructions, &mut parked.instructions);
-        core::mem::swap(&mut self.read_memos, &mut parked.read_memos);
-        core::mem::swap(&mut self.write_memos, &mut parked.write_memos);
-        let outgoing_pid = self.kernel.current_process();
-        self.kernel.set_current_process(parked.pid);
-        parked.pid = outgoing_pid;
+        self.core_mut().pid = self.kernel.current_process();
+        self.active = core;
+        self.kernel.set_current_process(self.core().pid);
     }
 
     /// Drains the kernel's queued TLB shootdowns, applying each to
     /// every remote core's CPU TLB and micro-ITLB and charging the
     /// delivery cost. Called after every kernel entry that can queue
-    /// one. On a single core the queue drains at zero cost — remote
-    /// purges, stats, and charges are all structurally skipped, which
-    /// is what keeps the 1-core machine bit-identical.
+    /// one. On a single core the queue drains at zero cost — there is
+    /// no remote core to purge, count or charge for, which is what
+    /// keeps the 1-core machine bit-identical.
     fn service_shootdowns(&mut self) {
         if !self.kernel.has_pending_shootdowns() {
             return;
@@ -378,7 +371,10 @@ impl Machine {
             return;
         }
         for request in &requests {
-            for core in self.cores.iter_mut().flatten() {
+            for (i, core) in self.cores.iter_mut().enumerate() {
+                if i == self.active {
+                    continue;
+                }
                 let _purged = match *request {
                     ShootdownRequest::All => core.tlb.purge_all(),
                     ShootdownRequest::Range { vpn, pages } => core.tlb.purge_range(vpn, pages),
@@ -537,17 +533,13 @@ impl Machine {
     /// `Machine::charge` funnel, which is what makes the audit exact).
     #[must_use]
     pub fn report(&mut self) -> RunReport {
-        // Merge every parked core's private counters into the active
-        // core's — the report describes the whole machine. At one core
-        // the loop body never runs and the merge is the identity.
-        let mut tlb = self.tlb.stats();
-        let mut cache = self.cache.stats();
-        let mut itlb_hits = self.itlb.hits();
-        let mut itlb_misses = self.itlb.misses();
-        let mut loads = self.loads;
-        let mut stores = self.stores;
-        let mut instructions = self.instructions;
-        for core in self.cores.iter().flatten() {
+        // Merge every core's private counters — the report describes
+        // the whole machine.
+        let mut tlb = mtlb_tlb::TlbStats::default();
+        let mut cache = mtlb_cache::CacheStats::default();
+        let (mut itlb_hits, mut itlb_misses) = (0, 0);
+        let (mut loads, mut stores, mut instructions) = (0, 0, 0);
+        for core in &self.cores {
             Self::merge_tlb_stats(&mut tlb, core.tlb.stats());
             Self::merge_cache_stats(&mut cache, core.cache.stats());
             itlb_hits += core.itlb.hits();
@@ -577,34 +569,21 @@ impl Machine {
         report
     }
 
-    /// Per-core front-end counters, in core-index order (the active
-    /// core's live values included). The across-core sums equal the
-    /// merged figures in [`report`](Machine::report) — the debug audit
-    /// asserts it.
+    /// Per-core front-end counters, in core-index order. The
+    /// across-core sums equal the merged figures in
+    /// [`report`](Machine::report) — the debug audit asserts it.
     #[must_use]
     pub fn per_core_stats(&self) -> Vec<CoreStats> {
-        (0..self.cores.len())
-            .map(|i| match &self.cores[i] {
-                Some(c) => CoreStats {
-                    tlb: c.tlb.stats(),
-                    cache: c.cache.stats(),
-                    itlb_hits: c.itlb.hits(),
-                    itlb_misses: c.itlb.misses(),
-                    loads: c.loads,
-                    stores: c.stores,
-                    instructions: c.instructions,
-                },
-                // The `None` slot is the active core: its state lives
-                // in the machine's own fields.
-                None => CoreStats {
-                    tlb: self.tlb.stats(),
-                    cache: self.cache.stats(),
-                    itlb_hits: self.itlb.hits(),
-                    itlb_misses: self.itlb.misses(),
-                    loads: self.loads,
-                    stores: self.stores,
-                    instructions: self.instructions,
-                },
+        self.cores
+            .iter()
+            .map(|c| CoreStats {
+                tlb: c.tlb.stats(),
+                cache: c.cache.stats(),
+                itlb_hits: c.itlb.hits(),
+                itlb_misses: c.itlb.misses(),
+                loads: c.loads,
+                stores: c.stores,
+                instructions: c.instructions,
             })
             .collect()
     }
@@ -687,9 +666,10 @@ impl Machine {
         }
         self.invalidate_memos();
         self.service_shootdowns();
-        self.code_base = base;
-        self.code_len = len;
-        self.pc_offset = 0;
+        let core = self.core_mut();
+        core.code_base = base;
+        core.code_len = len;
+        core.pc_offset = 0;
     }
 
     /// Executes `n` single-cycle instructions, advancing the simulated PC
@@ -711,37 +691,44 @@ impl Machine {
     /// for internal callers (the batch engine), so a recorded stream
     /// operation replays as one op rather than one op per item.
     fn execute_inner(&mut self, n: u64) -> Result<(), Fault> {
-        self.instructions = self.instructions.saturating_add(n);
         self.charge(Bucket::User, Cycles::new(n), || TraceEvent::Execute {
             instructions: n,
         });
+        // One lookup of the active core serves the whole call unless a
+        // fetch misses the micro-ITLB.
+        let mut core = self.core_mut();
+        core.instructions = core.instructions.saturating_add(n);
         let mut remaining = n.saturating_mul(4); // 4-byte instructions
         while remaining > 0 {
-            let va = self.code_base + self.pc_offset;
-            self.ifetch_translate(va)?;
+            let va = core.code_base + core.pc_offset;
+            if core.itlb.translate(va).is_none() {
+                self.ifetch_miss(va)?;
+                core = self.core_mut();
+            }
             let to_page_end = PAGE_SIZE - va.page_offset();
-            let to_wrap = self.code_len - self.pc_offset;
+            let to_wrap = core.code_len - core.pc_offset;
             let step = remaining.min(to_page_end).min(to_wrap);
-            self.pc_offset = (self.pc_offset + step) % self.code_len;
+            core.pc_offset = (core.pc_offset + step) % core.code_len;
             remaining -= step;
         }
         Ok(())
     }
 
-    fn ifetch_translate(&mut self, va: VirtAddr) -> Result<(), Fault> {
-        if self.itlb.translate(va).is_some() {
-            return Ok(());
-        }
-        match self
+    /// Instruction-fetch translation after a micro-ITLB miss: the
+    /// unified TLB, then the software miss handler, refilling the
+    /// micro-ITLB either way.
+    fn ifetch_miss(&mut self, va: VirtAddr) -> Result<(), Fault> {
+        let core = self.core_mut();
+        match core
             .tlb
             .translate(va, AccessKind::IFetch, PrivilegeLevel::User)
         {
             LookupOutcome::Hit(_) => {
-                let entry = self
+                let entry = core
                     .tlb
                     .entry_for(va.vpn())
                     .expect("entry present after a hit");
-                self.itlb.refill(entry);
+                core.itlb.refill(entry);
                 Ok(())
             }
             LookupOutcome::Miss => {
@@ -755,7 +742,7 @@ impl Machine {
                 // The handler may have auto-promoted a region, shooting
                 // down the remapped range on the other cores.
                 self.service_shootdowns();
-                self.itlb.refill(entry);
+                self.core_mut().itlb.refill(entry);
                 Ok(())
             }
             LookupOutcome::Fault(f) => Err(f),
@@ -766,7 +753,11 @@ impl Machine {
 
     fn translate_data(&mut self, va: VirtAddr, kind: AccessKind) -> Result<PhysAddr, Fault> {
         loop {
-            match self.tlb.translate(va, kind, PrivilegeLevel::User) {
+            match self
+                .core_mut()
+                .tlb
+                .translate(va, kind, PrivilegeLevel::User)
+            {
                 LookupOutcome::Hit(pa) => return Ok(pa),
                 LookupOutcome::Miss => {
                     self.note_tlb_miss();
@@ -784,19 +775,17 @@ impl Machine {
     }
 
     /// Runs the cache + bus + MMC timing for one access, servicing shadow
-    /// page faults transparently (swap-in and retry, §4).
-    fn cached_access(&mut self, va: VirtAddr, pa: PhysAddr, write: bool) {
-        let result = if write {
-            self.cache.access_write(va, pa)
-        } else {
-            self.cache.access_read(va, pa)
-        };
+    /// page faults transparently (swap-in and retry, §4). `probe` is the
+    /// outcome of the active core's [`cache_probe`](CoreState::cache_probe)
+    /// for this access — taken by the caller, which already holds the
+    /// core, so the hit path looks the active core up once.
+    fn cached_access(&mut self, va: VirtAddr, pa: PhysAddr, write: bool, probe: AccessResult) {
         // Single-cycle cache pipeline, hit or miss.
         self.charge(Bucket::User, Cycles::new(1), || TraceEvent::CacheAccess {
             va,
             write,
         });
-        let AccessResult::Miss { fill, writeback } = result else {
+        let AccessResult::Miss { fill, writeback } = probe else {
             return;
         };
         // The miss goes to the shared bus: pay arbitration if another
@@ -880,21 +869,15 @@ impl Machine {
         let vpn = va.vpn().index();
         let way = (vpn as usize) & (MEMO_WAYS - 1);
         if self.fast_paths {
-            let memo = if write {
-                self.write_memos[way]
-            } else {
-                self.read_memos[way]
-            };
-            if let Some(mo) = memo {
-                if mo.gen == self.memo_gen && mo.vpn == vpn {
-                    return Ok(self.memo_access(va, mo, write));
-                }
+            if let Some(hit) = self.memo_access(va, way, write) {
+                return Ok(hit);
             }
         }
+        let core = self.core_mut();
         if write {
-            self.stores = self.stores.saturating_add(1);
+            core.stores = core.stores.saturating_add(1);
         } else {
-            self.loads = self.loads.saturating_add(1);
+            core.loads = core.loads.saturating_add(1);
         }
         let kind = if write {
             AccessKind::Write
@@ -905,10 +888,12 @@ impl Machine {
         // Both translate hit paths leave the hit slot as the TLB's MRU,
         // so this names the entry that served (and will keep serving)
         // this page.
-        let slot = self.tlb.last_hit_slot();
+        let core = self.core_mut();
+        let slot = core.tlb.last_hit_slot();
+        let tlb_gen = core.tlb.generation();
+        let probe = core.cache_probe(va, pa, write);
         let gen = self.memo_gen;
-        let tlb_gen = self.tlb.generation();
-        self.cached_access(va, pa, write);
+        self.cached_access(va, pa, write, probe);
         let real = self.functional_addr(pa);
         if self.fast_paths && gen == self.memo_gen {
             // Nothing invalidated during the access, so the slot, the
@@ -922,53 +907,70 @@ impl Machine {
                 bus_page: pa - off,
                 real_page: real - off,
             };
+            let core = self.core_mut();
             if write {
-                self.write_memos[way] = Some(mo);
+                core.write_memos[way] = Some(mo);
             } else {
-                self.read_memos[way] = Some(mo);
+                core.read_memos[way] = Some(mo);
             }
         }
         Ok((pa, real))
     }
 
-    /// Replays a memo-validated access: identical counters, TLB side
-    /// effects, cache/bus timing and returned addresses, with the
-    /// translation lookup skipped.
-    fn memo_access(&mut self, va: VirtAddr, mo: AccessMemo, write: bool) -> (PhysAddr, PhysAddr) {
+    /// Replays an access whose page has a valid memo in `way` (`None`
+    /// without one): identical counters, TLB side effects, cache/bus
+    /// timing and returned addresses, with the translation lookup
+    /// skipped. One lookup of the active core serves the whole hit.
+    fn memo_access(
+        &mut self,
+        va: VirtAddr,
+        way: usize,
+        write: bool,
+    ) -> Option<(PhysAddr, PhysAddr)> {
+        let core = &mut self.cores[self.active];
+        let mo = if write {
+            core.write_memos[way]
+        } else {
+            core.read_memos[way]
+        }?;
+        if mo.gen != self.memo_gen || mo.vpn != va.vpn().index() {
+            return None;
+        }
         // A valid memo proves nothing invalidated translations since it
         // was recorded, which in turn means the TLB content generation
         // cannot have moved (fills, purges and shootdowns all bump
         // `memo_gen` too). The trait's generation hook makes the
         // implication checkable.
         debug_assert_eq!(
-            self.tlb.generation(),
+            core.tlb.generation(),
             mo.tlb_gen,
             "access memo outlived its TLB generation"
         );
         let off = va.page_offset();
         if write {
-            self.stores = self.stores.saturating_add(1);
+            core.stores = core.stores.saturating_add(1);
         } else {
-            self.loads = self.loads.saturating_add(1);
+            core.loads = core.loads.saturating_add(1);
         }
         // Exactly the side effects of the translate hit the slow path
         // would have made (hit counter, NRU used bit, MRU pointer).
-        self.tlb.note_fast_hits(mo.slot, 1);
+        core.tlb.note_fast_hits(mo.slot, 1);
         let pa = mo.bus_page + off;
         debug_assert!(
-            self.tlb
+            core.tlb
                 .entry_for(va.vpn())
                 .is_some_and(|e| e.translate(va) == Some(pa)),
             "access memo diverged from the TLB"
         );
-        self.cached_access(va, pa, write);
+        let probe = core.cache_probe(va, pa, write);
+        self.cached_access(va, pa, write, probe);
         if mo.gen == self.memo_gen {
-            return (pa, mo.real_page + off);
+            return Some((pa, mo.real_page + off));
         }
         // A shadow fault was serviced inside the access: the page was
         // just paged back in, possibly into a different real frame.
         // The memo is already dead (generation moved); re-derive.
-        (pa, self.functional_addr(pa))
+        Some((pa, self.functional_addr(pa)))
     }
 
     /// Scalar access at an address that is *not* naturally aligned for
@@ -1246,11 +1248,12 @@ impl Machine {
             }
             // Bound 2: the fetch stream stays inside the current text
             // page (micro-ITLB hit per item) and does not wrap.
+            let core = &mut self.cores[self.active];
             if k > 0 && instr > 0 {
-                let text_va = self.code_base + self.pc_offset;
-                if self.itlb.covers(text_va) {
+                let text_va = core.code_base + core.pc_offset;
+                if core.itlb.covers(text_va) {
                     let window =
-                        (PAGE_SIZE - text_va.page_offset()).min(self.code_len - self.pc_offset);
+                        (PAGE_SIZE - text_va.page_offset()).min(core.code_len - core.pc_offset);
                     k = k.min(window / instr.saturating_mul(4));
                 } else {
                     k = 0;
@@ -1266,7 +1269,7 @@ impl Machine {
                     } else {
                         AccessKind::Read
                     };
-                    match self.tlb.slot_for(page_va.vpn()) {
+                    match core.tlb.slot_for(page_va.vpn()) {
                         Some((slot, entry)) if entry.prot().permits(kind, PrivilegeLevel::User) => {
                             // Mappings cannot change mid-loop (no
                             // syscalls), so any covering entry agrees
@@ -1294,7 +1297,7 @@ impl Machine {
                 let mut va = lane.base + i * lane.size;
                 let mut bus = anchors[l].0 + lane.size;
                 while resident < k {
-                    if !self.cache.probe(va, bus) {
+                    if !core.cache.probe(va, bus) {
                         break;
                     }
                     let line_off = {
@@ -1322,11 +1325,11 @@ impl Machine {
             }
             for (l, lane) in lanes.iter().enumerate() {
                 if lane.write {
-                    self.stores = self.stores.saturating_add(k);
+                    core.stores = core.stores.saturating_add(k);
                 } else {
-                    self.loads = self.loads.saturating_add(k);
+                    core.loads = core.loads.saturating_add(k);
                 }
-                self.tlb.note_fast_hits(slots[l], k);
+                core.tlb.note_fast_hits(slots[l], k);
                 // Per-line hit accounting, mirroring the residency walk.
                 let mut done = 0u64;
                 let mut va = lane.base + i * lane.size;
@@ -1337,16 +1340,16 @@ impl Machine {
                         raw % CACHE_LINE_SIZE
                     };
                     let in_line = ((CACHE_LINE_SIZE - line_off) / lane.size).min(k - done);
-                    self.cache.note_fast_hits(va, bus, in_line, lane.write);
+                    core.cache.note_fast_hits(va, bus, in_line, lane.write);
                     done += in_line;
                     va += in_line * lane.size;
                     bus += in_line * lane.size;
                 }
             }
             if instr > 0 {
-                self.instructions = self.instructions.saturating_add(k * instr);
-                self.itlb.note_fast_hits(k);
-                self.pc_offset = (self.pc_offset + k * instr * 4) % self.code_len;
+                core.instructions = core.instructions.saturating_add(k * instr);
+                core.itlb.note_fast_hits(k);
+                core.pc_offset = (core.pc_offset + k * instr * 4) % core.code_len;
             }
             let accesses = k * lanes.len() as u64;
             let instructions = k * instr;
@@ -1708,17 +1711,11 @@ impl Machine {
     pub fn reset_stats(&mut self) {
         self.record_op(|| MachineOp::ResetStats);
         self.buckets = TimeBuckets::default();
-        self.loads = 0;
-        self.stores = 0;
-        self.instructions = 0;
-        self.tlb.reset_stats();
-        self.cache.reset_stats();
         self.mmc.reset_stats();
-        // Parked cores' front-end counters are part of the merged
-        // report; reset them the same way as the active core's (the
-        // micro-ITLB counters are cumulative on every core, matching
-        // the single-core machine).
-        for core in self.cores.iter_mut().flatten() {
+        // Every core's front-end counters are part of the merged
+        // report (the micro-ITLB counters are cumulative on every
+        // core).
+        for core in &mut self.cores {
             core.tlb.reset_stats();
             core.cache.reset_stats();
             core.loads = 0;
@@ -1877,8 +1874,7 @@ impl Machine {
         // Rival-scheme extras (fig5): each front-end instance's private
         // counters must reconcile with its shared `TlbStats` — every
         // fill was classified exactly once.
-        for scheme in std::iter::once(&self.tlb).chain(self.cores.iter().flatten().map(|c| &c.tlb))
-        {
+        for scheme in self.cores.iter().map(|c| &c.tlb) {
             if let Some(co) = scheme.as_any().downcast_ref::<CoalescedTlb>() {
                 let CoalescedStats {
                     single_fills,
@@ -2415,7 +2411,7 @@ mod tests {
         let per_core = m.per_core_stats();
         assert_eq!(per_core.len(), 2);
         // Core 1 earned exactly the one load; core 0's counters were
-        // banked out untouched.
+        // left untouched.
         assert_eq!(per_core[1].loads, 1);
         assert_eq!(per_core[0].loads + 1, m.report().loads);
         assert_eq!(m.report().loads, core0_loads_before + 1);
@@ -2462,7 +2458,7 @@ mod tests {
         m.try_switch_process(pid).unwrap();
         assert!(m.report().kernel.shootdowns > before);
         assert_eq!(m.kernel().current_process(), pid);
-        // The kernel follows the active core's banked process pointer:
+        // The kernel follows the active core's saved process pointer:
         // core 0 is still running process 0 and pays a fresh TLB miss
         // for the entry the switch shot down.
         m.set_active_core(0);

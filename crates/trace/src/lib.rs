@@ -93,6 +93,15 @@ pub enum TraceError {
         /// The lane's access size in bytes.
         size: u64,
     },
+    /// A scalar `Read`/`Write` op whose access size is not 1, 2, 4 or 8
+    /// bytes.
+    BadScalarSize {
+        /// The declared size.
+        size: u64,
+        /// Byte offset of the size field when decoding; the op's index
+        /// in the stream when [`apply_op`] rejects a hand-built op.
+        at: u64,
+    },
     /// Replaying op number `op_index` (0-based) faulted on the target
     /// machine — the trace was recorded against an incompatible
     /// machine state or is corrupt.
@@ -122,6 +131,12 @@ impl fmt::Display for TraceError {
             TraceError::EmptyProgram => write!(f, "program load of zero bytes"),
             TraceError::MisalignedStream { base, size } => {
                 write!(f, "stream lane base {base} is not {size}-byte aligned")
+            }
+            TraceError::BadScalarSize { size, at } => {
+                write!(
+                    f,
+                    "scalar access of {size} bytes at {at} (want 1, 2, 4 or 8)"
+                )
             }
             TraceError::ReplayFault { op_index, fault } => {
                 write!(f, "replay faulted at op {op_index}: {fault:?}")
@@ -375,13 +390,24 @@ impl<'a> TraceReader<'a> {
         Ok(Vpn::new(self.uvar()?))
     }
 
+    /// A scalar access size: one of the four widths the machine has an
+    /// accessor for, anything else is a corrupt file.
+    fn get_size(&mut self) -> Result<u8, TraceError> {
+        let at = self.pos as u64;
+        match self.uvar()? {
+            size @ (1 | 2 | 4 | 8) => Ok(size as u8),
+            size => Err(TraceError::BadScalarSize { size, at }),
+        }
+    }
+
     /// Decodes the next op, `Ok(None)` once the declared op count is
     /// exhausted (at which point any trailing bytes are an error).
     ///
     /// # Errors
     ///
-    /// [`TraceError::Truncated`], [`TraceError::UnknownTag`] or
-    /// [`TraceError::TrailingBytes`] on a corrupt body.
+    /// [`TraceError::Truncated`], [`TraceError::UnknownTag`],
+    /// [`TraceError::BadScalarSize`] or [`TraceError::TrailingBytes`] on
+    /// a corrupt body.
     pub fn next_op(&mut self) -> Result<Option<MachineOp>, TraceError> {
         if self.remaining == 0 {
             if self.pos != self.buf.len() {
@@ -400,12 +426,12 @@ impl<'a> TraceReader<'a> {
             0 => MachineOp::Execute { n: self.uvar()? },
             1 => {
                 let va = self.get_va()?;
-                let size = self.uvar()? as u8;
+                let size = self.get_size()?;
                 MachineOp::Read { va, size }
             }
             2 => {
                 let va = self.get_va()?;
-                let size = self.uvar()? as u8;
+                let size = self.get_size()?;
                 MachineOp::Write { va, size }
             }
             3 => {
@@ -542,7 +568,8 @@ pub fn replay(machine: &mut Machine, bytes: &[u8]) -> Result<TraceHeader, TraceE
 /// [`TraceError::OversizedBlock`], [`TraceError::EmptyProgram`] or
 /// [`TraceError::MisalignedStream`] for a well-formed op the machine's
 /// API would reject by panicking (a live caller's bug, but here just a
-/// bad file).
+/// bad file); [`TraceError::BadScalarSize`] for a scalar op of a width
+/// the machine has no accessor for.
 pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<(), TraceError> {
     let lane = |base: VirtAddr, size: u64| {
         if base.is_aligned(size) {
@@ -551,19 +578,25 @@ pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<
             Err(TraceError::MisalignedStream { base, size })
         }
     };
+    let bad_size = |size: u8| TraceError::BadScalarSize {
+        size: u64::from(size),
+        at: op_index,
+    };
     let result: Result<(), Fault> = match *op {
         MachineOp::Execute { n } => machine.try_execute(n),
         MachineOp::Read { va, size } => match size {
             1 => machine.try_read_u8(va).map(drop),
             2 => machine.try_read_u16(va).map(drop),
             4 => machine.try_read_u32(va).map(drop),
-            _ => machine.try_read_u64(va).map(drop),
+            8 => machine.try_read_u64(va).map(drop),
+            _ => return Err(bad_size(size)),
         },
         MachineOp::Write { va, size } => match size {
             1 => machine.try_write_u8(va, 0),
             2 => machine.try_write_u16(va, 0),
             4 => machine.try_write_u32(va, 0),
-            _ => machine.try_write_u64(va, 0),
+            8 => machine.try_write_u64(va, 0),
+            _ => return Err(bad_size(size)),
         },
         MachineOp::ReadBlock { va, len, instr } => {
             if len > MAX_BLOCK_LEN {

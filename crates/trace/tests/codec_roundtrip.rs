@@ -190,3 +190,43 @@ fn replay_rejects_ops_the_machine_would_panic_on() {
         );
     }
 }
+
+/// A scalar op's size must be a width the machine has an accessor for:
+/// a size varint of 260 must not truncate to a 4-byte access at decode,
+/// and a hand-built op of 3 or 0 bytes must not replay as an 8-byte one.
+#[test]
+fn replay_rejects_scalar_sizes_the_machine_has_no_accessor_for() {
+    let heap = VirtAddr::new(0x1000_0000);
+    let map = MachineOp::MapRegion {
+        start: heap,
+        len: 64 * 1024,
+        prot: Prot::RW,
+    };
+    let mut w = TraceWriter::new();
+    w.record(&map);
+    w.record(&MachineOp::Read { va: heap, size: 4 });
+    let mut bytes = w.finish("hostile", 0, 0, true);
+    // The size is the trace's last byte; widen it to the two-byte
+    // varint of 260 (= 4 mod 256).
+    assert_eq!(bytes.pop(), Some(4));
+    let at = bytes.len() as u64;
+    bytes.extend_from_slice(&[0x84, 0x02]);
+    let mut m = Machine::new(MachineConfig::paper_mtlb(64));
+    assert_eq!(
+        mtlb_trace::replay(&mut m, &bytes).map(drop),
+        Err(TraceError::BadScalarSize { size: 260, at })
+    );
+
+    let mut m = Machine::new(MachineConfig::paper_mtlb(64));
+    mtlb_trace::apply_op(&mut m, &map, 0).expect("the region maps");
+    for (op, size) in [
+        (MachineOp::Read { va: heap, size: 3 }, 3),
+        (MachineOp::Write { va: heap, size: 0 }, 0),
+    ] {
+        assert_eq!(
+            mtlb_trace::apply_op(&mut m, &op, 7),
+            Err(TraceError::BadScalarSize { size, at: 7 })
+        );
+    }
+    assert_eq!(m.report().loads + m.report().stores, 0);
+}
