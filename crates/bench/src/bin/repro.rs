@@ -4,12 +4,12 @@
 //! ```text
 //! repro [all|fig2|fig3|fig4a|fig4b|fig5|fig6|costs|paging|ablations|extensions] \
 //!       [--test-scale] [--csv-dir DIR] [--json-dir DIR] [--jobs N] \
-//!       [--cores N] [--trace] [--bench-report] [--bench-out PATH] \
-//!       [--record-traces DIR] [--replay-traces DIR]
+//!       [--cores N] [--trace] [--record-traces DIR] [--replay-traces DIR]
 //! ```
 //!
 //! With `--test-scale` the workloads run at reduced sizes (seconds);
-//! without it they run at the paper's §3.1 sizes (a few minutes total).
+//! without it they run at the paper's §3.1 sizes (two to three minutes
+//! in total at `--jobs 1`; EXPERIMENTS.md has the measured split).
 //! `--csv-dir` additionally writes each table as a CSV file.
 //! `--json-dir` writes one machine-readable JSON report per simulated
 //! experiment row (Figures 3 and 4) — the full [`RunReport`] including
@@ -22,10 +22,8 @@
 //! on N OS threads (default: the host's available parallelism; `--jobs
 //! 1` restores the old serial order). Tables, CSVs and JSON reports are
 //! assembled in deterministic job order, so their bytes are identical at
-//! every jobs level. `--bench-report` additionally writes
-//! `BENCH_baseline.json` with per-job host wall times, simulated
-//! cycle counts and host metadata (thread count, parallelism, cargo
-//! profile).
+//! every jobs level. Each finished job prints its host wall time and
+//! simulated cycles as a `[job]` line on stderr.
 //!
 //! Sweeps run every job live. Trace record/replay decouples stream
 //! generation from simulation and is selected by naming a trace
@@ -45,7 +43,6 @@
 use std::env;
 use std::fs;
 use std::path::PathBuf;
-use std::time::Instant;
 
 use mtlb_bench::experiments::{self, WORKLOADS};
 use mtlb_bench::runner::{self, Runner};
@@ -73,8 +70,7 @@ const EXPERIMENTS: [&str; 11] = [
 fn usage() -> String {
     format!(
         "usage: repro [{}] [--test-scale] [--csv-dir DIR] [--json-dir DIR] \
-         [--jobs N] [--cores N] [--trace] [--bench-report] [--bench-out PATH] \
-         [--record-traces DIR] [--replay-traces DIR]",
+         [--jobs N] [--cores N] [--trace] [--record-traces DIR] [--replay-traces DIR]",
         EXPERIMENTS.join("|")
     )
 }
@@ -85,14 +81,40 @@ struct Options {
     csv_dir: Option<PathBuf>,
     json_dir: Option<PathBuf>,
     runner: Runner,
-    bench_report: bool,
-    bench_out: PathBuf,
     record_traces: Option<PathBuf>,
     /// Simulated core count (`--cores N`; 0 = unset). When set, fig3
     /// runs on an N-core machine (N=1 is bit-identical to the legacy
     /// single-core sweep) and fig6 co-runs exactly N instances instead
     /// of its default 2/4/8 sweep.
     cores: usize,
+}
+
+/// Exits with status 2 after `error: <msg>` on stderr, followed by the
+/// usage line when `show_usage`.
+fn bad_invocation(msg: &str, show_usage: bool) -> ! {
+    eprintln!("error: {msg}");
+    if show_usage {
+        eprintln!("{}", usage());
+    }
+    std::process::exit(2);
+}
+
+/// The value following `flag`, or exit 2 saying what it requires.
+fn value_of(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+    show_usage: bool,
+) -> String {
+    args.next()
+        .unwrap_or_else(|| bad_invocation(&format!("{flag} requires a {what}"), show_usage))
+}
+
+/// The count following `flag`, or exit 2 naming the offending token.
+fn count_of(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> usize {
+    let raw = value_of(args, flag, what, true);
+    raw.parse()
+        .unwrap_or_else(|_| bad_invocation(&format!("{flag}: invalid {what} {raw:?}"), true))
 }
 
 fn parse_args() -> Options {
@@ -103,99 +125,36 @@ fn parse_args() -> Options {
     let mut jobs = 0usize; // 0 = available parallelism
     let mut cores = 0usize; // 0 = unset
     let mut trace = false;
-    let mut bench_report = false;
-    let mut bench_out = PathBuf::from("BENCH_baseline.json");
     let mut record_traces = None;
     let mut replay_traces: Option<PathBuf> = None;
     let mut args = env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut dir = |flag| Some(PathBuf::from(value_of(&mut args, flag, "directory", false)));
         match a.as_str() {
             "--test-scale" => scale = Scale::Test,
-            "--csv-dir" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("error: --csv-dir requires a directory");
-                    std::process::exit(2);
-                };
-                csv_dir = Some(PathBuf::from(dir));
-            }
-            "--json-dir" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("error: --json-dir requires a directory");
-                    std::process::exit(2);
-                };
-                json_dir = Some(PathBuf::from(dir));
-            }
-            "--jobs" => {
-                let Some(raw) = args.next() else {
-                    eprintln!("error: --jobs requires a thread count");
-                    eprintln!("{}", usage());
-                    std::process::exit(2);
-                };
-                let Ok(n) = raw.parse::<usize>() else {
-                    eprintln!("error: --jobs: invalid thread count {raw:?}");
-                    eprintln!("{}", usage());
-                    std::process::exit(2);
-                };
-                jobs = n;
-            }
+            "--csv-dir" => csv_dir = dir("--csv-dir"),
+            "--json-dir" => json_dir = dir("--json-dir"),
+            "--record-traces" => record_traces = dir("--record-traces"),
+            "--replay-traces" => replay_traces = dir("--replay-traces"),
+            "--jobs" => jobs = count_of(&mut args, "--jobs", "thread count"),
             "--cores" => {
-                let Some(raw) = args.next() else {
-                    eprintln!("error: --cores requires a core count");
-                    eprintln!("{}", usage());
-                    std::process::exit(2);
-                };
-                let Ok(n) = raw.parse::<usize>() else {
-                    eprintln!("error: --cores: invalid core count {raw:?}");
-                    eprintln!("{}", usage());
-                    std::process::exit(2);
-                };
-                if n == 0 {
-                    eprintln!("error: --cores must be at least 1");
-                    eprintln!("{}", usage());
-                    std::process::exit(2);
+                cores = count_of(&mut args, "--cores", "core count");
+                if cores == 0 {
+                    bad_invocation("--cores must be at least 1", true);
                 }
-                cores = n;
             }
             "--trace" => trace = true,
-            "--record-traces" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("error: --record-traces requires a directory");
-                    std::process::exit(2);
-                };
-                record_traces = Some(PathBuf::from(dir));
-            }
-            "--replay-traces" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("error: --replay-traces requires a directory");
-                    std::process::exit(2);
-                };
-                replay_traces = Some(PathBuf::from(dir));
-            }
-            "--bench-report" => bench_report = true,
-            "--bench-out" => {
-                let Some(path) = args.next() else {
-                    eprintln!("error: --bench-out requires a path");
-                    std::process::exit(2);
-                };
-                bench_out = PathBuf::from(path);
-            }
             "--help" | "-h" => {
                 eprintln!("{}", usage());
                 std::process::exit(0);
             }
             other if !other.starts_with('-') => {
                 if !EXPERIMENTS.contains(&other) {
-                    eprintln!("error: unknown experiment {other:?}");
-                    eprintln!("{}", usage());
-                    std::process::exit(2);
+                    bad_invocation(&format!("unknown experiment {other:?}"), true);
                 }
                 what = other.to_string();
             }
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                eprintln!("{}", usage());
-                std::process::exit(2);
-            }
+            other => bad_invocation(&format!("unknown flag {other:?}"), true),
         }
     }
     // Sweeps run live; naming a trace directory is what selects the
@@ -213,8 +172,6 @@ fn parse_args() -> Options {
         csv_dir,
         json_dir,
         runner,
-        bench_report,
-        bench_out,
         record_traces,
         cores,
     }
@@ -394,7 +351,7 @@ fn fig3(opts: &Options) {
     // Radix at 256 entries (§3.4: "even at 256 TLB entries, it still
     // spends 13.5% of total runtime in TLB miss handling"). The sweep
     // re-runs the radix base-96 normalization job, so it gets its own
-    // label prefix to keep `--bench-report` job labels unique.
+    // label prefix to keep job labels unique.
     let radix256 = experiments::fig3_labelled(
         &opts.runner,
         opts.scale,
@@ -918,68 +875,9 @@ fn extensions(opts: &Options) {
     );
 }
 
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Writes the bench report (default `BENCH_baseline.json`, overridable
-/// with `--bench-out`): per-job host wall times and simulated cycle
-/// counts for every job the runner executed, plus run metadata.
-fn write_bench_report(opts: &Options, total_wall_ns: u128) {
-    let records = opts.runner.take_records();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": 1,\n");
-    json.push_str(&format!(
-        "  \"generated_by\": \"repro {} --bench-report\",\n",
-        json_escape(&opts.what)
-    ));
-    json.push_str(&format!("  \"scale\": \"{:?}\",\n", opts.scale));
-    json.push_str(&format!("  \"jobs\": {},\n", opts.runner.jobs()));
-    json.push_str(&format!(
-        "  \"profile\": \"{}\",\n",
-        if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        }
-    ));
-    json.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    ));
-    json.push_str(&format!("  \"total_wall_ns\": {total_wall_ns},\n"));
-    json.push_str("  \"jobs_detail\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let cycles = r.sim_cycles.map_or("null".to_string(), |c| c.to_string());
-        json.push_str(&format!(
-            "    {{\"label\": \"{}\", \"wall_ns\": {}, \"sim_cycles\": {}}}{}\n",
-            json_escape(&r.label),
-            r.wall.as_nanos(),
-            cycles,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = &opts.bench_out;
-    fs::write(path, json).expect("write bench report");
-    println!("[bench report written to {}]", path.display());
-}
-
 fn main() {
     let opts = parse_args();
     let what = opts.what.as_str();
-    let started = Instant::now();
     // The jobs level goes to stderr: stdout (tables, CSV notices) must
     // be byte-identical whatever the parallelism.
     eprintln!("[repro] running with {} job thread(s)", opts.runner.jobs());
@@ -1020,7 +918,4 @@ fn main() {
         extensions(&opts);
     }
     save_traces(&opts);
-    if opts.bench_report {
-        write_bench_report(&opts, started.elapsed().as_nanos());
-    }
 }

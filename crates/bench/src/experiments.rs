@@ -24,7 +24,7 @@ use mtlb_workloads::{
     AccessExt, Cc1, Compress95, Em3d, Oltp, Radix, Scale, SyntheticTrace, Vortex, Workload,
 };
 
-use crate::runner::{scale_byte, JobResult, JobSpec, Runner, Task};
+use crate::runner::{finish_recording, JobResult, JobSpec, Runner, Task};
 
 /// The five benchmark names, in the paper's Figure 3 order.
 pub const WORKLOADS: [&str; 5] = ["compress95", "em3d", "radix", "vortex", "cc1"];
@@ -115,12 +115,14 @@ pub fn fig3(
 
 /// [`fig3`] with an explicit job-label prefix and core count. Auxiliary
 /// sweeps reusing the Figure 3 machinery (e.g. the §3.4 radix-at-256
-/// run) must pass a distinct prefix so every job label in the
-/// `--bench-report` detail is unique — the prefix changes only labels,
-/// never simulated results. `cores == 1` is the paper's machine and is
-/// bit-identical to the sweep before cores existed; larger counts run
-/// the workload on core 0 of an `N`-core machine (the extra cores idle
-/// but still receive shootdowns).
+/// run) must pass a distinct prefix so every job label is unique —
+/// [`JobRecord`](crate::runner::JobRecord)s and the repo benchmark's
+/// per-unit pins in `benchmark/expected.json` are keyed by label. The
+/// prefix changes only labels, never simulated results. `cores == 1`
+/// is the paper's machine and is bit-identical to the sweep before
+/// cores existed; larger counts run the workload on core 0 of an
+/// `N`-core machine (the extra cores idle but still receive
+/// shootdowns).
 #[must_use]
 pub fn fig3_labelled(
     runner: &Runner,
@@ -1206,12 +1208,8 @@ pub fn fig6(
                 m.set_op_sink(Box::new(TraceWriter::new()));
                 let outcome = workload_by_name(name, scale).run(&mut m);
                 assert!(outcome.verified, "fig6 record: {name} failed self-check");
-                let sink = m.take_op_sink().expect("sink still attached");
-                let trace = sink
-                    .into_any()
-                    .downcast::<TraceWriter>()
-                    .expect("TraceWriter was attached")
-                    .finish(name, scale_byte(scale), outcome.checksum, outcome.verified);
+                let trace = finish_recording(&mut m, name, scale, &outcome)
+                    .expect("TraceWriter still attached");
                 (trace, m.report())
             })
         })

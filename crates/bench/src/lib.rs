@@ -2,7 +2,8 @@
 //!
 //! Each public function in [`experiments`] reproduces one table or figure
 //! and returns structured rows; the `repro` binary prints them in the
-//! paper's format and the Criterion benches re-time the same drivers.
+//! paper's format and the repo benchmark (`benchmark/`) times the same
+//! drivers at paper scale.
 //!
 //! | Paper artefact | Driver |
 //! |---|---|

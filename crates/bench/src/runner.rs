@@ -15,8 +15,9 @@
 //!   is single-threaded and seeded, so its simulated cycle counts cannot
 //!   depend on scheduling either.
 //! * **Attribution.** The runner records per-job host wall time and
-//!   simulated cycles ([`JobRecord`]); `repro --bench-report` drains
-//!   these into `BENCH_baseline.json`.
+//!   simulated cycles ([`JobRecord`]). `repro` prints them as `[job]`
+//!   progress lines on stderr; the repo benchmark (`benchmark/`) drains
+//!   them with [`Runner::take_records`] as its per-unit host times.
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -25,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mtlb_sim::{Bucket, Machine, MachineConfig, RingTrace, RunReport};
-use mtlb_trace::TraceWriter;
+use mtlb_trace::{TraceError, TraceWriter};
 use mtlb_workloads::{Outcome, Scale};
 
 use crate::experiments::workload_by_name;
@@ -48,6 +49,28 @@ pub fn scale_from_byte(byte: u8) -> Option<Scale> {
         1 => Some(Scale::Paper),
         _ => None,
     }
+}
+
+/// Detaches the [`TraceWriter`] a recording run attached to `machine`
+/// and seals its MTR1 bytes with the workload's identity and
+/// `outcome`. `None` when no `TraceWriter` is attached.
+pub(crate) fn finish_recording(
+    machine: &mut Machine,
+    workload: &str,
+    scale: Scale,
+    outcome: &Outcome,
+) -> Option<Vec<u8>> {
+    let writer = machine
+        .take_op_sink()?
+        .into_any()
+        .downcast::<TraceWriter>()
+        .ok()?;
+    Some(writer.finish(
+        workload,
+        scale_byte(scale),
+        outcome.checksum,
+        outcome.verified,
+    ))
 }
 
 /// One independent simulation: a workload on a machine configuration.
@@ -94,7 +117,9 @@ pub struct JobResult {
     pub wall: Duration,
 }
 
-/// A host-time record of one finished job, for `--bench-report`.
+/// A host-time record of one finished job: what a `[job]` progress
+/// line prints, and the per-unit timing `benchmark/src/units.rs` reads
+/// through [`Runner::take_records`].
 #[derive(Clone, Debug)]
 pub struct JobRecord {
     /// The job's label.
@@ -299,21 +324,24 @@ impl Runner {
                 if self.trace {
                     machine.set_trace_sink(Box::new(RingTrace::new(1024)));
                 }
-                if let Ok(header) = mtlb_trace::replay(&mut machine, &bytes) {
-                    let report = machine.report();
-                    self.trace_summary(&spec.label, &mut machine);
-                    let outcome = Outcome {
-                        checksum: header.checksum,
-                        verified: header.verified,
-                    };
-                    return (outcome, report);
+                match mtlb_trace::replay(&mut machine, &bytes) {
+                    Ok(header) => {
+                        let report = machine.report();
+                        self.trace_summary(&spec.label, &mut machine);
+                        let outcome = Outcome {
+                            checksum: header.checksum,
+                            verified: header.verified,
+                        };
+                        return (outcome, report);
+                    }
+                    // A decode error means a corrupt preloaded trace; a
+                    // replay fault means the trace does not apply to
+                    // this machine (it shouldn't happen for the
+                    // registered workloads, whose op streams are
+                    // config-independent). Either way fall back to a
+                    // live run rather than failing the sweep.
+                    Err(e) => self.evict_bad_trace(spec, &bytes, &e),
                 }
-                // A decode error means a corrupt preloaded trace; a
-                // replay fault means the trace does not apply to this
-                // machine (it shouldn't happen for the registered
-                // workloads, whose op streams are config-independent).
-                // Either way fall back to a live run rather than
-                // failing the sweep.
             }
         }
         let mut machine = Machine::new(spec.cfg.clone());
@@ -325,19 +353,29 @@ impl Runner {
         }
         let outcome = workload_by_name(spec.workload, spec.scale).run(&mut machine);
         let report = machine.report();
-        if let Some(sink) = machine.take_op_sink() {
-            if let Ok(writer) = sink.into_any().downcast::<TraceWriter>() {
-                let bytes = writer.finish(
-                    spec.workload,
-                    scale_byte(spec.scale),
-                    outcome.checksum,
-                    outcome.verified,
-                );
-                self.preload_trace(spec.workload, spec.scale, bytes);
-            }
+        if let Some(bytes) = finish_recording(&mut machine, spec.workload, spec.scale, &outcome) {
+            self.preload_trace(spec.workload, spec.scale, bytes);
         }
         self.trace_summary(&spec.label, &mut machine);
         (outcome, report)
+    }
+
+    /// Drops the cached trace `bad`, which failed to replay for `spec`,
+    /// so the fallback live run's recording replaces it for the pair's
+    /// later cells. Whichever cell evicts warns: once per bad trace at
+    /// any jobs level.
+    #[cold]
+    fn evict_bad_trace(&self, spec: &JobSpec, bad: &Arc<Vec<u8>>, e: &TraceError) {
+        let key = (spec.workload, spec.scale);
+        let mut traces = self.traces.lock().expect("traces");
+        if traces.get(&key).is_some_and(|t| Arc::ptr_eq(t, bad)) {
+            traces.remove(&key);
+            eprintln!(
+                "warning: {}: cached {} trace failed to replay ({e}); \
+                 running live and re-recording",
+                spec.label, spec.workload
+            );
+        }
     }
 
     /// Prints the per-job cycle-attribution summary when `--trace` is
@@ -456,6 +494,8 @@ mod tests {
         assert_eq!(Runner::serial().jobs(), 1);
     }
 
+    /// Pins the record API the repo benchmark consumes
+    /// (`benchmark/src/units.rs` drains one [`JobRecord`] per unit).
     #[test]
     fn records_carry_labels_and_wall_times() {
         let runner = Runner::with_jobs(2);

