@@ -8,14 +8,20 @@ echo "== cargo fmt --check"
 cargo fmt --all --check
 
 echo "== cargo clippy (deny warnings)"
+# Also the panic-freedom and determinism gate: the core crates deny
+# clippy's panic lints outside tests (each justified site carries
+# #[expect(clippy::…, reason)], and an unfulfilled expectation fails),
+# and crates/clippy.toml forbids HashMap/HashSet, wall-clock reads and
+# hash-ordered FastMap traversal.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== mtlb-analysis (workspace invariant lints)"
-# Deny-by-default static analysis: address-domain typestate, cycle
-# funnel, panic freedom, counter symmetry, shootdown completeness,
-# determinism, counter overflow. Violations must be fixed or justified
-# in analysis-allowlist.toml; stale entries also fail. The pass is
-# budgeted: a full-tree run must stay under 5 seconds wall clock.
+# Deny-by-default static analysis: address-domain typestate, counter
+# overflow and symmetry, cycle funnel, panic freedom inside
+# macro_rules! bodies, shootdown completeness. Exemptions are named
+# constants in crates/analysis/src/lints.rs; a stale name fails too.
+# The pass is budgeted: a full-tree run must stay under 5 seconds wall
+# clock.
 ANALYSIS_T0="$(date +%s%N)"
 cargo run -q -p mtlb-analysis
 ANALYSIS_T1="$(date +%s%N)"

@@ -443,6 +443,40 @@ pub fn fn_span(tokens: &[Token], name: &str) -> Option<(u32, u32)> {
     None
 }
 
+/// Inclusive 1-based line spans of `macro_rules!` definitions — the
+/// code clippy never lints, because it only sees macro expansions.
+#[must_use]
+pub fn macro_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
+    let mut spans = Vec::new();
+    for i in 0..tokens.len() {
+        if tokens[i].text != "macro_rules" || tokens.get(i + 1).is_none_or(|t| t.text != "!") {
+            continue;
+        }
+        let Some(open) = tokens.get(i + 3) else {
+            continue;
+        };
+        let close = match open.text.as_str() {
+            "{" => "}",
+            "(" => ")",
+            "[" => "]",
+            _ => continue,
+        };
+        let mut depth = 0usize;
+        for t in &tokens[i + 3..] {
+            if t.text == open.text {
+                depth += 1;
+            } else if t.text == close {
+                depth -= 1;
+                if depth == 0 {
+                    spans.push((tokens[i].line, t.line));
+                    break;
+                }
+            }
+        }
+    }
+    spans
+}
+
 /// True when `line` falls inside any of `spans` (inclusive).
 #[must_use]
 pub fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {

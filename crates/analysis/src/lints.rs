@@ -3,22 +3,25 @@
 //! All lints run over the token stream of [`crate::lexer`] and report
 //! [`Diagnostic`]s with 1-based `file:line:col` positions. Violations
 //! inside `#[cfg(test)]` spans are never reported — test code may
-//! panic and do raw arithmetic freely. The three call-graph-aware
-//! lints (shootdown-completeness, determinism, counter-overflow)
-//! additionally consume the item layer of [`crate::items`] and the
-//! name-based graph of [`crate::callgraph`].
+//! panic and do raw arithmetic freely. Shootdown-completeness and
+//! counter-overflow additionally consume the item layer of
+//! [`crate::items`], and shootdown-completeness the name-based graph of
+//! [`crate::callgraph`].
+//!
+//! Each lint's exemptions are named constants beside it
+//! ([`REPLAY_SITES`], [`SHOOTDOWN_EXEMPT`], [`UNAUDITED_STATS`]), and a
+//! name that no longer matches what it exempts is itself reported.
 
 use std::collections::BTreeSet;
 
 use crate::callgraph::CallGraph;
-use crate::lexer::{fn_span, in_spans, Token};
+use crate::lexer::{fn_span, in_spans, macro_spans, Token};
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Lint name (`addr-domain`, `counter-overflow`, `counter-symmetry`,
-    /// `cycle-funnel`, `determinism`, `panic-freedom`,
-    /// `shootdown-completeness`).
+    /// `cycle-funnel`, `panic-freedom`, `shootdown-completeness`).
     pub lint: &'static str,
     /// Repo-relative path with forward slashes.
     pub path: String,
@@ -134,9 +137,8 @@ pub const REPLAY_SITES: [&str; 2] = ["memo_access", "stream"];
 
 /// Line spans of the [`REPLAY_SITES`] functions in `tokens`, for
 /// [`cycle_funnel`]. With `required` (the machine source itself), a
-/// name that matches no function is reported like a stale allowlist
-/// entry: it sanctions nothing today and would silently exempt any
-/// future function of that name.
+/// name that matches no function is reported: it sanctions nothing
+/// today and would silently exempt any future function of that name.
 pub fn replay_spans(
     path: &str,
     tokens: &[Token],
@@ -230,15 +232,20 @@ pub fn cycle_funnel(
     }
 }
 
-/// Panic-freedom lint: `unwrap`/`expect`/`panic!`-family calls in core
-/// simulator code must either become typed `Fault` returns or carry a
-/// justified allowlist entry. Asserts are allowed (they state
+/// Panic-freedom lint, for the one place clippy cannot see: the bodies
+/// of `macro_rules!` definitions in core crates. Everywhere else the
+/// core crates deny clippy's `unwrap_used`/`expect_used`/`panic`/
+/// `unreachable`/`todo`/`unimplemented`, and each justified site carries
+/// `#[expect(clippy::…, reason = "…")]`; clippy skips macro-expanded
+/// code, so a panic written inside a macro body must instead call a
+/// checked helper defined outside it. Asserts are allowed (they state
 /// invariants, not control flow); `unwrap_or`, `unwrap_or_else` and
 /// `unwrap_or_default` never match (identifier-exact comparison).
 pub fn panic_freedom(path: &str, tokens: &[Token], skip: &[(u32, u32)], out: &mut Vec<Diagnostic>) {
+    let macros = macro_spans(tokens);
     for i in 0..tokens.len() {
         let t = &tokens[i];
-        if in_spans(skip, t.line) {
+        if !in_spans(&macros, t.line) || in_spans(skip, t.line) {
             continue;
         }
         let method_call =
@@ -261,8 +268,9 @@ pub fn panic_freedom(path: &str, tokens: &[Token], skip: &[(u32, u32)], out: &mu
                 line: t.line,
                 col: t.col,
                 msg: format!(
-                    "`{what}` in core simulator code; return a typed Fault or add a \
-                     justified allowlist entry"
+                    "`{what}` inside a `macro_rules!` body, where clippy's panic lints \
+                     cannot see it; call a checked helper defined outside the macro \
+                     that carries `#[expect(clippy::…, reason = \"…\")]`"
                 ),
             });
         }
@@ -340,23 +348,68 @@ pub fn exhaustive_destructures(tokens: &[Token], span: (u32, u32)) -> Vec<String
     names
 }
 
+/// The stats structs that stay outside `Machine::audit`:
+///
+/// * `HptStats` — HPT probe counters are internal to the tlb crate and
+///   not reported in `RunReport`; the kernel's `tlb_miss_cycles` already
+///   funnel them.
+/// * `StreamStats` — stream buffers are an optional §5-comparison
+///   fitting, not part of `RunReport`; their counters are reconciled by
+///   the stream unit tests.
+/// * `SubblockStats` — the complete-subblock TLB is a related-work
+///   comparison model driven trace-style by experiments, never mounted
+///   in `Machine`.
+pub const UNAUDITED_STATS: [&str; 3] = ["HptStats", "StreamStats", "SubblockStats"];
+
 /// Counter-symmetry lint: every `pub struct …Stats` in the core crates
 /// must be reconciled by the debug cycle auditor — destructured without
 /// `..` inside `Machine::audit` so that adding a counter field without
-/// deciding its audit story becomes a compile error — or carry an
-/// allowlist entry explaining why it stays outside the audit.
-pub fn counter_symmetry(structs: &[StatsStruct], audited: &[String], out: &mut Vec<Diagnostic>) {
+/// deciding its audit story becomes a compile error — or be named in
+/// [`UNAUDITED_STATS`]. A name there that defines no stats struct, or
+/// whose struct is now audited, is reported at `machine` (the audit's
+/// file) or at the struct.
+pub fn counter_symmetry(
+    structs: &[StatsStruct],
+    audited: &[String],
+    machine: &str,
+    out: &mut Vec<Diagnostic>,
+) {
     for s in structs {
-        if !audited.iter().any(|a| a == &s.name) {
+        let is_audited = audited.iter().any(|a| a == &s.name);
+        let exempt = UNAUDITED_STATS.contains(&s.name.as_str());
+        if is_audited == exempt {
+            let msg = if exempt {
+                format!(
+                    "stale `UNAUDITED_STATS` entry: `{}` is now destructured in \
+                     `Machine::audit` — remove it from the list",
+                    s.name
+                )
+            } else {
+                format!(
+                    "stats struct `{}` is not exhaustively destructured in `Machine::audit`; \
+                     reconcile it there or name it in `UNAUDITED_STATS` with a reason",
+                    s.name
+                )
+            };
             out.push(Diagnostic {
                 lint: "counter-symmetry",
                 path: s.path.clone(),
                 line: s.line,
                 col: s.col,
+                msg,
+            });
+        }
+    }
+    for name in UNAUDITED_STATS {
+        if !structs.iter().any(|s| s.name == name) {
+            out.push(Diagnostic {
+                lint: "counter-symmetry",
+                path: machine.into(),
+                line: 1,
+                col: 1,
                 msg: format!(
-                    "stats struct `{}` is not exhaustively destructured in `Machine::audit`; \
-                     reconcile it there or allowlist it with a reason",
-                    s.name
+                    "stale `UNAUDITED_STATS` entry: no `pub struct {name}` in the core \
+                     crates — remove it from the list"
                 ),
             });
         }
@@ -441,14 +494,32 @@ pub fn shootdown_sinks(tokens: &[Token], body: (usize, usize)) -> (Option<String
     (mutation, shoots)
 }
 
+/// The pub `Kernel` methods that write mapping state without queueing
+/// a shootdown, by design:
+///
+/// * `map_region` — fresh mappings only: it faults on any overlap with
+///   existing translations, so no core can hold a stale TLB entry for
+///   the range; there is nothing to shoot down.
+/// * `handle_shadow_fault` — paper §2.5: per-base-page swap-in re-points
+///   the shadow mapping while the superpage TLB entry stays valid on
+///   every core; the whole point of shadow paging is that this needs no
+///   shootdown.
+pub const SHOOTDOWN_EXEMPT: [&str; 2] = ["map_region", "handle_shadow_fault"];
+
+/// The file [`SHOOTDOWN_EXEMPT`] names are reported against when no
+/// kernel method carries them.
+const KERNEL: &str = "crates/os/src/kernel.rs";
+
 /// Shootdown-completeness lint: every **pub** method of `impl Kernel`
 /// that writes mapping state — directly or through any helper it can
 /// reach in the call graph — must also reach a shootdown queue site
-/// (`queue_shootdown` / `pending_shootdowns.push`) or carry an
-/// allowlist entry. The per-base-page pageout path (§2.5) deliberately
-/// shoots nothing — the superpage TLB entry stays valid across
-/// pageout — which is why the *entry points* carry the obligation, not
-/// the leaf helpers.
+/// (`queue_shootdown` / `pending_shootdowns.push`) or be named in
+/// [`SHOOTDOWN_EXEMPT`]. The per-base-page pageout path (§2.5)
+/// deliberately shoots nothing — the superpage TLB entry stays valid
+/// across pageout — which is why the *entry points* carry the
+/// obligation, not the leaf helpers. An exempt name that matches no pub
+/// `Kernel` method, or whose method no longer writes mapping state, is
+/// reported: it would silently exempt a future method of that name.
 pub fn shootdown_completeness(fns: &[KernelFn], graph: &CallGraph, out: &mut Vec<Diagnostic>) {
     let mutated_by: std::collections::BTreeMap<&str, &str> = fns
         .iter()
@@ -463,6 +534,7 @@ pub fn shootdown_completeness(fns: &[KernelFn], graph: &CallGraph, out: &mut Vec
         if f.owner.as_deref() != Some("Kernel") || !f.is_pub {
             continue;
         }
+        let exempt = SHOOTDOWN_EXEMPT.contains(&f.name.as_str());
         // Which reachable function mutates, and through what sink?
         let mut witness: Option<(String, String)> = None;
         graph.reaches(&f.name, |n| {
@@ -474,10 +546,22 @@ pub fn shootdown_completeness(fns: &[KernelFn], graph: &CallGraph, out: &mut Vec
             }
         });
         let Some((via, sink)) = witness else {
+            if exempt {
+                out.push(Diagnostic {
+                    lint: "shootdown-completeness",
+                    path: f.path.clone(),
+                    line: f.line,
+                    col: f.col,
+                    msg: format!(
+                        "stale `SHOOTDOWN_EXEMPT` entry: `{}` no longer writes mapping \
+                         state — remove it from the list",
+                        f.name
+                    ),
+                });
+            }
             continue;
         };
-        let shoots = graph.reaches(&f.name, |n| n == "queue_shootdown" || shooters.contains(n));
-        if shoots {
+        if exempt || graph.reaches(&f.name, |n| n == "queue_shootdown" || shooters.contains(n)) {
             continue;
         }
         let how = if via == f.name {
@@ -492,11 +576,28 @@ pub fn shootdown_completeness(fns: &[KernelFn], graph: &CallGraph, out: &mut Vec
             col: f.col,
             msg: format!(
                 "kernel method `{}` writes mapping state ({how}) but reaches no \
-                 `queue_shootdown` on any path; queue a shootdown or allowlist it \
-                 with the §2.5 justification",
+                 `queue_shootdown` on any path; queue a shootdown or name it in \
+                 `SHOOTDOWN_EXEMPT` with the §2.5 justification",
                 f.name
             ),
         });
+    }
+    for name in SHOOTDOWN_EXEMPT {
+        let present = fns
+            .iter()
+            .any(|f| f.name == name && f.is_pub && f.owner.as_deref() == Some("Kernel"));
+        if !present {
+            out.push(Diagnostic {
+                lint: "shootdown-completeness",
+                path: KERNEL.into(),
+                line: 1,
+                col: 1,
+                msg: format!(
+                    "stale `SHOOTDOWN_EXEMPT` entry: no pub `Kernel::{name}` — remove it \
+                     from the list"
+                ),
+            });
+        }
     }
 }
 
@@ -560,103 +661,6 @@ pub fn shootdown_drain(
                      purge path (and the µITLB)"
                 ),
             });
-        }
-    }
-}
-
-// --------------------------------------------------------------------
-// Determinism
-// --------------------------------------------------------------------
-
-/// Iteration adapters whose order is the hasher's, not the data's.
-const ITER_ADAPTERS: [&str; 8] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-    "into_iter",
-];
-
-/// Determinism lint: report-feeding crates must not use
-/// `std::collections::HashMap`/`HashSet` (hasher-ordered iteration and
-/// `Debug` output are nondeterministic across runs), must not read the
-/// wall clock (`Instant::now`/`SystemTime::now` — the bench wall-clock
-/// perimeter is the sole allowlisted exception), and must not iterate a
-/// `FastMap` through hash-ordered adapters (lookup is fine; traversal
-/// must go through a sorted/ordered copy).
-pub fn determinism(path: &str, tokens: &[Token], skip: &[(u32, u32)], out: &mut Vec<Diagnostic>) {
-    // Names declared with type `FastMap` in this file (struct fields,
-    // lets, parameters): `name : [&] [mut] FastMap`.
-    let mut fastmaps: BTreeSet<&str> = BTreeSet::new();
-    for i in 0..tokens.len() {
-        if tokens[i].text != "FastMap" {
-            continue;
-        }
-        let mut j = i;
-        while j >= 1 && matches!(tokens[j - 1].text.as_str(), "&" | "mut") {
-            j -= 1;
-        }
-        if j >= 2 && tokens[j - 1].text == ":" {
-            fastmaps.insert(tokens[j - 2].text.as_str());
-        }
-    }
-
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        if in_spans(skip, t.line) {
-            continue;
-        }
-        match t.text.as_str() {
-            "HashMap" | "HashSet" => out.push(Diagnostic {
-                lint: "determinism",
-                path: path.into(),
-                line: t.line,
-                col: t.col,
-                msg: format!(
-                    "`{}` in a report-feeding crate: hash order is nondeterministic; \
-                     use `BTreeMap`/`BTreeSet`, or `FastMap` with ordered traversal",
-                    t.text
-                ),
-            }),
-            "Instant" | "SystemTime"
-                if tokens.get(i + 1).is_some_and(|n| n.text == "::")
-                    && tokens.get(i + 2).is_some_and(|n| n.text == "now") =>
-            {
-                out.push(Diagnostic {
-                    lint: "determinism",
-                    path: path.into(),
-                    line: t.line,
-                    col: t.col,
-                    msg: format!(
-                        "wall-clock read `{}::now()` in a report-feeding crate; only the \
-                         bench wall-clock perimeter may read host time (allowlisted)",
-                        t.text
-                    ),
-                });
-            }
-            a if ITER_ADAPTERS.contains(&a)
-                && i >= 2
-                && tokens[i - 1].text == "."
-                && fastmaps.contains(tokens[i - 2].text.as_str())
-                && tokens.get(i + 1).is_some_and(|n| n.text == "(") =>
-            {
-                out.push(Diagnostic {
-                    lint: "determinism",
-                    path: path.into(),
-                    line: t.line,
-                    col: t.col,
-                    msg: format!(
-                        "hash-ordered traversal `{}.{}()` of a FastMap; collect into a \
-                         sorted structure before iterating",
-                        tokens[i - 2].text,
-                        a
-                    ),
-                });
-            }
-            _ => {}
         }
     }
 }
@@ -828,36 +832,63 @@ mod tests {
         assert!(out[0].msg.contains("no `fn stream`"), "{}", out[0].msg);
     }
 
+    /// Wraps statements in a `macro_rules!` body, where the lint looks.
+    fn in_macro(body: &str) -> String {
+        format!("macro_rules! m {{\n    () => {{\n        {body}\n    }};\n}}\n")
+    }
+
     #[test]
-    fn panic_freedom_flags_the_panic_family_only() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    let a = x.unwrap();\n    let b = x.expect(\"msg\");\n    if a == 0 { panic!(\"zero\"); }\n    match a { 1 => unreachable!(), _ => todo!() }\n}\n";
+    fn panic_freedom_flags_the_panic_family_inside_macro_bodies() {
+        let src = "macro_rules! m {\n    ($x:expr) => {\n        let a = $x.unwrap();\n        let b = $x.expect(\"msg\");\n        if a == 0 { panic!(\"zero\"); }\n        match a { 1 => unreachable!(), _ => todo!() }\n    };\n}\n";
         let d = run_panic(src);
-        assert_eq!(d.len(), 5);
         assert_eq!(
             d.iter().map(|x| x.line).collect::<Vec<_>>(),
-            vec![2, 3, 4, 5, 5]
+            vec![3, 4, 5, 6, 6]
+        );
+        assert!(d[1]
+            .msg
+            .contains("`.expect()` inside a `macro_rules!` body"));
+        // Outside macro bodies clippy's restriction lints own the job.
+        assert!(run_panic("fn f(x: Option<u8>) -> u8 {\n    x.expect(\"msg\")\n}\n").is_empty());
+        assert_eq!(
+            run_panic("macro_rules! p ( () => { x.unwrap() } );").len(),
+            1
         );
     }
 
     #[test]
     fn panic_freedom_ignores_fallbacks_asserts_and_tests() {
-        assert!(run_panic("let a = x.unwrap_or(0);").is_empty());
-        assert!(run_panic("let a = x.unwrap_or_else(|| 0);").is_empty());
-        assert!(run_panic("let a = x.unwrap_or_default();").is_empty());
-        assert!(run_panic("assert!(ok, \"bad\");").is_empty());
-        assert!(run_panic("debug_assert_eq!(a, b);").is_empty());
-        assert!(run_panic("#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); }\n}\n").is_empty());
+        assert!(run_panic(&in_macro("let a = x.unwrap_or(0);")).is_empty());
+        assert!(run_panic(&in_macro("let a = x.unwrap_or_else(|| 0);")).is_empty());
+        assert!(run_panic(&in_macro("let a = x.unwrap_or_default();")).is_empty());
+        assert!(run_panic(&in_macro("assert!(ok, \"bad\");")).is_empty());
+        assert!(run_panic(&in_macro("debug_assert_eq!(a, b);")).is_empty());
+        let test_mod = format!(
+            "#[cfg(test)]\nmod tests {{\n{}}}\n",
+            in_macro("x.unwrap();")
+        );
+        assert!(run_panic(&test_mod).is_empty());
         // Strings and comments never trip the lint.
-        assert!(run_panic("// calls .unwrap() in prose\nlet s = \".unwrap()\";").is_empty());
+        assert!(run_panic(&in_macro(
+            "// calls .unwrap() in prose\nlet s = \".unwrap()\";"
+        ))
+        .is_empty());
+    }
+
+    fn stats_structs(src: &str) -> Vec<StatsStruct> {
+        let mut structs = Vec::new();
+        find_stats_structs("stats.rs", &lex(src), &mut structs);
+        structs
     }
 
     #[test]
-    fn counter_symmetry_requires_exhaustive_destructure() {
-        let def_src = "pub struct FooStats { pub a: u64 }\npub struct BarStats { pub b: u64 }\n";
-        let def_toks = lex(def_src);
-        let mut structs = Vec::new();
-        find_stats_structs("stats.rs", &def_toks, &mut structs);
-        assert_eq!(structs.len(), 2);
+    fn counter_symmetry_requires_exhaustive_destructure_or_an_exemption() {
+        let structs = stats_structs(
+            "pub struct FooStats { pub a: u64 }\npub struct BarStats { pub b: u64 }\n\
+             pub struct HptStats { pub c: u64 }\npub struct StreamStats { pub d: u64 }\n\
+             pub struct SubblockStats { pub e: u64 }\n",
+        );
+        assert_eq!(structs.len(), 5);
 
         let audit_src = "impl M {\n    fn audit(&self) {\n        let FooStats { a } = s;\n        let BarStats { b, .. } = t;\n    }\n}\n";
         let audit_toks = lex(audit_src);
@@ -865,17 +896,37 @@ mod tests {
         let audited = exhaustive_destructures(&audit_toks, span);
         assert_eq!(audited, vec!["FooStats".to_string()]);
 
+        // The three `UNAUDITED_STATS` structs are exempt; BarStats is not.
         let mut out = Vec::new();
-        counter_symmetry(&structs, &audited, &mut out);
-        assert_eq!(out.len(), 1);
+        counter_symmetry(&structs, &audited, "machine.rs", &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].msg.contains("BarStats"));
     }
 
-    fn kernel_fns(src: &str) -> (Vec<KernelFn>, CallGraph) {
+    #[test]
+    fn counter_symmetry_reports_stale_unaudited_names() {
+        // HptStats is now audited and StreamStats no longer exists.
+        let structs = stats_structs(
+            "pub struct HptStats { pub c: u64 }\npub struct SubblockStats { pub e: u64 }\n",
+        );
+        let mut out = Vec::new();
+        counter_symmetry(&structs, &["HptStats".to_string()], "machine.rs", &mut out);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out[0].msg.contains("`HptStats` is now destructured"));
+        assert_eq!((out[0].path.as_str(), out[0].line), ("stats.rs", 1));
+        assert!(out[1].msg.contains("no `pub struct StreamStats`"));
+        assert_eq!(out[1].path, "machine.rs");
+    }
+
+    /// Pub `Kernel` methods carrying the [`SHOOTDOWN_EXEMPT`] names, so
+    /// the other shootdown tests see no stale-exemption reports.
+    const EXEMPT_STUBS: &str = "impl Kernel {\n    pub fn map_region(&mut self) {\n        self.hpt.insert(pte, &mut tm);\n    }\n    pub fn handle_shadow_fault(&mut self) {\n        ctx.mmc.set_mapping(index, pte, mem);\n    }\n}\n";
+
+    fn run_shootdown(src: &str) -> Vec<Diagnostic> {
         let toks = lex(src);
         let fns = crate::items::functions(&toks);
         let graph = CallGraph::build(&[(&toks[..], &fns[..])]);
-        let kfns = fns
+        let kfns: Vec<KernelFn> = fns
             .iter()
             .map(|f| {
                 let (mutation, shoots) = shootdown_sinks(&toks, f.body);
@@ -891,16 +942,16 @@ mod tests {
                 }
             })
             .collect();
-        (kfns, graph)
+        let mut out = Vec::new();
+        shootdown_completeness(&kfns, &graph, &mut out);
+        out
     }
 
     #[test]
     fn shootdown_flags_mutation_without_queue() {
         let src = "impl Kernel {\n    pub fn bad(&mut self) {\n        self.hpt.insert(pte, &mut tm);\n    }\n}\n";
-        let (kfns, graph) = kernel_fns(src);
-        let mut out = Vec::new();
-        shootdown_completeness(&kfns, &graph, &mut out);
-        assert_eq!(out.len(), 1);
+        let out = run_shootdown(&format!("{src}{EXEMPT_STUBS}"));
+        assert_eq!(out.len(), 1, "the exempt stubs are not reported: {out:?}");
         assert_eq!(out[0].lint, "shootdown-completeness");
         assert!(out[0].msg.contains("`bad`"));
         assert!(out[0].msg.contains("hpt.insert"));
@@ -912,9 +963,7 @@ mod tests {
         // helper and queues the shootdown via another — two levels deep
         // on the queue side. Both obligations resolve transitively.
         let src = "impl Kernel {\n    pub fn remap(&mut self, va: VirtAddr) {\n        self.create_superpage(va);\n    }\n    fn create_superpage(&mut self, va: VirtAddr) {\n        self.hpt.insert(pte, &mut tm);\n        self.invalidate(va);\n    }\n    fn invalidate(&mut self, va: VirtAddr) {\n        self.queue_shootdown(ShootdownRequest::All);\n    }\n    fn queue_shootdown(&mut self, req: ShootdownRequest) {\n        self.pending_shootdowns.push(req);\n    }\n}\n";
-        let (kfns, graph) = kernel_fns(src);
-        let mut out = Vec::new();
-        shootdown_completeness(&kfns, &graph, &mut out);
+        let out = run_shootdown(&format!("{src}{EXEMPT_STUBS}"));
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -924,11 +973,25 @@ mod tests {
         // fine; the pub caller that *also* never shoots is flagged, and
         // the message names the helper as the witness.
         let src = "impl Kernel {\n    pub fn fault_in(&mut self) {\n        self.swap_in_page(0);\n    }\n    fn swap_in_page(&mut self, index: u64) {\n        ctx.mmc.set_mapping(index, pte, mem);\n    }\n}\nimpl Other {\n    pub fn not_kernel(&mut self) {\n        self.hpt.insert(pte, &mut tm);\n    }\n}\n";
-        let (kfns, graph) = kernel_fns(src);
-        let mut out = Vec::new();
-        shootdown_completeness(&kfns, &graph, &mut out);
+        let out = run_shootdown(&format!("{src}{EXEMPT_STUBS}"));
         assert_eq!(out.len(), 1);
         assert!(out[0].msg.contains("`set_mapping` via `swap_in_page`"));
+    }
+
+    #[test]
+    fn shootdown_reports_stale_exemptions() {
+        // `map_region` no longer writes mapping state and
+        // `handle_shadow_fault` is gone: each exemption would silently
+        // cover a future method of that name.
+        let out = run_shootdown(
+            "impl Kernel {\n    pub fn map_region(&mut self) {\n        self.log(1);\n    }\n}\n",
+        );
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out[0]
+            .msg
+            .contains("`map_region` no longer writes mapping state"));
+        assert_eq!(out[0].line, 2);
+        assert!(out[1].msg.contains("no pub `Kernel::handle_shadow_fault`"));
     }
 
     #[test]
@@ -972,26 +1035,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism_flags_hash_collections_clocks_and_fastmap_iteration() {
-        let src = "use std::collections::HashMap;\nfn report(index: FastMap<K, V>) {\n    let start = Instant::now();\n    for (k, v) in index.iter() {\n        emit(k, v);\n    }\n    let hit = index.get(&key);\n}\n";
-        let toks = lex(src);
-        let mut out = Vec::new();
-        determinism("fixture.rs", &toks, &[], &mut out);
-        let lints: Vec<_> = out.iter().map(|d| (d.line, d.msg.as_str())).collect();
-        assert_eq!(out.len(), 3, "{lints:?}");
-        assert!(out[0].msg.contains("HashMap"));
-        assert!(out[1].msg.contains("Instant::now"));
-        assert!(out[2].msg.contains("index.iter()"));
-        // Lookup through .get() is fine; test spans are skipped.
-        let test_src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
-        let toks = lex(test_src);
-        let spans = test_spans(&toks);
-        let mut out = Vec::new();
-        determinism("fixture.rs", &toks, &spans, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn counter_overflow_flags_unchecked_accumulation() {
         let fields: BTreeSet<String> = ["remaps", "shootdowns"]
             .iter()
@@ -1012,7 +1055,7 @@ mod tests {
     #[test]
     fn fixture_with_seeded_violations_reports_every_kind() {
         // A composite fixture: one violation of each token lint.
-        let src = "fn f(pa: PhysAddr) {\n    let x = pa.get() * 2;\n    let v = Ppn::new(x + 1);\n    let y = maybe.unwrap();\n}\n";
+        let src = "fn f(pa: PhysAddr) {\n    let x = pa.get() * 2;\n    let v = Ppn::new(x + 1);\n}\nmacro_rules! m {\n    () => { maybe.unwrap() };\n}\n";
         let toks = lex(src);
         let spans = test_spans(&toks);
         let mut out = Vec::new();

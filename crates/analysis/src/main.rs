@@ -1,11 +1,11 @@
 //! `mtlb-analysis` — the workspace invariant linter (CLI).
 //!
-//! Thin wrapper over [`mtlb_analysis::engine`]: parses `--root`,
-//! `--allowlist` and `--format`, runs the analysis, prints the outcome
-//! (text or schema-versioned JSON), and maps it to an exit code.
+//! Thin wrapper over [`mtlb_analysis::engine`]: parses `--root` and
+//! `--format`, runs the analysis, prints the outcome (text or
+//! schema-versioned JSON), and maps it to an exit code.
 //!
-//! Exit codes: `0` clean, `1` violations or stale allowlist entries,
-//! `2` usage or configuration errors.
+//! Exit codes: `0` clean, `1` violations, `2` usage or configuration
+//! errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -26,13 +26,11 @@ fn main() -> ExitCode {
         .map(Path::to_path_buf);
 
     let mut root = default_root;
-    let mut allowlist_override: Option<PathBuf> = None;
     let mut format = Format::Text;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--allowlist" => allowlist_override = args.next().map(PathBuf::from),
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,
@@ -46,8 +44,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "mtlb-analysis [--root <workspace>] [--allowlist <toml>] \
-                     [--format text|json]\n\
+                    "mtlb-analysis [--root <workspace>] [--format text|json]\n\
                      Lints the workspace sources for simulator invariants."
                 );
                 return ExitCode::SUCCESS;
@@ -62,8 +59,7 @@ fn main() -> ExitCode {
         eprintln!("mtlb-analysis: --root requires a path");
         return ExitCode::from(2);
     };
-    let allowlist_path = allowlist_override.unwrap_or_else(|| root.join("analysis-allowlist.toml"));
-    match engine::analyze(&root, &allowlist_path) {
+    match engine::analyze(&root) {
         Ok(outcome) => {
             let rendered = match format {
                 Format::Text => engine::render_text(&outcome),

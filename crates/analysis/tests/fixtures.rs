@@ -1,39 +1,39 @@
 //! Integration tests: run the full engine over the seeded-violation
 //! fixture workspaces under `tests/fixtures/` and assert the exact
 //! outcome — each lint fires on its positive case, stays quiet on the
-//! clean case, and suppresses the allowlisted case; stale allowlist
-//! entries fail the run with a usable hint; JSON output is stable.
+//! clean case, and exempts exactly the names its constant lists; JSON
+//! output is stable.
 
 use std::path::PathBuf;
 
 use mtlb_analysis::engine;
 
-fn fixture(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+fn analyze(name: &str) -> engine::Outcome {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join(name)
+        .join(name);
+    engine::analyze(&root).expect("fixture analyzes")
 }
 
-fn analyze(name: &str, allowlist: &str) -> engine::Outcome {
-    let root = fixture(name);
-    engine::analyze(&root, &root.join(allowlist)).expect("fixture analyzes")
-}
-
-fn lint_summary(o: &engine::Outcome, lint: &str) -> engine::LintSummary {
+fn lint_count(o: &engine::Outcome, lint: &str) -> usize {
     o.per_lint
         .iter()
         .find(|(l, _)| *l == lint)
-        .map(|(_, s)| *s)
+        .map(|(_, n)| *n)
         .expect("lint present in summary")
 }
 
 #[test]
-fn shootdown_fixture_flags_leak_and_suppresses_exemption() {
-    let o = analyze("shootdown", "allowlist.toml");
-    let s = lint_summary(&o, "shootdown-completeness");
-    assert_eq!((s.open, s.suppressed, s.entries), (1, 1, 1));
-    assert_eq!(o.open.len(), 1, "only the seeded violation: {:?}", o.open);
-    let d = &o.open[0];
+fn shootdown_fixture_flags_leak_and_exempts_named_methods() {
+    let o = analyze("shootdown");
+    assert_eq!(
+        o.violations.len(),
+        1,
+        "only the seeded violation: {:?}",
+        o.violations
+    );
+    assert_eq!(lint_count(&o, "shootdown-completeness"), 1);
+    let d = &o.violations[0];
     assert_eq!(d.lint, "shootdown-completeness");
     assert!(
         d.msg.contains("`leak_mapping`"),
@@ -45,63 +45,40 @@ fn shootdown_fixture_flags_leak_and_suppresses_exemption() {
         "names the mutation witness helper: {}",
         d.msg
     );
-    // `good_remap` reaches queue_shootdown two helpers deep and must
-    // not be reported; the exemption is suppressed, not open.
-    assert!(o.stale.is_empty());
+    // `good_remap` reaches queue_shootdown two helpers deep and the two
+    // `SHOOTDOWN_EXEMPT` methods write mapping state by design: neither
+    // is reported.
     assert!(!o.is_clean());
 }
 
 #[test]
-fn stale_allowlist_entry_fails_with_a_repair_hint() {
-    let o = analyze("shootdown", "stale-allowlist.toml");
-    assert_eq!(o.stale.len(), 1, "the good_remap entry is stale");
-    let s = &o.stale[0];
-    assert_eq!(s.entry.contains, "pub fn good_remap(");
-    assert!(
-        s.hint.contains("still matches") && s.hint.contains("delete the entry"),
-        "hint points at the still-matching line: {}",
-        s.hint
-    );
-    assert!(!o.is_clean(), "stale entries fail the run");
-}
-
-#[test]
-fn determinism_fixture_flags_hashmap_and_fastmap_iteration() {
-    let o = analyze("determinism", "allowlist.toml");
-    let s = lint_summary(&o, "determinism");
-    assert_eq!((s.open, s.suppressed, s.entries), (2, 1, 1));
-    assert_eq!(o.open.len(), 2);
-    assert!(o.open[0].msg.contains("`HashMap`"), "{}", o.open[0].msg);
-    assert!(
-        o.open[1].msg.contains("by_name.values()"),
-        "hash-ordered FastMap traversal is named: {}",
-        o.open[1].msg
-    );
-    // Lookups (`get`) and BTreeMap traversal stay clean; the wall-clock
-    // read is suppressed by the allowlist.
-    assert!(o.stale.is_empty());
-}
-
-#[test]
 fn overflow_fixture_flags_unchecked_add_and_accepts_saturating() {
-    let o = analyze("overflow", "allowlist.toml");
-    let s = lint_summary(&o, "counter-overflow");
-    assert_eq!((s.open, s.suppressed, s.entries), (1, 1, 1));
-    assert_eq!(o.open.len(), 1, "saturating_add stays clean: {:?}", o.open);
-    let d = &o.open[0];
+    let o = analyze("overflow");
+    assert_eq!(lint_count(&o, "counter-overflow"), 1);
+    assert_eq!(
+        o.violations.len(),
+        1,
+        "saturating_add stays clean: {:?}",
+        o.violations
+    );
+    let d = &o.violations[0];
     assert!(d.msg.contains("`hits`"), "names the counter: {}", d.msg);
     // The destructure in the stub audit keeps counter-symmetry quiet.
-    assert_eq!(lint_summary(&o, "counter-symmetry").open, 0);
+    assert_eq!(lint_count(&o, "counter-symmetry"), 0);
 }
 
 #[test]
 fn json_rendering_is_stable_and_schema_versioned() {
-    let a = engine::render_json(&analyze("shootdown", "allowlist.toml"));
-    let b = engine::render_json(&analyze("shootdown", "allowlist.toml"));
+    let a = engine::render_json(&analyze("shootdown"));
+    let b = engine::render_json(&analyze("shootdown"));
     assert_eq!(a, b, "back-to-back runs render byte-identically");
     assert!(a.contains(&format!(
         "\"schema_version\": {}",
         engine::JSON_SCHEMA_VERSION
     )));
+    assert_eq!(engine::JSON_SCHEMA_VERSION, 2);
     assert!(a.contains("\"lint\": \"shootdown-completeness\""));
+    for gone in ["stale_allowlist", "suppressed", "allowlist_entries"] {
+        assert!(!a.contains(gone), "schema 2 has no `{gone}` field");
+    }
 }

@@ -1,9 +1,13 @@
 //! Machine stub whose `audit` exhaustively destructures the fixture's
 //! stats struct (keeping the counter-symmetry lint quiet), with the
-//! sanctioned fast-hit replay sites and a complete
-//! `service_shootdowns` drain.
+//! sanctioned fast-hit replay sites, a complete `service_shootdowns`
+//! drain, and the stats structs `UNAUDITED_STATS` names.
 
 pub struct Machine;
+
+pub struct HptStats;
+pub struct StreamStats;
+pub struct SubblockStats;
 
 impl Machine {
     fn audit(&self, s: &FixtureStats) {

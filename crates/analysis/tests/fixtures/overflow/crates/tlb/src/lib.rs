@@ -1,5 +1,5 @@
 //! Seeded counter-overflow cases: an unchecked `+=` on a stats counter
-//! (violation), an allowlisted one, and a clean saturating write.
+//! (violation) and a clean saturating write.
 
 pub struct FixtureStats {
     pub hits: u64,
@@ -14,11 +14,6 @@ impl Unit {
     /// VIOLATION: unchecked accumulation on a `u64` stats counter.
     pub fn record_hit(&mut self) {
         self.stats.hits += 1;
-    }
-
-    /// ALLOWLISTED: unchecked accumulation, justified in allowlist.toml.
-    pub fn record_miss(&mut self, n: u64) {
-        self.stats.misses += n;
     }
 
     /// CLEAN: saturating accumulation.

@@ -1,5 +1,6 @@
-//! Seeded shootdown-completeness cases: one violation, one allowlisted
-//! exemption, one clean method that reaches the queue through helpers.
+//! Seeded shootdown-completeness cases: one violation, the two methods
+//! `SHOOTDOWN_EXEMPT` names, one clean method that reaches the queue
+//! through helpers.
 
 pub struct Kernel;
 
@@ -14,9 +15,14 @@ impl Kernel {
         self.hpt.insert(pte, tm);
     }
 
-    /// ALLOWLISTED: direct mapping write, exempted in allowlist.toml
-    /// with the fixture's stand-in for the paper's swap-in argument.
-    pub fn exempt_swap_in(&mut self, ctx: &mut Ctx) {
+    /// EXEMPT: a fresh mapping, named in `SHOOTDOWN_EXEMPT`.
+    pub fn map_region(&mut self) {
+        self.hpt.insert(pte, tm);
+    }
+
+    /// EXEMPT: the paper's §2.5 per-base-page swap-in, named in
+    /// `SHOOTDOWN_EXEMPT`.
+    pub fn handle_shadow_fault(&mut self, ctx: &mut Ctx) {
         ctx.mmc.set_mapping(index, pte, mem);
     }
 

@@ -1,8 +1,13 @@
 //! Minimal machine stub: gives the engine its `Machine::audit` anchor,
-//! the sanctioned fast-hit replay sites and a complete
-//! `service_shootdowns` drain.
+//! the sanctioned fast-hit replay sites, a complete
+//! `service_shootdowns` drain, and the stats structs `UNAUDITED_STATS`
+//! names.
 
 pub struct Machine;
+
+pub struct HptStats;
+pub struct StreamStats;
+pub struct SubblockStats;
 
 impl Machine {
     fn audit(&self) {}

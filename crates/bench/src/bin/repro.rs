@@ -38,11 +38,14 @@
 //! byte-for-byte.
 //!
 //! Unknown experiment names and unknown flags print the usage line to
-//! stderr and exit with status 2 before any experiment output.
+//! stderr and exit with status 2 before any experiment output, as does
+//! an output directory (`--csv-dir`, `--json-dir`, `--record-traces`)
+//! that cannot be created. A file that cannot be written later prints
+//! `error:` and exits with status 1.
 
 use std::env;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use mtlb_bench::experiments::{self, WORKLOADS};
 use mtlb_bench::runner::{self, Runner};
@@ -157,6 +160,17 @@ fn parse_args() -> Options {
             other => bad_invocation(&format!("unknown flag {other:?}"), true),
         }
     }
+    for (flag, dir) in [
+        ("--csv-dir", &csv_dir),
+        ("--json-dir", &json_dir),
+        ("--record-traces", &record_traces),
+    ] {
+        if let Some(dir) = dir {
+            if let Err(e) = fs::create_dir_all(dir) {
+                bad_invocation(&format!("{flag} {}: {e}", dir.display()), false);
+            }
+        }
+    }
     // Sweeps run live; naming a trace directory is what selects the
     // record/replay cache.
     let runner = Runner::with_jobs(jobs)
@@ -180,10 +194,9 @@ fn parse_args() -> Options {
 /// The static registry name a trace header's workload name refers to,
 /// if it names a registered workload.
 fn static_workload_name(name: &str) -> Option<&'static str> {
-    const EXTRA: [&str; 4] = ["oltp", "synth_seq", "synth_stride", "synth_rand"];
     WORKLOADS
         .iter()
-        .chain(EXTRA.iter())
+        .chain(&["oltp"])
         .copied()
         .find(|&w| w == name)
 }
@@ -191,7 +204,7 @@ fn static_workload_name(name: &str) -> Option<&'static str> {
 /// Seeds the runner's replay cache from every `.mtr` file in `dir`
 /// (`--replay-traces`). Unreadable or unrecognised files are skipped
 /// with a warning: a missing trace only costs a live run.
-fn preload_traces(runner: &Runner, dir: &std::path::Path) {
+fn preload_traces(runner: &Runner, dir: &Path) {
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) => {
@@ -232,13 +245,20 @@ fn preload_traces(runner: &Runner, dir: &std::path::Path) {
     eprintln!("[repro] preloaded {loaded} trace(s) from {}", dir.display());
 }
 
+/// Writes `contents` to `path`, or exits 1 after `error:` on stderr.
+fn write_or_exit(path: &Path, contents: impl AsRef<[u8]>) {
+    if let Err(e) = fs::write(path, contents) {
+        eprintln!("error: write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
 /// Persists the runner's recorded traces as
 /// `DIR/<workload>_<scale>.mtr` (`--record-traces`).
 fn save_traces(opts: &Options) {
     let Some(dir) = &opts.record_traces else {
         return;
     };
-    fs::create_dir_all(dir).expect("create trace dir");
     let traces = opts.runner.recorded_traces();
     for (name, scale, bytes) in &traces {
         let tag = match scale {
@@ -246,7 +266,7 @@ fn save_traces(opts: &Options) {
             Scale::Paper => "paper",
         };
         let path = dir.join(format!("{name}_{tag}.mtr"));
-        fs::write(&path, bytes.as_slice()).expect("write trace");
+        write_or_exit(&path, bytes.as_slice());
         println!("[trace written to {}]", path.display());
     }
     eprintln!(
@@ -260,9 +280,8 @@ fn emit(opts: &Options, name: &str, title: &str, table: &Table) {
     println!("\n=== {title} ===\n");
     print!("{}", table.render());
     if let Some(dir) = &opts.csv_dir {
-        fs::create_dir_all(dir).expect("create csv dir");
         let path = dir.join(format!("{name}.csv"));
-        fs::write(&path, table.to_csv()).expect("write csv");
+        write_or_exit(&path, table.to_csv());
         println!("[written {}]", path.display());
     }
 }
@@ -271,9 +290,8 @@ fn emit(opts: &Options, name: &str, title: &str, table: &Table) {
 /// `--json-dir` (no-op when the flag is absent).
 fn emit_json_row(opts: &Options, name: &str, report: &RunReport) {
     let Some(dir) = &opts.json_dir else { return };
-    fs::create_dir_all(dir).expect("create json dir");
     let path = dir.join(format!("{name}.json"));
-    fs::write(&path, report.to_json()).expect("write json");
+    write_or_exit(&path, report.to_json());
     println!("[written {}]", path.display());
 }
 

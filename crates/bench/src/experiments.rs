@@ -20,9 +20,7 @@ use mtlb_sim::{Machine, MachineConfig, MachineOp, RunReport};
 use mtlb_tlb::{CpuTlb, LookupOutcome, MicroItlb, SubblockOutcome, SubblockTlb, TlbEntry};
 use mtlb_trace::{TraceReader, TraceWriter};
 use mtlb_types::{ClockRatio, PageSize, Ppn, Prot, VirtAddr, PAGE_SIZE};
-use mtlb_workloads::{
-    AccessExt, Cc1, Compress95, Em3d, Oltp, Radix, Scale, SyntheticTrace, Vortex, Workload,
-};
+use mtlb_workloads::{AccessExt, Cc1, Compress95, Em3d, Oltp, Radix, Scale, Vortex, Workload};
 
 use crate::runner::{finish_recording, JobResult, JobSpec, Runner, Task};
 
@@ -43,10 +41,7 @@ pub fn workload_by_name(name: &str, scale: Scale) -> Box<dyn Workload> {
         "vortex" => Box::new(Vortex::new(scale)),
         "cc1" => Box::new(Cc1::new(scale)),
         "oltp" => Box::new(Oltp::new(scale)),
-        other => match SyntheticTrace::by_name(other, scale) {
-            Some(synth) => Box::new(synth),
-            None => panic!("unknown workload {other:?}"),
-        },
+        other => panic!("unknown workload {other:?}"),
     }
 }
 

@@ -277,6 +277,7 @@ impl Runner {
     pub fn run(&self, specs: &[JobSpec]) -> Vec<JobResult> {
         self.execute(specs.len(), |i| {
             let spec = &specs[i];
+            #[expect(clippy::disallowed_methods, reason = "Bench wall-clock perimeter: per-job host wall time feeds the [job] stderr progress lines and the JobRecords benchmark/src/units.rs drains, never simulated cycles or rendered tables.")]
             let start = Instant::now();
             let (outcome, report) = self.simulate(spec);
             let wall = start.elapsed();
@@ -407,6 +408,7 @@ impl Runner {
                 .expect("task cell")
                 .take()
                 .expect("each task runs exactly once");
+            #[expect(clippy::disallowed_methods, reason = "Bench wall-clock perimeter: per-job host wall time feeds the [job] stderr progress lines and the JobRecords benchmark/src/units.rs drains, never simulated cycles or rendered tables.")]
             let start = Instant::now();
             let value = (task.run)();
             self.note(&task.label, start.elapsed(), None);

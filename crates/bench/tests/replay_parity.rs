@@ -71,31 +71,3 @@ fn replayed_fig3_rows_are_byte_identical_to_live() {
         assert_eq!(r.outcome, l.outcome, "outcome diverged for {}", r.label);
     }
 }
-
-#[test]
-fn synthetic_workloads_replay_identically_too() {
-    let specs: Vec<JobSpec> = ["synth_seq", "synth_stride", "synth_rand"]
-        .into_iter()
-        .flat_map(|name| {
-            [64usize, 128].into_iter().map(move |entries| {
-                JobSpec::new(
-                    format!("synth/{name}/tlb{entries}"),
-                    name,
-                    Scale::Test,
-                    MachineConfig::paper_mtlb(entries),
-                )
-            })
-        })
-        .collect();
-    let replayed = Runner::serial().with_replay(true).run(&specs);
-    let live = Runner::serial().run(&specs);
-    for (r, l) in replayed.iter().zip(&live) {
-        assert_eq!(
-            r.report.to_json(),
-            l.report.to_json(),
-            "{} diverged",
-            r.label
-        );
-        assert_eq!(r.outcome, l.outcome);
-    }
-}

@@ -12,7 +12,8 @@
 //!   `--jobs 1`, whatever order the worker threads finish in.
 //! * **JSON reports** — `--json-dir` writes one report per experiment
 //!   row whose time-bucket values sum to its `total_cycles`, and bad
-//!   invocations exit 2 with usage on stderr.
+//!   invocations — including an output directory that cannot be
+//!   created — exit 2 before any experiment runs.
 //!
 //! Plus the `--replay-traces` fallback: a corrupt cached trace costs one
 //! warned live run, not a failed or silently slow sweep.
@@ -190,6 +191,32 @@ fn invalid_flag_values_exit_2_naming_the_token() {
         assert!(
             out.stdout.is_empty(),
             "bad invocations must not start printing experiment output"
+        );
+    }
+}
+
+#[test]
+fn uncreatable_output_dirs_exit_2_naming_the_flag() {
+    // A directory under a regular file can never be created.
+    let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x");
+    for (args, flag) in [
+        (&["fig2", "--csv-dir", bad][..], "--csv-dir"),
+        (&["fig2", "--json-dir", bad][..], "--json-dir"),
+        (
+            &["fig3", "--test-scale", "--record-traces", bad][..],
+            "--record-traces",
+        ),
+    ] {
+        let out = repro_output(args);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?} exit status");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {flag} {bad}")),
+            "stderr must name {flag} and the directory: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "no experiment may run before the output directories exist"
         );
     }
 }

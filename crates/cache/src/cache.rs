@@ -219,24 +219,6 @@ impl DataCache {
         out
     }
 
-    /// Flushes the entire cache, returning dirty lines for writeback.
-    pub fn flush_all(&mut self) -> FlushOutcome {
-        self.stats.flush_walks = self.stats.flush_walks.saturating_add(1);
-        let mut out = FlushOutcome::default();
-        for slot in &mut self.lines {
-            out.lines_examined += 1;
-            self.stats.lines_flushed = self.stats.lines_flushed.saturating_add(1);
-            if let Some(line) = slot.take() {
-                if line.dirty {
-                    self.stats.flush_writebacks = self.stats.flush_writebacks.saturating_add(1);
-                    out.writebacks
-                        .push(PhysAddr::new(line.pa_line << CACHE_LINE_SHIFT));
-                }
-            }
-        }
-        out
-    }
-
     /// Number of currently valid lines (for tests and reports).
     #[must_use]
     pub fn valid_lines(&self) -> usize {
@@ -434,19 +416,6 @@ mod tests {
         let out = c.flush_page(Vpn::new(3), Ppn::new(0x70003));
         assert_eq!(out.writebacks.len(), 1);
         assert_eq!(c.valid_lines(), 0);
-    }
-
-    #[test]
-    fn flush_all_empties_cache() {
-        let mut c = small_cache();
-        c.access_write(va(0x0), pa(0x0));
-        c.access_write(va(0x40), pa(0x40));
-        c.access_read(va(0x80), pa(0x80));
-        let out = c.flush_all();
-        assert_eq!(out.writebacks.len(), 2);
-        assert_eq!(out.lines_examined, 128);
-        assert_eq!(c.valid_lines(), 0);
-        assert_eq!(c.dirty_lines(), 0);
     }
 
     #[test]

@@ -54,6 +54,10 @@ impl FrameAllocator {
     #[must_use]
     pub fn new(first_frame: u64, count: u64, order: FrameOrder) -> Self {
         assert!(count > 0, "frame range must be non-empty");
+        #[expect(
+            clippy::expect_used,
+            reason = "Documented contract: constructor rejects a frame range that exceeds the address space at configuration time."
+        )]
         first_frame
             .checked_add(count)
             .expect("frame range overflows");
@@ -92,19 +96,6 @@ impl FrameAllocator {
         Some(f)
     }
 
-    /// Allocates `n` frames, or `None` (allocating nothing) when fewer
-    /// than `n` remain.
-    pub fn alloc_many(&mut self, n: usize) -> Option<Vec<Ppn>> {
-        if self.free_order.len() < n {
-            return None;
-        }
-        Some(
-            (0..n)
-                .map(|_| self.alloc().expect("checked above"))
-                .collect(),
-        )
-    }
-
     /// Returns a frame to the pool. Freed frames are reused LIFO.
     ///
     /// # Panics
@@ -124,12 +115,6 @@ impl FrameAllocator {
     #[must_use]
     pub fn free_frames(&self) -> u64 {
         self.free_order.len() as u64
-    }
-
-    /// Total frames managed (free + allocated).
-    #[must_use]
-    pub fn total_frames(&self) -> u64 {
-        self.count
     }
 
     /// Returns `true` when the given frame is currently free.
@@ -180,16 +165,6 @@ mod tests {
         assert!(a.is_free(f0));
         assert!(!a.is_free(f1));
         assert_eq!(a.alloc().unwrap(), f0);
-    }
-
-    #[test]
-    fn alloc_many_is_all_or_nothing() {
-        let mut a = FrameAllocator::new(0, 4, FrameOrder::Sequential);
-        assert!(a.alloc_many(5).is_none());
-        assert_eq!(a.free_frames(), 4, "failed alloc_many must not consume");
-        let v = a.alloc_many(4).unwrap();
-        assert_eq!(v.len(), 4);
-        assert_eq!(a.free_frames(), 0);
     }
 
     #[test]

@@ -85,6 +85,10 @@ impl GuestMemory {
     }
 
     fn check(&self, addr: PhysAddr, len: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "Documented contract: a wild physical access is a simulator bug; guest memory is not a fallible device model."
+        )]
         let end = addr
             .get()
             .checked_add(len)

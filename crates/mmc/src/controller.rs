@@ -144,12 +144,6 @@ impl Mmc {
         self.config
     }
 
-    /// Whether an MTLB is fitted.
-    #[must_use]
-    pub fn has_mtlb(&self) -> bool {
-        self.mtlb.is_some()
-    }
-
     /// Whether `pa` falls in the shadow physical range. Real addresses
     /// translate to themselves, so callers holding a non-shadow `pa` can
     /// skip [`translate_functional`](Self::translate_functional) entirely.
@@ -430,19 +424,6 @@ impl Mmc {
         }
         self.config.timing.control_op
     }
-
-    /// OS control operation purging the whole MTLB, merging all cached
-    /// bits into the table. Returns MMC cycles consumed.
-    pub fn purge_mtlb(&mut self, mem: &mut GuestMemory) -> u64 {
-        self.stats.control_ops = self.stats.control_ops.saturating_add(1);
-        let mut cycles = self.config.timing.control_op;
-        if let Some(mtlb) = self.mtlb.as_mut() {
-            for ev in mtlb.purge_all() {
-                cycles += self.merge_evicted(ev, mem);
-            }
-        }
-        cycles
-    }
 }
 
 #[cfg(test)]
@@ -611,17 +592,6 @@ mod tests {
         // The dirty bit must have been merged into the in-memory table.
         let raw = ShadowPte::decode(mem.read_u32(PhysAddr::new(0)));
         assert!(raw.dirty && raw.referenced);
-    }
-
-    #[test]
-    fn purge_merges_bits() {
-        let (mut mmc, mut mem) = setup();
-        mmc.set_mapping(9, ShadowPte::present(Ppn::new(0x400)), &mut mem);
-        mmc.bus_access(shadow_pa(9 * 4096), BusOp::FillExclusive, &mut mem)
-            .unwrap();
-        mmc.purge_mtlb(&mut mem);
-        let raw = ShadowPte::decode(mem.read_u32(PhysAddr::new(9 * 4)));
-        assert!(raw.dirty);
     }
 
     #[test]

@@ -148,6 +148,10 @@ impl Mtlb {
                 .position(|w| matches!(w, Some(way) if way.tag == index)),
         }?;
         self.mru = Some((index, set, way));
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: `lookup` just matched this way, so it is occupied."
+        )]
         let w = self.sets[set][way].as_mut().expect("hit way is occupied");
         w.used = true;
         Some(&mut w.pte)
@@ -184,6 +188,10 @@ impl Mtlb {
         }
         // NRU within the set, with a rotating hand, mirroring the CPU TLB.
         let assoc = self.config.assoc;
+        #[expect(
+            clippy::unreachable,
+            reason = "Structure invariant: same NRU argument as the CPU TLB — the reset round precedes the scan."
+        )]
         let victim = 'found: {
             for round in 0..2 {
                 for i in 0..assoc {
@@ -202,6 +210,10 @@ impl Mtlb {
             }
             unreachable!("after an NRU reset some way must be unused");
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: the victim way was selected from occupied ways in the same pass."
+        )]
         let old = self.sets[set][victim].replace(new).expect("victim exists");
         self.hands[set] = (victim + 1) % assoc;
         Some(Evicted {
@@ -216,6 +228,10 @@ impl Mtlb {
         let set = self.set_of(index);
         for slot in &mut self.sets[set] {
             if matches!(slot, Some(w) if w.tag == index) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Structure invariant: the slot matched the predicate one line earlier; `take` cannot observe `None`."
+                )]
                 let w = slot.take().expect("matched above");
                 return Some(Evicted {
                     index: w.tag,
@@ -224,26 +240,6 @@ impl Mtlb {
             }
         }
         None
-    }
-
-    /// Empties the whole MTLB, yielding every cached entry for bit
-    /// merging (OS control-register purge).
-    pub(crate) fn purge_all(&mut self) -> Vec<Evicted> {
-        let mut out = Vec::new();
-        for set in &mut self.sets {
-            for slot in set {
-                if let Some(w) = slot.take() {
-                    out.push(Evicted {
-                        index: w.tag,
-                        pte: w.pte,
-                    });
-                }
-            }
-        }
-        for h in &mut self.hands {
-            *h = 0;
-        }
-        out
     }
 }
 
@@ -352,21 +348,6 @@ mod tests {
         assert!(ev.pte.dirty);
         assert!(m.probe(3).is_none());
         assert!(m.invalidate(3).is_none());
-    }
-
-    #[test]
-    fn purge_all_drains_everything() {
-        let mut m = Mtlb::new(MtlbConfig {
-            entries: 4,
-            assoc: 2,
-            charge_bit_writeback: false,
-        });
-        m.insert(0, pte(1));
-        m.insert(1, pte(2));
-        m.insert(2, pte(3));
-        let drained = m.purge_all();
-        assert_eq!(drained.len(), 3);
-        assert_eq!(m.occupancy(), 0);
     }
 
     #[test]

@@ -28,6 +28,10 @@ impl ShadowRange {
             base.is_aligned(PAGE_SIZE) && size_bytes > 0 && size_bytes.is_multiple_of(PAGE_SIZE),
             "shadow range must be page-aligned and non-empty"
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "Documented contract: constructor-time configuration check, like the frame range."
+        )]
         base.get()
             .checked_add(size_bytes)
             .expect("shadow range overflows the address space");

@@ -143,6 +143,10 @@ impl StreamBuffers {
         // Allocate (or steal, LRU) a stream starting after this line.
         let slot = match self.streams.iter().position(Option::is_none) {
             Some(i) => i,
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: `min_by_key` runs over a non-empty, fixed-size buffer array."
+            )]
             None => self
                 .streams
                 .iter()

@@ -59,14 +59,6 @@ impl MmcTiming {
             stream_hit: 2,
         }
     }
-
-    /// MMC cycles for a demand fill that hits no MTLB machinery (standard
-    /// system, or real-address fill with `shadow_detect` added by the
-    /// caller as appropriate).
-    #[must_use]
-    pub const fn base_fill(&self) -> u64 {
-        self.bus_request + self.dram_access + self.line_transfer
-    }
 }
 
 impl Default for MmcTiming {
@@ -82,7 +74,7 @@ mod tests {
     #[test]
     fn default_fill_cost_is_28_mmc_cycles() {
         let t = MmcTiming::paper_default();
-        assert_eq!(t.base_fill(), 28);
+        assert_eq!(t.bus_request + t.dram_access + t.line_transfer, 28);
         assert_eq!(t.shadow_detect, 1, "the paper's 1-cycle classification");
     }
 }

@@ -65,6 +65,10 @@ impl<'a> TimedMem<'a> {
         };
         if let AccessResult::Miss { fill, writeback } = result {
             if let Some(victim) = writeback {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Structure invariant: writebacks target frames the kernel just validated; a shadow fault here would mean the resident set lied."
+                )]
                 let resp = self
                     .mmc
                     .bus_access(victim, BusOp::Writeback, self.mem)
@@ -75,6 +79,10 @@ impl<'a> TimedMem<'a> {
                 FillKind::Shared => BusOp::FillShared,
                 FillKind::Exclusive => BusOp::FillExclusive,
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: kernel structures live in identity-mapped real memory below the shadow window."
+            )]
             let resp = self
                 .mmc
                 .bus_access(pa, op, self.mem)

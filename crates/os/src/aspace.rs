@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use mtlb_types::{PageSize, Ppn, Prot, Spn, VirtAddr, Vpn, PAGE_SIZE};
+use mtlb_types::{PageSize, Ppn, Prot, Spn, Vpn, PAGE_SIZE};
 
 /// What backs a mapped virtual page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,6 +80,10 @@ impl AddressSpace {
     ///
     /// Panics if the page is not currently mapped.
     pub fn remap_page(&mut self, vpn: Vpn, info: PageInfo) {
+        #[expect(
+            clippy::panic,
+            reason = "Documented contract: `remap_page` requires a mapped page; `map_page` is the entry point for new mappings."
+        )]
         let slot = self
             .pages
             .get_mut(&vpn.index())
@@ -98,26 +102,10 @@ impl AddressSpace {
         self.pages.get(&vpn.index())
     }
 
-    /// Mutable lookup.
-    pub fn page_mut(&mut self, vpn: Vpn) -> Option<&mut PageInfo> {
-        self.pages.get_mut(&vpn.index())
-    }
-
     /// Number of mapped pages.
     #[must_use]
     pub fn mapped_pages(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Returns `true` when every page of `[start, start + len)` is mapped.
-    #[must_use]
-    pub fn range_mapped(&self, start: VirtAddr, len: u64) -> bool {
-        if len == 0 {
-            return true;
-        }
-        let first = start.vpn().index();
-        let last = (start + (len - 1)).vpn().index();
-        (first..=last).all(|v| self.pages.contains_key(&v))
     }
 
     /// Iterates mapped pages of a vpn range.
@@ -222,21 +210,6 @@ mod tests {
         let p = a.page(Vpn::new(5)).unwrap();
         assert!(matches!(p.backing, Backing::Shadow { .. }));
         assert_eq!(p.mapping_size, PageSize::Size16K);
-    }
-
-    #[test]
-    fn range_mapped_checks_every_page() {
-        let mut a = AddressSpace::new();
-        for v in 10..20 {
-            a.map_page(Vpn::new(v), info(v));
-        }
-        let base = VirtAddr::new(10 * PAGE_SIZE);
-        assert!(a.range_mapped(base, 10 * PAGE_SIZE));
-        assert!(!a.range_mapped(base, 11 * PAGE_SIZE));
-        assert!(a.range_mapped(base, 0), "empty range is trivially mapped");
-        // Sub-page length still requires the page.
-        assert!(a.range_mapped(VirtAddr::new(19 * PAGE_SIZE), 100));
-        assert!(!a.range_mapped(VirtAddr::new(20 * PAGE_SIZE), 1));
     }
 
     #[test]

@@ -630,8 +630,16 @@ impl Kernel {
     /// (§3.2's non-replaceable block TLB entry) covering the reserved
     /// low-memory region, identity-mapped and supervisor-only.
     pub fn boot(&mut self, ctx: &mut KernelCtx<'_>) -> Cycles {
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: the boot layout computes the reserved region from block-mappable sizes."
+        )]
         let size = PageSize::from_bytes(self.layout.reserved_bytes)
             .expect("reserved region is a block-mappable size");
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: boot identity mappings are constructed aligned."
+        )]
         let entry = TlbEntry::new(
             Vpn::new(0),
             Ppn::new(0),
@@ -671,6 +679,10 @@ impl Kernel {
         if let Some(p) = self.shadow_page_pool.pop() {
             return p;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "Documented contract: all-shadow mode sizes the shadow window to the workload; exhaustion is an experiment misconfiguration."
+        )]
         let region = self
             .shadow
             .alloc(PageSize::Size16K)
@@ -748,6 +760,10 @@ impl Kernel {
                 (frame, Backing::Real(frame))
             };
             let mut tm = self.timed(ctx);
+            #[expect(
+                clippy::expect_used,
+                reason = "Documented contract: HPT capacity is an experiment parameter; overflowing it must abort the run, not skew its results."
+            )]
             self.hpt
                 .insert(
                     Pte {
@@ -870,6 +886,10 @@ impl Kernel {
     ) -> (Cycles, Cycles) {
         let mut cycles = self.config.costs.per_superpage_overhead;
         let mut flush_cycles = Cycles::ZERO;
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: allocation follows the availability check inside one kernel operation."
+        )]
         let shadow_base = self
             .shadow
             .alloc(size)
@@ -887,6 +907,10 @@ impl Kernel {
             pages,
         });
 
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: `region_promotable` verified every page of the region before promotion starts."
+        )]
         let prot = self
             .proc()
             .aspace
@@ -896,12 +920,21 @@ impl Kernel {
 
         for i in 0..pages {
             let vpn = vpn_base.offset(i);
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: `region_promotable` verified every page of the region before promotion starts."
+            )]
             let info = *self
                 .proc()
                 .aspace
                 .page(vpn)
                 .expect("promotable region is mapped");
-            let Backing::Real(frame) = info.backing else {
+            #[expect(
+                clippy::unreachable,
+                reason = "Structure invariant: promotion only runs over regions whose pages were all real-backed at the check."
+            )]
+            let Backing::Real(frame) = info.backing
+            else {
                 unreachable!("region_promotable checked real backing");
             };
 
@@ -912,6 +945,10 @@ impl Kernel {
             flush_cycles += self.config.costs.flush_line * out.lines_examined;
             for wb in &out.writebacks {
                 report.flush_writebacks = report.flush_writebacks.saturating_add(1);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Structure invariant: flushes target shadow pages whose MTLB mappings the kernel installed and has not yet torn down."
+                )]
                 let resp = ctx
                     .mmc
                     .bus_access(*wb, BusOp::Writeback, ctx.mem)
@@ -928,6 +965,10 @@ impl Kernel {
 
             // Re-point the PTE at the shadow frame with the superpage size.
             let mut tm = self.timed(ctx);
+            #[expect(
+                clippy::expect_used,
+                reason = "Documented contract: HPT capacity is an experiment parameter; overflowing it must abort the run, not skew its results."
+            )]
             self.hpt
                 .insert(
                     Pte {
@@ -1002,12 +1043,6 @@ impl Kernel {
         (old_brk, cycles)
     }
 
-    /// Current process's heap break.
-    #[must_use]
-    pub fn brk(&self) -> VirtAddr {
-        self.proc().heap_brk
-    }
-
     /// The software TLB miss handler (§3.2): trap, probe the hashed page
     /// table through the cache, insert the (super)page entry.
     ///
@@ -1055,11 +1090,20 @@ impl Kernel {
                         cycles += tm.take_cycles();
                         cycles +=
                             self.config.costs.tlb_probe_instructions * u64::from(again.probes);
-                        pte = again.pte.expect("page was mapped a moment ago");
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "Structure invariant: the PTE was inserted earlier in the same (single-threaded) kernel operation."
+                        )]
+                        let walked = again.pte.expect("page was mapped a moment ago");
+                        pte = walked;
                     }
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: the kernel only installs size-aligned mappings, so the recovered base is aligned."
+        )]
         let entry = TlbEntry::new(
             pte.mapping_vpn_base(),
             pte.mapping_pfn_base(),
@@ -1230,6 +1274,10 @@ impl Kernel {
     /// free the frame. The CPU TLB superpage entry **stays in place** —
     /// that is the paper's key §2.5/§4 property.
     fn swap_out_page(&mut self, ctx: &mut KernelCtx<'_>, index: u64, force_write: bool) -> Cycles {
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: pages enter the resident ring only when their region is registered."
+        )]
         let vpn = self
             .vpn_of_index(index)
             .expect("resident ring holds only region pages");
@@ -1242,6 +1290,10 @@ impl Kernel {
         let out = ctx.cache.flush_page(vpn, shadow_ppn);
         cycles += self.config.costs.flush_line * out.lines_examined;
         for wb in &out.writebacks {
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: flushes target shadow pages whose MTLB mappings the kernel installed and has not yet torn down."
+            )]
             let resp = ctx
                 .mmc
                 .bus_access(*wb, BusOp::Writeback, ctx.mem)
@@ -1307,6 +1359,10 @@ impl Kernel {
                     cycles += self.swap_out_page(ctx, index, false);
                 }
                 PagingPolicy::WholeSuperpage => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Structure invariant: same ring/region invariant as above, on the eviction path."
+                    )]
                     let sp = self
                         .region_of_index(index)
                         .expect("resident pages belong to regions");
@@ -1326,6 +1382,10 @@ impl Kernel {
     ///
     /// Panics when `vpn` is not inside a shadow-backed superpage.
     pub fn swap_out_superpage(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn) -> SwapOutReport {
+        #[expect(
+            clippy::panic,
+            reason = "Documented contract: demote/swap entry points require a vpn inside a shadow superpage; callers look it up first."
+        )]
         let sp = *self
             .proc()
             .aspace
@@ -1408,6 +1468,10 @@ impl Kernel {
     ///
     /// Panics when `vpn` is unmapped.
     pub fn page_color(&self, ctx: &KernelCtx<'_>, vpn: Vpn) -> u64 {
+        #[expect(
+            clippy::panic,
+            reason = "Documented contract: `# Panics` on the public accessor — asking for the color of an unmapped page is caller error."
+        )]
         let info = self
             .proc()
             .aspace
@@ -1435,12 +1499,21 @@ impl Kernel {
     pub fn recolor_page(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn, color: u64) -> Cycles {
         let colors = ctx.cache.config().page_colors();
         assert!(color < colors, "color {color} out of range 0..{colors}");
+        #[expect(
+            clippy::panic,
+            reason = "Documented contract: recolor requires a mapped page."
+        )]
         let info = *self
             .proc()
             .aspace
             .page(vpn)
             .unwrap_or_else(|| panic!("recolor of unmapped vpn {vpn}"));
-        let Backing::Real(frame) = info.backing else {
+        #[expect(
+            clippy::panic,
+            reason = "Documented contract: only real-backed pages can be recolored into shadow; recoloring a shadow page twice is caller error."
+        )]
+        let Backing::Real(frame) = info.backing
+        else {
             panic!("recolor of non-real-backed vpn {vpn}");
         };
         let mut cycles = self.config.costs.syscall_overhead;
@@ -1452,6 +1525,10 @@ impl Kernel {
             if let Some(p) = self.recolor_pool.get_mut(&color).and_then(Vec::pop) {
                 break p;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "Documented contract: recoloring experiments size the shadow window for the pages they recolor."
+            )]
             let region = self
                 .shadow
                 .alloc(PageSize::Size16K)
@@ -1469,6 +1546,10 @@ impl Kernel {
         let out = ctx.cache.flush_page(vpn, frame);
         cycles += self.config.costs.flush_line * out.lines_examined;
         for wb in &out.writebacks {
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: flushes target shadow pages whose MTLB mappings the kernel installed and has not yet torn down."
+            )]
             let resp = ctx
                 .mmc
                 .bus_access(*wb, BusOp::Writeback, ctx.mem)
@@ -1486,6 +1567,10 @@ impl Kernel {
         cycles += ctx.ratio.device_to_cpu(mmc_cycles);
 
         let mut tm = self.timed(ctx);
+        #[expect(
+            clippy::expect_used,
+            reason = "Documented contract: HPT capacity is an experiment parameter; overflowing it must abort the run, not skew its results."
+        )]
         self.hpt
             .insert(
                 Pte {
@@ -1532,6 +1617,10 @@ impl Kernel {
     ///
     /// Panics when `vpn` is not inside a shadow-backed superpage.
     pub fn demote_superpage(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn) -> Cycles {
+        #[expect(
+            clippy::panic,
+            reason = "Documented contract: demote/swap entry points require a vpn inside a shadow superpage; callers look it up first."
+        )]
         let sp = *self
             .proc()
             .aspace
@@ -1561,6 +1650,10 @@ impl Kernel {
             let out = ctx.cache.flush_page(page_vpn, shadow_ppn);
             cycles += self.config.costs.flush_line * out.lines_examined;
             for wb in &out.writebacks {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Structure invariant: flushes target shadow pages whose MTLB mappings the kernel installed and has not yet torn down."
+                )]
                 let resp = ctx
                     .mmc
                     .bus_access(*wb, BusOp::Writeback, ctx.mem)
@@ -1580,6 +1673,10 @@ impl Kernel {
                 pte.rpfn
             };
 
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: a registered superpage keeps all its pages mapped until demote removes the record."
+            )]
             let prot = self
                 .proc()
                 .aspace
@@ -1587,6 +1684,10 @@ impl Kernel {
                 .expect("superpage pages are mapped")
                 .prot;
             let mut tm = self.timed(ctx);
+            #[expect(
+                clippy::expect_used,
+                reason = "Documented contract: HPT capacity is an experiment parameter; overflowing it must abort the run, not skew its results."
+            )]
             self.hpt
                 .insert(
                     Pte {
@@ -1645,6 +1746,10 @@ impl Kernel {
     /// Reads the per-base-page referenced/dirty bits of a superpage — the
     /// OS-visible §2.5 accounting.
     pub fn page_bits(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn) -> Vec<(Vpn, bool, bool)> {
+        #[expect(
+            clippy::panic,
+            reason = "Documented contract: demote/swap entry points require a vpn inside a shadow superpage; callers look it up first."
+        )]
         let sp = *self
             .proc()
             .aspace

@@ -82,12 +82,6 @@ impl SwapDevice {
     pub fn reads(&self) -> u64 {
         self.reads
     }
-
-    /// Pages currently stored.
-    #[must_use]
-    pub fn pages_stored(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// Per-page I/O cost model for the swap device.
@@ -146,7 +140,6 @@ mod tests {
         s.write(1, vec![0xaa; PAGE_SIZE as usize]);
         s.write(1, vec![0xbb; PAGE_SIZE as usize]);
         assert_eq!(s.writes(), 2);
-        assert_eq!(s.pages_stored(), 1);
         assert_eq!(s.read(1).unwrap()[0], 0xbb);
     }
 

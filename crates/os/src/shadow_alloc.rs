@@ -175,6 +175,10 @@ impl ShadowAllocator for BucketAllocator {
     fn free(&mut self, addr: ShadowAddr, size: PageSize) {
         // Documented API contract (# Panics): freeing into a class the
         // partition never defined is caller error.
+        #[expect(
+            clippy::panic,
+            reason = "Documented contract: the bucket allocator is constructed with every PageSize class; freeing an unknown class is caller error."
+        )]
         let (start, end) = *self
             .class_ranges
             .get(&size)
@@ -283,9 +287,17 @@ impl ShadowAllocator for BuddyAllocator {
         let want = Self::order_of(size);
         match self.allocated.remove(&offset) {
             Some(order) if order == want => {}
+            #[expect(
+                clippy::panic,
+                reason = "Documented contract: buddy free must match the allocation size — the classic double-free/size-mismatch guard."
+            )]
             Some(order) => {
                 panic!("region at {addr} was allocated at order {order}, freed at {want}")
             }
+            #[expect(
+                clippy::panic,
+                reason = "Documented contract: freeing shadow space that was never allocated is caller error, mirroring the order-mismatch case."
+            )]
             None => panic!("free of unallocated shadow region {addr}"),
         }
         // Coalesce with free buddies.

@@ -77,16 +77,14 @@ impl MachineConfig {
         }
     }
 
-    /// The paper's normalisation base: 96-entry CPU TLB, no MTLB (§3.4).
-    #[must_use]
-    pub fn normalization_base() -> Self {
-        MachineConfig::paper_base(96)
-    }
-
     /// Same machine with a different MTLB geometry (§3.5 sensitivity
     /// sweeps). Panics if this configuration has no MTLB.
     #[must_use]
     pub fn with_mtlb_geometry(mut self, entries: usize, assoc: usize) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "Documented contract: resizing the MTLB of a baseline (no-MTLB) configuration is an experiment-script bug."
+        )]
         let mtlb = self
             .mmc
             .mtlb
@@ -151,7 +149,6 @@ mod tests {
         let base = MachineConfig::paper_base(64);
         assert!(base.mmc.mtlb.is_none());
         assert!(!base.kernel.use_superpages);
-        assert_eq!(MachineConfig::normalization_base().cpu_tlb_entries, 96);
     }
 
     #[test]

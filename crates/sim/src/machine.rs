@@ -724,6 +724,10 @@ impl Machine {
             .translate(va, AccessKind::IFetch, PrivilegeLevel::User)
         {
             LookupOutcome::Hit(_) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Structure invariant: `probe` follows a hit outcome for the same vpn within one access."
+                )]
                 let entry = core
                     .tlb
                     .entry_for(va.vpn())
@@ -792,6 +796,10 @@ impl Machine {
         // core owned it (free at one core).
         self.arbitrate_bus();
         if let Some(victim) = writeback {
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: the OS flushes a page's cache lines before swapping it out, so a victim writeback never targets a swapped page."
+            )]
             let resp = self
                 .mmc
                 .bus_access(victim, BusOp::Writeback, &mut self.mem)
@@ -831,9 +839,17 @@ impl Machine {
                             // but drain anything the service queued.
                             self.service_shootdowns();
                         }
+                        #[expect(
+                            clippy::panic,
+                            reason = "Harness boundary: the kernel services every shadow fault it raised; failure means the swap state is corrupt."
+                        )]
                         Err(f) => panic!("unserviceable shadow fault: {f}"),
                     }
                 }
+                #[expect(
+                    clippy::panic,
+                    reason = "Harness boundary: translations the kernel installed never point outside DRAM or the shadow window."
+                )]
                 Err(f) => panic!("bus error during access to {va}: {f}"),
             }
         }
@@ -842,6 +858,10 @@ impl Machine {
     /// Bus → real resolution after a completed access. A real bus
     /// address is its own translation; shadow addresses take the
     /// functional table walk.
+    #[expect(
+        clippy::expect_used,
+        reason = "Structure invariant: the access just completed (faulting in if needed), so the page's residency entry exists."
+    )]
     fn functional_addr(&self, pa: PhysAddr) -> PhysAddr {
         if !self.mmc.is_shadow(pa) {
             debug_assert_eq!(self.mmc.translate_functional(pa, &self.mem).ok(), Some(pa));
@@ -1684,6 +1704,10 @@ impl Machine {
     /// Panics when `vpn` is unmapped.
     #[must_use]
     pub fn page_color(&self, vpn: Vpn) -> u64 {
+        #[expect(
+            clippy::panic,
+            reason = "Documented contract: thin forwarding of the kernel's page_color contract."
+        )]
         let info = self
             .kernel
             .aspace()

@@ -101,15 +101,6 @@ impl RunReport {
         self.buckets.tlb_miss.fraction_of(self.total_cycles)
     }
 
-    /// Runtime normalised to a base run (the paper normalises to the
-    /// 96-entry-TLB, no-MTLB system). Zero when the base run is empty,
-    /// mirroring [`Cycles::fraction_of`] rather than returning
-    /// `inf`/`NaN`.
-    #[must_use]
-    pub fn normalized_to(&self, base: &RunReport) -> f64 {
-        self.total_cycles.fraction_of(base.total_cycles)
-    }
-
     /// Average MMC cycles per demand cache fill (Figure 4B's metric).
     #[must_use]
     pub fn avg_fill_mmc_cycles(&self) -> f64 {
@@ -277,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn fractions_and_normalisation() {
+    fn tlb_miss_fraction_of_total() {
         let r = RunReport {
             total_cycles: Cycles::new(200),
             buckets: TimeBuckets {
@@ -287,25 +278,6 @@ mod tests {
             ..RunReport::default()
         };
         assert!((r.tlb_miss_fraction() - 0.25).abs() < 1e-12);
-        let base = RunReport {
-            total_cycles: Cycles::new(400),
-            ..RunReport::default()
-        };
-        assert!((r.normalized_to(&base) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_to_empty_base_is_zero_not_nan() {
-        let r = RunReport {
-            total_cycles: Cycles::new(123),
-            ..RunReport::default()
-        };
-        let empty = RunReport::default();
-        // An empty base run (zero cycles) must not poison downstream
-        // arithmetic with inf/NaN — guard like `Cycles::fraction_of`.
-        assert_eq!(r.normalized_to(&empty), 0.0);
-        assert_eq!(empty.normalized_to(&empty), 0.0);
-        assert!(r.normalized_to(&empty).is_finite());
     }
 
     #[test]

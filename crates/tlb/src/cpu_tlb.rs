@@ -51,6 +51,10 @@ impl SlotList {
         }
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "Structure invariant: `SlotList::remove` is only called for slots the index recorded; a miss means the host-side index diverged from the slot array."
+    )]
     fn remove(&mut self, s: u32) {
         if let Some(p) = self.spill.iter().position(|&x| x == s) {
             self.spill.swap_remove(p);
@@ -211,6 +215,10 @@ impl CpuTlb {
 
     /// Registers the occupied slot `i` in the lookup index.
     fn index_add(&mut self, i: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: the index only holds identifiers of occupied slots."
+        )]
         let entry = &self.slots[i].as_ref().expect("occupied slot").entry;
         let key = key_of(entry);
         self.index.entry(key).or_default().push(i as u32);
@@ -219,8 +227,16 @@ impl CpuTlb {
 
     /// Unregisters slot `i` (still holding `entry`) from the index.
     fn index_remove(&mut self, i: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: the index only holds identifiers of occupied slots."
+        )]
         let entry = &self.slots[i].as_ref().expect("occupied slot").entry;
         let key = key_of(entry);
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: every occupied slot has an index entry (the inverse of the slot invariant)."
+        )]
         let slots = self.index.get_mut(&key).expect("indexed entry");
         slots.remove(i as u32);
         if slots.is_empty() {
@@ -323,6 +339,10 @@ impl CpuTlb {
             }
         }
         if let Some(i) = self.find_covering(vpn) {
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: `find_covering` returned this slot, so it is occupied."
+            )]
             let slot = self.slots[i].as_mut().expect("covering slot occupied");
             if !slot.entry.prot().permits(kind, level) {
                 // Protection faults still count as "found": the entry
@@ -347,6 +367,10 @@ impl CpuTlb {
     /// Looks up without perturbing statistics or NRU bits (for debugging
     /// and assertions).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "Structure invariant: same occupancy invariant as the mutable path above."
+    )]
     pub fn probe(&self, vpn: Vpn) -> Option<&TlbEntry> {
         self.find_covering(vpn)
             .map(|i| &self.slots[i].as_ref().expect("covering slot").entry)
@@ -439,6 +463,10 @@ impl CpuTlb {
                 let base = vpn.align_down_to(PageSize::ALL[class]).index();
                 if let Some(slots) = self.index.get(&(class as u8, base)) {
                     for s in slots.iter() {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "Structure invariant: index entries only reference occupied slots (same invariant as `occupied slot`, on the overlap-discard probe path)."
+                        )]
                         if !self.slots[s as usize]
                             .as_ref()
                             .expect("indexed slot")
@@ -495,6 +523,10 @@ impl CpuTlb {
         }
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "Documented contract: locking every entry then inserting is a configuration error (paper's locked block entries are a bounded handful)."
+    )]
     fn pick_victim(&mut self) -> usize {
         for round in 0..2 {
             let mut idx = self.hand;

@@ -63,6 +63,10 @@ impl Pte {
     }
 
     fn encode(&self, chain: u32) -> (u64, u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: every Pte size is produced from PageSize::ALL."
+        )]
         let size_code = PageSize::ALL
             .iter()
             .position(|s| *s == self.size)
@@ -145,18 +149,6 @@ pub struct HptStats {
     pub not_found: u64,
     /// Entries currently live.
     pub live_entries: u64,
-}
-
-impl HptStats {
-    /// Mean probes per lookup (1.0 = perfect hashing).
-    #[must_use]
-    pub fn mean_probes(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.probes as f64 / self.lookups as f64
-        }
-    }
 }
 
 /// Outcome of a hashed-page-table lookup.
@@ -318,6 +310,10 @@ impl HashedPageTable {
                 // Walk to the end of the chain, updating in place if found.
                 while chain != 0 {
                     at = self.chain_addr(chain);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Structure invariant: chain links are only ever written pointing at valid entries; a dangling link means the table is corrupt."
+                    )]
                     let (existing, next) = self
                         .read_entry(mem, at)
                         .expect("chained entries are always valid");
@@ -344,6 +340,10 @@ impl HashedPageTable {
         };
         self.write_entry(mem, self.overflow_addr(slot), &pte, 0);
         // Re-link the tail to the new slot, preserving its payload.
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: the chain walk that found a tail guarantees the tail decodes."
+        )]
         let (tail_pte, _) = self
             .read_entry(mem, at)
             .expect("tail entry exists by construction");
@@ -364,6 +364,10 @@ impl HashedPageTable {
             } else {
                 // Promote the first overflow entry into the bucket.
                 let next_at = self.chain_addr(head_chain);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Structure invariant: chain links are only ever written pointing at valid entries; a dangling link means the table is corrupt."
+                )]
                 let (next_pte, next_chain) = self
                     .read_entry(mem, next_at)
                     .expect("chained entries are always valid");
@@ -380,6 +384,10 @@ impl HashedPageTable {
         let mut chain = head_chain;
         while chain != 0 {
             let at = self.chain_addr(chain);
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: chain links are only ever written pointing at valid entries; a dangling link means the table is corrupt."
+            )]
             let (pte, next) = self
                 .read_entry(mem, at)
                 .expect("chained entries are always valid");

@@ -58,6 +58,10 @@ impl Cycles {
 impl Add for Cycles {
     type Output = Cycles;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "Documented contract: cycle accounting must never wrap — a wrapped counter would fabricate results silently."
+    )]
     fn add(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.checked_add(rhs.0).expect("cycle counter overflow"))
     }
@@ -72,6 +76,10 @@ impl AddAssign for Cycles {
 impl Sub for Cycles {
     type Output = Cycles;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "Documented contract: subtracting a later timestamp from an earlier one is a simulator bug."
+    )]
     fn sub(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.checked_sub(rhs.0).expect("cycle counter underflow"))
     }
@@ -86,6 +94,10 @@ impl SubAssign for Cycles {
 impl Mul<u64> for Cycles {
     type Output = Cycles;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "Documented contract: cycle accounting must never wrap — a wrapped counter would fabricate results silently."
+    )]
     fn mul(self, rhs: u64) -> Cycles {
         Cycles(self.0.checked_mul(rhs).expect("cycle counter overflow"))
     }
@@ -161,19 +173,16 @@ impl ClockRatio {
 
     /// Converts a device-clock cycle count into CPU cycles.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "Documented contract: clock-ratio conversion is checked for the same reason as the counters."
+    )]
     pub fn device_to_cpu(self, device_cycles: u64) -> Cycles {
         Cycles::new(
             device_cycles
                 .checked_mul(self.cpu_cycles_per_device_cycle)
                 .expect("cycle conversion overflow"),
         )
-    }
-
-    /// Converts CPU cycles into device cycles, rounding up (a request that
-    /// arrives mid-device-cycle completes at the next device edge).
-    #[must_use]
-    pub fn cpu_to_device_ceil(self, cpu: Cycles) -> u64 {
-        cpu.get().div_ceil(self.cpu_cycles_per_device_cycle)
     }
 }
 
@@ -232,8 +241,6 @@ mod tests {
         let r = ClockRatio::paper_default();
         assert_eq!(r.cpu_per_device(), 2);
         assert_eq!(r.device_to_cpu(1), Cycles::new(2));
-        assert_eq!(r.cpu_to_device_ceil(Cycles::new(3)), 2);
-        assert_eq!(r.cpu_to_device_ceil(Cycles::new(4)), 2);
     }
 
     #[test]

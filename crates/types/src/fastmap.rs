@@ -9,7 +9,6 @@
 //! both safe and an order of magnitude cheaper. Host-side only: map
 //! iteration order is never observable in simulated results.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from the fxhash scheme (derived from the golden ratio).
@@ -66,7 +65,11 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` using [`FxHasher`] — for host-side acceleration indexes
 /// whose iteration order never reaches simulated results.
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "FastMap's own definition: the one sanctioned HashMap wrapper. Iteration order never escapes — crates/clippy.toml rejects hash-ordered traversal at every use site."
+)]
+pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

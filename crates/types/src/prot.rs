@@ -14,14 +14,6 @@ pub enum AccessKind {
     IFetch,
 }
 
-impl AccessKind {
-    /// Returns `true` for stores.
-    #[must_use]
-    pub const fn is_write(self) -> bool {
-        matches!(self, AccessKind::Write)
-    }
-}
-
 impl fmt::Display for AccessKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

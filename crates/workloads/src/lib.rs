@@ -46,7 +46,6 @@ mod compress;
 mod em3d;
 mod oltp;
 mod radix;
-mod synth;
 mod vortex;
 
 pub use access::AccessExt;
@@ -56,7 +55,6 @@ pub use compress::Compress95;
 pub use em3d::Em3d;
 pub use oltp::Oltp;
 pub use radix::Radix;
-pub use synth::{Pattern, SyntheticTrace};
 pub use vortex::Vortex;
 
 use mtlb_sim::Machine;
