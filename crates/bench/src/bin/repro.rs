@@ -51,7 +51,7 @@ use mtlb_bench::experiments::{self, WORKLOADS};
 use mtlb_bench::runner::{self, Runner};
 use mtlb_bench::table::Table;
 use mtlb_os::PagingPolicy;
-use mtlb_sim::RunReport;
+use mtlb_sim::{MachineConfig, RunReport};
 use mtlb_types::Histogram;
 use mtlb_workloads::Scale;
 
@@ -144,6 +144,15 @@ fn parse_args() -> Options {
                 cores = count_of(&mut args, "--cores", "core count");
                 if cores == 0 {
                     bad_invocation("--cores must be at least 1", true);
+                }
+                let max = MachineConfig::default().max_cores();
+                if cores > max {
+                    bad_invocation(
+                        &format!(
+                            "--cores {cores}: at most {max} cores fit the kernel's page-table reservation"
+                        ),
+                        true,
+                    );
                 }
             }
             "--trace" => trace = true,

@@ -179,6 +179,16 @@ fn invalid_flag_values_exit_2_naming_the_token() {
         (&["fig6", "--cores", "abc"][..], "abc"),
         (&["fig3", "--jobs", "many"][..], "many"),
         (&["fig6", "--cores", "-3"][..], "-3"),
+        // More cores than the scaled page table fits: refused up front,
+        // naming the largest count that fits, before any cell runs.
+        (
+            &["fig3", "--test-scale", "--cores", "17"][..],
+            "at most 16 cores",
+        ),
+        (
+            &["fig6", "--test-scale", "--cores", "32"][..],
+            "at most 16 cores",
+        ),
     ] {
         let out = repro_output(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?} exit status");
@@ -193,6 +203,12 @@ fn invalid_flag_values_exit_2_naming_the_token() {
             "bad invocations must not start printing experiment output"
         );
     }
+}
+
+#[test]
+fn the_largest_core_count_that_fits_runs() {
+    let stdout = repro_stdout(&["fig3", "--test-scale", "--cores", "16"]);
+    assert!(String::from_utf8_lossy(&stdout).contains("=== Figure 3"));
 }
 
 #[test]

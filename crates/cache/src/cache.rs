@@ -191,32 +191,51 @@ impl DataCache {
     /// it tags the lines being sought and, on physically-indexed
     /// configurations, determines which index slots the walk visits.
     pub fn flush_page(&mut self, vpn: Vpn, pfn: Ppn) -> FlushOutcome {
-        let base = vpn.base_addr();
-        let pa_base = pfn.base_addr();
         let lines_per_page = PAGE_SIZE / CACHE_LINE_SIZE;
         self.stats.flush_walks = self.stats.flush_walks.saturating_add(1);
-        let mut out = FlushOutcome::default();
-        for i in 0..lines_per_page {
+        self.stats.lines_flushed = self.stats.lines_flushed.saturating_add(lines_per_page);
+        let writebacks = self.evict_page(vpn, pfn);
+        self.stats.flush_writebacks = self
+            .stats
+            .flush_writebacks
+            .saturating_add(writebacks.len() as u64);
+        FlushOutcome {
+            lines_examined: lines_per_page,
+            writebacks,
+        }
+    }
+
+    /// Drops every cached line of the page `vpn`/`pfn` (as
+    /// [`flush_page`](Self::flush_page) names it) without a writeback and
+    /// without counting anything: how another core's L1 loses a page the
+    /// running core's kernel service flushed. The simulator moves data at
+    /// access time, so a dropped dirty line loses no bytes, only the bus
+    /// time of its writeback.
+    pub fn invalidate_page(&mut self, vpn: Vpn, pfn: Ppn) {
+        self.evict_page(vpn, pfn);
+    }
+
+    /// Empties every slot holding a line of the page, returning the bus
+    /// addresses of the dirty ones.
+    fn evict_page(&mut self, vpn: Vpn, pfn: Ppn) -> Vec<PhysAddr> {
+        let base = vpn.base_addr();
+        let pa_base = pfn.base_addr();
+        let mut dirty = Vec::new();
+        for i in 0..PAGE_SIZE / CACHE_LINE_SIZE {
             let va = base + i * CACHE_LINE_SIZE;
             let pa = pa_base + i * CACHE_LINE_SIZE;
-            out.lines_examined += 1;
-            self.stats.lines_flushed = self.stats.lines_flushed.saturating_add(1);
             let idx = self.index_of(va, pa);
             let pa_line = pa.get() >> CACHE_LINE_SHIFT;
-            if let Some(line) = self.lines[idx] {
-                // Only evict the line if it actually belongs to this
-                // page (the slot may hold an unrelated line).
-                if line.pa_line == pa_line {
-                    if line.dirty {
-                        self.stats.flush_writebacks = self.stats.flush_writebacks.saturating_add(1);
-                        out.writebacks
-                            .push(PhysAddr::new(line.pa_line << CACHE_LINE_SHIFT));
-                    }
-                    self.lines[idx] = None;
+            // Only evict the line if it actually belongs to this page
+            // (the slot may hold an unrelated line).
+            if let Some(line) = self.lines[idx].filter(|l| l.pa_line == pa_line) {
+                if line.dirty {
+                    dirty.push(PhysAddr::new(pa_line << CACHE_LINE_SHIFT));
                 }
+                self.lines[idx] = None;
             }
         }
-        out
+        dirty
     }
 
     /// Number of currently valid lines (for tests and reports).
@@ -372,6 +391,19 @@ mod tests {
             "vpn 1's line must survive a vpn 0 flush"
         );
         assert_eq!(c.valid_lines(), 1);
+    }
+
+    #[test]
+    fn invalidate_page_drops_lines_without_counting() {
+        let mut c = DataCache::new(CacheConfig::paper_default());
+        c.access_write(va(0x3000), pa(0x7000_3000));
+        c.access_read(va(0x3040), pa(0x7000_3040));
+        c.access_read(va(0x4000), pa(0x7000_4000)); // another page
+        let before = c.stats();
+        c.invalidate_page(Vpn::new(3), Ppn::new(0x70003));
+        assert_eq!(c.valid_lines(), 1, "only vpn 4's line survives");
+        assert_eq!(c.dirty_lines(), 0);
+        assert_eq!(c.stats(), before);
     }
 
     #[test]

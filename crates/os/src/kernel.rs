@@ -7,7 +7,7 @@
 //! simulations "include the execution time and memory accesses of these
 //! kernel operations" (§3.2).
 
-use mtlb_cache::DataCache;
+use mtlb_cache::{DataCache, FlushOutcome};
 use mtlb_mem::{FrameAllocator, FrameOrder, GuestMemory};
 use mtlb_mmc::{BusOp, Mmc, MmcConfig, ShadowPte};
 use mtlb_tlb::{ContigInfo, HashedPageTable, MicroItlb, Pte, TlbEntry, TranslationScheme};
@@ -437,6 +437,9 @@ pub struct Kernel {
     /// Shootdowns queued by local invalidations, awaiting delivery to
     /// the other cores (drained by the machine on kernel exit).
     pending_shootdowns: Vec<ShootdownRequest>,
+    /// Pages flushed from the running core's L1, awaiting invalidation
+    /// in the other cores' (drained by the machine on kernel exit).
+    flushed_pages: Vec<(Vpn, Ppn)>,
     stats: KernelStats,
 }
 
@@ -470,6 +473,7 @@ impl Kernel {
             resident: Vec::new(),
             clock_hand: 0,
             pending_shootdowns: Vec::new(),
+            flushed_pages: Vec::new(),
             stats: KernelStats::default(),
         }
     }
@@ -544,9 +548,11 @@ impl Kernel {
     /// Queues a TLB shootdown request for delivery to remote cores.
     ///
     /// Every mapping mutation that can invalidate a remote core's TLB
-    /// entry must funnel through here (the shootdown-completeness lint
-    /// checks reachability); the machine drains the queue via
+    /// entry must funnel through here; the machine drains the queue via
     /// [`take_shootdowns`](Self::take_shootdowns) after each service.
+    /// `crates/sim/tests/schemes.rs` pins, service by service, which
+    /// entry points deliver a shootdown and which (fresh mappings, §2.5
+    /// per-base-page paging) deliberately do not.
     fn queue_shootdown(&mut self, request: ShootdownRequest) {
         self.pending_shootdowns.push(request);
     }
@@ -563,6 +569,24 @@ impl Kernel {
     /// and drops them at zero cost.
     pub fn take_shootdowns(&mut self) -> Vec<ShootdownRequest> {
         core::mem::take(&mut self.pending_shootdowns)
+    }
+
+    /// Drains the pages this kernel has flushed from the running core's
+    /// L1 since the last call. A page flush reaches every core's cache
+    /// (the bus broadcasts it), so the machine drops these pages' lines
+    /// from the other cores' L1s before any of them runs again. A
+    /// per-base-page pageout queues no TLB shootdown, but its flush
+    /// still lands here.
+    pub fn drain_flushed_pages(&mut self) -> std::vec::Drain<'_, (Vpn, Ppn)> {
+        self.flushed_pages.drain(..)
+    }
+
+    /// Flushes the page's lines from the running core's L1 and notes it
+    /// for the other cores' (see
+    /// [`drain_flushed_pages`](Self::drain_flushed_pages)).
+    fn flush_page(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn, pfn: Ppn) -> FlushOutcome {
+        self.flushed_pages.push((vpn, pfn));
+        ctx.cache.flush_page(vpn, pfn)
     }
 
     /// Accounts for delivering `requests` shootdown requests to
@@ -940,7 +964,7 @@ impl Kernel {
 
             // Flush the page's cache lines: the tags are about to change
             // from real to shadow addresses (§2.3).
-            let out = ctx.cache.flush_page(vpn, frame);
+            let out = self.flush_page(ctx, vpn, frame);
             report.lines_flushed = report.lines_flushed.saturating_add(out.lines_examined);
             flush_cycles += self.config.costs.flush_line * out.lines_examined;
             for wb in &out.writebacks {
@@ -1287,7 +1311,7 @@ impl Kernel {
         // Clean the page: flush lines so DRAM is current and the dirty
         // bit is final (§2.5's "cleaning process"). The lines are tagged
         // with the page's *shadow* address.
-        let out = ctx.cache.flush_page(vpn, shadow_ppn);
+        let out = self.flush_page(ctx, vpn, shadow_ppn);
         cycles += self.config.costs.flush_line * out.lines_examined;
         for wb in &out.writebacks {
             #[expect(
@@ -1543,7 +1567,7 @@ impl Kernel {
 
         // The page's lines move to new index slots: flush under the old
         // (real) address, shoot down the stale translation.
-        let out = ctx.cache.flush_page(vpn, frame);
+        let out = self.flush_page(ctx, vpn, frame);
         cycles += self.config.costs.flush_line * out.lines_examined;
         for wb in &out.writebacks {
             #[expect(
@@ -1647,7 +1671,7 @@ impl Kernel {
 
             // Shadow-tagged lines must go before the mapping does.
             let shadow_ppn = sp.shadow_base.offset(i).bus();
-            let out = ctx.cache.flush_page(page_vpn, shadow_ppn);
+            let out = self.flush_page(ctx, page_vpn, shadow_ppn);
             cycles += self.config.costs.flush_line * out.lines_examined;
             for wb in &out.writebacks {
                 #[expect(

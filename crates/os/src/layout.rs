@@ -57,25 +57,46 @@ impl KernelLayout {
             hpt_scale.is_power_of_two(),
             "hpt_scale must be a power of two (bucket hashing masks)"
         );
-        let table_end = mmc.table_base + mmc.table_bytes();
-        let hpt_base = table_end.align_up(PAGE_SIZE);
-        let reserved = PageSize::Size16M.bytes();
-        let layout = KernelLayout {
-            mmc_table_base: mmc.table_base,
-            hpt_base,
-            reserved_bytes: reserved,
-            hpt_scale,
-        };
-        let hpt_cfg = layout.hpt_config();
+        let layout = Self::place(mmc, hpt_scale);
         assert!(
-            (hpt_base + hpt_cfg.table_bytes()).get() <= reserved,
+            layout.tables_fit(),
             "kernel tables exceed the reserved region"
         );
         assert!(
-            reserved <= mmc.installed_dram,
+            layout.reserved_bytes <= mmc.installed_dram,
             "kernel reservation exceeds installed DRAM"
         );
         layout
+    }
+
+    /// The largest `hpt_scale` whose tables fit the reservation beside
+    /// `mmc`'s mapping table — a power of two, so also the most cores a
+    /// machine over `mmc` can have (the machine scales the table with
+    /// its core count rounded up).
+    #[must_use]
+    pub fn max_hpt_scale(mmc: &MmcConfig) -> u64 {
+        let mut scale = 1;
+        while Self::place(mmc, scale * 2).tables_fit() {
+            scale *= 2;
+        }
+        scale
+    }
+
+    /// Mapping table at its configured base, HPT immediately after (page
+    /// aligned), 16 MB reserved; nothing checked.
+    fn place(mmc: &MmcConfig, hpt_scale: u64) -> Self {
+        let table_end = mmc.table_base + mmc.table_bytes();
+        KernelLayout {
+            mmc_table_base: mmc.table_base,
+            hpt_base: table_end.align_up(PAGE_SIZE),
+            reserved_bytes: PageSize::Size16M.bytes(),
+            hpt_scale,
+        }
+    }
+
+    /// Whether the mapping table and the HPT end inside the reservation.
+    fn tables_fit(&self) -> bool {
+        (self.hpt_base + self.hpt_config().table_bytes()).get() <= self.reserved_bytes
     }
 
     /// The hashed-page-table geometry placed by this layout (the paper's
@@ -144,6 +165,23 @@ mod tests {
         ] {
             assert!(base.get() >= l.reserved_bytes);
         }
+    }
+
+    #[test]
+    fn sixteen_times_the_paper_hpt_is_the_largest_that_fits() {
+        let mmc = MmcConfig::paper_default(256 << 20);
+        // 512 KB mapping table + 16 x 512 KB HPT = 8.5 MB of 16 MB; 32 x
+        // would need 16.5 MB.
+        assert_eq!(KernelLayout::max_hpt_scale(&mmc), 16);
+        let l = KernelLayout::standard_scaled(&mmc, 16);
+        assert_eq!(l.hpt_config().table_bytes(), 16 * 512 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel tables exceed the reserved region")]
+    fn an_hpt_beyond_the_limit_is_rejected() {
+        let mmc = MmcConfig::paper_default(256 << 20);
+        let _ = KernelLayout::standard_scaled(&mmc, 2 * KernelLayout::max_hpt_scale(&mmc));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use mtlb_cache::CacheConfig;
 use mtlb_mmc::MmcConfig;
-use mtlb_os::KernelConfig;
+use mtlb_os::{KernelConfig, KernelLayout};
 use mtlb_schemes::SchemeConfig;
 use mtlb_types::{ClockRatio, Cycles};
 
@@ -118,16 +118,32 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `cores` is zero.
+    /// Panics when `cores` is zero or above
+    /// [`max_cores`](Self::max_cores): the scaled table would not fit
+    /// the kernel's reserved region.
     #[must_use]
     pub fn with_cores(mut self, cores: usize) -> Self {
         assert!(cores > 0, "a machine needs at least one core");
+        let max = self.max_cores();
+        assert!(
+            cores <= max,
+            "{cores} cores: the scaled hashed page table fits at most {max}"
+        );
         self.cores = cores;
         self.kernel.hpt_scale = self
             .kernel
             .hpt_scale
             .max((cores as u64).next_power_of_two());
         self
+    }
+
+    /// The most cores [`with_cores`](Self::with_cores) accepts: the
+    /// largest hashed-page-table scale that fits the kernel's 16 MB
+    /// reservation beside this machine's MMC mapping table (16 for the
+    /// paper's 512 MB shadow window).
+    #[must_use]
+    pub fn max_cores(&self) -> usize {
+        KernelLayout::max_hpt_scale(&self.mmc) as usize
     }
 }
 
@@ -162,6 +178,20 @@ mod tests {
     #[should_panic(expected = "no MTLB")]
     fn resizing_absent_mtlb_panics() {
         let _ = MachineConfig::paper_base(128).with_mtlb_geometry(512, 4);
+    }
+
+    #[test]
+    fn core_limit_follows_the_kernel_layout() {
+        assert_eq!(MachineConfig::paper_mtlb(64).max_cores(), 16);
+        assert_eq!(MachineConfig::paper_base(64).max_cores(), 16);
+        let cfg = MachineConfig::paper_mtlb(64).with_cores(16);
+        assert_eq!(cfg.kernel.hpt_scale, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "17 cores: the scaled hashed page table fits at most 16")]
+    fn too_many_cores_panic_in_the_config() {
+        let _ = MachineConfig::paper_mtlb(64).with_cores(17);
     }
 
     #[test]

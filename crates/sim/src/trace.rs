@@ -1,8 +1,8 @@
 //! Structured event tracing for cycle attribution.
 //!
 //! Every simulated-cycle charge the [`Machine`](crate::Machine) makes
-//! lands in exactly one [`TimeBuckets`](crate::TimeBuckets) bucket; the
-//! trace layer mirrors each of those charges as a typed
+//! lands in exactly one [`TimeBuckets`] bucket, through the private
+//! `Ledger`; the trace layer mirrors each of those charges as a typed
 //! [`TraceRecord`] — what happened ([`TraceEvent`]), when (the
 //! simulated-cycle timestamp *before* the charge), how many cycles it
 //! cost and which bucket they went to. A machine with no sink attached
@@ -12,8 +12,8 @@
 //! The bundled [`RingTrace`] sink keeps the most recent records in a
 //! bounded ring *and* never-dropped per-bucket cycle sums, so a full
 //! run's attribution can be reconstructed from the sink and reconciled
-//! against [`TimeBuckets::total()`](crate::TimeBuckets::total) — the
-//! property the `trace_audit` test suite checks with random op streams.
+//! against [`TimeBuckets::total()`] — the property the `trace_audit`
+//! test suite checks with random op streams.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -21,8 +21,10 @@ use std::fmt;
 
 use mtlb_types::{Cycles, PhysAddr, ShadowAddr, VirtAddr};
 
+use crate::report::TimeBuckets;
+
 /// The attribution bucket a charge landed in — one variant per field
-/// of [`TimeBuckets`](crate::TimeBuckets).
+/// of [`TimeBuckets`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Bucket {
     /// Instruction execution and single-cycle cache accesses.
@@ -179,6 +181,77 @@ pub enum TraceEvent {
     },
 }
 
+/// The machine's cycle ledger: the time buckets and the optional trace
+/// sink that mirrors every charge into them.
+///
+/// The fields are private to this module, so [`charge`](Ledger::charge)
+/// is the only way a simulated cycle enters a bucket. That is what makes
+/// trace-reconstructed totals and the debug attribution audit exact: a
+/// bucket write anywhere else does not compile.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    buckets: TimeBuckets,
+    /// `None` costs one branch per charge.
+    sink: Option<Box<dyn TraceSink>>,
+}
+
+impl Ledger {
+    /// Adds `cycles` to `bucket`, mirroring the charge to the attached
+    /// sink (if any). The event is a closure so that with no sink
+    /// attached — the overwhelmingly common case — constructing it
+    /// costs nothing.
+    #[inline]
+    pub(crate) fn charge(
+        &mut self,
+        bucket: Bucket,
+        cycles: Cycles,
+        event: impl FnOnce() -> TraceEvent,
+    ) {
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.record(&TraceRecord {
+                at: self.buckets.total(),
+                cycles,
+                bucket,
+                event: event(),
+            });
+        }
+        match bucket {
+            Bucket::User => self.buckets.user += cycles,
+            Bucket::TlbMiss => self.buckets.tlb_miss += cycles,
+            Bucket::MemStall => self.buckets.mem_stall += cycles,
+            Bucket::Kernel => self.buckets.kernel += cycles,
+            Bucket::Fault => self.buckets.fault += cycles,
+        }
+    }
+
+    /// Total cycles charged since construction or the last
+    /// [`reset`](Ledger::reset).
+    #[inline]
+    pub(crate) fn total(&self) -> Cycles {
+        self.buckets.total()
+    }
+
+    /// The buckets as they stand.
+    pub(crate) fn buckets(&self) -> TimeBuckets {
+        self.buckets
+    }
+
+    /// Zeroes every bucket; the sink stays attached.
+    pub(crate) fn reset(&mut self) {
+        self.buckets = TimeBuckets::default();
+    }
+
+    /// Attaches a sink; subsequent charges are recorded into it.
+    pub(crate) fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
+        self.sink = Some(sink);
+    }
+
+    /// Detaches and returns the sink, if one was attached.
+    pub(crate) fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+        self.sink.take()
+    }
+}
+
 /// One traced charge: event, timestamp, cost and attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -213,7 +286,7 @@ pub trait TraceSink: fmt::Debug {
 /// The ring answers "what happened around cycle X" questions for the
 /// tail of a run; the totals reconstruct full-run attribution however
 /// long the run was, which is what the audit property test compares
-/// against [`TimeBuckets::total()`](crate::TimeBuckets::total).
+/// against [`TimeBuckets::total()`].
 #[derive(Clone, Debug)]
 pub struct RingTrace {
     capacity: usize,

@@ -6,21 +6,27 @@
 //! produce bit-identical simulated state to a machine that takes the
 //! slow path on every access. This test drives random operation
 //! sequences — mapping, promotion, scalar access (aligned and
-//! misaligned), instruction fetch, batched streams, swap-out, context
-//! switches and core switches — through a fast machine and a slow-path
-//! reference on one- and two-core configurations and requires the
-//! *entire* serialized run report (every cycle bucket, every counter,
-//! every TLB-miss interval) and the final guest memory contents to
-//! match.
+//! misaligned), instruction fetch, batched streams, swap-out, demotion,
+//! recoloring, context switches and core switches — through a fast
+//! machine and a slow-path reference on one- to four-core
+//! configurations and requires the *entire* serialized run report
+//! (every cycle bucket, every counter, every TLB-miss interval) and the
+//! final guest memory contents to match.
+//!
+//! Agreement between the two machines cannot catch a bug both share, so
+//! every read on both is also checked against a flat host image of the
+//! region — a byte vector with no TLB, cache, MMC or paging behind it —
+//! that every write op updates.
 //!
 //! On the one-core cases the op stream recorded from the fast machine
 //! is additionally replayed (`mtlb-trace` round trip) through a fresh
 //! machine with fast paths randomly on or off, which must reproduce
 //! the same report byte-for-byte (`set_active_core` is a host-level
-//! call, not a recorded op, so two-core runs have no trace form).
+//! call, not a recorded op, so multi-core runs have no trace form).
 //! Replay writes zeros instead of data, so guest-memory digests are
 //! compared between the live machines only.
 
+use mtlb_os::Backing;
 use mtlb_sim::{Machine, MachineConfig, OpSink, VecOpSink};
 use mtlb_types::{Prot, VirtAddr};
 use proptest::prelude::*;
@@ -71,6 +77,13 @@ enum Op {
     },
     Remap,
     SwapOut,
+    Demote,
+    /// Recolors one page of the region (when it is a real-backed base
+    /// page on an MTLB machine).
+    Recolor {
+        page: u64,
+        color: u64,
+    },
     ContextSwitchAwayAndBack,
     /// Moves execution to the next core (a no-op on one core): memos,
     /// remote shootdowns and bus arbitration across `set_active_core`.
@@ -115,39 +128,96 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         1 => Just(Op::Remap),
         1 => Just(Op::SwapOut),
+        1 => Just(Op::Demote),
+        1 => (0u64..REGION / 4096, any::<u64>()).prop_map(|(page, color)| Op::Recolor { page, color }),
         1 => Just(Op::ContextSwitchAwayAndBack),
         2 => Just(Op::SwitchCore),
         1 => (1u64..3).prop_map(|n| Op::Sbrk(n * 4096)),
     ]
 }
 
-fn apply(m: &mut Machine, op: &Op) -> u64 {
-    // Every op folds its observable result into a digest so value
-    // divergence is caught even where cycle totals happen to agree.
+/// Stream store values: item `i` of each write stream.
+fn stream_word(i: u64) -> u32 {
+    i as u32 ^ 0x5a5a_5a5a
+}
+
+fn pair_words(i: u64) -> (u32, u32) {
+    (i as u32, !i as u32)
+}
+
+fn mixed_words(i: u64) -> (u32, f64) {
+    (i as u32, i as f64 * 0.5)
+}
+
+/// Asserts that `got` is what the flat image holds at region offset
+/// `off`.
+fn check(image: &[u8], off: u64, got: &[u8], op: &Op) {
+    let off = off as usize;
+    assert_eq!(
+        got,
+        &image[off..off + got.len()],
+        "read at +{off:#x}: {op:?}"
+    );
+}
+
+/// Mirrors a write into the flat image.
+fn store(image: &mut [u8], off: u64, bytes: &[u8]) {
+    let off = off as usize;
+    image[off..off + bytes.len()].copy_from_slice(bytes);
+}
+
+/// Applies `op` to `m`. Every read is checked against `image`, the flat
+/// host copy of the region (no TLB, cache, MMC or paging), and every
+/// write is mirrored into it. Writes are deterministic, so mirroring the
+/// same op twice (once per machine) leaves the image as mirroring it
+/// once. Returns a digest of the op's non-data result.
+fn apply(m: &mut Machine, op: &Op, image: &mut [u8]) -> u64 {
     let mut digest = 0u64;
     match *op {
         Op::Execute(n) => m.try_execute(n).unwrap(),
-        Op::Read8(o) => digest = u64::from(m.try_read_u8(BASE + o).unwrap()),
-        Op::Write8(o, v) => m.try_write_u8(BASE + o, v).unwrap(),
-        Op::Read32(o) => digest = u64::from(m.try_read_u32(BASE + o).unwrap()),
-        Op::Write32(o, v) => m.try_write_u32(BASE + o, v).unwrap(),
-        Op::Read64(o) => digest = m.try_read_u64(BASE + o).unwrap(),
-        Op::Write64(o, v) => m.try_write_u64(BASE + o, v).unwrap(),
-        Op::StreamWrite32 { off, count, instr } => m
-            .try_stream_write_u32(BASE + off, count.min((REGION / 4 - off) / 4), instr, |i| {
-                i as u32 ^ 0x5a5a_5a5a
+        Op::Read8(o) => check(image, o, &[m.try_read_u8(BASE + o).unwrap()], op),
+        Op::Write8(o, v) => {
+            m.try_write_u8(BASE + o, v).unwrap();
+            store(image, o, &[v]);
+        }
+        Op::Read32(o) => check(
+            image,
+            o,
+            &m.try_read_u32(BASE + o).unwrap().to_le_bytes(),
+            op,
+        ),
+        Op::Write32(o, v) => {
+            m.try_write_u32(BASE + o, v).unwrap();
+            store(image, o, &v.to_le_bytes());
+        }
+        Op::Read64(o) => check(
+            image,
+            o,
+            &m.try_read_u64(BASE + o).unwrap().to_le_bytes(),
+            op,
+        ),
+        Op::Write64(o, v) => {
+            m.try_write_u64(BASE + o, v).unwrap();
+            store(image, o, &v.to_le_bytes());
+        }
+        Op::StreamWrite32 { off, count, instr } => {
+            let count = count.min((REGION / 4 - off) / 4);
+            m.try_stream_write_u32(BASE + off, count, instr, stream_word)
+                .unwrap();
+            for i in 0..count {
+                store(image, off + i * 4, &stream_word(i).to_le_bytes());
+            }
+        }
+        Op::StreamRead32 { off, count, instr } => {
+            let count = count.min((REGION / 4 - off) / 4);
+            let mut seen = 0;
+            m.try_stream_read_u32(BASE + off, count, instr, |i, v| {
+                check(image, off + i * 4, &v.to_le_bytes(), op);
+                seen += 1;
             })
-            .unwrap(),
-        Op::StreamRead32 { off, count, instr } => m
-            .try_stream_read_u32(
-                BASE + off,
-                count.min((REGION / 4 - off) / 4),
-                instr,
-                |i, v| {
-                    digest = digest.wrapping_mul(31).wrapping_add(u64::from(v) ^ i);
-                },
-            )
-            .unwrap(),
+            .unwrap();
+            assert_eq!(seen, count, "{op:?}");
+        }
         Op::WriteBlock {
             off,
             len,
@@ -157,14 +227,13 @@ fn apply(m: &mut Machine, op: &Op) -> u64 {
             let len = len.min(REGION / 4 - off) as usize;
             let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
             m.try_write_block(BASE + off, &bytes, instr).unwrap();
+            store(image, off, &bytes);
         }
         Op::ReadBlock { off, len, instr } => {
             let len = len.min(REGION / 4 - off) as usize;
             let mut buf = vec![0u8; len];
             m.try_read_block(BASE + off, &mut buf, instr).unwrap();
-            digest = buf
-                .iter()
-                .fold(0u64, |d, &b| d.wrapping_mul(31).wrapping_add(u64::from(b)));
+            check(image, off, &buf, op);
         }
         Op::StreamPair {
             off_a,
@@ -174,14 +243,14 @@ fn apply(m: &mut Machine, op: &Op) -> u64 {
             let count = count.min((REGION / 4 - off_a) / 4);
             // Second lane in the third quarter of the region: disjoint
             // from lane A's first quarter.
-            m.try_stream_write_u32_pair(
-                BASE + off_a,
-                BASE + REGION / 2 + off_a,
-                count,
-                instr,
-                |i| (i as u32, !i as u32),
-            )
-            .unwrap();
+            let off_b = REGION / 2 + off_a;
+            m.try_stream_write_u32_pair(BASE + off_a, BASE + off_b, count, instr, pair_words)
+                .unwrap();
+            for i in 0..count {
+                let (a, b) = pair_words(i);
+                store(image, off_a + i * 4, &a.to_le_bytes());
+                store(image, off_b + i * 4, &b.to_le_bytes());
+            }
         }
         Op::StreamMixed {
             off_a,
@@ -189,25 +258,42 @@ fn apply(m: &mut Machine, op: &Op) -> u64 {
             instr,
         } => {
             let count = count.min((REGION / 4 - off_a) / 8);
-            m.try_stream_write_u32_f64(
-                BASE + off_a,
-                BASE + REGION / 2 + off_a,
-                count,
-                instr,
-                |i| (i as u32, i as f64 * 0.5),
-            )
-            .unwrap();
+            let off_b = REGION / 2 + off_a;
+            m.try_stream_write_u32_f64(BASE + off_a, BASE + off_b, count, instr, mixed_words)
+                .unwrap();
+            for i in 0..count {
+                let (a, b) = mixed_words(i);
+                store(image, off_a + i * 4, &a.to_le_bytes());
+                store(image, off_b + i * 8, &b.to_bits().to_le_bytes());
+            }
         }
         Op::Remap => {
             let rep = m.remap(BASE, REGION);
             digest = rep.superpages.len() as u64;
         }
+        // The page-moving services run only where they apply (never on
+        // the baseline kernel, where remap is a no-op); the same
+        // deterministic guard runs on both machines.
         Op::SwapOut => {
-            // Only meaningful once the region is shadow-superpage-backed
-            // (never on the baseline kernel, where remap is a no-op);
-            // the same deterministic guard runs on both machines.
             if m.kernel().aspace().superpage_of(BASE.vpn()).is_some() {
                 digest = m.swap_out_superpage(BASE.vpn()).pages_written;
+            }
+        }
+        Op::Demote => {
+            if m.kernel().aspace().superpage_of(BASE.vpn()).is_some() {
+                m.demote_superpage(BASE.vpn());
+            }
+        }
+        Op::Recolor { page, color } => {
+            let vpn = (BASE + page * 4096).vpn();
+            let real = m
+                .kernel()
+                .aspace()
+                .page(vpn)
+                .is_some_and(|info| matches!(info.backing, Backing::Real(_)));
+            if real && m.config().mmc.mtlb.is_some() {
+                m.recolor_page(vpn, color % m.config().cache.page_colors());
+                digest = m.page_color(vpn);
             }
         }
         Op::ContextSwitchAwayAndBack => {
@@ -227,13 +313,14 @@ proptest! {
     /// The fast machine and the slow-path reference stay bit-identical
     /// — total cycles, every counter and interval in the serialized
     /// report, and the full guest memory image — across random op
-    /// sequences on the MTLB and baseline configurations with one and
-    /// two cores; and on one core a trace-replayed machine in either
-    /// mode reproduces the same report.
+    /// sequences on the MTLB and baseline configurations with one to
+    /// four cores; every read on both returns what the flat image
+    /// holds; and on one core a trace-replayed machine in either mode
+    /// reproduces the same report.
     #[test]
     fn fast_paths_are_observably_absent(
         mtlb in (0u8..2).prop_map(|b| b == 1),
-        cores in 1usize..3,
+        cores in 1usize..5,
         replay_fast in (0u8..2).prop_map(|b| b == 1),
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
@@ -252,10 +339,12 @@ proptest! {
             m.map_region(BASE, REGION, Prot::RW);
             m.load_program(16 * 4096, false);
         }
+        // map_region hands out zeroed pages.
+        let mut image = vec![0u8; REGION as usize];
         for (i, op) in ops.iter().enumerate() {
             prop_assert_eq!(
-                apply(&mut fast, op), apply(&mut slow, op),
-                "op {} value divergence: {:?}", i, op
+                apply(&mut fast, op, &mut image), apply(&mut slow, op, &mut image),
+                "op {} result divergence: {:?}", i, op
             );
         }
         let reference_json = slow.report().to_json();
@@ -303,8 +392,9 @@ proptest! {
         recorded.set_op_sink(Box::new(VecOpSink::default()));
         recorded.map_region(BASE, REGION, Prot::RW);
         recorded.load_program(16 * 4096, false);
+        let mut image = vec![0u8; REGION as usize];
         for op in &ops {
-            apply(&mut recorded, op);
+            apply(&mut recorded, op, &mut image);
         }
         let reference_json = recorded.report().to_json();
         let sink = recorded

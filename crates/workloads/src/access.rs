@@ -8,9 +8,9 @@
 //! every fallible access in a panic with a message naming the fault, so
 //! benchmark code reads like the straight-line C it models.
 //!
-//! Keeping the panics here — in workload-support code, outside the
-//! `mtlb-analysis` panic-freedom perimeter — is what lets the simulator
-//! crates themselves stay panic-free on guest faults.
+//! Keeping the panics here — in workload-support code, outside the core
+//! crates' clippy panic gate — is what lets the simulator crates
+//! themselves stay panic-free on guest faults.
 
 use mtlb_sim::Machine;
 use mtlb_types::{Fault, VirtAddr};
