@@ -93,11 +93,14 @@ echo "== paper-scale cycle-fidelity gate (live pins of benchmark/expected.json)"
 # benchmark as shipped: `"correct": true` means every unit matched its
 # pinned simulated cycles and counter digest — 22 cells across live
 # runs on four translation front ends, one MTR1 recording and its
-# 4-core co-run. Any simulated-cycle drift this change causes is a hard
-# failure. The same perop_fig5_fig6 run gates memory: no fig5/fig6 task
-# may hold a decoded op vector again (537 MB when they did, about
-# 100 MB since), so its peak RSS must stay under 200 MB.
-for workload in live_paper5 perop_fig5_fig6; do
+# 4-core co-run, plus kernel_churn's 17 segments, the only pins that
+# drive remap, swap-out, demotion, recoloring, page_bits and sbrk at
+# paper scale. Any simulated-cycle drift this change causes is a hard
+# failure. The perop_fig5_fig6 run (last, so `$result` is its line)
+# also gates memory: no fig5/fig6 task may hold a decoded op vector
+# again (537 MB when they did, about 100 MB since), so its peak RSS
+# must stay under 200 MB.
+for workload in live_paper5 kernel_churn perop_fig5_fig6; do
   result="$(bash benchmark/run.sh --workload "$workload" --seed 1 --reps 1 --trace 0 \
     2>/dev/null | tail -n 1)" || true
   if [[ "$result" != *'"correct": true'* ]]; then

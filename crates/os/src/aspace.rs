@@ -68,18 +68,20 @@ impl AddressSpace {
     ///
     /// # Panics
     ///
-    /// Panics if the page is already mapped (unmap first).
+    /// Panics if the page is already mapped ([`remap_page`](Self::remap_page)
+    /// re-points a mapped page).
     pub fn map_page(&mut self, vpn: Vpn, info: PageInfo) {
         let prev = self.pages.insert(vpn.index(), info);
         assert!(prev.is_none(), "vpn {vpn} is already mapped");
     }
 
-    /// Replaces the record for an already-mapped page (remap).
+    /// Re-points an already-mapped page (remap): a new backing and
+    /// mapping size under the same protection, which it returns.
     ///
     /// # Panics
     ///
     /// Panics if the page is not currently mapped.
-    pub fn remap_page(&mut self, vpn: Vpn, info: PageInfo) {
+    pub fn remap_page(&mut self, vpn: Vpn, backing: Backing, mapping_size: PageSize) -> Prot {
         #[expect(
             clippy::panic,
             reason = "Documented contract: `remap_page` requires a mapped page; `map_page` is the entry point for new mappings."
@@ -88,12 +90,9 @@ impl AddressSpace {
             .pages
             .get_mut(&vpn.index())
             .unwrap_or_else(|| panic!("remap of unmapped vpn {vpn}"));
-        *slot = info;
-    }
-
-    /// Removes the mapping for one page, returning its last state.
-    pub fn unmap_page(&mut self, vpn: Vpn) -> Option<PageInfo> {
-        self.pages.remove(&vpn.index())
+        slot.backing = backing;
+        slot.mapping_size = mapping_size;
+        slot.prot
     }
 
     /// Looks up one page.
@@ -171,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn map_lookup_unmap() {
+    fn map_and_lookup() {
         let mut a = AddressSpace::new();
         a.map_page(Vpn::new(5), info(100));
         assert_eq!(
@@ -180,9 +179,6 @@ mod tests {
         );
         assert!(a.page(Vpn::new(6)).is_none());
         assert_eq!(a.mapped_pages(), 1);
-        let old = a.unmap_page(Vpn::new(5)).unwrap();
-        assert_eq!(old, info(100));
-        assert_eq!(a.mapped_pages(), 0);
     }
 
     #[test]
@@ -194,22 +190,21 @@ mod tests {
     }
 
     #[test]
-    fn remap_replaces_backing() {
+    fn remap_replaces_backing_and_keeps_protection() {
         let mut a = AddressSpace::new();
         a.map_page(Vpn::new(5), info(1));
-        a.remap_page(
+        let prot = a.remap_page(
             Vpn::new(5),
-            PageInfo {
-                backing: Backing::Shadow {
-                    shadow_spn: Spn::new(0x80240),
-                },
-                prot: Prot::RW,
-                mapping_size: PageSize::Size16K,
+            Backing::Shadow {
+                shadow_spn: Spn::new(0x80240),
             },
+            PageSize::Size16K,
         );
+        assert_eq!(prot, Prot::RW);
         let p = a.page(Vpn::new(5)).unwrap();
         assert!(matches!(p.backing, Backing::Shadow { .. }));
         assert_eq!(p.mapping_size, PageSize::Size16K);
+        assert_eq!(p.prot, Prot::RW);
     }
 
     #[test]

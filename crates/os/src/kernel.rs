@@ -7,7 +7,7 @@
 //! simulations "include the execution time and memory accesses of these
 //! kernel operations" (§3.2).
 
-use mtlb_cache::{DataCache, FlushOutcome};
+use mtlb_cache::DataCache;
 use mtlb_mem::{FrameAllocator, FrameOrder, GuestMemory};
 use mtlb_mmc::{BusOp, Mmc, MmcConfig, ShadowPte};
 use mtlb_tlb::{ContigInfo, HashedPageTable, MicroItlb, Pte, TlbEntry, TranslationScheme};
@@ -21,7 +21,7 @@ use crate::access::TimedMem;
 use crate::aspace::{AddressSpace, Backing, PageInfo, SuperpageInfo};
 use crate::layout::{KernelLayout, UserLayout};
 use crate::paging::{PagingPolicy, SwapCosts, SwapDevice};
-use crate::shadow_alloc::{BucketAllocator, BucketPartition, BuddyAllocator, ShadowAllocator};
+use crate::shadow_alloc::{BucketAllocator, BucketPartition, ShadowAllocator};
 
 /// Base pages in the aligned window the miss handler scans for
 /// contiguous mappings when the translation scheme asks for
@@ -48,51 +48,6 @@ pub struct KernelCtx<'a> {
     pub ratio: ClockRatio,
 }
 
-/// Which shadow-space allocator the kernel uses (§2.4).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShadowAllocPolicy {
-    /// Static pre-partitioned buckets (the paper's scheme, Figure 2).
-    Bucket(BucketPartition),
-    /// Buddy system with split/recombine (the paper's suggested
-    /// alternative).
-    Buddy,
-}
-
-impl Default for ShadowAllocPolicy {
-    fn default() -> Self {
-        ShadowAllocPolicy::Bucket(BucketPartition::paper_default())
-    }
-}
-
-#[derive(Debug, Clone)]
-enum ShadowAlloc {
-    Bucket(BucketAllocator),
-    Buddy(BuddyAllocator),
-}
-
-impl ShadowAlloc {
-    fn alloc(&mut self, size: PageSize) -> Option<ShadowAddr> {
-        match self {
-            ShadowAlloc::Bucket(a) => a.alloc(size),
-            ShadowAlloc::Buddy(a) => a.alloc(size),
-        }
-    }
-
-    fn free(&mut self, addr: ShadowAddr, size: PageSize) {
-        match self {
-            ShadowAlloc::Bucket(a) => a.free(addr, size),
-            ShadowAlloc::Buddy(a) => a.free(addr, size),
-        }
-    }
-
-    fn available(&self, size: PageSize) -> u64 {
-        match self {
-            ShadowAlloc::Bucket(a) => a.available(size),
-            ShadowAlloc::Buddy(a) => a.available(size),
-        }
-    }
-}
-
 /// A deferred inter-processor TLB shootdown: the invalidation a kernel
 /// service applied to the local core's TLB and micro-ITLB that every
 /// *other* core must replay before the mapping change is globally safe.
@@ -114,6 +69,43 @@ pub enum ShootdownRequest {
         /// Base pages in the range.
         pages: u64,
     },
+}
+
+impl ShootdownRequest {
+    /// The purge this request means on one core: the TLB entries it
+    /// names (every replaceable one, or those overlapping the range)
+    /// and the whole micro-ITLB. The kernel applies it to the core that
+    /// ran the service and the machine to every other core, so the
+    /// local and the remote purge cannot differ.
+    pub fn apply(self, tlb: &mut dyn TranslationScheme, itlb: &mut MicroItlb) {
+        match self {
+            ShootdownRequest::All => tlb.purge_all(),
+            ShootdownRequest::Range { vpn, pages } => tlb.purge_range(vpn, pages),
+        };
+        itlb.purge();
+    }
+}
+
+/// What one timed page flush did (see `Kernel::flush_page`).
+struct PageFlush {
+    /// Cache line slots examined.
+    lines: u64,
+    /// Dirty lines written back.
+    writebacks: u64,
+    /// [`KernelCosts::flush_line`] per slot plus the writebacks' bus
+    /// time.
+    cycles: Cycles,
+}
+
+/// A region `pick_superpage` proved promotable, with what it proved.
+struct Promotion {
+    size: PageSize,
+    /// The shadow region allocated for it.
+    shadow_base: ShadowAddr,
+    /// The protection every page of the region shares.
+    prot: Prot,
+    /// The real frame behind each base page, in virtual order.
+    frames: Vec<Ppn>,
 }
 
 /// Software cost constants (CPU cycles) for kernel services, calibrated
@@ -246,8 +238,8 @@ pub struct KernelConfig {
     /// models the baseline OS: the syscall becomes a cheap no-op and all
     /// pages stay 4 KB.
     pub use_superpages: bool,
-    /// Shadow allocator choice.
-    pub shadow_alloc: ShadowAllocPolicy,
+    /// Partition of shadow space into per-size buckets (§2.4, Figure 2).
+    pub shadow_alloc: BucketPartition,
     /// `sbrk` pre-allocation.
     pub sbrk: SbrkConfig,
     /// Frame hand-out order (scrambled reproduces long-running-system
@@ -281,7 +273,7 @@ impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
             use_superpages: true,
-            shadow_alloc: ShadowAllocPolicy::default(),
+            shadow_alloc: BucketPartition::paper_default(),
             sbrk: SbrkConfig::default(),
             frame_order: FrameOrder::Scrambled { seed: 0x5eed },
             costs: KernelCosts::default(),
@@ -419,7 +411,7 @@ pub struct Kernel {
     config: KernelConfig,
     hpt: HashedPageTable,
     frames: FrameAllocator,
-    shadow: ShadowAlloc,
+    shadow: BucketAllocator,
     processes: Vec<Process>,
     current: usize,
     /// Shadow regions by base shadow-page index, for reverse lookup.
@@ -450,18 +442,12 @@ impl Kernel {
         let layout = KernelLayout::standard_scaled(&mmc_config, config.hpt_scale);
         let first = layout.first_user_frame();
         let total = mmc_config.installed_dram / PAGE_SIZE - first;
-        let shadow = match &config.shadow_alloc {
-            ShadowAllocPolicy::Bucket(p) => {
-                ShadowAlloc::Bucket(BucketAllocator::new(mmc_config.shadow, p))
-            }
-            ShadowAllocPolicy::Buddy => ShadowAlloc::Buddy(BuddyAllocator::new(mmc_config.shadow)),
-        };
         Kernel {
             layout,
             mmc_config,
             hpt: HashedPageTable::new(layout.hpt_config()),
             frames: FrameAllocator::new(first, total, config.frame_order),
-            shadow,
+            shadow: BucketAllocator::new(mmc_config.shadow, &config.shadow_alloc),
             config,
             processes: vec![Process::new(0)],
             current: 0,
@@ -510,9 +496,7 @@ impl Kernel {
             return Err(Fault::NoSuchProcess { pid: pid as u64 });
         }
         self.current = pid;
-        ctx.tlb.purge_all();
-        ctx.itlb.purge();
-        self.queue_shootdown(ShootdownRequest::All);
+        self.invalidate(ctx, ShootdownRequest::All);
         self.stats.context_switches = self.stats.context_switches.saturating_add(1);
         let cycles = self.config.costs.context_switch;
         self.stats.service_cycles += cycles;
@@ -531,9 +515,11 @@ impl Kernel {
         self.current = pid;
     }
 
-    /// The locked kernel block mapping [`boot`](Self::boot) installs,
-    /// recomputed for secondary cores: every core's TLB pins the same
-    /// identity mapping of the reserved low-memory region.
+    /// The locked kernel block mapping — the identity mapping of the
+    /// reserved low-memory region — that [`boot`](Self::boot) pins in
+    /// the first core's TLB and the machine in every other core's.
+    /// `None` only for a reservation no block entry can map, which the
+    /// standard layout never produces.
     #[must_use]
     pub fn kernel_block_entry(&self) -> Option<TlbEntry> {
         let size = PageSize::from_bytes(self.layout.reserved_bytes)?;
@@ -545,15 +531,19 @@ impl Kernel {
         )
     }
 
-    /// Queues a TLB shootdown request for delivery to remote cores.
+    /// Applies `request` to the running core's TLB and micro-ITLB and
+    /// queues it for delivery to the other cores.
     ///
-    /// Every mapping mutation that can invalidate a remote core's TLB
-    /// entry must funnel through here; the machine drains the queue via
-    /// [`take_shootdowns`](Self::take_shootdowns) after each service.
+    /// Every mapping mutation that can strand a stale translation
+    /// funnels through here; the machine drains the queue via
+    /// [`take_shootdowns`](Self::take_shootdowns) after each service
+    /// and applies each request to every remote core, so both sides
+    /// purge through [`ShootdownRequest::apply`].
     /// `crates/sim/tests/schemes.rs` pins, service by service, which
-    /// entry points deliver a shootdown and which (fresh mappings, §2.5
+    /// entry points shoot down and which (fresh mappings, §2.5
     /// per-base-page paging) deliberately do not.
-    fn queue_shootdown(&mut self, request: ShootdownRequest) {
+    fn invalidate(&mut self, ctx: &mut KernelCtx<'_>, request: ShootdownRequest) {
+        request.apply(ctx.tlb, ctx.itlb);
         self.pending_shootdowns.push(request);
     }
 
@@ -581,12 +571,30 @@ impl Kernel {
         self.flushed_pages.drain(..)
     }
 
-    /// Flushes the page's lines from the running core's L1 and notes it
+    /// Flushes the page's lines from the running core's L1, noting it
     /// for the other cores' (see
-    /// [`drain_flushed_pages`](Self::drain_flushed_pages)).
-    fn flush_page(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn, pfn: Ppn) -> FlushOutcome {
+    /// [`drain_flushed_pages`](Self::drain_flushed_pages)), and writes
+    /// each dirty line back through the MMC.
+    fn flush_page(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn, pfn: Ppn) -> PageFlush {
         self.flushed_pages.push((vpn, pfn));
-        ctx.cache.flush_page(vpn, pfn)
+        let out = ctx.cache.flush_page(vpn, pfn);
+        let mut cycles = self.config.costs.flush_line * out.lines_examined;
+        for wb in &out.writebacks {
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: a flushed line's bus address is a real frame or a shadow page whose MTLB mapping the kernel installed and has not yet torn down."
+            )]
+            let resp = ctx
+                .mmc
+                .bus_access(*wb, BusOp::Writeback, ctx.mem)
+                .expect("flush writeback cannot fault");
+            cycles += ctx.ratio.device_to_cpu(resp.mmc_cycles);
+        }
+        PageFlush {
+            lines: out.lines_examined,
+            writebacks: out.writebacks.len() as u64,
+            cycles,
+        }
     }
 
     /// Accounts for delivering `requests` shootdown requests to
@@ -654,24 +662,9 @@ impl Kernel {
     /// (§3.2's non-replaceable block TLB entry) covering the reserved
     /// low-memory region, identity-mapped and supervisor-only.
     pub fn boot(&mut self, ctx: &mut KernelCtx<'_>) -> Cycles {
-        #[expect(
-            clippy::expect_used,
-            reason = "Structure invariant: the boot layout computes the reserved region from block-mappable sizes."
-        )]
-        let size = PageSize::from_bytes(self.layout.reserved_bytes)
-            .expect("reserved region is a block-mappable size");
-        #[expect(
-            clippy::expect_used,
-            reason = "Structure invariant: boot identity mappings are constructed aligned."
-        )]
-        let entry = TlbEntry::new(
-            Vpn::new(0),
-            Ppn::new(0),
-            size,
-            Prot::RW | Prot::EXEC | Prot::SUPERVISOR_ONLY,
-        )
-        .expect("identity block mapping is aligned");
-        ctx.tlb.insert_locked(entry);
+        if let Some(entry) = self.kernel_block_entry() {
+            ctx.tlb.insert_locked(entry);
+        }
         // A token boot cost: building tables, zeroing, device setup.
         let cycles = Cycles::new(10_000);
         self.stats.service_cycles += cycles;
@@ -680,6 +673,50 @@ impl Kernel {
 
     fn timed<'c>(&self, ctx: &'c mut KernelCtx<'_>) -> TimedMem<'c> {
         TimedMem::new(&mut *ctx.cache, &mut *ctx.mmc, &mut *ctx.mem, ctx.ratio)
+    }
+
+    /// Writes `pte` into the hashed page table through the cache (a new
+    /// entry, or an in-place update of the page's old one); returns the
+    /// insert's cycles.
+    fn install_pte(&mut self, ctx: &mut KernelCtx<'_>, pte: Pte) -> Cycles {
+        let mut tm = self.timed(ctx);
+        #[expect(
+            clippy::expect_used,
+            reason = "Documented contract: HPT capacity is an experiment parameter; overflowing it must abort the run, not skew its results."
+        )]
+        self.hpt
+            .insert(pte, &mut tm)
+            .expect("hashed page table exhausted");
+        tm.take_cycles()
+    }
+
+    /// The MMC table index of a shadow page.
+    fn shadow_index(&self, spn: Spn) -> u64 {
+        self.mmc_config.shadow.page_index(spn.base_addr())
+    }
+
+    /// The shadow superpage of the running process that contains `vpn`.
+    fn superpage_at(&self, vpn: Vpn) -> SuperpageInfo {
+        #[expect(
+            clippy::panic,
+            reason = "Documented contract: demote/swap/page-bits entry points require a vpn inside a shadow superpage; callers look it up first."
+        )]
+        *self
+            .proc()
+            .aspace
+            .superpage_of(vpn)
+            .unwrap_or_else(|| panic!("vpn {vpn} is not in a shadow superpage"))
+    }
+
+    /// Drops shadow page `index` from the CLOCK ring, if there, and
+    /// steps the hand back when the removed slot was behind it.
+    fn forget_resident(&mut self, index: u64) {
+        if let Some(pos) = self.resident.iter().position(|i| *i == index) {
+            self.resident.swap_remove(pos);
+            if self.clock_hand > pos {
+                self.clock_hand -= 1;
+            }
+        }
     }
 
     fn alloc_frame(&mut self, ctx: &mut KernelCtx<'_>) -> (Ppn, Cycles) {
@@ -697,20 +734,25 @@ impl Kernel {
         }
     }
 
+    /// Allocates a 16 KB shadow region to carve into single shadow
+    /// pages (all-shadow 4 KB mappings, recoloring).
+    fn alloc_pool_region(&mut self) -> ShadowAddr {
+        #[expect(
+            clippy::expect_used,
+            reason = "Documented contract: all-shadow and recoloring experiments size the shadow window to the pages they shadow; exhaustion is an experiment misconfiguration."
+        )]
+        self.shadow
+            .alloc(PageSize::Size16K)
+            .expect("shadow space exhausted")
+    }
+
     /// Takes one shadow base page for an all-shadow 4 KB mapping,
     /// provisioning 16 KB at a time.
     fn take_shadow_page(&mut self) -> Spn {
         if let Some(p) = self.shadow_page_pool.pop() {
             return p;
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "Documented contract: all-shadow mode sizes the shadow window to the workload; exhaustion is an experiment misconfiguration."
-        )]
-        let region = self
-            .shadow
-            .alloc(PageSize::Size16K)
-            .expect("shadow space exhausted in all-shadow mode");
+        let region = self.alloc_pool_region();
         // Pool pages 0..3 and hand out page 3 directly — the same order a
         // push-all-then-pop sequence would produce.
         for i in 0..3u64 {
@@ -767,7 +809,7 @@ impl Kernel {
             // remapped by the MTLB even for ordinary 4 KB mappings.
             let (pfn, backing) = if self.config.all_shadow {
                 let shadow_spn = self.take_shadow_page();
-                let index = self.mmc_config.shadow.page_index(shadow_spn.base_addr());
+                let index = self.shadow_index(shadow_spn);
                 let mmc_cycles = ctx
                     .mmc
                     .set_mapping(index, ShadowPte::present(frame), ctx.mem);
@@ -783,23 +825,15 @@ impl Kernel {
             } else {
                 (frame, Backing::Real(frame))
             };
-            let mut tm = self.timed(ctx);
-            #[expect(
-                clippy::expect_used,
-                reason = "Documented contract: HPT capacity is an experiment parameter; overflowing it must abort the run, not skew its results."
-            )]
-            self.hpt
-                .insert(
-                    Pte {
-                        vpn,
-                        pfn,
-                        size: PageSize::Base4K,
-                        prot,
-                    },
-                    &mut tm,
-                )
-                .expect("hashed page table exhausted");
-            cycles += tm.take_cycles();
+            cycles += self.install_pte(
+                ctx,
+                Pte {
+                    vpn,
+                    pfn,
+                    size: PageSize::Base4K,
+                    prot,
+                },
+            );
             self.proc_mut().aspace.map_page(
                 vpn,
                 PageInfo {
@@ -844,11 +878,10 @@ impl Kernel {
         let mut va = aligned_start;
         while va + PageSize::Size16K.bytes() <= end {
             match self.pick_superpage(va, end.offset_from(va)) {
-                Some(size) => {
-                    let (sp_cycles, flush) = self.create_superpage(ctx, va, size, &mut report);
-                    report.other_cycles += sp_cycles;
-                    report.flush_cycles += flush;
-                    va += size.bytes();
+                Some(promotion) => {
+                    let bytes = promotion.size.bytes();
+                    self.create_superpage(ctx, va, promotion, &mut report);
+                    va += bytes;
                 }
                 None => {
                     // Hole, foreign backing, mixed protection or shadow
@@ -865,120 +898,86 @@ impl Kernel {
 
     /// Chooses the largest usable superpage size at `va` given
     /// `remaining` bytes, per the §2.4 walk: virtual alignment, fit,
-    /// uniform 4 KB real mappings underneath, and shadow availability.
-    fn pick_superpage(&self, va: VirtAddr, remaining: u64) -> Option<PageSize> {
+    /// uniform 4 KB real mappings underneath, and shadow availability —
+    /// allocating the shadow region it settles on.
+    fn pick_superpage(&mut self, va: VirtAddr, remaining: u64) -> Option<Promotion> {
         for size in PageSize::SUPERPAGES.iter().copied().rev() {
             if size.bytes() > remaining || !va.is_aligned(size.bytes()) {
                 continue;
             }
-            if self.shadow.available(size) == 0 {
+            let Some((prot, frames)) = self.promotable_frames(va.vpn(), size) else {
                 continue;
-            }
-            if self.region_promotable(va.vpn(), size) {
-                return Some(size);
+            };
+            if let Some(shadow_base) = self.shadow.alloc(size) {
+                return Some(Promotion {
+                    size,
+                    shadow_base,
+                    prot,
+                    frames,
+                });
             }
         }
         None
     }
 
-    /// All pages present, real-backed, and of uniform protection (the
-    /// paper requires identical protection across a superpage, §2.1).
-    fn region_promotable(&self, vpn_base: Vpn, size: PageSize) -> bool {
-        let pages = size.base_pages();
-        let mut prot: Option<Prot> = None;
-        let mut count = 0;
-        for (_, info) in self.proc().aspace.pages_in(vpn_base, pages) {
-            count += 1;
-            if !matches!(info.backing, Backing::Real(_)) {
-                return false;
+    /// The shared protection and the real frames of the `size` region at
+    /// `vpn_base`, when all its pages are present, real-backed, and of
+    /// uniform protection (the paper requires identical protection
+    /// across a superpage, §2.1).
+    fn promotable_frames(&self, vpn_base: Vpn, size: PageSize) -> Option<(Prot, Vec<Ppn>)> {
+        let mut prot = None;
+        let mut frames = Vec::new();
+        for (_, info) in self.proc().aspace.pages_in(vpn_base, size.base_pages()) {
+            let Backing::Real(frame) = info.backing else {
+                return None;
+            };
+            if *prot.get_or_insert(info.prot) != info.prot {
+                return None;
             }
-            match prot {
-                None => prot = Some(info.prot),
-                Some(p) if p == info.prot => {}
-                Some(_) => return false,
-            }
+            frames.push(frame);
         }
-        count == pages
+        let prot = prot?;
+        (frames.len() as u64 == size.base_pages()).then_some((prot, frames))
     }
 
     fn create_superpage(
         &mut self,
         ctx: &mut KernelCtx<'_>,
         va: VirtAddr,
-        size: PageSize,
+        promotion: Promotion,
         report: &mut RemapReport,
-    ) -> (Cycles, Cycles) {
-        let mut cycles = self.config.costs.per_superpage_overhead;
-        let mut flush_cycles = Cycles::ZERO;
-        #[expect(
-            clippy::expect_used,
-            reason = "Structure invariant: allocation follows the availability check inside one kernel operation."
-        )]
-        let shadow_base = self
-            .shadow
-            .alloc(size)
-            .expect("availability was checked in pick_superpage");
-        let shadow_base_spn = shadow_base.spn();
-        let base_index = self.mmc_config.shadow.page_index(shadow_base);
+    ) {
+        let Promotion {
+            size,
+            shadow_base,
+            prot,
+            frames,
+        } = promotion;
+        let shadow_base = shadow_base.spn();
+        let base_index = self.shadow_index(shadow_base);
         let vpn_base = va.vpn();
         let pages = size.base_pages();
+        let mut cycles = self.config.costs.per_superpage_overhead;
 
         // Shoot down stale CPU TLB entries for the range (§2.3).
-        ctx.tlb.purge_range(vpn_base, pages);
-        ctx.itlb.purge();
-        self.queue_shootdown(ShootdownRequest::Range {
-            vpn: vpn_base,
-            pages,
-        });
+        self.invalidate(
+            ctx,
+            ShootdownRequest::Range {
+                vpn: vpn_base,
+                pages,
+            },
+        );
 
-        #[expect(
-            clippy::expect_used,
-            reason = "Structure invariant: `region_promotable` verified every page of the region before promotion starts."
-        )]
-        let prot = self
-            .proc()
-            .aspace
-            .page(vpn_base)
-            .expect("promotable region is mapped")
-            .prot;
-
-        for i in 0..pages {
+        for (i, frame) in (0..).zip(frames) {
             let vpn = vpn_base.offset(i);
-            #[expect(
-                clippy::expect_used,
-                reason = "Structure invariant: `region_promotable` verified every page of the region before promotion starts."
-            )]
-            let info = *self
-                .proc()
-                .aspace
-                .page(vpn)
-                .expect("promotable region is mapped");
-            #[expect(
-                clippy::unreachable,
-                reason = "Structure invariant: promotion only runs over regions whose pages were all real-backed at the check."
-            )]
-            let Backing::Real(frame) = info.backing
-            else {
-                unreachable!("region_promotable checked real backing");
-            };
+            let shadow_spn = shadow_base.offset(i);
 
             // Flush the page's cache lines: the tags are about to change
             // from real to shadow addresses (§2.3).
-            let out = self.flush_page(ctx, vpn, frame);
-            report.lines_flushed = report.lines_flushed.saturating_add(out.lines_examined);
-            flush_cycles += self.config.costs.flush_line * out.lines_examined;
-            for wb in &out.writebacks {
-                report.flush_writebacks = report.flush_writebacks.saturating_add(1);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "Structure invariant: flushes target shadow pages whose MTLB mappings the kernel installed and has not yet torn down."
-                )]
-                let resp = ctx
-                    .mmc
-                    .bus_access(*wb, BusOp::Writeback, ctx.mem)
-                    .expect("flush writeback cannot fault");
-                flush_cycles += ctx.ratio.device_to_cpu(resp.mmc_cycles);
-            }
+            let flush = self.flush_page(ctx, vpn, frame);
+            report.lines_flushed = report.lines_flushed.saturating_add(flush.lines);
+            report.flush_writebacks = report.flush_writebacks.saturating_add(flush.writebacks);
+            report.flush_cycles += flush.cycles;
 
             // Point shadow page at the (discontiguous) real frame via the
             // MMC control register (§2.4).
@@ -988,34 +987,18 @@ impl Kernel {
             cycles += ctx.ratio.device_to_cpu(mmc_cycles);
 
             // Re-point the PTE at the shadow frame with the superpage size.
-            let mut tm = self.timed(ctx);
-            #[expect(
-                clippy::expect_used,
-                reason = "Documented contract: HPT capacity is an experiment parameter; overflowing it must abort the run, not skew its results."
-            )]
-            self.hpt
-                .insert(
-                    Pte {
-                        vpn,
-                        pfn: shadow_base_spn.offset(i).bus(),
-                        size,
-                        prot,
-                    },
-                    &mut tm,
-                )
-                .expect("hashed page table exhausted");
-            cycles += tm.take_cycles();
-
-            self.proc_mut().aspace.remap_page(
-                vpn,
-                PageInfo {
-                    backing: Backing::Shadow {
-                        shadow_spn: shadow_base_spn.offset(i),
-                    },
+            cycles += self.install_pte(
+                ctx,
+                Pte {
+                    vpn,
+                    pfn: shadow_spn.bus(),
+                    size,
                     prot,
-                    mapping_size: size,
                 },
             );
+            self.proc_mut()
+                .aspace
+                .remap_page(vpn, Backing::Shadow { shadow_spn }, size);
             self.resident.push(base_index + i);
             cycles += self.config.costs.remap_page_overhead;
             report.pages_remapped = report.pages_remapped.saturating_add(1);
@@ -1024,14 +1007,14 @@ impl Kernel {
         let sp = SuperpageInfo {
             vpn_base,
             size,
-            shadow_base: shadow_base_spn,
+            shadow_base,
         };
         self.proc_mut().aspace.add_superpage(sp);
         self.shadow_regions.insert(base_index, sp);
         report.superpages.push((va, size));
+        report.other_cycles += cycles;
         self.stats.superpages_created = self.stats.superpages_created.saturating_add(1);
         self.stats.pages_remapped = self.stats.pages_remapped.saturating_add(pages);
-        (cycles, flush_cycles)
     }
 
     /// The modified `sbrk()` (§2.3): extends the heap, pre-allocating
@@ -1234,10 +1217,7 @@ impl Kernel {
             }
             PagingPolicy::WholeSuperpage => {
                 // Conventional behaviour: the whole superpage comes back.
-                let base = self
-                    .mmc_config
-                    .shadow
-                    .page_index(region.shadow_base.base_addr());
+                let base = self.shadow_index(region.shadow_base);
                 for i in 0..region.size.base_pages() {
                     let idx = base + i;
                     let (pte, c) = ctx.mmc.read_mapping(idx, ctx.mem);
@@ -1257,23 +1237,7 @@ impl Kernel {
             .range(..=index)
             .next_back()
             .map(|(_, sp)| *sp)
-            .filter(|sp| {
-                index
-                    < self
-                        .mmc_config
-                        .shadow
-                        .page_index(sp.shadow_base.base_addr())
-                        + sp.size.base_pages()
-            })
-    }
-
-    fn vpn_of_index(&self, index: u64) -> Option<Vpn> {
-        let sp = self.region_of_index(index)?;
-        let base = self
-            .mmc_config
-            .shadow
-            .page_index(sp.shadow_base.base_addr());
-        Some(sp.vpn_base.offset(index - base))
+            .filter(|sp| index < self.shadow_index(sp.shadow_base) + sp.size.base_pages())
     }
 
     fn swap_in_page(&mut self, ctx: &mut KernelCtx<'_>, index: u64) -> Cycles {
@@ -1296,34 +1260,21 @@ impl Kernel {
     /// Swaps out a single shadow base page: flush its cache lines, write
     /// it to swap if dirty (or never yet copied), invalidate the mapping,
     /// free the frame. The CPU TLB superpage entry **stays in place** —
-    /// that is the paper's key §2.5/§4 property.
-    fn swap_out_page(&mut self, ctx: &mut KernelCtx<'_>, index: u64, force_write: bool) -> Cycles {
-        #[expect(
-            clippy::expect_used,
-            reason = "Structure invariant: pages enter the resident ring only when their region is registered."
-        )]
-        let vpn = self
-            .vpn_of_index(index)
-            .expect("resident ring holds only region pages");
+    /// that is the paper's key §2.5/§4 property. `vpn` is the virtual
+    /// page shadow page `index` backs.
+    fn swap_out_page(
+        &mut self,
+        ctx: &mut KernelCtx<'_>,
+        index: u64,
+        vpn: Vpn,
+        force_write: bool,
+    ) -> Cycles {
         let shadow_ppn = self.mmc_config.shadow.page_addr(index).spn().bus();
-        let mut cycles = Cycles::ZERO;
 
         // Clean the page: flush lines so DRAM is current and the dirty
         // bit is final (§2.5's "cleaning process"). The lines are tagged
         // with the page's *shadow* address.
-        let out = self.flush_page(ctx, vpn, shadow_ppn);
-        cycles += self.config.costs.flush_line * out.lines_examined;
-        for wb in &out.writebacks {
-            #[expect(
-                clippy::expect_used,
-                reason = "Structure invariant: flushes target shadow pages whose MTLB mappings the kernel installed and has not yet torn down."
-            )]
-            let resp = ctx
-                .mmc
-                .bus_access(*wb, BusOp::Writeback, ctx.mem)
-                .expect("flush writeback cannot fault");
-            cycles += ctx.ratio.device_to_cpu(resp.mmc_cycles);
-        }
+        let mut cycles = self.flush_page(ctx, vpn, shadow_ppn).cycles;
 
         let (pte, c) = ctx.mmc.read_mapping(index, ctx.mem);
         cycles += ctx.ratio.device_to_cpu(c);
@@ -1341,12 +1292,7 @@ impl Kernel {
             .set_mapping(index, ShadowPte::swapped_out(), ctx.mem);
         cycles += ctx.ratio.device_to_cpu(mmc_cycles);
         self.frames.free(pte.rpfn);
-        if let Some(pos) = self.resident.iter().position(|i| *i == index) {
-            self.resident.swap_remove(pos);
-            if self.clock_hand > pos {
-                self.clock_hand -= 1;
-            }
-        }
+        self.forget_resident(index);
         self.stats.pages_swapped_out = self.stats.pages_swapped_out.saturating_add(1);
         cycles
     }
@@ -1378,19 +1324,22 @@ impl Kernel {
                 self.clock_hand = (self.clock_hand + 1) % self.resident.len();
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "Structure invariant: pages enter the resident ring only when their region is registered."
+            )]
+            let sp = self
+                .region_of_index(index)
+                .expect("resident ring holds only region pages");
             match self.config.paging {
                 PagingPolicy::PerBasePage => {
-                    cycles += self.swap_out_page(ctx, index, false);
+                    let vpn = sp
+                        .vpn_base
+                        .offset(index - self.shadow_index(sp.shadow_base));
+                    cycles += self.swap_out_page(ctx, index, vpn, false);
                 }
                 PagingPolicy::WholeSuperpage => {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "Structure invariant: same ring/region invariant as above, on the eviction path."
-                    )]
-                    let sp = self
-                        .region_of_index(index)
-                        .expect("resident pages belong to regions");
-                    cycles += self.swap_out_superpage_inner(ctx, sp).cycles;
+                    cycles += self.swap_out_pages(ctx, sp, true).cycles;
                 }
             }
             return cycles;
@@ -1406,40 +1355,37 @@ impl Kernel {
     ///
     /// Panics when `vpn` is not inside a shadow-backed superpage.
     pub fn swap_out_superpage(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn) -> SwapOutReport {
-        #[expect(
-            clippy::panic,
-            reason = "Documented contract: demote/swap entry points require a vpn inside a shadow superpage; callers look it up first."
-        )]
-        let sp = *self
-            .proc()
-            .aspace
-            .superpage_of(vpn)
-            .unwrap_or_else(|| panic!("vpn {vpn} is not in a shadow superpage"));
-        let report = match self.config.paging {
-            PagingPolicy::PerBasePage => self.swap_out_dirty_pages(ctx, sp),
+        let sp = self.superpage_at(vpn);
+        let write_all = match self.config.paging {
+            PagingPolicy::PerBasePage => false,
             PagingPolicy::WholeSuperpage => {
                 // Conventional superpages also lose their TLB mapping.
-                ctx.tlb.purge_range(sp.vpn_base, sp.size.base_pages());
-                self.queue_shootdown(ShootdownRequest::Range {
-                    vpn: sp.vpn_base,
-                    pages: sp.size.base_pages(),
-                });
-                self.swap_out_superpage_inner(ctx, sp)
+                self.invalidate(
+                    ctx,
+                    ShootdownRequest::Range {
+                        vpn: sp.vpn_base,
+                        pages: sp.size.base_pages(),
+                    },
+                );
+                true
             }
         };
+        let report = self.swap_out_pages(ctx, sp, write_all);
         self.stats.service_cycles += report.cycles;
         report
     }
 
-    fn swap_out_dirty_pages(
+    /// Pages out every resident base page of `sp`. With `write_all`
+    /// (conventional superpages, whose dirty information is unusable)
+    /// each one is written to swap; otherwise only dirty pages and pages
+    /// with no swap copy yet are.
+    fn swap_out_pages(
         &mut self,
         ctx: &mut KernelCtx<'_>,
         sp: SuperpageInfo,
+        write_all: bool,
     ) -> SwapOutReport {
-        let base = self
-            .mmc_config
-            .shadow
-            .page_index(sp.shadow_base.base_addr());
+        let base = self.shadow_index(sp.shadow_base);
         let mut report = SwapOutReport {
             pages_total: sp.size.base_pages(),
             ..SwapOutReport::default()
@@ -1452,60 +1398,10 @@ impl Kernel {
                 continue; // already out
             }
             let writes_before = self.swap.writes();
-            report.cycles += self.swap_out_page(ctx, index, false);
+            report.cycles += self.swap_out_page(ctx, index, sp.vpn_base.offset(i), write_all);
             report.pages_written += self.swap.writes() - writes_before;
         }
         report
-    }
-
-    fn swap_out_superpage_inner(
-        &mut self,
-        ctx: &mut KernelCtx<'_>,
-        sp: SuperpageInfo,
-    ) -> SwapOutReport {
-        let base = self
-            .mmc_config
-            .shadow
-            .page_index(sp.shadow_base.base_addr());
-        let mut report = SwapOutReport {
-            pages_total: sp.size.base_pages(),
-            ..SwapOutReport::default()
-        };
-        for i in 0..sp.size.base_pages() {
-            let index = base + i;
-            let (pte, c) = ctx.mmc.read_mapping(index, ctx.mem);
-            report.cycles += ctx.ratio.device_to_cpu(c);
-            if !pte.valid {
-                continue;
-            }
-            // No dirty information usable: every page is written.
-            report.cycles += self.swap_out_page(ctx, index, true);
-            report.pages_written += 1;
-        }
-        report
-    }
-
-    /// Returns the cache color of the bus address currently backing a
-    /// mapped page (meaningful on physically-indexed caches).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `vpn` is unmapped.
-    pub fn page_color(&self, ctx: &KernelCtx<'_>, vpn: Vpn) -> u64 {
-        #[expect(
-            clippy::panic,
-            reason = "Documented contract: `# Panics` on the public accessor — asking for the color of an unmapped page is caller error."
-        )]
-        let info = self
-            .proc()
-            .aspace
-            .page(vpn)
-            .unwrap_or_else(|| panic!("page_color of unmapped vpn {vpn}"));
-        let ppn = match info.backing {
-            Backing::Real(f) => f,
-            Backing::Shadow { shadow_spn } => shadow_spn.bus(),
-        };
-        ctx.cache.config().color_of(ppn.base_addr())
     }
 
     /// No-copy page recoloring (paper §6 / Bershad et al.): gives a
@@ -1525,20 +1421,15 @@ impl Kernel {
         assert!(color < colors, "color {color} out of range 0..{colors}");
         #[expect(
             clippy::panic,
-            reason = "Documented contract: recolor requires a mapped page."
+            reason = "Documented contract: recolor requires a mapped, real-backed page; recoloring a shadow page twice is caller error."
         )]
-        let info = *self
-            .proc()
-            .aspace
-            .page(vpn)
-            .unwrap_or_else(|| panic!("recolor of unmapped vpn {vpn}"));
-        #[expect(
-            clippy::panic,
-            reason = "Documented contract: only real-backed pages can be recolored into shadow; recoloring a shadow page twice is caller error."
-        )]
-        let Backing::Real(frame) = info.backing
+        let Some(&PageInfo {
+            backing: Backing::Real(frame),
+            prot,
+            ..
+        }) = self.proc().aspace.page(vpn)
         else {
-            panic!("recolor of non-real-backed vpn {vpn}");
+            panic!("recolor of unmapped or non-real-backed vpn {vpn}");
         };
         let mut cycles = self.config.costs.syscall_overhead;
 
@@ -1549,14 +1440,7 @@ impl Kernel {
             if let Some(p) = self.recolor_pool.get_mut(&color).and_then(Vec::pop) {
                 break p;
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "Documented contract: recoloring experiments size the shadow window for the pages they recolor."
-            )]
-            let region = self
-                .shadow
-                .alloc(PageSize::Size16K)
-                .expect("shadow space exhausted while recoloring");
+            let region = self.alloc_pool_region();
             for i in 0..4u64 {
                 let addr = region + i * PAGE_SIZE;
                 let c = ctx.cache.config().color_of(addr.bus());
@@ -1567,54 +1451,27 @@ impl Kernel {
 
         // The page's lines move to new index slots: flush under the old
         // (real) address, shoot down the stale translation.
-        let out = self.flush_page(ctx, vpn, frame);
-        cycles += self.config.costs.flush_line * out.lines_examined;
-        for wb in &out.writebacks {
-            #[expect(
-                clippy::expect_used,
-                reason = "Structure invariant: flushes target shadow pages whose MTLB mappings the kernel installed and has not yet torn down."
-            )]
-            let resp = ctx
-                .mmc
-                .bus_access(*wb, BusOp::Writeback, ctx.mem)
-                .expect("flush writeback cannot fault");
-            cycles += ctx.ratio.device_to_cpu(resp.mmc_cycles);
-        }
-        ctx.tlb.purge_range(vpn, 1);
-        ctx.itlb.purge();
-        self.queue_shootdown(ShootdownRequest::Range { vpn, pages: 1 });
+        cycles += self.flush_page(ctx, vpn, frame).cycles;
+        self.invalidate(ctx, ShootdownRequest::Range { vpn, pages: 1 });
 
-        let index = self.mmc_config.shadow.page_index(shadow_spn.base_addr());
+        let index = self.shadow_index(shadow_spn);
         let mmc_cycles = ctx
             .mmc
             .set_mapping(index, ShadowPte::present(frame), ctx.mem);
         cycles += ctx.ratio.device_to_cpu(mmc_cycles);
 
-        let mut tm = self.timed(ctx);
-        #[expect(
-            clippy::expect_used,
-            reason = "Documented contract: HPT capacity is an experiment parameter; overflowing it must abort the run, not skew its results."
-        )]
-        self.hpt
-            .insert(
-                Pte {
-                    vpn,
-                    pfn: shadow_spn.bus(),
-                    size: PageSize::Base4K,
-                    prot: info.prot,
-                },
-                &mut tm,
-            )
-            .expect("hashed page table exhausted");
-        cycles += tm.take_cycles();
-        self.proc_mut().aspace.remap_page(
-            vpn,
-            PageInfo {
-                backing: Backing::Shadow { shadow_spn },
-                prot: info.prot,
-                mapping_size: PageSize::Base4K,
+        cycles += self.install_pte(
+            ctx,
+            Pte {
+                vpn,
+                pfn: shadow_spn.bus(),
+                size: PageSize::Base4K,
+                prot,
             },
         );
+        self.proc_mut()
+            .aspace
+            .remap_page(vpn, Backing::Shadow { shadow_spn }, PageSize::Base4K);
         // Track as a one-page shadow region so faults/paging find it.
         let sp = SuperpageInfo {
             vpn_base: vpn,
@@ -1641,49 +1498,28 @@ impl Kernel {
     ///
     /// Panics when `vpn` is not inside a shadow-backed superpage.
     pub fn demote_superpage(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn) -> Cycles {
-        #[expect(
-            clippy::panic,
-            reason = "Documented contract: demote/swap entry points require a vpn inside a shadow superpage; callers look it up first."
-        )]
-        let sp = *self
-            .proc()
-            .aspace
-            .superpage_of(vpn)
-            .unwrap_or_else(|| panic!("vpn {vpn} is not in a shadow superpage"));
-        let base = self
-            .mmc_config
-            .shadow
-            .page_index(sp.shadow_base.base_addr());
+        let sp = self.superpage_at(vpn);
+        let base = self.shadow_index(sp.shadow_base);
         let pages = sp.size.base_pages();
         let mut cycles =
             self.config.costs.syscall_overhead + self.config.costs.per_superpage_overhead;
 
-        ctx.tlb.purge_range(sp.vpn_base, pages);
-        ctx.itlb.purge();
-        self.queue_shootdown(ShootdownRequest::Range {
-            vpn: sp.vpn_base,
-            pages,
-        });
+        self.invalidate(
+            ctx,
+            ShootdownRequest::Range {
+                vpn: sp.vpn_base,
+                pages,
+            },
+        );
 
         for i in 0..pages {
             let index = base + i;
             let page_vpn = sp.vpn_base.offset(i);
 
             // Shadow-tagged lines must go before the mapping does.
-            let shadow_ppn = sp.shadow_base.offset(i).bus();
-            let out = self.flush_page(ctx, page_vpn, shadow_ppn);
-            cycles += self.config.costs.flush_line * out.lines_examined;
-            for wb in &out.writebacks {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "Structure invariant: flushes target shadow pages whose MTLB mappings the kernel installed and has not yet torn down."
-                )]
-                let resp = ctx
-                    .mmc
-                    .bus_access(*wb, BusOp::Writeback, ctx.mem)
-                    .expect("flush writeback cannot fault");
-                cycles += ctx.ratio.device_to_cpu(resp.mmc_cycles);
-            }
+            cycles += self
+                .flush_page(ctx, page_vpn, sp.shadow_base.offset(i).bus())
+                .cycles;
 
             let (pte, c) = ctx.mmc.read_mapping(index, ctx.mem);
             cycles += ctx.ratio.device_to_cpu(c);
@@ -1697,39 +1533,17 @@ impl Kernel {
                 pte.rpfn
             };
 
-            #[expect(
-                clippy::expect_used,
-                reason = "Structure invariant: a registered superpage keeps all its pages mapped until demote removes the record."
-            )]
-            let prot = self
-                .proc()
-                .aspace
-                .page(page_vpn)
-                .expect("superpage pages are mapped")
-                .prot;
-            let mut tm = self.timed(ctx);
-            #[expect(
-                clippy::expect_used,
-                reason = "Documented contract: HPT capacity is an experiment parameter; overflowing it must abort the run, not skew its results."
-            )]
-            self.hpt
-                .insert(
-                    Pte {
-                        vpn: page_vpn,
-                        pfn: frame,
-                        size: PageSize::Base4K,
-                        prot,
-                    },
-                    &mut tm,
-                )
-                .expect("hashed page table exhausted");
-            cycles += tm.take_cycles();
-            self.proc_mut().aspace.remap_page(
-                page_vpn,
-                PageInfo {
-                    backing: Backing::Real(frame),
+            let prot =
+                self.proc_mut()
+                    .aspace
+                    .remap_page(page_vpn, Backing::Real(frame), PageSize::Base4K);
+            cycles += self.install_pte(
+                ctx,
+                Pte {
+                    vpn: page_vpn,
+                    pfn: frame,
+                    size: PageSize::Base4K,
                     prot,
-                    mapping_size: PageSize::Base4K,
                 },
             );
 
@@ -1738,12 +1552,7 @@ impl Kernel {
             // The shadow page is being released: its swap copy must not
             // outlive it, or the index's next tenant inherits it.
             self.swap.discard(index);
-            if let Some(pos) = self.resident.iter().position(|x| *x == index) {
-                self.resident.swap_remove(pos);
-                if self.clock_hand > pos {
-                    self.clock_hand -= 1;
-                }
-            }
+            self.forget_resident(index);
             cycles += self.config.costs.remap_page_overhead;
         }
 
@@ -1769,20 +1578,13 @@ impl Kernel {
 
     /// Reads the per-base-page referenced/dirty bits of a superpage — the
     /// OS-visible §2.5 accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `vpn` is not inside a shadow-backed superpage.
     pub fn page_bits(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn) -> Vec<(Vpn, bool, bool)> {
-        #[expect(
-            clippy::panic,
-            reason = "Documented contract: demote/swap entry points require a vpn inside a shadow superpage; callers look it up first."
-        )]
-        let sp = *self
-            .proc()
-            .aspace
-            .superpage_of(vpn)
-            .unwrap_or_else(|| panic!("vpn {vpn} is not in a shadow superpage"));
-        let base = self
-            .mmc_config
-            .shadow
-            .page_index(sp.shadow_base.base_addr());
+        let sp = self.superpage_at(vpn);
+        let base = self.shadow_index(sp.shadow_base);
         (0..sp.size.base_pages())
             .map(|i| {
                 let (pte, _) = ctx.mmc.read_mapping(base + i, ctx.mem);

@@ -7,8 +7,9 @@
 //!   maximally-sized shadow-backed superpages (§2.3–2.4), the modified
 //!   pre-allocating `sbrk()`, the software TLB miss handler, and demand
 //!   paging with per-base-page dirty bits (§2.5, §4).
-//! * [`BucketAllocator`] / [`BuddyAllocator`] — shadow address-space
-//!   allocators (§2.4, Figure 2).
+//! * [`BucketAllocator`] — the kernel's shadow address-space allocator
+//!   (§2.4, Figure 2); [`BuddyAllocator`] — the buddy-system alternative
+//!   §2.4 suggests, for the allocator ablation.
 //! * [`AddressSpace`] — per-process page/superpage bookkeeping.
 //! * [`SwapDevice`] / [`PagingPolicy`] — swap model contrasting
 //!   per-base-page paging (this paper) with whole-superpage paging
@@ -54,7 +55,7 @@ pub use access::TimedMem;
 pub use aspace::{AddressSpace, Backing, PageInfo, SuperpageInfo};
 pub use kernel::{
     Kernel, KernelConfig, KernelCosts, KernelCtx, KernelStats, PromotionConfig, RemapReport,
-    SbrkConfig, ShadowAllocPolicy, ShootdownRequest, SwapOutReport,
+    SbrkConfig, ShootdownRequest, SwapOutReport,
 };
 pub use layout::{KernelLayout, UserLayout};
 pub use paging::{PagingPolicy, SwapCosts, SwapDevice};

@@ -3,9 +3,7 @@
 use mtlb_cache::{AccessResult, DataCache, FillKind};
 use mtlb_mem::GuestMemory;
 use mtlb_mmc::{BusOp, Mmc};
-use mtlb_os::{
-    Kernel, KernelCtx, KernelStats, RemapReport, ShootdownRequest, SwapOutReport, UserLayout,
-};
+use mtlb_os::{Kernel, KernelCtx, KernelStats, RemapReport, SwapOutReport, UserLayout};
 #[cfg(debug_assertions)]
 use mtlb_schemes::{CoalescedStats, CoalescedTlb, SplitStats, SplitTlb};
 use mtlb_tlb::{LookupOutcome, MicroItlb, TranslationScheme};
@@ -374,14 +372,9 @@ impl Machine {
         }
         for request in &requests {
             for (i, core) in self.cores.iter_mut().enumerate() {
-                if i == self.active {
-                    continue;
+                if i != self.active {
+                    request.apply(core.tlb.as_mut(), &mut core.itlb);
                 }
-                let _purged = match *request {
-                    ShootdownRequest::All => core.tlb.purge_all(),
-                    ShootdownRequest::Range { vpn, pages } => core.tlb.purge_range(vpn, pages),
-                };
-                core.itlb.purge();
             }
         }
         let n = requests.len() as u64;
@@ -1678,7 +1671,7 @@ impl Machine {
     pub fn page_color(&self, vpn: Vpn) -> u64 {
         #[expect(
             clippy::panic,
-            reason = "Documented contract: thin forwarding of the kernel's page_color contract."
+            reason = "Documented contract: `# Panics` on the public accessor — asking for the color of an unmapped page is caller error."
         )]
         let info = self
             .kernel

@@ -14,9 +14,9 @@
 //!   per scheme, so this differential is the end-to-end proof;
 //! * multi-core TLB shootdowns flow through the trait's purge path:
 //!   every kernel service that re-points a translation on one core
-//!   invalidates the other core's entries whatever scheme both cores
-//!   run, and the services the design exempts (fresh mappings, §2.5's
-//!   per-base-page paging) leave them valid.
+//!   invalidates the other core's entries, and its own micro-ITLB,
+//!   whatever scheme both cores run, and the services the design exempts
+//!   (fresh mappings, §2.5's per-base-page paging) leave them valid.
 
 use std::convert::identity;
 
@@ -127,7 +127,8 @@ const WARM: VirtAddr = VirtAddr::new(BASE.get() + 2 * PAGE_SIZE);
 
 /// One kernel service, run on core 1 of a two-core machine while core 0
 /// holds a translation of [`WARM`] in its TLB, a dirty line of it in its
-/// L1 and its text page in its micro-ITLB.
+/// L1 and its text page in its micro-ITLB, and core 1 holds its own text
+/// page in its own micro-ITLB.
 struct Service {
     name: &'static str,
     /// Whether the service must deliver a shootdown to core 0.
@@ -302,7 +303,9 @@ const SERVICES: [Service; 10] = [
 /// re-misses in both; fresh mappings and §2.5's per-base-page paging
 /// deliver none, and core 0's superpage entry survives them. Either way
 /// core 0 reads back what it wrote and what core 1 wrote: the service's
-/// page flushes reached core 0's L1 too.
+/// page flushes reached core 0's L1 too. Core 1, which ran the service,
+/// re-misses in its own micro-ITLB exactly when the service shot down:
+/// the local purge is the remote one.
 #[test]
 fn shootdowns_invalidate_remote_cores_under_every_scheme() {
     for scheme in [
@@ -323,9 +326,17 @@ fn shootdowns_invalidate_remote_cores_under_every_scheme() {
             let before = m.report().kernel;
 
             m.set_active_core(1);
+            m.try_execute(1).expect("boot text page");
+            let core1 = m.per_core_stats()[1];
             let probe = (service.run)(&mut m);
             let after = m.report().kernel;
             let delivered = after.shootdowns - before.shootdowns;
+            m.try_execute(1).expect("boot text page");
+            let local_itlb_remiss = m.per_core_stats()[1].itlb_misses > core1.itlb_misses;
+            assert_eq!(
+                local_itlb_remiss, service.shoots,
+                "{label}: core 1's micro-ITLB purge disagrees with the shootdown it sent"
+            );
 
             m.set_active_core(0);
             assert_eq!(m.kernel().current_process(), 0, "{label}");

@@ -163,12 +163,12 @@ pub struct HptLookup {
 /// Software state of the hashed page table.
 ///
 /// The *contents* live in guest memory (via [`PteMemory`]); this struct
-/// holds only the geometry and the overflow-slot free list, mirroring the
-/// bookkeeping a kernel would keep in its own data segment.
+/// holds only the geometry and the overflow-slot cursor, mirroring the
+/// bookkeeping a kernel would keep in its own data segment. The kernel
+/// re-points mappings but never unmaps, so there is no removal.
 #[derive(Debug, Clone)]
 pub struct HashedPageTable {
     config: HptConfig,
-    free_overflow: Vec<u32>,
     next_unused_overflow: u32,
     stats: HptStats,
 }
@@ -200,7 +200,6 @@ impl HashedPageTable {
         );
         HashedPageTable {
             config,
-            free_overflow: Vec::new(),
             next_unused_overflow: 0,
             stats: HptStats::default(),
         }
@@ -249,11 +248,6 @@ impl HashedPageTable {
         let (w0, w1) = pte.encode(chain);
         mem.write_u64(at, w0);
         mem.write_u64(at + 8, w1);
-    }
-
-    fn clear_entry(&self, mem: &mut impl PteMemory, at: PhysAddr) {
-        mem.write_u64(at, 0);
-        mem.write_u64(at + 8, 0);
     }
 
     /// Looks up the mapping for `vpn`, walking the collision chain.
@@ -326,18 +320,13 @@ impl HashedPageTable {
             }
         }
         // Append a new overflow entry and link it from the chain tail
-        // (which is `at`).
-        let slot = match self.free_overflow.pop() {
-            Some(s) => s,
-            None => {
-                if u64::from(self.next_unused_overflow) >= self.config.overflow_slots {
-                    return Err(HptFull);
-                }
-                let s = self.next_unused_overflow;
-                self.next_unused_overflow += 1;
-                s
-            }
-        };
+        // (which is `at`). Entries are never removed, so overflow slots
+        // are handed out in order.
+        if u64::from(self.next_unused_overflow) >= self.config.overflow_slots {
+            return Err(HptFull);
+        }
+        let slot = self.next_unused_overflow;
+        self.next_unused_overflow += 1;
         self.write_entry(mem, self.overflow_addr(slot), &pte, 0);
         // Re-link the tail to the new slot, preserving its payload.
         #[expect(
@@ -350,59 +339,6 @@ impl HashedPageTable {
         self.write_entry(mem, at, &tail_pte, slot + 1);
         self.stats.live_entries = self.stats.live_entries.saturating_add(1);
         Ok(())
-    }
-
-    /// Removes the mapping for `vpn`. Returns `true` when present.
-    pub fn remove(&mut self, vpn: Vpn, mem: &mut impl PteMemory) -> bool {
-        let bucket = self.bucket_addr(self.hash(vpn));
-        let Some((head, head_chain)) = self.read_entry(mem, bucket) else {
-            return false;
-        };
-        if head.vpn == vpn {
-            if head_chain == 0 {
-                self.clear_entry(mem, bucket);
-            } else {
-                // Promote the first overflow entry into the bucket.
-                let next_at = self.chain_addr(head_chain);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "Structure invariant: chain links are only ever written pointing at valid entries; a dangling link means the table is corrupt."
-                )]
-                let (next_pte, next_chain) = self
-                    .read_entry(mem, next_at)
-                    .expect("chained entries are always valid");
-                self.write_entry(mem, bucket, &next_pte, next_chain);
-                self.clear_entry(mem, next_at);
-                self.free_overflow.push(head_chain - 1);
-            }
-            self.stats.live_entries -= 1;
-            return true;
-        }
-        // Walk the chain keeping the predecessor.
-        let mut prev_at = bucket;
-        let mut prev_pte = head;
-        let mut chain = head_chain;
-        while chain != 0 {
-            let at = self.chain_addr(chain);
-            #[expect(
-                clippy::expect_used,
-                reason = "Structure invariant: chain links are only ever written pointing at valid entries; a dangling link means the table is corrupt."
-            )]
-            let (pte, next) = self
-                .read_entry(mem, at)
-                .expect("chained entries are always valid");
-            if pte.vpn == vpn {
-                self.write_entry(mem, prev_at, &prev_pte, next);
-                self.clear_entry(mem, at);
-                self.free_overflow.push(chain - 1);
-                self.stats.live_entries -= 1;
-                return true;
-            }
-            prev_at = at;
-            prev_pte = pte;
-            chain = next;
-        }
-        false
     }
 }
 
@@ -497,51 +433,6 @@ mod tests {
             hpt.lookup(Vpn::new(5), &mut mem).pte.unwrap().pfn.index(),
             9
         );
-    }
-
-    #[test]
-    fn remove_head_promotes_chain() {
-        let mut hpt = table();
-        let mut mem = TestMem::default();
-        let (a, b) = (0x41u64, 0x41 + 64);
-        hpt.insert(pte(a, 1), &mut mem).unwrap();
-        hpt.insert(pte(b, 2), &mut mem).unwrap();
-        assert!(hpt.remove(Vpn::new(a), &mut mem));
-        assert_eq!(hpt.lookup(Vpn::new(a), &mut mem).pte, None);
-        let out = hpt.lookup(Vpn::new(b), &mut mem);
-        assert_eq!(out.pte.unwrap().pfn.index(), 2);
-        assert_eq!(out.probes, 1, "promoted entry should sit in the bucket");
-        assert_eq!(hpt.stats().live_entries, 1);
-    }
-
-    #[test]
-    fn remove_middle_of_chain_relinks() {
-        let mut hpt = table();
-        let mut mem = TestMem::default();
-        let (a, b, c) = (0x41u64, 0x41 + 64, 0x41 + 128);
-        hpt.insert(pte(a, 1), &mut mem).unwrap();
-        hpt.insert(pte(b, 2), &mut mem).unwrap();
-        hpt.insert(pte(c, 3), &mut mem).unwrap();
-        assert!(hpt.remove(Vpn::new(b), &mut mem));
-        assert!(hpt.lookup(Vpn::new(a), &mut mem).pte.is_some());
-        assert!(hpt.lookup(Vpn::new(b), &mut mem).pte.is_none());
-        assert!(hpt.lookup(Vpn::new(c), &mut mem).pte.is_some());
-    }
-
-    #[test]
-    fn removed_slots_are_reused() {
-        let mut hpt = table();
-        let mut mem = TestMem::default();
-        let (a, b) = (0x41u64, 0x41 + 64);
-        hpt.insert(pte(a, 1), &mut mem).unwrap();
-        hpt.insert(pte(b, 2), &mut mem).unwrap();
-        hpt.remove(Vpn::new(b), &mut mem);
-        // Re-insert: must reuse the freed overflow slot, not leak.
-        for _ in 0..100 {
-            hpt.insert(pte(b, 2), &mut mem).unwrap();
-            hpt.remove(Vpn::new(b), &mut mem);
-        }
-        assert!(hpt.insert(pte(b, 2), &mut mem).is_ok());
     }
 
     #[test]

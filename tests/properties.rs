@@ -181,12 +181,12 @@ proptest! {
         prop_assert_eq!(buddy.available(PageSize::Size16M), 4, "full recombination of 64 MB");
     }
 
-    /// Hashed page table vs a HashMap model: any interleaving of
-    /// inserts, removes and lookups agrees with the model (collision
-    /// chains, promotion to bucket heads, slot reuse included).
+    /// Hashed page table vs a HashMap model: any interleaving of inserts
+    /// (new entries and in-place updates) and lookups agrees with the
+    /// model (collision chains included).
     #[test]
     fn hashed_page_table_matches_model(
-        ops in proptest::collection::vec((0u8..3, 0u64..200), 1..300)
+        ops in proptest::collection::vec((0u8..2, 0u64..200), 1..300)
     ) {
         let mut hpt = HashedPageTable::new(HptConfig {
             base: PhysAddr::new(0x10_0000),
@@ -208,10 +208,6 @@ proptest! {
                     ).is_ok() {
                         model.insert(vpn.index(), pfn.index());
                     }
-                }
-                1 => {
-                    let removed = hpt.remove(vpn, &mut mem);
-                    prop_assert_eq!(removed, model.remove(&vpn.index()).is_some());
                 }
                 _ => {
                     let got = hpt.lookup(vpn, &mut mem).pte.map(|p| p.pfn.index());

@@ -252,33 +252,13 @@ fn demoting_a_recolored_page_returns_it_to_a_real_mapping() {
 }
 
 #[test]
-fn buddy_allocator_machine_works_end_to_end() {
-    let mut cfg = MachineConfig::paper_mtlb(64);
-    cfg.kernel.shadow_alloc = mtlb_os::ShadowAllocPolicy::Buddy;
-    let mut m = Machine::new(cfg);
-    let len = 512 * 1024;
-    m.map_region(BASE, len, Prot::RW);
-    for p in 0..(len / PAGE_SIZE) {
-        m.write_u64(BASE + p * PAGE_SIZE, p);
-    }
-    let rep = m.remap(BASE, len);
-    assert!(!rep.superpages.is_empty());
-    for p in 0..(len / PAGE_SIZE) {
-        assert_eq!(m.read_u64(BASE + p * PAGE_SIZE), p);
-    }
-}
-
-#[test]
 fn shadow_space_exhaustion_falls_back_gracefully() {
     // A machine whose 16 MB class is exhausted must still build the
     // region from smaller superpages. Use a partition with only two
     // 16 MB buckets so exhaustion is cheap to reach.
     let mut cfg = MachineConfig::paper_mtlb(64);
     cfg.kernel.shadow_alloc =
-        mtlb_os::ShadowAllocPolicy::Bucket(mtlb_os::BucketPartition::new(vec![
-            (PageSize::Size4M, 32),
-            (PageSize::Size16M, 2),
-        ]));
+        mtlb_os::BucketPartition::new(vec![(PageSize::Size4M, 32), (PageSize::Size16M, 2)]);
     let mut m = Machine::new(cfg);
     let big = VirtAddr::new(0x4000_0000);
     for i in 0..2u64 {
