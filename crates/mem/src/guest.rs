@@ -1,4 +1,5 @@
-//! The sparse guest DRAM byte store.
+//! The sparse guest DRAM byte store: a page is backed by host memory
+//! only once a non-zero byte is written to it.
 
 use std::cell::Cell;
 
@@ -13,8 +14,9 @@ const NO_SLOT: u32 = u32::MAX;
 ///
 /// Addresses must designate **real** physical memory — shadow addresses
 /// are remapped by the memory controller (`mtlb-mmc`) *before* reaching
-/// this store. Pages materialise zero-filled on first write; reads of
-/// untouched pages return zeros without allocating.
+/// this store. Pages materialise zero-filled on their first non-zero
+/// write; reads of untouched pages return zeros without allocating, and
+/// so zero writes to them allocate nothing either.
 ///
 /// Internally the store is a flat two-level structure rather than a hash
 /// map: a page **directory** (`Vec<u32>`, one entry per installed page
@@ -78,7 +80,8 @@ impl GuestMemory {
     }
 
     /// Number of pages that have actually been materialised (touched by a
-    /// write). Useful for asserting footprint expectations in tests.
+    /// non-zero write). Useful for asserting footprint expectations in
+    /// tests.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
         self.resident
@@ -119,27 +122,36 @@ impl GuestMemory {
         Some(slot as usize)
     }
 
-    /// Backing bytes for `page`, materialising a zero-filled arena page
-    /// (recycled from the freelist when possible) on first write.
+    /// Stores `src` at byte `off` of `page`, materialising a zero-filled
+    /// arena page (recycled from the freelist when possible) on the first
+    /// non-zero write. An untouched page already reads as zero, so an
+    /// all-zero `src` leaves it untouched.
     #[inline]
-    fn ensure_page(&mut self, page: u64) -> &mut [u8; PAGE_BYTES] {
-        let mut slot = self.dir[page as usize];
-        if slot == NO_SLOT {
-            slot = match self.free.pop() {
-                Some(s) => {
-                    self.arena[s as usize].fill(0);
-                    s
-                }
-                None => {
-                    self.arena.push(Box::new([0u8; PAGE_BYTES]));
-                    (self.arena.len() - 1) as u32
-                }
-            };
-            self.dir[page as usize] = slot;
-            self.resident += 1;
-        }
+    fn store(&mut self, page: u64, off: usize, src: &[u8]) {
+        let slot = match self.dir[page as usize] {
+            NO_SLOT if src.iter().all(|&b| b == 0) => return,
+            NO_SLOT => self.materialise(page),
+            slot => slot,
+        };
         self.last.set((page, slot + 1));
-        &mut self.arena[slot as usize]
+        self.arena[slot as usize][off..off + src.len()].copy_from_slice(src);
+    }
+
+    /// Backs untouched `page` with a zero-filled arena slot.
+    fn materialise(&mut self, page: u64) -> u32 {
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.arena[s as usize].fill(0);
+                s
+            }
+            None => {
+                self.arena.push(Box::new([0u8; PAGE_BYTES]));
+                (self.arena.len() - 1) as u32
+            }
+        };
+        self.dir[page as usize] = slot;
+        self.resident += 1;
+        slot
     }
 
     /// Reads `buf.len()` bytes starting at `addr`, which may span pages.
@@ -171,8 +183,7 @@ impl GuestMemory {
             let page = a / PAGE_SIZE;
             let off = (a % PAGE_SIZE) as usize;
             let n = usize::min(PAGE_BYTES - off, buf.len() - consumed);
-            let data = self.ensure_page(page);
-            data[off..off + n].copy_from_slice(&buf[consumed..consumed + n]);
+            self.store(page, off, &buf[consumed..consumed + n]);
             consumed += n;
             a += n as u64;
         }
@@ -195,7 +206,7 @@ impl GuestMemory {
     pub fn write_u8(&mut self, addr: PhysAddr, v: u8) {
         self.check(addr, 1);
         let a = addr.get();
-        self.ensure_page(a / PAGE_SIZE)[(a % PAGE_SIZE) as usize] = v;
+        self.store(a / PAGE_SIZE, (a % PAGE_SIZE) as usize, &[v]);
     }
 
     /// Reads a little-endian `u16`.
@@ -271,8 +282,7 @@ impl GuestMemory {
             return;
         }
         self.check(addr, buf.len() as u64);
-        let data = self.ensure_page(a / PAGE_SIZE);
-        data[off..off + buf.len()].copy_from_slice(buf);
+        self.store(a / PAGE_SIZE, off, buf);
     }
 
     /// Zero-fills one 4 KB page (the OS model uses this when handing fresh
@@ -301,7 +311,7 @@ impl GuestMemory {
         match self.page_slot(src.index()) {
             Some(src_slot) => {
                 let data = *self.arena[src_slot];
-                *self.ensure_page(dst.index()) = data;
+                self.store(dst.index(), 0, &data);
             }
             None => self.zero_page(dst),
         }
@@ -435,12 +445,199 @@ mod tests {
         let mut a = mem();
         let mut b = mem();
         a.write_u32(PhysAddr::new(0x1004), 7);
-        // Materialise an extra all-zero page in `b` only.
+        // Materialise an extra page in `b` only, then clear it again: a
+        // zero write alone would materialise nothing.
         b.write_u32(PhysAddr::new(0x1004), 7);
+        b.write_u8(PhysAddr::new(0x9000), 3);
         b.write_u8(PhysAddr::new(0x9000), 0);
+        assert_eq!((a.resident_pages(), b.resident_pages()), (1, 2));
         assert_eq!(a.content_digest(), b.content_digest());
         b.write_u8(PhysAddr::new(0x9000), 3);
         assert_ne!(a.content_digest(), b.content_digest());
+    }
+
+    #[test]
+    fn zero_writes_to_untouched_pages_materialise_nothing() {
+        let mut m = mem();
+        m.write_u8(PhysAddr::new(0x1000), 0);
+        m.write_u16(PhysAddr::new(0x2000), 0);
+        m.write_u32(PhysAddr::new(0x3000), 0);
+        m.write_u64(PhysAddr::new(0x4ffc), 0);
+        m.write(PhysAddr::new(0x6000), &[0u8; 3 * PAGE_BYTES]);
+        m.copy_page(Ppn::new(1), Ppn::new(20));
+        assert_eq!(m.resident_pages(), 0);
+        // A resident all-zero source copies into an untouched page as
+        // nothing, and a block write backs only the pages it makes
+        // non-zero.
+        m.write_u8(PhysAddr::new(0x1000), 1);
+        m.write_u8(PhysAddr::new(0x1000), 0);
+        m.copy_page(Ppn::new(1), Ppn::new(21));
+        let mut block = [0u8; 2 * PAGE_BYTES];
+        block[PAGE_BYTES + 5] = 9;
+        m.write(PhysAddr::new(0x3_0000), &block);
+        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.read_u8(PhysAddr::new(0x3_1005)), 9);
+        // A zero write to a resident page still clears its bytes.
+        m.write_u8(PhysAddr::new(0x3_1005), 0);
+        assert_eq!(m.read_u8(PhysAddr::new(0x3_1005)), 0);
+    }
+
+    /// The store against a flat byte model: random mixes of zero and
+    /// non-zero scalar writes, block writes, `zero_page` and
+    /// `copy_page`. After every op each byte reads as the model says,
+    /// `content_digest` equals the model's, and a page is resident
+    /// exactly when it has received a non-zero byte since it was last
+    /// released — a page that has only ever received zeros never is.
+    mod contract {
+        use super::*;
+        use proptest::prelude::*;
+
+        const PAGES: u64 = 16;
+        const BYTES: u64 = PAGES * PAGE_SIZE;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Scalar {
+                addr: u64,
+                size: u64,
+                value: u64,
+            },
+            /// All-zero block except `byte` at `at`, when `at < len`.
+            Block {
+                addr: u64,
+                len: usize,
+                at: usize,
+                byte: u8,
+            },
+            ZeroPage(u64),
+            CopyPage(u64, u64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                4 => (0..BYTES, 0u32..4, any::<u64>(), 0u8..2).prop_map(
+                    |(addr, log, value, zero)| {
+                        let size = 1u64 << log;
+                        Op::Scalar {
+                            addr: addr.min(BYTES - size),
+                            size,
+                            value: if zero == 0 { 0 } else { value },
+                        }
+                    }
+                ),
+                2 => (0..BYTES, 1..2 * PAGE_BYTES, 0..3 * PAGE_BYTES, any::<u8>()).prop_map(
+                    |(addr, len, at, byte)| Op::Block {
+                        addr: addr.min(BYTES - len as u64),
+                        len,
+                        at,
+                        byte,
+                    }
+                ),
+                1 => (0..PAGES).prop_map(Op::ZeroPage),
+                1 => (0..PAGES, 0..PAGES).prop_map(|(src, dst)| Op::CopyPage(src, dst)),
+            ]
+        }
+
+        /// `content_digest` computed from the flat model.
+        fn model_digest(model: &[u8]) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let prime: u64 = 0x0000_0100_0000_01b3;
+            for (page, bytes) in model.chunks(PAGE_BYTES).enumerate() {
+                if bytes.iter().all(|&b| b == 0) {
+                    continue;
+                }
+                h = (h ^ page as u64).wrapping_mul(prime);
+                for &b in bytes {
+                    h = (h ^ u64::from(b)).wrapping_mul(prime);
+                }
+            }
+            h
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn store_matches_flat_model(ops in proptest::collection::vec(op(), 1..80)) {
+                let mut m = GuestMemory::new(BYTES);
+                let mut model = vec![0u8; BYTES as usize];
+                // Pages that received a non-zero byte since last released.
+                let mut nonzero = [false; PAGES as usize];
+                for op in &ops {
+                    let mut mark = |at: u64, bytes: &[u8]| {
+                        let start = at as usize;
+                        model[start..start + bytes.len()].copy_from_slice(bytes);
+                        for (i, &b) in bytes.iter().enumerate() {
+                            if b != 0 {
+                                nonzero[(start + i) / PAGE_BYTES] = true;
+                            }
+                        }
+                    };
+                    match *op {
+                        Op::Scalar { addr, size, value } => {
+                            let a = PhysAddr::new(addr);
+                            match size {
+                                1 => m.write_u8(a, value as u8),
+                                2 => m.write_u16(a, value as u16),
+                                4 => m.write_u32(a, value as u32),
+                                _ => m.write_u64(a, value),
+                            }
+                            mark(addr, &value.to_le_bytes()[..size as usize]);
+                            let read = match size {
+                                1 => u64::from(m.read_u8(a)),
+                                2 => u64::from(m.read_u16(a)),
+                                4 => u64::from(m.read_u32(a)),
+                                _ => m.read_u64(a),
+                            };
+                            prop_assert_eq!(read, value & (u64::MAX >> (64 - 8 * size)));
+                        }
+                        Op::Block { addr, len, at, byte } => {
+                            let mut block = vec![0u8; len];
+                            if at < len {
+                                block[at] = byte;
+                            }
+                            m.write(PhysAddr::new(addr), &block);
+                            mark(addr, &block);
+                        }
+                        Op::ZeroPage(page) => {
+                            m.zero_page(Ppn::new(page));
+                            let start = (page * PAGE_SIZE) as usize;
+                            model[start..start + PAGE_BYTES].fill(0);
+                            nonzero[page as usize] = false;
+                        }
+                        Op::CopyPage(src, dst) => {
+                            m.copy_page(Ppn::new(src), Ppn::new(dst));
+                            let (s, d) = ((src * PAGE_SIZE) as usize, (dst * PAGE_SIZE) as usize);
+                            let data = model[s..s + PAGE_BYTES].to_vec();
+                            model[d..d + PAGE_BYTES].copy_from_slice(&data);
+                            if data.iter().any(|&b| b != 0) {
+                                nonzero[dst as usize] = true;
+                            } else if !nonzero[src as usize] {
+                                // An untouched source releases the destination.
+                                nonzero[dst as usize] = false;
+                            }
+                        }
+                    }
+                    let mut image = vec![0u8; BYTES as usize];
+                    m.read(PhysAddr::new(0), &mut image);
+                    prop_assert!(image == model, "store diverged from the model after {op:?}");
+                    prop_assert_eq!(m.content_digest(), model_digest(&model));
+                    for (page, &dirty) in nonzero.iter().enumerate() {
+                        prop_assert_eq!(
+                            m.dir[page] != NO_SLOT,
+                            dirty,
+                            "page {} residency after {:?}",
+                            page,
+                            op
+                        );
+                    }
+                    prop_assert_eq!(
+                        m.resident_pages(),
+                        nonzero.iter().filter(|&&d| d).count()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -403,6 +403,38 @@ impl Process {
     }
 }
 
+/// Shadow page indices per [`RingIndex`] chunk: one 4 KB page of `u32`s.
+const RING_CHUNK: usize = 1024;
+
+/// Shadow page index → position in the kernel's CLOCK ring plus one,
+/// `0` when absent. The shadow range (128 K pages by default) is indexed
+/// in zero-filled 4 KB chunks allocated on first use, so only the
+/// stretches the kernel has mapped cost host memory; one flat zeroed
+/// vector commits all of it (512 KB by default) whenever the allocator
+/// hands it recycled memory, which it must then clear.
+#[derive(Debug, Clone, Default)]
+struct RingIndex {
+    chunks: Vec<Option<Box<[u32; RING_CHUNK]>>>,
+}
+
+impl RingIndex {
+    fn get(&self, index: u64) -> u32 {
+        let (chunk, at) = (index as usize / RING_CHUNK, index as usize % RING_CHUNK);
+        self.chunks
+            .get(chunk)
+            .and_then(Option::as_deref)
+            .map_or(0, |c| c[at])
+    }
+
+    fn set(&mut self, index: u64, value: u32) {
+        let (chunk, at) = (index as usize / RING_CHUNK, index as usize % RING_CHUNK);
+        if chunk >= self.chunks.len() {
+            self.chunks.resize_with(chunk + 1, || None);
+        }
+        self.chunks[chunk].get_or_insert_with(|| Box::new([0; RING_CHUNK]))[at] = value;
+    }
+}
+
 /// The simulated kernel. See the module-level documentation for the modelled behaviour.
 #[derive(Debug, Clone)]
 pub struct Kernel {
@@ -425,6 +457,8 @@ pub struct Kernel {
     promo_counters: BTreeMap<u64, u64>,
     /// CLOCK ring of resident shadow page indices.
     resident: Vec<u64>,
+    /// Each resident shadow page's position in `resident`.
+    resident_pos: RingIndex,
     clock_hand: usize,
     /// Shootdowns queued by local invalidations, awaiting delivery to
     /// the other cores (drained by the machine on kernel exit).
@@ -457,6 +491,7 @@ impl Kernel {
             shadow_page_pool: Vec::new(),
             promo_counters: BTreeMap::new(),
             resident: Vec::new(),
+            resident_pos: RingIndex::default(),
             clock_hand: 0,
             pending_shootdowns: Vec::new(),
             flushed_pages: Vec::new(),
@@ -708,15 +743,40 @@ impl Kernel {
             .unwrap_or_else(|| panic!("vpn {vpn} is not in a shadow superpage"))
     }
 
+    /// Appends shadow page `index` to the CLOCK ring.
+    fn push_resident(&mut self, index: u64) {
+        debug_assert_eq!(
+            self.resident_pos.get(index),
+            0,
+            "shadow page {index} is already in the CLOCK ring"
+        );
+        self.resident.push(index);
+        self.resident_pos.set(index, self.resident.len() as u32);
+    }
+
     /// Drops shadow page `index` from the CLOCK ring, if there, and
     /// steps the hand back when the removed slot was behind it.
     fn forget_resident(&mut self, index: u64) {
-        if let Some(pos) = self.resident.iter().position(|i| *i == index) {
-            self.resident.swap_remove(pos);
-            if self.clock_hand > pos {
-                self.clock_hand -= 1;
-            }
+        let pos = self.resident_pos.get(index);
+        if pos == 0 {
+            return;
         }
+        self.resident_pos.set(index, 0);
+        let pos = pos as usize - 1;
+        debug_assert_eq!(self.resident.get(pos), Some(&index));
+        self.resident.swap_remove(pos);
+        if let Some(&moved) = self.resident.get(pos) {
+            self.resident_pos.set(moved, pos as u32 + 1);
+        }
+        if self.clock_hand > pos {
+            self.clock_hand -= 1;
+        }
+        debug_assert!(
+            (1..)
+                .zip(&self.resident)
+                .all(|(at, &r)| self.resident_pos.get(r) == at),
+            "CLOCK ring position index out of step with the ring"
+        );
     }
 
     fn alloc_frame(&mut self, ctx: &mut KernelCtx<'_>) -> (Ppn, Cycles) {
@@ -820,7 +880,7 @@ impl Kernel {
                     shadow_base: shadow_spn,
                 };
                 self.shadow_regions.insert(index, sp);
-                self.resident.push(index);
+                self.push_resident(index);
                 (shadow_spn.bus(), Backing::Shadow { shadow_spn })
             } else {
                 (frame, Backing::Real(frame))
@@ -999,7 +1059,7 @@ impl Kernel {
             self.proc_mut()
                 .aspace
                 .remap_page(vpn, Backing::Shadow { shadow_spn }, size);
-            self.resident.push(base_index + i);
+            self.push_resident(base_index + i);
             cycles += self.config.costs.remap_page_overhead;
             report.pages_remapped = report.pages_remapped.saturating_add(1);
         }
@@ -1252,7 +1312,7 @@ impl Kernel {
             .mmc
             .set_mapping(index, ShadowPte::present(frame), ctx.mem);
         cycles += ctx.ratio.device_to_cpu(mmc_cycles);
-        self.resident.push(index);
+        self.push_resident(index);
         self.stats.pages_swapped_in = self.stats.pages_swapped_in.saturating_add(1);
         cycles
     }
@@ -1480,7 +1540,7 @@ impl Kernel {
         };
         self.proc_mut().aspace.add_superpage(sp);
         self.shadow_regions.insert(index, sp);
-        self.resident.push(index);
+        self.push_resident(index);
         cycles += self.config.costs.remap_page_overhead;
         self.stats.pages_recolored = self.stats.pages_recolored.saturating_add(1);
         self.stats.service_cycles += cycles;

@@ -16,6 +16,10 @@
 //! guest-memory contents and workload checksums differ from the live
 //! run. The header carries the live run's checksum and verification
 //! flag instead, so sweep drivers can report the recorded outcome.
+//! A zero store to an untouched guest page backs no host page, so
+//! replayed stores materialise no guest memory: what a replay holds is
+//! what the kernel writes itself (page-table and MMC-table entries), a
+//! fraction of the live run's footprint.
 //!
 //! # Format
 //!
@@ -235,18 +239,22 @@ impl TraceWriter {
     }
 
     /// Seals the trace: header (with the live run's outcome) followed
-    /// by the encoded op stream.
+    /// by the encoded op stream. The header is inserted in front of the
+    /// body in the writer's own buffer, so a large trace is never held
+    /// twice.
     #[must_use]
     pub fn finish(self, name: &str, scale: u8, checksum: u64, verified: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(MAGIC.len() + name.len() + 24 + self.body.len());
-        out.extend_from_slice(&MAGIC);
-        put_uvarint(&mut out, name.len() as u64);
-        out.extend_from_slice(name.as_bytes());
-        out.push(scale);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out.push(u8::from(verified));
-        put_uvarint(&mut out, self.ops);
-        out.extend_from_slice(&self.body);
+        let mut header = Vec::with_capacity(MAGIC.len() + name.len() + 24);
+        header.extend_from_slice(&MAGIC);
+        put_uvarint(&mut header, name.len() as u64);
+        header.extend_from_slice(name.as_bytes());
+        header.push(scale);
+        header.extend_from_slice(&checksum.to_le_bytes());
+        header.push(u8::from(verified));
+        put_uvarint(&mut header, self.ops);
+        let mut out = self.body;
+        out.reserve_exact(header.len());
+        out.splice(0..0, header);
         out
     }
 
