@@ -71,7 +71,7 @@ sed "s|$DET_DIR/fig5_json2|JSON_DIR|" "$DET_DIR/fig5_j4" > "$DET_DIR/fig5_j4.nor
 diff "$DET_DIR/fig5_j1.norm" "$DET_DIR/fig5_j4.norm"
 diff -r "$DET_DIR/fig5_json1" "$DET_DIR/fig5_json2"
 
-echo "== trace record/replay determinism (live == recorded == replayed)"
+echo "== trace record/replay determinism (live == recorded == replayed; traces byte-identical)"
 # Three test-scale fig3 runs: live (the default), recording (in-memory
 # cache + traces persisted to disk), and replaying from the persisted
 # traces. All three stdouts must be byte-identical — the trace
@@ -87,6 +87,11 @@ echo "== trace record/replay determinism (live == recorded == replayed)"
 grep -v '^\[trace written' "$DET_DIR/rr_record_raw" > "$DET_DIR/rr_record"
 diff "$DET_DIR/rr_live" "$DET_DIR/rr_record"
 diff "$DET_DIR/rr_live" "$DET_DIR/rr_replay"
+# Recording is byte-deterministic too: a second recording run writes
+# the same MTR1 files, byte for byte.
+./target/release/repro fig3 --test-scale --record-traces "$DET_DIR/traces2" \
+  > /dev/null 2>&1
+diff -r "$DET_DIR/traces" "$DET_DIR/traces2"
 
 echo "== paper-scale cycle-fidelity gate (live pins of benchmark/expected.json)"
 # Runs this tree's simulator at paper scale, one rep, through the

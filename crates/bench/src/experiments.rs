@@ -297,7 +297,7 @@ pub fn init_costs(pages: u64) -> CostsReport {
     // explicitly-initialised dynamic memory was.
     for p in 0..pages {
         for line in 0..4 {
-            m.write_u64(base + p * PAGE_SIZE + line * 512, p + line);
+            m.write::<u64>(base + p * PAGE_SIZE + line * 512, p + line);
         }
     }
     let rep = m.remap(base, pages * PAGE_SIZE);
@@ -379,18 +379,18 @@ pub fn paging(runner: &Runner, dirty_fractions: &[f64]) -> Vec<PagingRow> {
         // Generation 1: populate, evict (writes everything — no swap
         // copies exist), fault everything back to reach steady state.
         for p in 0..pages {
-            m.write_u64(base + p * PAGE_SIZE, p);
+            m.write::<u64>(base + p * PAGE_SIZE, p);
         }
         m.swap_out_superpage(base.vpn());
         for p in 0..pages {
-            let _ = m.read_u64(base + p * PAGE_SIZE);
+            let _ = m.read::<u64>(base + p * PAGE_SIZE);
         }
 
         // Dirty the prescribed fraction (scattered across the range).
         let dirty = ((pages as f64) * f).round() as u64;
         for i in 0..dirty {
             let p = (i * 97) % pages; // co-prime stride scatters them
-            m.write_u64(base + p * PAGE_SIZE + 8, i);
+            m.write::<u64>(base + p * PAGE_SIZE + 8, i);
         }
 
         // Steady-state eviction: the §2.5 measurement.
@@ -404,7 +404,7 @@ pub fn paging(runner: &Runner, dirty_fractions: &[f64]) -> Vec<PagingRow> {
         let before_faults = m.kernel().stats().shadow_faults_serviced;
         for i in 0..32u64 {
             let p = (i * 31) % pages;
-            let _ = m.read_u64(base + p * PAGE_SIZE);
+            let _ = m.read::<u64>(base + p * PAGE_SIZE);
         }
         PagingRow {
             policy,
@@ -568,7 +568,7 @@ pub fn multiprogramming(runner: &Runner, quanta: &[u64]) -> Vec<MultiprogramRow>
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let page = (*xs >> 33) % pages;
-                m.read_u32(bases[pid] + page * PAGE_SIZE);
+                m.read::<u32>(bases[pid] + page * PAGE_SIZE);
                 m.execute(8);
             }
             done += quantum.min(total_accesses - done);
@@ -625,7 +625,7 @@ pub fn promotion(runner: &Runner) -> Vec<PromotionRow> {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            m.read_u32(base + ((x >> 33) % pages) * PAGE_SIZE);
+            m.read::<u32>(base + ((x >> 33) % pages) * PAGE_SIZE);
             m.execute(12);
         }
     }
@@ -706,8 +706,8 @@ pub fn recoloring() -> RecoloringReport {
         m.reset_stats();
         for i in 0..10_000u64 {
             let off = (i % 64) * 8;
-            m.read_u64(hot_a + off);
-            m.read_u64(hot_b + off);
+            m.read::<u64>(hot_a + off);
+            m.read::<u64>(hot_b + off);
             m.execute(10);
         }
         let r = m.report();
@@ -877,7 +877,7 @@ pub fn stream_buffers(runner: &Runner) -> StreamReport {
             } else {
                 i * 32
             };
-            m.read_u32(base + off / 4 * 4);
+            m.read::<u32>(base + off / 4 * 4);
             m.execute(4);
         }
         let hits = {

@@ -15,10 +15,15 @@
 //!   invocations — including an output directory that cannot be
 //!   created — exit 2 before any experiment runs.
 //!
-//! Plus the `--replay-traces` fallback: a corrupt cached trace costs one
-//! warned live run, not a failed or silently slow sweep.
+//! Plus the `--replay-traces` fallback: a corrupt cached trace, or one
+//! holding an op the machine would panic on, costs one warned live run,
+//! not a failed, aborted or silently slow sweep.
 
 use std::process::{Command, Output};
+
+use mtlb_sim::{MachineOp, OpSink};
+use mtlb_trace::{TraceReader, TraceWriter};
+use mtlb_types::Vpn;
 
 fn repro_output(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -113,13 +118,17 @@ fn json_dir_reports_have_buckets_summing_to_total_cycles() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `--replay-traces` file whose header parses but whose body is cut
-/// short costs one live run of that workload and one warning: the bad
-/// bytes are evicted, so the fallback run's recording serves the
-/// workload's remaining cells.
-#[test]
-fn truncated_cached_trace_warns_once_and_falls_back_to_live() {
-    let dir = std::env::temp_dir().join("repro_parity_truncated_trace");
+/// Records test-scale fig3 traces into a fresh `dir_name`, rewrites
+/// the radix trace with `corrupt`, and replays the sweep from them: it
+/// must exit 0, print exactly the live stdout, and warn once, naming
+/// radix and `expected` (the bad bytes are evicted, so the fallback
+/// run's recording serves the workload's remaining cells).
+fn bad_cached_trace_warns_once_and_falls_back_to_live(
+    dir_name: &str,
+    corrupt: impl FnOnce(Vec<u8>) -> Vec<u8>,
+    expected: &str,
+) {
+    let dir = std::env::temp_dir().join(dir_name);
     let _ = std::fs::remove_dir_all(&dir);
     let dir_arg = dir.to_str().expect("utf-8 temp path");
     fn fig3<'a>(extra: &[&'a str]) -> Vec<&'a str> {
@@ -129,13 +138,13 @@ fn truncated_cached_trace_warns_once_and_falls_back_to_live() {
     let _ = repro_stdout(&fig3(&["--record-traces", dir_arg]));
     let victim = dir.join("radix_test.mtr");
     let bytes = std::fs::read(&victim).expect("radix trace recorded");
-    std::fs::write(&victim, &bytes[..bytes.len() / 2]).expect("truncate trace");
+    std::fs::write(&victim, corrupt(bytes)).expect("rewrite trace");
 
     let out = repro_output(&fig3(&["--replay-traces", dir_arg]));
     assert!(out.status.success(), "a bad trace must not fail the sweep");
     assert!(
         out.stdout == live,
-        "replay with a truncated trace differs from live"
+        "replay with a bad trace differs from live"
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     let warnings: Vec<&str> = stderr
@@ -144,11 +153,43 @@ fn truncated_cached_trace_warns_once_and_falls_back_to_live() {
         .collect();
     assert_eq!(warnings.len(), 1, "one warning, not one per cell: {stderr}");
     assert!(
-        warnings[0].contains("radix") && warnings[0].contains("truncated"),
+        warnings[0].contains("radix") && warnings[0].contains(expected),
         "warning names the workload and the error: {}",
         warnings[0]
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `--replay-traces` file whose header parses but whose body is cut
+/// short.
+#[test]
+fn truncated_cached_trace_warns_once_and_falls_back_to_live() {
+    bad_cached_trace_warns_once_and_falls_back_to_live(
+        "repro_parity_truncated_trace",
+        |bytes| bytes[..bytes.len() / 2].to_vec(),
+        "truncated",
+    );
+}
+
+/// A well-formed trace ending in an op the machine would reject by
+/// panicking (demoting a page outside every superpage): replay reports
+/// a typed error instead of aborting the process.
+#[test]
+fn cached_trace_with_a_service_precondition_violation_falls_back_to_live() {
+    bad_cached_trace_warns_once_and_falls_back_to_live(
+        "repro_parity_bad_service_op",
+        |bytes| {
+            let mut reader = TraceReader::new(&bytes).expect("header parses");
+            let mut writer = TraceWriter::new();
+            while let Some(op) = reader.next_op().expect("body decodes") {
+                writer.record(&op);
+            }
+            writer.record(&MachineOp::DemoteSuperpage { vpn: Vpn::new(1) });
+            let h = reader.into_header();
+            writer.finish(&h.name, h.scale, h.checksum, h.verified)
+        },
+        "not in a superpage",
+    );
 }
 
 #[test]

@@ -254,10 +254,10 @@ impl GuestMemory {
         self.write_scalar(addr, &v.to_le_bytes());
     }
 
-    /// Scalar read helper: single page lookup when the access does not
-    /// straddle a page boundary, falling back to the spanning loop.
+    /// [`read`](Self::read) with one page lookup unless the bytes
+    /// straddle a page boundary: the path of every scalar read.
     #[inline]
-    fn read_scalar(&self, addr: PhysAddr, buf: &mut [u8]) {
+    pub fn read_scalar(&self, addr: PhysAddr, buf: &mut [u8]) {
         let a = addr.get();
         let off = (a % PAGE_SIZE) as usize;
         if off + buf.len() > PAGE_BYTES {
@@ -271,10 +271,10 @@ impl GuestMemory {
         }
     }
 
-    /// Scalar write helper: single page lookup when the access does not
-    /// straddle a page boundary, falling back to the spanning loop.
+    /// [`write`](Self::write) with one page lookup unless the bytes
+    /// straddle a page boundary: the path of every scalar write.
     #[inline]
-    fn write_scalar(&mut self, addr: PhysAddr, buf: &[u8]) {
+    pub fn write_scalar(&mut self, addr: PhysAddr, buf: &[u8]) {
         let a = addr.get();
         let off = (a % PAGE_SIZE) as usize;
         if off + buf.len() > PAGE_BYTES {

@@ -18,6 +18,14 @@ pub enum Backing {
     },
 }
 
+impl Backing {
+    /// Returns `true` for a page mapped straight to a real frame.
+    #[must_use]
+    pub fn is_real(self) -> bool {
+        matches!(self, Backing::Real(_))
+    }
+}
+
 /// Kernel bookkeeping for one mapped virtual page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageInfo {

@@ -27,8 +27,8 @@
 //! m.map_region(base, 64 * 1024, Prot::RW);
 //! m.remap(base, 64 * 1024); // promote to a shadow superpage
 //!
-//! m.try_write_u32(base + 0x2468, 42).unwrap();
-//! assert_eq!(m.try_read_u32(base + 0x2468).unwrap(), 42);
+//! m.try_write(base + 0x2468, 42u32).unwrap();
+//! assert_eq!(m.try_read::<u32>(base + 0x2468).unwrap(), 42);
 //! m.try_execute(1_000).unwrap(); // burn some instructions
 //!
 //! let report = m.report();
@@ -54,10 +54,12 @@ mod config;
 mod machine;
 pub mod ops;
 mod report;
+mod scalar;
 pub mod trace;
 
 pub use config::MachineConfig;
 pub use machine::Machine;
 pub use ops::{MachineOp, OpSink, VecOpSink};
 pub use report::{CoreStats, RunReport, TimeBuckets};
+pub use scalar::Scalar;
 pub use trace::{Bucket, RingTrace, TraceEvent, TraceRecord, TraceSink};

@@ -17,7 +17,7 @@ use crate::ops::{MachineOp, OpSink};
 use crate::report::TimeBuckets;
 use crate::report::{CoreStats, RunReport};
 use crate::trace::{Bucket, Ledger, TraceEvent, TraceSink};
-use crate::MachineConfig;
+use crate::{MachineConfig, Scalar};
 
 /// Builds a [`KernelCtx`] from the machine's fields without borrowing
 /// `self.kernel`, so kernel services can be invoked in one expression.
@@ -40,8 +40,9 @@ macro_rules! kctx {
 ///
 /// # Access API
 ///
-/// Workloads use the typed accessors ([`try_read_u32`](Machine::try_read_u32),
-/// [`try_write_u64`](Machine::try_write_u64), …) for data, [`try_execute`]
+/// Workloads use the scalar pair [`try_read::<T>`](Machine::try_read) /
+/// [`try_write::<T>`](Machine::try_write), generic over the sealed
+/// [`Scalar`] widths (`u8 u16 u32 u64 f64`), for data, [`try_execute`]
 /// to account instruction execution (with instruction-fetch translation
 /// through the micro-ITLB), the batch accessors
 /// ([`try_read_block`](Machine::try_read_block),
@@ -55,7 +56,9 @@ macro_rules! kctx {
 /// Naturally-aligned scalar accesses never straddle a cache line and
 /// cost one access. Misaligned scalars are legal but are modelled as the
 /// classic pair of aligned accesses over the two straddled windows (MIPS
-/// `lwl`/`lwr` style): two loads or stores, two cache accesses.
+/// `lwl`/`lwr` style): two loads or stores, two cache accesses. Width
+/// changes nothing else: every scalar takes the same TLB, cache, bus
+/// and MMC path, and is recorded as one `Read`/`Write` op of its size.
 ///
 /// # Host-side fast paths
 ///
@@ -627,15 +630,7 @@ impl Machine {
         self.record_op(|| MachineOp::LoadProgram { len, remap_text });
         assert!(len > 0, "program text cannot be empty");
         let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        // Clear of the boot stub page and 64 KB-aligned so modest text
-        // segments promote to a single superpage. Text lands inside the
-        // current process's private virtual window (process 0 — the
-        // boot process — keeps the historical base), so co-scheduled
-        // processes each load their own text without colliding in the
-        // shared hashed page table.
-        let window = Self::process_heap_base(self.kernel.current_process())
-            .offset_from(UserLayout::HEAP_BASE);
-        let base = UserLayout::TEXT_BASE + 64 * 1024 + window;
+        let base = self.program_base();
         let c = self
             .kernel
             .map_region(&mut kctx!(self), base, len, Prot::RX);
@@ -655,6 +650,19 @@ impl Machine {
         core.code_base = base;
         core.code_len = len;
         core.pc_offset = 0;
+    }
+
+    /// Where [`load_program`](Machine::load_program) maps the running
+    /// process's text: clear of the boot stub page and 64 KB-aligned so
+    /// modest text segments promote to a single superpage, inside the
+    /// process's private virtual window (process 0 — the boot process —
+    /// keeps the historical base), so co-scheduled processes each load
+    /// their own text without colliding in the shared hashed page table.
+    #[must_use]
+    pub fn program_base(&self) -> VirtAddr {
+        let window = Self::process_heap_base(self.kernel.current_process())
+            .offset_from(UserLayout::HEAP_BASE);
+        UserLayout::TEXT_BASE + 64 * 1024 + window
     }
 
     /// Executes `n` single-cycle instructions, advancing the simulated PC
@@ -991,177 +999,74 @@ impl Machine {
         let lo = va.align_down(n);
         let hi = lo + n;
         // Bytes of the scalar that live in the low window.
-        let split = hi.offset_from(va) as usize;
-        let (_, real_lo) = self.data_access(lo, n, write)?;
-        for (i, b) in bytes[..split].iter_mut().enumerate() {
-            let real = real_lo + va.offset_from(lo) + i as u64;
+        let (low, high) = bytes.split_at_mut(hi.offset_from(va) as usize);
+        for (window, part, skip) in [(lo, low, va.offset_from(lo)), (hi, high, 0)] {
+            let (_, real) = self.data_access(window, n, write)?;
             if write {
-                self.mem.write_u8(real, *b);
+                self.mem.write(real + skip, part);
             } else {
-                *b = self.mem.read_u8(real);
-            }
-        }
-        let (_, real_hi) = self.data_access(hi, n, write)?;
-        for (i, b) in bytes[split..].iter_mut().enumerate() {
-            let real = real_hi + i as u64;
-            if write {
-                self.mem.write_u8(real, *b);
-            } else {
-                *b = self.mem.read_u8(real);
+                self.mem.read(real + skip, part);
             }
         }
         Ok(())
     }
 
-    /// Loads a byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Fault`] for unmapped or protection-violating
-    /// accesses (all `try_read_*`/`try_write_*` accessors do).
-    pub fn try_read_u8(&mut self, va: VirtAddr) -> Result<u8, Fault> {
-        self.record_op(|| MachineOp::Read { va, size: 1 });
-        let (_, real) = self.data_access(va, 1, false)?;
-        Ok(self.mem.read_u8(real))
-    }
+    // ----- scalar accesses ------------------------------------------------
 
-    /// Stores a byte.
+    /// Loads a little-endian [`Scalar`]. A misaligned address works but
+    /// costs a second access (see the [`Machine`] docs).
     ///
     /// # Errors
     ///
     /// Returns the [`Fault`] for unmapped or protection-violating
-    /// accesses.
-    pub fn try_write_u8(&mut self, va: VirtAddr, v: u8) -> Result<(), Fault> {
-        self.record_op(|| MachineOp::Write { va, size: 1 });
-        let (_, real) = self.data_access(va, 1, true)?;
-        self.mem.write_u8(real, v);
-        Ok(())
-    }
-
-    /// Loads a little-endian `u16`. Misaligned addresses work but cost a
-    /// second access (see [`Machine`] docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Fault`] for unmapped or protection-violating
-    /// accesses.
-    pub fn try_read_u16(&mut self, va: VirtAddr) -> Result<u16, Fault> {
-        self.record_op(|| MachineOp::Read { va, size: 2 });
-        if va.is_aligned(2) {
-            let (_, real) = self.data_access(va, 2, false)?;
-            Ok(self.mem.read_u16(real))
+    /// accesses (so do all the `try_*` accessors).
+    pub fn try_read<T: Scalar>(&mut self, va: VirtAddr) -> Result<T, Fault> {
+        self.record_op(|| MachineOp::Read { va, size: T::SIZE });
+        let n = u64::from(T::SIZE);
+        let mut bytes = [0u8; 8];
+        let buf = &mut bytes[..n as usize];
+        if va.is_aligned(n) {
+            let (_, real) = self.data_access(va, n, false)?;
+            self.mem.read_scalar(real, buf);
         } else {
-            let mut b = [0u8; 2];
-            self.misaligned_rw(va, &mut b, false)?;
-            Ok(u16::from_le_bytes(b))
+            self.misaligned_rw(va, buf, false)?;
         }
+        Ok(T::from_bits(u64::from_le_bytes(bytes)))
     }
 
-    /// Stores a little-endian `u16` (misaligned addresses supported).
+    /// Stores a little-endian [`Scalar`] (misaligned addresses
+    /// supported).
     ///
     /// # Errors
     ///
     /// Returns the [`Fault`] for unmapped or protection-violating
     /// accesses.
-    pub fn try_write_u16(&mut self, va: VirtAddr, v: u16) -> Result<(), Fault> {
-        self.record_op(|| MachineOp::Write { va, size: 2 });
-        if va.is_aligned(2) {
-            let (_, real) = self.data_access(va, 2, true)?;
-            self.mem.write_u16(real, v);
+    pub fn try_write<T: Scalar>(&mut self, va: VirtAddr, v: T) -> Result<(), Fault> {
+        self.record_op(|| MachineOp::Write { va, size: T::SIZE });
+        let n = u64::from(T::SIZE);
+        let mut bytes = v.to_bits().to_le_bytes();
+        let buf = &mut bytes[..n as usize];
+        if va.is_aligned(n) {
+            let (_, real) = self.data_access(va, n, true)?;
+            self.mem.write_scalar(real, buf);
             Ok(())
         } else {
-            self.misaligned_rw(va, &mut v.to_le_bytes(), true)
+            self.misaligned_rw(va, buf, true)
         }
     }
 
-    /// Loads a little-endian `u32` (misaligned addresses supported).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Fault`] for unmapped or protection-violating
-    /// accesses.
+    /// [`try_read::<u32>`](Machine::try_read), kept by this name because
+    /// the `benchmark/` crate calls it.
+    #[inline]
     pub fn try_read_u32(&mut self, va: VirtAddr) -> Result<u32, Fault> {
-        self.record_op(|| MachineOp::Read { va, size: 4 });
-        if va.is_aligned(4) {
-            let (_, real) = self.data_access(va, 4, false)?;
-            Ok(self.mem.read_u32(real))
-        } else {
-            let mut b = [0u8; 4];
-            self.misaligned_rw(va, &mut b, false)?;
-            Ok(u32::from_le_bytes(b))
-        }
+        self.try_read(va)
     }
 
-    /// Stores a little-endian `u32` (misaligned addresses supported).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Fault`] for unmapped or protection-violating
-    /// accesses.
+    /// [`try_write::<u32>`](Machine::try_write), kept by this name
+    /// because the `benchmark/` crate calls it.
+    #[inline]
     pub fn try_write_u32(&mut self, va: VirtAddr, v: u32) -> Result<(), Fault> {
-        self.record_op(|| MachineOp::Write { va, size: 4 });
-        if va.is_aligned(4) {
-            let (_, real) = self.data_access(va, 4, true)?;
-            self.mem.write_u32(real, v);
-            Ok(())
-        } else {
-            self.misaligned_rw(va, &mut v.to_le_bytes(), true)
-        }
-    }
-
-    /// Loads a little-endian `u64` (misaligned addresses supported).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Fault`] for unmapped or protection-violating
-    /// accesses.
-    pub fn try_read_u64(&mut self, va: VirtAddr) -> Result<u64, Fault> {
-        self.record_op(|| MachineOp::Read { va, size: 8 });
-        if va.is_aligned(8) {
-            let (_, real) = self.data_access(va, 8, false)?;
-            Ok(self.mem.read_u64(real))
-        } else {
-            let mut b = [0u8; 8];
-            self.misaligned_rw(va, &mut b, false)?;
-            Ok(u64::from_le_bytes(b))
-        }
-    }
-
-    /// Stores a little-endian `u64` (misaligned addresses supported).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Fault`] for unmapped or protection-violating
-    /// accesses.
-    pub fn try_write_u64(&mut self, va: VirtAddr, v: u64) -> Result<(), Fault> {
-        self.record_op(|| MachineOp::Write { va, size: 8 });
-        if va.is_aligned(8) {
-            let (_, real) = self.data_access(va, 8, true)?;
-            self.mem.write_u64(real, v);
-            Ok(())
-        } else {
-            self.misaligned_rw(va, &mut v.to_le_bytes(), true)
-        }
-    }
-
-    /// Loads an aligned `f64` (stored as its bit pattern).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Fault`] for unmapped or protection-violating
-    /// accesses.
-    pub fn try_read_f64(&mut self, va: VirtAddr) -> Result<f64, Fault> {
-        Ok(f64::from_bits(self.try_read_u64(va)?))
-    }
-
-    /// Stores an aligned `f64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Fault`] for unmapped or protection-violating
-    /// accesses.
-    pub fn try_write_f64(&mut self, va: VirtAddr, v: f64) -> Result<(), Fault> {
-        self.try_write_u64(va, v.to_bits())
+        self.try_write(va, v)
     }
 
     // ----- batched accesses -----------------------------------------------
@@ -1364,7 +1269,7 @@ impl Machine {
 
     /// Reads `buf.len()` bytes starting at `va` — one byte load plus
     /// `instr` instructions per byte, cycle-identical to the equivalent
-    /// [`try_read_u8`](Machine::try_read_u8) + [`try_execute`] loop but
+    /// [`try_read::<u8>`](Machine::try_read) + [`try_execute`] loop but
     /// fast-forwarding cache-resident same-page runs.
     ///
     /// [`try_execute`]: Machine::try_execute
@@ -1977,16 +1882,16 @@ mod tests {
         for mut m in [mtlb_machine(), base_machine()] {
             m.map_region(DATA, 64 * 1024, Prot::RW);
             m.remap(DATA, 64 * 1024);
-            m.try_write_u8(DATA + 1, 0xaa).unwrap();
-            m.try_write_u16(DATA + 2, 0xbbcc).unwrap();
-            m.try_write_u32(DATA + 4, 0xdead_beef).unwrap();
-            m.try_write_u64(DATA + 8, 0x0123_4567_89ab_cdef).unwrap();
-            m.try_write_f64(DATA + 16, 2.5).unwrap();
-            assert_eq!(m.try_read_u8(DATA + 1).unwrap(), 0xaa);
-            assert_eq!(m.try_read_u16(DATA + 2).unwrap(), 0xbbcc);
-            assert_eq!(m.try_read_u32(DATA + 4).unwrap(), 0xdead_beef);
-            assert_eq!(m.try_read_u64(DATA + 8).unwrap(), 0x0123_4567_89ab_cdef);
-            assert_eq!(m.try_read_f64(DATA + 16).unwrap(), 2.5);
+            m.try_write::<u8>(DATA + 1, 0xaa).unwrap();
+            m.try_write::<u16>(DATA + 2, 0xbbcc).unwrap();
+            m.try_write::<u32>(DATA + 4, 0xdead_beef).unwrap();
+            m.try_write::<u64>(DATA + 8, 0x0123_4567_89ab_cdef).unwrap();
+            m.try_write::<f64>(DATA + 16, 2.5).unwrap();
+            assert_eq!(m.try_read::<u8>(DATA + 1).unwrap(), 0xaa);
+            assert_eq!(m.try_read::<u16>(DATA + 2).unwrap(), 0xbbcc);
+            assert_eq!(m.try_read::<u32>(DATA + 4).unwrap(), 0xdead_beef);
+            assert_eq!(m.try_read::<u64>(DATA + 8).unwrap(), 0x0123_4567_89ab_cdef);
+            assert_eq!(m.try_read::<f64>(DATA + 16).unwrap(), 2.5);
         }
     }
 
@@ -1995,12 +1900,16 @@ mod tests {
         let mut m = mtlb_machine();
         m.map_region(DATA, 64 * 1024, Prot::RW);
         for i in 0..16u64 {
-            m.try_write_u64(DATA + i * PAGE_SIZE + 8, i + 100).unwrap();
+            m.try_write::<u64>(DATA + i * PAGE_SIZE + 8, i + 100)
+                .unwrap();
         }
         let rep = m.remap(DATA, 64 * 1024);
         assert_eq!(rep.superpages.len(), 1);
         for i in 0..16u64 {
-            assert_eq!(m.try_read_u64(DATA + i * PAGE_SIZE + 8).unwrap(), i + 100);
+            assert_eq!(
+                m.try_read::<u64>(DATA + i * PAGE_SIZE + 8).unwrap(),
+                i + 100
+            );
         }
     }
 
@@ -2013,7 +1922,7 @@ mod tests {
         // Touch all 64 pages: one miss fills a 256 KB superpage entry,
         // everything else hits.
         for i in 0..64u64 {
-            m.try_read_u32(DATA + i * PAGE_SIZE).unwrap();
+            m.try_read::<u32>(DATA + i * PAGE_SIZE).unwrap();
         }
         let r = m.report();
         assert_eq!(r.tlb.misses, 1, "one superpage entry covers the region");
@@ -2023,7 +1932,7 @@ mod tests {
         b.remap(DATA, 256 * 1024);
         b.reset_stats();
         for i in 0..64u64 {
-            b.try_read_u32(DATA + i * PAGE_SIZE).unwrap();
+            b.try_read::<u32>(DATA + i * PAGE_SIZE).unwrap();
         }
         assert_eq!(b.report().tlb.misses, 64);
     }
@@ -2040,7 +1949,8 @@ mod tests {
             m.reset_stats();
             for round in 0..8u64 {
                 for i in 0..32u64 {
-                    m.try_read_u32(DATA + i * PAGE_SIZE + round * 64).unwrap();
+                    m.try_read::<u32>(DATA + i * PAGE_SIZE + round * 64)
+                        .unwrap();
                 }
             }
             m.report()
@@ -2086,11 +1996,11 @@ mod tests {
         let mut m = mtlb_machine();
         m.map_region(DATA, 16 * 1024, Prot::RW);
         m.remap(DATA, 16 * 1024);
-        m.try_write_u64(DATA + 2 * PAGE_SIZE, 777).unwrap();
+        m.try_write::<u64>(DATA + 2 * PAGE_SIZE, 777).unwrap();
         m.swap_out_superpage(DATA.vpn());
         // The access below faults in the MMC, the OS swaps the page in,
         // and the load completes with the right value.
-        assert_eq!(m.try_read_u64(DATA + 2 * PAGE_SIZE).unwrap(), 777);
+        assert_eq!(m.try_read::<u64>(DATA + 2 * PAGE_SIZE).unwrap(), 777);
         let r = m.report();
         assert_eq!(r.kernel.shadow_faults_serviced, 1);
         assert!(r.buckets.fault > Cycles::ZERO);
@@ -2102,9 +2012,9 @@ mod tests {
         m.map_region(DATA, 64 * 1024, Prot::RW);
         m.remap(DATA, 64 * 1024);
         // Write pages 2 and 9; read page 5.
-        m.try_write_u32(DATA + 2 * PAGE_SIZE, 1).unwrap();
-        m.try_write_u32(DATA + 9 * PAGE_SIZE, 1).unwrap();
-        m.try_read_u32(DATA + 5 * PAGE_SIZE).unwrap();
+        m.try_write::<u32>(DATA + 2 * PAGE_SIZE, 1).unwrap();
+        m.try_write::<u32>(DATA + 9 * PAGE_SIZE, 1).unwrap();
+        m.try_read::<u32>(DATA + 5 * PAGE_SIZE).unwrap();
         let bits = m.page_bits(DATA.vpn());
         assert_eq!(bits.len(), 16);
         for (i, (_, referenced, dirty)) in bits.iter().enumerate() {
@@ -2120,10 +2030,10 @@ mod tests {
         let mut m = mtlb_machine();
         let p = m.sbrk(100_000);
         for i in 0..100u64 {
-            m.try_write_u32(p + i * 1000 / 4 * 4, i as u32).unwrap();
+            m.try_write::<u32>(p + i * 1000 / 4 * 4, i as u32).unwrap();
         }
         for i in 0..100u64 {
-            assert_eq!(m.try_read_u32(p + i * 1000 / 4 * 4).unwrap(), i as u32);
+            assert_eq!(m.try_read::<u32>(p + i * 1000 / 4 * 4).unwrap(), i as u32);
         }
         assert!(m.kernel().stats().superpages_created > 0);
     }
@@ -2135,7 +2045,7 @@ mod tests {
         for m in [&mut with, &mut without] {
             m.map_region(DATA, 4096, Prot::RW);
             m.reset_stats();
-            m.try_read_u32(DATA).unwrap(); // one cold miss
+            m.try_read::<u32>(DATA).unwrap(); // one cold miss
         }
         // A *real*-address fill never touches the MTLB table, so the only
         // difference is the paper's 1-cycle shadow-detect classification:
@@ -2150,14 +2060,15 @@ mod tests {
             m.map_region(DATA, 16 * 1024, Prot::RW);
             // Offsets straddling every alignment boundary, including a
             // base-page boundary (offset 4094 with a u32).
-            m.try_write_u16(DATA + 1, 0xa55a).unwrap();
-            m.try_write_u32(DATA + 6, 0xdead_beef).unwrap();
-            m.try_write_u32(DATA + 4094, 0x0102_0304).unwrap();
-            m.try_write_u64(DATA + 13, 0x1122_3344_5566_7788).unwrap();
-            assert_eq!(m.try_read_u16(DATA + 1).unwrap(), 0xa55a);
-            assert_eq!(m.try_read_u32(DATA + 6).unwrap(), 0xdead_beef);
-            assert_eq!(m.try_read_u32(DATA + 4094).unwrap(), 0x0102_0304);
-            assert_eq!(m.try_read_u64(DATA + 13).unwrap(), 0x1122_3344_5566_7788);
+            m.try_write::<u16>(DATA + 1, 0xa55a).unwrap();
+            m.try_write::<u32>(DATA + 6, 0xdead_beef).unwrap();
+            m.try_write::<u32>(DATA + 4094, 0x0102_0304).unwrap();
+            m.try_write::<u64>(DATA + 13, 0x1122_3344_5566_7788)
+                .unwrap();
+            assert_eq!(m.try_read::<u16>(DATA + 1).unwrap(), 0xa55a);
+            assert_eq!(m.try_read::<u32>(DATA + 6).unwrap(), 0xdead_beef);
+            assert_eq!(m.try_read::<u32>(DATA + 4094).unwrap(), 0x0102_0304);
+            assert_eq!(m.try_read::<u64>(DATA + 13).unwrap(), 0x1122_3344_5566_7788);
         }
     }
 
@@ -2165,13 +2076,13 @@ mod tests {
     fn misaligned_scalar_bytes_agree_with_aligned_view() {
         let mut m = mtlb_machine();
         m.map_region(DATA, 4096, Prot::RW);
-        m.try_write_u64(DATA, 0x8877_6655_4433_2211).unwrap();
+        m.try_write::<u64>(DATA, 0x8877_6655_4433_2211).unwrap();
         // A misaligned u32 at offset 2 must see bytes 2..6 of the u64.
-        assert_eq!(m.try_read_u32(DATA + 2).unwrap(), 0x6655_4433);
+        assert_eq!(m.try_read::<u32>(DATA + 2).unwrap(), 0x6655_4433);
         // And a misaligned store must leave its neighbours intact:
         // bytes 3..5 become ef, be in a little-endian u64.
-        m.try_write_u16(DATA + 3, 0xbeef).unwrap();
-        assert_eq!(m.try_read_u64(DATA).unwrap(), 0x8877_66be_ef33_2211);
+        m.try_write::<u16>(DATA + 3, 0xbeef).unwrap();
+        assert_eq!(m.try_read::<u64>(DATA).unwrap(), 0x8877_66be_ef33_2211);
     }
 
     #[test]
@@ -2179,13 +2090,13 @@ mod tests {
         let mut m = mtlb_machine();
         m.map_region(DATA, 4096, Prot::RW);
         m.reset_stats();
-        m.try_read_u32(DATA + 2).unwrap(); // straddles: lwl/lwr-style pair
+        m.try_read::<u32>(DATA + 2).unwrap(); // straddles: lwl/lwr-style pair
         assert_eq!(m.report().loads, 2);
         m.reset_stats();
-        m.try_read_u32(DATA + 4).unwrap();
+        m.try_read::<u32>(DATA + 4).unwrap();
         assert_eq!(m.report().loads, 1, "aligned stays a single access");
         m.reset_stats();
-        m.try_write_u64(DATA + 3, 7).unwrap();
+        m.try_write::<u64>(DATA + 3, 7).unwrap();
         assert_eq!(m.report().stores, 2);
     }
 
@@ -2194,7 +2105,7 @@ mod tests {
         let mut m = mtlb_machine();
         let va = VirtAddr::new(0x6666_0000);
         assert!(matches!(
-            m.try_read_u32(va),
+            m.try_read::<u32>(va),
             Err(Fault::PageNotMapped { va: f }) if f == va
         ));
         // The fault is precise: the machine remains usable.
@@ -2206,24 +2117,24 @@ mod tests {
         let mut m = mtlb_machine();
         m.map_region(DATA, 4096, Prot::READ);
         assert!(matches!(
-            m.try_write_u32(DATA, 1),
+            m.try_write::<u32>(DATA, 1),
             Err(Fault::Protection {
                 kind: AccessKind::Write,
                 ..
             })
         ));
         // The read side of the same page is fine.
-        assert_eq!(m.try_read_u32(DATA).unwrap(), 0);
+        assert_eq!(m.try_read::<u32>(DATA).unwrap(), 0);
     }
 
     #[test]
     fn reset_stats_preserves_state() {
         let mut m = mtlb_machine();
         m.map_region(DATA, 4096, Prot::RW);
-        m.try_write_u32(DATA, 99).unwrap();
+        m.try_write::<u32>(DATA, 99).unwrap();
         m.reset_stats();
         assert_eq!(m.cycles(), Cycles::ZERO);
-        assert_eq!(m.try_read_u32(DATA).unwrap(), 99);
+        assert_eq!(m.try_read::<u32>(DATA).unwrap(), 99);
     }
 
     #[test]
@@ -2233,7 +2144,7 @@ mod tests {
             m.map_region(DATA, 128 * 1024, Prot::RW);
             m.remap(DATA, 128 * 1024);
             for i in 0..1000u64 {
-                m.try_write_u32(DATA + (i * 4093 % (128 * 1024)) / 4 * 4, i as u32)
+                m.try_write::<u32>(DATA + (i * 4093 % (128 * 1024)) / 4 * 4, i as u32)
                     .unwrap();
             }
             m.try_execute(5000).unwrap();
@@ -2282,32 +2193,35 @@ mod tests {
                 (sum, back)
             } else {
                 for i in 0..n {
-                    m.try_write_u32(DATA + i * 4, i as u32).unwrap();
+                    m.try_write::<u32>(DATA + i * 4, i as u32).unwrap();
                     m.try_execute(2).unwrap();
                 }
                 let mut sum = 0u64;
                 for i in 0..n {
-                    sum += u64::from(m.try_read_u32(DATA + i * 4).unwrap());
+                    sum += u64::from(m.try_read::<u32>(DATA + i * 4).unwrap());
                     m.try_execute(1).unwrap();
                 }
                 for i in 0..500u64 {
-                    m.try_write_u8(DATA + 16 * 1024 + i, i as u8).unwrap();
+                    m.try_write::<u8>(DATA + 16 * 1024 + i, i as u8).unwrap();
                     m.try_execute(3).unwrap();
                 }
                 let mut back = vec![0u8; 500];
                 for (i, b) in back.iter_mut().enumerate() {
-                    *b = m.try_read_u8(DATA + 16 * 1024 + i as u64).unwrap();
+                    *b = m.try_read::<u8>(DATA + 16 * 1024 + i as u64).unwrap();
                     m.try_execute(1).unwrap();
                 }
                 for i in 0..800u64 {
-                    m.try_write_u32(DATA + 32 * 1024 + i * 4, i as u32).unwrap();
-                    m.try_write_u32(DATA + 40 * 1024 + i * 4, !i as u32)
+                    m.try_write::<u32>(DATA + 32 * 1024 + i * 4, i as u32)
+                        .unwrap();
+                    m.try_write::<u32>(DATA + 40 * 1024 + i * 4, !i as u32)
                         .unwrap();
                     m.try_execute(3).unwrap();
                 }
                 for i in 0..500u64 {
-                    m.try_write_u32(DATA + 44 * 1024 + i * 4, i as u32).unwrap();
-                    m.try_write_f64(DATA + 48 * 1024 + i * 8, i as f64).unwrap();
+                    m.try_write::<u32>(DATA + 44 * 1024 + i * 4, i as u32)
+                        .unwrap();
+                    m.try_write::<f64>(DATA + 48 * 1024 + i * 8, i as f64)
+                        .unwrap();
                     m.try_execute(4).unwrap();
                 }
                 (sum, back)
@@ -2342,26 +2256,26 @@ mod tests {
             let mut acc = 0u64;
             // Establish hot read+write memos.
             for i in 0..64u64 {
-                m.try_write_u32(DATA + i * 4, i as u32).unwrap();
-                acc += u64::from(m.try_read_u32(DATA + i * 4).unwrap());
+                m.try_write::<u32>(DATA + i * 4, i as u32).unwrap();
+                acc += u64::from(m.try_read::<u32>(DATA + i * 4).unwrap());
             }
             // Remap to shadow superpages: bus addresses move.
             m.remap(DATA, 64 * 1024);
-            acc += u64::from(m.try_read_u32(DATA + 4).unwrap());
-            m.try_write_u32(DATA + 8, 1234).unwrap();
+            acc += u64::from(m.try_read::<u32>(DATA + 4).unwrap());
+            m.try_write::<u32>(DATA + 8, 1234).unwrap();
             // Swap the superpage out: residency changes, TLB purged;
             // the next same-page access must shadow-fault and recover.
             m.swap_out_superpage(DATA.vpn());
-            acc += u64::from(m.try_read_u32(DATA + 8).unwrap());
+            acc += u64::from(m.try_read::<u32>(DATA + 8).unwrap());
             // Context switch away and back purges replaceable TLB state.
             let pid = m.spawn_process();
             m.try_switch_process(pid).unwrap();
             m.try_switch_process(0).unwrap();
-            acc += u64::from(m.try_read_u32(DATA + 12).unwrap());
+            acc += u64::from(m.try_read::<u32>(DATA + 12).unwrap());
             // Demotion rewrites the mapping granularity.
             m.demote_superpage(DATA.vpn());
-            m.try_write_u32(DATA + 12, 77).unwrap();
-            acc += u64::from(m.try_read_u32(DATA + 12).unwrap());
+            m.try_write::<u32>(DATA + 12, 77).unwrap();
+            acc += u64::from(m.try_read::<u32>(DATA + 12).unwrap());
             acc
         };
         let mut fast = mtlb_machine();
@@ -2391,7 +2305,7 @@ mod tests {
         m.map_region(DATA, 64 * 1024, Prot::RW);
         m.remap(DATA, 64 * 1024);
         for i in 0..64u64 {
-            m.try_write_u32(DATA + i * 256, i as u32).unwrap();
+            m.try_write::<u32>(DATA + i * 256, i as u32).unwrap();
         }
         m.demote_superpage(DATA.vpn());
         let pid = m.spawn_process();
@@ -2411,13 +2325,13 @@ mod tests {
         assert_eq!(m.num_cores(), 2);
         assert_eq!(m.active_core(), 0);
         m.map_region(DATA, 64 * 1024, Prot::RW);
-        m.try_write_u32(DATA + 8, 0xfeed_f00d).unwrap();
+        m.try_write::<u32>(DATA + 8, 0xfeed_f00d).unwrap();
         let core0_loads_before = m.report().loads;
         m.set_active_core(1);
         assert_eq!(m.active_core(), 1);
         // Memory is shared: core 1 reads what core 0 wrote, through its
         // own (cold) TLB and cache.
-        assert_eq!(m.try_read_u32(DATA + 8).unwrap(), 0xfeed_f00d);
+        assert_eq!(m.try_read::<u32>(DATA + 8).unwrap(), 0xfeed_f00d);
         let per_core = m.per_core_stats();
         assert_eq!(per_core.len(), 2);
         // Core 1 earned exactly the one load; core 0's counters were
@@ -2440,7 +2354,7 @@ mod tests {
         // switch of bus ownership costs an arbitration stall.
         for i in 0..8u64 {
             m.set_active_core((i % 2) as usize);
-            m.try_read_u32(DATA + i * 64 * 1024).unwrap();
+            m.try_read::<u32>(DATA + i * 64 * 1024).unwrap();
         }
         let r = m.report();
         assert!(r.mtlb_contention_events > 0);
@@ -2456,9 +2370,9 @@ mod tests {
     fn reset_stats_clears_parked_core_counters() {
         let mut m = two_core_machine();
         m.map_region(DATA, 64 * 1024, Prot::RW);
-        m.try_read_u32(DATA).unwrap();
+        m.try_read::<u32>(DATA).unwrap();
         m.set_active_core(1);
-        m.try_read_u32(DATA + 4).unwrap();
+        m.try_read::<u32>(DATA + 4).unwrap();
         m.reset_stats();
         let r = m.report();
         assert_eq!(r.loads, 0);

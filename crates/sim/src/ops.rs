@@ -20,9 +20,9 @@
 //! instead.
 //!
 //! Pure getters (`cycles`, `config`, `guest_memory`, …) are not
-//! recorded: they have no simulated side effects. `try_read_f64` /
-//! `try_write_f64` record nothing themselves — they forward to the
-//! `u64` accessors, whose recorded op replays through the same forward.
+//! recorded: they have no simulated side effects. A scalar records
+//! only its width, so an `f64` access replays as the `u64` access of
+//! the same address, which takes the same path and costs the same.
 
 use std::any::Any;
 use std::fmt;
@@ -38,10 +38,9 @@ use mtlb_types::{Prot, VirtAddr, Vpn};
 pub enum MachineOp {
     /// `try_execute(n)`.
     Execute { n: u64 },
-    /// An aligned or misaligned scalar load of `size` bytes
-    /// (`try_read_u8`/`u16`/`u32`/`u64`).
+    /// An aligned or misaligned scalar load of `size` bytes (`try_read`).
     Read { va: VirtAddr, size: u8 },
-    /// An aligned or misaligned scalar store of `size` bytes.
+    /// An aligned or misaligned scalar store of `size` bytes (`try_write`).
     Write { va: VirtAddr, size: u8 },
     /// `try_read_block(va, buf, instr)` with `len = buf.len()`.
     ReadBlock { va: VirtAddr, len: u64, instr: u64 },

@@ -5,8 +5,8 @@
 //! engine are *observably absent*: a machine with fast paths enabled must
 //! produce bit-identical simulated state to a machine that takes the
 //! slow path on every access. This test drives random operation
-//! sequences — mapping, promotion, scalar access (aligned and
-//! misaligned), instruction fetch, batched streams, swap-out, demotion,
+//! sequences — mapping, promotion, scalar access of every width
+//! (aligned and misaligned), instruction fetch, batched streams, swap-out, demotion,
 //! recoloring, context switches and core switches — through a fast
 //! machine and a slow-path reference on one- to four-core
 //! configurations and requires the *entire* serialized run report
@@ -27,7 +27,7 @@
 //! compared between the live machines only.
 
 use mtlb_os::Backing;
-use mtlb_sim::{Machine, MachineConfig, OpSink, VecOpSink};
+use mtlb_sim::{Machine, MachineConfig, OpSink, Scalar, VecOpSink};
 use mtlb_types::{Prot, VirtAddr};
 use proptest::prelude::*;
 
@@ -37,13 +37,15 @@ const REGION: u64 = 128 * 1024;
 #[derive(Clone, Debug)]
 enum Op {
     Execute(u64),
-    Read8(u64),
-    Write8(u64, u8),
-    /// Arbitrary offsets: about half are misaligned two-access scalars.
-    Read32(u64),
-    Write32(u64, u32),
-    Read64(u64),
-    Write64(u64, u64),
+    /// A load, or a store of the low `width` bytes of `value`, of
+    /// `width` 1, 2, 4 or 8 bytes at an arbitrary offset: most wider
+    /// ones are misaligned two-access scalars.
+    Scalar {
+        off: u64,
+        width: u64,
+        write: bool,
+        value: u64,
+    },
     StreamWrite32 {
         off: u64,
         count: u64,
@@ -102,12 +104,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     let soff = 0u64..(REGION / 4);
     prop_oneof![
         2 => (1u64..300).prop_map(Op::Execute),
-        1 => off.clone().prop_map(Op::Read8),
-        1 => (off.clone(), any::<u8>()).prop_map(|(o, v)| Op::Write8(o, v)),
-        2 => off.clone().prop_map(Op::Read32),
-        2 => (off.clone(), any::<u32>()).prop_map(|(o, v)| Op::Write32(o, v)),
-        1 => off.clone().prop_map(Op::Read64),
-        1 => (off.clone(), any::<u64>()).prop_map(|(o, v)| Op::Write64(o, v)),
+        8 => (off, 0u32..4, 0u8..2, any::<u64>()).prop_map(|(off, log, write, value)| {
+            Op::Scalar { off, width: 1 << log, write: write == 1, value }
+        }),
         2 => (soff.clone(), 1u64..3000, 0u64..4).prop_map(|(off, count, instr)| {
             Op::StreamWrite32 { off: off / 4 * 4, count, instr }
         }),
@@ -166,6 +165,18 @@ fn store(image: &mut [u8], off: u64, bytes: &[u8]) {
     image[off..off + bytes.len()].copy_from_slice(bytes);
 }
 
+/// One scalar access of width `T` on `m`, a store of `value` when
+/// given; returns the value moved, zero-extended.
+fn scalar<T: Scalar>(m: &mut Machine, va: VirtAddr, value: Option<T>) -> u64 {
+    match value {
+        Some(v) => {
+            m.try_write(va, v).unwrap();
+            v.to_bits()
+        }
+        None => m.try_read::<T>(va).unwrap().to_bits(),
+    }
+}
+
 /// Applies `op` to `m`. Every read is checked against `image`, the flat
 /// host copy of the region (no TLB, cache, MMC or paging), and every
 /// write is mirrored into it. Writes are deterministic, so mirroring the
@@ -175,30 +186,25 @@ fn apply(m: &mut Machine, op: &Op, image: &mut [u8]) -> u64 {
     let mut digest = 0u64;
     match *op {
         Op::Execute(n) => m.try_execute(n).unwrap(),
-        Op::Read8(o) => check(image, o, &[m.try_read_u8(BASE + o).unwrap()], op),
-        Op::Write8(o, v) => {
-            m.try_write_u8(BASE + o, v).unwrap();
-            store(image, o, &[v]);
-        }
-        Op::Read32(o) => check(
-            image,
-            o,
-            &m.try_read_u32(BASE + o).unwrap().to_le_bytes(),
-            op,
-        ),
-        Op::Write32(o, v) => {
-            m.try_write_u32(BASE + o, v).unwrap();
-            store(image, o, &v.to_le_bytes());
-        }
-        Op::Read64(o) => check(
-            image,
-            o,
-            &m.try_read_u64(BASE + o).unwrap().to_le_bytes(),
-            op,
-        ),
-        Op::Write64(o, v) => {
-            m.try_write_u64(BASE + o, v).unwrap();
-            store(image, o, &v.to_le_bytes());
+        Op::Scalar {
+            off,
+            width,
+            write,
+            value,
+        } => {
+            let va = BASE + off;
+            let moved = match width {
+                1 => scalar(m, va, write.then_some(value as u8)),
+                2 => scalar(m, va, write.then_some(value as u16)),
+                4 => scalar(m, va, write.then_some(value as u32)),
+                _ => scalar(m, va, write.then_some(value)),
+            };
+            let bytes = &moved.to_le_bytes()[..width as usize];
+            if write {
+                store(image, off, bytes);
+            } else {
+                check(image, off, bytes, op);
+            }
         }
         Op::StreamWrite32 { off, count, instr } => {
             let count = count.min((REGION / 4 - off) / 4);

@@ -38,7 +38,8 @@ fn drive(m: &mut Machine) {
     m.map_region(BASE, REGION, Prot::RW);
     m.load_program(16 * 4096, false);
     for i in 0..32u64 {
-        m.try_write_u32(BASE + i * 4096, i as u32).expect("mapped");
+        m.try_write::<u32>(BASE + i * 4096, i as u32)
+            .expect("mapped");
     }
     m.try_execute(200).expect("program loaded");
     m.try_stream_write_u32(BASE, 4096, 2, |i| i as u32)
@@ -50,7 +51,7 @@ fn drive(m: &mut Machine) {
     for i in 0..32u64 {
         // Pages 0..4 were overwritten by the stream; beyond that the
         // scalar writes must read back intact through the superpage.
-        let v = m.try_read_u32(BASE + i * 4096).expect("mapped");
+        let v = m.try_read::<u32>(BASE + i * 4096).expect("mapped");
         if i >= 4 {
             assert_eq!(v, i as u32);
         }
@@ -59,7 +60,7 @@ fn drive(m: &mut Machine) {
     let pid = m.spawn_process();
     m.try_switch_process(pid).expect("spawned");
     m.try_switch_process(0).expect("pid 0 exists");
-    m.try_read_u32(BASE + 8)
+    m.try_read::<u32>(BASE + 8)
         .expect("mapped again after switch back");
 }
 
@@ -153,7 +154,7 @@ fn map_and_remap(m: &mut Machine) {
 /// Writes [`THEIRS`] into `WARM`'s page, next to core 0's line.
 fn write_value(m: &mut Machine) -> VirtAddr {
     let probe = WARM + 64;
-    m.try_write_u32(probe, THEIRS).expect("mapped");
+    m.try_write::<u32>(probe, THEIRS).expect("mapped");
     probe
 }
 
@@ -180,7 +181,7 @@ const SERVICES: [Service; 10] = [
             let heap = m.sbrk(64 * 1024);
             assert!(m.kernel().aspace().superpage_of(heap.vpn()).is_some());
             let probe = heap + 64;
-            m.try_write_u32(probe, THEIRS).expect("heap is mapped");
+            m.try_write::<u32>(probe, THEIRS).expect("heap is mapped");
             probe
         },
     },
@@ -290,7 +291,7 @@ const SERVICES: [Service; 10] = [
         run: |m| {
             let probe = WARM + PAGE_SIZE + 64;
             let faults = m.kernel().stats().shadow_faults_serviced;
-            m.try_write_u32(probe, THEIRS).expect("mapped");
+            m.try_write::<u32>(probe, THEIRS).expect("mapped");
             assert_eq!(m.kernel().stats().shadow_faults_serviced, faults + 1);
             probe
         },
@@ -320,7 +321,7 @@ fn shootdowns_invalidate_remote_cores_under_every_scheme() {
                 .with_scheme(scheme);
             let mut m = Machine::new((service.config)(cfg));
             (service.prepare)(&mut m);
-            m.try_write_u32(WARM, MINE).expect("mapped");
+            m.try_write::<u32>(WARM, MINE).expect("mapped");
             m.try_execute(1).expect("boot text page");
             let core0 = m.per_core_stats()[0];
             let before = m.report().kernel;
@@ -340,8 +341,8 @@ fn shootdowns_invalidate_remote_cores_under_every_scheme() {
 
             m.set_active_core(0);
             assert_eq!(m.kernel().current_process(), 0, "{label}");
-            assert_eq!(m.try_read_u32(WARM).expect("mapped"), MINE, "{label}");
-            assert_eq!(m.try_read_u32(probe).expect("mapped"), THEIRS, "{label}");
+            assert_eq!(m.try_read::<u32>(WARM).expect("mapped"), MINE, "{label}");
+            assert_eq!(m.try_read::<u32>(probe).expect("mapped"), THEIRS, "{label}");
             m.try_execute(1).expect("boot text page");
             let now = m.per_core_stats()[0];
             let tlb_remiss = now.tlb.misses > core0.tlb.misses;

@@ -52,18 +52,18 @@ fn apply(m: &mut Machine, op: &Op) {
     match *op {
         Op::Execute(n) => m.try_execute(n).unwrap(),
         Op::Read8(o) => {
-            let _ = m.try_read_u8(BASE + o).unwrap();
+            let _ = m.try_read::<u8>(BASE + o).unwrap();
         }
-        Op::Write8(o, v) => m.try_write_u8(BASE + o, v).unwrap(),
+        Op::Write8(o, v) => m.try_write::<u8>(BASE + o, v).unwrap(),
         Op::Read16(o) => {
-            let _ = m.try_read_u16(BASE + o).unwrap();
+            let _ = m.try_read::<u16>(BASE + o).unwrap();
         }
         Op::Read32(o) => {
-            let _ = m.try_read_u32(BASE + o).unwrap();
+            let _ = m.try_read::<u32>(BASE + o).unwrap();
         }
-        Op::Write32(o, v) => m.try_write_u32(BASE + o, v).unwrap(),
+        Op::Write32(o, v) => m.try_write::<u32>(BASE + o, v).unwrap(),
         Op::Read64(o) => {
-            let _ = m.try_read_u64(BASE + o).unwrap();
+            let _ = m.try_read::<u64>(BASE + o).unwrap();
         }
         Op::Sbrk(n) => {
             let _ = m.sbrk(n);
@@ -154,12 +154,12 @@ fn misaligned_access_survives_eviction_of_first_half() {
 
     // Populate the straddling bytes, then push both pages to swap.
     m.swap_out_superpage(data.vpn()); // 4 free, resident ring empty
-    m.try_write_u32(data + 4092, 0xAABB_CCDD).unwrap(); // faults page 0 in: 3 free
-    m.try_write_u32(data + 4096, 0x1122_3344).unwrap(); // faults page 1 in: 2 free
+    m.try_write::<u32>(data + 4092, 0xAABB_CCDD).unwrap(); // faults page 0 in: 3 free
+    m.try_write::<u32>(data + 4096, 0x1122_3344).unwrap(); // faults page 1 in: 2 free
     m.swap_out_superpage(data.vpn()); // 4 free again, ring empty
 
     // Bring page 0 (only) back, then exhaust the remaining frames.
-    assert_eq!(m.try_read_u32(data + 4092).unwrap(), 0xAABB_CCDD); // 3 free
+    assert_eq!(m.try_read::<u32>(data + 4092).unwrap(), 0xAABB_CCDD); // 3 free
     m.map_region(data + 0x0020_0000, 3 * 4096, Prot::RW); // 0 free
 
     // Auditor checkpoint. The superpage's 4 pages started resident
@@ -174,7 +174,7 @@ fn misaligned_access_survives_eviction_of_first_half() {
     // The misaligned read: low half [4092,4096) is resident page 0, high
     // half [4096,4100) shadow-faults, and the only evictable frame is
     // page 0's.
-    let got = m.try_read_u32(data + 4094).unwrap();
+    let got = m.try_read::<u32>(data + 4094).unwrap();
     assert_eq!(
         got, 0x3344_AABB,
         "low-half bytes must come from page 0's contents, not a recycled frame"

@@ -60,9 +60,9 @@
 use std::any::Any;
 use std::fmt;
 
-use mtlb_sim::{Machine, MachineOp, OpSink};
+use mtlb_sim::{Machine, MachineOp, OpSink, Scalar};
 use mtlb_types::varint::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
-use mtlb_types::{Fault, Prot, VirtAddr, Vpn};
+use mtlb_types::{Fault, Prot, VirtAddr, Vpn, PAGE_SIZE};
 
 /// File magic: "MTR1" (MTLB Trace, format 1).
 pub const MAGIC: [u8; 4] = *b"MTR1";
@@ -100,8 +100,6 @@ pub enum TraceError {
         /// The declared length.
         len: u64,
     },
-    /// A `LoadProgram` op declared an empty text segment.
-    EmptyProgram,
     /// A stream op's lane base is not aligned to the lane's access size.
     MisalignedStream {
         /// The offending lane base.
@@ -117,6 +115,30 @@ pub enum TraceError {
         /// Byte offset of the size field when decoding; the op's index
         /// in the stream when [`apply_op`] rejects a hand-built op.
         at: u64,
+    },
+    /// A `PageBits`, `DemoteSuperpage` or `SwapOutSuperpage` op names a
+    /// page outside every shadow superpage of the running process.
+    NotInSuperpage {
+        /// The named page.
+        vpn: Vpn,
+    },
+    /// A `RecolorPage` op asks for a color the cache does not have, or
+    /// names a page that is not mapped to a real frame, or runs on a
+    /// machine with no MTLB to translate the shadow page it installs.
+    NotRecolorable {
+        /// The named page.
+        vpn: Vpn,
+        /// The requested color.
+        color: u64,
+    },
+    /// A `MapRegion` region, or a `LoadProgram` text segment, that is
+    /// empty, starts off a page boundary or inside the kernel's reserved
+    /// window, or overlaps a mapped page.
+    Unmappable {
+        /// The region start.
+        start: VirtAddr,
+        /// The region length in bytes.
+        len: u64,
     },
     /// Replaying op number `op_index` (0-based) faulted on the target
     /// machine — the trace was recorded against an incompatible
@@ -144,7 +166,6 @@ impl fmt::Display for TraceError {
             TraceError::OversizedBlock { len } => {
                 write!(f, "block op length {len} exceeds replay cap")
             }
-            TraceError::EmptyProgram => write!(f, "program load of zero bytes"),
             TraceError::MisalignedStream { base, size } => {
                 write!(f, "stream lane base {base} is not {size}-byte aligned")
             }
@@ -154,6 +175,11 @@ impl fmt::Display for TraceError {
                     "scalar access of {size} bytes at {at} (want 1, 2, 4 or 8)"
                 )
             }
+            TraceError::NotInSuperpage { vpn } => write!(f, "vpn {vpn} is not in a superpage"),
+            TraceError::NotRecolorable { vpn, color } => {
+                write!(f, "cannot recolor vpn {vpn} to {color}")
+            }
+            TraceError::Unmappable { start, len } => write!(f, "cannot map {len} bytes at {start}"),
             TraceError::ReplayFault { op_index, fault } => {
                 write!(f, "replay faulted at op {op_index}: {fault:?}")
             }
@@ -585,11 +611,13 @@ pub fn replay(machine: &mut Machine, bytes: &[u8]) -> Result<TraceHeader, TraceE
 /// # Errors
 ///
 /// [`TraceError::ReplayFault`] if the op faults;
-/// [`TraceError::OversizedBlock`], [`TraceError::EmptyProgram`] or
-/// [`TraceError::MisalignedStream`] for a well-formed op the machine's
-/// API would reject by panicking (a live caller's bug, but here just a
-/// bad file); [`TraceError::BadScalarSize`] for a scalar op of a width
-/// the machine has no accessor for.
+/// [`TraceError::BadScalarSize`] for a scalar op of a width no
+/// [`Scalar`] has. A well-formed op the machine's API would reject by
+/// panicking (a live caller's bug, but here just a bad file) is checked
+/// against the machine's read-only state first and returns its own
+/// variant instead ([`TraceError::OversizedBlock`] through
+/// [`TraceError::Unmappable`]). Running out of a resource (a huge
+/// `MapRegion`) is not checked.
 pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<(), TraceError> {
     let lane = |base: VirtAddr, size: u64| {
         if base.is_aligned(size) {
@@ -598,26 +626,23 @@ pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<
             Err(TraceError::MisalignedStream { base, size })
         }
     };
-    let bad_size = |size: u8| TraceError::BadScalarSize {
-        size: u64::from(size),
-        at: op_index,
-    };
     let result: Result<(), Fault> = match *op {
         MachineOp::Execute { n } => machine.try_execute(n),
-        MachineOp::Read { va, size } => match size {
-            1 => machine.try_read_u8(va).map(drop),
-            2 => machine.try_read_u16(va).map(drop),
-            4 => machine.try_read_u32(va).map(drop),
-            8 => machine.try_read_u64(va).map(drop),
-            _ => return Err(bad_size(size)),
-        },
-        MachineOp::Write { va, size } => match size {
-            1 => machine.try_write_u8(va, 0),
-            2 => machine.try_write_u16(va, 0),
-            4 => machine.try_write_u32(va, 0),
-            8 => machine.try_write_u64(va, 0),
-            _ => return Err(bad_size(size)),
-        },
+        MachineOp::Read { va, size } | MachineOp::Write { va, size } => {
+            let write = matches!(op, MachineOp::Write { .. });
+            match size {
+                1 => scalar::<u8>(machine, va, write),
+                2 => scalar::<u16>(machine, va, write),
+                4 => scalar::<u32>(machine, va, write),
+                8 => scalar::<u64>(machine, va, write),
+                _ => {
+                    return Err(TraceError::BadScalarSize {
+                        size: u64::from(size),
+                        at: op_index,
+                    })
+                }
+            }
+        }
         MachineOp::ReadBlock { va, len, instr } => {
             if len > MAX_BLOCK_LEN {
                 return Err(TraceError::OversizedBlock { len });
@@ -651,6 +676,7 @@ pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<
             machine.try_stream_write_u32_f64(a, b, count, instr, |_| (0, 0.0))
         }
         MachineOp::MapRegion { start, len, prot } => {
+            mappable(machine, start, len)?;
             machine.map_region(start, len, prot);
             Ok(())
         }
@@ -663,14 +689,17 @@ pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<
             Ok(())
         }
         MachineOp::SwapOutSuperpage { vpn } => {
+            in_superpage(machine, vpn)?;
             let _ = machine.swap_out_superpage(vpn);
             Ok(())
         }
         MachineOp::DemoteSuperpage { vpn } => {
+            in_superpage(machine, vpn)?;
             machine.demote_superpage(vpn);
             Ok(())
         }
         MachineOp::PageBits { vpn } => {
+            in_superpage(machine, vpn)?;
             let _ = machine.page_bits(vpn);
             Ok(())
         }
@@ -680,13 +709,12 @@ pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<
         }
         MachineOp::SwitchProcess { pid } => machine.try_switch_process(pid as usize),
         MachineOp::RecolorPage { vpn, color } => {
+            recolorable(machine, vpn, color)?;
             machine.recolor_page(vpn, color);
             Ok(())
         }
         MachineOp::LoadProgram { len, remap_text } => {
-            if len == 0 {
-                return Err(TraceError::EmptyProgram);
-            }
+            mappable(machine, machine.program_base(), len)?;
             machine.load_program(len, remap_text);
             Ok(())
         }
@@ -696,6 +724,55 @@ pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<
         }
     };
     result.map_err(|fault| TraceError::ReplayFault { op_index, fault })
+}
+
+/// One replayed scalar access of width `T`; a store writes zero.
+fn scalar<T: Scalar>(machine: &mut Machine, va: VirtAddr, write: bool) -> Result<(), Fault> {
+    if write {
+        machine.try_write(va, T::from_bits(0))
+    } else {
+        machine.try_read::<T>(va).map(drop)
+    }
+}
+
+/// `Ok` when mapping `[start, start + len)` cannot panic: the region
+/// is non-empty, page-aligned, above the kernel's reserved window, and
+/// maps no page yet.
+fn mappable(machine: &Machine, start: VirtAddr, len: u64) -> Result<(), TraceError> {
+    let kernel = machine.kernel();
+    let ok = len > 0
+        && start.is_aligned(PAGE_SIZE)
+        && start.get() >= kernel.layout().reserved_bytes
+        && kernel
+            .aspace()
+            .pages_in(start.vpn(), len.div_ceil(PAGE_SIZE))
+            .next()
+            .is_none();
+    ok.then_some(())
+        .ok_or(TraceError::Unmappable { start, len })
+}
+
+/// `Ok` when recoloring `vpn` to `color` cannot panic, now or on the
+/// page's next access: the color exists, the page is real-backed, and
+/// an MTLB will translate the shadow page it gets.
+fn recolorable(machine: &Machine, vpn: Vpn, color: u64) -> Result<(), TraceError> {
+    let cfg = machine.config();
+    let ok = color < cfg.cache.page_colors()
+        && cfg.mmc.mtlb.is_some()
+        && machine
+            .kernel()
+            .aspace()
+            .page(vpn)
+            .is_some_and(|page| page.backing.is_real());
+    ok.then_some(())
+        .ok_or(TraceError::NotRecolorable { vpn, color })
+}
+
+/// `Ok` when `vpn` lies inside a shadow superpage of the running
+/// process.
+fn in_superpage(machine: &Machine, vpn: Vpn) -> Result<(), TraceError> {
+    let ok = machine.kernel().aspace().superpage_of(vpn).is_some();
+    ok.then_some(()).ok_or(TraceError::NotInSuperpage { vpn })
 }
 
 #[cfg(test)]
@@ -826,10 +903,10 @@ mod tests {
         live.map_region(base, 64 * 1024, Prot::RW);
         let _ = live.remap(base, 64 * 1024);
         for i in 0..2048u64 {
-            live.try_write_u32(base + i * 4, i as u32).unwrap();
+            live.try_write::<u32>(base + i * 4, i as u32).unwrap();
         }
         for i in 0..2048u64 {
-            assert_eq!(live.try_read_u32(base + i * 4).unwrap(), i as u32);
+            assert_eq!(live.try_read::<u32>(base + i * 4).unwrap(), i as u32);
         }
         live.try_execute(10_000).unwrap();
         let live_report = live.report();
@@ -848,7 +925,7 @@ mod tests {
         let replay_report = fresh.report();
         assert_eq!(live_report.to_json(), replay_report.to_json());
         // Data is NOT reproduced: the replayed stores wrote zeros.
-        assert_eq!(fresh.try_read_u32(base + 40).unwrap(), 0);
+        assert_eq!(fresh.try_read::<u32>(base + 40).unwrap(), 0);
     }
 
     #[test]

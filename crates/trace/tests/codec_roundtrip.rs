@@ -112,14 +112,19 @@ proptest! {
     }
 }
 
-/// Replays `ops` as a well-formed MTR1 trace on a fresh machine.
+/// Replays `ops` as a well-formed MTR1 trace on a fresh MTLB machine.
 fn replay_ops(ops: &[MachineOp]) -> Result<(), TraceError> {
+    replay_ops_on(MachineConfig::paper_mtlb(64), ops)
+}
+
+/// Replays `ops` as a well-formed MTR1 trace on a fresh `cfg` machine.
+fn replay_ops_on(cfg: MachineConfig, ops: &[MachineOp]) -> Result<(), TraceError> {
     let mut w = TraceWriter::new();
     for op in ops {
         w.record(op);
     }
     let bytes = w.finish("hostile", 0, 0, true);
-    let mut m = Machine::new(MachineConfig::paper_mtlb(64));
+    let mut m = Machine::new(cfg);
     mtlb_trace::replay(&mut m, &bytes).map(drop)
 }
 
@@ -128,12 +133,16 @@ fn replay_ops(ops: &[MachineOp]) -> Result<(), TraceError> {
 /// (release builds abort on panic, taking a whole sweep down).
 #[test]
 fn replay_rejects_ops_the_machine_would_panic_on() {
+    let text = Machine::new(MachineConfig::paper_mtlb(64)).program_base();
     assert_eq!(
         replay_ops(&[MachineOp::LoadProgram {
             len: 0,
             remap_text: false,
         }]),
-        Err(TraceError::EmptyProgram)
+        Err(TraceError::Unmappable {
+            start: text,
+            len: 0
+        })
     );
     let heap = VirtAddr::new(0x1000_0000);
     let map = MachineOp::MapRegion {
@@ -189,6 +198,71 @@ fn replay_rejects_ops_the_machine_would_panic_on() {
             Err(TraceError::MisalignedStream { base, size })
         );
     }
+
+    // Kernel-service preconditions, checked against the machine's
+    // read-only state before the service runs. The region is mapped
+    // but never remapped, so no superpage exists.
+    let vpn = heap.vpn();
+    let colors = MachineConfig::paper_mtlb(64).cache.page_colors();
+    let far = heap + 1024 * 1024;
+    let low = VirtAddr::new(0x1000); // inside the kernel's reserved window
+    let region = |start: VirtAddr, len: u64| MachineOp::MapRegion {
+        start,
+        len,
+        prot: Prot::RW,
+    };
+    let unmappable = |start: VirtAddr, len: u64| TraceError::Unmappable { start, len };
+    let recolor = |vpn: Vpn, color: u64| MachineOp::RecolorPage { vpn, color };
+    let not_recolorable = |vpn: Vpn, color: u64| TraceError::NotRecolorable { vpn, color };
+    let outside = TraceError::NotInSuperpage { vpn };
+    for (op, err) in [
+        (MachineOp::PageBits { vpn }, outside),
+        (MachineOp::DemoteSuperpage { vpn }, outside),
+        (MachineOp::SwapOutSuperpage { vpn }, outside),
+        (recolor(vpn, colors), not_recolorable(vpn, colors)),
+        (recolor(far.vpn(), 0), not_recolorable(far.vpn(), 0)),
+        (region(heap + 4096, 4096), unmappable(heap + 4096, 4096)),
+        (region(far + 2, 4096), unmappable(far + 2, 4096)),
+        (region(far, 0), unmappable(far, 0)),
+        (region(low, 4096), unmappable(low, 4096)),
+    ] {
+        assert_eq!(replay_ops(&[map, op]), Err(err), "{op:?}");
+    }
+
+    // A second program load in one process would map its text twice.
+    let program = MachineOp::LoadProgram {
+        len: 4096,
+        remap_text: false,
+    };
+    assert_eq!(replay_ops(&[program, program]), Err(unmappable(text, 4096)));
+    // Recoloring installs a shadow address, which only an MTLB
+    // translates; and a remapped page is no longer real-backed.
+    assert_eq!(
+        replay_ops_on(MachineConfig::paper_base(64), &[map, recolor(vpn, 1)]),
+        Err(not_recolorable(vpn, 1))
+    );
+    let remap = MachineOp::Remap {
+        start: heap,
+        len: 64 * 1024,
+    };
+    assert_eq!(
+        replay_ops(&[map, remap, recolor(vpn, 1)]),
+        Err(not_recolorable(vpn, 1))
+    );
+    // The same services replay where their preconditions hold.
+    assert_eq!(replay_ops(&[map, recolor(vpn, 1)]), Ok(()));
+    assert_eq!(
+        replay_ops(&[
+            map,
+            remap,
+            MachineOp::PageBits { vpn },
+            MachineOp::SwapOutSuperpage { vpn },
+            MachineOp::DemoteSuperpage { vpn },
+            region(far, 4096),
+            program,
+        ]),
+        Ok(())
+    );
 }
 
 /// A scalar op's size must be a width the machine has an accessor for:

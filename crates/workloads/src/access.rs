@@ -12,7 +12,7 @@
 //! crates' clippy panic gate — is what lets the simulator crates
 //! themselves stay panic-free on guest faults.
 
-use mtlb_sim::Machine;
+use mtlb_sim::{Machine, Scalar};
 use mtlb_types::{Fault, VirtAddr};
 
 /// Converts a data-access fault into the workload-bug panic it means.
@@ -44,26 +44,10 @@ fn fetch<T>(r: Result<T, Fault>) -> T {
 pub trait AccessExt {
     /// Executes `n` instructions ([`Machine::try_execute`]).
     fn execute(&mut self, n: u64);
-    /// Reads a byte.
-    fn read_u8(&mut self, va: VirtAddr) -> u8;
-    /// Writes a byte.
-    fn write_u8(&mut self, va: VirtAddr, v: u8);
-    /// Reads a `u16`.
-    fn read_u16(&mut self, va: VirtAddr) -> u16;
-    /// Writes a `u16`.
-    fn write_u16(&mut self, va: VirtAddr, v: u16);
-    /// Reads a `u32`.
-    fn read_u32(&mut self, va: VirtAddr) -> u32;
-    /// Writes a `u32`.
-    fn write_u32(&mut self, va: VirtAddr, v: u32);
-    /// Reads a `u64`.
-    fn read_u64(&mut self, va: VirtAddr) -> u64;
-    /// Writes a `u64`.
-    fn write_u64(&mut self, va: VirtAddr, v: u64);
-    /// Reads an `f64`.
-    fn read_f64(&mut self, va: VirtAddr) -> f64;
-    /// Writes an `f64`.
-    fn write_f64(&mut self, va: VirtAddr, v: f64);
+    /// Reads a [`Scalar`] ([`Machine::try_read`]).
+    fn read<T: Scalar>(&mut self, va: VirtAddr) -> T;
+    /// Writes a [`Scalar`] ([`Machine::try_write`]).
+    fn write<T: Scalar>(&mut self, va: VirtAddr, v: T);
     /// Bulk byte read with `instr` interleaved instructions per byte
     /// ([`Machine::try_read_block`]).
     fn read_block(&mut self, va: VirtAddr, buf: &mut [u8], instr: u64);
@@ -106,35 +90,11 @@ impl AccessExt for Machine {
     fn execute(&mut self, n: u64) {
         fetch(self.try_execute(n));
     }
-    fn read_u8(&mut self, va: VirtAddr) -> u8 {
-        data(self.try_read_u8(va))
+    fn read<T: Scalar>(&mut self, va: VirtAddr) -> T {
+        data(self.try_read(va))
     }
-    fn write_u8(&mut self, va: VirtAddr, v: u8) {
-        data(self.try_write_u8(va, v));
-    }
-    fn read_u16(&mut self, va: VirtAddr) -> u16 {
-        data(self.try_read_u16(va))
-    }
-    fn write_u16(&mut self, va: VirtAddr, v: u16) {
-        data(self.try_write_u16(va, v));
-    }
-    fn read_u32(&mut self, va: VirtAddr) -> u32 {
-        data(self.try_read_u32(va))
-    }
-    fn write_u32(&mut self, va: VirtAddr, v: u32) {
-        data(self.try_write_u32(va, v));
-    }
-    fn read_u64(&mut self, va: VirtAddr) -> u64 {
-        data(self.try_read_u64(va))
-    }
-    fn write_u64(&mut self, va: VirtAddr, v: u64) {
-        data(self.try_write_u64(va, v));
-    }
-    fn read_f64(&mut self, va: VirtAddr) -> f64 {
-        data(self.try_read_f64(va))
-    }
-    fn write_f64(&mut self, va: VirtAddr, v: f64) {
-        data(self.try_write_f64(va, v));
+    fn write<T: Scalar>(&mut self, va: VirtAddr, v: T) {
+        data(self.try_write(va, v));
     }
     fn read_block(&mut self, va: VirtAddr, buf: &mut [u8], instr: u64) {
         data(self.try_read_block(va, buf, instr));
@@ -187,8 +147,8 @@ mod tests {
         let mut m = Machine::new(MachineConfig::paper_mtlb(64));
         let base = VirtAddr::new(0x1000_0000);
         m.map_region(base, 4096, Prot::RW);
-        m.write_u32(base, 7);
-        assert_eq!(m.read_u32(base), 7);
+        m.write::<u32>(base, 7);
+        assert_eq!(m.read::<u32>(base), 7);
         m.execute(3);
     }
 
@@ -196,7 +156,7 @@ mod tests {
     #[should_panic(expected = "access to unmapped memory")]
     fn unmapped_access_panics_with_the_classic_message() {
         let mut m = Machine::new(MachineConfig::paper_mtlb(64));
-        let _ = m.read_u32(VirtAddr::new(0x7000_0000));
+        let _ = m.read::<u32>(VirtAddr::new(0x7000_0000));
     }
 
     #[test]
@@ -205,6 +165,6 @@ mod tests {
         let mut m = Machine::new(MachineConfig::paper_mtlb(64));
         let base = VirtAddr::new(0x1000_0000);
         m.map_region(base, 4096, Prot::READ);
-        m.write_u32(base, 7);
+        m.write::<u32>(base, 7);
     }
 }

@@ -83,10 +83,10 @@ struct Compiler {
 impl Cc1 {
     fn new_node(m: &mut Machine, kind: u32, val: u32, left: u64, right: u64) -> VirtAddr {
         let n = Heap::malloc(m, NODE_BYTES);
-        m.write_u32(n + NODE_KIND, kind);
-        m.write_u32(n + NODE_VAL, val);
-        m.write_u32(n + NODE_LEFT, left as u32);
-        m.write_u32(n + NODE_RIGHT, right as u32);
+        m.write::<u32>(n + NODE_KIND, kind);
+        m.write::<u32>(n + NODE_VAL, val);
+        m.write::<u32>(n + NODE_LEFT, left as u32);
+        m.write::<u32>(n + NODE_RIGHT, right as u32);
         m.execute(8);
         n
     }
@@ -95,20 +95,20 @@ impl Cc1 {
     /// through AST nodes (left = next, val = name hash).
     fn intern(m: &mut Machine, symtab: VirtAddr, name: u32) -> u32 {
         let bucket = symtab + u64::from(name % SYM_BUCKETS as u32) * 4;
-        let mut cur = m.read_u32(bucket);
+        let mut cur = m.read::<u32>(bucket);
         m.execute(6);
         while cur != 0 {
             let node = VirtAddr::new(u64::from(cur));
-            if m.read_u32(node + NODE_VAL) == name {
+            if m.read::<u32>(node + NODE_VAL) == name {
                 m.execute(3);
                 return cur;
             }
-            cur = m.read_u32(node + NODE_LEFT);
+            cur = m.read::<u32>(node + NODE_LEFT);
             m.execute(3);
         }
-        let head = m.read_u32(bucket);
+        let head = m.read::<u32>(bucket);
         let node = Self::new_node(m, K_SYMBOL, name, u64::from(head), 0);
-        m.write_u32(bucket, node.get() as u32);
+        m.write::<u32>(bucket, node.get() as u32);
         node.get() as u32
     }
 
@@ -177,30 +177,30 @@ impl Cc1 {
         let mut folded = 0u64;
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
-            let kind = m.read_u32(n + NODE_KIND);
+            let kind = m.read::<u32>(n + NODE_KIND);
             m.execute(4);
             if kind != K_OP {
                 continue;
             }
-            let l = m.read_u32(n + NODE_LEFT);
-            let r = m.read_u32(n + NODE_RIGHT);
+            let l = m.read::<u32>(n + NODE_LEFT);
+            let r = m.read::<u32>(n + NODE_RIGHT);
             let (mut lk, mut lv) = (K_LITERAL, 0);
             if l != 0 {
                 let ln = VirtAddr::new(u64::from(l));
-                lk = m.read_u32(ln + NODE_KIND);
-                lv = m.read_u32(ln + NODE_VAL);
+                lk = m.read::<u32>(ln + NODE_KIND);
+                lv = m.read::<u32>(ln + NODE_VAL);
                 m.execute(2);
             }
             let (mut rk, mut rv) = (K_LITERAL, 0);
             if r != 0 {
                 let rn = VirtAddr::new(u64::from(r));
-                rk = m.read_u32(rn + NODE_KIND);
-                rv = m.read_u32(rn + NODE_VAL);
+                rk = m.read::<u32>(rn + NODE_KIND);
+                rv = m.read::<u32>(rn + NODE_VAL);
                 m.execute(2);
             }
             if lk == K_LITERAL && rk == K_LITERAL && l != 0 && r != 0 {
-                m.write_u32(n + NODE_KIND, K_LITERAL);
-                m.write_u32(n + NODE_VAL, lv.wrapping_add(rv));
+                m.write::<u32>(n + NODE_KIND, K_LITERAL);
+                m.write::<u32>(n + NODE_VAL, lv.wrapping_add(rv));
                 folded += 1;
                 m.execute(4);
             } else {
@@ -221,17 +221,17 @@ impl Cc1 {
         let mut emitted = 0u64;
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
-            let kind = m.read_u32(n + NODE_KIND);
-            let val = m.read_u32(n + NODE_VAL);
+            let kind = m.read::<u32>(n + NODE_KIND);
+            let val = m.read::<u32>(n + NODE_VAL);
             m.execute(5);
             let rtl = Heap::malloc(m, RTL_BYTES);
-            m.write_u32(rtl, kind);
-            m.write_u32(rtl + 4, val);
-            m.write_u32(rtl + 8, n.get() as u32);
+            m.write::<u32>(rtl, kind);
+            m.write::<u32>(rtl + 4, val);
+            m.write::<u32>(rtl + 8, n.get() as u32);
             emitted += 1;
             if kind == K_OP {
-                let l = m.read_u32(n + NODE_LEFT);
-                let r = m.read_u32(n + NODE_RIGHT);
+                let l = m.read::<u32>(n + NODE_LEFT);
+                let r = m.read::<u32>(n + NODE_RIGHT);
                 m.execute(2);
                 if l != 0 {
                     stack.push(VirtAddr::new(u64::from(l)));
@@ -297,7 +297,7 @@ impl Workload for Cc1 {
 
         // "Register allocation": a linear re-read of the emitted RTL.
         for &rtl in &c.rtl_head {
-            let op = m.read_u32(rtl);
+            let op = m.read::<u32>(rtl);
             checksum = fnv1a(checksum, u64::from(op));
             m.execute(3);
         }

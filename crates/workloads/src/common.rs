@@ -39,23 +39,6 @@ impl Heap {
     }
 }
 
-/// A named `u32` field at a fixed offset inside repeated records —
-/// convenience for object/struct-style workloads (vortex, cc1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct U32Field(pub u64);
-
-impl U32Field {
-    /// Reads this field of the record at `base`.
-    pub fn read(self, m: &mut Machine, base: VirtAddr) -> u32 {
-        m.read_u32(base + self.0)
-    }
-
-    /// Writes this field of the record at `base`.
-    pub fn write(self, m: &mut Machine, base: VirtAddr, v: u32) {
-        m.write_u32(base + self.0, v);
-    }
-}
-
 /// FNV-1a accumulation, used for workload checksums.
 #[must_use]
 pub(crate) fn fnv1a(hash: u64, value: u64) -> u64 {
@@ -82,21 +65,9 @@ mod tests {
         let b = Heap::malloc(&mut m, 100);
         assert!(b.get() >= a.get() + 100);
         assert!(a.is_aligned(8) && b.is_aligned(8));
-        m.write_u64(a, 7);
-        m.write_u64(b, 9);
-        assert_eq!(m.read_u64(a), 7);
-    }
-
-    #[test]
-    fn fields_address_records() {
-        let mut m = Machine::new(MachineConfig::paper_mtlb(64));
-        let rec = Heap::malloc(&mut m, 16);
-        const KIND: U32Field = U32Field(0);
-        const VALUE: U32Field = U32Field(4);
-        KIND.write(&mut m, rec, 3);
-        VALUE.write(&mut m, rec, 99);
-        assert_eq!(KIND.read(&mut m, rec), 3);
-        assert_eq!(VALUE.read(&mut m, rec), 99);
+        m.write::<u64>(a, 7);
+        m.write::<u64>(b, 9);
+        assert_eq!(m.read::<u64>(a), 7);
     }
 
     #[test]

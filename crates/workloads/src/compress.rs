@@ -145,14 +145,14 @@ impl Compress95 {
                 (*out + 1) * 2 <= BUFFER_BYTES,
                 "compressed output would overflow the {BUFFER_BYTES}-byte buffer                  (incompressible input?)"
             );
-            m.write_u16(self.comp() + *out * 2, code as u16);
+            m.write::<u16>(self.comp() + *out * 2, code as u16);
             *out += 1;
             m.execute(14); // code packing and buffer management
         };
 
-        let mut ent = u32::from(m.read_u8(self.orig()));
+        let mut ent = u32::from(m.read::<u8>(self.orig()));
         for i in 1..self.input_len {
-            let c = u32::from(m.read_u8(self.orig() + i));
+            let c = u32::from(m.read::<u8>(self.orig() + i));
             m.execute(26); // loop, hash computation, variable-width bit packing
             let fcode = (c << 16) | ent;
             let mut h = ((c << 8) ^ ent) as u64 % HSIZE;
@@ -161,7 +161,7 @@ impl Compress95 {
             // probe sequence visits every slot.
             let disp = if h == 0 { 1 } else { HSIZE - h };
             let found = loop {
-                let v = m.read_u32(self.htab() + h * 4);
+                let v = m.read::<u32>(self.htab() + h * 4);
                 m.execute(3);
                 if v == fcode {
                     break true;
@@ -176,12 +176,12 @@ impl Compress95 {
                 };
             };
             if found {
-                ent = u32::from(m.read_u16(self.codetab() + h * 2));
+                ent = u32::from(m.read::<u16>(self.codetab() + h * 2));
             } else {
                 emit(m, ent, &mut out);
                 if free_ent < MAX_CODES {
-                    m.write_u16(self.codetab() + h * 2, free_ent as u16);
-                    m.write_u32(self.htab() + h * 4, fcode);
+                    m.write::<u16>(self.codetab() + h * 2, free_ent as u16);
+                    m.write::<u32>(self.htab() + h * 4, fcode);
                     free_ent += 1;
                 }
                 ent = c;
@@ -203,13 +203,13 @@ impl Compress95 {
         let mut out = 0u64;
         let mut checksum = FNV_SEED;
         let push_out = |m: &mut Machine, byte: u8, out: &mut u64, checksum: &mut u64| {
-            m.write_u8(self.decomp() + *out, byte);
+            m.write::<u8>(self.decomp() + *out, byte);
             *checksum = fnv1a(*checksum, u64::from(byte));
             *out += 1;
             m.execute(2);
         };
 
-        let first = u32::from(m.read_u16(self.comp()));
+        let first = u32::from(m.read::<u16>(self.comp()));
         debug_assert!(first < 256, "first code is a literal");
         let mut prev = first;
         let mut finchar = first as u8;
@@ -217,7 +217,7 @@ impl Compress95 {
 
         let mut stack: Vec<u8> = Vec::with_capacity(64);
         for ci in 1..codes {
-            let incode = u32::from(m.read_u16(self.comp() + ci * 2));
+            let incode = u32::from(m.read::<u16>(self.comp() + ci * 2));
             m.execute(6);
             let mut code = incode;
             if code >= free {
@@ -226,8 +226,8 @@ impl Compress95 {
                 code = prev;
             }
             while code >= 256 {
-                stack.push(m.read_u8(suffix + u64::from(code)));
-                code = m.read_u32(prefix + u64::from(code) * 4);
+                stack.push(m.read::<u8>(suffix + u64::from(code)));
+                code = m.read::<u32>(prefix + u64::from(code) * 4);
                 m.execute(3);
             }
             finchar = code as u8;
@@ -236,8 +236,8 @@ impl Compress95 {
                 push_out(m, b, &mut out, &mut checksum);
             }
             if free < MAX_CODES {
-                m.write_u32(prefix + u64::from(free) * 4, prev);
-                m.write_u8(suffix + u64::from(free), finchar);
+                m.write::<u32>(prefix + u64::from(free) * 4, prev);
+                m.write::<u8>(suffix + u64::from(free), finchar);
                 free += 1;
             }
             prev = incode;

@@ -108,8 +108,8 @@ impl Workload for Em3d {
         for i in 0..n {
             let e = Heap::malloc(m, self.node_bytes());
             let h = Heap::malloc(m, self.node_bytes());
-            m.write_u32(e_table + i * 4, e.get() as u32);
-            m.write_u32(h_table + i * 4, h.get() as u32);
+            m.write::<u32>(e_table + i * 4, e.get() as u32);
+            m.write::<u32>(h_table + i * 4, h.get() as u32);
             e_nodes.push(e);
             h_nodes.push(h);
             m.execute(6);
@@ -125,8 +125,8 @@ impl Workload for Em3d {
                 (e_nodes[i as usize], &h_nodes),
                 (h_nodes[i as usize], &e_nodes),
             ] {
-                m.write_f64(side + NODE_VALUE, rng.gen_range(-1.0..1.0));
-                m.write_u32(side + 8, self.degree as u32);
+                m.write::<f64>(side + NODE_VALUE, rng.gen_range(-1.0..1.0));
+                m.write::<u32>(side + 8, self.degree as u32);
                 m.execute(3);
                 // The neighbour (u32) and coefficient (f64) arrays fill
                 // in lock-step: a two-lane mixed-width streamed store.
@@ -159,17 +159,17 @@ impl Workload for Em3d {
         for _ in 0..self.iterations {
             for table in [e_table, h_table] {
                 for i in 0..n {
-                    let node = VirtAddr::new(u64::from(m.read_u32(table + i * 4)));
-                    let mut v = m.read_f64(node + NODE_VALUE);
+                    let node = VirtAddr::new(u64::from(m.read::<u32>(table + i * 4)));
+                    let mut v = m.read::<f64>(node + NODE_VALUE);
                     m.execute(4);
                     for j in 0..self.degree {
-                        let nbr = u64::from(m.read_u32(self.neighbors_base(node) + j * 4));
-                        let coeff = m.read_f64(self.coeffs_base(node) + j * 8);
-                        let other = m.read_f64(VirtAddr::new(nbr) + NODE_VALUE);
+                        let nbr = u64::from(m.read::<u32>(self.neighbors_base(node) + j * 4));
+                        let coeff = m.read::<f64>(self.coeffs_base(node) + j * 8);
+                        let other = m.read::<f64>(VirtAddr::new(nbr) + NODE_VALUE);
                         v -= coeff * other;
                         m.execute(7); // pointer/index arithmetic + FP multiply-subtract
                     }
-                    m.write_f64(node + NODE_VALUE, v);
+                    m.write::<f64>(node + NODE_VALUE, v);
                     m.execute(2);
                 }
             }
@@ -180,8 +180,8 @@ impl Workload for Em3d {
         let mut checksum = FNV_SEED;
         let mut verified = true;
         for i in 0..n {
-            let e = m.read_f64(e_nodes[i as usize] + NODE_VALUE);
-            let h = m.read_f64(h_nodes[i as usize] + NODE_VALUE);
+            let e = m.read::<f64>(e_nodes[i as usize] + NODE_VALUE);
+            let h = m.read::<f64>(h_nodes[i as usize] + NODE_VALUE);
             verified &= e.is_finite() && h.is_finite();
             checksum = fnv1a(checksum, e.to_bits());
             checksum = fnv1a(checksum, h.to_bits());

@@ -50,7 +50,7 @@ mod vortex;
 
 pub use access::AccessExt;
 pub use cc1::Cc1;
-pub use common::{Heap, U32Field};
+pub use common::Heap;
 pub use compress::Compress95;
 pub use em3d::Em3d;
 pub use oltp::Oltp;

@@ -81,18 +81,18 @@ struct Tree {
 impl Tree {
     fn new_node(m: &mut Machine, kind: u32) -> VirtAddr {
         let n = Heap::malloc(m, NODE_BYTES);
-        m.write_u32(n + NODE_KIND, kind);
-        m.write_u32(n + NODE_COUNT, 0);
+        m.write::<u32>(n + NODE_KIND, kind);
+        m.write::<u32>(n + NODE_COUNT, 0);
         m.execute(6);
         n
     }
 
     fn key_at(m: &mut Machine, node: VirtAddr, i: u64) -> u32 {
-        m.read_u32(node + NODE_KEYS + i * 4)
+        m.read::<u32>(node + NODE_KEYS + i * 4)
     }
 
     fn ptr_at(m: &mut Machine, node: VirtAddr, i: u64) -> u32 {
-        m.read_u32(node + NODE_PTRS + i * 4)
+        m.read::<u32>(node + NODE_PTRS + i * 4)
     }
 
     /// Bulk-loads a tree over `records` sequential keys; `record_of`
@@ -109,7 +109,7 @@ impl Tree {
             m.stream_write_u32_pair(leaf + NODE_KEYS, leaf + NODE_PTRS, count as u64, 3, |j| {
                 (keys[i + j as usize], recs[i + j as usize].get() as u32)
             });
-            m.write_u32(leaf + NODE_COUNT, count as u32);
+            m.write::<u32>(leaf + NODE_COUNT, count as u32);
             level.push((keys[i], leaf));
             i += count;
         }
@@ -123,7 +123,7 @@ impl Tree {
                 // Child 0 has no separator key; the rest fill the key and
                 // pointer arrays in lock-step, so stream the tail as a
                 // two-lane store offset by one child.
-                m.write_u32(node + NODE_PTRS, level[i].1.get() as u32);
+                m.write::<u32>(node + NODE_PTRS, level[i].1.get() as u32);
                 m.execute(3);
                 m.stream_write_u32_pair(
                     node + NODE_KEYS,
@@ -135,7 +135,7 @@ impl Tree {
                         (first_key, child.get() as u32)
                     },
                 );
-                m.write_u32(node + NODE_COUNT, count as u32 - 1);
+                m.write::<u32>(node + NODE_COUNT, count as u32 - 1);
                 next.push((level[i].0, node));
                 i += count;
             }
@@ -148,8 +148,8 @@ impl Tree {
     fn lookup(&self, m: &mut Machine, key: u32) -> Option<VirtAddr> {
         let mut node = self.root;
         loop {
-            let kind = m.read_u32(node + NODE_KIND);
-            let count = u64::from(m.read_u32(node + NODE_COUNT));
+            let kind = m.read::<u32>(node + NODE_KIND);
+            let count = u64::from(m.read::<u32>(node + NODE_COUNT));
             m.execute(6);
             if kind == 0 {
                 // Internal: binary-search-ish scan for the child.
@@ -192,11 +192,11 @@ impl Workload for Oltp {
         let mut recs = Vec::with_capacity(keys.len());
         for &k in &keys {
             let r = Heap::malloc(m, REC_BYTES);
-            m.write_u32(r + REC_KEY, k);
-            m.write_u32(r + REC_GEN, 0);
+            m.write::<u32>(r + REC_KEY, k);
+            m.write::<u32>(r + REC_GEN, 0);
             // Touch a few payload words as initialisation.
             for w in 0..4u64 {
-                m.write_u32(r + 8 + w * 60, k.wrapping_add(w as u32));
+                m.write::<u32>(r + 8 + w * 60, k.wrapping_add(w as u32));
             }
             m.execute(8);
             recs.push(r);
@@ -220,7 +220,7 @@ impl Workload for Oltp {
             if op < 0.70 {
                 match tree.lookup(m, key) {
                     Some(rec) => {
-                        let g = m.read_u32(rec + REC_GEN);
+                        let g = m.read::<u32>(rec + REC_GEN);
                         checksum = fnv1a(checksum, u64::from(g));
                     }
                     None => verified = false,
@@ -228,18 +228,18 @@ impl Workload for Oltp {
             } else if op < 0.95 {
                 match tree.lookup(m, key) {
                     Some(rec) => {
-                        let g = m.read_u32(rec + REC_GEN);
-                        m.write_u32(rec + REC_GEN, g + 1);
+                        let g = m.read::<u32>(rec + REC_GEN);
+                        m.write::<u32>(rec + REC_GEN, g + 1);
                         let w = u64::from(key % 4);
-                        m.write_u32(rec + 8 + w * 60, g);
+                        m.write::<u32>(rec + 8 + w * 60, g);
                         m.execute(6);
                     }
                     None => verified = false,
                 }
             } else {
                 let rec = Heap::malloc(m, REC_BYTES);
-                m.write_u32(rec + REC_KEY, key + 1);
-                m.write_u32(log + log_len * 4, rec.get() as u32);
+                m.write::<u32>(rec + REC_KEY, key + 1);
+                m.write::<u32>(log + log_len * 4, rec.get() as u32);
                 log_len += 1;
                 checksum = fnv1a(checksum, rec.get());
             }

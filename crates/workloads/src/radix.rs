@@ -81,27 +81,27 @@ impl Workload for Radix {
             // Histogram (streamed clear).
             m.stream_write_u32(hist, RADIX, 1, |_| 0);
             for i in 0..self.keys {
-                let k = m.read_u32(src + i * 4);
+                let k = m.read::<u32>(src + i * 4);
                 let d = (k >> shift) as u64 & (RADIX - 1);
-                let c = m.read_u32(hist + d * 4);
-                m.write_u32(hist + d * 4, c + 1);
+                let c = m.read::<u32>(hist + d * 4);
+                m.write::<u32>(hist + d * 4, c + 1);
                 m.execute(9);
             }
             // Exclusive prefix sum.
             let mut acc = 0u32;
             for r in 0..RADIX {
-                let c = m.read_u32(hist + r * 4);
-                m.write_u32(hist + r * 4, acc);
+                let c = m.read::<u32>(hist + r * 4);
+                m.write::<u32>(hist + r * 4, acc);
                 acc += c;
                 m.execute(3);
             }
             // Permute: the scattered-store phase.
             for i in 0..self.keys {
-                let k = m.read_u32(src + i * 4);
+                let k = m.read::<u32>(src + i * 4);
                 let d = (k >> shift) as u64 & (RADIX - 1);
-                let pos = m.read_u32(hist + d * 4);
-                m.write_u32(hist + d * 4, pos + 1);
-                m.write_u32(dst + u64::from(pos) * 4, k);
+                let pos = m.read::<u32>(hist + d * 4);
+                m.write::<u32>(hist + d * 4, pos + 1);
+                m.write::<u32>(dst + u64::from(pos) * 4, k);
                 m.execute(12);
             }
             std::mem::swap(&mut src, &mut dst);

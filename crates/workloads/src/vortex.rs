@@ -76,17 +76,17 @@ impl Db {
     fn insert(&self, m: &mut Machine, id: u32, kind: u32) -> VirtAddr {
         let words = Vortex::payload_words(id);
         let obj = Heap::malloc(m, HDR_BYTES + words * 4);
-        m.write_u32(obj + HDR_ID, id);
-        m.write_u32(obj + HDR_KIND, kind);
-        m.write_u32(obj + HDR_LEN, words as u32);
+        m.write::<u32>(obj + HDR_ID, id);
+        m.write::<u32>(obj + HDR_KIND, kind);
+        m.write::<u32>(obj + HDR_LEN, words as u32);
         // Initialise the payload (id-derived so lookups can verify);
         // a streamed sequential fill.
         m.stream_write_u32(obj + HDR_BYTES, words, 1, |w| id.wrapping_add(w as u32));
         // Chain into the bucket.
         let slot = self.index + Vortex::bucket_of(id) * 4;
-        let head = m.read_u32(slot);
-        m.write_u32(obj + HDR_NEXT, head);
-        m.write_u32(slot, obj.get() as u32);
+        let head = m.read::<u32>(slot);
+        m.write::<u32>(obj + HDR_NEXT, head);
+        m.write::<u32>(slot, obj.get() as u32);
         m.execute(12);
         obj
     }
@@ -94,16 +94,16 @@ impl Db {
     /// Walks the chain for `id`; returns the object address if present.
     fn lookup(&self, m: &mut Machine, id: u32) -> Option<VirtAddr> {
         let slot = self.index + Vortex::bucket_of(id) * 4;
-        let mut cur = m.read_u32(slot);
+        let mut cur = m.read::<u32>(slot);
         m.execute(6);
         while cur != 0 {
             let obj = VirtAddr::new(u64::from(cur));
-            let oid = m.read_u32(obj + HDR_ID);
+            let oid = m.read::<u32>(obj + HDR_ID);
             m.execute(4);
             if oid == id {
                 return Some(obj);
             }
-            cur = m.read_u32(obj + HDR_NEXT);
+            cur = m.read::<u32>(obj + HDR_NEXT);
         }
         None
     }
@@ -163,9 +163,9 @@ impl Workload for Vortex {
                     Some(obj) => {
                         found += 1;
                         // Read a few payload fields and fold them in.
-                        let len = u64::from(m.read_u32(obj + HDR_LEN));
+                        let len = u64::from(m.read::<u32>(obj + HDR_LEN));
                         let w = u64::from(id) % len;
-                        let v = m.read_u32(obj + HDR_BYTES + w * 4);
+                        let v = m.read::<u32>(obj + HDR_BYTES + w * 4);
                         checksum = fnv1a(checksum, u64::from(v));
                         m.execute(8);
                     }
@@ -175,11 +175,11 @@ impl Workload for Vortex {
                 let id = pick_id(&mut rng);
                 match dbs[d].lookup(m, id) {
                     Some(obj) => {
-                        let len = u64::from(m.read_u32(obj + HDR_LEN));
+                        let len = u64::from(m.read::<u32>(obj + HDR_LEN));
                         for k in 0..4u64.min(len) {
                             let at = obj + HDR_BYTES + ((u64::from(id) + k) % len) * 4;
-                            let v = m.read_u32(at);
-                            m.write_u32(at, v.wrapping_add(1));
+                            let v = m.read::<u32>(at);
+                            m.write::<u32>(at, v.wrapping_add(1));
                             m.execute(4);
                         }
                     }

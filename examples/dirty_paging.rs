@@ -23,16 +23,16 @@ fn run(policy: PagingPolicy) -> (u64, u64, u64) {
     // Populate and reach swap steady state (first eviction writes all —
     // no swap copies exist yet).
     for p in 0..64u64 {
-        m.write_u64(base + p * PAGE_SIZE, 0xAAAA + p);
+        m.write::<u64>(base + p * PAGE_SIZE, 0xAAAA + p);
     }
     m.swap_out_superpage(base.vpn());
     for p in 0..64u64 {
-        assert_eq!(m.read_u64(base + p * PAGE_SIZE), 0xAAAA + p);
+        assert_eq!(m.read::<u64>(base + p * PAGE_SIZE), 0xAAAA + p);
     }
 
     // Dirty exactly five pages.
     for p in [3u64, 17, 31, 45, 59] {
-        m.write_u64(base + p * PAGE_SIZE + 16, p);
+        m.write::<u64>(base + p * PAGE_SIZE + 16, p);
     }
 
     // Evict again and count the disk traffic.
@@ -42,8 +42,8 @@ fn run(policy: PagingPolicy) -> (u64, u64, u64) {
 
     // Touch two pages back in; count faults and reads.
     let reads_before = m.kernel().swap().reads();
-    assert_eq!(m.read_u64(base + 17 * PAGE_SIZE + 16), 17);
-    assert_eq!(m.read_u64(base + 40 * PAGE_SIZE), 0xAAAA + 40);
+    assert_eq!(m.read::<u64>(base + 17 * PAGE_SIZE + 16), 17);
+    assert_eq!(m.read::<u64>(base + 40 * PAGE_SIZE), 0xAAAA + 40);
     let reads = m.kernel().swap().reads() - reads_before;
 
     (report.pages_total, writes, reads)

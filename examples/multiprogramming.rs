@@ -36,7 +36,7 @@ fn run(cfg: MachineConfig, quantum: u64) -> (u64, f64) {
             *x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            m.read_u32(bases[pid] + ((*x >> 33) % pages) * PAGE_SIZE);
+            m.read::<u32>(bases[pid] + ((*x >> 33) % pages) * PAGE_SIZE);
             m.execute(8);
         }
         done += n;

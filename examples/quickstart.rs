@@ -22,7 +22,7 @@ fn main() {
 
     // ...write something into them...
     for page in 0..(len / PAGE_SIZE) {
-        machine.write_u64(base + page * PAGE_SIZE, page);
+        machine.write::<u64>(base + page * PAGE_SIZE, page);
     }
 
     // ...and promote the region to shadow-backed superpages. The 256
@@ -43,7 +43,7 @@ fn main() {
     // The data survived, and the whole megabyte now needs ONE TLB entry.
     machine.reset_stats();
     for page in 0..(len / PAGE_SIZE) {
-        assert_eq!(machine.read_u64(base + page * PAGE_SIZE), page);
+        assert_eq!(machine.read::<u64>(base + page * PAGE_SIZE), page);
     }
     let r = machine.report();
     println!(
@@ -57,12 +57,12 @@ fn main() {
     let mut baseline = Machine::new(MachineConfig::paper_base(16));
     baseline.map_region(base, len, Prot::RW);
     for page in 0..(len / PAGE_SIZE) {
-        baseline.write_u64(base + page * PAGE_SIZE, page);
+        baseline.write::<u64>(base + page * PAGE_SIZE, page);
     }
     baseline.remap(base, len); // no-op on the baseline kernel
     baseline.reset_stats();
     for page in 0..(len / PAGE_SIZE) {
-        assert_eq!(baseline.read_u64(base + page * PAGE_SIZE), page);
+        assert_eq!(baseline.read::<u64>(base + page * PAGE_SIZE), page);
     }
     let b = baseline.report();
     println!(

@@ -40,8 +40,8 @@ fn main() {
         m.reset_stats();
         for i in 0..20_000u64 {
             let off = (i % 64) * 8;
-            m.read_u64(a + off);
-            m.read_u64(b + off);
+            m.read::<u64>(a + off);
+            m.read::<u64>(b + off);
             m.execute(10);
         }
         let r = m.report();

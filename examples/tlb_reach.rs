@@ -24,7 +24,7 @@ fn walk(machine: &mut Machine, base: VirtAddr, pages: u64, rounds: u64) -> f64 {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let page = (x >> 33) % pages;
-            machine.read_u32(base + page * PAGE_SIZE);
+            machine.read::<u32>(base + page * PAGE_SIZE);
             machine.execute(20);
         }
     }

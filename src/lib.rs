@@ -37,8 +37,8 @@
 //! let report = machine.remap(base, 64 * 1024);       // one 64 KB superpage
 //! assert_eq!(report.superpages.len(), 1);
 //!
-//! machine.write_u64(base + 5 * PAGE_SIZE, 42);
-//! assert_eq!(machine.read_u64(base + 5 * PAGE_SIZE), 42);
+//! machine.write::<u64>(base + 5 * PAGE_SIZE, 42);
+//! assert_eq!(machine.read::<u64>(base + 5 * PAGE_SIZE), 42);
 //! ```
 //!
 //! See `examples/` for runnable demonstrations and the `repro` binary in

@@ -77,7 +77,7 @@ fn baseline_runtime_improves_with_tlb_size() {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            m.read_u32(base + ((x >> 33) % pages) * PAGE_SIZE);
+            m.read::<u32>(base + ((x >> 33) % pages) * PAGE_SIZE);
         }
         let total = m.cycles().get();
         assert!(

@@ -16,25 +16,25 @@ fn processes_data_is_isolated_and_persistent() {
     m.map_region(b0, 16 * PAGE_SIZE, Prot::RW);
     m.remap(b0, 16 * PAGE_SIZE);
     for i in 0..16u64 {
-        m.write_u64(b0 + i * PAGE_SIZE, 1000 + i);
+        m.write::<u64>(b0 + i * PAGE_SIZE, 1000 + i);
     }
 
     m.try_switch_process(p1).expect("pid was spawned");
     m.map_region(b1, 16 * PAGE_SIZE, Prot::RW);
     m.remap(b1, 16 * PAGE_SIZE);
     for i in 0..16u64 {
-        m.write_u64(b1 + i * PAGE_SIZE, 2000 + i);
+        m.write::<u64>(b1 + i * PAGE_SIZE, 2000 + i);
     }
 
     // Ping-pong verification across switches.
     for round in 0..3 {
         m.try_switch_process(0).expect("pid was spawned");
         for i in 0..16u64 {
-            assert_eq!(m.read_u64(b0 + i * PAGE_SIZE), 1000 + i, "round {round}");
+            assert_eq!(m.read::<u64>(b0 + i * PAGE_SIZE), 1000 + i, "round {round}");
         }
         m.try_switch_process(p1).expect("pid was spawned");
         for i in 0..16u64 {
-            assert_eq!(m.read_u64(b1 + i * PAGE_SIZE), 2000 + i, "round {round}");
+            assert_eq!(m.read::<u64>(b1 + i * PAGE_SIZE), 2000 + i, "round {round}");
         }
     }
     assert_eq!(m.kernel().stats().context_switches, 8);
@@ -46,14 +46,14 @@ fn each_process_gets_its_own_sbrk_heap() {
     let p1 = m.spawn_process();
     m.try_switch_process(0).expect("pid was spawned");
     let a = m.sbrk(1000);
-    m.write_u64(a, 7);
+    m.write::<u64>(a, 7);
     m.try_switch_process(p1).expect("pid was spawned");
     let b = m.sbrk(1000);
     assert_ne!(a, b);
     assert!(b.offset_from(a) >= (1 << 32), "windows are disjoint");
-    m.write_u64(b, 9);
+    m.write::<u64>(b, 9);
     m.try_switch_process(0).expect("pid was spawned");
-    assert_eq!(m.read_u64(a), 7);
+    assert_eq!(m.read::<u64>(a), 7);
 }
 
 #[test]
@@ -64,11 +64,11 @@ fn switch_purges_user_translations_not_kernel_block() {
     m.try_switch_process(0).expect("pid was spawned");
     m.map_region(b0, 4 * PAGE_SIZE, Prot::RW);
     m.reset_stats();
-    m.read_u32(b0); // 1 miss
-    m.read_u32(b0); // hit
+    m.read::<u32>(b0); // 1 miss
+    m.read::<u32>(b0); // hit
     m.try_switch_process(p1).expect("pid was spawned");
     m.try_switch_process(0).expect("pid was spawned");
-    m.read_u32(b0); // must miss again after the round trip
+    m.read::<u32>(b0); // must miss again after the round trip
     let r = m.report();
     assert_eq!(r.tlb.misses, 2, "switches purge user entries");
 }
@@ -88,7 +88,7 @@ fn superpages_shrink_post_switch_refill() {
             m.remap(*b, 32 * PAGE_SIZE);
             // Warm.
             for i in 0..32u64 {
-                m.read_u32(*b + i * PAGE_SIZE);
+                m.read::<u32>(*b + i * PAGE_SIZE);
             }
         }
         m.reset_stats();
@@ -96,7 +96,7 @@ fn superpages_shrink_post_switch_refill() {
             for (pid, b) in bases.iter().enumerate() {
                 m.try_switch_process(pid).expect("pid was spawned");
                 for i in 0..32u64 {
-                    m.read_u32(*b + i * PAGE_SIZE);
+                    m.read::<u32>(*b + i * PAGE_SIZE);
                 }
             }
         }

@@ -68,10 +68,10 @@ fn run_program(ops: &[Op], cfg: MachineConfig) -> (Vec<u64>, Vec<u64>) {
                 offset,
                 value,
             } => {
-                m.write_u64(base + page * PAGE_SIZE + *offset, *value);
+                m.write::<u64>(base + page * PAGE_SIZE + *offset, *value);
             }
             Op::Read { page, offset } => {
-                observed.push(m.read_u64(base + page * PAGE_SIZE + *offset));
+                observed.push(m.read::<u64>(base + page * PAGE_SIZE + *offset));
             }
             Op::Remap => {
                 if !remapped {
@@ -99,7 +99,7 @@ fn run_program(ops: &[Op], cfg: MachineConfig) -> (Vec<u64>, Vec<u64>) {
         }
     }
     let snapshot = (0..REGION_PAGES)
-        .map(|p| m.read_u64(base + p * PAGE_SIZE))
+        .map(|p| m.read::<u64>(base + p * PAGE_SIZE))
         .collect();
     (observed, snapshot)
 }
@@ -133,10 +133,10 @@ proptest! {
             for op in &ops {
                 match op {
                     Op::Write { page, offset, value } => {
-                        m.write_u64(base + page * PAGE_SIZE + *offset, *value)
+                        m.write::<u64>(base + page * PAGE_SIZE + *offset, *value)
                     }
                     Op::Read { page, offset } => {
-                        let _ = m.read_u64(base + page * PAGE_SIZE + *offset);
+                        let _ = m.read::<u64>(base + page * PAGE_SIZE + *offset);
                     }
                     Op::Execute(n) => m.execute(u64::from(*n)),
                     _ => {}

@@ -13,14 +13,18 @@ fn filled_machine(len: u64) -> Machine {
     let mut m = Machine::new(MachineConfig::paper_mtlb(64));
     m.map_region(BASE, len, Prot::RW);
     for off in (0..len).step_by(512) {
-        m.write_u64(BASE + off, off ^ 0xfeed);
+        m.write::<u64>(BASE + off, off ^ 0xfeed);
     }
     m
 }
 
 fn assert_contents(m: &mut Machine, len: u64) {
     for off in (0..len).step_by(512) {
-        assert_eq!(m.read_u64(BASE + off), off ^ 0xfeed, "at offset {off:#x}");
+        assert_eq!(
+            m.read::<u64>(BASE + off),
+            off ^ 0xfeed,
+            "at offset {off:#x}"
+        );
     }
 }
 
@@ -48,7 +52,7 @@ fn swap_cycle_preserves_data_per_base_page() {
         // Dirty a rotating subset.
         for p in 0..16u64 {
             if p % 3 == round % 3 {
-                m.write_u64(BASE + p * PAGE_SIZE, p * 1000 + round);
+                m.write::<u64>(BASE + p * PAGE_SIZE, p * 1000 + round);
                 model[p as usize] = p * 1000 + round;
             }
         }
@@ -56,7 +60,7 @@ fn swap_cycle_preserves_data_per_base_page() {
         // Everything faults back correctly on demand.
         for p in 0..16u64 {
             assert_eq!(
-                m.read_u64(BASE + p * PAGE_SIZE),
+                m.read::<u64>(BASE + p * PAGE_SIZE),
                 model[p as usize],
                 "page {p} after round {round}"
             );
@@ -72,12 +76,12 @@ fn swap_cycle_preserves_data_whole_superpage() {
     let mut m = Machine::new(cfg);
     m.map_region(BASE, len, Prot::RW);
     for p in 0..16u64 {
-        m.write_u64(BASE + p * PAGE_SIZE, p + 7);
+        m.write::<u64>(BASE + p * PAGE_SIZE, p + 7);
     }
     m.remap(BASE, len);
     m.swap_out_superpage(BASE.vpn());
     for p in 0..16u64 {
-        assert_eq!(m.read_u64(BASE + p * PAGE_SIZE), p + 7);
+        assert_eq!(m.read::<u64>(BASE + p * PAGE_SIZE), p + 7);
     }
     // One fault brought the whole superpage back.
     assert_eq!(m.kernel().stats().shadow_faults_serviced, 1);
@@ -91,10 +95,10 @@ fn referenced_and_dirty_bits_reflect_traffic_exactly() {
     m.remap(BASE, len);
     // Loads on pages 0..4, stores on 8..10, page 15 untouched.
     for p in 0..4u64 {
-        m.read_u32(BASE + p * PAGE_SIZE);
+        m.read::<u32>(BASE + p * PAGE_SIZE);
     }
     for p in 8..10u64 {
-        m.write_u32(BASE + p * PAGE_SIZE, 1);
+        m.write::<u32>(BASE + p * PAGE_SIZE, 1);
     }
     let bits = m.page_bits(BASE.vpn());
     for (i, (_, referenced, dirty)) in bits.iter().enumerate() {
@@ -117,19 +121,19 @@ fn writeback_of_dirty_line_marks_page_dirty() {
     m.map_region(BASE, len, Prot::RW);
     m.remap(BASE, len);
     // Read first (shared fill), then write (cache hit; no bus traffic).
-    m.read_u32(BASE);
-    m.write_u32(BASE + 4, 9);
+    m.read::<u32>(BASE);
+    m.write::<u32>(BASE + 4, 9);
     // Force the line out by touching the conflicting line 512 KB away
     // (another page of the same region won't conflict, so use a second
     // region).
     let other = VirtAddr::new(0x3000_0000);
     m.map_region(other, PAGE_SIZE, Prot::RW);
-    m.read_u32(other); // same cache index as BASE if 512 KB-aligned apart
-                       // Rather than relying on index math, flush via swap-out, which
-                       // cleans the page and must observe the dirty line.
+    m.read::<u32>(other); // same cache index as BASE if 512 KB-aligned apart
+                          // Rather than relying on index math, flush via swap-out, which
+                          // cleans the page and must observe the dirty line.
     let rep = m.swap_out_superpage(BASE.vpn());
     assert!(rep.pages_written >= 1, "dirtied page must be written");
-    assert_eq!(m.read_u32(BASE + 4), 9, "data survives the round trip");
+    assert_eq!(m.read::<u32>(BASE + 4), 9, "data survives the round trip");
 }
 
 #[test]
@@ -173,12 +177,12 @@ fn reused_shadow_region_does_not_inherit_swap_copies() {
     m.swap_out_superpage(BASE.vpn());
     m.demote_superpage(BASE.vpn());
     for p in 0..16u64 {
-        m.write_u64(BASE + p * PAGE_SIZE, 0xbeef + p);
+        m.write::<u64>(BASE + p * PAGE_SIZE, 0xbeef + p);
     }
     m.remap(BASE, len);
     m.swap_out_superpage(BASE.vpn());
     for p in 0..16u64 {
-        assert_eq!(m.read_u64(BASE + p * PAGE_SIZE), 0xbeef + p, "page {p}");
+        assert_eq!(m.read::<u64>(BASE + p * PAGE_SIZE), 0xbeef + p, "page {p}");
     }
 }
 
@@ -190,10 +194,10 @@ fn all_shadow_machine_runs_transparently() {
     let mut m = Machine::new(cfg);
     m.map_region(BASE, 64 * 1024, Prot::RW);
     for p in 0..16u64 {
-        m.write_u64(BASE + p * PAGE_SIZE, p * 3);
+        m.write::<u64>(BASE + p * PAGE_SIZE, p * 3);
     }
     for p in 0..16u64 {
-        assert_eq!(m.read_u64(BASE + p * PAGE_SIZE), p * 3);
+        assert_eq!(m.read::<u64>(BASE + p * PAGE_SIZE), p * 3);
     }
     let r = m.report();
     // Every user fill went through the MTLB even though nothing was
@@ -216,14 +220,14 @@ fn recoloring_machine_preserves_data() {
     let mut m = Machine::new(cfg);
     m.map_region(BASE, 4 * PAGE_SIZE, Prot::RW);
     for p in 0..4u64 {
-        m.write_u64(BASE + p * PAGE_SIZE, 0xc0de + p);
+        m.write::<u64>(BASE + p * PAGE_SIZE, 0xc0de + p);
     }
     let old_color = m.page_color(BASE.vpn());
     let colors = m.config().cache.page_colors();
     m.recolor_page(BASE.vpn(), (old_color + 7) % colors);
     assert_ne!(m.page_color(BASE.vpn()), old_color);
     for p in 0..4u64 {
-        assert_eq!(m.read_u64(BASE + p * PAGE_SIZE), 0xc0de + p);
+        assert_eq!(m.read::<u64>(BASE + p * PAGE_SIZE), 0xc0de + p);
     }
 }
 
@@ -237,18 +241,18 @@ fn demoting_a_recolored_page_returns_it_to_a_real_mapping() {
     cfg.cache = CacheConfig::paper_default().with_indexing(CacheIndexing::Physical);
     let mut m = Machine::new(cfg);
     m.map_region(BASE, PAGE_SIZE, Prot::RW);
-    m.write_u64(BASE, 0xc0de);
+    m.write::<u64>(BASE, 0xc0de);
     let old_color = m.page_color(BASE.vpn());
     let new_color = (old_color + 7) % m.config().cache.page_colors();
     m.recolor_page(BASE.vpn(), new_color);
     m.demote_superpage(BASE.vpn());
     assert!(m.kernel().aspace().superpages().next().is_none());
     assert_eq!(m.page_color(BASE.vpn()), old_color);
-    assert_eq!(m.read_u64(BASE), 0xc0de);
+    assert_eq!(m.read::<u64>(BASE), 0xc0de);
     // The shadow page went back to the pool and serves the next recolor.
     m.recolor_page(BASE.vpn(), new_color);
     assert_eq!(m.page_color(BASE.vpn()), new_color);
-    assert_eq!(m.read_u64(BASE), 0xc0de);
+    assert_eq!(m.read::<u64>(BASE), 0xc0de);
 }
 
 #[test]
