@@ -71,6 +71,14 @@ sed "s|$DET_DIR/fig5_json2|JSON_DIR|" "$DET_DIR/fig5_j4" > "$DET_DIR/fig5_j4.nor
 diff "$DET_DIR/fig5_j1.norm" "$DET_DIR/fig5_j4.norm"
 diff -r "$DET_DIR/fig5_json1" "$DET_DIR/fig5_json2"
 
+echo "== extensions determinism (stdout jobs-invariant)"
+# The §5 complete-subblock table runs its cells through the Runner, and
+# the Runner re-serves cells other extensions already ran; no extension
+# table may depend on how many job threads computed it.
+./target/release/repro extensions --test-scale --jobs 1 > "$DET_DIR/ext_j1" 2>/dev/null
+./target/release/repro extensions --test-scale --jobs 4 > "$DET_DIR/ext_j4" 2>/dev/null
+diff "$DET_DIR/ext_j1" "$DET_DIR/ext_j4"
+
 echo "== trace record/replay determinism (live == recorded == replayed; traces byte-identical)"
 # Three test-scale fig3 runs: live (the default), recording (in-memory
 # cache + traces persisted to disk), and replaying from the persisted

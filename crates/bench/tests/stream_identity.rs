@@ -31,7 +31,8 @@ fn record(name: &str, cfg: MachineConfig) -> Vec<MachineOp> {
 }
 
 /// The four fig5 front ends (built the way `experiments::fig5_cells`
-/// builds them) at 64 and 128 entries.
+/// builds them) at 64 and 128 entries, and the complete-subblock TLB of
+/// the §5 table (`experiments::subblock`).
 fn fig5_configs() -> Vec<(String, MachineConfig)> {
     let mut cfgs = Vec::new();
     for e in [64, 128] {
@@ -44,6 +45,10 @@ fn fig5_configs() -> Vec<(String, MachineConfig)> {
     cfgs.push((
         "split".to_string(),
         MachineConfig::paper_mtlb(96).with_scheme(SchemeConfig::Split),
+    ));
+    cfgs.push((
+        "subblock64".to_string(),
+        MachineConfig::paper_base(64).with_scheme(SchemeConfig::Subblock),
     ));
     cfgs
 }

@@ -12,8 +12,6 @@
 //! which is exactly the design point fig5 compares against shadow
 //! superpages.
 
-use core::any::Any;
-
 use mtlb_tlb::{ContigInfo, LookupOutcome, TlbEntry, TlbStats, TranslationScheme};
 use mtlb_types::{
     AccessKind, Fault, PageSize, Ppn, PrivilegeLevel, Prot, VirtAddr, Vpn, PAGE_SIZE,
@@ -59,7 +57,7 @@ impl Range {
 
 /// Extra counters specific to the coalesced scheme.
 ///
-/// Invariant (checked by `Machine::audit`): `single_fills +
+/// Invariant (debug-asserted on every `stats()` read): `single_fills +
 /// coalesced_fills` equals the shared [`TlbStats::fills`] counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoalescedStats {
@@ -113,7 +111,7 @@ impl CoalescedTlb {
         }
     }
 
-    /// The scheme-specific counters (reconciled by `Machine::audit`).
+    /// The scheme-specific counters.
     #[must_use]
     pub fn scheme_stats(&self) -> CoalescedStats {
         self.extra
@@ -202,17 +200,6 @@ impl TranslationScheme for CoalescedTlb {
         LookupOutcome::Miss
     }
 
-    fn entry_for(&self, vpn: Vpn) -> Option<TlbEntry> {
-        let v = vpn.index();
-        for e in &self.locked {
-            if e.covers(vpn) {
-                return Some(*e);
-            }
-        }
-        self.find_covering(v)
-            .and_then(|i| self.slots[i].as_ref().and_then(|r| r.entry_at(v)))
-    }
-
     fn slot_for(&self, vpn: Vpn) -> Option<(usize, TlbEntry)> {
         let v = vpn.index();
         for (i, e) in self.locked.iter().enumerate() {
@@ -268,11 +255,7 @@ impl TranslationScheme for CoalescedTlb {
         // Discard overlapping unlocked ranges (a TLB never holds two
         // entries for one virtual address) — uncounted, like the paper
         // TLB's insert-time discard.
-        for slot in self.slots.iter_mut() {
-            if slot.as_ref().is_some_and(|r| r.overlaps(base_vpn, pages)) {
-                *slot = None;
-            }
-        }
+        crate::purge(&mut self.slots, |r| r.overlaps(base_vpn, pages));
         // Extend an adjacent resident range instead of spending a slot,
         // when the combined run stays within the coalescing limit.
         let prot = entry.prot();
@@ -329,32 +312,26 @@ impl TranslationScheme for CoalescedTlb {
 
     fn purge_range(&mut self, vpn: Vpn, pages: u64) -> usize {
         self.generation = self.generation.wrapping_add(1);
-        let v = vpn.index();
-        let mut removed = 0;
-        for slot in self.slots.iter_mut() {
-            if slot.as_ref().is_some_and(|r| r.overlaps(v, pages)) {
-                *slot = None;
-                removed += 1;
-            }
-        }
+        let removed = crate::purge(&mut self.slots, |r| r.overlaps(vpn.index(), pages));
         self.stats.purges = self.stats.purges.saturating_add(removed as u64);
         removed
     }
 
     fn purge_all(&mut self) -> usize {
         self.generation = self.generation.wrapping_add(1);
-        let mut removed = 0;
-        for slot in self.slots.iter_mut() {
-            if slot.is_some() {
-                *slot = None;
-                removed += 1;
-            }
-        }
+        let removed = crate::purge(&mut self.slots, |_| true);
         self.stats.purges = self.stats.purges.saturating_add(removed as u64);
         removed
     }
 
     fn stats(&self) -> TlbStats {
+        debug_assert_eq!(
+            self.extra
+                .single_fills
+                .saturating_add(self.extra.coalesced_fills),
+            self.stats.fills,
+            "coalesced fill classes != fills"
+        );
         self.stats
     }
 
@@ -384,10 +361,6 @@ impl TranslationScheme for CoalescedTlb {
 
     fn generation(&self) -> u64 {
         self.generation
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -14,8 +14,6 @@
 //! 64-entry array no matter what. Locked kernel block entries live in
 //! a side list (PA-RISC block-TLB style) and survive every purge.
 
-use core::any::Any;
-
 use mtlb_tlb::{ContigInfo, LookupOutcome, TlbEntry, TlbStats, TranslationScheme};
 use mtlb_types::{AccessKind, Fault, PageSize, PrivilegeLevel, VirtAddr, Vpn};
 
@@ -60,8 +58,8 @@ struct Slot {
 
 /// Per-array fill counters for the split scheme.
 ///
-/// Invariant (checked by `Machine::audit`): the three fields sum to the
-/// shared [`TlbStats::fills`] counter.
+/// Invariant (debug-asserted on every `stats()` read): the three fields
+/// sum to the shared [`TlbStats::fills`] counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SplitStats {
     /// Fills into the 4 KB array.
@@ -107,7 +105,7 @@ impl SplitTlb {
         }
     }
 
-    /// The scheme-specific counters (reconciled by `Machine::audit`).
+    /// The scheme-specific counters.
     #[must_use]
     pub fn scheme_stats(&self) -> SplitStats {
         self.extra
@@ -211,16 +209,6 @@ impl TranslationScheme for SplitTlb {
         LookupOutcome::Miss
     }
 
-    fn entry_for(&self, vpn: Vpn) -> Option<TlbEntry> {
-        for e in &self.locked {
-            if e.covers(vpn) {
-                return Some(*e);
-            }
-        }
-        self.find_covering(vpn)
-            .and_then(|i| self.slots[i].as_ref().map(|s| s.entry))
-    }
-
     fn slot_for(&self, vpn: Vpn) -> Option<(usize, TlbEntry)> {
         for (i, e) in self.locked.iter().enumerate() {
             if e.covers(vpn) {
@@ -248,14 +236,9 @@ impl TranslationScheme for SplitTlb {
         self.stats.fills = self.stats.fills.saturating_add(1);
         // Discard overlapping unlocked entries across every array.
         let pages = entry.size().base_pages();
-        for slot in self.slots.iter_mut() {
-            if slot
-                .as_ref()
-                .is_some_and(|s| s.entry.overlaps(entry.vpn_base(), pages))
-            {
-                *slot = None;
-            }
-        }
+        crate::purge(&mut self.slots, |s| {
+            s.entry.overlaps(entry.vpn_base(), pages)
+        });
         match class_of(entry.size()) {
             Class::Base => self.extra.fills_base = self.extra.fills_base.saturating_add(1),
             Class::Mid => self.extra.fills_mid = self.extra.fills_mid.saturating_add(1),
@@ -273,31 +256,31 @@ impl TranslationScheme for SplitTlb {
 
     fn purge_range(&mut self, vpn: Vpn, pages: u64) -> usize {
         self.generation = self.generation.wrapping_add(1);
-        let mut removed = 0;
-        for slot in self.slots.iter_mut() {
-            if slot.as_ref().is_some_and(|s| s.entry.overlaps(vpn, pages)) {
-                *slot = None;
-                removed += 1;
-            }
-        }
+        let removed = crate::purge(&mut self.slots, |s| s.entry.overlaps(vpn, pages));
         self.stats.purges = self.stats.purges.saturating_add(removed as u64);
         removed
     }
 
     fn purge_all(&mut self) -> usize {
         self.generation = self.generation.wrapping_add(1);
-        let mut removed = 0;
-        for slot in self.slots.iter_mut() {
-            if slot.is_some() {
-                *slot = None;
-                removed += 1;
-            }
-        }
+        let removed = crate::purge(&mut self.slots, |_| true);
         self.stats.purges = self.stats.purges.saturating_add(removed as u64);
         removed
     }
 
     fn stats(&self) -> TlbStats {
+        let SplitStats {
+            fills_base,
+            fills_mid,
+            fills_large,
+        } = self.extra;
+        debug_assert_eq!(
+            fills_base
+                .saturating_add(fills_mid)
+                .saturating_add(fills_large),
+            self.stats.fills,
+            "split fill classes != fills"
+        );
         self.stats
     }
 
@@ -327,10 +310,6 @@ impl TranslationScheme for SplitTlb {
 
     fn generation(&self) -> u64 {
         self.generation
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -4,8 +4,6 @@ use mtlb_cache::{AccessResult, DataCache, FillKind};
 use mtlb_mem::GuestMemory;
 use mtlb_mmc::{BusOp, Mmc};
 use mtlb_os::{Kernel, KernelCtx, KernelStats, RemapReport, SwapOutReport, UserLayout};
-#[cfg(debug_assertions)]
-use mtlb_schemes::{CoalescedStats, CoalescedTlb, SplitStats, SplitTlb};
 use mtlb_tlb::{LookupOutcome, MicroItlb, TranslationScheme};
 use mtlb_types::{
     AccessKind, Cycles, Fault, Histogram, PhysAddr, PrivilegeLevel, Prot, VirtAddr, Vpn,
@@ -1789,38 +1787,6 @@ impl Machine {
             mtlb_contention_cycles <= mem_stall,
             "attribution audit: contention cycles exceed the mem-stall bucket"
         );
-        // Rival-scheme extras (fig5): each front-end instance's private
-        // counters must reconcile with its shared `TlbStats` — every
-        // fill was classified exactly once.
-        for scheme in self.cores.iter().map(|c| &c.tlb) {
-            if let Some(co) = scheme.as_any().downcast_ref::<CoalescedTlb>() {
-                let CoalescedStats {
-                    single_fills,
-                    coalesced_fills,
-                    merges: _,
-                    max_run_pages: _,
-                } = co.scheme_stats();
-                assert_eq!(
-                    single_fills.saturating_add(coalesced_fills),
-                    scheme.stats().fills,
-                    "attribution audit: coalesced fill classes != fills"
-                );
-            }
-            if let Some(sp) = scheme.as_any().downcast_ref::<SplitTlb>() {
-                let SplitStats {
-                    fills_base,
-                    fills_mid,
-                    fills_large,
-                } = sp.scheme_stats();
-                assert_eq!(
-                    fills_base
-                        .saturating_add(fills_mid)
-                        .saturating_add(fills_large),
-                    scheme.stats().fills,
-                    "attribution audit: split fill classes != fills"
-                );
-            }
-        }
         // Per-core symmetry: the merged report figures must equal the
         // field-by-field sum over `per_core_stats()`, with every
         // `CoreStats` field named (adding a per-core counter without

@@ -5,9 +5,9 @@
 //! machine instead:
 //!
 //! * a representative run under every scheme passes the debug-build
-//!   cycle-attribution audit, which reconciles the scheme-specific fill
-//!   counters (`CoalescedStats`, `SplitStats`) against the shared
-//!   `TlbStats` on every core;
+//!   cycle-attribution audit, whose reads of each core's `TlbStats`
+//!   also check the rivals' private fill classes (`CoalescedStats`,
+//!   `SplitStats`) against it;
 //! * the host fast paths (access memos, batched streams) are
 //!   observably absent under the rivals too — the
 //!   generation-counter contract is what makes the memo layer sound
@@ -28,7 +28,12 @@ use mtlb_types::{PageSize, Prot, VirtAddr, PAGE_SIZE};
 const BASE: VirtAddr = VirtAddr::new(0x1000_0000);
 const REGION: u64 = 128 * 1024;
 
-const RIVALS: [SchemeConfig; 2] = [SchemeConfig::Coalesced, SchemeConfig::Split];
+/// Every scheme but the paper's TLB.
+fn rivals() -> impl Iterator<Item = SchemeConfig> {
+    SchemeConfig::ALL
+        .into_iter()
+        .filter(|&s| s != SchemeConfig::Cpu)
+}
 
 /// A deterministic mixed workload touching every machine subsystem the
 /// schemes interact with: scalar access, instruction fetch, batched
@@ -69,11 +74,7 @@ fn drive(m: &mut Machine) {
 /// including the per-scheme fill-class reconciliation.
 #[test]
 fn every_scheme_survives_the_attribution_audit() {
-    for scheme in [
-        SchemeConfig::Cpu,
-        SchemeConfig::Coalesced,
-        SchemeConfig::Split,
-    ] {
+    for scheme in SchemeConfig::ALL {
         let mut m = Machine::new(MachineConfig::paper_mtlb(64).with_scheme(scheme));
         assert_eq!(m.scheme_name(), scheme.name());
         drive(&mut m);
@@ -92,7 +93,7 @@ fn every_scheme_survives_the_attribution_audit() {
 /// they are under the paper TLB: same report, same memory image.
 #[test]
 fn fast_paths_are_observably_absent_under_rival_schemes() {
-    for scheme in RIVALS {
+    for scheme in rivals() {
         let cfg = MachineConfig::paper_mtlb(64).with_scheme(scheme);
         let mut fast = Machine::new(cfg.clone());
         fast.set_fast_paths(true);
@@ -309,11 +310,7 @@ const SERVICES: [Service; 10] = [
 /// the local purge is the remote one.
 #[test]
 fn shootdowns_invalidate_remote_cores_under_every_scheme() {
-    for scheme in [
-        SchemeConfig::Cpu,
-        SchemeConfig::Coalesced,
-        SchemeConfig::Split,
-    ] {
+    for scheme in SchemeConfig::ALL {
         for service in &SERVICES {
             let label = format!("{} / {}", scheme.name(), service.name);
             let cfg = MachineConfig::paper_mtlb(64)

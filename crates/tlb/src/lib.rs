@@ -16,6 +16,10 @@
 //!   performed through the [`PteMemory`] trait so the machine model can
 //!   route PTE reads through the simulated cache — reproducing the §3.5
 //!   observation that CPU TLB refills benefit from cached page tables.
+//! * [`TranslationScheme`] — the trait the machine drives every
+//!   translation front end through. [`CpuTlb`] implements it here; the
+//!   rival designs (coalescing, split and complete-subblock TLBs)
+//!   implement it in `mtlb-schemes`.
 //!
 //! Nothing in this crate knows about shadow addresses: the TLB maps
 //! virtual pages to *bus* physical pages, which may equally be real DRAM
@@ -65,11 +69,9 @@ mod entry;
 mod hpt;
 mod micro_itlb;
 mod scheme;
-mod subblock;
 
 pub use cpu_tlb::{CpuTlb, LookupOutcome, TlbStats};
 pub use entry::TlbEntry;
 pub use hpt::{HashedPageTable, HptConfig, HptFull, HptLookup, HptStats, Pte, PteMemory};
 pub use micro_itlb::MicroItlb;
 pub use scheme::{ContigInfo, TranslationScheme};
-pub use subblock::{SubblockOutcome, SubblockStats, SubblockTlb, SUBBLOCK_FACTOR};

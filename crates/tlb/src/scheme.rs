@@ -32,7 +32,6 @@
 //! proven (hit on that slot, generation unchanged) that each replayed
 //! access would hit the same entry with permitted protection.
 
-use core::any::Any;
 use core::fmt;
 
 use mtlb_types::{AccessKind, Ppn, PrivilegeLevel, VirtAddr, Vpn};
@@ -89,7 +88,9 @@ pub trait TranslationScheme: fmt::Debug + Send {
     ///
     /// Schemes with ranged or compressed storage synthesize an
     /// equivalent [`TlbEntry`] view of the covering mapping.
-    fn entry_for(&self, vpn: Vpn) -> Option<TlbEntry>;
+    fn entry_for(&self, vpn: Vpn) -> Option<TlbEntry> {
+        self.slot_for(vpn).map(|(_, e)| e)
+    }
 
     /// Like [`entry_for`](Self::entry_for), but also returns the slot
     /// token of the covering entry, for use with
@@ -152,10 +153,6 @@ pub trait TranslationScheme: fmt::Debug + Send {
     /// insert, and purge. See the module docs for the contract with
     /// the machine's memo/fast-forward layers.
     fn generation(&self) -> u64;
-
-    /// Dynamic view for scheme-specific statistics (the machine's
-    /// audit downcasts to reconcile per-scheme counters).
-    fn as_any(&self) -> &dyn Any;
 }
 
 impl TranslationScheme for CpuTlb {
@@ -170,10 +167,6 @@ impl TranslationScheme for CpuTlb {
         level: PrivilegeLevel,
     ) -> LookupOutcome {
         CpuTlb::translate(self, va, kind, level)
-    }
-
-    fn entry_for(&self, vpn: Vpn) -> Option<TlbEntry> {
-        self.probe(vpn).copied()
     }
 
     fn slot_for(&self, vpn: Vpn) -> Option<(usize, TlbEntry)> {
@@ -226,10 +219,6 @@ impl TranslationScheme for CpuTlb {
 
     fn generation(&self) -> u64 {
         CpuTlb::generation(self)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
