@@ -58,10 +58,10 @@ diff "$DET_DIR/fig3_legacy" "$DET_DIR/fig3_cores1"
 diff "$DET_DIR/fig6_j1" "$DET_DIR/fig6_j4"
 
 echo "== fig5 scheme shoot-out determinism (stdout + JSON jobs-invariant)"
-# The rival-scheme comparison runs every workload live on every front
-# end (the op streams are identical by determinism); neither the table
-# nor the per-cell JSON reports may depend on how many job threads
-# computed them.
+# The rival-scheme comparison runs every (workload, front end) cell as
+# a runner job (the op streams are identical by determinism); neither
+# the table nor the per-cell JSON reports may depend on how many job
+# threads computed them.
 ./target/release/repro fig5 --test-scale --jobs 1 --json-dir "$DET_DIR/fig5_json1" \
   > "$DET_DIR/fig5_j1" 2>/dev/null
 ./target/release/repro fig5 --test-scale --jobs 4 --json-dir "$DET_DIR/fig5_json2" \
@@ -79,7 +79,7 @@ echo "== extensions determinism (stdout jobs-invariant)"
 ./target/release/repro extensions --test-scale --jobs 4 > "$DET_DIR/ext_j4" 2>/dev/null
 diff "$DET_DIR/ext_j1" "$DET_DIR/ext_j4"
 
-echo "== trace record/replay determinism (live == recorded == replayed; traces byte-identical)"
+echo "== trace record/replay determinism (fig3, fig5: live == recorded == replayed; traces byte-identical)"
 # Three test-scale fig3 runs: live (the default), recording (in-memory
 # cache + traces persisted to disk), and replaying from the persisted
 # traces. All three stdouts must be byte-identical — the trace
@@ -100,6 +100,21 @@ diff "$DET_DIR/rr_live" "$DET_DIR/rr_replay"
 ./target/release/repro fig3 --test-scale --record-traces "$DET_DIR/traces2" \
   > /dev/null 2>&1
 diff -r "$DET_DIR/traces" "$DET_DIR/traces2"
+# fig5's cells are runner jobs too: the same three modes across its four
+# front ends, and every replayed cell must apply its trace (a fallback
+# to a live run prints `warning:`).
+./target/release/repro fig5 --test-scale \
+  > "$DET_DIR/rr5_live" 2>/dev/null
+./target/release/repro fig5 --test-scale --record-traces "$DET_DIR/traces5" \
+  2>/dev/null | grep -v '^\[trace written' > "$DET_DIR/rr5_record"
+./target/release/repro fig5 --test-scale --replay-traces "$DET_DIR/traces5" \
+  > "$DET_DIR/rr5_replay" 2> "$DET_DIR/rr5_replay_stderr"
+diff "$DET_DIR/rr5_live" "$DET_DIR/rr5_record"
+diff "$DET_DIR/rr5_live" "$DET_DIR/rr5_replay"
+if grep 'warning:' "$DET_DIR/rr5_replay_stderr"; then
+  echo "fig5 replay fell back to live runs" >&2
+  exit 1
+fi
 
 echo "== paper-scale cycle-fidelity gate (live pins of benchmark/expected.json)"
 # Runs this tree's simulator at paper scale, one rep, through the

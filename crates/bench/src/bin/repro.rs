@@ -12,11 +12,14 @@
 //! in total at `--jobs 1`; EXPERIMENTS.md has the measured split).
 //! `--csv-dir` additionally writes each table as a CSV file.
 //! `--json-dir` writes one machine-readable JSON report per simulated
-//! experiment row (Figures 3 and 4) — the full [`RunReport`] including
-//! time buckets, every component's counters and the log-bucketed
-//! fill-latency and TLB-miss-interval histograms. `--trace` attaches a
-//! ring-buffer event trace to every simulation and prints a per-job
-//! cycle-attribution summary on stderr.
+//! experiment row (Figures 3, 4, 5 and 6) — the full [`RunReport`]
+//! including time buckets, every component's counters, the front ends'
+//! reach and the log-bucketed fill-latency and TLB-miss-interval
+//! histograms. `--trace` attaches a ring-buffer event trace to every
+//! `JobSpec` sweep's simulation (fig3, fig4, fig5, the ablations and
+//! the §5 subblock table) and prints a per-job cycle-attribution
+//! summary on stderr; fig6 and the hand-driven experiments are not
+//! traced.
 //!
 //! The sweeps are sets of independent simulations; `--jobs N` runs them
 //! on N OS threads (default: the host's available parallelism; `--jobs
@@ -26,13 +29,13 @@
 //! simulated cycles as a `[job]` line on stderr.
 //!
 //! Sweeps run every job live. Trace record/replay decouples stream
-//! generation from simulation and is selected by naming a trace
-//! directory: `--record-traces DIR` records each `(workload, scale)`
-//! pair's op stream on its first run, replays it op by op
-//! (`mtlb_trace::replay`) for every later configuration of the pair,
-//! and saves the streams (`mtlb-trace` format,
+//! generation from simulation for the same `JobSpec` sweeps and is
+//! selected by naming a trace directory: `--record-traces DIR` records
+//! each `(workload, scale)` pair's op stream on its first run, replays
+//! it op by op (`mtlb_trace::replay`) for every later configuration of
+//! the pair, and saves the streams (`mtlb-trace` format,
 //! `DIR/<workload>_<scale>.mtr`); `--replay-traces DIR` seeds the
-//! cache from such files so no workload host logic runs at all.
+//! cache from such files so no sweep runs workload host logic at all.
 //! Simulated cycles are byte-identical live or replayed — the op
 //! stream fully determines them — and CI diffs the three modes
 //! byte-for-byte.
@@ -546,7 +549,7 @@ fn fig5(opts: &Options) {
             format!("{:.3}", r.normalized),
             format!("{:.1}%", r.tlb_fraction * 100.0),
             format!("{:.4}%", r.miss_rate * 100.0),
-            format!("{}KB", r.reach_bytes >> 10),
+            format!("{}KB", r.report.tlb_reach_bytes >> 10),
         ]);
     }
     emit(

@@ -6,7 +6,7 @@
 //! decides how many OS threads execute them. Results are assembled in a
 //! fixed order, so rows are identical whatever the parallelism.
 
-use std::collections::BTreeMap;
+use std::fmt::Display;
 
 use mtlb_cache::{CacheConfig, CacheIndexing, DataCache};
 use mtlb_mem::{FrameOrder, GuestMemory};
@@ -43,6 +43,36 @@ pub fn workload_by_name(name: &str, scale: Scale) -> Box<dyn Workload> {
         "oltp" => Box::new(Oltp::new(scale)),
         other => panic!("unknown workload {other:?}"),
     }
+}
+
+/// Runs every `(workload, machine)` pair as one [`Runner::run`] batch,
+/// each job labelled `<prefix>/<workload>/<machine>`, and returns each
+/// workload's results in `machines` order.
+fn grid(
+    runner: &Runner,
+    scale: Scale,
+    prefix: &str,
+    workloads: &[&'static str],
+    machines: &[(impl Display, MachineConfig)],
+) -> Vec<Vec<JobResult>> {
+    let specs: Vec<JobSpec> = workloads
+        .iter()
+        .flat_map(|&name| {
+            machines.iter().map(move |(machine, cfg)| {
+                JobSpec::new(
+                    format!("{prefix}/{name}/{machine}"),
+                    name,
+                    scale,
+                    cfg.clone(),
+                )
+            })
+        })
+        .collect();
+    let mut results = runner.run(&specs).into_iter();
+    workloads
+        .iter()
+        .map(|_| results.by_ref().take(machines.len()).collect())
+        .collect()
 }
 
 /// One row of Figure 2: a size class of the static shadow partition.
@@ -127,69 +157,41 @@ pub fn fig3_labelled(
     label_prefix: &str,
     cores: usize,
 ) -> Vec<Fig3Row> {
-    // One base-96 job per workload (the normalization base, reused for
-    // the 96-entry no-MTLB row instead of re-simulating) plus one job
-    // per remaining (size, mtlb) cell — all independent.
-    type Key = (usize, Option<(usize, bool)>);
-    let mut specs: Vec<JobSpec> = Vec::new();
-    let mut keys: Vec<Key> = Vec::new();
-    for (w, &name) in workloads.iter().enumerate() {
-        specs.push(JobSpec::new(
-            format!("{label_prefix}/{name}/base96"),
-            name,
-            scale,
-            MachineConfig::paper_base(96).with_cores(cores),
+    // The base-96 machine (the normalization base) plus one machine per
+    // (size, mtlb) cell. The 96-entry no-MTLB cell repeats the base's
+    // configuration; the runner's result cache serves it.
+    let mut machines = vec![(
+        "base96".to_string(),
+        MachineConfig::paper_base(96).with_cores(cores),
+    )];
+    for &entries in tlb_sizes {
+        machines.push((
+            format!("tlb{entries}"),
+            MachineConfig::paper_base(entries).with_cores(cores),
         ));
-        keys.push((w, None));
-        for &entries in tlb_sizes {
-            for mtlb in [false, true] {
-                if !mtlb && entries == 96 {
-                    continue;
-                }
-                let (cfg, tag) = if mtlb {
-                    (
-                        MachineConfig::paper_mtlb(entries).with_cores(cores),
-                        "+mtlb",
-                    )
-                } else {
-                    (MachineConfig::paper_base(entries).with_cores(cores), "")
-                };
-                specs.push(JobSpec::new(
-                    format!("{label_prefix}/{name}/tlb{entries}{tag}"),
-                    name,
-                    scale,
-                    cfg,
-                ));
-                keys.push((w, Some((entries, mtlb))));
-            }
-        }
+        machines.push((
+            format!("tlb{entries}+mtlb"),
+            MachineConfig::paper_mtlb(entries).with_cores(cores),
+        ));
     }
-    let results = runner.run(&specs);
-    let by_key: BTreeMap<Key, &JobResult> = keys.iter().copied().zip(results.iter()).collect();
+    let results = grid(runner, scale, label_prefix, workloads, &machines);
 
     let mut rows = Vec::new();
-    for (w, &name) in workloads.iter().enumerate() {
-        let base = by_key[&(w, None)];
-        let base_total = base.report.total_cycles.get() as f64;
-        for &entries in tlb_sizes {
-            for mtlb in [false, true] {
-                let r = if !mtlb && entries == 96 {
-                    base
-                } else {
-                    by_key[&(w, Some((entries, mtlb)))]
-                };
-                rows.push(Fig3Row {
-                    workload: name,
-                    tlb_entries: entries,
-                    mtlb,
-                    total_cycles: r.report.total_cycles.get(),
-                    tlb_miss_cycles: r.report.buckets.tlb_miss.get(),
-                    tlb_fraction: r.report.tlb_miss_fraction(),
-                    normalized: r.report.total_cycles.get() as f64 / base_total,
-                    verified: r.outcome.verified,
-                    report: r.report.clone(),
-                });
-            }
+    for (&name, cells) in workloads.iter().zip(&results) {
+        let base_total = cells[0].report.total_cycles.get() as f64;
+        let layout = tlb_sizes.iter().flat_map(|&e| [(e, false), (e, true)]);
+        for ((entries, mtlb), r) in layout.zip(&cells[1..]) {
+            rows.push(Fig3Row {
+                workload: name,
+                tlb_entries: entries,
+                mtlb,
+                total_cycles: r.report.total_cycles.get(),
+                tlb_miss_cycles: r.report.buckets.tlb_miss.get(),
+                tlb_fraction: r.report.tlb_miss_fraction(),
+                normalized: r.report.total_cycles.get() as f64 / base_total,
+                verified: r.outcome.verified,
+                report: r.report.clone(),
+            });
         }
     }
     rows
@@ -221,25 +223,18 @@ pub struct Fig4Row {
 /// against the 128-entry-TLB no-MTLB system.
 #[must_use]
 pub fn fig4(runner: &Runner, scale: Scale, sizes: &[usize], assocs: &[usize]) -> Vec<Fig4Row> {
-    let mut specs = vec![JobSpec::new(
-        "fig4/em3d/no-mtlb",
-        "em3d",
-        scale,
-        MachineConfig::paper_base(128),
-    )];
+    let mut machines = vec![("no-mtlb".to_string(), MachineConfig::paper_base(128))];
     let mut geometries = Vec::new();
     for &entries in sizes {
         for &assoc in assocs {
-            specs.push(JobSpec::new(
-                format!("fig4/em3d/mtlb{entries}x{assoc}"),
-                "em3d",
-                scale,
+            machines.push((
+                format!("mtlb{entries}x{assoc}"),
                 MachineConfig::paper_mtlb(128).with_mtlb_geometry(entries, assoc),
             ));
             geometries.push((entries, assoc));
         }
     }
-    let results = runner.run(&specs);
+    let results = grid(runner, scale, "fig4", &["em3d"], &machines).remove(0);
     let reference = &results[0].report;
     let ref_total = reference.total_cycles.get() as f64;
     let ref_fill = reference.avg_fill_mmc_cycles();
@@ -801,24 +796,14 @@ pub fn all_shadow_sensitivity(runner: &Runner, scale: Scale) -> Vec<AllShadowRow
         ("all-shadow, 512-entry 4-way MTLB", 512, 4),
         ("all-shadow, 2048-entry 4-way MTLB", 2048, 4),
     ];
-    let mut specs = vec![JobSpec::new(
-        "all-shadow/em3d/base96",
-        "em3d",
-        scale,
-        MachineConfig::paper_base(96),
-    )];
+    let mut machines = vec![("base96", MachineConfig::paper_base(96))];
     for (label, entries, assoc) in geometries {
         let mut cfg = MachineConfig::paper_mtlb(96).with_mtlb_geometry(entries, assoc);
         cfg.kernel.all_shadow = true;
         cfg.kernel.use_superpages = false;
-        specs.push(JobSpec::new(
-            format!("all-shadow/em3d/{label}"),
-            "em3d",
-            scale,
-            cfg,
-        ));
+        machines.push((label, cfg));
     }
-    let results = runner.run(&specs);
+    let results = grid(runner, scale, "all-shadow", &["em3d"], &machines).remove(0);
     let base_total = results[0].report.total_cycles.get();
     let mut rows = vec![AllShadowRow {
         label: "conventional (no MTLB)".to_string(),
@@ -941,22 +926,9 @@ pub fn subblock(runner: &Runner, scale: Scale, workloads: &[&'static str]) -> Ve
         ("subblock 64", subblock64),
         ("64 + MTLB", MachineConfig::paper_mtlb(64)),
     ];
-    let specs: Vec<JobSpec> = workloads
-        .iter()
-        .flat_map(|&name| {
-            machines.iter().map(move |(machine, cfg)| {
-                JobSpec::new(
-                    format!("subblock/{name}/{machine}"),
-                    name,
-                    scale,
-                    cfg.clone(),
-                )
-            })
-        })
-        .collect();
-    let results = runner.run(&specs);
+    let results = grid(runner, scale, "subblock", workloads, &machines);
     let mut rows = Vec::new();
-    for (&workload, cells) in workloads.iter().zip(results.chunks(machines.len())) {
+    for (&workload, cells) in workloads.iter().zip(&results) {
         let base = cells[0].report.total_cycles.get() as f64;
         for ((machine, _), r) in machines.iter().zip(cells).skip(1) {
             assert!(
@@ -1214,92 +1186,60 @@ pub struct Fig5Row {
     pub misses: u64,
     /// `misses / (hits + misses)`.
     pub miss_rate: f64,
-    /// Bytes the front end could translate without a miss at the end of
-    /// the run — the reach the rival designs compete on.
-    pub reach_bytes: u64,
     /// Runtime normalised to the 96-entry conventional-TLB base cell.
     pub normalized: f64,
     /// Full statistics snapshot of the run, for `--json-dir` export.
     pub report: RunReport,
 }
 
-/// One fig5 task: the workload live on a machine built from `cfg`,
-/// self-check asserted. Returns the report and the front end's final
-/// reach.
-fn fig5_live(label: &str, name: &str, scale: Scale, cfg: MachineConfig) -> (RunReport, u64) {
-    let mut m = Machine::new(cfg);
-    let outcome = workload_by_name(name, scale).run(&mut m);
-    assert!(outcome.verified, "{label}: workload failed self-check");
-    let reach = m.tlb_reach_bytes();
-    (m.report(), reach)
-}
-
-/// One column of the fig5 matrix: a scheme at a capacity, with the
-/// machine configuration to build — or `None` when the reference run
-/// *is* this cell (the paper machine at 96 entries).
-struct Fig5Cell {
-    scheme: &'static str,
-    entries: usize,
-    cfg: Option<MachineConfig>,
-}
-
-/// The fig5 matrix columns for one size sweep. Scheme pairing follows
-/// what each design needs from the OS: the conventional TLB and the
-/// coalescing TLB run on 4 KB mappings with no MTLB; the paper's
-/// machine and the split TLB run with shadow superpages and the MTLB,
-/// where multi-page-size entries actually occur. The coalescing TLB
-/// additionally gets a fresh-boot sequential frame allocator — its
-/// premise is that the OS produces physically-contiguous runs, which
-/// the default deliberately-scrambled allocator (the paper's
-/// fragmented-memory model, see the fragmentation ablation) never
-/// does; under fragmentation it degenerates to the conventional TLB
-/// exactly.
-fn fig5_cells(tlb_sizes: &[usize]) -> Vec<Fig5Cell> {
-    let mut cells = Vec::new();
-    for &e in tlb_sizes {
-        cells.push(Fig5Cell {
-            scheme: "cpu",
-            entries: e,
-            cfg: Some(MachineConfig::paper_base(e)),
-        });
-    }
-    for &e in tlb_sizes {
-        cells.push(Fig5Cell {
-            scheme: "mtlb",
-            entries: e,
-            // The reference run is the 96-entry paper machine; reuse it.
-            cfg: (e != 96).then(|| MachineConfig::paper_mtlb(e)),
-        });
-    }
-    for &e in tlb_sizes {
+/// The fig5 matrix columns for one size sweep: `(scheme, entries,
+/// machine)`. Scheme pairing follows what each design needs from the
+/// OS: the conventional TLB and the coalescing TLB run on 4 KB mappings
+/// with no MTLB; the paper's machine and the split TLB run with shadow
+/// superpages and the MTLB, where multi-page-size entries actually
+/// occur. The coalescing TLB additionally gets a fresh-boot sequential
+/// frame allocator — its premise is that the OS produces
+/// physically-contiguous runs, which the default deliberately-scrambled
+/// allocator (the paper's fragmented-memory model, see the
+/// fragmentation ablation) never does; under fragmentation it
+/// degenerates to the conventional TLB exactly.
+fn fig5_cells(tlb_sizes: &[usize]) -> Vec<(&'static str, usize, MachineConfig)> {
+    let coalesced = |e| {
         let mut cfg = MachineConfig::paper_base(e).with_scheme(SchemeConfig::Coalesced);
         cfg.kernel.frame_order = FrameOrder::Sequential;
-        cells.push(Fig5Cell {
-            scheme: "coalesced",
-            entries: e,
-            cfg: Some(cfg),
-        });
-    }
-    cells.push(Fig5Cell {
-        scheme: "split",
-        entries: SchemeConfig::Split.build(0).capacity(),
-        cfg: Some(MachineConfig::paper_mtlb(96).with_scheme(SchemeConfig::Split)),
-    });
+        cfg
+    };
+    let mut cells = Vec::new();
+    cells.extend(
+        tlb_sizes
+            .iter()
+            .map(|&e| ("cpu", e, MachineConfig::paper_base(e))),
+    );
+    cells.extend(
+        tlb_sizes
+            .iter()
+            .map(|&e| ("mtlb", e, MachineConfig::paper_mtlb(e))),
+    );
+    cells.extend(tlb_sizes.iter().map(|&e| ("coalesced", e, coalesced(e))));
+    cells.push((
+        "split",
+        SchemeConfig::Split.build(0).capacity(),
+        MachineConfig::paper_mtlb(96).with_scheme(SchemeConfig::Split),
+    ));
     cells
 }
 
 /// The fig5 experiment: rival TLB-reach designs head-to-head on
-/// identical address streams. Every cell runs its workload live on a
-/// machine built for that scheme: the workloads are deterministic
-/// programs whose op stream does not depend on the machine
-/// configuration (`tests/stream_identity.rs` pins it), so every cell
-/// sees the stream the `fig5/<w>/record` reference run on the paper's
-/// 96-entry MTLB machine saw (that run *is* the `mtlb`/96 cell) — and
-/// each cell checks its retired-op counts against the reference's as
-/// the runtime witness. Cells are independent runner tasks and rows
-/// are assembled in a fixed order, so the output is byte-identical at
-/// every `--jobs` level. Runtimes are normalised per-workload to the
-/// 96-entry conventional (`cpu`) cell.
+/// identical address streams. The workloads are deterministic programs
+/// whose op stream does not depend on the machine configuration
+/// (`tests/stream_identity.rs` pins it), so every cell sees the stream
+/// the `fig5/<w>/record` reference run on the paper's 96-entry MTLB
+/// machine saw — and each cell's retired-op counts are checked against
+/// the reference's as the runtime witness. References and cells are
+/// [`JobSpec`]s: the runner's result cache serves the `mtlb`/96 cell
+/// (the reference's configuration) and every cell a [`fig3`] sweep on
+/// the same runner already ran. Runtimes are normalised per-workload to
+/// the 96-entry conventional (`cpu`) cell, or the first `cpu` cell.
 #[must_use]
 pub fn fig5(
     runner: &Runner,
@@ -1307,81 +1247,54 @@ pub fn fig5(
     tlb_sizes: &[usize],
     workloads: &[&'static str],
 ) -> Vec<Fig5Row> {
-    let reference_tasks = workloads
-        .iter()
-        .map(|&name| {
-            let label = format!("fig5/{name}/record");
-            Task::new(label.clone(), move || {
-                fig5_live(&label, name, scale, MachineConfig::paper_mtlb(96))
-            })
-        })
+    let reference = [("record", MachineConfig::paper_mtlb(96))];
+    let references: Vec<JobResult> = grid(runner, scale, "fig5", workloads, &reference)
+        .into_iter()
+        .flatten()
         .collect();
-    let reference: Vec<(RunReport, u64)> = runner.run_tasks(reference_tasks);
+    let cells = fig5_cells(tlb_sizes);
+    let machines: Vec<_> = cells
+        .iter()
+        .map(|(scheme, entries, cfg)| (format!("{scheme}{entries}"), cfg.clone()))
+        .collect();
+    let results = grid(runner, scale, "fig5", workloads, &machines);
+    for r in references.iter().chain(results.iter().flatten()) {
+        assert!(
+            r.outcome.verified,
+            "{}: workload failed self-check",
+            r.label
+        );
+    }
 
     let op_counts = |r: &RunReport| (r.instructions, r.loads, r.stores);
-    let cells = fig5_cells(tlb_sizes);
-    let mut tasks = Vec::new();
-    for (w, &name) in workloads.iter().enumerate() {
-        for cell in &cells {
-            if let Some(cfg) = cell.cfg.clone() {
-                let label = format!("fig5/{name}/{}{}", cell.scheme, cell.entries);
-                let expect = op_counts(&reference[w].0);
-                tasks.push(Task::new(label.clone(), move || {
-                    let result = fig5_live(&label, name, scale, cfg);
-                    assert_eq!(
-                        op_counts(&result.0),
-                        expect,
-                        "{label}: (instructions, loads, stores) differ from the reference \
-                         run's — the op stream depended on the machine configuration"
-                    );
-                    result
-                }));
-            }
-        }
-    }
-    let live: Vec<(RunReport, u64)> = runner.run_tasks(tasks);
-
     let mut rows = Vec::new();
-    let mut live = live.into_iter();
-    for (w, &name) in workloads.iter().enumerate() {
-        let results: Vec<(RunReport, u64)> = cells
-            .iter()
-            .map(|cell| match &cell.cfg {
-                Some(_) => live.next().expect("one result per live cell"),
-                None => reference[w].clone(),
-            })
-            .collect();
+    for ((&name, reference), results) in workloads.iter().zip(&references).zip(&results) {
         let base_total = cells
             .iter()
-            .zip(results.iter())
-            .find(|(c, _)| c.scheme == "cpu" && c.entries == 96)
-            .or_else(|| {
-                cells
-                    .iter()
-                    .zip(results.iter())
-                    .find(|(c, _)| c.scheme == "cpu")
-            })
-            .map_or(1.0, |(_, (r, _))| r.total_cycles.get() as f64);
-        for (cell, (report, reach)) in cells.iter().zip(results) {
-            let hits = report.tlb.hits;
-            let misses = report.tlb.misses;
-            let lookups = hits.saturating_add(misses);
+            .zip(results)
+            .filter(|((scheme, ..), _)| *scheme == "cpu")
+            .min_by_key(|((_, entries, _), _)| *entries != 96)
+            .map_or(1.0, |(_, r)| r.report.total_cycles.get() as f64);
+        for (&(scheme, entries, _), r) in cells.iter().zip(results) {
+            assert_eq!(
+                op_counts(&r.report),
+                op_counts(&reference.report),
+                "{}: (instructions, loads, stores) differ from the reference \
+                 run's — the op stream depended on the machine configuration",
+                r.label
+            );
+            let report = &r.report;
             rows.push(Fig5Row {
                 workload: name,
-                scheme: cell.scheme,
-                tlb_entries: cell.entries,
+                scheme,
+                tlb_entries: entries,
                 total_cycles: report.total_cycles.get(),
                 tlb_miss_cycles: report.buckets.tlb_miss.get(),
                 tlb_fraction: report.tlb_miss_fraction(),
-                misses,
-                miss_rate: if lookups == 0 {
-                    0.0
-                } else {
-                    misses as f64 / lookups as f64
-                },
-                reach_bytes: reach,
+                misses: report.tlb.misses,
+                miss_rate: report.tlb.miss_rate(),
                 normalized: report.total_cycles.get() as f64 / base_total,
-                report,
+                report: report.clone(),
             });
         }
     }
@@ -1440,7 +1353,7 @@ mod tests {
         // All schemes saw lookups and kept their counters sane.
         for r in &rows {
             assert!(r.total_cycles > 0);
-            assert!(r.reach_bytes > 0);
+            assert!(r.report.tlb_reach_bytes > 0);
             assert!((0.0..=1.0).contains(&r.miss_rate), "{r:?}");
         }
         // The split scheme's geometry is fixed regardless of the sweep.
@@ -1448,9 +1361,11 @@ mod tests {
         // Coalescing on a fresh-boot allocator cannot miss more often
         // than the conventional TLB at the same capacity.
         assert!(cell("coalesced", 64).misses <= cell("cpu", 64).misses);
-        // The mtlb/96 cell is the record run reused, not re-simulated:
-        // its report matches the paper machine bit-for-bit.
-        assert_eq!(cell("mtlb", 96).tlb_entries, 96);
+        // The mtlb/96 cell is the paper machine: its report matches a
+        // fresh run of `paper_mtlb(96)` bit-for-bit.
+        let paper = JobSpec::new("paper", "radix", Scale::Test, MachineConfig::paper_mtlb(96));
+        let paper = Runner::serial().run(&[paper]);
+        assert_eq!(cell("mtlb", 96).report.to_json(), paper[0].report.to_json());
     }
 
     #[test]

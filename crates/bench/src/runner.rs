@@ -19,10 +19,10 @@
 //!   progress lines on stderr; the repo benchmark (`benchmark/`) drains
 //!   them with [`Runner::take_records`] as its per-unit host times.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mtlb_sim::{Bucket, Machine, MachineConfig, RingTrace, RunReport};
@@ -152,11 +152,23 @@ impl<'scope, T> Task<'scope, T> {
 /// configuration of that pair in a sweep.
 type TraceCache = BTreeMap<(&'static str, Scale), Arc<Vec<u8>>>;
 
-/// Finished simulations keyed by `(workload, scale, config)` — the
-/// config via its exhaustive `Debug` rendering. Simulations are
-/// deterministic, so identical rows appearing across experiments in
-/// one sweep (`fig3` and `fig3.4` share several) run once.
-type ResultCache = BTreeMap<(&'static str, Scale, String), (Outcome, RunReport)>;
+/// Simulations keyed by `(workload, scale, config)` — the config via
+/// its exhaustive `Debug` rendering. Simulations are deterministic, so
+/// a key runs once per runner: a job whose key another job already
+/// claimed waits for that result (even one running on another thread)
+/// instead of re-simulating ([`Runner::run`] dispatches repeats last,
+/// so such a wait idles no worker that had fresh work). This is the
+/// sweeps' only dedup: fig3's 96-entry no-MTLB cell is its base96 run;
+/// fig3.4, fig5 and the §5 subblock table share cells with fig3;
+/// fig5's `mtlb`/96 cell is its reference run.
+type ResultCache = BTreeMap<CacheKey, Arc<OnceLock<(Outcome, RunReport)>>>;
+
+/// `(workload, scale, config)`, the config via its `Debug` rendering.
+type CacheKey = (&'static str, Scale, String);
+
+fn cache_key(spec: &JobSpec) -> CacheKey {
+    (spec.workload, spec.scale, format!("{:?}", spec.cfg))
+}
 
 /// Executes independent jobs across OS threads, returning results in
 /// deterministic job order.
@@ -169,6 +181,9 @@ pub struct Runner {
     traces: Mutex<TraceCache>,
     results: Mutex<ResultCache>,
     records: Mutex<Vec<JobRecord>>,
+    /// Simulations actually run (result-cache misses).
+    #[cfg(test)]
+    simulations: AtomicUsize,
 }
 
 impl Default for Runner {
@@ -204,6 +219,8 @@ impl Runner {
             traces: Mutex::new(BTreeMap::new()),
             results: Mutex::new(BTreeMap::new()),
             records: Mutex::new(Vec::new()),
+            #[cfg(test)]
+            simulations: AtomicUsize::new(0),
         }
     }
 
@@ -273,10 +290,17 @@ impl Runner {
         out
     }
 
-    /// Runs every spec and returns their results in spec order.
+    /// Runs every spec and returns their results in spec order. Each
+    /// result-cache key's first spec is dispatched before any repeat of
+    /// it, so a worker reaches a repeat (which waits for its twin's
+    /// result) only once no fresh job is left.
     pub fn run(&self, specs: &[JobSpec]) -> Vec<JobResult> {
-        self.execute(specs.len(), |i| {
-            let spec = &specs[i];
+        let mut seen = BTreeSet::new();
+        let (mut order, repeats): (Vec<usize>, Vec<usize>) =
+            (0..specs.len()).partition(|&i| seen.insert(cache_key(&specs[i])));
+        order.extend(repeats);
+        let results = self.execute(order.len(), |k| {
+            let spec = &specs[order[k]];
             #[expect(clippy::disallowed_methods, reason = "Bench wall-clock perimeter: per-job host wall time feeds the [job] stderr progress lines and the JobRecords benchmark/src/units.rs drains, never simulated cycles or rendered tables.")]
             let start = Instant::now();
             let (outcome, report) = self.simulate(spec);
@@ -288,35 +312,36 @@ impl Runner {
                 report,
                 wall,
             }
-        })
+        });
+        let mut placed: Vec<(usize, JobResult)> = order.into_iter().zip(results).collect();
+        placed.sort_unstable_by_key(|&(i, _)| i);
+        placed.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// One simulation: deduplicated against an already-finished
-    /// identical row when possible, then replayed from the trace cache,
-    /// live (and recorded) otherwise.
+    /// One simulation: deduplicated against an identical row when
+    /// possible, then replayed from the trace cache, live (and recorded)
+    /// otherwise.
     fn simulate(&self, spec: &JobSpec) -> (Outcome, RunReport) {
         // Trace mode bypasses the dedup so every job still prints its
         // own cycle-attribution summary.
-        let dedup_key =
-            (!self.trace).then(|| (spec.workload, spec.scale, format!("{:?}", spec.cfg)));
-        if let Some(key) = &dedup_key {
-            if let Some((outcome, report)) = self.results.lock().expect("results").get(key) {
-                return (outcome.clone(), report.clone());
-            }
+        if self.trace {
+            return self.simulate_uncached(spec);
         }
-        let (outcome, report) = self.simulate_uncached(spec);
-        if let Some(key) = dedup_key {
+        let cell = Arc::clone(
             self.results
                 .lock()
                 .expect("results")
-                .insert(key, (outcome.clone(), report.clone()));
-        }
-        (outcome, report)
+                .entry(cache_key(spec))
+                .or_default(),
+        );
+        cell.get_or_init(|| self.simulate_uncached(spec)).clone()
     }
 
     /// Runs the simulation for real: replayed from the trace cache when
     /// possible, live (and recorded) otherwise.
     fn simulate_uncached(&self, spec: &JobSpec) -> (Outcome, RunReport) {
+        #[cfg(test)]
+        self.simulations.fetch_add(1, Ordering::Relaxed);
         if self.replay {
             let key = (spec.workload, spec.scale);
             let recorded = self.traces.lock().expect("traces").get(&key).cloned();
@@ -554,6 +579,105 @@ mod tests {
             format!("{:?}", second[0].report)
         );
         assert_eq!(first[0].outcome, second[0].outcome);
+    }
+
+    /// fig5 after fig3 on one runner: the cache serves fig5's reference
+    /// runs and its cpu / mtlb cells, so only the rival front ends
+    /// simulate — and the re-served rows are fig3's, bit for bit.
+    #[test]
+    fn fig5_after_fig3_simulates_only_the_rival_front_ends() {
+        use crate::experiments::{fig3, fig5};
+        let runner = Runner::with_jobs(2);
+        let (sizes, workloads) = ([64, 96, 128], ["radix", "vortex"]);
+        let cached = |runner: &Runner| -> BTreeSet<_> {
+            runner
+                .results
+                .lock()
+                .expect("results")
+                .keys()
+                .cloned()
+                .collect()
+        };
+        let fig3_rows = fig3(&runner, Scale::Test, &sizes, &workloads);
+        let (before, simulated) = (cached(&runner), runner.simulations.load(Ordering::Relaxed));
+        let fig5_rows = fig5(&runner, Scale::Test, &sizes, &workloads);
+        assert_eq!(
+            runner.simulations.load(Ordering::Relaxed) - simulated,
+            workloads.len() * (sizes.len() + 1)
+        );
+        let added: Vec<String> = cached(&runner)
+            .difference(&before)
+            .map(|(_, _, cfg)| cfg.clone())
+            .collect();
+        // Per workload: coalesced at each size, and split.
+        assert_eq!(
+            added.len(),
+            workloads.len() * (sizes.len() + 1),
+            "{added:#?}"
+        );
+        for cfg in &added {
+            assert!(
+                cfg.contains("scheme: Coalesced") || cfg.contains("scheme: Split"),
+                "fig5 re-simulated a fig3 configuration: {cfg}"
+            );
+        }
+        let mut shared = 0;
+        for row in fig5_rows
+            .iter()
+            .filter(|r| matches!(r.scheme, "cpu" | "mtlb"))
+        {
+            let twin = fig3_rows
+                .iter()
+                .find(|f| {
+                    (f.workload, f.tlb_entries, f.mtlb)
+                        == (row.workload, row.tlb_entries, row.scheme == "mtlb")
+                })
+                .expect("fig3 ran the same cell");
+            assert_eq!(row.report.to_json(), twin.report.to_json(), "{row:?}");
+            shared += 1;
+        }
+        assert_eq!(shared, workloads.len() * sizes.len() * 2);
+    }
+
+    /// Identical specs in one batch simulate once at any jobs level —
+    /// even when two workers pick up the twins at the same time — and
+    /// every spec still gets its result, in spec order.
+    #[test]
+    fn a_batch_simulates_each_key_once() {
+        use mtlb_sim::MachineConfig;
+        let spec = |label: &str, mtlb| {
+            JobSpec::new(
+                label,
+                "radix",
+                Scale::Test,
+                if mtlb {
+                    MachineConfig::paper_mtlb(64)
+                } else {
+                    MachineConfig::paper_base(64)
+                },
+            )
+        };
+        let twins = [spec("a", true), spec("b", true)];
+        let mixed = [
+            spec("a", true),
+            spec("b", true),
+            spec("c", false),
+            spec("d", true),
+        ];
+        for jobs in [1, 2] {
+            let runner = Runner::with_jobs(jobs);
+            let got = runner.run(&twins);
+            assert_eq!(runner.simulations.load(Ordering::Relaxed), 1, "jobs={jobs}");
+            assert_eq!(got[0].report.to_json(), got[1].report.to_json());
+
+            let runner = Runner::with_jobs(jobs);
+            let got = runner.run(&mixed);
+            assert_eq!(runner.simulations.load(Ordering::Relaxed), 2, "jobs={jobs}");
+            let labels: Vec<&str> = got.iter().map(|r| r.label.as_str()).collect();
+            assert_eq!(labels, ["a", "b", "c", "d"], "jobs={jobs}");
+            assert_ne!(got[2].report.to_json(), got[3].report.to_json());
+            assert_eq!(got[0].report.to_json(), got[3].report.to_json());
+        }
     }
 
     #[test]

@@ -74,6 +74,61 @@ fn fig3_parallel_output_is_byte_identical_to_serial() {
     assert!(serial == parallel, "--jobs 4 stdout differs from --jobs 1");
 }
 
+/// The labels of `prefix` lines (`[job] <label>: …`) on stderr.
+fn stderr_labels<'a>(stderr: &'a str, prefix: &str) -> Vec<&'a str> {
+    stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix(prefix)?.split(':').next())
+        .collect()
+}
+
+/// fig5's cells are runner jobs, so `--trace` covers them: one
+/// cycle-attribution summary per job, in job order (5 workloads x
+/// (reference + 10 cells)).
+#[test]
+fn fig5_trace_prints_one_summary_per_job() {
+    let out = repro_output(&["fig5", "--test-scale", "--trace", "--jobs", "1"]);
+    assert!(out.status.success(), "repro fig5 --trace failed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let traced = stderr_labels(&stderr, "[trace] ");
+    assert_eq!(traced.len(), 55, "{stderr}");
+    assert_eq!(traced, stderr_labels(&stderr, "[job] "));
+}
+
+/// `--record-traces` saves fig5's streams: one trace per workload.
+#[test]
+fn fig5_record_traces_writes_one_trace_per_workload() {
+    let dir = std::env::temp_dir().join("repro_parity_fig5_traces");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = repro_stdout(&[
+        "fig5",
+        "--test-scale",
+        "--record-traces",
+        dir.to_str().expect("utf-8 temp path"),
+    ]);
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("trace dir written")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    written.sort();
+    assert_eq!(
+        written,
+        [
+            "cc1_test.mtr",
+            "compress95_test.mtr",
+            "em3d_test.mtr",
+            "radix_test.mtr",
+            "vortex_test.mtr"
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Pulls the integer value of a top-level `"key":N` field out of a flat
 /// JSON report (no serde in the workspace; the emitter's field grammar
 /// is fixed, so substring parsing is exact).

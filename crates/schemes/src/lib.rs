@@ -3,9 +3,9 @@
 //! The paper's machine always translates through the fully-associative
 //! NRU [`CpuTlb`] (`mtlb-tlb`); this crate supplies the competitors the
 //! fig5 experiment and the §5 related-work table pit against it on
-//! identical address streams (each
-//! cell runs its workload live; the streams are identical because the
-//! workloads are deterministic and configuration-independent):
+//! identical address streams (each cell is a sweep job, live by
+//! default; the streams are identical because the workloads are
+//! deterministic and configuration-independent):
 //!
 //! * [`CoalescedTlb`] — detects contiguous VPN→PFN runs at fill time
 //!   and stores them as ranged entries (Ban et al., arXiv:1908.08774).

@@ -299,14 +299,6 @@ impl Machine {
         self.core().tlb.name()
     }
 
-    /// Bytes of virtual address space the active core's translation
-    /// front end can currently translate without a miss — the "TLB
-    /// reach" figure the paper's rivals compete on.
-    #[must_use]
-    pub fn tlb_reach_bytes(&self) -> u64 {
-        self.core().tlb.reach_bytes()
-    }
-
     /// Number of CPU cores.
     #[must_use]
     pub fn num_cores(&self) -> usize {
@@ -526,9 +518,10 @@ impl Machine {
         let mut tlb = mtlb_tlb::TlbStats::default();
         let mut cache = mtlb_cache::CacheStats::default();
         let (mut itlb_hits, mut itlb_misses) = (0, 0);
-        let (mut loads, mut stores, mut instructions) = (0, 0, 0);
+        let (mut loads, mut stores, mut instructions, mut tlb_reach_bytes) = (0, 0, 0, 0);
         for core in &self.cores {
             Self::merge_tlb_stats(&mut tlb, core.tlb.stats());
+            tlb_reach_bytes += core.tlb.reach_bytes();
             Self::merge_cache_stats(&mut cache, core.cache.stats());
             itlb_hits += core.itlb.hits();
             itlb_misses += core.itlb.misses();
@@ -551,6 +544,7 @@ impl Machine {
             tlb_miss_intervals: self.miss_intervals,
             mtlb_contention_events: self.contention_events,
             mtlb_contention_cycles: self.contention_cycles,
+            tlb_reach_bytes,
         };
         #[cfg(debug_assertions)]
         self.audit(&report);
@@ -1651,6 +1645,7 @@ impl Machine {
             ref tlb_miss_intervals,
             mtlb_contention_events,
             mtlb_contention_cycles,
+            tlb_reach_bytes: _,
         } = *r;
         let TimeBuckets {
             user,

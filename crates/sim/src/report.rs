@@ -91,6 +91,10 @@ pub struct RunReport {
     pub mtlb_contention_events: u64,
     /// CPU cycles those stalls cost (inside the mem-stall bucket).
     pub mtlb_contention_cycles: Cycles,
+    /// Bytes of virtual address space the cores' translation front ends
+    /// could translate without a miss when the report was taken (the
+    /// sum over cores) — the "TLB reach" the rival designs compete on.
+    pub tlb_reach_bytes: u64,
 }
 
 impl RunReport {
@@ -142,6 +146,7 @@ impl RunReport {
                 "\"tlb_miss_cycles\":{},\"fault_cycles\":{},\"service_cycles\":{},",
                 "\"shootdowns\":{},\"shootdown_cycles\":{}}},",
                 "\"mtlb_contention\":{{\"events\":{},\"cycles\":{}}},",
+                "\"tlb_reach_bytes\":{},",
                 "\"tlb_miss_intervals\":{}",
                 "}}"
             ),
@@ -200,6 +205,7 @@ impl RunReport {
             k.shootdown_cycles.get(),
             self.mtlb_contention_events,
             self.mtlb_contention_cycles.get(),
+            self.tlb_reach_bytes,
             histogram_json(&self.tlb_miss_intervals),
         )
     }
@@ -294,6 +300,7 @@ mod tests {
                 fault: Cycles::new(5),
             },
             tlb_miss_intervals: h,
+            tlb_reach_bytes: 3 << 20,
             ..RunReport::default()
         };
         let json = r.to_json();
@@ -304,6 +311,7 @@ mod tests {
         ));
         assert!(json.contains("\"tlb_miss_intervals\":[{\"lo\":16,\"hi\":31,\"count\":1}]"));
         assert!(json.contains("\"fill_hist\":[]"));
+        assert!(json.contains("\"tlb_reach_bytes\":3145728,"));
         // The acceptance property: bucket values sum to total_cycles.
         assert_eq!(r.buckets.total(), r.total_cycles);
     }
