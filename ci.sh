@@ -119,17 +119,18 @@ fi
 echo "== paper-scale cycle-fidelity gate (live pins of benchmark/expected.json)"
 # Runs this tree's simulator at paper scale, one rep, through the
 # benchmark as shipped: `"correct": true` means every unit matched its
-# pinned simulated cycles and counter digest — 22 cells across live
-# runs on four translation front ends, one MTR1 recording and its
-# 4-core co-run, plus kernel_churn's 17 segments, the only pins that
-# drive remap, swap-out, demotion, recoloring, page_bits and sbrk at
-# paper scale. Any simulated-cycle drift this change causes is a hard
-# failure. The perop_fig5_fig6 run (last, so `$result` is its line)
-# also gates memory: its peak RSS was 537 MB while fig5/fig6 tasks held
-# decoded op vectors and 101 MB while replayed zero stores still backed
-# guest pages and a sealed trace was copied; about 41 MB since, so it
-# must stay under 60 MB.
-for workload in live_paper5 kernel_churn perop_fig5_fig6; do
+# pinned simulated cycles and counter digest — 35 cells across live
+# runs on four translation front ends at 64–256 TLB entries (fig3's
+# radix@256 cells are the only 256-entry TLB pinned anywhere), one MTR1
+# recording and its 4-core co-run, plus kernel_churn's 17 segments, the
+# only pins that drive remap, swap-out, demotion, recoloring, page_bits
+# and sbrk at paper scale. Any simulated-cycle drift this change causes
+# is a hard failure. The perop_fig5_fig6 run (last, so `$result` is its
+# line) also gates memory: its peak RSS was 537 MB while fig5/fig6 tasks
+# held decoded op vectors and 101 MB while replayed zero stores still
+# backed guest pages and a sealed trace was copied; about 41 MB since,
+# so it must stay under 60 MB.
+for workload in live_paper5 sweep_fig3 kernel_churn perop_fig5_fig6; do
   result="$(bash benchmark/run.sh --workload "$workload" --seed 1 --reps 1 --trace 0 \
     2>/dev/null | tail -n 1)" || true
   if [[ "$result" != *'"correct": true'* ]]; then

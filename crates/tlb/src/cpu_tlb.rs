@@ -4,14 +4,18 @@
 //!
 //! A real fully-associative TLB compares all entries in parallel; the
 //! straightforward simulation is a linear scan, which makes *every*
-//! simulated memory access O(capacity). This implementation keeps a
-//! side index — a hash map from `(size class, size-aligned VPN base)`
-//! to slot — so [`CpuTlb::translate`] and [`CpuTlb::probe`] cost O(1)
-//! in the TLB size (at most one hash probe per *present* size class,
-//! tracked by a per-class entry count). The index is pure acceleration:
-//! hit/miss outcomes, NRU use bits, victim choice, and every statistic
-//! are identical to the linear scan, which debug builds assert.
+//! simulated memory access O(capacity). This implementation keeps an
+//! exact page map beside the slots: every live 16 MB-aligned region has
+//! an array naming, for each of its 4 KB pages, the unlocked slot that
+//! covers it. Unlocked entries never overlap (an insert discards the
+//! ones it overlaps), so [`CpuTlb::translate`] and [`CpuTlb::probe`]
+//! cost one region lookup and one array load, plus a check of the few
+//! locked entries, which the map leaves out. The map is pure
+//! acceleration: hit/miss outcomes, NRU use bits, victim choice, and
+//! every statistic are identical to the linear scan, which debug builds
+//! assert.
 
+use core::cell::Cell;
 use core::fmt;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -20,70 +24,95 @@ use mtlb_types::{AccessKind, FastMap, Fault, PageSize, PhysAddr, PrivilegeLevel,
 
 use crate::TlbEntry;
 
-/// Index key: a page-size class and an entry's size-aligned base VPN.
-type SlotKey = (u8, u64);
+/// Base pages per page-map region: one page of the largest size, so
+/// every (size-aligned) entry lies inside a single region.
+const REGION_PAGES: u64 = PageSize::Size16M.base_pages();
 
-const fn class_of(size: PageSize) -> u8 {
-    size as u8
-}
-
-fn key_of(entry: &TlbEntry) -> SlotKey {
-    (class_of(entry.size()), entry.vpn_base().index())
-}
-
-/// The slots sharing one index key. Almost always one; two (or, in
-/// principle, more) when locked and unlocked entries overlap. Inline
-/// storage keeps the common insert/remove free of heap traffic.
+/// Host-side acceleration only: the unlocked slot covering each 4 KB
+/// page. Each live region owns one `REGION_PAGES`-long array of
+/// `slot + 1` (0: no unlocked entry) in a small arena; an array is
+/// freed when its last page is unmapped and reused by the next region.
 #[derive(Debug, Clone, Default)]
-struct SlotList {
-    inline: [u32; 2],
-    len: u8,
-    spill: Vec<u32>,
+struct PageMap {
+    /// Region number (`vpn / REGION_PAGES`) → array number.
+    regions: FastMap<u64, u32>,
+    /// One-entry memo in front of `regions`: the last region found.
+    memo: Cell<Option<(u64, u32)>>,
+    /// The arrays, back to back; a free array is all zeros.
+    pages: Vec<u16>,
+    /// Mapped pages per array.
+    live: Vec<u32>,
+    /// Free array numbers, reused before the arena grows.
+    spare: Vec<u32>,
 }
 
-impl SlotList {
-    fn push(&mut self, s: u32) {
-        if (self.len as usize) < self.inline.len() {
-            self.inline[self.len as usize] = s;
-            self.len += 1;
-        } else {
-            self.spill.push(s);
-        }
+impl PageMap {
+    /// The `pages` index of `vpn` in `array`.
+    fn index(array: u32, vpn: u64) -> usize {
+        array as usize * REGION_PAGES as usize + (vpn % REGION_PAGES) as usize
     }
 
-    #[expect(
-        clippy::panic,
-        reason = "Structure invariant: `SlotList::remove` is only called for slots the index recorded; a miss means the host-side index diverged from the slot array."
-    )]
-    fn remove(&mut self, s: u32) {
-        if let Some(p) = self.spill.iter().position(|&x| x == s) {
-            self.spill.swap_remove(p);
+    /// The `pages` index of `vpn`, if its region has a live array.
+    fn at(&self, vpn: u64) -> Option<usize> {
+        let region = vpn / REGION_PAGES;
+        let array = match self.memo.get() {
+            Some((r, a)) if r == region => a,
+            _ => {
+                let a = *self.regions.get(&region)?;
+                self.memo.set(Some((region, a)));
+                a
+            }
+        };
+        Some(Self::index(array, vpn))
+    }
+
+    /// The unlocked slot covering `vpn`.
+    fn slot(&self, vpn: u64) -> Option<usize> {
+        let s = self.pages[self.at(vpn)?];
+        s.checked_sub(1).map(usize::from)
+    }
+
+    /// The first unlocked slot mapped in `[from, end)`, a range inside
+    /// one region.
+    fn first_in(&self, from: u64, end: u64) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let i = self.at(from)?;
+        let s = self.pages[i..i + (end - from) as usize]
+            .iter()
+            .find(|&&s| s != 0)?;
+        Some(usize::from(s - 1))
+    }
+
+    /// Sets every page of `entry` to `value` (`slot + 1`, or 0 to
+    /// unmap), allocating the region's array on first use and freeing
+    /// it when its last page is unmapped.
+    fn set(&mut self, entry: &TlbEntry, value: u16) {
+        let vpn = entry.vpn_base().index();
+        let n = entry.size().base_pages() as u32;
+        let start = self.at(vpn).unwrap_or_else(|| {
+            let a = self.spare.pop().unwrap_or_else(|| {
+                self.pages
+                    .resize(self.pages.len() + REGION_PAGES as usize, 0);
+                self.live.push(0);
+                self.live.len() as u32 - 1
+            });
+            self.regions.insert(vpn / REGION_PAGES, a);
+            Self::index(a, vpn)
+        });
+        self.pages[start..start + n as usize].fill(value);
+        let a = start / REGION_PAGES as usize;
+        if value != 0 {
+            self.live[a] += n;
             return;
         }
-        for i in 0..self.len as usize {
-            if self.inline[i] == s {
-                // Backfill from the spill first, else from the inline tail.
-                if let Some(last) = self.spill.pop() {
-                    self.inline[i] = last;
-                } else {
-                    self.len -= 1;
-                    self.inline[i] = self.inline[self.len as usize];
-                }
-                return;
-            }
+        self.live[a] -= n;
+        if self.live[a] == 0 {
+            self.regions.remove(&(vpn / REGION_PAGES));
+            self.memo.set(None);
+            self.spare.push(a as u32);
         }
-        panic!("slot {s} not present in its index list");
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.inline[..self.len as usize]
-            .iter()
-            .copied()
-            .chain(self.spill.iter().copied())
     }
 }
 
@@ -162,19 +191,18 @@ pub struct CpuTlb {
     /// Host-side acceleration only: index of the most recently hit slot,
     /// checked first. A real TLB compares all entries in parallel; this
     /// changes nothing observable (hits are hits), it just spares the
-    /// simulator the index probes on the common repeat-hit case.
+    /// simulator the page-map lookup on the common repeat-hit case.
     mru: usize,
-    /// Host-side acceleration only: maps `(size class, vpn base)` to the
-    /// slots holding such an entry. Almost always one slot per key; two
-    /// can share a key when a locked and an unlocked entry overlap (the
-    /// overlap discard in [`CpuTlb::insert`] skips locked entries).
-    index: FastMap<SlotKey, SlotList>,
+    /// Host-side acceleration only: the unlocked slot covering each page.
+    map: PageMap,
+    /// Host-side acceleration only: the locked slots, which the page map
+    /// leaves out because a later unlocked entry may overlap them.
+    /// Nothing removes a locked entry, so this only grows.
+    locked: Vec<u32>,
     /// Host-side acceleration only: min-heap of the empty slot indices,
     /// so inserts find the same lowest-numbered free slot the reference
     /// linear scan would without walking the slot array.
     free: BinaryHeap<Reverse<u32>>,
-    /// Entries per size class, so lookups probe only present classes.
-    class_counts: [u32; PageSize::ALL.len()],
     /// Host-side content generation: bumped on every insert and purge.
     /// The machine's memo/fast-forward layers record it when proving a
     /// fast path sound (see the `scheme` module's invalidation
@@ -188,18 +216,23 @@ impl CpuTlb {
     ///
     /// # Panics
     ///
-    /// Panics when `capacity` is zero.
+    /// Panics when `capacity` is zero or above `u16::MAX - 1` (the page
+    /// map stores `slot + 1` in a `u16`).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB must have at least one entry");
+        assert!(
+            capacity < usize::from(u16::MAX),
+            "TLB capacity {capacity} exceeds the page map's u16::MAX - 1 slots"
+        );
         CpuTlb {
             capacity,
             slots: vec![None; capacity],
             hand: 0,
             mru: 0,
-            index: FastMap::default(),
+            map: PageMap::default(),
+            locked: Vec::new(),
             free: (0..capacity as u32).map(Reverse).collect(),
-            class_counts: [0; PageSize::ALL.len()],
             generation: 0,
             stats: TlbStats::default(),
         }
@@ -213,69 +246,32 @@ impl CpuTlb {
         self.generation
     }
 
-    /// Registers the occupied slot `i` in the lookup index.
-    fn index_add(&mut self, i: usize) {
-        #[expect(
-            clippy::expect_used,
-            reason = "Structure invariant: the index only holds identifiers of occupied slots."
-        )]
-        let entry = &self.slots[i].as_ref().expect("occupied slot").entry;
-        let key = key_of(entry);
-        self.index.entry(key).or_default().push(i as u32);
-        self.class_counts[key.0 as usize] += 1;
-    }
-
-    /// Unregisters slot `i` (still holding `entry`) from the index.
-    fn index_remove(&mut self, i: usize) {
-        #[expect(
-            clippy::expect_used,
-            reason = "Structure invariant: the index only holds identifiers of occupied slots."
-        )]
-        let entry = &self.slots[i].as_ref().expect("occupied slot").entry;
-        let key = key_of(entry);
-        #[expect(
-            clippy::expect_used,
-            reason = "Structure invariant: every occupied slot has an index entry (the inverse of the slot invariant)."
-        )]
-        let slots = self.index.get_mut(&key).expect("indexed entry");
-        slots.remove(i as u32);
-        if slots.is_empty() {
-            self.index.remove(&key);
-        }
-        self.class_counts[key.0 as usize] -= 1;
-    }
-
-    /// Empties slot `i` (which must be occupied): index bookkeeping plus
-    /// the free-slot heap.
+    /// Empties the unlocked slot `i`: page map plus the free-slot heap.
     fn clear_slot(&mut self, i: usize) {
-        self.index_remove(i);
-        self.slots[i] = None;
+        self.vacate(i);
         self.free.push(Reverse(i as u32));
+    }
+
+    /// Empties the unlocked slot `i` and unmaps its pages.
+    fn vacate(&mut self, i: usize) {
+        if let Some(s) = self.slots[i].take() {
+            debug_assert!(!s.locked, "nothing removes a locked entry");
+            self.map.set(&s.entry, 0);
+        }
     }
 
     /// The covering slot [`translate`](Self::translate) would find — the
     /// lowest-numbered occupied slot whose entry covers `vpn`, exactly as
-    /// the reference linear scan would. O(1) in the TLB size: one hash
-    /// probe per size class present.
+    /// the reference linear scan would. O(1) in the TLB size: one page-map
+    /// load, then the min with any covering locked slot.
     fn find_covering(&self, vpn: Vpn) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (class, &count) in self.class_counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            // An entry of this class covering `vpn` can only sit at the
-            // class-aligned base (sizes are powers of two base pages).
-            let base = vpn.align_down_to(PageSize::ALL[class]).index();
-            if let Some(slots) = self.index.get(&(class as u8, base)) {
-                for s in slots.iter() {
-                    let s = s as usize;
-                    debug_assert!(self.slots[s]
-                        .as_ref()
-                        .is_some_and(|slot| slot.entry.covers(vpn)));
-                    if best.is_none_or(|b| s < b) {
-                        best = Some(s);
-                    }
-                }
+        let mut best = self.map.slot(vpn.index());
+        for &l in &self.locked {
+            let l = l as usize;
+            if best.is_none_or(|b| l < b)
+                && self.slots[l].as_ref().is_some_and(|s| s.entry.covers(vpn))
+            {
+                best = Some(l);
             }
         }
         debug_assert_eq!(
@@ -285,7 +281,7 @@ impl CpuTlb {
                 .enumerate()
                 .find(|(_, s)| s.as_ref().is_some_and(|s| s.entry.covers(vpn)))
                 .map(|(i, _)| i),
-            "index must agree with the reference linear scan"
+            "page map must agree with the reference linear scan"
         );
         best
     }
@@ -444,83 +440,47 @@ impl CpuTlb {
             self.stats.fills = self.stats.fills.saturating_add(1);
         }
         // Discard overlapping unlocked mappings (a TLB never holds two
-        // entries for one virtual address). For a base-page insert — the
-        // overwhelmingly common miss-handler refill — every overlapping
-        // entry must *cover* the one page, so the index finds them with
-        // one probe per present size class. Superpage inserts (rare:
-        // remaps and promotions) keep the reference linear scan, since
-        // they can overlap many smaller entries.
-        if entry.size() == PageSize::Base4K {
-            let vpn = entry.vpn_base();
-            // Non-overlap invariant: at most one unlocked entry covers
-            // any vpn, so one doomed slot per size class bounds this.
-            let mut doomed = [0u32; PageSize::ALL.len()];
-            let mut n = 0;
-            for (class, &count) in self.class_counts.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                let base = vpn.align_down_to(PageSize::ALL[class]).index();
-                if let Some(slots) = self.index.get(&(class as u8, base)) {
-                    for s in slots.iter() {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "Structure invariant: index entries only reference occupied slots (same invariant as `occupied slot`, on the overlap-discard probe path)."
-                        )]
-                        if !self.slots[s as usize]
-                            .as_ref()
-                            .expect("indexed slot")
-                            .locked
-                        {
-                            doomed[n] = s;
-                            n += 1;
-                        }
-                    }
-                }
-            }
-            for &s in &doomed[..n] {
-                self.clear_slot(s as usize);
-            }
-        } else {
-            for i in 0..self.capacity {
-                if let Some(s) = &self.slots[i] {
-                    if !s.locked
-                        && s.entry
-                            .overlaps(entry.vpn_base(), entry.size().base_pages())
-                    {
-                        self.clear_slot(i);
-                    }
-                }
-            }
+        // entries for one virtual address). They cannot overlap each
+        // other, so the page map names them: walk the new entry's
+        // pages, jumping past each entry found.
+        let mut from = entry.vpn_base().index();
+        let end = from + entry.size().base_pages();
+        while let Some(s) = self.map.first_in(from, end) {
+            let Some(doomed) = &self.slots[s] else { break };
+            from = doomed.entry.vpn_base().index() + doomed.entry.size().base_pages();
+            self.clear_slot(s);
         }
-        let new = Slot {
-            entry,
-            used: true,
-            locked,
-        };
         // Free slot if any (heap min = the lowest-numbered empty slot,
-        // as the reference first-free scan would find).
+        // as the reference first-free scan would find), else an NRU
+        // victim among unlocked entries.
         debug_assert_eq!(
             self.free.peek().map(|&Reverse(i)| i as usize),
             self.slots.iter().position(|s| s.is_none()),
             "free-slot heap must agree with the reference scan"
         );
-        if let Some(Reverse(i)) = self.free.pop() {
-            let i = i as usize;
-            self.slots[i] = Some(new);
-            self.index_add(i);
-            return;
+        let i = match self.free.pop() {
+            Some(Reverse(i)) => i as usize,
+            None => {
+                let victim = self.pick_victim();
+                self.stats.replacements = self.stats.replacements.saturating_add(1);
+                self.vacate(victim);
+                self.hand = victim + 1;
+                if self.hand == self.capacity {
+                    self.hand = 0;
+                }
+                victim
+            }
+        };
+        if locked {
+            self.locked.push(i as u32);
+        } else {
+            self.map.set(&entry, i as u16 + 1);
         }
-        // NRU victim selection among unlocked entries.
-        let victim = self.pick_victim();
-        self.stats.replacements = self.stats.replacements.saturating_add(1);
-        self.index_remove(victim);
-        self.slots[victim] = Some(new);
-        self.index_add(victim);
-        self.hand = victim + 1;
-        if self.hand == self.capacity {
-            self.hand = 0;
-        }
+        self.slots[i] = Some(Slot {
+            entry,
+            used: true,
+            locked,
+        });
     }
 
     #[expect(
@@ -807,6 +767,55 @@ mod tests {
         read(&mut tlb, 0x1000);
         assert_eq!(tlb.stats().lookups(), 3);
         assert!((tlb.stats().miss_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn region_arrays_are_freed_and_reused() {
+        let mut tlb = CpuTlb::new(8);
+        tlb.insert(entry(1, 1));
+        tlb.insert(entry(REGION_PAGES + 1, 2));
+        tlb.insert(sp_entry(2 * REGION_PAGES, 0, PageSize::Size16M));
+        assert_eq!(tlb.map.regions.len(), 3);
+        assert_eq!(tlb.purge_all(), 3);
+        assert!(
+            tlb.map.regions.is_empty(),
+            "no array is live after purge_all"
+        );
+        assert_eq!(tlb.map.spare.len(), 3);
+        assert!(
+            tlb.map.pages.iter().all(|&p| p == 0),
+            "free arrays are zero"
+        );
+        // A new region takes a freed array; the arena does not grow.
+        let arena = tlb.map.pages.len();
+        tlb.insert(entry(7 * REGION_PAGES + 5, 3));
+        assert_eq!(tlb.map.pages.len(), arena);
+        assert_eq!(tlb.map.spare.len(), 2);
+        assert_eq!(
+            tlb.probe_slot(Vpn::new(7 * REGION_PAGES + 5))
+                .map(|(s, _)| s),
+            Some(0)
+        );
+        // The array is freed again when its last page leaves.
+        assert_eq!(tlb.purge_range(Vpn::new(7 * REGION_PAGES), REGION_PAGES), 1);
+        assert!(tlb.map.regions.is_empty());
+        assert_eq!(tlb.map.spare.len(), 3);
+    }
+
+    #[test]
+    fn capacity_bound_fits_the_page_map() {
+        let max = usize::from(u16::MAX) - 1;
+        assert_eq!(CpuTlb::new(max).capacity(), max);
+        // The highest slot round-trips through the map's `slot + 1`.
+        let mut map = PageMap::default();
+        map.set(&entry(9, 9), u16::MAX - 1);
+        assert_eq!(map.slot(9), Some(max - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the page map")]
+    fn capacity_above_bound_is_rejected() {
+        let _ = CpuTlb::new(usize::from(u16::MAX));
     }
 
     #[test]
