@@ -79,7 +79,7 @@ echo "== extensions determinism (stdout jobs-invariant)"
 ./target/release/repro extensions --test-scale --jobs 4 > "$DET_DIR/ext_j4" 2>/dev/null
 diff "$DET_DIR/ext_j1" "$DET_DIR/ext_j4"
 
-echo "== trace record/replay determinism (fig3, fig5: live == recorded == replayed; traces byte-identical)"
+echo "== trace record/replay determinism (fig3, fig5, fig6: live == recorded == replayed; traces byte-identical)"
 # Three test-scale fig3 runs: live (the default), recording (in-memory
 # cache + traces persisted to disk), and replaying from the persisted
 # traces. All three stdouts must be byte-identical — the trace
@@ -100,21 +100,24 @@ diff "$DET_DIR/rr_live" "$DET_DIR/rr_replay"
 ./target/release/repro fig3 --test-scale --record-traces "$DET_DIR/traces2" \
   > /dev/null 2>&1
 diff -r "$DET_DIR/traces" "$DET_DIR/traces2"
-# fig5's cells are runner jobs too: the same three modes across its four
-# front ends, and every replayed cell must apply its trace (a fallback
-# to a live run prints `warning:`).
-./target/release/repro fig5 --test-scale \
-  > "$DET_DIR/rr5_live" 2>/dev/null
-./target/release/repro fig5 --test-scale --record-traces "$DET_DIR/traces5" \
-  2>/dev/null | grep -v '^\[trace written' > "$DET_DIR/rr5_record"
-./target/release/repro fig5 --test-scale --replay-traces "$DET_DIR/traces5" \
-  > "$DET_DIR/rr5_replay" 2> "$DET_DIR/rr5_replay_stderr"
-diff "$DET_DIR/rr5_live" "$DET_DIR/rr5_record"
-diff "$DET_DIR/rr5_live" "$DET_DIR/rr5_replay"
-if grep 'warning:' "$DET_DIR/rr5_replay_stderr"; then
-  echo "fig5 replay fell back to live runs" >&2
-  exit 1
-fi
+# fig5's cells (four front ends) and fig6's co-runs (relocated copies
+# of a recorded stream across cores) are runner jobs too: the same three
+# modes, and every replayed job must apply its trace (a fallback to a
+# live run or a fresh recording prints `warning:`).
+for fig in fig5 fig6; do
+  ./target/release/repro "$fig" --test-scale \
+    > "$DET_DIR/rr_${fig}_live" 2>/dev/null
+  ./target/release/repro "$fig" --test-scale --record-traces "$DET_DIR/traces_$fig" \
+    2>/dev/null | grep -v '^\[trace written' > "$DET_DIR/rr_${fig}_record"
+  ./target/release/repro "$fig" --test-scale --replay-traces "$DET_DIR/traces_$fig" \
+    > "$DET_DIR/rr_${fig}_replay" 2> "$DET_DIR/rr_${fig}_replay_stderr"
+  diff "$DET_DIR/rr_${fig}_live" "$DET_DIR/rr_${fig}_record"
+  diff "$DET_DIR/rr_${fig}_live" "$DET_DIR/rr_${fig}_replay"
+  if grep 'warning:' "$DET_DIR/rr_${fig}_replay_stderr"; then
+    echo "$fig replay fell back to live runs" >&2
+    exit 1
+  fi
+done
 
 echo "== paper-scale cycle-fidelity gate (live pins of benchmark/expected.json)"
 # Runs this tree's simulator at paper scale, one rep, through the

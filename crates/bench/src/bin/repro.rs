@@ -16,10 +16,9 @@
 //! including time buckets, every component's counters, the front ends'
 //! reach and the log-bucketed fill-latency and TLB-miss-interval
 //! histograms. `--trace` attaches a ring-buffer event trace to every
-//! `JobSpec` sweep's simulation (fig3, fig4, fig5, the ablations and
-//! the §5 subblock table) and prints a per-job cycle-attribution
-//! summary on stderr; fig6 and the hand-driven experiments are not
-//! traced.
+//! `JobSpec` sweep's simulation (fig3, fig4, fig5, fig6, the ablations
+//! and the §5 subblock table) and prints a per-job cycle-attribution
+//! summary on stderr; the hand-driven experiments are not traced.
 //!
 //! The sweeps are sets of independent simulations; `--jobs N` runs them
 //! on N OS threads (default: the host's available parallelism; `--jobs
@@ -28,7 +27,9 @@
 //! every jobs level. Each finished job prints its host wall time and
 //! simulated cycles as a `[job]` line on stderr.
 //!
-//! Sweeps run every job live. Trace record/replay decouples stream
+//! Sweeps run every job live, except fig6's co-runs, which always
+//! interleave copies of their workload's recorded op stream
+//! (`mtlb_trace::corun`). Trace record/replay decouples stream
 //! generation from simulation for the same `JobSpec` sweeps and is
 //! selected by naming a trace directory: `--record-traces DIR` records
 //! each `(workload, scale)` pair's op stream on its first run, replays

@@ -16,13 +16,12 @@ use mtlb_os::{
     PagingPolicy, ShadowAllocator, UserLayout,
 };
 use mtlb_schemes::SchemeConfig;
-use mtlb_sim::{Machine, MachineConfig, MachineOp, RunReport};
+use mtlb_sim::{Machine, MachineConfig, RunReport};
 use mtlb_tlb::{CpuTlb, MicroItlb};
-use mtlb_trace::{TraceReader, TraceWriter};
 use mtlb_types::{ClockRatio, PageSize, Ppn, Prot, VirtAddr, PAGE_SIZE};
 use mtlb_workloads::{AccessExt, Cc1, Compress95, Em3d, Oltp, Radix, Scale, Vortex, Workload};
 
-use crate::runner::{finish_recording, JobResult, JobSpec, Runner, Task};
+use crate::runner::{JobResult, JobSpec, Runner, Task};
 
 /// The five benchmark names, in the paper's Figure 3 order.
 pub const WORKLOADS: [&str; 5] = ["compress95", "em3d", "radix", "vortex", "cc1"];
@@ -73,6 +72,13 @@ fn grid(
         .iter()
         .map(|_| results.by_ref().take(machines.len()).collect())
         .collect()
+}
+
+/// Panics naming the first job whose workload failed its self-check.
+fn assert_verified<'a>(results: impl IntoIterator<Item = &'a JobResult>) {
+    for r in results {
+        assert!(r.outcome.verified, "{}: self-check failed", r.label);
+    }
 }
 
 /// One row of Figure 2: a size class of the static shadow partition.
@@ -931,11 +937,7 @@ pub fn subblock(runner: &Runner, scale: Scale, workloads: &[&'static str]) -> Ve
     for (&workload, cells) in workloads.iter().zip(&results) {
         let base = cells[0].report.total_cycles.get() as f64;
         for ((machine, _), r) in machines.iter().zip(cells).skip(1) {
-            assert!(
-                r.outcome.verified,
-                "{}: workload failed self-check",
-                r.label
-            );
+            assert_verified([r]);
             rows.push(SubblockRow {
                 workload,
                 machine,
@@ -979,134 +981,16 @@ pub struct Fig6Row {
     pub report: RunReport,
 }
 
-/// Relocates a recorded op's virtual addresses by `delta` bytes,
-/// placing an instance's whole address stream inside its process's
-/// private 4 GB virtual window. `sbrk` needs no relocation (the kernel
-/// allocates from the calling process's own heap window, which is
-/// `delta` bytes above the recording process's — so the recorded
-/// pointer arithmetic lands exactly right), and `load_program` places
-/// text per-process by itself. Returns `None` for the host-level ops a
-/// single-process recording cannot contain; the co-run skips them.
-fn rebase_op(op: &MachineOp, delta: u64) -> Option<MachineOp> {
-    let pages = delta / PAGE_SIZE;
-    Some(match *op {
-        MachineOp::Execute { n } => MachineOp::Execute { n },
-        MachineOp::Read { va, size } => MachineOp::Read {
-            va: va + delta,
-            size,
-        },
-        MachineOp::Write { va, size } => MachineOp::Write {
-            va: va + delta,
-            size,
-        },
-        MachineOp::ReadBlock { va, len, instr } => MachineOp::ReadBlock {
-            va: va + delta,
-            len,
-            instr,
-        },
-        MachineOp::WriteBlock { va, len, instr } => MachineOp::WriteBlock {
-            va: va + delta,
-            len,
-            instr,
-        },
-        MachineOp::StreamReadU32 { base, count, instr } => MachineOp::StreamReadU32 {
-            base: base + delta,
-            count,
-            instr,
-        },
-        MachineOp::StreamWriteU32 { base, count, instr } => MachineOp::StreamWriteU32 {
-            base: base + delta,
-            count,
-            instr,
-        },
-        MachineOp::StreamWritePairU32 { a, b, count, instr } => MachineOp::StreamWritePairU32 {
-            a: a + delta,
-            b: b + delta,
-            count,
-            instr,
-        },
-        MachineOp::StreamWriteU32F64 { a, b, count, instr } => MachineOp::StreamWriteU32F64 {
-            a: a + delta,
-            b: b + delta,
-            count,
-            instr,
-        },
-        MachineOp::MapRegion { start, len, prot } => MachineOp::MapRegion {
-            start: start + delta,
-            len,
-            prot,
-        },
-        MachineOp::Remap { start, len } => MachineOp::Remap {
-            start: start + delta,
-            len,
-        },
-        MachineOp::Sbrk { increment } => MachineOp::Sbrk { increment },
-        MachineOp::SwapOutSuperpage { vpn } => MachineOp::SwapOutSuperpage {
-            vpn: vpn.offset(pages),
-        },
-        MachineOp::DemoteSuperpage { vpn } => MachineOp::DemoteSuperpage {
-            vpn: vpn.offset(pages),
-        },
-        MachineOp::PageBits { vpn } => MachineOp::PageBits {
-            vpn: vpn.offset(pages),
-        },
-        MachineOp::RecolorPage { vpn, color } => MachineOp::RecolorPage {
-            vpn: vpn.offset(pages),
-            color,
-        },
-        MachineOp::LoadProgram { len, remap_text } => MachineOp::LoadProgram { len, remap_text },
-        MachineOp::SpawnProcess | MachineOp::SwitchProcess { .. } | MachineOp::ResetStats => {
-            return None;
-        }
-    })
-}
-
-/// One fig6 co-run: `instances` copies of the recorded MTR1 op stream,
-/// one per core, each in its own process and virtual window,
-/// interleaved by the deterministic round-robin scheduler (one op per
-/// core per turn). One cursor walks the trace; each op is decoded once
-/// and applied to every core with that core's window delta.
-fn fig6_corun(trace: &[u8], instances: usize) -> RunReport {
-    let mut m = Machine::new(MachineConfig::paper_mtlb(96).with_cores(instances));
-    // Instance 0 stays in the boot process (delta 0 — the stream
-    // replays exactly as recorded); every other instance gets a fresh
-    // process, whose pid fixes its 4 GB window.
-    let mut deltas = vec![0u64];
-    for core in 1..instances {
-        let pid = m.spawn_process();
-        deltas.push(Machine::process_heap_base(pid).get() - Machine::process_heap_base(0).get());
-        m.set_active_core(core);
-        m.try_switch_process(pid).expect("pid just spawned");
-    }
-    m.set_active_core(0);
-    let mut reader = TraceReader::new(trace).expect("header of a trace just written");
-    let mut i = 0u64;
-    while let Some(op) = reader
-        .next_op()
-        .unwrap_or_else(|e| panic!("fig6 trace corrupt at op {i}: {e}"))
-    {
-        for (core, &delta) in deltas.iter().enumerate() {
-            let Some(op) = rebase_op(&op, delta) else {
-                continue;
-            };
-            m.set_active_core(core);
-            if let Err(e) = mtlb_trace::apply_op(&mut m, &op, i) {
-                panic!("fig6 co-run replay diverged on core {core}: {e}");
-            }
-        }
-        i += 1;
-    }
-    m.report()
-}
-
 /// The fig6 experiment: co-run 2/4/8 instances of each workload on a
 /// multi-core machine sharing one bus, MMC and MTLB, and compare
-/// against the single-core baseline. Each workload is recorded once,
-/// as MTR1 bytes (that recording run *is* the C1 baseline — it is never
-/// re-simulated per instance count); each `(workload, instances)` cell
-/// replays the stream round-robin across the cores. Cells are
-/// independent runner tasks, and rows are assembled in a fixed order,
-/// so the output is byte-identical at every `--jobs` level.
+/// against the single-core baseline. Per workload, one batch of
+/// [`JobSpec`]s: `fig6/<w>/record`, the paper's 96-entry MTLB machine
+/// (the C1 baseline — the same run as fig3's `tlb96+mtlb` cell, so the
+/// runner's result cache may serve it), then one `fig6/<w>/x<n>`
+/// [co-run](JobSpec::corun) per instance count, which replays the
+/// pair's recorded op stream round-robin across the cores. Rows are
+/// assembled in a fixed order, so the output is byte-identical at
+/// every `--jobs` level.
 #[must_use]
 pub fn fig6(
     runner: &Runner,
@@ -1114,39 +998,26 @@ pub fn fig6(
     instance_counts: &[usize],
     workloads: &[&'static str],
 ) -> Vec<Fig6Row> {
-    let record_tasks = workloads
-        .iter()
-        .map(|&name| {
-            Task::new(format!("fig6/{name}/record"), move || {
-                let mut m = Machine::new(MachineConfig::paper_mtlb(96));
-                m.set_op_sink(Box::new(TraceWriter::new()));
-                let outcome = workload_by_name(name, scale).run(&mut m);
-                assert!(outcome.verified, "fig6 record: {name} failed self-check");
-                let trace = finish_recording(&mut m, name, scale, &outcome)
-                    .expect("TraceWriter still attached");
-                (trace, m.report())
-            })
-        })
-        .collect();
-    let recorded: Vec<(Vec<u8>, RunReport)> = runner.run_tasks(record_tasks);
-
-    let mut tasks = Vec::new();
-    for (w, &name) in workloads.iter().enumerate() {
+    let cfg = MachineConfig::paper_mtlb(96);
+    let mut specs = Vec::new();
+    for &name in workloads {
+        let job = |m: String| JobSpec::new(format!("fig6/{name}/{m}"), name, scale, cfg.clone());
+        specs.push(job("record".into()));
         for &n in instance_counts {
-            let trace = &recorded[w].0;
-            tasks.push(Task::new(format!("fig6/{name}/x{n}"), move || {
-                fig6_corun(trace, n)
-            }));
+            specs.push(job(format!("x{n}")).corun(n));
         }
     }
-    let reports = runner.run_tasks(tasks);
+    let results = runner.run(&specs);
+    assert_verified(&results);
 
     let mut rows = Vec::new();
-    let mut reports = reports.into_iter();
-    for (w, &name) in workloads.iter().enumerate() {
-        let baseline = recorded[w].1.total_cycles.get();
-        for &n in instance_counts {
-            let report = reports.next().expect("one report per cell");
+    for (&name, results) in workloads
+        .iter()
+        .zip(results.chunks(1 + instance_counts.len()))
+    {
+        let baseline = results[0].report.total_cycles.get();
+        for (&n, r) in instance_counts.iter().zip(&results[1..]) {
+            let report = r.report.clone();
             rows.push(Fig6Row {
                 workload: name,
                 instances: n,
@@ -1258,13 +1129,7 @@ pub fn fig5(
         .map(|(scheme, entries, cfg)| (format!("{scheme}{entries}"), cfg.clone()))
         .collect();
     let results = grid(runner, scale, "fig5", workloads, &machines);
-    for r in references.iter().chain(results.iter().flatten()) {
-        assert!(
-            r.outcome.verified,
-            "{}: workload failed self-check",
-            r.label
-        );
-    }
+    assert_verified(references.iter().chain(results.iter().flatten()));
 
     let op_counts = |r: &RunReport| (r.instructions, r.loads, r.stores);
     let mut rows = Vec::new();

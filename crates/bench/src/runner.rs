@@ -1,11 +1,14 @@
 //! Parallel sweep execution.
 //!
 //! Every sweep in [`experiments`](crate::experiments) is a set of
-//! *independent* simulations — one workload on one [`MachineConfig`] —
-//! so the drivers describe their work as [`JobSpec`] lists (or labelled
-//! closures, for experiments that drive a machine by hand) and hand them
-//! to a [`Runner`]. The runner executes them across OS threads with
-//! [`std::thread::scope`]; no job queue crate, no channels.
+//! *independent* simulations — one workload on one [`MachineConfig`],
+//! or `n` copies of it co-running on an `n`-core one — so the drivers
+//! describe their work as [`JobSpec`] lists (or labelled closures, for
+//! experiments that drive a machine by hand) and hand them to a
+//! [`Runner`]. The runner executes them across OS threads with
+//! [`std::thread::scope`]; no job queue crate, no channels. Its trace
+//! cache is the only recorder of op streams: one per `(workload,
+//! scale)` pair, replayed by the pair's co-runs ([`mtlb_trace::corun`]).
 //!
 //! Two properties the rest of the crate relies on:
 //!
@@ -51,26 +54,25 @@ pub fn scale_from_byte(byte: u8) -> Option<Scale> {
     }
 }
 
-/// Detaches the [`TraceWriter`] a recording run attached to `machine`
-/// and seals its MTR1 bytes with the workload's identity and
-/// `outcome`. `None` when no `TraceWriter` is attached.
-pub(crate) fn finish_recording(
-    machine: &mut Machine,
-    workload: &str,
-    scale: Scale,
-    outcome: &Outcome,
-) -> Option<Vec<u8>> {
+/// Runs `spec`'s workload live on `machine`, returning its outcome and,
+/// when `record` is set, its op stream as MTR1 bytes (else none).
+fn run_live(spec: &JobSpec, machine: &mut Machine, record: bool) -> (Outcome, Vec<u8>) {
+    if record {
+        machine.set_op_sink(Box::new(TraceWriter::new()));
+    }
+    let outcome = workload_by_name(spec.workload, spec.scale).run(machine);
     let writer = machine
-        .take_op_sink()?
-        .into_any()
-        .downcast::<TraceWriter>()
-        .ok()?;
-    Some(writer.finish(
-        workload,
-        scale_byte(scale),
-        outcome.checksum,
-        outcome.verified,
-    ))
+        .take_op_sink()
+        .and_then(|s| s.into_any().downcast::<TraceWriter>().ok());
+    let bytes = writer.map_or_else(Vec::new, |w| {
+        w.finish(
+            spec.workload,
+            scale_byte(spec.scale),
+            outcome.checksum,
+            outcome.verified,
+        )
+    });
+    (outcome, bytes)
 }
 
 /// One independent simulation: a workload on a machine configuration.
@@ -84,6 +86,9 @@ pub struct JobSpec {
     pub scale: Scale,
     /// The machine to run it on.
     pub cfg: MachineConfig,
+    /// Copies of the workload co-running on `cfg`, one per core
+    /// ([`JobSpec::corun`]); 1 for an ordinary run.
+    pub instances: usize,
 }
 
 impl JobSpec {
@@ -100,7 +105,19 @@ impl JobSpec {
             workload,
             scale,
             cfg,
+            instances: 1,
         }
+    }
+
+    /// Makes this job a co-run of `n` instances on an `n`-core copy of
+    /// its machine: `n` relocated copies of the workload's recorded op
+    /// stream, interleaved by [`mtlb_trace::corun`]. Panics as
+    /// [`MachineConfig::with_cores`] does.
+    #[must_use]
+    pub fn corun(mut self, n: usize) -> Self {
+        self.cfg = self.cfg.with_cores(n);
+        self.instances = n;
+        self
     }
 }
 
@@ -147,27 +164,31 @@ impl<'scope, T> Task<'scope, T> {
     }
 }
 
-/// Recorded op traces, keyed by the `(workload, scale)` pair whose
-/// address stream they capture. One entry drives every machine
-/// configuration of that pair in a sweep.
-type TraceCache = BTreeMap<(&'static str, Scale), Arc<Vec<u8>>>;
+/// Recorded op traces, one per `(workload, scale)` pair: every co-run
+/// of the pair replays its entry, and with replay on every other job
+/// does. An entry is filled once (recorded or preloaded); a job needing
+/// it waits.
+type TraceCache = BTreeMap<(&'static str, Scale), Arc<OnceLock<Arc<Vec<u8>>>>>;
 
-/// Simulations keyed by `(workload, scale, config)` — the config via
-/// its exhaustive `Debug` rendering. Simulations are deterministic, so
+/// Simulations keyed by `(workload, scale, instances, config)` — the
+/// config via its exhaustive `Debug` rendering. Simulations are deterministic, so
 /// a key runs once per runner: a job whose key another job already
 /// claimed waits for that result (even one running on another thread)
 /// instead of re-simulating ([`Runner::run`] dispatches repeats last,
 /// so such a wait idles no worker that had fresh work). This is the
 /// sweeps' only dedup: fig3's 96-entry no-MTLB cell is its base96 run;
 /// fig3.4, fig5 and the §5 subblock table share cells with fig3;
-/// fig5's `mtlb`/96 cell is its reference run.
+/// fig5's `mtlb`/96 cell is its reference run and fig6's baseline. The
+/// instance count keeps a co-run apart from a single instance on its
+/// machine (`repro all --cores 4` runs fig3 on fig6's 4-core machine).
 type ResultCache = BTreeMap<CacheKey, Arc<OnceLock<(Outcome, RunReport)>>>;
 
-/// `(workload, scale, config)`, the config via its `Debug` rendering.
-type CacheKey = (&'static str, Scale, String);
+/// `(workload, scale, instances, config)`.
+type CacheKey = (&'static str, Scale, usize, String);
 
 fn cache_key(spec: &JobSpec) -> CacheKey {
-    (spec.workload, spec.scale, format!("{:?}", spec.cfg))
+    let cfg = format!("{:?}", spec.cfg);
+    (spec.workload, spec.scale, spec.instances, cfg)
 }
 
 /// Executes independent jobs across OS threads, returning results in
@@ -181,7 +202,8 @@ pub struct Runner {
     traces: Mutex<TraceCache>,
     results: Mutex<ResultCache>,
     records: Mutex<Vec<JobRecord>>,
-    /// Simulations actually run (result-cache misses).
+    /// Simulations actually run: result-cache misses and co-runs' own
+    /// recordings.
     #[cfg(test)]
     simulations: AtomicUsize,
 }
@@ -250,8 +272,9 @@ impl Runner {
     /// and every later run of the same pair — whatever its machine
     /// configuration — replays the recorded op stream through
     /// [`mtlb_trace::replay`] instead of re-executing the workload's
-    /// host logic. Simulated cycles are byte-identical either way (the
-    /// op stream fully determines them). `repro` turns this on exactly
+    /// host logic. When off, only a batch that co-runs a pair records
+    /// it, and drops it at the end. Simulated cycles are byte-identical
+    /// either way (the op stream fully determines them). `repro` turns this on exactly
     /// when given a trace directory (`--record-traces` /
     /// `--replay-traces`).
     #[must_use]
@@ -270,11 +293,12 @@ impl Runner {
     /// `repro --replay-traces`). Ignored when the cache already holds
     /// this key.
     pub fn preload_trace(&self, workload: &'static str, scale: Scale, bytes: Vec<u8>) {
-        self.traces
-            .lock()
-            .expect("traces")
-            .entry((workload, scale))
-            .or_insert_with(|| Arc::new(bytes));
+        let _ = self.trace_cell((workload, scale)).set(Arc::new(bytes));
+    }
+
+    /// The pair's trace-cache entry, created empty on first use.
+    fn trace_cell(&self, key: (&'static str, Scale)) -> Arc<OnceLock<Arc<Vec<u8>>>> {
+        Arc::clone(self.traces.lock().expect("traces").entry(key).or_default())
     }
 
     /// Snapshots the recorded traces accumulated so far (see
@@ -284,7 +308,7 @@ impl Runner {
         let traces = self.traces.lock().expect("traces");
         let mut out: Vec<_> = traces
             .iter()
-            .map(|(&(name, scale), bytes)| (name, scale, Arc::clone(bytes)))
+            .filter_map(|(&(name, scale), cell)| Some((name, scale, Arc::clone(cell.get()?))))
             .collect();
         out.sort_by_key(|&(name, scale, _)| (name, scale_byte(scale)));
         out
@@ -293,17 +317,24 @@ impl Runner {
     /// Runs every spec and returns their results in spec order. Each
     /// result-cache key's first spec is dispatched before any repeat of
     /// it, so a worker reaches a repeat (which waits for its twin's
-    /// result) only once no fresh job is left.
+    /// result) only once no fresh job is left; and single-instance jobs
+    /// before co-runs, whose trace one of them may be recording.
     pub fn run(&self, specs: &[JobSpec]) -> Vec<JobResult> {
         let mut seen = BTreeSet::new();
         let (mut order, repeats): (Vec<usize>, Vec<usize>) =
             (0..specs.len()).partition(|&i| seen.insert(cache_key(&specs[i])));
+        order.sort_by_key(|&i| specs[i].instances > 1);
         order.extend(repeats);
+        let coruns: BTreeSet<_> = specs
+            .iter()
+            .filter_map(|s| (s.instances > 1).then_some((s.workload, s.scale)))
+            .collect();
         let results = self.execute(order.len(), |k| {
             let spec = &specs[order[k]];
             #[expect(clippy::disallowed_methods, reason = "Bench wall-clock perimeter: per-job host wall time feeds the [job] stderr progress lines and the JobRecords benchmark/src/units.rs drains, never simulated cycles or rendered tables.")]
             let start = Instant::now();
-            let (outcome, report) = self.simulate(spec);
+            let record = self.replay || coruns.contains(&(spec.workload, spec.scale));
+            let (outcome, report) = self.simulate(spec, record);
             let wall = start.elapsed();
             self.note(&spec.label, wall, Some(report.total_cycles.get()));
             JobResult {
@@ -313,19 +344,22 @@ impl Runner {
                 wall,
             }
         });
+        if !self.replay {
+            self.traces.lock().expect("traces").clear();
+        }
         let mut placed: Vec<(usize, JobResult)> = order.into_iter().zip(results).collect();
         placed.sort_unstable_by_key(|&(i, _)| i);
         placed.into_iter().map(|(_, r)| r).collect()
     }
 
     /// One simulation: deduplicated against an identical row when
-    /// possible, then replayed from the trace cache, live (and recorded)
-    /// otherwise.
-    fn simulate(&self, spec: &JobSpec) -> (Outcome, RunReport) {
+    /// possible, run for real otherwise. `record`: a live run of the
+    /// pair records its op stream if no job has yet.
+    fn simulate(&self, spec: &JobSpec, record: bool) -> (Outcome, RunReport) {
         // Trace mode bypasses the dedup so every job still prints its
         // own cycle-attribution summary.
         if self.trace {
-            return self.simulate_uncached(spec);
+            return self.simulate_uncached(spec, record);
         }
         let cell = Arc::clone(
             self.results
@@ -334,71 +368,101 @@ impl Runner {
                 .entry(cache_key(spec))
                 .or_default(),
         );
-        cell.get_or_init(|| self.simulate_uncached(spec)).clone()
+        cell.get_or_init(|| self.simulate_uncached(spec, record))
+            .clone()
     }
 
-    /// Runs the simulation for real: replayed from the trace cache when
-    /// possible, live (and recorded) otherwise.
-    fn simulate_uncached(&self, spec: &JobSpec) -> (Outcome, RunReport) {
+    /// Runs the simulation for real. A trace that fails to replay is
+    /// evicted and the job runs once more: a single-instance job then
+    /// records the pair afresh, a co-run replays a fresh recording. A
+    /// fresh recording failing too is a simulator bug, returned as a
+    /// default run that failed its self-check.
+    fn simulate_uncached(&self, spec: &JobSpec, record: bool) -> (Outcome, RunReport) {
         #[cfg(test)]
         self.simulations.fetch_add(1, Ordering::Relaxed);
-        if self.replay {
-            let key = (spec.workload, spec.scale);
-            let recorded = self.traces.lock().expect("traces").get(&key).cloned();
-            if let Some(bytes) = recorded {
-                let mut machine = Machine::new(spec.cfg.clone());
-                if self.trace {
-                    machine.set_trace_sink(Box::new(RingTrace::new(1024)));
-                }
-                match mtlb_trace::replay(&mut machine, &bytes) {
-                    Ok(header) => {
-                        let report = machine.report();
-                        self.trace_summary(&spec.label, &mut machine);
-                        let outcome = Outcome {
-                            checksum: header.checksum,
-                            verified: header.verified,
-                        };
-                        return (outcome, report);
-                    }
-                    // A decode error means a corrupt preloaded trace; a
-                    // replay fault means the trace does not apply to
-                    // this machine (it shouldn't happen for the
-                    // registered workloads, whose op streams are
-                    // config-independent). Either way fall back to a
-                    // live run rather than failing the sweep.
-                    Err(e) => self.evict_bad_trace(spec, &bytes, &e),
-                }
-            }
+        self.attempt(spec, record)
+            .or_else(|| self.attempt(spec, record))
+            .unwrap_or_default()
+    }
+
+    /// One try at `spec`: live without `record`. With it, through the
+    /// pair's trace, recorded first if no job has — by a single-instance
+    /// job's own live run, or by a co-run on a 1-core copy of its
+    /// machine whose report it throws away — and replayed by a co-run,
+    /// or by any job when replay is on. `None` when a cached trace
+    /// failed to replay and was evicted.
+    fn attempt(&self, spec: &JobSpec, record: bool) -> Option<(Outcome, RunReport)> {
+        if !record {
+            return Some(self.live(spec, false).0);
         }
+        let (cell, mut recorded) = (self.trace_cell((spec.workload, spec.scale)), None);
+        let bytes = Arc::clone(cell.get_or_init(|| {
+            if spec.instances == 1 {
+                let (done, bytes) = self.live(spec, true);
+                recorded = Some(done);
+                return Arc::new(bytes);
+            }
+            #[cfg(test)]
+            self.simulations.fetch_add(1, Ordering::Relaxed);
+            let mut machine = Machine::new(spec.cfg.clone().with_cores(1));
+            Arc::new(run_live(spec, &mut machine, true).1)
+        }));
+        match recorded {
+            Some(done) => Some(done),
+            None if spec.instances == 1 && !self.replay => Some(self.live(spec, false).0),
+            None => self
+                .replay(spec, &bytes)
+                .map_err(|e| self.evict_bad_trace(spec, &bytes, &e))
+                .ok(),
+        }
+    }
+
+    /// Runs a single-instance job live, returning its result and, when
+    /// `record` is set, its op stream as MTR1 bytes.
+    fn live(&self, spec: &JobSpec, record: bool) -> ((Outcome, RunReport), Vec<u8>) {
+        let mut machine = self.machine(spec);
+        let (outcome, bytes) = run_live(spec, &mut machine, record);
+        let report = machine.report();
+        self.trace_summary(&spec.label, &mut machine);
+        ((outcome, report), bytes)
+    }
+
+    /// Replays `bytes` as `spec` — a [`mtlb_trace::corun`] of its
+    /// instances on a machine built only now — returning the recorded
+    /// outcome and the run's report.
+    fn replay(&self, spec: &JobSpec, bytes: &[u8]) -> Result<(Outcome, RunReport), TraceError> {
+        let mut machine = self.machine(spec);
+        let header = mtlb_trace::corun(&mut machine, bytes, spec.instances)?;
+        let report = machine.report();
+        self.trace_summary(&spec.label, &mut machine);
+        let (checksum, verified) = (header.checksum, header.verified);
+        Ok((Outcome { checksum, verified }, report))
+    }
+
+    /// A fresh machine for `spec`, with a [`RingTrace`] attached when
+    /// `--trace` is on.
+    fn machine(&self, spec: &JobSpec) -> Machine {
         let mut machine = Machine::new(spec.cfg.clone());
         if self.trace {
             machine.set_trace_sink(Box::new(RingTrace::new(1024)));
         }
-        if self.replay {
-            machine.set_op_sink(Box::new(TraceWriter::new()));
-        }
-        let outcome = workload_by_name(spec.workload, spec.scale).run(&mut machine);
-        let report = machine.report();
-        if let Some(bytes) = finish_recording(&mut machine, spec.workload, spec.scale, &outcome) {
-            self.preload_trace(spec.workload, spec.scale, bytes);
-        }
-        self.trace_summary(&spec.label, &mut machine);
-        (outcome, report)
+        machine
     }
 
-    /// Drops the cached trace `bad`, which failed to replay for `spec`,
-    /// so the fallback live run's recording replaces it for the pair's
-    /// later cells. Whichever cell evicts warns: once per bad trace at
-    /// any jobs level.
+    /// Evicts the cached trace `bad`, which failed to replay for `spec`,
+    /// so the recording of the run that takes its place serves the
+    /// pair's later cells. Whichever cell evicts warns: once per bad
+    /// trace at any jobs level.
     #[cold]
     fn evict_bad_trace(&self, spec: &JobSpec, bad: &Arc<Vec<u8>>, e: &TraceError) {
         let key = (spec.workload, spec.scale);
         let mut traces = self.traces.lock().expect("traces");
-        if traces.get(&key).is_some_and(|t| Arc::ptr_eq(t, bad)) {
+        let cached = traces.get(&key).and_then(|cell| cell.get());
+        if cached.is_some_and(|t| Arc::ptr_eq(t, bad)) {
             traces.remove(&key);
             eprintln!(
                 "warning: {}: cached {} trace failed to replay ({e}); \
-                 running live and re-recording",
+                 re-recording it",
                 spec.label, spec.workload
             );
         }
@@ -607,7 +671,7 @@ mod tests {
         );
         let added: Vec<String> = cached(&runner)
             .difference(&before)
-            .map(|(_, _, cfg)| cfg.clone())
+            .map(|(.., cfg)| cfg.clone())
             .collect();
         // Per workload: coalesced at each size, and split.
         assert_eq!(
@@ -677,6 +741,54 @@ mod tests {
             assert_eq!(labels, ["a", "b", "c", "d"], "jobs={jobs}");
             assert_ne!(got[2].report.to_json(), got[3].report.to_json());
             assert_eq!(got[0].report.to_json(), got[3].report.to_json());
+        }
+    }
+
+    /// What `repro all --cores 4` runs: fig3 on 4-core machines, then
+    /// fig6's x4 co-run, whose machine is fig3's 4-core `tlb96+mtlb`
+    /// cell. The result cache must keep the single instance and the
+    /// co-run apart: fig6's rows equal a fresh runner's.
+    #[test]
+    fn a_corun_is_not_served_a_single_instance_on_its_machine() {
+        use crate::experiments::{fig3_labelled, fig6};
+        let workloads = ["radix"];
+        let runner = Runner::with_jobs(2);
+        let _ = fig3_labelled(&runner, Scale::Test, &[96], &workloads, "fig3", 4);
+        let after_fig3 = fig6(&runner, Scale::Test, &[4], &workloads);
+        let fresh = fig6(&Runner::with_jobs(2), Scale::Test, &[4], &workloads);
+        assert_eq!(after_fig3.len(), fresh.len());
+        for (a, b) in after_fig3.iter().zip(&fresh) {
+            assert_eq!(a.baseline_cycles, b.baseline_cycles);
+            assert_eq!(a.report.to_json(), b.report.to_json(), "{a:?}");
+        }
+    }
+
+    /// A fig6 batch simulates each record run and each co-run once —
+    /// the co-runs replay the trace the record run made rather than
+    /// recording their own — and keeps its traces only when replay is
+    /// on.
+    #[test]
+    fn a_fig6_batch_simulates_once_per_job_and_records_once_per_workload() {
+        use crate::experiments::fig6;
+        let (counts, workloads) = ([2, 4], ["em3d", "radix"]);
+        for jobs in [1, 2] {
+            for replay in [false, true] {
+                let runner = Runner::with_jobs(jobs).with_replay(replay);
+                let rows = fig6(&runner, Scale::Test, &counts, &workloads);
+                assert_eq!(rows.len(), workloads.len() * counts.len());
+                assert_eq!(
+                    runner.simulations.load(Ordering::Relaxed),
+                    workloads.len() * (1 + counts.len()),
+                    "jobs={jobs} replay={replay}"
+                );
+                let traces: Vec<_> = runner
+                    .recorded_traces()
+                    .into_iter()
+                    .map(|(name, ..)| name)
+                    .collect();
+                let kept: &[&str] = if replay { &["em3d", "radix"] } else { &[] };
+                assert_eq!(traces, kept, "jobs={jobs} replay={replay}");
+            }
         }
     }
 

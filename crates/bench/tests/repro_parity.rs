@@ -82,26 +82,36 @@ fn stderr_labels<'a>(stderr: &'a str, prefix: &str) -> Vec<&'a str> {
         .collect()
 }
 
-/// fig5's cells are runner jobs, so `--trace` covers them: one
-/// cycle-attribution summary per job, in job order (5 workloads x
-/// (reference + 10 cells)).
-#[test]
-fn fig5_trace_prints_one_summary_per_job() {
-    let out = repro_output(&["fig5", "--test-scale", "--trace", "--jobs", "1"]);
-    assert!(out.status.success(), "repro fig5 --trace failed");
+/// `experiment`'s cells are runner jobs, so `--trace` covers them: one
+/// cycle-attribution summary per job, in job order, `jobs` of them.
+fn trace_prints_one_summary_per_job(experiment: &str, jobs: usize) {
+    let out = repro_output(&[experiment, "--test-scale", "--trace", "--jobs", "1"]);
+    assert!(out.status.success(), "repro {experiment} --trace failed");
     let stderr = String::from_utf8_lossy(&out.stderr);
     let traced = stderr_labels(&stderr, "[trace] ");
-    assert_eq!(traced.len(), 55, "{stderr}");
+    assert_eq!(traced.len(), jobs, "{stderr}");
     assert_eq!(traced, stderr_labels(&stderr, "[job] "));
 }
 
-/// `--record-traces` saves fig5's streams: one trace per workload.
+/// 5 workloads x (reference + 10 cells).
 #[test]
-fn fig5_record_traces_writes_one_trace_per_workload() {
-    let dir = std::env::temp_dir().join("repro_parity_fig5_traces");
+fn fig5_trace_prints_one_summary_per_job() {
+    trace_prints_one_summary_per_job("fig5", 55);
+}
+
+/// 5 workloads x (record + 3 co-runs).
+#[test]
+fn fig6_trace_prints_one_summary_per_job() {
+    trace_prints_one_summary_per_job("fig6", 20);
+}
+
+/// `--record-traces` saves `experiment`'s streams: one trace per
+/// workload.
+fn record_traces_writes_one_trace_per_workload(experiment: &str) {
+    let dir = std::env::temp_dir().join(format!("repro_parity_{experiment}_traces"));
     let _ = std::fs::remove_dir_all(&dir);
     let _ = repro_stdout(&[
-        "fig5",
+        experiment,
         "--test-scale",
         "--record-traces",
         dir.to_str().expect("utf-8 temp path"),
@@ -127,6 +137,16 @@ fn fig5_record_traces_writes_one_trace_per_workload() {
         ]
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fig5_record_traces_writes_one_trace_per_workload() {
+    record_traces_writes_one_trace_per_workload("fig5");
+}
+
+#[test]
+fn fig6_record_traces_writes_one_trace_per_workload() {
+    record_traces_writes_one_trace_per_workload("fig6");
 }
 
 /// Pulls the integer value of a top-level `"key":N` field out of a flat
@@ -173,12 +193,13 @@ fn json_dir_reports_have_buckets_summing_to_total_cycles() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Records test-scale fig3 traces into a fresh `dir_name`, rewrites
-/// the radix trace with `corrupt`, and replays the sweep from them: it
-/// must exit 0, print exactly the live stdout, and warn once, naming
-/// radix and `expected` (the bad bytes are evicted, so the fallback
-/// run's recording serves the workload's remaining cells).
+/// Records test-scale `experiment` traces into a fresh `dir_name`,
+/// rewrites the radix trace with `corrupt`, and replays the sweep from
+/// them: it must exit 0, print exactly the live stdout, and warn once,
+/// naming radix and `expected` (the bad bytes are evicted, so the
+/// fallback run's recording serves the workload's remaining cells).
 fn bad_cached_trace_warns_once_and_falls_back_to_live(
+    experiment: &[&str],
     dir_name: &str,
     corrupt: impl FnOnce(Vec<u8>) -> Vec<u8>,
     expected: &str,
@@ -186,19 +207,20 @@ fn bad_cached_trace_warns_once_and_falls_back_to_live(
     let dir = std::env::temp_dir().join(dir_name);
     let _ = std::fs::remove_dir_all(&dir);
     let dir_arg = dir.to_str().expect("utf-8 temp path");
-    fn fig3<'a>(extra: &[&'a str]) -> Vec<&'a str> {
-        [&["fig3", "--test-scale", "--jobs", "1"][..], extra].concat()
-    }
-    let live = repro_stdout(&fig3(&[]));
-    let _ = repro_stdout(&fig3(&["--record-traces", dir_arg]));
+    let repro = |extra: &[&str]| {
+        repro_output(&[experiment, &["--test-scale", "--jobs", "1"], extra].concat())
+    };
+    let live = repro(&[]);
+    assert!(live.status.success(), "repro {experiment:?} failed");
+    let _ = repro(&["--record-traces", dir_arg]);
     let victim = dir.join("radix_test.mtr");
     let bytes = std::fs::read(&victim).expect("radix trace recorded");
     std::fs::write(&victim, corrupt(bytes)).expect("rewrite trace");
 
-    let out = repro_output(&fig3(&["--replay-traces", dir_arg]));
+    let out = repro(&["--replay-traces", dir_arg]);
     assert!(out.status.success(), "a bad trace must not fail the sweep");
     assert!(
-        out.stdout == live,
+        out.stdout == live.stdout,
         "replay with a bad trace differs from live"
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -220,7 +242,20 @@ fn bad_cached_trace_warns_once_and_falls_back_to_live(
 #[test]
 fn truncated_cached_trace_warns_once_and_falls_back_to_live() {
     bad_cached_trace_warns_once_and_falls_back_to_live(
+        &["fig3"],
         "repro_parity_truncated_trace",
+        |bytes| bytes[..bytes.len() / 2].to_vec(),
+        "truncated",
+    );
+}
+
+/// The same through fig6, whose co-runs replay the trace the record
+/// run re-recorded.
+#[test]
+fn truncated_cached_fig6_trace_warns_once_and_falls_back_to_live() {
+    bad_cached_trace_warns_once_and_falls_back_to_live(
+        &["fig6", "--cores", "2"],
+        "repro_parity_truncated_fig6_trace",
         |bytes| bytes[..bytes.len() / 2].to_vec(),
         "truncated",
     );
@@ -232,6 +267,7 @@ fn truncated_cached_trace_warns_once_and_falls_back_to_live() {
 #[test]
 fn cached_trace_with_a_service_precondition_violation_falls_back_to_live() {
     bad_cached_trace_warns_once_and_falls_back_to_live(
+        &["fig3"],
         "repro_parity_bad_service_op",
         |bytes| {
             let mut reader = TraceReader::new(&bytes).expect("header parses");

@@ -27,7 +27,7 @@
 use std::any::Any;
 use std::fmt;
 
-use mtlb_types::{Prot, VirtAddr, Vpn};
+use mtlb_types::{Prot, VirtAddr, Vpn, PAGE_SIZE};
 
 /// One public-API operation on a [`Machine`](crate::Machine).
 ///
@@ -101,6 +101,42 @@ pub enum MachineOp {
     ResetStats,
 }
 
+impl MachineOp {
+    /// This op as issued by a copy of the program whose address stream
+    /// sits `delta` bytes higher (a co-running instance in its own
+    /// process's window): addresses move by `delta`, page numbers by
+    /// `delta / PAGE_SIZE`, other fields stay (`sbrk` and
+    /// `load_program` are per-process already). `None` for the
+    /// host-level `SpawnProcess`, `SwitchProcess` and `ResetStats`.
+    #[must_use]
+    pub fn relocated(mut self, delta: u64) -> Option<Self> {
+        match &mut self {
+            MachineOp::Read { va, .. }
+            | MachineOp::Write { va, .. }
+            | MachineOp::ReadBlock { va, .. }
+            | MachineOp::WriteBlock { va, .. } => *va += delta,
+            MachineOp::StreamReadU32 { base, .. } | MachineOp::StreamWriteU32 { base, .. } => {
+                *base += delta;
+            }
+            MachineOp::StreamWritePairU32 { a, b, .. }
+            | MachineOp::StreamWriteU32F64 { a, b, .. } => {
+                *a += delta;
+                *b += delta;
+            }
+            MachineOp::MapRegion { start, .. } | MachineOp::Remap { start, .. } => *start += delta,
+            MachineOp::SwapOutSuperpage { vpn }
+            | MachineOp::DemoteSuperpage { vpn }
+            | MachineOp::PageBits { vpn }
+            | MachineOp::RecolorPage { vpn, .. } => *vpn = vpn.offset(delta / PAGE_SIZE),
+            MachineOp::Execute { .. } | MachineOp::Sbrk { .. } | MachineOp::LoadProgram { .. } => {}
+            MachineOp::SpawnProcess | MachineOp::SwitchProcess { .. } | MachineOp::ResetStats => {
+                return None;
+            }
+        }
+        Some(self)
+    }
+}
+
 /// A consumer of recorded [`MachineOp`]s, attachable to a
 /// [`Machine`](crate::Machine) via
 /// [`set_op_sink`](crate::Machine::set_op_sink).
@@ -160,5 +196,135 @@ mod tests {
         let boxed: Box<dyn OpSink> = Box::new(sink);
         let back = boxed.into_any().downcast::<VecOpSink>().unwrap();
         assert_eq!(back.ops.len(), 2);
+    }
+
+    /// `op`'s fields by kind: `(addresses, page numbers, everything
+    /// else)`. The match is exhaustive, so a new variant fails to
+    /// compile until it is sorted here and listed in `one_of_each`.
+    fn fields(op: &MachineOp) -> [Vec<u64>; 3] {
+        let (none, vpn) = (Vec::new(), |v: &Vpn| vec![v.index()]);
+        match op {
+            MachineOp::Execute { n } => [none.clone(), none, vec![*n]],
+            MachineOp::Read { va, size } | MachineOp::Write { va, size } => {
+                [vec![va.get()], none, vec![u64::from(*size)]]
+            }
+            MachineOp::ReadBlock { va, len, instr } | MachineOp::WriteBlock { va, len, instr } => {
+                [vec![va.get()], none, vec![*len, *instr]]
+            }
+            MachineOp::StreamReadU32 { base, count, instr }
+            | MachineOp::StreamWriteU32 { base, count, instr } => {
+                [vec![base.get()], none, vec![*count, *instr]]
+            }
+            MachineOp::StreamWritePairU32 { a, b, count, instr }
+            | MachineOp::StreamWriteU32F64 { a, b, count, instr } => {
+                [vec![a.get(), b.get()], none, vec![*count, *instr]]
+            }
+            MachineOp::MapRegion { start, len, prot } => {
+                [vec![start.get()], none, vec![*len, u64::from(prot.bits())]]
+            }
+            MachineOp::Remap { start, len } => [vec![start.get()], none, vec![*len]],
+            MachineOp::Sbrk { increment } => [none.clone(), none, vec![*increment]],
+            MachineOp::SwapOutSuperpage { vpn: v }
+            | MachineOp::DemoteSuperpage { vpn: v }
+            | MachineOp::PageBits { vpn: v } => [none.clone(), vpn(v), none],
+            MachineOp::RecolorPage { vpn: v, color } => [none, vpn(v), vec![*color]],
+            MachineOp::LoadProgram { len, remap_text } => {
+                [none.clone(), none, vec![*len, u64::from(*remap_text)]]
+            }
+            MachineOp::SpawnProcess | MachineOp::ResetStats => [none.clone(), none.clone(), none],
+            MachineOp::SwitchProcess { pid } => [none.clone(), none, vec![*pid]],
+        }
+    }
+
+    /// One op of every variant.
+    fn one_of_each() -> Vec<MachineOp> {
+        let (va, b) = (VirtAddr::new(0x4000_1230), VirtAddr::new(0x4800_0008));
+        let vpn = Vpn::new(0x4_0001);
+        vec![
+            MachineOp::Execute { n: 3 },
+            MachineOp::Read { va, size: 4 },
+            MachineOp::Write { va, size: 8 },
+            MachineOp::ReadBlock {
+                va,
+                len: 64,
+                instr: 5,
+            },
+            MachineOp::WriteBlock {
+                va,
+                len: 96,
+                instr: 6,
+            },
+            MachineOp::StreamReadU32 {
+                base: va,
+                count: 7,
+                instr: 2,
+            },
+            MachineOp::StreamWriteU32 {
+                base: b,
+                count: 9,
+                instr: 1,
+            },
+            MachineOp::StreamWritePairU32 {
+                a: va,
+                b,
+                count: 4,
+                instr: 3,
+            },
+            MachineOp::StreamWriteU32F64 {
+                a: va,
+                b,
+                count: 5,
+                instr: 4,
+            },
+            MachineOp::MapRegion {
+                start: va,
+                len: 1 << 20,
+                prot: Prot::READ,
+            },
+            MachineOp::Remap {
+                start: b,
+                len: 1 << 16,
+            },
+            MachineOp::Sbrk { increment: 4096 },
+            MachineOp::SwapOutSuperpage { vpn },
+            MachineOp::DemoteSuperpage { vpn },
+            MachineOp::PageBits { vpn },
+            MachineOp::SpawnProcess,
+            MachineOp::SwitchProcess { pid: 2 },
+            MachineOp::RecolorPage { vpn, color: 11 },
+            MachineOp::LoadProgram {
+                len: 8192,
+                remap_text: true,
+            },
+            MachineOp::ResetStats,
+        ]
+    }
+
+    #[test]
+    fn relocation_moves_addresses_and_page_numbers_only() {
+        let ops = one_of_each();
+        let variants: Vec<_> = ops.iter().map(std::mem::discriminant).collect();
+        for (i, v) in variants.iter().enumerate() {
+            assert!(!variants[..i].contains(v), "{:?} listed twice", ops[i]);
+        }
+        let delta = 3 << 32;
+        for op in ops {
+            let host_level = matches!(
+                op,
+                MachineOp::SpawnProcess | MachineOp::SwitchProcess { .. } | MachineOp::ResetStats
+            );
+            let Some(moved) = op.relocated(delta) else {
+                assert!(host_level, "{op:?} must relocate");
+                continue;
+            };
+            assert!(!host_level, "{op:?} is host-level");
+            let [addrs, vpns, rest] = fields(&op);
+            let shift = |v: Vec<u64>, by: u64| v.into_iter().map(|x| x + by).collect::<Vec<_>>();
+            assert_eq!(
+                fields(&moved),
+                [shift(addrs, delta), shift(vpns, delta / PAGE_SIZE), rest],
+                "{op:?}"
+            );
+        }
     }
 }

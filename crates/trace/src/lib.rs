@@ -8,9 +8,10 @@
 //! [`replay`] drives those ops back through a fresh machine's *public*
 //! API, reproducing the exact address stream — and therefore, because
 //! simulated timing depends only on addresses and shapes, a
-//! byte-identical [`RunReport`](mtlb_sim::RunReport). [`apply_op`] is
-//! the only place a decoded op becomes machine calls; [`replay`] and
-//! every scheduler that interleaves recorded streams go through it.
+//! byte-identical [`RunReport`](mtlb_sim::RunReport). [`corun`] is the
+//! one replay loop: it interleaves relocated copies of a stream across
+//! the cores of one machine, and [`replay`] is its one-instance case.
+//! [`apply_op`] is the only place a decoded op becomes machine calls.
 //!
 //! What replay does **not** reproduce is data: stores write zeros, so
 //! guest-memory contents and workload checksums differ from the live
@@ -578,7 +579,8 @@ pub fn read_header(bytes: &[u8]) -> Result<TraceHeader, TraceError> {
 // Replay
 // ---------------------------------------------------------------------------
 
-/// Drives every op in `bytes` through `machine`'s public API.
+/// Drives every op in `bytes` through `machine`'s public API: a
+/// [`corun`] of one instance.
 ///
 /// Data values are not part of the format: replayed stores write
 /// zeros. Because simulated timing depends only on the address stream,
@@ -593,19 +595,49 @@ pub fn read_header(bytes: &[u8]) -> Result<TraceHeader, TraceError> {
 /// which means the trace does not match the machine's configuration
 /// or initial state.
 pub fn replay(machine: &mut Machine, bytes: &[u8]) -> Result<TraceHeader, TraceError> {
+    corun(machine, bytes, 1)
+}
+
+/// Replays `instances` copies of the op stream in `bytes`, one per core
+/// of `machine`, round-robin one op per core per turn; each op is
+/// decoded once. Instance 0 applies the ops as recorded; every other
+/// instance gets a fresh process and applies them
+/// [`relocated`](MachineOp::relocated) into its window. With one
+/// instance this is [`replay`], and no core switch happens. Errors as
+/// [`replay`]. Precondition: `instances` ≤ the machine's cores (more
+/// panics in [`set_active_core`](Machine::set_active_core)).
+pub fn corun(
+    machine: &mut Machine,
+    bytes: &[u8],
+    instances: usize,
+) -> Result<TraceHeader, TraceError> {
     let mut reader = TraceReader::new(bytes)?;
-    let mut op_index = 0u64;
-    while let Some(op) = reader.next_op()? {
+    let mut deltas = Vec::with_capacity(instances);
+    for core in 1..instances {
+        let pid = machine.spawn_process();
+        deltas.push(Machine::process_heap_base(pid).get() - Machine::process_heap_base(0).get());
+        machine.set_active_core(core);
+        apply_op(machine, &MachineOp::SwitchProcess { pid: pid as u64 }, 0)?;
+    }
+    for op_index in 0.. {
+        let Some(op) = reader.next_op()? else { break };
+        if instances > 1 {
+            machine.set_active_core(0);
+        }
         apply_op(machine, &op, op_index)?;
-        op_index += 1;
+        for (core, &delta) in (1..).zip(&deltas) {
+            if let Some(op) = op.relocated(delta) {
+                machine.set_active_core(core);
+                apply_op(machine, &op, op_index)?;
+            }
+        }
     }
     Ok(reader.into_header())
 }
 
 /// Drives a single decoded op through `machine`'s public API — the
-/// per-op step of [`replay`], exposed so schedulers can interleave ops
-/// from several recorded streams across the cores of one machine
-/// (e.g. the fig6 co-scheduling experiment). `op_index` only labels
+/// per-op step of [`corun`] (and so of [`replay`]), exposed for
+/// drivers that hold ops rather than MTR1 bytes. `op_index` only labels
 /// the error.
 ///
 /// # Errors

@@ -69,8 +69,8 @@ pub enum Scale {
     Paper,
 }
 
-/// Outcome of one workload run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Outcome of one workload run; the default is an unverified one.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Outcome {
     /// A deterministic digest of the computation's result, for
     /// cross-configuration equality checks (the same workload must
