@@ -100,10 +100,11 @@ diff "$DET_DIR/rr_live" "$DET_DIR/rr_replay"
 ./target/release/repro fig3 --test-scale --record-traces "$DET_DIR/traces2" \
   > /dev/null 2>&1
 diff -r "$DET_DIR/traces" "$DET_DIR/traces2"
-# fig5's cells (four front ends) and fig6's co-runs (relocated copies
-# of a recorded stream across cores) are runner jobs too: the same three
-# modes, and every replayed job must apply its trace (a fallback to a
-# live run or a fresh recording prints `warning:`).
+# fig5's cells (four front ends) and fig6's co-runs (one run mirrored,
+# relocated, across cores: live, or the cached trace when replaying)
+# are runner jobs too: the same three modes, and every replayed job must
+# apply its trace (a fallback to a live run or a fresh recording prints
+# `warning:`).
 for fig in fig5 fig6; do
   ./target/release/repro "$fig" --test-scale \
     > "$DET_DIR/rr_${fig}_live" 2>/dev/null
@@ -124,15 +125,17 @@ echo "== paper-scale cycle-fidelity gate (live pins of benchmark/expected.json)"
 # benchmark as shipped: `"correct": true` means every unit matched its
 # pinned simulated cycles and counter digest — 35 cells across live
 # runs on four translation front ends at 64–256 TLB entries (fig3's
-# radix@256 cells are the only 256-entry TLB pinned anywhere), one MTR1
-# recording and its 4-core co-run, plus kernel_churn's 17 segments, the
+# radix@256 cells are the only 256-entry TLB pinned anywhere), one
+# vortex run and its 4-core co-run, plus kernel_churn's 17 segments, the
 # only pins that drive remap, swap-out, demotion, recoloring, page_bits
 # and sbrk at paper scale. Any simulated-cycle drift this change causes
 # is a hard failure. The perop_fig5_fig6 run (last, so `$result` is its
 # line) also gates memory: its peak RSS was 537 MB while fig5/fig6 tasks
-# held decoded op vectors and 101 MB while replayed zero stores still
-# backed guest pages and a sealed trace was copied; about 41 MB since,
-# so it must stay under 60 MB.
+# held decoded op vectors, 101 MB while replayed zero stores still
+# backed guest pages and a sealed trace was copied, and about 41 MB
+# while each co-run recorded its workload on a 1-core copy and held the
+# trace; about 28 MB since a co-run mirrors one live run (no trace
+# recorded, held or decoded), so it must stay under 35 MB.
 for workload in live_paper5 sweep_fig3 kernel_churn perop_fig5_fig6; do
   result="$(bash benchmark/run.sh --workload "$workload" --seed 1 --reps 1 --trace 0 \
     2>/dev/null | tail -n 1)" || true
@@ -142,8 +145,8 @@ for workload in live_paper5 sweep_fig3 kernel_churn perop_fig5_fig6; do
   fi
 done
 rss_mb="$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9]*\).*/\1/p' <<<"$result")"
-if [ -z "$rss_mb" ] || [ "$rss_mb" -ge 60 ]; then
-  echo "perop_fig5_fig6 peak RSS ${rss_mb:-unparsed} MB is not under 60 MB: $result" >&2
+if [ -z "$rss_mb" ] || [ "$rss_mb" -ge 35 ]; then
+  echo "perop_fig5_fig6 peak RSS ${rss_mb:-unparsed} MB is not under 35 MB: $result" >&2
   exit 1
 fi
 echo "   perop_fig5_fig6 peak RSS: ${rss_mb} MB"

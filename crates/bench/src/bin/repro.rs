@@ -27,14 +27,14 @@
 //! every jobs level. Each finished job prints its host wall time and
 //! simulated cycles as a `[job]` line on stderr.
 //!
-//! Sweeps run every job live, except fig6's co-runs, which always
-//! interleave copies of their workload's recorded op stream
-//! (`mtlb_trace::corun`). Trace record/replay decouples stream
+//! Sweeps run every job live; a fig6 co-run runs its workload on core
+//! 0 and mirrors each op onto the other cores
+//! (`mtlb_trace::corun_with`). Trace record/replay decouples stream
 //! generation from simulation for the same `JobSpec` sweeps and is
 //! selected by naming a trace directory: `--record-traces DIR` records
 //! each `(workload, scale)` pair's op stream on its first run, replays
-//! it op by op (`mtlb_trace::replay`) for every later configuration of
-//! the pair, and saves the streams (`mtlb-trace` format,
+//! it op by op (`mtlb_trace::replay`, mirrored for a co-run) for every
+//! later configuration of the pair, and saves the streams (`mtlb-trace` format,
 //! `DIR/<workload>_<scale>.mtr`); `--replay-traces DIR` seeds the
 //! cache from such files so no sweep runs workload host logic at all.
 //! Simulated cycles are byte-identical live or replayed — the op

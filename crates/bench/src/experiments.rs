@@ -987,8 +987,9 @@ pub struct Fig6Row {
 /// [`JobSpec`]s: `fig6/<w>/record`, the paper's 96-entry MTLB machine
 /// (the C1 baseline — the same run as fig3's `tlb96+mtlb` cell, so the
 /// runner's result cache may serve it), then one `fig6/<w>/x<n>`
-/// [co-run](JobSpec::corun) per instance count, which replays the
-/// pair's recorded op stream round-robin across the cores. Rows are
+/// [co-run](JobSpec::corun) per instance count, which runs the workload
+/// live on core 0 and mirrors each op round-robin across the other
+/// cores. Rows are
 /// assembled in a fixed order, so the output is byte-identical at
 /// every `--jobs` level.
 #[must_use]

@@ -6,9 +6,10 @@
 //! describe their work as [`JobSpec`] lists (or labelled closures, for
 //! experiments that drive a machine by hand) and hand them to a
 //! [`Runner`]. The runner executes them across OS threads with
-//! [`std::thread::scope`]; no job queue crate, no channels. Its trace
-//! cache is the only recorder of op streams: one per `(workload,
-//! scale)` pair, replayed by the pair's co-runs ([`mtlb_trace::corun`]).
+//! [`std::thread::scope`]; no job queue crate, no channels. A co-run
+//! runs its workload live on core 0 and [`mtlb_trace::corun_with`]
+//! mirrors each op onto the other cores, so no job records a trace
+//! unless replay is on ([`Runner::with_replay`]).
 //!
 //! Two properties the rest of the crate relies on:
 //!
@@ -29,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mtlb_sim::{Bucket, Machine, MachineConfig, RingTrace, RunReport};
-use mtlb_trace::{TraceError, TraceWriter};
+use mtlb_trace::{corun_with, TraceError, TraceWriter};
 use mtlb_workloads::{Outcome, Scale};
 
 use crate::experiments::workload_by_name;
@@ -54,13 +55,20 @@ pub fn scale_from_byte(byte: u8) -> Option<Scale> {
     }
 }
 
-/// Runs `spec`'s workload live on `machine`, returning its outcome and,
-/// when `record` is set, its op stream as MTR1 bytes (else none).
+/// Runs `spec`'s workload live on `machine` — as instance 0 of a
+/// [`corun_live`] when `spec` is a co-run — returning its outcome and,
+/// when `record` is set, its op stream as MTR1 bytes (else none). A
+/// co-run is never recorded.
 fn run_live(spec: &JobSpec, machine: &mut Machine, record: bool) -> (Outcome, Vec<u8>) {
+    let mut workload = workload_by_name(spec.workload, spec.scale);
+    if spec.instances > 1 {
+        let outcome = corun_live(&spec.label, machine, spec.instances, |m| workload.run(m));
+        return (outcome, Vec::new());
+    }
     if record {
         machine.set_op_sink(Box::new(TraceWriter::new()));
     }
-    let outcome = workload_by_name(spec.workload, spec.scale).run(machine);
+    let outcome = workload.run(machine);
     let writer = machine
         .take_op_sink()
         .and_then(|s| s.into_any().downcast::<TraceWriter>().ok());
@@ -73,6 +81,21 @@ fn run_live(spec: &JobSpec, machine: &mut Machine, record: bool) -> (Outcome, Ve
         )
     });
     (outcome, bytes)
+}
+
+/// `run` as instance 0 of an `instances`-way [`corun_with`] on
+/// `machine`, returning its live outcome. A mirrored op that fails
+/// costs one warning and an unverified outcome.
+fn corun_live(
+    label: &str,
+    machine: &mut Machine,
+    instances: usize,
+    run: impl FnOnce(&mut Machine) -> Outcome,
+) -> Outcome {
+    corun_with(machine, instances, |m| Ok(run(m))).unwrap_or_else(|e| {
+        eprintln!("warning: {label}: co-run mirror failed ({e}); the row is unverified");
+        Outcome::default()
+    })
 }
 
 /// One independent simulation: a workload on a machine configuration.
@@ -110,9 +133,9 @@ impl JobSpec {
     }
 
     /// Makes this job a co-run of `n` instances on an `n`-core copy of
-    /// its machine: `n` relocated copies of the workload's recorded op
-    /// stream, interleaved by [`mtlb_trace::corun`]. Panics as
-    /// [`MachineConfig::with_cores`] does.
+    /// its machine: the workload runs on core 0 and
+    /// [`mtlb_trace::corun_with`] mirrors its ops, relocated, onto the
+    /// other cores. Panics as [`MachineConfig::with_cores`] does.
     #[must_use]
     pub fn corun(mut self, n: usize) -> Self {
         self.cfg = self.cfg.with_cores(n);
@@ -164,10 +187,11 @@ impl<'scope, T> Task<'scope, T> {
     }
 }
 
-/// Recorded op traces, one per `(workload, scale)` pair: every co-run
-/// of the pair replays its entry, and with replay on every other job
-/// does. An entry is filled once (recorded or preloaded); a job needing
-/// it waits.
+/// Recorded op traces, one per `(workload, scale)` pair, used only
+/// with replay on: the pair's first single-instance job records its
+/// entry (unless one was preloaded), and every later job of the pair
+/// replays it — a single-instance job waiting for a recording in
+/// progress, a co-run never: with no trace cached yet it runs live.
 type TraceCache = BTreeMap<(&'static str, Scale), Arc<OnceLock<Arc<Vec<u8>>>>>;
 
 /// Simulations keyed by `(workload, scale, instances, config)` — the
@@ -202,8 +226,7 @@ pub struct Runner {
     traces: Mutex<TraceCache>,
     results: Mutex<ResultCache>,
     records: Mutex<Vec<JobRecord>>,
-    /// Simulations actually run: result-cache misses and co-runs' own
-    /// recordings.
+    /// Simulations actually run: result-cache misses.
     #[cfg(test)]
     simulations: AtomicUsize,
 }
@@ -267,16 +290,16 @@ impl Runner {
 
     /// Enables or disables the trace record/replay cache (**off** by
     /// default — sweeps run every job live, which measures faster than
-    /// replaying; see DESIGN.md §9). When on, the first run of each
-    /// `(workload, scale)` pair is recorded through a [`TraceWriter`],
-    /// and every later run of the same pair — whatever its machine
-    /// configuration — replays the recorded op stream through
-    /// [`mtlb_trace::replay`] instead of re-executing the workload's
-    /// host logic. When off, only a batch that co-runs a pair records
-    /// it, and drops it at the end. Simulated cycles are byte-identical
-    /// either way (the op stream fully determines them). `repro` turns this on exactly
-    /// when given a trace directory (`--record-traces` /
-    /// `--replay-traces`).
+    /// replaying; see DESIGN.md §9). When on, the first single-instance
+    /// run of each `(workload, scale)` pair is recorded through a
+    /// [`TraceWriter`], and every later run of the same pair — whatever
+    /// its machine configuration — replays the recorded op stream
+    /// through [`mtlb_trace::replay`] instead of re-executing the
+    /// workload's host logic; a co-run replays it only if it is already
+    /// cached. When off, nothing is recorded. Simulated cycles are
+    /// byte-identical either way (the op stream fully determines them).
+    /// `repro` turns this on exactly when given a trace directory
+    /// (`--record-traces` / `--replay-traces`).
     #[must_use]
     pub fn with_replay(mut self, on: bool) -> Self {
         self.replay = on;
@@ -317,24 +340,17 @@ impl Runner {
     /// Runs every spec and returns their results in spec order. Each
     /// result-cache key's first spec is dispatched before any repeat of
     /// it, so a worker reaches a repeat (which waits for its twin's
-    /// result) only once no fresh job is left; and single-instance jobs
-    /// before co-runs, whose trace one of them may be recording.
+    /// result) only once no fresh job is left.
     pub fn run(&self, specs: &[JobSpec]) -> Vec<JobResult> {
         let mut seen = BTreeSet::new();
         let (mut order, repeats): (Vec<usize>, Vec<usize>) =
             (0..specs.len()).partition(|&i| seen.insert(cache_key(&specs[i])));
-        order.sort_by_key(|&i| specs[i].instances > 1);
         order.extend(repeats);
-        let coruns: BTreeSet<_> = specs
-            .iter()
-            .filter_map(|s| (s.instances > 1).then_some((s.workload, s.scale)))
-            .collect();
         let results = self.execute(order.len(), |k| {
             let spec = &specs[order[k]];
             #[expect(clippy::disallowed_methods, reason = "Bench wall-clock perimeter: per-job host wall time feeds the [job] stderr progress lines and the JobRecords benchmark/src/units.rs drains, never simulated cycles or rendered tables.")]
             let start = Instant::now();
-            let record = self.replay || coruns.contains(&(spec.workload, spec.scale));
-            let (outcome, report) = self.simulate(spec, record);
+            let (outcome, report) = self.simulate(spec);
             let wall = start.elapsed();
             self.note(&spec.label, wall, Some(report.total_cycles.get()));
             JobResult {
@@ -344,22 +360,18 @@ impl Runner {
                 wall,
             }
         });
-        if !self.replay {
-            self.traces.lock().expect("traces").clear();
-        }
         let mut placed: Vec<(usize, JobResult)> = order.into_iter().zip(results).collect();
         placed.sort_unstable_by_key(|&(i, _)| i);
         placed.into_iter().map(|(_, r)| r).collect()
     }
 
     /// One simulation: deduplicated against an identical row when
-    /// possible, run for real otherwise. `record`: a live run of the
-    /// pair records its op stream if no job has yet.
-    fn simulate(&self, spec: &JobSpec, record: bool) -> (Outcome, RunReport) {
+    /// possible, run for real otherwise.
+    fn simulate(&self, spec: &JobSpec) -> (Outcome, RunReport) {
         // Trace mode bypasses the dedup so every job still prints its
         // own cycle-attribution summary.
         if self.trace {
-            return self.simulate_uncached(spec, record);
+            return self.simulate_uncached(spec);
         }
         let cell = Arc::clone(
             self.results
@@ -368,57 +380,52 @@ impl Runner {
                 .entry(cache_key(spec))
                 .or_default(),
         );
-        cell.get_or_init(|| self.simulate_uncached(spec, record))
-            .clone()
+        cell.get_or_init(|| self.simulate_uncached(spec)).clone()
     }
 
-    /// Runs the simulation for real. A trace that fails to replay is
-    /// evicted and the job runs once more: a single-instance job then
-    /// records the pair afresh, a co-run replays a fresh recording. A
-    /// fresh recording failing too is a simulator bug, returned as a
-    /// default run that failed its self-check.
-    fn simulate_uncached(&self, spec: &JobSpec, record: bool) -> (Outcome, RunReport) {
+    /// Runs the simulation for real: live, or with replay on through
+    /// the pair's trace. A trace that fails to replay is evicted and
+    /// the job tries once more — a single-instance job then records the
+    /// pair afresh — and runs live if that finds no trace to use.
+    fn simulate_uncached(&self, spec: &JobSpec) -> (Outcome, RunReport) {
         #[cfg(test)]
         self.simulations.fetch_add(1, Ordering::Relaxed);
-        self.attempt(spec, record)
-            .or_else(|| self.attempt(spec, record))
-            .unwrap_or_default()
+        if self.replay {
+            let traced = self.through_trace(spec);
+            if let Some(done) = traced.or_else(|| self.through_trace(spec)) {
+                return done;
+            }
+        }
+        self.live(spec, false).0
     }
 
-    /// One try at `spec`: live without `record`. With it, through the
-    /// pair's trace, recorded first if no job has — by a single-instance
-    /// job's own live run, or by a co-run on a 1-core copy of its
-    /// machine whose report it throws away — and replayed by a co-run,
-    /// or by any job when replay is on. `None` when a cached trace
-    /// failed to replay and was evicted.
-    fn attempt(&self, spec: &JobSpec, record: bool) -> Option<(Outcome, RunReport)> {
-        if !record {
-            return Some(self.live(spec, false).0);
-        }
-        let (cell, mut recorded) = (self.trace_cell((spec.workload, spec.scale)), None);
-        let bytes = Arc::clone(cell.get_or_init(|| {
-            if spec.instances == 1 {
+    /// `spec` through the pair's trace: a single-instance job records
+    /// it if no job has (waiting for a recording in progress) and
+    /// otherwise replays it; a co-run replays it if it is cached. `None`
+    /// when a co-run found no trace, or a cached trace failed to replay
+    /// and was evicted.
+    fn through_trace(&self, spec: &JobSpec) -> Option<(Outcome, RunReport)> {
+        let cell = self.trace_cell((spec.workload, spec.scale));
+        let mut recorded = None;
+        let bytes = if spec.instances == 1 {
+            Arc::clone(cell.get_or_init(|| {
                 let (done, bytes) = self.live(spec, true);
                 recorded = Some(done);
-                return Arc::new(bytes);
-            }
-            #[cfg(test)]
-            self.simulations.fetch_add(1, Ordering::Relaxed);
-            let mut machine = Machine::new(spec.cfg.clone().with_cores(1));
-            Arc::new(run_live(spec, &mut machine, true).1)
-        }));
-        match recorded {
-            Some(done) => Some(done),
-            None if spec.instances == 1 && !self.replay => Some(self.live(spec, false).0),
-            None => self
-                .replay(spec, &bytes)
-                .map_err(|e| self.evict_bad_trace(spec, &bytes, &e))
-                .ok(),
+                Arc::new(bytes)
+            }))
+        } else {
+            Arc::clone(cell.get()?)
+        };
+        if recorded.is_some() {
+            return recorded;
         }
+        self.replay(spec, &bytes)
+            .map_err(|e| self.evict_bad_trace(spec, &bytes, &e))
+            .ok()
     }
 
-    /// Runs a single-instance job live, returning its result and, when
-    /// `record` is set, its op stream as MTR1 bytes.
+    /// Runs a job live, returning its result and, when `record` is set
+    /// (single-instance jobs only), its op stream as MTR1 bytes.
     fn live(&self, spec: &JobSpec, record: bool) -> ((Outcome, RunReport), Vec<u8>) {
         let mut machine = self.machine(spec);
         let (outcome, bytes) = run_live(spec, &mut machine, record);
@@ -427,12 +434,14 @@ impl Runner {
         ((outcome, report), bytes)
     }
 
-    /// Replays `bytes` as `spec` — a [`mtlb_trace::corun`] of its
-    /// instances on a machine built only now — returning the recorded
-    /// outcome and the run's report.
+    /// Replays `bytes` as `spec` — mirrored onto its instances by
+    /// [`corun_with`] on a machine built only now — returning the
+    /// recorded outcome and the run's report.
     fn replay(&self, spec: &JobSpec, bytes: &[u8]) -> Result<(Outcome, RunReport), TraceError> {
         let mut machine = self.machine(spec);
-        let header = mtlb_trace::corun(&mut machine, bytes, spec.instances)?;
+        let header = corun_with(&mut machine, spec.instances, |m| {
+            mtlb_trace::replay(m, bytes)
+        })?;
         let report = machine.report();
         self.trace_summary(&spec.label, &mut machine);
         let (checksum, verified) = (header.checksum, header.verified);
@@ -450,8 +459,8 @@ impl Runner {
     }
 
     /// Evicts the cached trace `bad`, which failed to replay for `spec`,
-    /// so the recording of the run that takes its place serves the
-    /// pair's later cells. Whichever cell evicts warns: once per bad
+    /// so the next single-instance run of the pair records a fresh one
+    /// for its later cells. Whichever cell evicts warns: once per bad
     /// trace at any jobs level.
     #[cold]
     fn evict_bad_trace(&self, spec: &JobSpec, bad: &Arc<Vec<u8>>, e: &TraceError) {
@@ -462,7 +471,7 @@ impl Runner {
             traces.remove(&key);
             eprintln!(
                 "warning: {}: cached {} trace failed to replay ({e}); \
-                 re-recording it",
+                 dropping it",
                 spec.label, spec.workload
             );
         }
@@ -763,14 +772,26 @@ mod tests {
         }
     }
 
-    /// A fig6 batch simulates each record run and each co-run once —
-    /// the co-runs replay the trace the record run made rather than
-    /// recording their own — and keeps its traces only when replay is
-    /// on.
+    /// A fig6 batch simulates each record run and each co-run once.
+    /// With replay off it records no trace and holds none — the co-runs
+    /// mirror live runs; with it on, each workload's `record` job
+    /// records its one trace.
     #[test]
     fn a_fig6_batch_simulates_once_per_job_and_records_once_per_workload() {
         use crate::experiments::fig6;
+        use mtlb_sim::MachineConfig;
         let (counts, workloads) = ([2, 4], ["em3d", "radix"]);
+        // What each workload's `record` job records, run on its own.
+        let solo: Vec<_> = workloads
+            .iter()
+            .map(|&w| {
+                let spec = JobSpec::new("record", w, Scale::Test, MachineConfig::paper_mtlb(96));
+                (
+                    w,
+                    run_live(&spec, &mut Machine::new(spec.cfg.clone()), true).1,
+                )
+            })
+            .collect();
         for jobs in [1, 2] {
             for replay in [false, true] {
                 let runner = Runner::with_jobs(jobs).with_replay(replay);
@@ -784,12 +805,41 @@ mod tests {
                 let traces: Vec<_> = runner
                     .recorded_traces()
                     .into_iter()
-                    .map(|(name, ..)| name)
+                    .map(|(name, _, bytes)| (name, bytes.to_vec()))
                     .collect();
-                let kept: &[&str] = if replay { &["em3d", "radix"] } else { &[] };
-                assert_eq!(traces, kept, "jobs={jobs} replay={replay}");
+                if replay {
+                    assert_eq!(traces, solo, "jobs={jobs}");
+                } else {
+                    assert!(traces.is_empty(), "jobs={jobs}");
+                    assert!(runner.traces.lock().expect("traces").is_empty());
+                }
             }
         }
+    }
+
+    /// A co-run whose mirror fails still runs instance 0 to the end,
+    /// and its row comes back unverified instead of panicking.
+    #[test]
+    fn a_failing_mirror_makes_an_unverified_row() {
+        use mtlb_sim::MachineConfig;
+        use mtlb_types::{Prot, PAGE_SIZE};
+        let mut machine = Machine::new(MachineConfig::paper_mtlb(96).with_cores(2));
+        let mut finished = false;
+        let outcome = corun_live("fig6/radix/x2", &mut machine, 2, |m| {
+            // Block instance 1's program window behind the mirror's back.
+            let mirror = m.take_op_sink().expect("the mirror is attached");
+            m.set_active_core(1);
+            let base = m.program_base();
+            m.map_region(base, PAGE_SIZE, Prot::RX);
+            m.set_active_core(0);
+            m.set_op_sink(mirror);
+            let outcome = workload_by_name("radix", Scale::Test).run(m);
+            finished = outcome.verified;
+            outcome
+        });
+        assert!(finished, "instance 0 ran to the end and verified");
+        assert_eq!(outcome, Outcome::default());
+        assert!(!outcome.verified);
     }
 
     #[test]

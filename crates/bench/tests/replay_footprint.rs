@@ -1,9 +1,9 @@
 //! Replay-footprint regression gate: a replayed trace writes only
 //! zeros, and a zero store to an untouched guest page backs no host
 //! page, so a replay must hold far less guest memory than the live run
-//! it was recorded from. This is what keeps fig6's co-runs, which
-//! replay one recording on every core, from growing by a live run's
-//! footprint per core.
+//! it was recorded from. This is what keeps fig6's co-runs, whose
+//! mirrored cores apply instance 0's ops with zeroed data, from growing
+//! by a live run's footprint per core.
 
 use mtlb_bench::experiments::workload_by_name;
 use mtlb_sim::{Machine, MachineConfig};

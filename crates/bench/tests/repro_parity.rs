@@ -21,7 +21,7 @@
 
 use std::process::{Command, Output};
 
-use mtlb_sim::{MachineOp, OpSink};
+use mtlb_sim::MachineOp;
 use mtlb_trace::{TraceReader, TraceWriter};
 use mtlb_types::Vpn;
 
@@ -273,9 +273,9 @@ fn cached_trace_with_a_service_precondition_violation_falls_back_to_live() {
             let mut reader = TraceReader::new(&bytes).expect("header parses");
             let mut writer = TraceWriter::new();
             while let Some(op) = reader.next_op().expect("body decodes") {
-                writer.record(&op);
+                writer.push(&op);
             }
-            writer.record(&MachineOp::DemoteSuperpage { vpn: Vpn::new(1) });
+            writer.push(&MachineOp::DemoteSuperpage { vpn: Vpn::new(1) });
             let h = reader.into_header();
             writer.finish(&h.name, h.scale, h.checksum, h.verified)
         },

@@ -433,10 +433,13 @@ impl Machine {
     /// Mirrors one public-API operation to the attached op sink (if
     /// any), at the API boundary before the machine acts on it. The op
     /// is a closure so that with no sink attached — the overwhelmingly
-    /// common case — constructing it costs nothing.
+    /// common case — constructing it costs nothing. The sink is taken
+    /// out while it runs, so what it does to the machine is neither
+    /// recorded nor fed back to it.
     fn record_op(&mut self, op: impl FnOnce() -> MachineOp) {
-        if let Some(sink) = self.op_sink.as_deref_mut() {
-            sink.record(&op());
+        if let Some(mut sink) = self.op_sink.take() {
+            sink.record(self, &op());
+            self.op_sink = Some(sink);
         }
     }
 
@@ -694,7 +697,11 @@ impl Machine {
             let to_page_end = PAGE_SIZE - va.page_offset();
             let to_wrap = core.code_len - core.pc_offset;
             let step = remaining.min(to_page_end).min(to_wrap);
-            core.pc_offset = (core.pc_offset + step) % core.code_len;
+            // `step <= to_wrap`, so this is `% code_len` without a divide.
+            core.pc_offset += step;
+            if core.pc_offset == core.code_len {
+                core.pc_offset = 0;
+            }
             remaining -= step;
         }
         Ok(())

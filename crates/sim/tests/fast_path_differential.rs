@@ -27,7 +27,7 @@
 //! compared between the live machines only.
 
 use mtlb_os::Backing;
-use mtlb_sim::{Machine, MachineConfig, OpSink, Scalar, VecOpSink};
+use mtlb_sim::{Machine, MachineConfig, Scalar, VecOpSink};
 use mtlb_types::{Prot, VirtAddr};
 use proptest::prelude::*;
 
@@ -413,7 +413,7 @@ proptest! {
         let mut fresh = Machine::new(cfg);
         let mut w = mtlb_trace::TraceWriter::new();
         for op in &sink.ops {
-            w.record(op);
+            w.push(op);
         }
         let bytes = w.finish("mem", 0, 0, true);
         mtlb_trace::replay(&mut fresh, &bytes).expect("replay");

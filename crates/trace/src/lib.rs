@@ -8,10 +8,12 @@
 //! [`replay`] drives those ops back through a fresh machine's *public*
 //! API, reproducing the exact address stream — and therefore, because
 //! simulated timing depends only on addresses and shapes, a
-//! byte-identical [`RunReport`](mtlb_sim::RunReport). [`corun`] is the
-//! one replay loop: it interleaves relocated copies of a stream across
-//! the cores of one machine, and [`replay`] is its one-instance case.
-//! [`apply_op`] is the only place a decoded op becomes machine calls.
+//! byte-identical [`RunReport`](mtlb_sim::RunReport).
+//! [`corun_with`] is the one interleaving loop: it mirrors whatever
+//! drives core 0 — a live workload, or [`replay`] of a trace — onto
+//! the other cores of the machine, op by op, as relocated copies, so a
+//! co-run needs no recorded trace. [`apply_op`] is the only place a
+//! decoded or mirrored op becomes machine calls.
 //!
 //! What replay does **not** reproduce is data: stores write zeros, so
 //! guest-memory contents and workload checksums differ from the live
@@ -290,7 +292,9 @@ impl TraceWriter {
         self.last_va = raw;
     }
 
-    fn encode(&mut self, op: &MachineOp) {
+    /// Encodes one op: what recording it through an attached writer
+    /// does, for callers that hold ops rather than a machine.
+    pub fn push(&mut self, op: &MachineOp) {
         self.ops += 1;
         let (tag, va, vb, arg, instr) = wire_fields(op);
         self.body.push(tag);
@@ -327,8 +331,8 @@ impl TraceWriter {
 }
 
 impl OpSink for TraceWriter {
-    fn record(&mut self, op: &MachineOp) {
-        self.encode(op);
+    fn record(&mut self, _: &mut Machine, op: &MachineOp) {
+        self.push(op);
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -422,10 +426,12 @@ impl<'a> TraceReader<'a> {
         self.header
     }
 
+    #[inline]
     fn uvar(&mut self) -> Result<u64, TraceError> {
         get_uvarint(self.buf, &mut self.pos).ok_or(TraceError::Truncated { at: self.pos })
     }
 
+    #[inline]
     fn get_va(&mut self) -> Result<VirtAddr, TraceError> {
         let delta =
             get_ivarint(self.buf, &mut self.pos).ok_or(TraceError::Truncated { at: self.pos })?;
@@ -433,12 +439,14 @@ impl<'a> TraceReader<'a> {
         Ok(VirtAddr::new(self.last_va))
     }
 
+    #[inline]
     fn get_vpn(&mut self) -> Result<Vpn, TraceError> {
         Ok(Vpn::new(self.uvar()?))
     }
 
     /// A scalar access size: one of the four widths the machine has an
     /// accessor for, anything else is a corrupt file.
+    #[inline]
     fn get_size(&mut self) -> Result<u8, TraceError> {
         let at = self.pos as u64;
         match self.uvar()? {
@@ -455,6 +463,7 @@ impl<'a> TraceReader<'a> {
     /// [`TraceError::Truncated`], [`TraceError::UnknownTag`],
     /// [`TraceError::BadScalarSize`] or [`TraceError::TrailingBytes`] on
     /// a corrupt body.
+    #[inline]
     pub fn next_op(&mut self) -> Result<Option<MachineOp>, TraceError> {
         if self.remaining == 0 {
             if self.pos != self.buf.len() {
@@ -579,8 +588,8 @@ pub fn read_header(bytes: &[u8]) -> Result<TraceHeader, TraceError> {
 // Replay
 // ---------------------------------------------------------------------------
 
-/// Drives every op in `bytes` through `machine`'s public API: a
-/// [`corun`] of one instance.
+/// Drives every op in `bytes` through `machine`'s public API, in
+/// stream order: the plain decode loop.
 ///
 /// Data values are not part of the format: replayed stores write
 /// zeros. Because simulated timing depends only on the address stream,
@@ -595,49 +604,129 @@ pub fn read_header(bytes: &[u8]) -> Result<TraceHeader, TraceError> {
 /// which means the trace does not match the machine's configuration
 /// or initial state.
 pub fn replay(machine: &mut Machine, bytes: &[u8]) -> Result<TraceHeader, TraceError> {
-    corun(machine, bytes, 1)
+    let mut reader = TraceReader::new(bytes)?;
+    let mut op_index = 0;
+    while let Some(op) = reader.next_op()? {
+        apply_op(machine, &op, op_index)?;
+        op_index += 1;
+    }
+    Ok(reader.into_header())
 }
 
-/// Replays `instances` copies of the op stream in `bytes`, one per core
-/// of `machine`, round-robin one op per core per turn; each op is
-/// decoded once. Instance 0 applies the ops as recorded; every other
-/// instance gets a fresh process and applies them
-/// [`relocated`](MachineOp::relocated) into its window. With one
-/// instance this is [`replay`], and no core switch happens. Errors as
-/// [`replay`]. Precondition: `instances` ≤ the machine's cores (more
-/// panics in [`set_active_core`](Machine::set_active_core)).
-pub fn corun(
+/// Runs `drive` on core 0 of `machine` as instance 0 of an
+/// `instances`-way co-run, and mirrors every op it issues onto cores
+/// 1..`instances`, each running its own fresh process and applying the
+/// op [`relocated`](MachineOp::relocated) into that process's window.
+/// The interleaving is round-robin at the op boundary: core 0's op *i*,
+/// then its copies on cores 1, 2, …, then core 0's op *i + 1*. Nothing
+/// is recorded or held: the mirror sees each op as core 0 issues it.
+///
+/// `drive` is anything that runs a workload on the machine — a live
+/// workload (instance 0 then computes and checks its real output), or
+/// `|m| replay(m, bytes)`. With one instance nothing is mirrored and
+/// no core switch happens. The mirror is the machine's op sink for
+/// the co-run (it replaces any sink attached) and `drive` must leave
+/// it in place; it is detached when `drive` returns.
+///
+/// # Errors
+///
+/// The first mirrored op that fails [`apply_op`] stops the mirror —
+/// instance 0 runs on to the end — and its error is returned in place
+/// of `drive`'s value. Otherwise `drive`'s own error, if any.
+///
+/// # Panics
+///
+/// When `instances` exceeds the machine's cores (in
+/// [`set_active_core`](Machine::set_active_core)).
+pub fn corun_with<T>(
     machine: &mut Machine,
-    bytes: &[u8],
     instances: usize,
-) -> Result<TraceHeader, TraceError> {
-    let mut reader = TraceReader::new(bytes)?;
-    let mut deltas = Vec::with_capacity(instances);
+    drive: impl FnOnce(&mut Machine) -> Result<T, TraceError>,
+) -> Result<T, TraceError> {
+    let mut deltas = Vec::with_capacity(instances.saturating_sub(1));
     for core in 1..instances {
         let pid = machine.spawn_process();
         deltas.push(Machine::process_heap_base(pid).get() - Machine::process_heap_base(0).get());
         machine.set_active_core(core);
         apply_op(machine, &MachineOp::SwitchProcess { pid: pid as u64 }, 0)?;
     }
-    for op_index in 0.. {
-        let Some(op) = reader.next_op()? else { break };
-        if instances > 1 {
-            machine.set_active_core(0);
+    machine.set_active_core(0);
+    machine.set_op_sink(Box::new(Mirror {
+        deltas,
+        pending: None,
+        op_index: 0,
+        error: None,
+    }));
+    let result = drive(machine);
+    let mirror = machine
+        .take_op_sink()
+        .and_then(|sink| sink.into_any().downcast::<Mirror>().ok());
+    let Some(mut mirror) = mirror else {
+        return result;
+    };
+    if result.is_ok() {
+        mirror.flush(machine);
+    }
+    mirror.error.map_or(result, Err)
+}
+
+/// The [`OpSink`] behind [`corun_with`]. Core 0's op is held until
+/// core 0 issues the next one — by then it has run — and only then
+/// applied on the other cores, so each core sees the op stream in
+/// order and core 0 leads every round.
+#[derive(Debug)]
+struct Mirror {
+    /// Per mirrored core (1, 2, …), how far its process's window sits
+    /// above instance 0's.
+    deltas: Vec<u64>,
+    /// Core 0's latest op, not yet mirrored.
+    pending: Option<MachineOp>,
+    /// The pending op's index in core 0's stream.
+    op_index: u64,
+    /// The first mirrored op's failure; once set, mirroring stops.
+    error: Option<TraceError>,
+}
+
+impl Mirror {
+    /// Applies the pending op's relocated copies on the mirrored cores,
+    /// then makes core 0 active again.
+    #[inline]
+    fn flush(&mut self, machine: &mut Machine) {
+        let Some(op) = self.pending.take() else {
+            return;
+        };
+        let op_index = self.op_index;
+        self.op_index += 1;
+        if self.error.is_some() {
+            return;
         }
-        apply_op(machine, &op, op_index)?;
-        for (core, &delta) in (1..).zip(&deltas) {
+        for (core, &delta) in (1..).zip(&self.deltas) {
             if let Some(op) = op.relocated(delta) {
                 machine.set_active_core(core);
-                apply_op(machine, &op, op_index)?;
+                if let Err(e) = apply_op(machine, &op, op_index) {
+                    self.error = Some(e);
+                    break;
+                }
             }
         }
+        machine.set_active_core(0);
     }
-    Ok(reader.into_header())
+}
+
+impl OpSink for Mirror {
+    fn record(&mut self, machine: &mut Machine, op: &MachineOp) {
+        self.flush(machine);
+        self.pending = Some(*op);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
 }
 
 /// Drives a single decoded op through `machine`'s public API — the
-/// per-op step of [`corun`] (and so of [`replay`]), exposed for
-/// drivers that hold ops rather than MTR1 bytes. `op_index` only labels
+/// per-op step of [`replay`] and of [`corun_with`]'s mirror, exposed
+/// for drivers that hold ops rather than MTR1 bytes. `op_index` only labels
 /// the error.
 ///
 /// # Errors
@@ -650,6 +739,7 @@ pub fn corun(
 /// variant instead ([`TraceError::OversizedBlock`] through
 /// [`TraceError::Unmappable`]). Running out of a resource (a huge
 /// `MapRegion`) is not checked.
+#[inline]
 pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<(), TraceError> {
     let lane = |base: VirtAddr, size: u64| {
         if base.is_aligned(size) {
@@ -759,6 +849,7 @@ pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<
 }
 
 /// One replayed scalar access of width `T`; a store writes zero.
+#[inline]
 fn scalar<T: Scalar>(machine: &mut Machine, va: VirtAddr, write: bool) -> Result<(), Fault> {
     if write {
         machine.try_write(va, T::from_bits(0))
@@ -847,7 +938,7 @@ mod tests {
     fn encode(ops: &[MachineOp]) -> Vec<u8> {
         let mut w = TraceWriter::new();
         for op in ops {
-            w.record(op);
+            w.push(op);
         }
         w.finish("sample", 0, 0xdead_beef, true)
     }
@@ -877,7 +968,7 @@ mod tests {
     fn sequential_addresses_encode_compactly() {
         let mut w = TraceWriter::new();
         for i in 0..1000u64 {
-            w.record(&MachineOp::Read {
+            w.push(&MachineOp::Read {
                 va: VirtAddr::new(0x1000_0000 + i * 4),
                 size: 4,
             });
@@ -912,7 +1003,7 @@ mod tests {
         assert!(matches!(err, TraceError::TrailingBytes { .. }));
         // An unknown tag is rejected.
         let mut w = TraceWriter::new();
-        w.record(&MachineOp::SpawnProcess);
+        w.push(&MachineOp::SpawnProcess);
         let mut bytes = w.finish("x", 0, 0, false);
         let tag_at = bytes.len() - 1;
         bytes[tag_at] = 0xff;
@@ -965,7 +1056,7 @@ mod tests {
         use mtlb_sim::MachineConfig;
 
         let mut w = TraceWriter::new();
-        w.record(&MachineOp::Read {
+        w.push(&MachineOp::Read {
             va: VirtAddr::new(0x4000_0000),
             size: 4,
         });

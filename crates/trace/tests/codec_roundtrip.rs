@@ -3,7 +3,7 @@
 //! runs, huge forward/backward address jumps and every op kind — and
 //! the header survives arbitrary name/outcome values.
 
-use mtlb_sim::{Machine, MachineConfig, MachineOp, OpSink};
+use mtlb_sim::{Machine, MachineConfig, MachineOp};
 use mtlb_trace::{TraceError, TraceReader, TraceWriter};
 use mtlb_types::{Prot, VirtAddr, Vpn};
 use proptest::prelude::*;
@@ -76,7 +76,7 @@ proptest! {
     ) {
         let mut w = TraceWriter::new();
         for op in &ops {
-            w.record(op);
+            w.push(op);
         }
         prop_assert_eq!(w.ops(), ops.len() as u64);
         let name = ["", "em3d", "synth_stride", "compress95"][name_idx];
@@ -121,7 +121,7 @@ fn replay_ops(ops: &[MachineOp]) -> Result<(), TraceError> {
 fn replay_ops_on(cfg: MachineConfig, ops: &[MachineOp]) -> Result<(), TraceError> {
     let mut w = TraceWriter::new();
     for op in ops {
-        w.record(op);
+        w.push(op);
     }
     let bytes = w.finish("hostile", 0, 0, true);
     let mut m = Machine::new(cfg);
@@ -277,8 +277,8 @@ fn replay_rejects_scalar_sizes_the_machine_has_no_accessor_for() {
         prot: Prot::RW,
     };
     let mut w = TraceWriter::new();
-    w.record(&map);
-    w.record(&MachineOp::Read { va: heap, size: 4 });
+    w.push(&map);
+    w.push(&MachineOp::Read { va: heap, size: 4 });
     let mut bytes = w.finish("hostile", 0, 0, true);
     // The size is the trace's last byte; widen it to the two-byte
     // varint of 260 (= 4 mod 256).

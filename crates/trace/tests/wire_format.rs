@@ -6,7 +6,7 @@
 //! the encoding itself is fixed here: one op of every tag, encoded and
 //! compared with a checked-in byte literal, then decoded back.
 
-use mtlb_sim::{MachineOp, OpSink};
+use mtlb_sim::MachineOp;
 use mtlb_trace::{TraceHeader, TraceReader, TraceWriter};
 use mtlb_types::{Prot, VirtAddr, Vpn};
 
@@ -141,7 +141,7 @@ const PINNED: [u8; 115] = [
 fn every_tag_encodes_to_the_pinned_bytes() {
     let mut w = TraceWriter::new();
     for op in &one_op_per_tag() {
-        w.record(op);
+        w.push(op);
     }
     let bytes = w.finish("pin", 1, 0x0123_4567_89ab_cdef, true);
     assert_eq!(bytes, PINNED, "the MTR1 encoding changed");
