@@ -32,12 +32,12 @@ echo "== cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
   --exclude proptest --exclude rand
 
-echo "== determinism double-run (stdout + JSON reports byte-identical)"
+echo "== determinism double-run (stdout + JSON reports byte-identical at --jobs 1 and 4)"
 DET_DIR="$(mktemp -d)"
 trap 'rm -rf "$DET_DIR"' EXIT
-./target/release/repro fig3 --test-scale --json-dir "$DET_DIR/json1" \
+./target/release/repro fig3 --test-scale --jobs 1 --json-dir "$DET_DIR/json1" \
   > "$DET_DIR/stdout1" 2>/dev/null
-./target/release/repro fig3 --test-scale --json-dir "$DET_DIR/json2" \
+./target/release/repro fig3 --test-scale --jobs 4 --json-dir "$DET_DIR/json2" \
   > "$DET_DIR/stdout2" 2>/dev/null
 # The stdout captures name different json paths; compare them with the
 # directory prefixes normalised away.
@@ -45,6 +45,14 @@ sed "s|$DET_DIR/json1|JSON_DIR|" "$DET_DIR/stdout1" > "$DET_DIR/stdout1.norm"
 sed "s|$DET_DIR/json2|JSON_DIR|" "$DET_DIR/stdout2" > "$DET_DIR/stdout2.norm"
 diff "$DET_DIR/stdout1.norm" "$DET_DIR/stdout2.norm"
 diff -r "$DET_DIR/json1" "$DET_DIR/json2"
+
+echo "== served == simulated (repro all: result cache on vs --trace, which bypasses it)"
+# The Runner serves a cell from a run of the same class whose CPU TLB
+# never evicted, at any capacity that holds its peak; `--trace`
+# simulates every job. The two stdouts must be byte-identical.
+./target/release/repro all --test-scale > "$DET_DIR/all_served" 2>/dev/null
+./target/release/repro all --test-scale --trace > "$DET_DIR/all_simulated" 2>/dev/null
+diff "$DET_DIR/all_served" "$DET_DIR/all_simulated"
 
 echo "== multi-core determinism (--cores 1 == legacy; fig6 jobs-invariant)"
 # A 1-core machine must be bit-identical to the machine before cores

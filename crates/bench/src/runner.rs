@@ -11,19 +11,29 @@
 //! mirrors each op onto the other cores, so no job records a trace
 //! unless replay is on ([`Runner::with_replay`]).
 //!
-//! Two properties the rest of the crate relies on:
+//! Three properties the rest of the crate relies on:
 //!
 //! * **Determinism.** Results always come back in job order, whatever
 //!   order the jobs finished in, so tables and CSVs built from them are
 //!   byte-identical between `--jobs 1` and `--jobs N`. Each simulation
 //!   is single-threaded and seeded, so its simulated cycle counts cannot
 //!   depend on scheduling either.
+//! * **One simulation per run.** The result cache serves a job from a
+//!   finished run that provably is the job's run: an exact repeat under
+//!   another label, or — since nothing in the machine reads the CPU-TLB
+//!   size but the TLB itself — a run of the same workload and machine at
+//!   another size whose CPU TLBs never evicted and never held more
+//!   entries than the job's TLB has ([`Machine::tlb_reach_demand`]).
+//!   On the MTLB machine that makes every CPU-TLB size of a workload one
+//!   simulation. A served row is the simulated row, bit for bit;
+//!   `--trace` simulates every job.
 //! * **Attribution.** The runner records per-job host wall time and
 //!   simulated cycles ([`JobRecord`]). `repro` prints them as `[job]`
-//!   progress lines on stderr; the repo benchmark (`benchmark/`) drains
-//!   them with [`Runner::take_records`] as its per-unit host times.
+//!   progress lines on stderr, naming the job whose run served a
+//!   served one; the repo benchmark (`benchmark/`) drains them with
+//!   [`Runner::take_records`] as its per-unit host times.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -194,25 +204,87 @@ impl<'scope, T> Task<'scope, T> {
 /// progress, a co-run never: with no trace cached yet it runs live.
 type TraceCache = BTreeMap<(&'static str, Scale), Arc<OnceLock<Arc<Vec<u8>>>>>;
 
-/// Simulations keyed by `(workload, scale, instances, config)` — the
-/// config via its exhaustive `Debug` rendering. Simulations are deterministic, so
-/// a key runs once per runner: a job whose key another job already
-/// claimed waits for that result (even one running on another thread)
-/// instead of re-simulating ([`Runner::run`] dispatches repeats last,
-/// so such a wait idles no worker that had fresh work). This is the
-/// sweeps' only dedup: fig3's 96-entry no-MTLB cell is its base96 run;
-/// fig3.4, fig5 and the §5 subblock table share cells with fig3;
-/// fig5's `mtlb`/96 cell is its reference run and fig6's baseline. The
+/// Every simulation a runner has claimed, grouped by *class*: the
+/// specs that differ only in `cfg.cpu_tlb_entries`
+/// ([`ClassKey`]). Simulations are deterministic, so a job is served by
+/// a run of its class when the run provably is the job's run:
+///
+/// * its *twin* — the run at the job's own capacity — waited for while
+///   it is still running. This is the sweeps' exact-repeat dedup:
+///   fig3's 96-entry no-MTLB cell is its base96 run; fig3.4, fig5 and
+///   the §5 subblock table share cells with fig3; fig5's `mtlb`/96 cell
+///   is its reference run and fig6's baseline;
+/// * or any finished run whose [`Machine::tlb_reach_demand`] is at
+///   most the job's capacity: its CPU TLBs never evicted and never held
+///   more entries than the job's TLB has, so the job's run would go
+///   the same way bit for bit (the proof is at
+///   [`mtlb_tlb::CpuTlb::reach_demand`]). On the MTLB machine the CPU
+///   TLB never fills, so one run answers fig3's `tlb64+mtlb`,
+///   `tlb96+mtlb` and `tlb128+mtlb` cells, fig3.4's 256, and fig5's
+///   `mtlb` cells.
+///
+/// Otherwise the job claims a new run of the class, unless one is
+/// still running: then it waits for that run and looks again, as a
+/// twin waits. So how many runs a batch simulates, and every result it
+/// returns, depend on its spec list and what the cache held before,
+/// never on thread timing: a class whose runs need `D` entries
+/// simulates once per distinct capacity below `D` and once for all
+/// capacities at or above it. ([`Runner::run`] dispatches each class's
+/// jobs in spec order, so with one job thread which job simulates is
+/// fixed too; with more, two jobs that reach the cache in the same
+/// instant may trade that role, which only the `[job]` lines show.) The
 /// instance count keeps a co-run apart from a single instance on its
 /// machine (`repro all --cores 4` runs fig3 on fig6's 4-core machine).
-type ResultCache = BTreeMap<CacheKey, Arc<OnceLock<(Outcome, RunReport)>>>;
+type ResultCache = BTreeMap<ClassKey, Vec<Arc<Run>>>;
 
-/// `(workload, scale, instances, config)`.
-type CacheKey = (&'static str, Scale, usize, String);
+/// `(workload, scale, instances, config)`, the config by its
+/// exhaustive `Debug` rendering with `cpu_tlb_entries` erased.
+type ClassKey = (&'static str, Scale, usize, String);
 
-fn cache_key(spec: &JobSpec) -> CacheKey {
-    let cfg = format!("{:?}", spec.cfg);
+fn class_key(spec: &JobSpec) -> ClassKey {
+    let cfg = MachineConfig {
+        cpu_tlb_entries: 0,
+        ..spec.cfg.clone()
+    };
+    let cfg = format!("{cfg:?}");
     (spec.workload, spec.scale, spec.instances, cfg)
+}
+
+/// One simulation in the result cache: the job that claimed it and,
+/// once it finished, its result.
+#[derive(Debug)]
+struct Run {
+    spec: JobSpec,
+    done: OnceLock<Done>,
+}
+
+/// A finished [`Run`].
+#[derive(Debug)]
+struct Done {
+    outcome: Outcome,
+    report: RunReport,
+    /// The run's [`Machine::tlb_reach_demand`].
+    demand: Option<usize>,
+}
+
+impl Run {
+    /// Whether this run is the run at CPU-TLB `capacity`: it ran at that
+    /// capacity (finished or not), or it finished without its TLBs ever
+    /// needing more.
+    fn serves(&self, capacity: usize) -> bool {
+        self.spec.cfg.cpu_tlb_entries == capacity
+            || self
+                .done
+                .get()
+                .is_some_and(|d| d.demand.is_some_and(|n| n <= capacity))
+    }
+
+    /// The run's result, simulated by `runner` unless it already is —
+    /// waiting while another thread simulates it.
+    fn result(&self, runner: &Runner) -> &Done {
+        self.done
+            .get_or_init(|| runner.simulate_uncached(&self.spec))
+    }
 }
 
 /// Executes independent jobs across OS threads, returning results in
@@ -337,22 +409,35 @@ impl Runner {
         out
     }
 
-    /// Runs every spec and returns their results in spec order. Each
-    /// result-cache key's first spec is dispatched before any repeat of
-    /// it, so a worker reaches a repeat (which waits for its twin's
-    /// result) only once no fresh job is left.
+    /// Runs every spec and returns their results in spec order. One job
+    /// thread runs them in spec order, so `[job]` records come in spec
+    /// order too. More threads take them by rank in their class — every
+    /// class's first job, then every class's second, and so on, each
+    /// class in spec order — so a worker seldom reaches a job whose
+    /// class has a run in flight (the job waits for it) while other
+    /// work is left.
     pub fn run(&self, specs: &[JobSpec]) -> Vec<JobResult> {
-        let mut seen = BTreeSet::new();
-        let (mut order, repeats): (Vec<usize>, Vec<usize>) =
-            (0..specs.len()).partition(|&i| seen.insert(cache_key(&specs[i])));
-        order.extend(repeats);
+        let mut order: Vec<usize> = (0..specs.len()).collect();
+        if self.jobs > 1 {
+            let mut seen: BTreeMap<ClassKey, usize> = BTreeMap::new();
+            let rank: Vec<usize> = specs
+                .iter()
+                .map(|spec| {
+                    let n = seen.entry(class_key(spec)).or_default();
+                    *n += 1;
+                    *n
+                })
+                .collect();
+            order.sort_by_key(|&i| rank[i]);
+        }
         let results = self.execute(order.len(), |k| {
             let spec = &specs[order[k]];
             #[expect(clippy::disallowed_methods, reason = "Bench wall-clock perimeter: per-job host wall time feeds the [job] stderr progress lines and the JobRecords benchmark/src/units.rs drains, never simulated cycles or rendered tables.")]
             let start = Instant::now();
-            let (outcome, report) = self.simulate(spec);
+            let (outcome, report, source) = self.simulate(spec);
             let wall = start.elapsed();
-            self.note(&spec.label, wall, Some(report.total_cycles.get()));
+            let cycles = Some(report.total_cycles.get());
+            self.note(&spec.label, wall, cycles, source.as_deref());
             JobResult {
                 label: spec.label.clone(),
                 outcome,
@@ -365,29 +450,48 @@ impl Runner {
         placed.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// One simulation: deduplicated against an identical row when
-    /// possible, run for real otherwise.
-    fn simulate(&self, spec: &JobSpec) -> (Outcome, RunReport) {
-        // Trace mode bypasses the dedup so every job still prints its
+    /// One job: served by a run of its class when one is the job's run,
+    /// simulated otherwise ([`ResultCache`]). The label is the serving
+    /// run's job, when that is another job.
+    fn simulate(&self, spec: &JobSpec) -> (Outcome, RunReport, Option<String>) {
+        // Trace mode bypasses the cache so every job still prints its
         // own cycle-attribution summary.
         if self.trace {
-            return self.simulate_uncached(spec);
+            let done = self.simulate_uncached(spec);
+            return (done.outcome, done.report, None);
         }
-        let cell = Arc::clone(
-            self.results
-                .lock()
-                .expect("results")
-                .entry(cache_key(spec))
-                .or_default(),
-        );
-        cell.get_or_init(|| self.simulate_uncached(spec)).clone()
+        let capacity = spec.cfg.cpu_tlb_entries;
+        let key = class_key(spec);
+        let (run, claimed) = loop {
+            let mut cache = self.results.lock().expect("results");
+            let runs = cache.entry(key.clone()).or_default();
+            if let Some(run) = runs.iter().find(|r| r.serves(capacity)) {
+                break (Arc::clone(run), false);
+            }
+            let Some(running) = runs.iter().find(|r| r.done.get().is_none()) else {
+                let run = Arc::new(Run {
+                    spec: spec.clone(),
+                    done: OnceLock::new(),
+                });
+                runs.push(Arc::clone(&run));
+                break (run, true);
+            };
+            // A run still in flight may turn out to serve this job:
+            // claiming now could simulate its run twice.
+            let running = Arc::clone(running);
+            drop(cache);
+            running.result(self);
+        };
+        let done = run.result(self);
+        let source = (!claimed).then(|| run.spec.label.clone());
+        (done.outcome.clone(), done.report.clone(), source)
     }
 
     /// Runs the simulation for real: live, or with replay on through
     /// the pair's trace. A trace that fails to replay is evicted and
     /// the job tries once more — a single-instance job then records the
     /// pair afresh — and runs live if that finds no trace to use.
-    fn simulate_uncached(&self, spec: &JobSpec) -> (Outcome, RunReport) {
+    fn simulate_uncached(&self, spec: &JobSpec) -> Done {
         #[cfg(test)]
         self.simulations.fetch_add(1, Ordering::Relaxed);
         if self.replay {
@@ -404,7 +508,7 @@ impl Runner {
     /// otherwise replays it; a co-run replays it if it is cached. `None`
     /// when a co-run found no trace, or a cached trace failed to replay
     /// and was evicted.
-    fn through_trace(&self, spec: &JobSpec) -> Option<(Outcome, RunReport)> {
+    fn through_trace(&self, spec: &JobSpec) -> Option<Done> {
         let cell = self.trace_cell((spec.workload, spec.scale));
         let mut recorded = None;
         let bytes = if spec.instances == 1 {
@@ -426,26 +530,35 @@ impl Runner {
 
     /// Runs a job live, returning its result and, when `record` is set
     /// (single-instance jobs only), its op stream as MTR1 bytes.
-    fn live(&self, spec: &JobSpec, record: bool) -> ((Outcome, RunReport), Vec<u8>) {
+    fn live(&self, spec: &JobSpec, record: bool) -> (Done, Vec<u8>) {
         let mut machine = self.machine(spec);
         let (outcome, bytes) = run_live(spec, &mut machine, record);
-        let report = machine.report();
-        self.trace_summary(&spec.label, &mut machine);
-        ((outcome, report), bytes)
+        (self.finish(&spec.label, &mut machine, outcome), bytes)
     }
 
     /// Replays `bytes` as `spec` — mirrored onto its instances by
     /// [`corun_with`] on a machine built only now — returning the
     /// recorded outcome and the run's report.
-    fn replay(&self, spec: &JobSpec, bytes: &[u8]) -> Result<(Outcome, RunReport), TraceError> {
+    fn replay(&self, spec: &JobSpec, bytes: &[u8]) -> Result<Done, TraceError> {
         let mut machine = self.machine(spec);
         let header = corun_with(&mut machine, spec.instances, |m| {
             mtlb_trace::replay(m, bytes)
         })?;
-        let report = machine.report();
-        self.trace_summary(&spec.label, &mut machine);
         let (checksum, verified) = (header.checksum, header.verified);
-        Ok((Outcome { checksum, verified }, report))
+        let outcome = Outcome { checksum, verified };
+        Ok(self.finish(&spec.label, &mut machine, outcome))
+    }
+
+    /// The finished run of `outcome` on `machine`, printing its
+    /// cycle-attribution summary when `--trace` is on.
+    fn finish(&self, label: &str, machine: &mut Machine, outcome: Outcome) -> Done {
+        let report = machine.report();
+        self.trace_summary(label, machine);
+        Done {
+            outcome,
+            report,
+            demand: machine.tlb_reach_demand(),
+        }
     }
 
     /// A fresh machine for `spec`, with a [`RingTrace`] attached when
@@ -509,7 +622,7 @@ impl Runner {
             #[expect(clippy::disallowed_methods, reason = "Bench wall-clock perimeter: per-job host wall time feeds the [job] stderr progress lines and the JobRecords benchmark/src/units.rs drains, never simulated cycles or rendered tables.")]
             let start = Instant::now();
             let value = (task.run)();
-            self.note(&task.label, start.elapsed(), None);
+            self.note(&task.label, start.elapsed(), None, None);
             value
         })
     }
@@ -519,10 +632,16 @@ impl Runner {
         std::mem::take(&mut *self.records.lock().expect("records"))
     }
 
-    fn note(&self, label: &str, wall: Duration, sim_cycles: Option<u64>) {
+    /// Records a finished job; `source` names the job whose run served
+    /// it, when it was served.
+    fn note(&self, label: &str, wall: Duration, sim_cycles: Option<u64>, source: Option<&str>) {
         if self.live {
+            let served = source.map_or_else(String::new, |s| format!(", served by {s}"));
             match sim_cycles {
-                Some(c) => eprintln!("[job] {label}: {:>9.2?} wall, {c} simulated cycles", wall),
+                Some(c) => eprintln!(
+                    "[job] {label}: {:>9.2?} wall, {c} simulated cycles{served}",
+                    wall
+                ),
                 None => eprintln!("[job] {label}: {:>9.2?} wall", wall),
             }
         }
@@ -568,6 +687,7 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn results_come_back_in_job_order() {
@@ -606,30 +726,85 @@ mod tests {
         assert!(runner.take_records().is_empty(), "drained");
     }
 
+    /// Replay on, every job after the first replays radix's trace on a
+    /// machine of its own: the CPU TLBs of all three evict, so no run
+    /// serves another and each replay must equal its live run.
     #[test]
     fn replayed_jobs_match_live_runs_across_configs() {
         use mtlb_sim::MachineConfig;
-        let specs: Vec<JobSpec> = [16usize, 64, 128]
-            .iter()
-            .map(|&e| {
-                JobSpec::new(
-                    format!("tlb{e}"),
-                    "radix",
-                    Scale::Test,
-                    MachineConfig::paper_mtlb(e),
-                )
-            })
-            .collect();
+        let specs: Vec<JobSpec> = [
+            ("mtlb16", MachineConfig::paper_mtlb(16)),
+            ("base16", MachineConfig::paper_base(16)),
+            ("base24", MachineConfig::paper_base(24)),
+        ]
+        .into_iter()
+        .map(|(label, cfg)| JobSpec::new(label, "radix", Scale::Test, cfg))
+        .collect();
         // Replay on: first job records, the rest replay.
-        let replayed = Runner::serial().with_replay(true).run(&specs);
+        let replaying = Runner::serial().with_replay(true);
+        let replayed = replaying.run(&specs);
         // The default: every job runs the workload live, recording
         // nothing.
         let default = Runner::serial();
         let live = default.run(&specs);
         assert!(default.recorded_traces().is_empty());
+        for runner in [&replaying, &default] {
+            assert_eq!(runner.simulations.load(Ordering::Relaxed), specs.len());
+        }
         for (a, b) in replayed.iter().zip(&live) {
             assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
             assert_eq!(a.outcome, b.outcome);
+        }
+    }
+
+    /// A cell served by a run at another CPU-TLB size is the cell a run
+    /// of its own would produce, whatever order or jobs level the
+    /// batch has: for each paper workload, one MTLB run answers all
+    /// four sizes (its CPU TLB never evicts), base machines that evict
+    /// simulate every size, and a 2-core co-run class is one run too.
+    #[test]
+    fn a_served_row_equals_a_simulated_one() {
+        use crate::experiments::WORKLOADS;
+        use mtlb_sim::MachineConfig;
+        let mut specs = Vec::new();
+        for &w in &WORKLOADS {
+            for e in [16, 64, 96, 256] {
+                let cfg = MachineConfig::paper_mtlb(e);
+                specs.push(JobSpec::new(format!("{w}/mtlb{e}"), w, Scale::Test, cfg));
+            }
+            // Test-scale radix needs 26 entries on the base machine.
+            for e in [8, 12, 16, 24] {
+                let cfg = MachineConfig::paper_base(e);
+                specs.push(JobSpec::new(format!("{w}/base{e}"), w, Scale::Test, cfg));
+            }
+        }
+        for e in [16, 64, 96, 256] {
+            let cfg = MachineConfig::paper_mtlb(e);
+            specs.push(JobSpec::new(format!("x2/mtlb{e}"), "em3d", Scale::Test, cfg).corun(2));
+        }
+        let rendered = |r: &JobResult| (r.label.clone(), r.report.to_json(), r.outcome.clone());
+        let fresh: Vec<_> = specs
+            .iter()
+            .map(|spec| rendered(&Runner::serial().run(std::slice::from_ref(spec))[0]))
+            .collect();
+        // Each workload's four sizes, ascending, descending and 96 first.
+        let orders: [fn(usize) -> usize; 3] = [|i| i, |i| 3 - i, |i| [2, 0, 1, 3][i]];
+        for jobs in [1, 2] {
+            for order in orders {
+                let runner = Runner::with_jobs(jobs);
+                let shuffled: Vec<usize> =
+                    (0..specs.len()).map(|i| i / 4 * 4 + order(i % 4)).collect();
+                let batch: Vec<JobSpec> = shuffled.iter().map(|&i| specs[i].clone()).collect();
+                let got = runner.run(&batch);
+                for (&i, r) in shuffled.iter().zip(&got) {
+                    assert_eq!(rendered(r), fresh[i], "jobs={jobs}");
+                }
+                assert_eq!(
+                    runner.simulations.load(Ordering::Relaxed),
+                    WORKLOADS.len() * (1 + 4) + 1,
+                    "jobs={jobs} order={shuffled:?}"
+                );
+            }
         }
     }
 
@@ -662,25 +837,30 @@ mod tests {
         use crate::experiments::{fig3, fig5};
         let runner = Runner::with_jobs(2);
         let (sizes, workloads) = ([64, 96, 128], ["radix", "vortex"]);
-        let cached = |runner: &Runner| -> BTreeSet<_> {
-            runner
-                .results
-                .lock()
-                .expect("results")
-                .keys()
-                .cloned()
+        // Each simulated run: its class and its capacity.
+        let simulated = |runner: &Runner| -> BTreeSet<(ClassKey, usize)> {
+            let results = runner.results.lock().expect("results");
+            results
+                .iter()
+                .flat_map(|(key, runs)| {
+                    runs.iter()
+                        .map(|run| (key.clone(), run.spec.cfg.cpu_tlb_entries))
+                })
                 .collect()
         };
         let fig3_rows = fig3(&runner, Scale::Test, &sizes, &workloads);
-        let (before, simulated) = (cached(&runner), runner.simulations.load(Ordering::Relaxed));
+        let (before, simulations) = (
+            simulated(&runner),
+            runner.simulations.load(Ordering::Relaxed),
+        );
         let fig5_rows = fig5(&runner, Scale::Test, &sizes, &workloads);
         assert_eq!(
-            runner.simulations.load(Ordering::Relaxed) - simulated,
+            runner.simulations.load(Ordering::Relaxed) - simulations,
             workloads.len() * (sizes.len() + 1)
         );
-        let added: Vec<String> = cached(&runner)
+        let added: Vec<String> = simulated(&runner)
             .difference(&before)
-            .map(|(.., cfg)| cfg.clone())
+            .map(|((.., cfg), _)| cfg.clone())
             .collect();
         // Per workload: coalesced at each size, and split.
         assert_eq!(

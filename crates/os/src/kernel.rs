@@ -1077,6 +1077,15 @@ impl Kernel {
         self.stats.pages_remapped = self.stats.pages_remapped.saturating_add(pages);
     }
 
+    /// Whether [`sbrk`](Kernel::sbrk)`(increment)` keeps the break
+    /// inside the heap already mapped. Such a call only moves the
+    /// break: it changes no mapping, protection, residency or TLB
+    /// entry.
+    #[must_use]
+    pub fn sbrk_fits(&self, increment: u64) -> bool {
+        self.proc().heap_brk + increment <= self.proc().heap_mapped_end
+    }
+
     /// The modified `sbrk()` (§2.3): extends the heap, pre-allocating
     /// large chunks and promoting them to shadow superpages.
     ///
@@ -1087,7 +1096,7 @@ impl Kernel {
         let old_brk = self.proc().heap_brk;
         let mut cycles = self.config.costs.syscall_overhead;
         let new_brk = old_brk + increment;
-        if new_brk > self.proc().heap_mapped_end {
+        if !self.sbrk_fits(increment) {
             let need = new_brk.offset_from(self.proc().heap_mapped_end);
             let chunk_cfg = if self.proc().heap_extended {
                 self.config.sbrk.later_chunk

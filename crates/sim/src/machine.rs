@@ -385,6 +385,18 @@ impl Machine {
     /// runs user code again.
     fn kernel_exit(&mut self, bucket: Bucket, cycles: Cycles, event: impl FnOnce() -> TraceEvent) {
         self.invalidate_memos();
+        self.kernel_return(bucket, cycles, event);
+    }
+
+    /// [`kernel_exit`](Machine::kernel_exit) for a kernel entry that
+    /// changed no translation, protection, residency or TLB entry: the
+    /// translation memos stay valid.
+    fn kernel_return(
+        &mut self,
+        bucket: Bucket,
+        cycles: Cycles,
+        event: impl FnOnce() -> TraceEvent,
+    ) {
         self.ledger.charge(bucket, cycles, event);
         let active = self.active;
         for (vpn, pfn) in self.kernel.drain_flushed_pages() {
@@ -468,7 +480,8 @@ impl Machine {
     /// Invalidates every outstanding translation memo by bumping the
     /// generation counter. Called whenever TLB contents, mappings or
     /// page residency may have changed: after every software miss-handler
-    /// run, every shadow-fault service, and every kernel service wrapper.
+    /// run, every shadow-fault service, and every kernel service wrapper
+    /// but an `sbrk` inside the mapped heap, which moves only the break.
     #[inline]
     fn invalidate_memos(&mut self) {
         self.memo_gen = self.memo_gen.wrapping_add(1);
@@ -571,6 +584,19 @@ impl Machine {
                 instructions: c.instructions,
             })
             .collect()
+    }
+
+    /// A CPU-TLB size from which on this run is the same run, bit for
+    /// bit, at every `cpu_tlb_entries`: the largest of the cores'
+    /// [`TranslationScheme::reach_demand`], `None` if any core has none
+    /// (its TLB evicted, or its scheme claims no bound). Nothing else in
+    /// the machine reads `cpu_tlb_entries`, so the machine's run at any
+    /// capacity at or above this is this run.
+    #[must_use]
+    pub fn tlb_reach_demand(&self) -> Option<usize> {
+        self.cores
+            .iter()
+            .try_fold(0, |most, core| Some(most.max(core.tlb.reach_demand()?)))
     }
 
     /// Field-by-field sum of two [`TlbStats`](mtlb_tlb::TlbStats) —
@@ -1491,8 +1517,15 @@ impl Machine {
     /// The (modified) `sbrk()` syscall. Returns the previous break.
     pub fn sbrk(&mut self, increment: u64) -> VirtAddr {
         self.record_op(|| MachineOp::Sbrk { increment });
+        let grows = !self.kernel.sbrk_fits(increment);
         let (old, c) = self.kernel.sbrk(&mut kctx!(self), increment);
-        self.kernel_exit(Bucket::Kernel, c, || TraceEvent::Sbrk { increment });
+        let event = || TraceEvent::Sbrk { increment };
+        if grows {
+            self.kernel_exit(Bucket::Kernel, c, event);
+        } else {
+            // Only the break moved: the memos outlive the call.
+            self.kernel_return(Bucket::Kernel, c, event);
+        }
         old
     }
 
@@ -2349,6 +2382,34 @@ mod tests {
             assert_eq!(core.loads, 0);
             assert_eq!(core.tlb.misses, 0);
         }
+    }
+
+    /// The machine's witness is its busiest core's: core 1 touches 40
+    /// pages, core 0 two. A run at that demand, one above it or four
+    /// times it is the run at 1000 entries, report for report; one
+    /// entry fewer makes core 1 evict and withdraws the witness.
+    #[test]
+    fn tlb_reach_demand_is_the_busiest_cores() {
+        let run = |entries: usize| {
+            let mut m = Machine::new(MachineConfig::paper_base(entries).with_cores(2));
+            m.map_region(DATA, 64 * PAGE_SIZE, Prot::RW);
+            m.try_read::<u32>(DATA).unwrap();
+            m.set_active_core(1);
+            for page in 0..40 {
+                m.try_write::<u32>(DATA + page * PAGE_SIZE, 7).unwrap();
+            }
+            m.set_active_core(0);
+            m.try_read::<u32>(DATA + PAGE_SIZE).unwrap();
+            let demand = m.tlb_reach_demand();
+            (m.report().to_json(), demand)
+        };
+        let (wide, demand) = run(1000);
+        let demand = demand.expect("1000 entries never fill");
+        assert!(demand > 40, "core 1's pages and its locked entry");
+        for entries in [demand, demand + 1, 4 * demand] {
+            assert_eq!(run(entries), (wide.clone(), Some(demand)), "{entries}");
+        }
+        assert_eq!(run(demand - 1).1, None);
     }
 
     #[test]

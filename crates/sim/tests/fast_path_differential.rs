@@ -313,16 +313,113 @@ fn apply(m: &mut Machine, op: &Op, image: &mut [u8]) -> u64 {
     digest
 }
 
+/// The fast machine and the slow-path reference stay bit-identical —
+/// total cycles, every counter and interval in the serialized report,
+/// and the full guest memory image — across `ops` on the MTLB or the
+/// baseline configuration with `cores` cores; every read on both
+/// returns what the flat image holds; and on one core a trace-replayed
+/// machine (fast paths on when `replay_fast`) reproduces the same
+/// report.
+fn differential(mtlb: bool, cores: usize, replay_fast: bool, ops: &[Op]) {
+    let cfg = if mtlb {
+        MachineConfig::paper_mtlb(16)
+    } else {
+        MachineConfig::paper_base(16)
+    }
+    .with_cores(cores);
+    // The fast machine records the op stream for the replay leg.
+    let mut fast = Machine::new(cfg.clone());
+    fast.set_op_sink(Box::new(mtlb_trace::TraceWriter::new()));
+    let mut slow = Machine::new(cfg.clone());
+    slow.set_fast_paths(false);
+    for m in [&mut fast, &mut slow] {
+        m.map_region(BASE, REGION, Prot::RW);
+        m.load_program(16 * 4096, false);
+    }
+    // map_region hands out zeroed pages.
+    let mut image = vec![0u8; REGION as usize];
+    for (i, op) in ops.iter().enumerate() {
+        assert_eq!(
+            apply(&mut fast, op, &mut image),
+            apply(&mut slow, op, &mut image),
+            "op {} result divergence: {:?}",
+            i,
+            op
+        );
+    }
+    let reference_json = slow.report().to_json();
+    assert_eq!(
+        &fast.report().to_json(),
+        &reference_json,
+        "cycle/counter divergence"
+    );
+    assert_eq!(
+        fast.guest_memory().content_digest(),
+        slow.guest_memory().content_digest(),
+        "guest memory divergence"
+    );
+
+    // Replay leg (one core only): the recorded stream, replayed
+    // through a fresh machine in either mode, must reproduce the
+    // reference report byte-for-byte (data digests excluded:
+    // replay writes zeros).
+    if cores == 1 {
+        let writer = fast
+            .take_op_sink()
+            .expect("sink still attached")
+            .into_any()
+            .downcast::<mtlb_trace::TraceWriter>()
+            .expect("trace writer");
+        let bytes = writer.finish("differential", 0, 0, true);
+        let mut replayed = Machine::new(cfg);
+        replayed.set_fast_paths(replay_fast);
+        mtlb_trace::replay(&mut replayed, &bytes).expect("replay");
+        assert_eq!(
+            &replayed.report().to_json(),
+            &reference_json,
+            "replay divergence (fast={})",
+            replay_fast
+        );
+    }
+}
+
+/// Memos across `sbrk`: the first call grows the heap (map, and on the
+/// MTLB machine a remap whose shootdown moves the TLB generation), so
+/// it must kill the hot page's memo; the later calls stay inside the
+/// mapped heap and leave the memos alive. The hot page is read and
+/// written between every pair of calls, so a memo minted before each
+/// `sbrk` is used after it — and a memo that outlived the growing call
+/// trips the memo's TLB-generation assertion.
+#[test]
+fn memos_outlive_an_sbrk_inside_the_heap() {
+    let touch = |off: u64, write: bool| Op::Scalar {
+        off,
+        width: 4,
+        write,
+        value: off ^ 0xdead_beef,
+    };
+    let mut ops = Vec::new();
+    for _ in 0..4 {
+        ops.extend([
+            touch(0x40, true),
+            touch(0x40, false),
+            Op::Sbrk(4096),
+            touch(0x44, false),
+            touch(0x48, true),
+        ]);
+    }
+    for mtlb in [false, true] {
+        for cores in [1, 2] {
+            differential(mtlb, cores, true, &ops);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The fast machine and the slow-path reference stay bit-identical
-    /// — total cycles, every counter and interval in the serialized
-    /// report, and the full guest memory image — across random op
-    /// sequences on the MTLB and baseline configurations with one to
-    /// four cores; every read on both returns what the flat image
-    /// holds; and on one core a trace-replayed machine in either mode
-    /// reproduces the same report.
+    /// [`differential`] over random op sequences on the MTLB and
+    /// baseline configurations with one to four cores.
     #[test]
     fn fast_paths_are_observably_absent(
         mtlb in (0u8..2).prop_map(|b| b == 1),
@@ -330,60 +427,7 @@ proptest! {
         replay_fast in (0u8..2).prop_map(|b| b == 1),
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        let cfg = if mtlb {
-            MachineConfig::paper_mtlb(16)
-        } else {
-            MachineConfig::paper_base(16)
-        }
-        .with_cores(cores);
-        // The fast machine records the op stream for the replay leg.
-        let mut fast = Machine::new(cfg.clone());
-        fast.set_op_sink(Box::new(mtlb_trace::TraceWriter::new()));
-        let mut slow = Machine::new(cfg.clone());
-        slow.set_fast_paths(false);
-        for m in [&mut fast, &mut slow] {
-            m.map_region(BASE, REGION, Prot::RW);
-            m.load_program(16 * 4096, false);
-        }
-        // map_region hands out zeroed pages.
-        let mut image = vec![0u8; REGION as usize];
-        for (i, op) in ops.iter().enumerate() {
-            prop_assert_eq!(
-                apply(&mut fast, op, &mut image), apply(&mut slow, op, &mut image),
-                "op {} result divergence: {:?}", i, op
-            );
-        }
-        let reference_json = slow.report().to_json();
-        prop_assert_eq!(
-            &fast.report().to_json(), &reference_json,
-            "cycle/counter divergence"
-        );
-        prop_assert_eq!(
-            fast.guest_memory().content_digest(),
-            slow.guest_memory().content_digest(),
-            "guest memory divergence"
-        );
-
-        // Replay leg (one core only): the recorded stream, replayed
-        // through a fresh machine in either mode, must reproduce the
-        // reference report byte-for-byte (data digests excluded:
-        // replay writes zeros).
-        if cores == 1 {
-            let writer = fast
-                .take_op_sink()
-                .expect("sink still attached")
-                .into_any()
-                .downcast::<mtlb_trace::TraceWriter>()
-                .expect("trace writer");
-            let bytes = writer.finish("differential", 0, 0, true);
-            let mut replayed = Machine::new(cfg);
-            replayed.set_fast_paths(replay_fast);
-            mtlb_trace::replay(&mut replayed, &bytes).expect("replay");
-            prop_assert_eq!(
-                &replayed.report().to_json(), &reference_json,
-                "replay divergence (fast={})", replay_fast
-            );
-        }
+        differential(mtlb, cores, replay_fast, &ops);
     }
 
     /// The in-memory op record (no encoding) also replays to identical

@@ -208,6 +208,10 @@ pub struct CpuTlb {
     /// fast path sound (see the `scheme` module's invalidation
     /// contract). Purely host-side — no simulated state depends on it.
     generation: u64,
+    /// High-water mark of resident entries, locked ones included.
+    peak: usize,
+    /// Whether an insert ever found no free slot and chose a victim.
+    evicted: bool,
     stats: TlbStats,
 }
 
@@ -234,8 +238,28 @@ impl CpuTlb {
             locked: Vec::new(),
             free: (0..capacity as u32).map(Reverse).collect(),
             generation: 0,
+            peak: 0,
+            evicted: false,
             stats: TlbStats::default(),
         }
+    }
+
+    /// The fewest entries this TLB could have had and still behaved
+    /// exactly as it did: its peak occupancy (locked entries included)
+    /// while no insert has chosen a victim, `None` once one has.
+    ///
+    /// Exactness: with no victim ever chosen, every insert takes the
+    /// lowest-numbered free slot, and an insert into `k` resident
+    /// entries finds one at or below slot `k` — so every slot ever used
+    /// lies below the peak. The victim scan, the `hand` and NRU resets
+    /// never run. Slot numbers, `last_hit_slot`, the statistics, the
+    /// page map, `reach_bytes` and so everything the machine derives
+    /// from them are therefore the same at every capacity at or above
+    /// the peak, and a run at one such capacity *is* the run at any
+    /// other. Purely host-side: no simulated state depends on it.
+    #[must_use]
+    pub fn reach_demand(&self) -> Option<usize> {
+        (!self.evicted).then_some(self.peak)
     }
 
     /// Host-side content generation: changes whenever an insert or
@@ -461,6 +485,7 @@ impl CpuTlb {
         let i = match self.free.pop() {
             Some(Reverse(i)) => i as usize,
             None => {
+                self.evicted = true;
                 let victim = self.pick_victim();
                 self.stats.replacements = self.stats.replacements.saturating_add(1);
                 self.vacate(victim);
@@ -481,6 +506,7 @@ impl CpuTlb {
             used: true,
             locked,
         });
+        self.peak = self.peak.max(self.capacity - self.free.len());
     }
 
     #[expect(

@@ -153,6 +153,17 @@ pub trait TranslationScheme: fmt::Debug + Send {
     /// insert, and purge. See the module docs for the contract with
     /// the machine's memo/fast-forward layers.
     fn generation(&self) -> u64;
+
+    /// A capacity from which on this front end runs the same, bit for
+    /// bit, at every capacity — lookups, slot numbers, statistics and
+    /// reach — or `None` when it claims no such bound. A sweep may then
+    /// answer a cell that differs from a finished run only in capacity,
+    /// at least this, with that run. The default (`None`) claims
+    /// nothing, so such a scheme is reused only at its own capacity.
+    /// [`CpuTlb::reach_demand`] states the paper TLB's proof.
+    fn reach_demand(&self) -> Option<usize> {
+        None
+    }
 }
 
 impl TranslationScheme for CpuTlb {
@@ -219,6 +230,10 @@ impl TranslationScheme for CpuTlb {
 
     fn generation(&self) -> u64 {
         CpuTlb::generation(self)
+    }
+
+    fn reach_demand(&self) -> Option<usize> {
+        CpuTlb::reach_demand(self)
     }
 }
 
