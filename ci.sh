@@ -54,6 +54,20 @@ echo "== served == simulated (repro all: result cache on vs --trace, which bypas
 ./target/release/repro all --test-scale --trace > "$DET_DIR/all_simulated" 2>/dev/null
 diff "$DET_DIR/all_served" "$DET_DIR/all_simulated"
 
+echo "== served-by lines are jobs-invariant (repro all: [job] lines at --jobs 1 and 4)"
+# The Runner hands each class (specs that differ only in CPU-TLB size)
+# to one thread, which runs its jobs in spec order, so which job
+# simulates a run and which run serves every other job is a function of
+# the spec list. With wall times stripped and the lines sorted, the
+# `[job]` stderr lines (cycles and `served by`) must match.
+job_lines() {
+  grep 'simulated cycles' "$1" | sed -E 's/: +[0-9.]+[^ ]*s wall, /: /' | sort
+}
+./target/release/repro all --test-scale --jobs 1 > "$DET_DIR/all_j1" 2> "$DET_DIR/all_j1_err"
+./target/release/repro all --test-scale --jobs 4 > "$DET_DIR/all_j4" 2> "$DET_DIR/all_j4_err"
+diff "$DET_DIR/all_j1" "$DET_DIR/all_j4"
+diff <(job_lines "$DET_DIR/all_j1_err") <(job_lines "$DET_DIR/all_j4_err")
+
 echo "== multi-core determinism (--cores 1 == legacy; fig6 jobs-invariant)"
 # A 1-core machine must be bit-identical to the machine before cores
 # existed, and the fig6 co-scheduling tables must not depend on how

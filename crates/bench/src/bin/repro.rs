@@ -661,7 +661,7 @@ fn costs(opts: &Options) {
 }
 
 fn paging(opts: &Options) {
-    let rows = experiments::paging(&opts.runner, &[0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0]);
+    let rows = experiments::paging(&[0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0]);
     let mut t = Table::new(vec![
         "policy",
         "dirty fraction",
@@ -792,7 +792,7 @@ fn extensions(opts: &Options) {
         &t,
     );
 
-    let rows = experiments::multiprogramming(&opts.runner, &[500, 2_000, 20_000]);
+    let rows = experiments::multiprogramming(&[500, 2_000, 20_000]);
     let mut t = Table::new(vec![
         "machine",
         "quantum (accesses)",
@@ -814,7 +814,7 @@ fn extensions(opts: &Options) {
         &t,
     );
 
-    let rows = experiments::promotion(&opts.runner);
+    let rows = experiments::promotion();
     let mut t = Table::new(vec!["policy", "cycles", "superpages", "auto-promoted"]);
     for r in &rows {
         t.row(vec![
@@ -878,7 +878,7 @@ fn extensions(opts: &Options) {
         &t,
     );
 
-    let sr = experiments::stream_buffers(&opts.runner);
+    let sr = experiments::stream_buffers();
     let mut t = Table::new(vec![
         "traffic",
         "no buffers",

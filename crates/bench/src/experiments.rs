@@ -2,9 +2,11 @@
 //! from paper artefacts to functions.
 //!
 //! Every sweep takes a [`Runner`] and expresses its work as independent
-//! `(workload, MachineConfig)` jobs (or labelled closures); the runner
-//! decides how many OS threads execute them. Results are assembled in a
-//! fixed order, so rows are identical whatever the parallelism.
+//! `(workload, MachineConfig)` jobs; the runner decides how many OS
+//! threads execute them. Results are assembled in a fixed order, so
+//! rows are identical whatever the parallelism. The experiments that
+//! drive a machine by hand (paging, multiprogramming, promotion,
+//! recoloring, stream buffers) take no runner and run in place.
 
 use std::fmt::Display;
 
@@ -21,7 +23,7 @@ use mtlb_tlb::{CpuTlb, MicroItlb};
 use mtlb_types::{ClockRatio, PageSize, Ppn, Prot, VirtAddr, PAGE_SIZE};
 use mtlb_workloads::{AccessExt, Cc1, Compress95, Em3d, Oltp, Radix, Scale, Vortex, Workload};
 
-use crate::runner::{JobResult, JobSpec, Runner, Task};
+use crate::runner::{JobResult, JobSpec, Runner};
 
 /// The five benchmark names, in the paper's Figure 3 order.
 pub const WORKLOADS: [&str; 5] = ["compress95", "em3d", "radix", "vortex", "cc1"];
@@ -366,7 +368,7 @@ pub struct PagingRow {
 /// copy); after eviction, 32 scattered pages are re-touched to measure
 /// the fault-back traffic.
 #[must_use]
-pub fn paging(runner: &Runner, dirty_fractions: &[f64]) -> Vec<PagingRow> {
+pub fn paging(dirty_fractions: &[f64]) -> Vec<PagingRow> {
     fn one(policy: PagingPolicy, f: f64) -> PagingRow {
         let mut cfg = MachineConfig::paper_mtlb(64);
         cfg.kernel.paging = policy;
@@ -417,16 +419,10 @@ pub fn paging(runner: &Runner, dirty_fractions: &[f64]) -> Vec<PagingRow> {
         }
     }
 
-    let mut tasks = Vec::new();
-    for &policy in &[PagingPolicy::PerBasePage, PagingPolicy::WholeSuperpage] {
-        for &f in dirty_fractions {
-            tasks.push(Task::new(
-                format!("paging/{policy:?}/dirty{f:.2}"),
-                move || one(policy, f),
-            ));
-        }
-    }
-    runner.run_tasks(tasks)
+    [PagingPolicy::PerBasePage, PagingPolicy::WholeSuperpage]
+        .into_iter()
+        .flat_map(|policy| dirty_fractions.iter().map(move |&f| one(policy, f)))
+        .collect()
 }
 
 /// Result of the §2.4 allocator comparison.
@@ -542,7 +538,7 @@ pub struct MultiprogramRow {
 /// machine refills its whole working set with a single TLB miss — a
 /// benefit of TLB reach the paper's single-process runs cannot show.
 #[must_use]
-pub fn multiprogramming(runner: &Runner, quanta: &[u64]) -> Vec<MultiprogramRow> {
+pub fn multiprogramming(quanta: &[u64]) -> Vec<MultiprogramRow> {
     fn one(machine: &'static str, cfg: MachineConfig, quantum: u64) -> MultiprogramRow {
         let mut m = Machine::new(cfg);
         let pages = 48u64; // 192 KB per process: fits a 64-entry TLB
@@ -584,20 +580,13 @@ pub fn multiprogramming(runner: &Runner, quanta: &[u64]) -> Vec<MultiprogramRow>
         }
     }
 
-    let mut tasks = Vec::new();
-    for (machine, cfg) in [
+    [
         ("base 64", MachineConfig::paper_base(64)),
         ("64 + MTLB", MachineConfig::paper_mtlb(64)),
-    ] {
-        for &quantum in quanta {
-            let cfg = cfg.clone();
-            tasks.push(Task::new(
-                format!("multiprogramming/{machine}/q{quantum}"),
-                move || one(machine, cfg, quantum),
-            ));
-        }
-    }
-    runner.run_tasks(tasks)
+    ]
+    .into_iter()
+    .flat_map(|(machine, cfg)| quanta.iter().map(move |&q| one(machine, cfg.clone(), q)))
+    .collect()
 }
 
 /// One row of the §5 online-promotion experiment.
@@ -619,7 +608,7 @@ pub struct PromotionRow {
 /// whose program remapped explicitly, and (c) a machine whose kernel
 /// promotes hot regions automatically.
 #[must_use]
-pub fn promotion(runner: &Runner) -> Vec<PromotionRow> {
+pub fn promotion() -> Vec<PromotionRow> {
     fn walk(m: &mut Machine, base: VirtAddr, pages: u64) {
         let mut x = 3u64;
         for _ in 0..pages * 400 {
@@ -651,7 +640,7 @@ pub fn promotion(runner: &Runner) -> Vec<PromotionRow> {
         }
     }
 
-    let tasks = [
+    [
         ("no superpages", MachineConfig::paper_base(64)),
         ("explicit remap()", MachineConfig::paper_mtlb(64)),
         ("online promotion", {
@@ -661,9 +650,8 @@ pub fn promotion(runner: &Runner) -> Vec<PromotionRow> {
         }),
     ]
     .into_iter()
-    .map(|(policy, cfg)| Task::new(format!("promotion/{policy}"), move || one(policy, cfg)))
-    .collect();
-    runner.run_tasks(tasks)
+    .map(|(policy, cfg)| one(policy, cfg))
+    .collect()
 }
 
 /// Result of the §6 no-copy recoloring experiment (PIPT cache).
@@ -848,7 +836,7 @@ pub struct StreamReport {
 /// shadow superpage streams from the buffers (despite the discontiguous
 /// real frames behind it); random traffic gains nothing.
 #[must_use]
-pub fn stream_buffers(runner: &Runner) -> StreamReport {
+pub fn stream_buffers() -> StreamReport {
     fn run(stream: bool, random: bool) -> (u64, f64) {
         let mut cfg = MachineConfig::paper_mtlb(64);
         if stream {
@@ -877,16 +865,10 @@ pub fn stream_buffers(runner: &Runner) -> StreamReport {
         };
         (m.cycles().get(), hits)
     }
-    let results = runner.run_tasks(vec![
-        Task::new("stream/sweep/no-buffers", || run(false, false)),
-        Task::new("stream/sweep/buffers", || run(true, false)),
-        Task::new("stream/random/no-buffers", || run(false, true)),
-        Task::new("stream/random/buffers", || run(true, true)),
-    ]);
-    let (sweep_without, _) = results[0];
-    let (sweep_with, sweep_hit_rate) = results[1];
-    let (random_without, _) = results[2];
-    let (random_with, _) = results[3];
+    let (sweep_without, _) = run(false, false);
+    let (sweep_with, sweep_hit_rate) = run(true, false);
+    let (random_without, _) = run(false, true);
+    let (random_with, _) = run(true, true);
     StreamReport {
         sweep_without,
         sweep_with,
@@ -1264,7 +1246,7 @@ mod tests {
 
     #[test]
     fn paging_traffic_shapes() {
-        let rows = paging(&Runner::serial(), &[0.1]);
+        let rows = paging(&[0.1]);
         let per = rows
             .iter()
             .find(|r| r.policy == PagingPolicy::PerBasePage)
@@ -1303,7 +1285,7 @@ mod tests {
 
     #[test]
     fn stream_buffers_help_sweeps_not_randoms() {
-        let r = stream_buffers(&Runner::with_jobs(2));
+        let r = stream_buffers();
         assert!(r.sweep_with < r.sweep_without, "{r:?}");
         assert!(r.sweep_hit_rate > 0.8, "{r:?}");
         let ratio = r.random_with as f64 / r.random_without as f64;
@@ -1315,7 +1297,7 @@ mod tests {
 
     #[test]
     fn multiprogramming_hurts_the_baseline_more_at_short_quanta() {
-        let rows = multiprogramming(&Runner::with_jobs(2), &[500, 20_000]);
+        let rows = multiprogramming(&[500, 20_000]);
         let get = |machine: &str, q: u64| {
             rows.iter()
                 .find(|r| r.machine == machine && r.quantum == q)
@@ -1333,7 +1315,7 @@ mod tests {
 
     #[test]
     fn online_promotion_approaches_explicit_remap() {
-        let rows = promotion(&Runner::serial());
+        let rows = promotion();
         let base = rows.iter().find(|r| r.policy == "no superpages").unwrap();
         let explicit = rows
             .iter()

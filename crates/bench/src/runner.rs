@@ -3,36 +3,35 @@
 //! Every sweep in [`experiments`](crate::experiments) is a set of
 //! *independent* simulations — one workload on one [`MachineConfig`],
 //! or `n` copies of it co-running on an `n`-core one — so the drivers
-//! describe their work as [`JobSpec`] lists (or labelled closures, for
-//! experiments that drive a machine by hand) and hand them to a
-//! [`Runner`]. The runner executes them across OS threads with
-//! [`std::thread::scope`]; no job queue crate, no channels. A co-run
-//! runs its workload live on core 0 and [`mtlb_trace::corun_with`]
-//! mirrors each op onto the other cores, so no job records a trace
-//! unless replay is on ([`Runner::with_replay`]).
+//! describe their work as [`JobSpec`] lists and hand them to a
+//! [`Runner`]. The runner groups a batch into *classes*, the specs that
+//! differ only in CPU-TLB size, and hands each class to one of its OS
+//! threads ([`std::thread::scope`]; no job queue crate, no channels),
+//! which runs the class's jobs in spec order. A co-run runs its workload
+//! live on core 0 and [`mtlb_trace::corun_with`] mirrors each op onto
+//! the other cores, so no job records a trace unless replay is on
+//! ([`Runner::with_replay`]).
 //!
 //! Three properties the rest of the crate relies on:
 //!
-//! * **Determinism.** Results always come back in job order, whatever
-//!   order the jobs finished in, so tables and CSVs built from them are
-//!   byte-identical between `--jobs 1` and `--jobs N`. Each simulation
-//!   is single-threaded and seeded, so its simulated cycle counts cannot
-//!   depend on scheduling either.
-//! * **One simulation per run.** The result cache serves a job from a
-//!   finished run that provably is the job's run: an exact repeat under
-//!   another label, or — since nothing in the machine reads the CPU-TLB
-//!   size but the TLB itself — a run of the same workload and machine at
-//!   another size whose CPU TLBs never evicted and never held more
-//!   entries than the job's TLB has ([`Machine::tlb_reach_demand`]).
-//!   On the MTLB machine that makes every CPU-TLB size of a workload one
-//!   simulation. A served row is the simulated row, bit for bit;
-//!   `--trace` simulates every job.
+//! * **Determinism.** Results come back in job order, so tables and
+//!   CSVs built from them are byte-identical between `--jobs 1` and
+//!   `--jobs N`. Each simulation is single-threaded and seeded, and one
+//!   thread runs a whole class, so neither a run's simulated cycles nor
+//!   which job simulates it depend on scheduling.
+//! * **One simulation per run.** A job is served by a finished run of
+//!   its class that provably is its own run: an exact repeat, or a run
+//!   whose CPU TLBs never evicted and never held more entries than the
+//!   job's TLB has ([`Machine::tlb_reach_demand`]). On the MTLB machine
+//!   one run answers every CPU-TLB size of a workload. A served row is the
+//!   simulated row, bit for bit; `--trace` simulates every job.
 //! * **Attribution.** The runner records per-job host wall time and
 //!   simulated cycles ([`JobRecord`]). `repro` prints them as `[job]`
 //!   progress lines on stderr, naming the job whose run served a
 //!   served one; the repo benchmark (`benchmark/`) drains them with
 //!   [`Runner::take_records`] as its per-unit host times.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -176,25 +175,10 @@ pub struct JobRecord {
     pub label: String,
     /// Host wall time.
     pub wall: Duration,
-    /// Simulated cycles, when the job was a machine simulation.
+    /// Simulated cycles. Every job is a machine simulation, so every
+    /// record fills this; it stays an `Option` for the readers that
+    /// destructure it.
     pub sim_cycles: Option<u64>,
-}
-
-/// A labelled closure job, for experiments that drive a machine by hand
-/// rather than running a named workload (paging, multiprogramming, …).
-pub struct Task<'scope, T> {
-    label: String,
-    run: Box<dyn FnOnce() -> T + Send + 'scope>,
-}
-
-impl<'scope, T> Task<'scope, T> {
-    /// Wraps a closure with a display label.
-    pub fn new(label: impl Into<String>, run: impl FnOnce() -> T + Send + 'scope) -> Self {
-        Task {
-            label: label.into(),
-            run: Box::new(run),
-        }
-    }
 }
 
 /// Recorded op traces, one per `(workload, scale)` pair, used only
@@ -204,41 +188,32 @@ impl<'scope, T> Task<'scope, T> {
 /// progress, a co-run never: with no trace cached yet it runs live.
 type TraceCache = BTreeMap<(&'static str, Scale), Arc<OnceLock<Arc<Vec<u8>>>>>;
 
-/// Every simulation a runner has claimed, grouped by *class*: the
-/// specs that differ only in `cfg.cpu_tlb_entries`
+/// Every finished simulation of a runner, grouped by class
 /// ([`ClassKey`]). Simulations are deterministic, so a job is served by
-/// a run of its class when the run provably is the job's run:
+/// a run of its class that provably is the job's run:
 ///
-/// * its *twin* — the run at the job's own capacity — waited for while
-///   it is still running. This is the sweeps' exact-repeat dedup:
-///   fig3's 96-entry no-MTLB cell is its base96 run; fig3.4, fig5 and
-///   the §5 subblock table share cells with fig3; fig5's `mtlb`/96 cell
-///   is its reference run and fig6's baseline;
-/// * or any finished run whose [`Machine::tlb_reach_demand`] is at
-///   most the job's capacity: its CPU TLBs never evicted and never held
-///   more entries than the job's TLB has, so the job's run would go
-///   the same way bit for bit (the proof is at
-///   [`mtlb_tlb::CpuTlb::reach_demand`]). On the MTLB machine the CPU
-///   TLB never fills, so one run answers fig3's `tlb64+mtlb`,
-///   `tlb96+mtlb` and `tlb128+mtlb` cells, fig3.4's 256, and fig5's
-///   `mtlb` cells.
+/// * its *twin*, the run at the job's own capacity — the sweeps'
+///   exact-repeat dedup (fig3's 96-entry no-MTLB cell is its base96 run;
+///   fig3.4, fig5 and the §5 subblock table share cells with fig3; fig5's
+///   `mtlb`/96 cell is its reference run and fig6's baseline);
+/// * or a run whose [`Machine::tlb_reach_demand`] is at most the job's
+///   capacity: its CPU TLBs never evicted and never held more entries
+///   than the job's TLB has, so the job's run would go the same way bit
+///   for bit (the proof is at [`mtlb_tlb::CpuTlb::reach_demand`]). The
+///   MTLB machine's CPU TLB never fills, so one run answers fig3's
+///   `tlb64+mtlb` to `tlb128+mtlb` cells, fig3.4's 256 and fig5's `mtlb`
+///   cells.
 ///
-/// Otherwise the job claims a new run of the class, unless one is
-/// still running: then it waits for that run and looks again, as a
-/// twin waits. So how many runs a batch simulates, and every result it
-/// returns, depend on its spec list and what the cache held before,
-/// never on thread timing: a class whose runs need `D` entries
-/// simulates once per distinct capacity below `D` and once for all
-/// capacities at or above it. ([`Runner::run`] dispatches each class's
-/// jobs in spec order, so with one job thread which job simulates is
-/// fixed too; with more, two jobs that reach the cache in the same
-/// instant may trade that role, which only the `[job]` lines show.) The
-/// instance count keeps a co-run apart from a single instance on its
-/// machine (`repro all --cores 4` runs fig3 on fig6's 4-core machine).
-type ResultCache = BTreeMap<ClassKey, Vec<Arc<Run>>>;
+/// Otherwise the job simulates and its run joins the class. So a class
+/// whose runs need `D` entries simulates once per distinct capacity
+/// below `D` and once for all capacities at or above it, and which jobs
+/// simulate is fixed by the spec list and what the cache held before.
+type ResultCache = BTreeMap<ClassKey, Vec<Run>>;
 
-/// `(workload, scale, instances, config)`, the config by its
-/// exhaustive `Debug` rendering with `cpu_tlb_entries` erased.
+/// `(workload, scale, instances, config)`, the config by its exhaustive
+/// `Debug` rendering with `cpu_tlb_entries` erased. The instance count
+/// keeps a co-run apart from a single instance on its machine (`repro
+/// all --cores 4` runs fig3 on fig6's 4-core machine).
 type ClassKey = (&'static str, Scale, usize, String);
 
 fn class_key(spec: &JobSpec) -> ClassKey {
@@ -250,17 +225,12 @@ fn class_key(spec: &JobSpec) -> ClassKey {
     (spec.workload, spec.scale, spec.instances, cfg)
 }
 
-/// One simulation in the result cache: the job that claimed it and,
-/// once it finished, its result.
+/// One finished simulation: the job that ran it, at what CPU-TLB
+/// capacity, and its result.
 #[derive(Debug)]
 struct Run {
-    spec: JobSpec,
-    done: OnceLock<Done>,
-}
-
-/// A finished [`Run`].
-#[derive(Debug)]
-struct Done {
+    label: String,
+    capacity: usize,
     outcome: Outcome,
     report: RunReport,
     /// The run's [`Machine::tlb_reach_demand`].
@@ -269,21 +239,9 @@ struct Done {
 
 impl Run {
     /// Whether this run is the run at CPU-TLB `capacity`: it ran at that
-    /// capacity (finished or not), or it finished without its TLBs ever
-    /// needing more.
+    /// capacity, or its TLBs never needed more.
     fn serves(&self, capacity: usize) -> bool {
-        self.spec.cfg.cpu_tlb_entries == capacity
-            || self
-                .done
-                .get()
-                .is_some_and(|d| d.demand.is_some_and(|n| n <= capacity))
-    }
-
-    /// The run's result, simulated by `runner` unless it already is —
-    /// waiting while another thread simulates it.
-    fn result(&self, runner: &Runner) -> &Done {
-        self.done
-            .get_or_init(|| runner.simulate_uncached(&self.spec))
+        self.capacity == capacity || self.demand.is_some_and(|n| n <= capacity)
     }
 }
 
@@ -298,9 +256,10 @@ pub struct Runner {
     traces: Mutex<TraceCache>,
     results: Mutex<ResultCache>,
     records: Mutex<Vec<JobRecord>>,
-    /// Simulations actually run: result-cache misses.
+    /// Each finished job's label and the job whose run served it (`None`:
+    /// simulated), in the order they finished.
     #[cfg(test)]
-    simulations: AtomicUsize,
+    sources: Mutex<Vec<(String, Option<String>)>>,
 }
 
 impl Default for Runner {
@@ -310,8 +269,8 @@ impl Default for Runner {
 }
 
 impl Runner {
-    /// A runner executing jobs one at a time, in order, on the calling
-    /// thread — the pre-parallelism behaviour.
+    /// A runner executing jobs one at a time, class by class, on the
+    /// calling thread.
     #[must_use]
     pub fn serial() -> Self {
         Runner::with_jobs(1)
@@ -337,7 +296,7 @@ impl Runner {
             results: Mutex::new(BTreeMap::new()),
             records: Mutex::new(Vec::new()),
             #[cfg(test)]
-            simulations: AtomicUsize::new(0),
+            sources: Mutex::new(Vec::new()),
         }
     }
 
@@ -409,45 +368,47 @@ impl Runner {
         out
     }
 
-    /// Runs every spec and returns their results in spec order. One job
-    /// thread runs them in spec order, so `[job]` records come in spec
-    /// order too. More threads take them by rank in their class — every
-    /// class's first job, then every class's second, and so on, each
-    /// class in spec order — so a worker seldom reaches a job whose
-    /// class has a run in flight (the job waits for it) while other
-    /// work is left.
+    /// Runs every spec and returns their results in spec order. Each
+    /// class of the batch is one unit of work for a job thread, which
+    /// runs the class's jobs in spec order. One thread takes the classes
+    /// in order of first appearance, so its `[job]` records come class
+    /// by class; more take the classes with the most jobs first, so that
+    /// no long class starts last while the other threads idle.
     pub fn run(&self, specs: &[JobSpec]) -> Vec<JobResult> {
-        let mut order: Vec<usize> = (0..specs.len()).collect();
-        if self.jobs > 1 {
-            let mut seen: BTreeMap<ClassKey, usize> = BTreeMap::new();
-            let rank: Vec<usize> = specs
-                .iter()
-                .map(|spec| {
-                    let n = seen.entry(class_key(spec)).or_default();
-                    *n += 1;
-                    *n
-                })
-                .collect();
-            order.sort_by_key(|&i| rank[i]);
+        let mut by_class: BTreeMap<ClassKey, Vec<usize>> = BTreeMap::new();
+        for (i, spec) in specs.iter().enumerate() {
+            by_class.entry(class_key(spec)).or_default().push(i);
         }
-        let results = self.execute(order.len(), |k| {
-            let spec = &specs[order[k]];
-            #[expect(clippy::disallowed_methods, reason = "Bench wall-clock perimeter: per-job host wall time feeds the [job] stderr progress lines and the JobRecords benchmark/src/units.rs drains, never simulated cycles or rendered tables.")]
-            let start = Instant::now();
-            let (outcome, report, source) = self.simulate(spec);
-            let wall = start.elapsed();
-            let cycles = Some(report.total_cycles.get());
-            self.note(&spec.label, wall, cycles, source.as_deref());
-            JobResult {
-                label: spec.label.clone(),
-                outcome,
-                report,
-                wall,
-            }
+        let mut classes: Vec<Vec<usize>> = by_class.into_values().collect();
+        classes.sort_unstable_by_key(|class| class[0]);
+        if self.jobs > 1 {
+            classes.sort_by_key(|class| Reverse(class.len()));
+        }
+        let done = self.execute(classes.len(), |c| {
+            let jobs = classes[c].iter();
+            jobs.map(|&i| (i, self.job(&specs[i]))).collect::<Vec<_>>()
         });
-        let mut placed: Vec<(usize, JobResult)> = order.into_iter().zip(results).collect();
+        let mut placed: Vec<(usize, JobResult)> = done.into_iter().flatten().collect();
         placed.sort_unstable_by_key(|&(i, _)| i);
         placed.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// Runs one job and records it.
+    fn job(&self, spec: &JobSpec) -> JobResult {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Bench wall-clock perimeter: per-job host wall time feeds the [job] stderr progress lines and the JobRecords benchmark/src/units.rs drains, never simulated cycles or rendered tables."
+        )]
+        let start = Instant::now();
+        let (outcome, report, source) = self.simulate(spec);
+        let wall = start.elapsed();
+        self.note(&spec.label, wall, report.total_cycles.get(), source);
+        JobResult {
+            label: spec.label.clone(),
+            outcome,
+            report,
+            wall,
+        }
     }
 
     /// One job: served by a run of its class when one is the job's run,
@@ -457,47 +418,37 @@ impl Runner {
         // Trace mode bypasses the cache so every job still prints its
         // own cycle-attribution summary.
         if self.trace {
-            let done = self.simulate_uncached(spec);
-            return (done.outcome, done.report, None);
+            let run = self.simulate_uncached(spec);
+            return (run.outcome, run.report, None);
         }
-        let capacity = spec.cfg.cpu_tlb_entries;
         let key = class_key(spec);
-        let (run, claimed) = loop {
-            let mut cache = self.results.lock().expect("results");
-            let runs = cache.entry(key.clone()).or_default();
-            if let Some(run) = runs.iter().find(|r| r.serves(capacity)) {
-                break (Arc::clone(run), false);
-            }
-            let Some(running) = runs.iter().find(|r| r.done.get().is_none()) else {
-                let run = Arc::new(Run {
-                    spec: spec.clone(),
-                    done: OnceLock::new(),
-                });
-                runs.push(Arc::clone(&run));
-                break (run, true);
-            };
-            // A run still in flight may turn out to serve this job:
-            // claiming now could simulate its run twice.
-            let running = Arc::clone(running);
-            drop(cache);
-            running.result(self);
-        };
-        let done = run.result(self);
-        let source = (!claimed).then(|| run.spec.label.clone());
-        (done.outcome.clone(), done.report.clone(), source)
+        let capacity = spec.cfg.cpu_tlb_entries;
+        if let Some(run) = self
+            .results
+            .lock()
+            .expect("results")
+            .get(&key)
+            .and_then(|runs| runs.iter().find(|r| r.serves(capacity)))
+        {
+            let label = Some(run.label.clone());
+            return (run.outcome.clone(), run.report.clone(), label);
+        }
+        let run = self.simulate_uncached(spec);
+        let result = (run.outcome.clone(), run.report.clone(), None);
+        let mut results = self.results.lock().expect("results");
+        results.entry(key).or_default().push(run);
+        result
     }
 
     /// Runs the simulation for real: live, or with replay on through
     /// the pair's trace. A trace that fails to replay is evicted and
     /// the job tries once more — a single-instance job then records the
     /// pair afresh — and runs live if that finds no trace to use.
-    fn simulate_uncached(&self, spec: &JobSpec) -> Done {
-        #[cfg(test)]
-        self.simulations.fetch_add(1, Ordering::Relaxed);
+    fn simulate_uncached(&self, spec: &JobSpec) -> Run {
         if self.replay {
             let traced = self.through_trace(spec);
-            if let Some(done) = traced.or_else(|| self.through_trace(spec)) {
-                return done;
+            if let Some(run) = traced.or_else(|| self.through_trace(spec)) {
+                return run;
             }
         }
         self.live(spec, false).0
@@ -508,13 +459,13 @@ impl Runner {
     /// otherwise replays it; a co-run replays it if it is cached. `None`
     /// when a co-run found no trace, or a cached trace failed to replay
     /// and was evicted.
-    fn through_trace(&self, spec: &JobSpec) -> Option<Done> {
+    fn through_trace(&self, spec: &JobSpec) -> Option<Run> {
         let cell = self.trace_cell((spec.workload, spec.scale));
         let mut recorded = None;
         let bytes = if spec.instances == 1 {
             Arc::clone(cell.get_or_init(|| {
-                let (done, bytes) = self.live(spec, true);
-                recorded = Some(done);
+                let (run, bytes) = self.live(spec, true);
+                recorded = Some(run);
                 Arc::new(bytes)
             }))
         } else {
@@ -530,31 +481,33 @@ impl Runner {
 
     /// Runs a job live, returning its result and, when `record` is set
     /// (single-instance jobs only), its op stream as MTR1 bytes.
-    fn live(&self, spec: &JobSpec, record: bool) -> (Done, Vec<u8>) {
+    fn live(&self, spec: &JobSpec, record: bool) -> (Run, Vec<u8>) {
         let mut machine = self.machine(spec);
         let (outcome, bytes) = run_live(spec, &mut machine, record);
-        (self.finish(&spec.label, &mut machine, outcome), bytes)
+        (self.finish(spec, &mut machine, outcome), bytes)
     }
 
     /// Replays `bytes` as `spec` — mirrored onto its instances by
     /// [`corun_with`] on a machine built only now — returning the
     /// recorded outcome and the run's report.
-    fn replay(&self, spec: &JobSpec, bytes: &[u8]) -> Result<Done, TraceError> {
+    fn replay(&self, spec: &JobSpec, bytes: &[u8]) -> Result<Run, TraceError> {
         let mut machine = self.machine(spec);
         let header = corun_with(&mut machine, spec.instances, |m| {
             mtlb_trace::replay(m, bytes)
         })?;
         let (checksum, verified) = (header.checksum, header.verified);
         let outcome = Outcome { checksum, verified };
-        Ok(self.finish(&spec.label, &mut machine, outcome))
+        Ok(self.finish(spec, &mut machine, outcome))
     }
 
-    /// The finished run of `outcome` on `machine`, printing its
+    /// `spec`'s finished run of `outcome` on `machine`, printing its
     /// cycle-attribution summary when `--trace` is on.
-    fn finish(&self, label: &str, machine: &mut Machine, outcome: Outcome) -> Done {
+    fn finish(&self, spec: &JobSpec, machine: &mut Machine, outcome: Outcome) -> Run {
         let report = machine.report();
-        self.trace_summary(label, machine);
-        Done {
+        self.trace_summary(&spec.label, machine);
+        Run {
+            label: spec.label.clone(),
+            capacity: spec.cfg.cpu_tlb_entries,
             outcome,
             report,
             demand: machine.tlb_reach_demand(),
@@ -609,24 +562,6 @@ impl Runner {
         }
     }
 
-    /// Runs labelled closures and returns their values in task order.
-    pub fn run_tasks<T: Send>(&self, tasks: Vec<Task<'_, T>>) -> Vec<T> {
-        let cells: Vec<Mutex<Option<Task<'_, T>>>> =
-            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.execute(cells.len(), |i| {
-            let task = cells[i]
-                .lock()
-                .expect("task cell")
-                .take()
-                .expect("each task runs exactly once");
-            #[expect(clippy::disallowed_methods, reason = "Bench wall-clock perimeter: per-job host wall time feeds the [job] stderr progress lines and the JobRecords benchmark/src/units.rs drains, never simulated cycles or rendered tables.")]
-            let start = Instant::now();
-            let value = (task.run)();
-            self.note(&task.label, start.elapsed(), None, None);
-            value
-        })
-    }
-
     /// Drains the per-job records accumulated so far.
     pub fn take_records(&self) -> Vec<JobRecord> {
         std::mem::take(&mut *self.records.lock().expect("records"))
@@ -634,21 +569,22 @@ impl Runner {
 
     /// Records a finished job; `source` names the job whose run served
     /// it, when it was served.
-    fn note(&self, label: &str, wall: Duration, sim_cycles: Option<u64>, source: Option<&str>) {
+    fn note(&self, label: &str, wall: Duration, sim_cycles: u64, source: Option<String>) {
         if self.live {
-            let served = source.map_or_else(String::new, |s| format!(", served by {s}"));
-            match sim_cycles {
-                Some(c) => eprintln!(
-                    "[job] {label}: {:>9.2?} wall, {c} simulated cycles{served}",
-                    wall
-                ),
-                None => eprintln!("[job] {label}: {:>9.2?} wall", wall),
-            }
+            let served = source
+                .as_ref()
+                .map_or_else(String::new, |s| format!(", served by {s}"));
+            eprintln!("[job] {label}: {wall:>9.2?} wall, {sim_cycles} simulated cycles{served}");
         }
+        #[cfg(test)]
+        self.sources
+            .lock()
+            .expect("sources")
+            .push((label.to_string(), source));
         self.records.lock().expect("records").push(JobRecord {
             label: label.to_string(),
             wall,
-            sim_cycles,
+            sim_cycles: Some(sim_cycles),
         });
     }
 
@@ -689,22 +625,57 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    /// Finished jobs that simulated rather than being served.
+    impl Runner {
+        fn simulations(&self) -> usize {
+            let sources = self.sources.lock().expect("sources");
+            sources
+                .iter()
+                .filter(|(_, source)| source.is_none())
+                .count()
+        }
+    }
+
+    /// `w` at test scale on the base (`mtlb` false) or MTLB machine.
+    fn spec(label: &str, w: &'static str, mtlb: bool, entries: usize) -> JobSpec {
+        let cfg = if mtlb {
+            MachineConfig::paper_mtlb(entries)
+        } else {
+            MachineConfig::paper_base(entries)
+        };
+        JobSpec::new(format!("{w}/{label}"), w, Scale::Test, cfg)
+    }
+
+    /// Twelve jobs in six classes, interleaved so that no class's jobs
+    /// are adjacent: the runner runs them class by class, on 1, 2 or 7
+    /// threads, and must still return them in spec order.
     #[test]
     fn results_come_back_in_job_order() {
-        for jobs in [1, 2, 7] {
-            let runner = Runner::with_jobs(jobs);
-            let tasks: Vec<Task<'_, usize>> = (0..23usize)
-                .map(|i| {
-                    Task::new(format!("t{i}"), move || {
-                        // Stagger finish times so out-of-order completion
-                        // would be caught.
-                        std::thread::sleep(Duration::from_micros((((23 - i) % 5) * 200) as u64));
-                        i
-                    })
-                })
-                .collect();
-            let got = runner.run_tasks(tasks);
-            assert_eq!(got, (0..23usize).collect::<Vec<_>>(), "jobs={jobs}");
+        let mut specs = Vec::new();
+        for (label, mtlb, entries) in [
+            ("base8", false, 8),
+            ("mtlb64", true, 64),
+            ("base24", false, 24),
+            ("mtlb16", true, 16),
+        ] {
+            for w in ["em3d", "radix", "compress95"] {
+                specs.push(spec(label, w, mtlb, entries));
+            }
+        }
+        assert_eq!(specs.len(), 12);
+        let rendered = |results: &[JobResult]| -> Vec<(String, String)> {
+            results
+                .iter()
+                .map(|r| (r.label.clone(), r.report.to_json()))
+                .collect()
+        };
+        let serial = rendered(&Runner::serial().run(&specs));
+        let labels: Vec<&str> = serial.iter().map(|(l, _)| l.as_str()).collect();
+        let want: Vec<&str> = specs.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, want);
+        for jobs in [2, 7] {
+            let got = rendered(&Runner::with_jobs(jobs).run(&specs));
+            assert_eq!(got, serial, "jobs={jobs}");
         }
     }
 
@@ -719,11 +690,64 @@ mod tests {
     #[test]
     fn records_carry_labels_and_wall_times() {
         let runner = Runner::with_jobs(2);
-        let _ = runner.run_tasks(vec![Task::new("a", || 1u32), Task::new("b", || 2u32)]);
-        let mut labels: Vec<String> = runner.take_records().into_iter().map(|r| r.label).collect();
-        labels.sort();
-        assert_eq!(labels, ["a", "b"]);
+        let results = runner.run(&[spec("a", "radix", false, 16), spec("b", "em3d", true, 64)]);
+        let mut records = runner.take_records();
+        records.sort_by(|x, y| x.label.cmp(&y.label));
+        let labels: Vec<&str> = records.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["em3d/b", "radix/a"]);
+        for record in &records {
+            let result = results.iter().find(|r| r.label == record.label);
+            let cycles = result.expect("a result per record").report.total_cycles;
+            assert_eq!(record.sim_cycles, Some(cycles.get()));
+        }
         assert!(runner.take_records().is_empty(), "drained");
+    }
+
+    /// Which job simulates a run, and which run serves each other job,
+    /// is a function of the spec list: a batch with base and MTLB
+    /// classes of three workloads, an exact twin (`base96` beside
+    /// `tlb96`) and a 2-core co-run class gets the `--jobs 1` answer at
+    /// 2 and 4 threads, every time.
+    #[test]
+    fn which_job_simulates_does_not_depend_on_the_jobs_level() {
+        let mut specs = Vec::new();
+        for w in ["em3d", "radix", "vortex"] {
+            specs.push(spec("base96", w, false, 96));
+            for e in [16, 64, 96] {
+                specs.push(spec(&format!("tlb{e}"), w, false, e));
+                specs.push(spec(&format!("tlb{e}+mtlb"), w, true, e));
+            }
+        }
+        for e in [16, 64, 96] {
+            specs.push(spec(&format!("x2/tlb{e}+mtlb"), "em3d", true, e).corun(2));
+        }
+        let answer = |jobs: usize| -> Vec<(String, String)> {
+            let runner = Runner::with_jobs(jobs);
+            let results = runner.run(&specs);
+            let labels: Vec<&str> = results.iter().map(|r| r.label.as_str()).collect();
+            let want: Vec<&str> = specs.iter().map(|s| s.label.as_str()).collect();
+            assert_eq!(labels, want, "jobs={jobs}");
+            let sources = runner.sources.lock().expect("sources");
+            let mut served: Vec<(String, String)> = sources
+                .iter()
+                .map(|(label, source)| {
+                    let by = source.clone().unwrap_or_else(|| "simulated".into());
+                    (label.clone(), by)
+                })
+                .collect();
+            served.sort();
+            served
+        };
+        let serial = answer(1);
+        assert_eq!(serial.len(), specs.len());
+        let by = |label: &str| &serial.iter().find(|(l, _)| l == label).expect("ran").1;
+        assert_eq!(by("radix/tlb96"), "radix/base96");
+        assert_eq!(by("em3d/x2/tlb96+mtlb"), "em3d/x2/tlb16+mtlb");
+        for jobs in [2, 4] {
+            for round in 0..5 {
+                assert_eq!(answer(jobs), serial, "jobs={jobs} round={round}");
+            }
+        }
     }
 
     /// Replay on, every job after the first replays radix's trace on a
@@ -749,7 +773,7 @@ mod tests {
         let live = default.run(&specs);
         assert!(default.recorded_traces().is_empty());
         for runner in [&replaying, &default] {
-            assert_eq!(runner.simulations.load(Ordering::Relaxed), specs.len());
+            assert_eq!(runner.simulations(), specs.len());
         }
         for (a, b) in replayed.iter().zip(&live) {
             assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
@@ -800,7 +824,7 @@ mod tests {
                     assert_eq!(rendered(r), fresh[i], "jobs={jobs}");
                 }
                 assert_eq!(
-                    runner.simulations.load(Ordering::Relaxed),
+                    runner.simulations(),
                     WORKLOADS.len() * (1 + 4) + 1,
                     "jobs={jobs} order={shuffled:?}"
                 );
@@ -842,20 +866,14 @@ mod tests {
             let results = runner.results.lock().expect("results");
             results
                 .iter()
-                .flat_map(|(key, runs)| {
-                    runs.iter()
-                        .map(|run| (key.clone(), run.spec.cfg.cpu_tlb_entries))
-                })
+                .flat_map(|(key, runs)| runs.iter().map(|run| (key.clone(), run.capacity)))
                 .collect()
         };
         let fig3_rows = fig3(&runner, Scale::Test, &sizes, &workloads);
-        let (before, simulations) = (
-            simulated(&runner),
-            runner.simulations.load(Ordering::Relaxed),
-        );
+        let (before, simulations) = (simulated(&runner), runner.simulations());
         let fig5_rows = fig5(&runner, Scale::Test, &sizes, &workloads);
         assert_eq!(
-            runner.simulations.load(Ordering::Relaxed) - simulations,
+            runner.simulations() - simulations,
             workloads.len() * (sizes.len() + 1)
         );
         let added: Vec<String> = simulated(&runner)
@@ -892,8 +910,7 @@ mod tests {
         assert_eq!(shared, workloads.len() * sizes.len() * 2);
     }
 
-    /// Identical specs in one batch simulate once at any jobs level —
-    /// even when two workers pick up the twins at the same time — and
+    /// Identical specs in one batch simulate once at any jobs level, and
     /// every spec still gets its result, in spec order.
     #[test]
     fn a_batch_simulates_each_key_once() {
@@ -920,12 +937,12 @@ mod tests {
         for jobs in [1, 2] {
             let runner = Runner::with_jobs(jobs);
             let got = runner.run(&twins);
-            assert_eq!(runner.simulations.load(Ordering::Relaxed), 1, "jobs={jobs}");
+            assert_eq!(runner.simulations(), 1, "jobs={jobs}");
             assert_eq!(got[0].report.to_json(), got[1].report.to_json());
 
             let runner = Runner::with_jobs(jobs);
             let got = runner.run(&mixed);
-            assert_eq!(runner.simulations.load(Ordering::Relaxed), 2, "jobs={jobs}");
+            assert_eq!(runner.simulations(), 2, "jobs={jobs}");
             let labels: Vec<&str> = got.iter().map(|r| r.label.as_str()).collect();
             assert_eq!(labels, ["a", "b", "c", "d"], "jobs={jobs}");
             assert_ne!(got[2].report.to_json(), got[3].report.to_json());
@@ -978,7 +995,7 @@ mod tests {
                 let rows = fig6(&runner, Scale::Test, &counts, &workloads);
                 assert_eq!(rows.len(), workloads.len() * counts.len());
                 assert_eq!(
-                    runner.simulations.load(Ordering::Relaxed),
+                    runner.simulations(),
                     workloads.len() * (1 + counts.len()),
                     "jobs={jobs} replay={replay}"
                 );
