@@ -46,14 +46,6 @@ sed "s|$DET_DIR/json2|JSON_DIR|" "$DET_DIR/stdout2" > "$DET_DIR/stdout2.norm"
 diff "$DET_DIR/stdout1.norm" "$DET_DIR/stdout2.norm"
 diff -r "$DET_DIR/json1" "$DET_DIR/json2"
 
-echo "== served == simulated (repro all: result cache on vs --trace, which bypasses it)"
-# The Runner serves a cell from a run of the same class whose CPU TLB
-# never evicted, at any capacity that holds its peak; `--trace`
-# simulates every job. The two stdouts must be byte-identical.
-./target/release/repro all --test-scale > "$DET_DIR/all_served" 2>/dev/null
-./target/release/repro all --test-scale --trace > "$DET_DIR/all_simulated" 2>/dev/null
-diff "$DET_DIR/all_served" "$DET_DIR/all_simulated"
-
 echo "== served-by lines are jobs-invariant (repro all: [job] lines at --jobs 1 and 4)"
 # The Runner hands each class (specs that differ only in CPU-TLB size)
 # to one thread, which runs its jobs in spec order, so which job
@@ -67,6 +59,14 @@ job_lines() {
 ./target/release/repro all --test-scale --jobs 4 > "$DET_DIR/all_j4" 2> "$DET_DIR/all_j4_err"
 diff "$DET_DIR/all_j1" "$DET_DIR/all_j4"
 diff <(job_lines "$DET_DIR/all_j1_err") <(job_lines "$DET_DIR/all_j4_err")
+
+echo "== served == simulated (repro all: result cache on vs --trace, which bypasses it)"
+# The Runner serves a cell from a run of the same class whose CPU TLB
+# never evicted, at any capacity that holds its peak; `--trace`
+# simulates every job. Its stdout must be byte-identical to the served
+# `--jobs 1` stdout above (which the step above ties to `--jobs 4`).
+./target/release/repro all --test-scale --trace > "$DET_DIR/all_simulated" 2>/dev/null
+diff "$DET_DIR/all_j1" "$DET_DIR/all_simulated"
 
 echo "== multi-core determinism (--cores 1 == legacy; fig6 jobs-invariant)"
 # A 1-core machine must be bit-identical to the machine before cores
@@ -100,47 +100,6 @@ echo "== extensions determinism (stdout jobs-invariant)"
 ./target/release/repro extensions --test-scale --jobs 1 > "$DET_DIR/ext_j1" 2>/dev/null
 ./target/release/repro extensions --test-scale --jobs 4 > "$DET_DIR/ext_j4" 2>/dev/null
 diff "$DET_DIR/ext_j1" "$DET_DIR/ext_j4"
-
-echo "== trace record/replay determinism (fig3, fig5, fig6: live == recorded == replayed; traces byte-identical)"
-# Three test-scale fig3 runs: live (the default), recording (in-memory
-# cache + traces persisted to disk), and replaying from the persisted
-# traces. All three stdouts must be byte-identical — the trace
-# record/replay layer is required to be invisible in simulated results.
-./target/release/repro fig3 --test-scale \
-  > "$DET_DIR/rr_live" 2>/dev/null
-./target/release/repro fig3 --test-scale --record-traces "$DET_DIR/traces" \
-  > "$DET_DIR/rr_record_raw" 2>/dev/null
-./target/release/repro fig3 --test-scale --replay-traces "$DET_DIR/traces" \
-  > "$DET_DIR/rr_replay" 2>/dev/null
-# The recording run appends [trace written ...] notices; strip them
-# before comparing.
-grep -v '^\[trace written' "$DET_DIR/rr_record_raw" > "$DET_DIR/rr_record"
-diff "$DET_DIR/rr_live" "$DET_DIR/rr_record"
-diff "$DET_DIR/rr_live" "$DET_DIR/rr_replay"
-# Recording is byte-deterministic too: a second recording run writes
-# the same MTR1 files, byte for byte.
-./target/release/repro fig3 --test-scale --record-traces "$DET_DIR/traces2" \
-  > /dev/null 2>&1
-diff -r "$DET_DIR/traces" "$DET_DIR/traces2"
-# fig5's cells (four front ends) and fig6's co-runs (one run mirrored,
-# relocated, across cores: live, or the cached trace when replaying)
-# are runner jobs too: the same three modes, and every replayed job must
-# apply its trace (a fallback to a live run or a fresh recording prints
-# `warning:`).
-for fig in fig5 fig6; do
-  ./target/release/repro "$fig" --test-scale \
-    > "$DET_DIR/rr_${fig}_live" 2>/dev/null
-  ./target/release/repro "$fig" --test-scale --record-traces "$DET_DIR/traces_$fig" \
-    2>/dev/null | grep -v '^\[trace written' > "$DET_DIR/rr_${fig}_record"
-  ./target/release/repro "$fig" --test-scale --replay-traces "$DET_DIR/traces_$fig" \
-    > "$DET_DIR/rr_${fig}_replay" 2> "$DET_DIR/rr_${fig}_replay_stderr"
-  diff "$DET_DIR/rr_${fig}_live" "$DET_DIR/rr_${fig}_record"
-  diff "$DET_DIR/rr_${fig}_live" "$DET_DIR/rr_${fig}_replay"
-  if grep 'warning:' "$DET_DIR/rr_${fig}_replay_stderr"; then
-    echo "$fig replay fell back to live runs" >&2
-    exit 1
-  fi
-done
 
 echo "== paper-scale cycle-fidelity gate (live pins of benchmark/expected.json)"
 # Runs this tree's simulator at paper scale, one rep, through the

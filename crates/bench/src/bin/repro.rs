@@ -4,7 +4,7 @@
 //! ```text
 //! repro [all|fig2|fig3|fig4a|fig4b|fig5|fig6|costs|paging|ablations|extensions] \
 //!       [--test-scale] [--csv-dir DIR] [--json-dir DIR] [--jobs N] \
-//!       [--cores N] [--trace] [--record-traces DIR] [--replay-traces DIR]
+//!       [--cores N] [--trace]
 //! ```
 //!
 //! With `--test-scale` the workloads run at reduced sizes (seconds);
@@ -29,22 +29,12 @@
 //!
 //! Sweeps run every job live; a fig6 co-run runs its workload on core
 //! 0 and mirrors each op onto the other cores
-//! (`mtlb_trace::corun_with`). Trace record/replay decouples stream
-//! generation from simulation for the same `JobSpec` sweeps and is
-//! selected by naming a trace directory: `--record-traces DIR` records
-//! each `(workload, scale)` pair's op stream on its first run, replays
-//! it op by op (`mtlb_trace::replay`, mirrored for a co-run) for every
-//! later configuration of the pair, and saves the streams (`mtlb-trace` format,
-//! `DIR/<workload>_<scale>.mtr`); `--replay-traces DIR` seeds the
-//! cache from such files so no sweep runs workload host logic at all.
-//! Simulated cycles are byte-identical live or replayed — the op
-//! stream fully determines them — and CI diffs the three modes
-//! byte-for-byte.
+//! (`mtlb_trace::corun_with`). Nothing is recorded or replayed.
 //!
 //! Unknown experiment names and unknown flags print the usage line to
 //! stderr and exit with status 2 before any experiment output, as does
-//! an output directory (`--csv-dir`, `--json-dir`, `--record-traces`)
-//! that cannot be created. A file that cannot be written later prints
+//! an output directory (`--csv-dir`, `--json-dir`) that cannot be
+//! created. A file that cannot be written later prints
 //! `error:` and exits with status 1.
 
 use std::env;
@@ -52,7 +42,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use mtlb_bench::experiments::{self, WORKLOADS};
-use mtlb_bench::runner::{self, Runner};
+use mtlb_bench::runner::Runner;
 use mtlb_bench::table::Table;
 use mtlb_os::PagingPolicy;
 use mtlb_sim::{MachineConfig, RunReport};
@@ -77,7 +67,7 @@ const EXPERIMENTS: [&str; 11] = [
 fn usage() -> String {
     format!(
         "usage: repro [{}] [--test-scale] [--csv-dir DIR] [--json-dir DIR] \
-         [--jobs N] [--cores N] [--trace] [--record-traces DIR] [--replay-traces DIR]",
+         [--jobs N] [--cores N] [--trace]",
         EXPERIMENTS.join("|")
     )
 }
@@ -88,7 +78,6 @@ struct Options {
     csv_dir: Option<PathBuf>,
     json_dir: Option<PathBuf>,
     runner: Runner,
-    record_traces: Option<PathBuf>,
     /// Simulated core count (`--cores N`; 0 = unset). When set, fig3
     /// runs on an N-core machine (N=1 is bit-identical to the legacy
     /// single-core sweep) and fig6 co-runs exactly N instances instead
@@ -132,8 +121,6 @@ fn parse_args() -> Options {
     let mut jobs = 0usize; // 0 = available parallelism
     let mut cores = 0usize; // 0 = unset
     let mut trace = false;
-    let mut record_traces = None;
-    let mut replay_traces: Option<PathBuf> = None;
     let mut args = env::args().skip(1);
     while let Some(a) = args.next() {
         let mut dir = |flag| Some(PathBuf::from(value_of(&mut args, flag, "directory", false)));
@@ -141,8 +128,6 @@ fn parse_args() -> Options {
             "--test-scale" => scale = Scale::Test,
             "--csv-dir" => csv_dir = dir("--csv-dir"),
             "--json-dir" => json_dir = dir("--json-dir"),
-            "--record-traces" => record_traces = dir("--record-traces"),
-            "--replay-traces" => replay_traces = dir("--replay-traces"),
             "--jobs" => jobs = count_of(&mut args, "--jobs", "thread count"),
             "--cores" => {
                 cores = count_of(&mut args, "--cores", "core count");
@@ -173,89 +158,24 @@ fn parse_args() -> Options {
             other => bad_invocation(&format!("unknown flag {other:?}"), true),
         }
     }
-    for (flag, dir) in [
-        ("--csv-dir", &csv_dir),
-        ("--json-dir", &json_dir),
-        ("--record-traces", &record_traces),
-    ] {
+    for (flag, dir) in [("--csv-dir", &csv_dir), ("--json-dir", &json_dir)] {
         if let Some(dir) = dir {
             if let Err(e) = fs::create_dir_all(dir) {
                 bad_invocation(&format!("{flag} {}: {e}", dir.display()), false);
             }
         }
     }
-    // Sweeps run live; naming a trace directory is what selects the
-    // record/replay cache.
     let runner = Runner::with_jobs(jobs)
         .live_progress(true)
-        .with_trace(trace)
-        .with_replay(record_traces.is_some() || replay_traces.is_some());
-    if let Some(dir) = &replay_traces {
-        preload_traces(&runner, dir);
-    }
+        .with_trace(trace);
     Options {
         what,
         scale,
         csv_dir,
         json_dir,
         runner,
-        record_traces,
         cores,
     }
-}
-
-/// The static registry name a trace header's workload name refers to,
-/// if it names a registered workload.
-fn static_workload_name(name: &str) -> Option<&'static str> {
-    WORKLOADS
-        .iter()
-        .chain(&["oltp"])
-        .copied()
-        .find(|&w| w == name)
-}
-
-/// Seeds the runner's replay cache from every `.mtr` file in `dir`
-/// (`--replay-traces`). Unreadable or unrecognised files are skipped
-/// with a warning: a missing trace only costs a live run.
-fn preload_traces(runner: &Runner, dir: &Path) {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) => {
-            eprintln!("warning: --replay-traces {}: {e}", dir.display());
-            return;
-        }
-    };
-    let mut loaded = 0usize;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().is_none_or(|e| e != "mtr") {
-            continue;
-        }
-        let Ok(bytes) = fs::read(&path) else {
-            eprintln!("warning: unreadable trace {}", path.display());
-            continue;
-        };
-        let header = match mtlb_trace::read_header(&bytes) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("warning: skipping {}: {e}", path.display());
-                continue;
-            }
-        };
-        let (Some(name), Some(scale)) = (
-            static_workload_name(&header.name),
-            runner::scale_from_byte(header.scale),
-        ) else {
-            eprintln!(
-                "warning: skipping {}: unknown workload/scale",
-                path.display()
-            );
-            continue;
-        };
-        runner.preload_trace(name, scale, bytes);
-        loaded += 1;
-    }
-    eprintln!("[repro] preloaded {loaded} trace(s) from {}", dir.display());
 }
 
 /// Writes `contents` to `path`, or exits 1 after `error:` on stderr.
@@ -264,29 +184,6 @@ fn write_or_exit(path: &Path, contents: impl AsRef<[u8]>) {
         eprintln!("error: write {}: {e}", path.display());
         std::process::exit(1);
     }
-}
-
-/// Persists the runner's recorded traces as
-/// `DIR/<workload>_<scale>.mtr` (`--record-traces`).
-fn save_traces(opts: &Options) {
-    let Some(dir) = &opts.record_traces else {
-        return;
-    };
-    let traces = opts.runner.recorded_traces();
-    for (name, scale, bytes) in &traces {
-        let tag = match scale {
-            Scale::Test => "test",
-            Scale::Paper => "paper",
-        };
-        let path = dir.join(format!("{name}_{tag}.mtr"));
-        write_or_exit(&path, bytes.as_slice());
-        println!("[trace written to {}]", path.display());
-    }
-    eprintln!(
-        "[repro] recorded {} trace(s) to {}",
-        traces.len(),
-        dir.display()
-    );
 }
 
 fn emit(opts: &Options, name: &str, title: &str, table: &Table) {
@@ -947,5 +844,4 @@ fn main() {
     if matches!(what, "all" | "extensions") {
         extensions(&opts);
     }
-    save_traces(&opts);
 }

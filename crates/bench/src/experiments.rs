@@ -971,8 +971,9 @@ pub struct Fig6Row {
 /// runner's result cache may serve it), then one `fig6/<w>/x<n>`
 /// [co-run](JobSpec::corun) per instance count, which runs the workload
 /// live on core 0 and mirrors each op round-robin across the other
-/// cores. Rows are
-/// assembled in a fixed order, so the output is byte-identical at
+/// cores. Nothing is recorded: the `record` label names the baseline
+/// job only because `benchmark/expected.json` keys its pins on it. Rows
+/// are assembled in a fixed order, so the output is byte-identical at
 /// every `--jobs` level.
 #[must_use]
 pub fn fig6(
@@ -1092,8 +1093,11 @@ fn fig5_cells(tlb_sizes: &[usize]) -> Vec<(&'static str, usize, MachineConfig)> 
 /// the reference's as the runtime witness. References and cells are
 /// [`JobSpec`]s: the runner's result cache serves the `mtlb`/96 cell
 /// (the reference's configuration) and every cell a [`fig3`] sweep on
-/// the same runner already ran. Runtimes are normalised per-workload to
-/// the 96-entry conventional (`cpu`) cell, or the first `cpu` cell.
+/// the same runner already ran. Every cell runs live and nothing is
+/// recorded: the `record` label names the reference job only because
+/// `benchmark/expected.json` keys its pins on it. Runtimes are
+/// normalised per-workload to the 96-entry conventional (`cpu`) cell, or
+/// the first `cpu` cell.
 #[must_use]
 pub fn fig5(
     runner: &Runner,

@@ -7,10 +7,11 @@
 //! [`Runner`]. The runner groups a batch into *classes*, the specs that
 //! differ only in CPU-TLB size, and hands each class to one of its OS
 //! threads ([`std::thread::scope`]; no job queue crate, no channels),
-//! which runs the class's jobs in spec order. A co-run runs its workload
-//! live on core 0 and [`mtlb_trace::corun_with`] mirrors each op onto
-//! the other cores, so no job records a trace unless replay is on
-//! ([`Runner::with_replay`]).
+//! which runs the class's jobs in spec order. Classes share nothing but
+//! the result cache. Every job runs its workload live: the workloads are
+//! deterministic programs, so a live run *is* the op stream, and nothing
+//! is recorded or replayed. A co-run runs its workload on core 0 and
+//! [`mtlb_trace::corun_with`] mirrors each op onto the other cores.
 //!
 //! Three properties the rest of the crate relies on:
 //!
@@ -35,62 +36,14 @@ use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mtlb_sim::{Bucket, Machine, MachineConfig, RingTrace, RunReport};
-use mtlb_trace::{corun_with, TraceError, TraceWriter};
+use mtlb_trace::corun_with;
 use mtlb_workloads::{Outcome, Scale};
 
 use crate::experiments::workload_by_name;
-
-/// The scale discriminant stored in a trace header ([`mtlb_trace`]
-/// keeps it a raw byte so it does not depend on the workloads crate).
-#[must_use]
-pub fn scale_byte(scale: Scale) -> u8 {
-    match scale {
-        Scale::Test => 0,
-        Scale::Paper => 1,
-    }
-}
-
-/// Inverts [`scale_byte`].
-#[must_use]
-pub fn scale_from_byte(byte: u8) -> Option<Scale> {
-    match byte {
-        0 => Some(Scale::Test),
-        1 => Some(Scale::Paper),
-        _ => None,
-    }
-}
-
-/// Runs `spec`'s workload live on `machine` — as instance 0 of a
-/// [`corun_live`] when `spec` is a co-run — returning its outcome and,
-/// when `record` is set, its op stream as MTR1 bytes (else none). A
-/// co-run is never recorded.
-fn run_live(spec: &JobSpec, machine: &mut Machine, record: bool) -> (Outcome, Vec<u8>) {
-    let mut workload = workload_by_name(spec.workload, spec.scale);
-    if spec.instances > 1 {
-        let outcome = corun_live(&spec.label, machine, spec.instances, |m| workload.run(m));
-        return (outcome, Vec::new());
-    }
-    if record {
-        machine.set_op_sink(Box::new(TraceWriter::new()));
-    }
-    let outcome = workload.run(machine);
-    let writer = machine
-        .take_op_sink()
-        .and_then(|s| s.into_any().downcast::<TraceWriter>().ok());
-    let bytes = writer.map_or_else(Vec::new, |w| {
-        w.finish(
-            spec.workload,
-            scale_byte(spec.scale),
-            outcome.checksum,
-            outcome.verified,
-        )
-    });
-    (outcome, bytes)
-}
 
 /// `run` as instance 0 of an `instances`-way [`corun_with`] on
 /// `machine`, returning its live outcome. A mirrored op that fails
@@ -101,7 +54,7 @@ fn corun_live(
     instances: usize,
     run: impl FnOnce(&mut Machine) -> Outcome,
 ) -> Outcome {
-    corun_with(machine, instances, |m| Ok(run(m))).unwrap_or_else(|e| {
+    corun_with(machine, instances, run).unwrap_or_else(|e| {
         eprintln!("warning: {label}: co-run mirror failed ({e}); the row is unverified");
         Outcome::default()
     })
@@ -181,13 +134,6 @@ pub struct JobRecord {
     pub sim_cycles: Option<u64>,
 }
 
-/// Recorded op traces, one per `(workload, scale)` pair, used only
-/// with replay on: the pair's first single-instance job records its
-/// entry (unless one was preloaded), and every later job of the pair
-/// replays it — a single-instance job waiting for a recording in
-/// progress, a co-run never: with no trace cached yet it runs live.
-type TraceCache = BTreeMap<(&'static str, Scale), Arc<OnceLock<Arc<Vec<u8>>>>>;
-
 /// Every finished simulation of a runner, grouped by class
 /// ([`ClassKey`]). Simulations are deterministic, so a job is served by
 /// a run of its class that provably is the job's run:
@@ -252,8 +198,6 @@ pub struct Runner {
     jobs: usize,
     live: bool,
     trace: bool,
-    replay: bool,
-    traces: Mutex<TraceCache>,
     results: Mutex<ResultCache>,
     records: Mutex<Vec<JobRecord>>,
     /// Each finished job's label and the job whose run served it (`None`:
@@ -291,8 +235,6 @@ impl Runner {
             jobs,
             live: false,
             trace: false,
-            replay: false,
-            traces: Mutex::new(BTreeMap::new()),
             results: Mutex::new(BTreeMap::new()),
             records: Mutex::new(Vec::new()),
             #[cfg(test)]
@@ -319,21 +261,11 @@ impl Runner {
         self
     }
 
-    /// Enables or disables the trace record/replay cache (**off** by
-    /// default — sweeps run every job live, which measures faster than
-    /// replaying; see DESIGN.md §9). When on, the first single-instance
-    /// run of each `(workload, scale)` pair is recorded through a
-    /// [`TraceWriter`], and every later run of the same pair — whatever
-    /// its machine configuration — replays the recorded op stream
-    /// through [`mtlb_trace::replay`] instead of re-executing the
-    /// workload's host logic; a co-run replays it only if it is already
-    /// cached. When off, nothing is recorded. Simulated cycles are
-    /// byte-identical either way (the op stream fully determines them).
-    /// `repro` turns this on exactly when given a trace directory
-    /// (`--record-traces` / `--replay-traces`).
+    /// Does nothing: every job runs live. Kept because the repo
+    /// benchmark (`benchmark/src/units.rs`) still calls
+    /// `with_replay(false)`; it goes once that call does.
     #[must_use]
-    pub fn with_replay(mut self, on: bool) -> Self {
-        self.replay = on;
+    pub fn with_replay(self, _on: bool) -> Self {
         self
     }
 
@@ -341,31 +273,6 @@ impl Runner {
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Seeds the replay cache with an externally recorded trace (see
-    /// `repro --replay-traces`). Ignored when the cache already holds
-    /// this key.
-    pub fn preload_trace(&self, workload: &'static str, scale: Scale, bytes: Vec<u8>) {
-        let _ = self.trace_cell((workload, scale)).set(Arc::new(bytes));
-    }
-
-    /// The pair's trace-cache entry, created empty on first use.
-    fn trace_cell(&self, key: (&'static str, Scale)) -> Arc<OnceLock<Arc<Vec<u8>>>> {
-        Arc::clone(self.traces.lock().expect("traces").entry(key).or_default())
-    }
-
-    /// Snapshots the recorded traces accumulated so far (see
-    /// `repro --record-traces`).
-    #[must_use]
-    pub fn recorded_traces(&self) -> Vec<(&'static str, Scale, Arc<Vec<u8>>)> {
-        let traces = self.traces.lock().expect("traces");
-        let mut out: Vec<_> = traces
-            .iter()
-            .filter_map(|(&(name, scale), cell)| Some((name, scale, Arc::clone(cell.get()?))))
-            .collect();
-        out.sort_by_key(|&(name, scale, _)| (name, scale_byte(scale)));
-        out
     }
 
     /// Runs every spec and returns their results in spec order. Each
@@ -418,7 +325,7 @@ impl Runner {
         // Trace mode bypasses the cache so every job still prints its
         // own cycle-attribution summary.
         if self.trace {
-            let run = self.simulate_uncached(spec);
+            let run = self.live(spec);
             return (run.outcome, run.report, None);
         }
         let key = class_key(spec);
@@ -433,78 +340,31 @@ impl Runner {
             let label = Some(run.label.clone());
             return (run.outcome.clone(), run.report.clone(), label);
         }
-        let run = self.simulate_uncached(spec);
+        let run = self.live(spec);
         let result = (run.outcome.clone(), run.report.clone(), None);
         let mut results = self.results.lock().expect("results");
         results.entry(key).or_default().push(run);
         result
     }
 
-    /// Runs the simulation for real: live, or with replay on through
-    /// the pair's trace. A trace that fails to replay is evicted and
-    /// the job tries once more — a single-instance job then records the
-    /// pair afresh — and runs live if that finds no trace to use.
-    fn simulate_uncached(&self, spec: &JobSpec) -> Run {
-        if self.replay {
-            let traced = self.through_trace(spec);
-            if let Some(run) = traced.or_else(|| self.through_trace(spec)) {
-                return run;
-            }
+    /// Runs `spec` live on a fresh machine — as instance 0 of a
+    /// [`corun_live`] when `spec` is a co-run — with a [`RingTrace`]
+    /// attached and its summary printed when `--trace` is on.
+    fn live(&self, spec: &JobSpec) -> Run {
+        let mut machine = Machine::new(spec.cfg.clone());
+        if self.trace {
+            machine.set_trace_sink(Box::new(RingTrace::new(1024)));
         }
-        self.live(spec, false).0
-    }
-
-    /// `spec` through the pair's trace: a single-instance job records
-    /// it if no job has (waiting for a recording in progress) and
-    /// otherwise replays it; a co-run replays it if it is cached. `None`
-    /// when a co-run found no trace, or a cached trace failed to replay
-    /// and was evicted.
-    fn through_trace(&self, spec: &JobSpec) -> Option<Run> {
-        let cell = self.trace_cell((spec.workload, spec.scale));
-        let mut recorded = None;
-        let bytes = if spec.instances == 1 {
-            Arc::clone(cell.get_or_init(|| {
-                let (run, bytes) = self.live(spec, true);
-                recorded = Some(run);
-                Arc::new(bytes)
-            }))
+        let mut workload = workload_by_name(spec.workload, spec.scale);
+        let outcome = if spec.instances > 1 {
+            corun_live(&spec.label, &mut machine, spec.instances, |m| {
+                workload.run(m)
+            })
         } else {
-            Arc::clone(cell.get()?)
+            workload.run(&mut machine)
         };
-        if recorded.is_some() {
-            return recorded;
-        }
-        self.replay(spec, &bytes)
-            .map_err(|e| self.evict_bad_trace(spec, &bytes, &e))
-            .ok()
-    }
-
-    /// Runs a job live, returning its result and, when `record` is set
-    /// (single-instance jobs only), its op stream as MTR1 bytes.
-    fn live(&self, spec: &JobSpec, record: bool) -> (Run, Vec<u8>) {
-        let mut machine = self.machine(spec);
-        let (outcome, bytes) = run_live(spec, &mut machine, record);
-        (self.finish(spec, &mut machine, outcome), bytes)
-    }
-
-    /// Replays `bytes` as `spec` — mirrored onto its instances by
-    /// [`corun_with`] on a machine built only now — returning the
-    /// recorded outcome and the run's report.
-    fn replay(&self, spec: &JobSpec, bytes: &[u8]) -> Result<Run, TraceError> {
-        let mut machine = self.machine(spec);
-        let header = corun_with(&mut machine, spec.instances, |m| {
-            mtlb_trace::replay(m, bytes)
-        })?;
-        let (checksum, verified) = (header.checksum, header.verified);
-        let outcome = Outcome { checksum, verified };
-        Ok(self.finish(spec, &mut machine, outcome))
-    }
-
-    /// `spec`'s finished run of `outcome` on `machine`, printing its
-    /// cycle-attribution summary when `--trace` is on.
-    fn finish(&self, spec: &JobSpec, machine: &mut Machine, outcome: Outcome) -> Run {
         let report = machine.report();
-        self.trace_summary(&spec.label, machine);
+        self.trace_summary(&spec.label, &mut machine);
         Run {
             label: spec.label.clone(),
             capacity: spec.cfg.cpu_tlb_entries,
@@ -514,37 +374,8 @@ impl Runner {
         }
     }
 
-    /// A fresh machine for `spec`, with a [`RingTrace`] attached when
-    /// `--trace` is on.
-    fn machine(&self, spec: &JobSpec) -> Machine {
-        let mut machine = Machine::new(spec.cfg.clone());
-        if self.trace {
-            machine.set_trace_sink(Box::new(RingTrace::new(1024)));
-        }
-        machine
-    }
-
-    /// Evicts the cached trace `bad`, which failed to replay for `spec`,
-    /// so the next single-instance run of the pair records a fresh one
-    /// for its later cells. Whichever cell evicts warns: once per bad
-    /// trace at any jobs level.
-    #[cold]
-    fn evict_bad_trace(&self, spec: &JobSpec, bad: &Arc<Vec<u8>>, e: &TraceError) {
-        let key = (spec.workload, spec.scale);
-        let mut traces = self.traces.lock().expect("traces");
-        let cached = traces.get(&key).and_then(|cell| cell.get());
-        if cached.is_some_and(|t| Arc::ptr_eq(t, bad)) {
-            traces.remove(&key);
-            eprintln!(
-                "warning: {}: cached {} trace failed to replay ({e}); \
-                 dropping it",
-                spec.label, spec.workload
-            );
-        }
-    }
-
     /// Prints the per-job cycle-attribution summary when `--trace` is
-    /// on. Identical for live and replayed runs — the charge stream is.
+    /// on.
     fn trace_summary(&self, label: &str, machine: &mut Machine) {
         if let Some(sink) = machine.take_trace_sink() {
             if let Some(ring) = sink.as_any().downcast_ref::<RingTrace>() {
@@ -750,37 +581,6 @@ mod tests {
         }
     }
 
-    /// Replay on, every job after the first replays radix's trace on a
-    /// machine of its own: the CPU TLBs of all three evict, so no run
-    /// serves another and each replay must equal its live run.
-    #[test]
-    fn replayed_jobs_match_live_runs_across_configs() {
-        use mtlb_sim::MachineConfig;
-        let specs: Vec<JobSpec> = [
-            ("mtlb16", MachineConfig::paper_mtlb(16)),
-            ("base16", MachineConfig::paper_base(16)),
-            ("base24", MachineConfig::paper_base(24)),
-        ]
-        .into_iter()
-        .map(|(label, cfg)| JobSpec::new(label, "radix", Scale::Test, cfg))
-        .collect();
-        // Replay on: first job records, the rest replay.
-        let replaying = Runner::serial().with_replay(true);
-        let replayed = replaying.run(&specs);
-        // The default: every job runs the workload live, recording
-        // nothing.
-        let default = Runner::serial();
-        let live = default.run(&specs);
-        assert!(default.recorded_traces().is_empty());
-        for runner in [&replaying, &default] {
-            assert_eq!(runner.simulations(), specs.len());
-        }
-        for (a, b) in replayed.iter().zip(&live) {
-            assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
-            assert_eq!(a.outcome, b.outcome);
-        }
-    }
-
     /// A cell served by a run at another CPU-TLB size is the cell a run
     /// of its own would produce, whatever order or jobs level the
     /// batch has: for each paper workload, one MTLB run answers all
@@ -830,27 +630,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn recorded_traces_can_seed_another_runner() {
-        use mtlb_sim::MachineConfig;
-        let spec = JobSpec::new("a", "radix", Scale::Test, MachineConfig::paper_mtlb(64));
-        let recorder = Runner::serial().with_replay(true);
-        let first = recorder.run(std::slice::from_ref(&spec));
-        let traces = recorder.recorded_traces();
-        assert_eq!(traces.len(), 1);
-        let (name, scale, bytes) = &traces[0];
-        assert_eq!((*name, *scale), ("radix", Scale::Test));
-
-        let seeded = Runner::serial().with_replay(true);
-        seeded.preload_trace(name, *scale, bytes.to_vec());
-        let second = seeded.run(std::slice::from_ref(&spec));
-        assert_eq!(
-            format!("{:?}", first[0].report),
-            format!("{:?}", second[0].report)
-        );
-        assert_eq!(first[0].outcome, second[0].outcome);
     }
 
     /// fig5 after fig3 on one runner: the cache serves fig5's reference
@@ -969,48 +748,22 @@ mod tests {
         }
     }
 
-    /// A fig6 batch simulates each record run and each co-run once.
-    /// With replay off it records no trace and holds none — the co-runs
-    /// mirror live runs; with it on, each workload's `record` job
-    /// records its one trace.
+    /// A fig6 batch simulates each `record` job and each co-run once,
+    /// at any jobs level. Despite the label, nothing is recorded: the
+    /// Runner holds no trace, and every co-run mirrors a live run.
     #[test]
-    fn a_fig6_batch_simulates_once_per_job_and_records_once_per_workload() {
+    fn a_fig6_batch_simulates_once_per_job() {
         use crate::experiments::fig6;
-        use mtlb_sim::MachineConfig;
         let (counts, workloads) = ([2, 4], ["em3d", "radix"]);
-        // What each workload's `record` job records, run on its own.
-        let solo: Vec<_> = workloads
-            .iter()
-            .map(|&w| {
-                let spec = JobSpec::new("record", w, Scale::Test, MachineConfig::paper_mtlb(96));
-                (
-                    w,
-                    run_live(&spec, &mut Machine::new(spec.cfg.clone()), true).1,
-                )
-            })
-            .collect();
         for jobs in [1, 2] {
-            for replay in [false, true] {
-                let runner = Runner::with_jobs(jobs).with_replay(replay);
-                let rows = fig6(&runner, Scale::Test, &counts, &workloads);
-                assert_eq!(rows.len(), workloads.len() * counts.len());
-                assert_eq!(
-                    runner.simulations(),
-                    workloads.len() * (1 + counts.len()),
-                    "jobs={jobs} replay={replay}"
-                );
-                let traces: Vec<_> = runner
-                    .recorded_traces()
-                    .into_iter()
-                    .map(|(name, _, bytes)| (name, bytes.to_vec()))
-                    .collect();
-                if replay {
-                    assert_eq!(traces, solo, "jobs={jobs}");
-                } else {
-                    assert!(traces.is_empty(), "jobs={jobs}");
-                    assert!(runner.traces.lock().expect("traces").is_empty());
-                }
-            }
+            let runner = Runner::with_jobs(jobs);
+            let rows = fig6(&runner, Scale::Test, &counts, &workloads);
+            assert_eq!(rows.len(), workloads.len() * counts.len());
+            assert_eq!(
+                runner.simulations(),
+                workloads.len() * (1 + counts.len()),
+                "jobs={jobs}"
+            );
         }
     }
 

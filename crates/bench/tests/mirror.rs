@@ -67,14 +67,15 @@ fn mirroring_a_live_run_equals_mirroring_its_trace() {
         let bytes = writer.finish(name, 0, outcome.checksum, outcome.verified);
         for n in [2, 4] {
             let mut live = Machine::new(cfg().with_cores(n));
-            let got = corun_with(&mut live, n, |m| {
-                Ok(workload_by_name(name, Scale::Test).run(m))
-            })
-            .expect("the live co-run mirrors");
+            let got = corun_with(&mut live, n, |m| workload_by_name(name, Scale::Test).run(m))
+                .expect("the live co-run mirrors");
             assert_eq!(got, outcome, "{name} x{n}: instance 0 is not the solo run");
 
             let mut replayed = Machine::new(cfg().with_cores(n));
-            corun_with(&mut replayed, n, |m| replay(m, &bytes)).expect("the trace mirrors");
+            corun_with(&mut replayed, n, |m| {
+                replay(m, &bytes).expect("the trace replays on core 0")
+            })
+            .expect("the trace mirrors");
             let live = live.report().to_json();
             assert_eq!(
                 live,
@@ -106,7 +107,6 @@ fn a_failing_mirrored_op_is_returned_after_instance_0_finishes() {
         m.set_op_sink(mirror);
         blocked = Some(base);
         finished = Some(workload_by_name("radix", Scale::Test).run(m));
-        Ok(())
     });
     let Err(TraceError::Unmappable { start, .. }) = result else {
         panic!("want instance 1's LoadProgram to be unmappable, got {result:?}");

@@ -1,12 +1,11 @@
-//! Multi-core determinism gates: the fig6 co-scheduling experiment and
-//! the runner's trace cache must be byte-identical at every `--jobs`
-//! level, and every fig6 row of a workload must share one baseline
-//! however many instance counts are swept. (That the baseline runs
-//! once per workload is the runner's accounting test.)
+//! Multi-core determinism gates: the fig6 co-scheduling experiment must
+//! be byte-identical at every `--jobs` level, and every fig6 row of a
+//! workload must share one baseline however many instance counts are
+//! swept. (That the baseline runs once per workload is the runner's
+//! accounting test.)
 
 use mtlb_bench::experiments;
-use mtlb_bench::runner::{JobSpec, Runner};
-use mtlb_sim::MachineConfig;
+use mtlb_bench::runner::Runner;
 use mtlb_workloads::Scale;
 
 /// A small but representative fig6 slice: two real workloads, two
@@ -81,43 +80,5 @@ fn fig6_corun_exercises_the_multicore_machinery() {
             r.instances
         );
         assert!(r.efficiency <= 1.0 + 1e-9);
-    }
-}
-
-/// The recorded trace bytes for a `(workload, scale)` pair must not
-/// depend on which job thread recorded them.
-#[test]
-fn recorded_traces_are_byte_identical_across_jobs_levels() {
-    let specs: Vec<JobSpec> = ["em3d", "radix"]
-        .into_iter()
-        .flat_map(|name| {
-            [64usize, 96].into_iter().map(move |entries| {
-                JobSpec::new(
-                    format!("trace/{name}/tlb{entries}"),
-                    name,
-                    Scale::Test,
-                    MachineConfig::paper_mtlb(entries),
-                )
-            })
-        })
-        .collect();
-    let record = |runner: Runner| {
-        let runner = runner.with_replay(true);
-        let _ = runner.run(&specs);
-        let mut traces = runner.recorded_traces();
-        traces.sort_by_key(|(name, scale, _)| (*name, format!("{scale:?}")));
-        traces
-    };
-    let serial = record(Runner::serial());
-    let parallel = record(Runner::with_jobs(4));
-    assert_eq!(serial.len(), parallel.len());
-    assert!(!serial.is_empty(), "tracing runner recorded nothing");
-    for ((n1, s1, b1), (n2, s2, b2)) in serial.iter().zip(&parallel) {
-        assert_eq!((n1, s1), (n2, s2));
-        assert_eq!(
-            b1.as_slice(),
-            b2.as_slice(),
-            "trace bytes for {n1} differ between --jobs 1 and --jobs 4"
-        );
     }
 }

@@ -14,16 +14,8 @@
 //!   row whose time-bucket values sum to its `total_cycles`, and bad
 //!   invocations — including an output directory that cannot be
 //!   created — exit 2 before any experiment runs.
-//!
-//! Plus the `--replay-traces` fallback: a corrupt cached trace, or one
-//! holding an op the machine would panic on, costs one warned live run,
-//! not a failed, aborted or silently slow sweep.
 
 use std::process::{Command, Output};
-
-use mtlb_sim::MachineOp;
-use mtlb_trace::{TraceReader, TraceWriter};
-use mtlb_types::Vpn;
 
 fn repro_output(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -105,50 +97,6 @@ fn fig6_trace_prints_one_summary_per_job() {
     trace_prints_one_summary_per_job("fig6", 20);
 }
 
-/// `--record-traces` saves `experiment`'s streams: one trace per
-/// workload.
-fn record_traces_writes_one_trace_per_workload(experiment: &str) {
-    let dir = std::env::temp_dir().join(format!("repro_parity_{experiment}_traces"));
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = repro_stdout(&[
-        experiment,
-        "--test-scale",
-        "--record-traces",
-        dir.to_str().expect("utf-8 temp path"),
-    ]);
-    let mut written: Vec<String> = std::fs::read_dir(&dir)
-        .expect("trace dir written")
-        .map(|e| {
-            e.expect("dir entry")
-                .file_name()
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
-    written.sort();
-    assert_eq!(
-        written,
-        [
-            "cc1_test.mtr",
-            "compress95_test.mtr",
-            "em3d_test.mtr",
-            "radix_test.mtr",
-            "vortex_test.mtr"
-        ]
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn fig5_record_traces_writes_one_trace_per_workload() {
-    record_traces_writes_one_trace_per_workload("fig5");
-}
-
-#[test]
-fn fig6_record_traces_writes_one_trace_per_workload() {
-    record_traces_writes_one_trace_per_workload("fig6");
-}
-
 /// Pulls the integer value of a top-level `"key":N` field out of a flat
 /// JSON report (no serde in the workspace; the emitter's field grammar
 /// is fixed, so substring parsing is exact).
@@ -193,96 +141,6 @@ fn json_dir_reports_have_buckets_summing_to_total_cycles() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Records test-scale `experiment` traces into a fresh `dir_name`,
-/// rewrites the radix trace with `corrupt`, and replays the sweep from
-/// them: it must exit 0, print exactly the live stdout, and warn once,
-/// naming radix and `expected` (the bad bytes are evicted, so the
-/// fallback run's recording serves the workload's remaining cells).
-fn bad_cached_trace_warns_once_and_falls_back_to_live(
-    experiment: &[&str],
-    dir_name: &str,
-    corrupt: impl FnOnce(Vec<u8>) -> Vec<u8>,
-    expected: &str,
-) {
-    let dir = std::env::temp_dir().join(dir_name);
-    let _ = std::fs::remove_dir_all(&dir);
-    let dir_arg = dir.to_str().expect("utf-8 temp path");
-    let repro = |extra: &[&str]| {
-        repro_output(&[experiment, &["--test-scale", "--jobs", "1"], extra].concat())
-    };
-    let live = repro(&[]);
-    assert!(live.status.success(), "repro {experiment:?} failed");
-    let _ = repro(&["--record-traces", dir_arg]);
-    let victim = dir.join("radix_test.mtr");
-    let bytes = std::fs::read(&victim).expect("radix trace recorded");
-    std::fs::write(&victim, corrupt(bytes)).expect("rewrite trace");
-
-    let out = repro(&["--replay-traces", dir_arg]);
-    assert!(out.status.success(), "a bad trace must not fail the sweep");
-    assert!(
-        out.stdout == live.stdout,
-        "replay with a bad trace differs from live"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let warnings: Vec<&str> = stderr
-        .lines()
-        .filter(|l| l.starts_with("warning:"))
-        .collect();
-    assert_eq!(warnings.len(), 1, "one warning, not one per cell: {stderr}");
-    assert!(
-        warnings[0].contains("radix") && warnings[0].contains(expected),
-        "warning names the workload and the error: {}",
-        warnings[0]
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A `--replay-traces` file whose header parses but whose body is cut
-/// short.
-#[test]
-fn truncated_cached_trace_warns_once_and_falls_back_to_live() {
-    bad_cached_trace_warns_once_and_falls_back_to_live(
-        &["fig3"],
-        "repro_parity_truncated_trace",
-        |bytes| bytes[..bytes.len() / 2].to_vec(),
-        "truncated",
-    );
-}
-
-/// The same through fig6, whose co-runs replay the trace the record
-/// run re-recorded.
-#[test]
-fn truncated_cached_fig6_trace_warns_once_and_falls_back_to_live() {
-    bad_cached_trace_warns_once_and_falls_back_to_live(
-        &["fig6", "--cores", "2"],
-        "repro_parity_truncated_fig6_trace",
-        |bytes| bytes[..bytes.len() / 2].to_vec(),
-        "truncated",
-    );
-}
-
-/// A well-formed trace ending in an op the machine would reject by
-/// panicking (demoting a page outside every superpage): replay reports
-/// a typed error instead of aborting the process.
-#[test]
-fn cached_trace_with_a_service_precondition_violation_falls_back_to_live() {
-    bad_cached_trace_warns_once_and_falls_back_to_live(
-        &["fig3"],
-        "repro_parity_bad_service_op",
-        |bytes| {
-            let mut reader = TraceReader::new(&bytes).expect("header parses");
-            let mut writer = TraceWriter::new();
-            while let Some(op) = reader.next_op().expect("body decodes") {
-                writer.push(&op);
-            }
-            writer.push(&MachineOp::DemoteSuperpage { vpn: Vpn::new(1) });
-            let h = reader.into_header();
-            writer.finish(&h.name, h.scale, h.checksum, h.verified)
-        },
-        "not in a superpage",
-    );
-}
-
 #[test]
 fn unknown_experiments_and_flags_exit_2_with_usage() {
     for args in [
@@ -293,6 +151,9 @@ fn unknown_experiments_and_flags_exit_2_with_usage() {
         // so a tree-wide grep for them finds nothing.
         &["fig3", concat!("--bench", "-report")][..],
         &["fig3", concat!("--bench", "-out"), "x.json"][..],
+        // The retired trace-directory flags, spelled the same way.
+        &["fig3", concat!("--record", "-traces"), "DIR"][..],
+        &["fig3", concat!("--replay", "-traces"), "DIR"][..],
     ] {
         let out = repro_output(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?} exit status");
@@ -350,10 +211,6 @@ fn uncreatable_output_dirs_exit_2_naming_the_flag() {
     for (args, flag) in [
         (&["fig2", "--csv-dir", bad][..], "--csv-dir"),
         (&["fig2", "--json-dir", bad][..], "--json-dir"),
-        (
-            &["fig3", "--test-scale", "--record-traces", bad][..],
-            "--record-traces",
-        ),
     ] {
         let out = repro_output(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?} exit status");

@@ -78,7 +78,8 @@ macro_rules! kctx {
 ///
 /// An [`OpSink`] attached via [`set_op_sink`](Machine::set_op_sink)
 /// records every public-API operation as a [`MachineOp`] at the call
-/// boundary — the basis of the `mtlb-trace` record/replay format.
+/// boundary — the basis of the co-run mirror (`mtlb_trace::corun_with`)
+/// and of the MTR1 trace codec.
 ///
 /// [`try_execute`]: Machine::try_execute
 /// [`map_region`]: Machine::map_region

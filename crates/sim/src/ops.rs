@@ -1,4 +1,6 @@
-//! The machine's operation vocabulary for trace record/replay.
+//! The machine's operation vocabulary: what a co-run mirrors onto its
+//! other cores (`mtlb_trace::corun_with`), and what the MTR1 trace codec
+//! encodes.
 //!
 //! Every *public* [`Machine`] entry point that can
 //! affect simulated state or timing is describable as one [`MachineOp`]

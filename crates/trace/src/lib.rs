@@ -1,24 +1,30 @@
 //! Compact record/replay traces of [`Machine`] op
-//! streams.
+//! streams, and the co-run mirror.
 //!
-//! A run recorded through an attached [`TraceWriter`] (it implements
-//! [`OpSink`]) becomes a self-describing byte buffer: a small header
-//! naming the workload, its scale and its recorded outcome, followed by
-//! every [`MachineOp`] the workload issued, delta/varint-encoded.
-//! [`replay`] drives those ops back through a fresh machine's *public*
-//! API, reproducing the exact address stream — and therefore, because
-//! simulated timing depends only on addresses and shapes, a
-//! byte-identical [`RunReport`](mtlb_sim::RunReport).
-//! [`corun_with`] is the one interleaving loop: it mirrors whatever
-//! drives core 0 — a live workload, or [`replay`] of a trace — onto
-//! the other cores of the machine, op by op, as relocated copies, so a
-//! co-run needs no recorded trace. [`apply_op`] is the only place a
-//! decoded or mirrored op becomes machine calls.
+//! [`corun_with`] is the one interleaving loop, and the part of this
+//! crate sweeps use: it mirrors whatever drives core 0 (a live workload)
+//! onto the other cores of the machine, op by op, as relocated copies,
+//! so a co-run needs no recorded trace. [`apply_op`] is the only place a
+//! mirrored or decoded op becomes machine calls.
+//!
+//! The MTR1 codec is the rest. A run recorded through an attached
+//! [`TraceWriter`] (it implements [`OpSink`]) becomes a self-describing
+//! byte buffer: a small header naming the workload, its scale and its
+//! recorded outcome, followed by every [`MachineOp`] the workload
+//! issued, delta/varint-encoded. [`replay`] drives those ops back
+//! through a fresh machine's *public* API, reproducing the exact address
+//! stream — and therefore, because simulated timing depends only on
+//! addresses and shapes, a byte-identical
+//! [`RunReport`](mtlb_sim::RunReport). No sweep records or replays: the
+//! workloads are deterministic programs, so a live run *is* the op
+//! stream. The codec is reached only by the repo benchmark's probes
+//! (the `trace.*` metrics) and by tests, and nothing reads or writes
+//! trace files.
 //!
 //! What replay does **not** reproduce is data: stores write zeros, so
 //! guest-memory contents and workload checksums differ from the live
 //! run. The header carries the live run's checksum and verification
-//! flag instead, so sweep drivers can report the recorded outcome.
+//! flag instead, so a replaying driver can report the recorded outcome.
 //! A zero store to an untouched guest page backs no host page, so
 //! replayed stores materialise no guest memory: what a replay holds is
 //! what the kernel writes itself (page-table and MMC-table entries), a
@@ -445,7 +451,7 @@ impl<'a> TraceReader<'a> {
     }
 
     /// A scalar access size: one of the four widths the machine has an
-    /// accessor for, anything else is a corrupt file.
+    /// accessor for, anything else is a corrupt trace.
     #[inline]
     fn get_size(&mut self) -> Result<u8, TraceError> {
         let at = self.pos as u64;
@@ -575,15 +581,6 @@ impl<'a> TraceReader<'a> {
     }
 }
 
-/// Reads just the header of a trace buffer (cheap — no op decoding).
-///
-/// # Errors
-///
-/// The header-parsing errors of [`TraceReader::new`].
-pub fn read_header(bytes: &[u8]) -> Result<TraceHeader, TraceError> {
-    TraceReader::new(bytes).map(TraceReader::into_header)
-}
-
 // ---------------------------------------------------------------------------
 // Replay
 // ---------------------------------------------------------------------------
@@ -621,18 +618,18 @@ pub fn replay(machine: &mut Machine, bytes: &[u8]) -> Result<TraceHeader, TraceE
 /// then its copies on cores 1, 2, …, then core 0's op *i + 1*. Nothing
 /// is recorded or held: the mirror sees each op as core 0 issues it.
 ///
-/// `drive` is anything that runs a workload on the machine — a live
-/// workload (instance 0 then computes and checks its real output), or
-/// `|m| replay(m, bytes)`. With one instance nothing is mirrored and
-/// no core switch happens. The mirror is the machine's op sink for
-/// the co-run (it replaces any sink attached) and `drive` must leave
-/// it in place; it is detached when `drive` returns.
+/// `drive` is anything that runs a workload on the machine, such as a
+/// live workload (instance 0 then computes and checks its real output).
+/// With one instance nothing is mirrored and no core switch happens.
+/// The mirror is the machine's op sink for the co-run (it replaces any
+/// sink attached) and `drive` must leave it in place; it is detached
+/// when `drive` returns.
 ///
 /// # Errors
 ///
 /// The first mirrored op that fails [`apply_op`] stops the mirror —
 /// instance 0 runs on to the end — and its error is returned in place
-/// of `drive`'s value. Otherwise `drive`'s own error, if any.
+/// of `drive`'s value.
 ///
 /// # Panics
 ///
@@ -641,7 +638,7 @@ pub fn replay(machine: &mut Machine, bytes: &[u8]) -> Result<TraceHeader, TraceE
 pub fn corun_with<T>(
     machine: &mut Machine,
     instances: usize,
-    drive: impl FnOnce(&mut Machine) -> Result<T, TraceError>,
+    drive: impl FnOnce(&mut Machine) -> T,
 ) -> Result<T, TraceError> {
     let mut deltas = Vec::with_capacity(instances.saturating_sub(1));
     for core in 1..instances {
@@ -657,17 +654,15 @@ pub fn corun_with<T>(
         op_index: 0,
         error: None,
     }));
-    let result = drive(machine);
+    let value = drive(machine);
     let mirror = machine
         .take_op_sink()
         .and_then(|sink| sink.into_any().downcast::<Mirror>().ok());
     let Some(mut mirror) = mirror else {
-        return result;
+        return Ok(value);
     };
-    if result.is_ok() {
-        mirror.flush(machine);
-    }
-    mirror.error.map_or(result, Err)
+    mirror.flush(machine);
+    mirror.error.map_or(Ok(value), Err)
 }
 
 /// The [`OpSink`] behind [`corun_with`]. Core 0's op is held until
@@ -734,7 +729,7 @@ impl OpSink for Mirror {
 /// [`TraceError::ReplayFault`] if the op faults;
 /// [`TraceError::BadScalarSize`] for a scalar op of a width no
 /// [`Scalar`] has. A well-formed op the machine's API would reject by
-/// panicking (a live caller's bug, but here just a bad file) is checked
+/// panicking (a live caller's bug, but here just a bad trace) is checked
 /// against the machine's read-only state first and returns its own
 /// variant instead ([`TraceError::OversizedBlock`] through
 /// [`TraceError::Unmappable`]). Running out of a resource (a huge
