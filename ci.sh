@@ -68,13 +68,9 @@ echo "== served == simulated (repro all: result cache on vs --trace, which bypas
 ./target/release/repro all --test-scale --trace > "$DET_DIR/all_simulated" 2>/dev/null
 diff "$DET_DIR/all_j1" "$DET_DIR/all_simulated"
 
-echo "== multi-core determinism (--cores 1 == legacy; fig6 jobs-invariant)"
-# A 1-core machine must be bit-identical to the machine before cores
-# existed, and the fig6 co-scheduling tables must not depend on how
-# many job threads computed them.
-./target/release/repro fig3 --test-scale > "$DET_DIR/fig3_legacy" 2>/dev/null
-./target/release/repro fig3 --test-scale --cores 1 > "$DET_DIR/fig3_cores1" 2>/dev/null
-diff "$DET_DIR/fig3_legacy" "$DET_DIR/fig3_cores1"
+echo "== multi-core determinism (fig6 jobs-invariant)"
+# The fig6 co-scheduling tables must not depend on how many job threads
+# computed them.
 ./target/release/repro fig6 --test-scale --cores 4 --jobs 1 > "$DET_DIR/fig6_j1" 2>/dev/null
 ./target/release/repro fig6 --test-scale --cores 4 --jobs 4 > "$DET_DIR/fig6_j4" 2>/dev/null
 diff "$DET_DIR/fig6_j1" "$DET_DIR/fig6_j4"

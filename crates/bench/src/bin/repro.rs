@@ -453,7 +453,7 @@ fn fig5(opts: &Options) {
     emit(
         opts,
         "fig5",
-        "Figure 5: rival TLB-reach designs head-to-head on identical recorded address streams",
+        "Figure 5: rival TLB-reach designs head-to-head on identical address streams",
         &t,
     );
     for r in &rows {

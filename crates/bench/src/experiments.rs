@@ -313,7 +313,7 @@ pub fn init_costs(pages: u64) -> CostsReport {
     let mut cache = DataCache::new(CacheConfig::paper_default());
     let mut mmc = Mmc::new(mmc_cfg);
     let mut mem = GuestMemory::new(128 << 20);
-    let mut kernel = Kernel::new(mmc_cfg, KernelConfig::default());
+    let mut kernel = Kernel::new(mmc_cfg, KernelConfig::default(), 1);
     let mut ctx = KernelCtx {
         tlb: &mut tlb,
         itlb: &mut itlb,

@@ -262,11 +262,6 @@ pub struct KernelConfig {
     /// Ordinary 4 KB mappings then also translate through the MTLB;
     /// superpage promotion is disabled (every page is already shadowed).
     pub all_shadow: bool,
-    /// Hashed-page-table capacity multiplier (power of two). The
-    /// multi-core machine passes its core count rounded up so N
-    /// co-resident working sets fit in the shared table; `1` is the
-    /// paper's 16 K-bucket geometry.
-    pub hpt_scale: u64,
 }
 
 impl Default for KernelConfig {
@@ -281,7 +276,6 @@ impl Default for KernelConfig {
             swap_costs: SwapCosts::default(),
             promotion: None,
             all_shadow: false,
-            hpt_scale: 1,
         }
     }
 }
@@ -470,10 +464,20 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Creates a kernel for a machine with the given MMC geometry.
+    /// Creates a kernel for a machine with the given MMC geometry and
+    /// `cores` CPUs. The shared hashed page table scales with the core
+    /// count rounded up to a power of two, so that many co-resident
+    /// working sets fit; one core keeps the paper's 16 K-bucket
+    /// geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the scaled table does not fit the kernel's reserved
+    /// region ([`KernelLayout::max_hpt_scale`]).
     #[must_use]
-    pub fn new(mmc_config: MmcConfig, config: KernelConfig) -> Self {
-        let layout = KernelLayout::standard_scaled(&mmc_config, config.hpt_scale);
+    pub fn new(mmc_config: MmcConfig, config: KernelConfig, cores: usize) -> Self {
+        let hpt_scale = (cores as u64).next_power_of_two();
+        let layout = KernelLayout::standard_scaled(&mmc_config, hpt_scale);
         let first = layout.first_user_frame();
         let total = mmc_config.installed_dram / PAGE_SIZE - first;
         Kernel {
@@ -1706,7 +1710,7 @@ mod tests {
                 cache: DataCache::new(CacheConfig::paper_default()),
                 mmc: Mmc::new(mmc_cfg),
                 mem: GuestMemory::new(DRAM),
-                kernel: Kernel::new(mmc_cfg, kcfg),
+                kernel: Kernel::new(mmc_cfg, kcfg, 1),
             };
             let mut ctx = KernelCtx {
                 tlb: &mut rig.tlb,

@@ -42,7 +42,7 @@ impl KernelLayout {
     }
 
     /// [`standard`](Self::standard) with the hashed page table scaled
-    /// by `hpt_scale` (power of two; the multi-core machine passes its
+    /// by `hpt_scale` (power of two; `Kernel::new` passes the machine's
     /// core count rounded up). `standard_scaled(mmc, 1)` is exactly
     /// [`standard`](Self::standard).
     ///

@@ -25,7 +25,7 @@
 //! use mtlb_mmc::MmcConfig;
 //! use mtlb_os::{Kernel, KernelConfig};
 //!
-//! let kernel = Kernel::new(MmcConfig::paper_default(256 << 20), KernelConfig::default());
+//! let kernel = Kernel::new(MmcConfig::paper_default(256 << 20), KernelConfig::default(), 1);
 //! assert!(kernel.shadow_available(mtlb_types::PageSize::Size16M) > 0);
 //! ```
 

@@ -14,8 +14,10 @@
 //! 64-entry array no matter what. Locked kernel block entries live in
 //! a side list (PA-RISC block-TLB style) and survive every purge.
 
-use mtlb_tlb::{ContigInfo, LookupOutcome, TlbEntry, TlbStats, TranslationScheme};
-use mtlb_types::{AccessKind, Fault, PageSize, PrivilegeLevel, VirtAddr, Vpn};
+use mtlb_tlb::{ContigInfo, TlbEntry};
+use mtlb_types::{PageSize, Vpn};
+
+use crate::{RivalEntry, RivalTlb, Slot};
 
 /// 4 KB array: 64 entries, 4-way (16 sets).
 const BASE_WAYS: usize = 4;
@@ -50,40 +52,12 @@ fn class_of(size: PageSize) -> Class {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    entry: TlbEntry,
-    used: bool,
-}
-
-/// Per-array fill counters for the split scheme.
-///
-/// Invariant (debug-asserted on every `stats()` read): the three fields
-/// sum to the shared [`TlbStats::fills`] counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SplitStats {
-    /// Fills into the 4 KB array.
-    pub fills_base: u64,
-    /// Fills into the mid (16 KB – 256 KB) array.
-    pub fills_mid: u64,
-    /// Fills into the large (1 MB – 16 MB) array.
-    pub fills_large: u64,
-}
-
-/// The split multi-page-size TLB. Geometry is fixed (the point of the
-/// scheme); the `entries` knob other schemes sweep does not apply.
-#[derive(Debug)]
-pub struct SplitTlb {
-    /// All replaceable entries, flat: 4 KB sets, then mid sets, then
-    /// the large array. Slot tokens index this vector; locked entries
-    /// use tokens `>= TOTAL_ENTRIES`.
-    slots: Vec<Option<Slot>>,
-    locked: Vec<TlbEntry>,
-    mru: usize,
-    generation: u64,
-    stats: TlbStats,
-    extra: SplitStats,
-}
+/// The split multi-page-size TLB: plain entries on the shared slot
+/// store, flat — 4 KB sets, then mid sets, then the large array — so
+/// slot tokens index the store and locked entries use tokens
+/// `>= TOTAL_ENTRIES`. Geometry is fixed (the point of the scheme); the
+/// `entries` knob other schemes sweep does not apply.
+pub type SplitTlb = RivalTlb<TlbEntry>;
 
 impl Default for SplitTlb {
     fn default() -> Self {
@@ -95,20 +69,7 @@ impl SplitTlb {
     /// Creates an empty split TLB with the fixed 64/32/8 geometry.
     #[must_use]
     pub fn new() -> Self {
-        SplitTlb {
-            slots: vec![None; TOTAL_ENTRIES],
-            locked: Vec::new(),
-            mru: 0,
-            generation: 0,
-            stats: TlbStats::default(),
-            extra: SplitStats::default(),
-        }
-    }
-
-    /// The scheme-specific counters.
-    #[must_use]
-    pub fn scheme_stats(&self) -> SplitStats {
-        self.extra
+        Self::with_capacity(TOTAL_ENTRIES)
     }
 
     /// Flat slot range `[start, start + ways)` an entry of this size
@@ -139,12 +100,6 @@ impl SplitTlb {
         })
     }
 
-    fn find_covering(&self, vpn: Vpn) -> Option<usize> {
-        PageSize::ALL
-            .iter()
-            .find_map(|&size| self.find_sized(size, vpn))
-    }
-
     /// Victim way within `[start, start + ways)`: first free, else first
     /// not-recently-used, else reset the set's use bits and take the
     /// first way.
@@ -171,152 +126,40 @@ impl SplitTlb {
     }
 }
 
-impl TranslationScheme for SplitTlb {
-    fn name(&self) -> &'static str {
-        "split"
+impl RivalEntry for TlbEntry {
+    const NAME: &'static str = "split";
+
+    /// Each page size's own set, smallest size first.
+    fn find(tlb: &SplitTlb, vpn: Vpn) -> Option<(usize, TlbEntry)> {
+        let i = PageSize::ALL
+            .iter()
+            .find_map(|&size| tlb.find_sized(size, vpn))?;
+        tlb.slots[i].as_ref().map(|s| (i, s.entry))
     }
 
-    fn translate(
-        &mut self,
-        va: VirtAddr,
-        kind: AccessKind,
-        level: PrivilegeLevel,
-    ) -> LookupOutcome {
-        for (i, e) in self.locked.iter().enumerate() {
-            if let Some(pa) = e.translate(va) {
-                self.stats.hits = self.stats.hits.saturating_add(1);
-                if !e.prot().permits(kind, level) {
-                    return LookupOutcome::Fault(Fault::Protection { va, kind });
-                }
-                self.mru = TOTAL_ENTRIES + i;
-                return LookupOutcome::Hit(pa);
-            }
-        }
-        if let Some(i) = self.find_covering(va.vpn()) {
-            if let Some(s) = self.slots[i].as_mut() {
-                self.stats.hits = self.stats.hits.saturating_add(1);
-                if !s.entry.prot().permits(kind, level) {
-                    return LookupOutcome::Fault(Fault::Protection { va, kind });
-                }
-                if let Some(pa) = s.entry.translate(va) {
-                    s.used = true;
-                    self.mru = i;
-                    return LookupOutcome::Hit(pa);
-                }
-            }
-        }
-        self.stats.misses = self.stats.misses.saturating_add(1);
-        LookupOutcome::Miss
-    }
-
-    fn slot_for(&self, vpn: Vpn) -> Option<(usize, TlbEntry)> {
-        for (i, e) in self.locked.iter().enumerate() {
-            if e.covers(vpn) {
-                return Some((TOTAL_ENTRIES + i, *e));
-            }
-        }
-        let i = self.find_covering(vpn)?;
-        self.slots[i].as_ref().map(|s| (i, s.entry))
-    }
-
-    fn last_hit_slot(&self) -> usize {
-        self.mru
-    }
-
-    fn note_fast_hits(&mut self, slot: usize, n: u64) {
-        if let Some(s) = self.slots.get_mut(slot).and_then(|s| s.as_mut()) {
-            s.used = true;
-        }
-        self.mru = slot;
-        self.stats.hits = self.stats.hits.saturating_add(n);
-    }
-
-    fn fill(&mut self, entry: TlbEntry, _contig: &ContigInfo) {
-        self.generation = self.generation.wrapping_add(1);
-        self.stats.fills = self.stats.fills.saturating_add(1);
+    fn fill(tlb: &mut SplitTlb, entry: TlbEntry, _contig: &ContigInfo) {
         // Discard overlapping unlocked entries across every array.
         let pages = entry.size().base_pages();
-        crate::purge(&mut self.slots, |s| {
-            s.entry.overlaps(entry.vpn_base(), pages)
-        });
-        match class_of(entry.size()) {
-            Class::Base => self.extra.fills_base = self.extra.fills_base.saturating_add(1),
-            Class::Mid => self.extra.fills_mid = self.extra.fills_mid.saturating_add(1),
-            Class::Large => self.extra.fills_large = self.extra.fills_large.saturating_add(1),
-        }
-        let (start, ways) = Self::set_range(entry.size(), entry.vpn_base());
-        let way = self.pick_way(start, ways);
-        self.slots[way] = Some(Slot { entry, used: true });
+        tlb.discard(|e| e.overlaps(entry.vpn_base(), pages));
+        let (start, ways) = SplitTlb::set_range(entry.size(), entry.vpn_base());
+        let way = tlb.pick_way(start, ways);
+        tlb.slots[way] = Some(Slot { entry, used: true });
     }
 
-    fn insert_locked(&mut self, entry: TlbEntry) {
-        self.generation = self.generation.wrapping_add(1);
-        self.locked.push(entry);
-    }
-
-    fn purge_range(&mut self, vpn: Vpn, pages: u64) -> usize {
-        self.generation = self.generation.wrapping_add(1);
-        let removed = crate::purge(&mut self.slots, |s| s.entry.overlaps(vpn, pages));
-        self.stats.purges = self.stats.purges.saturating_add(removed as u64);
-        removed
-    }
-
-    fn purge_all(&mut self) -> usize {
-        self.generation = self.generation.wrapping_add(1);
-        let removed = crate::purge(&mut self.slots, |_| true);
-        self.stats.purges = self.stats.purges.saturating_add(removed as u64);
-        removed
-    }
-
-    fn stats(&self) -> TlbStats {
-        let SplitStats {
-            fills_base,
-            fills_mid,
-            fills_large,
-        } = self.extra;
-        debug_assert_eq!(
-            fills_base
-                .saturating_add(fills_mid)
-                .saturating_add(fills_large),
-            self.stats.fills,
-            "split fill classes != fills"
-        );
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-        self.extra = SplitStats::default();
-    }
-
-    fn capacity(&self) -> usize {
-        TOTAL_ENTRIES
-    }
-
-    fn occupancy(&self) -> usize {
-        self.slots.iter().flatten().count() + self.locked.len()
+    fn overlaps(&self, vpn: Vpn, pages: u64) -> bool {
+        TlbEntry::overlaps(self, vpn, pages)
     }
 
     fn reach_bytes(&self) -> u64 {
-        let unlocked: u64 = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|s| s.entry.size().bytes())
-            .sum();
-        let locked: u64 = self.locked.iter().map(|e| e.size().bytes()).sum();
-        unlocked + locked
-    }
-
-    fn generation(&self) -> u64 {
-        self.generation
+        self.size().bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtlb_types::{PhysAddr, Ppn, Prot};
+    use mtlb_tlb::{LookupOutcome, TranslationScheme};
+    use mtlb_types::{AccessKind, PhysAddr, Ppn, PrivilegeLevel, Prot, VirtAddr};
 
     fn fill(tlb: &mut SplitTlb, vpn: u64, ppn: u64, size: PageSize) {
         let e =
@@ -334,11 +177,12 @@ mod tests {
         fill(&mut tlb, 1, 0x10, PageSize::Base4K);
         fill(&mut tlb, 4, 0x80240, PageSize::Size16K);
         fill(&mut tlb, 0x400, 0x400, PageSize::Size1M);
-        let s = tlb.scheme_stats();
-        assert_eq!((s.fills_base, s.fills_mid, s.fills_large), (1, 1, 1));
-        assert_eq!(
-            s.fills_base + s.fills_mid + s.fills_large,
-            tlb.stats().fills
+        let slot = |vpn| tlb.slot_for(Vpn::new(vpn)).map(|(slot, _)| slot);
+        assert!(slot(1).is_some_and(|s| (0..64).contains(&s)), "4 KB array");
+        assert!(slot(4).is_some_and(|s| (64..96).contains(&s)), "mid array");
+        assert!(
+            slot(0x400).is_some_and(|s| (96..104).contains(&s)),
+            "large array"
         );
         assert_eq!(
             read(&mut tlb, 0x1080),

@@ -12,13 +12,14 @@
 //! A 4 KB fill sets one subblock (complete-subblock: the siblings are not
 //! prefetched, so the scheme needs no [`ContigInfo`]); a superpage of at
 //! most one block sets every subblock it covers; a larger superpage takes
-//! one entry whole. Replacement is NRU with a rotating hand, as in the
-//! paper's TLB, and locked kernel block entries live in a side list.
+//! one entry whole. Replacement is the shared store's NRU with a rotating
+//! hand, as in the paper's TLB, and locked kernel block entries live in
+//! its side list.
 
-use mtlb_tlb::{ContigInfo, LookupOutcome, TlbEntry, TlbStats, TranslationScheme};
-use mtlb_types::{
-    AccessKind, Fault, PageSize, Ppn, PrivilegeLevel, Prot, VirtAddr, Vpn, PAGE_SIZE,
-};
+use mtlb_tlb::{ContigInfo, TlbEntry};
+use mtlb_types::{PageSize, Ppn, Prot, Vpn, PAGE_SIZE};
+
+use crate::{RivalEntry, RivalTlb, Slot};
 
 /// The region one entry tags.
 const BLOCK: PageSize = PageSize::Size64K;
@@ -32,7 +33,7 @@ const SUBBLOCKS: usize = BLOCK.base_pages() as usize;
     clippy::large_enum_variant,
     reason = "Entries live in one preallocated slot vector; boxing the block would allocate on every miss that opens one."
 )]
-enum Mapping {
+pub enum Mapping {
     /// The block starting at page `base`: a frame and protection per
     /// subblock, `None` where the subblock is invalid.
     Block {
@@ -57,8 +58,73 @@ impl Mapping {
             Mapping::Whole(e) => e.covers(vpn).then_some(*e),
         }
     }
+}
 
-    /// Whether the tag's virtual range overlaps `[vpn, vpn + pages)`.
+/// The complete-subblock TLB: `capacity` fully-associative entries of
+/// one 64 KB block (or one larger superpage) each, on the shared NRU
+/// slot store.
+pub type SubblockTlb = RivalTlb<Mapping>;
+
+impl SubblockTlb {
+    /// Creates an empty TLB with `capacity` block entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `capacity` is zero.
+    #[must_use]
+    pub fn new(capacity: usize) -> Self {
+        Self::with_capacity(capacity)
+    }
+}
+
+impl RivalEntry for Mapping {
+    const NAME: &'static str = "subblock";
+
+    /// The first slot with a valid translation for `vpn`: a resident
+    /// block whose subblock is invalid does not stop the scan.
+    fn find(tlb: &SubblockTlb, vpn: Vpn) -> Option<(usize, TlbEntry)> {
+        let mut slots = tlb.slots.iter().enumerate();
+        slots.find_map(|(i, s)| Some((i, s.as_ref()?.entry.entry_at(vpn)?)))
+    }
+
+    fn fill(tlb: &mut SubblockTlb, entry: TlbEntry, _contig: &ContigInfo) {
+        let vpn = entry.vpn_base();
+        let pages = entry.size().base_pages();
+        if pages > BLOCK.base_pages() {
+            tlb.discard(|m| m.overlaps(vpn, pages));
+            tlb.install(Mapping::Whole(entry));
+            return;
+        }
+        // The block's own entry takes the fill; an overlapping whole
+        // superpage goes.
+        let base = vpn.align_down_to(BLOCK);
+        let is_block = |m: &Mapping| matches!(m, Mapping::Block { base: b, .. } if *b == base);
+        tlb.discard(|m| m.overlaps(base, BLOCK.base_pages()) && !is_block(m));
+        let resident = tlb
+            .slots
+            .iter()
+            .position(|s| s.as_ref().is_some_and(|s| is_block(&s.entry)));
+        let i = resident.unwrap_or_else(|| {
+            tlb.install(Mapping::Block {
+                base,
+                subs: [None; SUBBLOCKS],
+            })
+        });
+        if let Some(Slot {
+            entry: Mapping::Block { subs, .. },
+            used,
+        }) = &mut tlb.slots[i]
+        {
+            *used = true;
+            let first = vpn.index() - base.index();
+            for k in 0..pages {
+                if let Some(sub) = subs.get_mut((first + k) as usize) {
+                    *sub = Some((Ppn::new(entry.pfn_base().index() + k), entry.prot()));
+                }
+            }
+        }
+    }
+
     fn overlaps(&self, vpn: Vpn, pages: u64) -> bool {
         let (first, len) = match self {
             Mapping::Block { base, .. } => (base.index(), BLOCK.base_pages()),
@@ -76,217 +142,11 @@ impl Mapping {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    map: Mapping,
-    used: bool,
-}
-
-/// The complete-subblock TLB: `capacity` fully-associative entries of
-/// one 64 KB block (or one larger superpage) each.
-#[derive(Debug)]
-pub struct SubblockTlb {
-    capacity: usize,
-    slots: Vec<Option<Slot>>,
-    locked: Vec<TlbEntry>,
-    hand: usize,
-    /// Slot token of the most recent hit; `capacity + i` addresses
-    /// locked entry `i`.
-    mru: usize,
-    generation: u64,
-    stats: TlbStats,
-}
-
-impl SubblockTlb {
-    /// Creates an empty TLB with `capacity` block entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "TLB must have at least one entry");
-        SubblockTlb {
-            capacity,
-            slots: vec![None; capacity],
-            locked: Vec::new(),
-            hand: 0,
-            mru: 0,
-            generation: 0,
-            stats: TlbStats::default(),
-        }
-    }
-
-    /// Puts `map` in a free slot, else in the NRU victim's, and returns
-    /// the slot.
-    fn install(&mut self, map: Mapping) -> usize {
-        let i = match self.slots.iter().position(Option::is_none) {
-            Some(i) => i,
-            None => {
-                let n = self.capacity;
-                let unused = (0..n)
-                    .map(|k| (self.hand + k) % n)
-                    .find(|&i| self.slots[i].as_ref().is_some_and(|s| !s.used));
-                let victim = unused.unwrap_or_else(|| {
-                    // Every use bit is set: start a new NRU generation.
-                    self.stats.nru_resets = self.stats.nru_resets.saturating_add(1);
-                    for s in self.slots.iter_mut().flatten() {
-                        s.used = false;
-                    }
-                    self.hand
-                });
-                self.stats.replacements = self.stats.replacements.saturating_add(1);
-                self.hand = (victim + 1) % n;
-                victim
-            }
-        };
-        self.slots[i] = Some(Slot { map, used: true });
-        i
-    }
-}
-
-impl TranslationScheme for SubblockTlb {
-    fn name(&self) -> &'static str {
-        "subblock"
-    }
-
-    fn translate(
-        &mut self,
-        va: VirtAddr,
-        kind: AccessKind,
-        level: PrivilegeLevel,
-    ) -> LookupOutcome {
-        let Some((slot, entry)) = self.slot_for(va.vpn()) else {
-            self.stats.misses = self.stats.misses.saturating_add(1);
-            return LookupOutcome::Miss;
-        };
-        self.stats.hits = self.stats.hits.saturating_add(1);
-        if !entry.prot().permits(kind, level) {
-            return LookupOutcome::Fault(Fault::Protection { va, kind });
-        }
-        // The use bit and MRU token, exactly as a replayed hit sets them.
-        self.note_fast_hits(slot, 0);
-        entry
-            .translate(va)
-            .map_or(LookupOutcome::Miss, LookupOutcome::Hit)
-    }
-
-    fn slot_for(&self, vpn: Vpn) -> Option<(usize, TlbEntry)> {
-        if let Some(i) = self.locked.iter().position(|e| e.covers(vpn)) {
-            return Some((self.capacity + i, self.locked[i]));
-        }
-        let mut slots = self.slots.iter().enumerate();
-        slots.find_map(|(i, s)| Some((i, s.as_ref()?.map.entry_at(vpn)?)))
-    }
-
-    fn last_hit_slot(&self) -> usize {
-        self.mru
-    }
-
-    fn note_fast_hits(&mut self, slot: usize, n: u64) {
-        if let Some(s) = self.slots.get_mut(slot).and_then(|s| s.as_mut()) {
-            s.used = true;
-        }
-        self.mru = slot;
-        self.stats.hits = self.stats.hits.saturating_add(n);
-    }
-
-    fn fill(&mut self, entry: TlbEntry, _contig: &ContigInfo) {
-        self.generation = self.generation.wrapping_add(1);
-        self.stats.fills = self.stats.fills.saturating_add(1);
-        let vpn = entry.vpn_base();
-        let pages = entry.size().base_pages();
-        if pages > BLOCK.base_pages() {
-            // A TLB never holds two entries for one virtual address:
-            // overlapping entries go, uncounted, like the paper TLB's
-            // insert-time discard.
-            crate::purge(&mut self.slots, |s| s.map.overlaps(vpn, pages));
-            self.install(Mapping::Whole(entry));
-            return;
-        }
-        // The block's own entry takes the fill; an overlapping whole
-        // superpage goes.
-        let base = vpn.align_down_to(BLOCK);
-        let is_block = |m: &Mapping| matches!(m, Mapping::Block { base: b, .. } if *b == base);
-        crate::purge(&mut self.slots, |s| {
-            s.map.overlaps(base, BLOCK.base_pages()) && !is_block(&s.map)
-        });
-        let resident = self
-            .slots
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|s| is_block(&s.map)));
-        let i = resident.unwrap_or_else(|| {
-            self.install(Mapping::Block {
-                base,
-                subs: [None; SUBBLOCKS],
-            })
-        });
-        if let Some(Slot {
-            map: Mapping::Block { subs, .. },
-            used,
-        }) = &mut self.slots[i]
-        {
-            *used = true;
-            let first = vpn.index() - base.index();
-            for k in 0..pages {
-                if let Some(sub) = subs.get_mut((first + k) as usize) {
-                    *sub = Some((Ppn::new(entry.pfn_base().index() + k), entry.prot()));
-                }
-            }
-        }
-    }
-
-    fn insert_locked(&mut self, entry: TlbEntry) {
-        self.generation = self.generation.wrapping_add(1);
-        self.locked.push(entry);
-    }
-
-    fn purge_range(&mut self, vpn: Vpn, pages: u64) -> usize {
-        self.generation = self.generation.wrapping_add(1);
-        let removed = crate::purge(&mut self.slots, |s| s.map.overlaps(vpn, pages));
-        self.stats.purges = self.stats.purges.saturating_add(removed as u64);
-        removed
-    }
-
-    fn purge_all(&mut self) -> usize {
-        self.generation = self.generation.wrapping_add(1);
-        let removed = crate::purge(&mut self.slots, |_| true);
-        self.stats.purges = self.stats.purges.saturating_add(removed as u64);
-        removed
-    }
-
-    fn stats(&self) -> TlbStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn occupancy(&self) -> usize {
-        self.slots.iter().flatten().count() + self.locked.len()
-    }
-
-    fn reach_bytes(&self) -> u64 {
-        let slots = self.slots.iter().flatten();
-        let blocks: u64 = slots.map(|s| s.map.reach_bytes()).sum();
-        let locked: u64 = self.locked.iter().map(|e| e.size().bytes()).sum();
-        blocks + locked
-    }
-
-    fn generation(&self) -> u64 {
-        self.generation
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtlb_types::PhysAddr;
+    use mtlb_tlb::{LookupOutcome, TranslationScheme};
+    use mtlb_types::{AccessKind, PhysAddr, PrivilegeLevel, VirtAddr};
 
     fn fill(tlb: &mut SubblockTlb, vpn: u64, pfn: u64, size: PageSize) {
         let e = TlbEntry::new(Vpn::new(vpn), Ppn::new(pfn), size, Prot::RW).expect("aligned");

@@ -230,8 +230,6 @@ fn stats_reconcile_with_the_operations_performed() {
         );
         assert_eq!(s.lookups(), s.hits + s.misses, "{}", scheme.name());
         scheme.reset_stats();
-        // In debug builds this `stats()` also fails if a rival's private
-        // fill classes outlived the reset.
         assert_eq!(
             scheme.stats(),
             TlbStats::default(),
@@ -322,6 +320,44 @@ fn note_fast_hits_preserves_a_subsequent_lookup() {
             LookupOutcome::Hit(PhysAddr::new(0x84_fff)),
             "{}: entry still resident and translating after replay",
             scheme.name()
+        );
+    }
+}
+
+/// Which entry NRU evicts in the schemes whose one rotating hand sweeps
+/// every slot (split's NRU is per set: see its
+/// `base_array_conflicts_within_one_set`). Each fill maps one page of
+/// its own 64 KB block, so the subblock TLB spends one entry per fill.
+#[test]
+fn nru_evicts_the_first_unused_entry_from_the_hand() {
+    let page = |k: u64| k * 16;
+    for cfg in [
+        SchemeConfig::Cpu,
+        SchemeConfig::Coalesced,
+        SchemeConfig::Subblock,
+    ] {
+        let mut scheme = cfg.build(4);
+        // Five fills into four slots: every use bit is set, so one NRU
+        // reset, and the hand (slot 0) gives up p0.
+        for k in 0..5 {
+            fill4k(scheme.as_mut(), page(k), 0x100 + k);
+        }
+        assert!(matches!(
+            read(scheme.as_mut(), page(1) * 4096),
+            LookupOutcome::Hit(_)
+        ));
+        // From the hand (slot 1): p1 was used since the reset, p2 was not.
+        fill4k(scheme.as_mut(), page(5), 0x105);
+        let resident: Vec<u64> = (0..6)
+            .filter(|&k| scheme.entry_for(Vpn::new(page(k))).is_some())
+            .collect();
+        assert_eq!(resident, [1, 3, 4, 5], "{}: p0 then p2 go", cfg.name());
+        let s = scheme.stats();
+        assert_eq!(
+            (s.nru_resets, s.replacements),
+            (1, 2),
+            "{}: one reset, two replacements",
+            cfg.name()
         );
     }
 }

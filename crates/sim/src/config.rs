@@ -130,10 +130,6 @@ impl MachineConfig {
             "{cores} cores: the scaled hashed page table fits at most {max}"
         );
         self.cores = cores;
-        self.kernel.hpt_scale = self
-            .kernel
-            .hpt_scale
-            .max((cores as u64).next_power_of_two());
         self
     }
 
@@ -184,8 +180,8 @@ mod tests {
     fn core_limit_follows_the_kernel_layout() {
         assert_eq!(MachineConfig::paper_mtlb(64).max_cores(), 16);
         assert_eq!(MachineConfig::paper_base(64).max_cores(), 16);
-        let cfg = MachineConfig::paper_mtlb(64).with_cores(16);
-        assert_eq!(cfg.kernel.hpt_scale, 16);
+        let machine = crate::Machine::new(MachineConfig::paper_mtlb(64).with_cores(16));
+        assert_eq!(machine.kernel().layout().hpt_scale, 16);
     }
 
     #[test]

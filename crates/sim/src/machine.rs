@@ -254,7 +254,7 @@ impl Machine {
             active: 0,
             mmc: Mmc::new(cfg.mmc),
             mem: GuestMemory::new(cfg.mmc.installed_dram),
-            kernel: Kernel::new(cfg.mmc, cfg.kernel.clone()),
+            kernel: Kernel::new(cfg.mmc, cfg.kernel.clone(), cfg.cores),
             cfg,
             ledger: Ledger::default(),
             kernel_base: KernelStats::default(),

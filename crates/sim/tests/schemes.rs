@@ -5,9 +5,8 @@
 //! machine instead:
 //!
 //! * a representative run under every scheme passes the debug-build
-//!   cycle-attribution audit, whose reads of each core's `TlbStats`
-//!   also check the rivals' private fill classes (`CoalescedStats`,
-//!   `SplitStats`) against it;
+//!   cycle-attribution audit, which checks each core's `TlbStats`
+//!   fills against the kernel's miss-handler invocations;
 //! * the host fast paths (access memos, batched streams) are
 //!   observably absent under the rivals too — the
 //!   generation-counter contract is what makes the memo layer sound
