@@ -97,6 +97,15 @@ echo "== extensions determinism (stdout jobs-invariant)"
 ./target/release/repro extensions --test-scale --jobs 4 > "$DET_DIR/ext_j4" 2>/dev/null
 diff "$DET_DIR/ext_j1" "$DET_DIR/ext_j4"
 
+echo "== paper-scale repro all golden (stdout byte-identical to the committed fixture)"
+# The only paper-scale pin on fig4, §2.5, §3.3 and the extensions (the
+# benchmark pins below cover fig3, fig5, fig6 cells and the kernel
+# services): paper-scale `repro all` at two job threads, result cache
+# on, must print exactly the fixture. Regenerate it only with a change
+# that is meant to move simulated output, and say so.
+./target/release/repro all --jobs 2 > "$DET_DIR/all_paper" 2>/dev/null
+diff crates/bench/tests/fixtures/repro_all_paper_scale.txt "$DET_DIR/all_paper"
+
 echo "== paper-scale cycle-fidelity gate (live pins of benchmark/expected.json)"
 # Runs this tree's simulator at paper scale, one rep, through the
 # benchmark as shipped: `"correct": true` means every unit matched its

@@ -145,10 +145,11 @@ pub struct JobRecord {
 /// * or a run whose [`Machine::tlb_reach_demand`] is at most the job's
 ///   capacity: its CPU TLBs never evicted and never held more entries
 ///   than the job's TLB has, so the job's run would go the same way bit
-///   for bit (the proof is at [`mtlb_tlb::CpuTlb::reach_demand`]). The
+///   for bit (the proof is at the slot store's `reach_demand`,
+///   [`mtlb_tlb::SlotTlb`], for the paper TLB and the rivals alike). The
 ///   MTLB machine's CPU TLB never fills, so one run answers fig3's
 ///   `tlb64+mtlb` to `tlb128+mtlb` cells, fig3.4's 256 and fig5's `mtlb`
-///   cells.
+///   cells; compress95's `coalesced96` run answers `coalesced128`.
 ///
 /// Otherwise the job simulates and its run joins the class. So a class
 /// whose runs need `D` entries simulates once per distinct capacity
@@ -585,10 +586,15 @@ mod tests {
     /// of its own would produce, whatever order or jobs level the
     /// batch has: for each paper workload, one MTLB run answers all
     /// four sizes (its CPU TLB never evicts), base machines that evict
-    /// simulate every size, and a 2-core co-run class is one run too.
+    /// simulate every size, one coalesced run answers all four sizes
+    /// (em3d, radix, cc1) or the three above 16, where it evicts
+    /// (compress95 and vortex peak at 19 and 23 entries), and a 2-core
+    /// co-run class is one run too.
     #[test]
     fn a_served_row_equals_a_simulated_one() {
         use crate::experiments::WORKLOADS;
+        use mtlb_mem::FrameOrder;
+        use mtlb_schemes::SchemeConfig;
         use mtlb_sim::MachineConfig;
         let mut specs = Vec::new();
         for &w in &WORKLOADS {
@@ -600,6 +606,17 @@ mod tests {
             for e in [8, 12, 16, 24] {
                 let cfg = MachineConfig::paper_base(e);
                 specs.push(JobSpec::new(format!("{w}/base{e}"), w, Scale::Test, cfg));
+            }
+            // fig5's coalesced cells.
+            for e in [16, 64, 96, 256] {
+                let mut cfg = MachineConfig::paper_base(e).with_scheme(SchemeConfig::Coalesced);
+                cfg.kernel.frame_order = FrameOrder::Sequential;
+                specs.push(JobSpec::new(
+                    format!("{w}/coalesced{e}"),
+                    w,
+                    Scale::Test,
+                    cfg,
+                ));
             }
         }
         for e in [16, 64, 96, 256] {
@@ -625,7 +642,7 @@ mod tests {
                 }
                 assert_eq!(
                     runner.simulations(),
-                    WORKLOADS.len() * (1 + 4) + 1,
+                    WORKLOADS.len() * (1 + 4 + 1) + 2 + 1,
                     "jobs={jobs} order={shuffled:?}"
                 );
             }
@@ -634,7 +651,9 @@ mod tests {
 
     /// fig5 after fig3 on one runner: the cache serves fig5's reference
     /// runs and its cpu / mtlb cells, so only the rival front ends
-    /// simulate — and the re-served rows are fig3's, bit for bit.
+    /// simulate — and the re-served rows are fig3's, bit for bit. At
+    /// test scale no coalesced TLB fills at 64 entries, so one coalesced
+    /// run per workload serves all three sizes.
     #[test]
     fn fig5_after_fig3_simulates_only_the_rival_front_ends() {
         use crate::experiments::{fig3, fig5};
@@ -651,20 +670,13 @@ mod tests {
         let fig3_rows = fig3(&runner, Scale::Test, &sizes, &workloads);
         let (before, simulations) = (simulated(&runner), runner.simulations());
         let fig5_rows = fig5(&runner, Scale::Test, &sizes, &workloads);
-        assert_eq!(
-            runner.simulations() - simulations,
-            workloads.len() * (sizes.len() + 1)
-        );
+        assert_eq!(runner.simulations() - simulations, workloads.len() * 2);
         let added: Vec<String> = simulated(&runner)
             .difference(&before)
             .map(|((.., cfg), _)| cfg.clone())
             .collect();
-        // Per workload: coalesced at each size, and split.
-        assert_eq!(
-            added.len(),
-            workloads.len() * (sizes.len() + 1),
-            "{added:#?}"
-        );
+        // Per workload: coalesced once, and split.
+        assert_eq!(added.len(), workloads.len() * 2, "{added:#?}");
         for cfg in &added {
             assert!(
                 cfg.contains("scheme: Coalesced") || cfg.contains("scheme: Split"),

@@ -232,46 +232,39 @@ impl Mmc {
         }
 
         let real_pa = if let Some(sa) = self.config.shadow.classify(pa) {
-            if self.mtlb.is_none() {
-                self.stats.bus_errors = self.stats.bus_errors.saturating_add(1);
-                return Err(Fault::BusError { pa });
-            }
-            self.stats.shadow_ops = self.stats.shadow_ops.saturating_add(1);
             let index = self.config.shadow.page_index(sa);
-
-            if self
-                .mtlb
-                .as_mut()
-                .is_some_and(|m| m.lookup(index).is_none())
-            {
-                // Hardware fill: one DRAM read of the flat table.
-                self.stats.mtlb_misses = self.stats.mtlb_misses.saturating_add(1);
-                cycles += t.mtlb_fill;
-                let pte = self.table_read(index, mem);
-                let evicted = self.mtlb.as_mut().and_then(|m| m.insert(index, pte));
-                if let Some(ev) = evicted {
-                    cycles += self.merge_evicted(ev, mem);
-                }
-            } else {
-                self.stats.mtlb_hits = self.stats.mtlb_hits.saturating_add(1);
-            }
-
-            let Some(entry) = self.mtlb.as_mut().and_then(|m| m.lookup(index)) else {
-                // Unreachable by construction — the entry was just filled
-                // or hit above — but a wild state degrades to a bus error
-                // rather than a panic.
+            let table = self.table_entry_addr(index);
+            let Some(mtlb) = self.mtlb.as_mut() else {
                 self.stats.bus_errors = self.stats.bus_errors.saturating_add(1);
                 return Err(Fault::BusError { pa });
             };
-            if !entry.valid {
+            self.stats.shadow_ops = self.stats.shadow_ops.saturating_add(1);
+            // A miss is a hardware fill: one DRAM read of the flat table.
+            let (entry, fill) =
+                mtlb.lookup_or_fill(index, || ShadowPte::decode(mem.read_u32(table)));
+            let valid = entry.valid;
+            if valid {
+                entry.referenced = true;
+                if matches!(op, BusOp::FillExclusive | BusOp::Writeback) {
+                    entry.dirty = true;
+                }
+            }
+            let rpfn = entry.rpfn;
+            match fill {
+                None => self.stats.mtlb_hits = self.stats.mtlb_hits.saturating_add(1),
+                Some(evicted) => {
+                    self.stats.mtlb_misses = self.stats.mtlb_misses.saturating_add(1);
+                    cycles += t.mtlb_fill;
+                    if let Some(ev) = evicted {
+                        cycles += self.merge_evicted(ev, mem);
+                    }
+                }
+            }
+            if !valid {
                 self.stats.shadow_faults = self.stats.shadow_faults.saturating_add(1);
                 return Err(Fault::ShadowPageFault { shadow: sa });
             }
-            entry.referenced = true;
-            if matches!(op, BusOp::FillExclusive | BusOp::Writeback) {
-                entry.dirty = true;
-            }
-            entry.rpfn.base_addr() + pa.page_offset()
+            rpfn.base_addr() + pa.page_offset()
         } else if pa.get() < self.config.installed_dram {
             self.stats.real_ops = self.stats.real_ops.saturating_add(1);
             pa

@@ -135,6 +135,42 @@ impl Mtlb {
     /// update referenced/dirty bits in place.
     pub(crate) fn lookup(&mut self, index: u64) -> Option<&mut ShadowPte> {
         let set = self.set_of(index);
+        let way = self.find(index)?;
+        self.sets[set][way].as_mut().map(|w| &mut w.pte)
+    }
+
+    /// The entry for a shadow page index, as [`lookup`](Self::lookup)
+    /// finds it, or else filled from the table entry `read` returns
+    /// (a hardware fill), evicting an NRU victim if the set is full.
+    /// Returns the entry and, on a miss, the fill's eviction (with any
+    /// accumulated bit updates, for merging into the in-memory table).
+    pub(crate) fn lookup_or_fill(
+        &mut self,
+        index: u64,
+        read: impl FnOnce() -> ShadowPte,
+    ) -> (&mut ShadowPte, Option<Option<Evicted>>) {
+        let set = self.set_of(index);
+        let (way, fill) = match self.find(index) {
+            Some(way) => (way, None),
+            None => {
+                let (way, evicted) = self.make_room(set);
+                self.mru = Some((index, set, way));
+                (way, Some(evicted))
+            }
+        };
+        // Empty exactly when `make_room` just emptied it.
+        let w = self.sets[set][way].get_or_insert_with(|| Way {
+            tag: index,
+            pte: read(),
+            used: true,
+        });
+        (&mut w.pte, fill)
+    }
+
+    /// The way of `index`'s set holding it, setting its NRU use bit and
+    /// the MRU memo.
+    fn find(&mut self, index: u64) -> Option<usize> {
+        let set = self.set_of(index);
         let way = match self.mru {
             // Fast path: the most recently hit way, if it still holds this
             // tag (its set is `set` by construction: same index, same hash).
@@ -148,13 +184,10 @@ impl Mtlb {
                 .position(|w| matches!(w, Some(way) if way.tag == index)),
         }?;
         self.mru = Some((index, set, way));
-        #[expect(
-            clippy::expect_used,
-            reason = "Structure invariant: `lookup` just matched this way, so it is occupied."
-        )]
-        let w = self.sets[set][way].as_mut().expect("hit way is occupied");
-        w.used = true;
-        Some(&mut w.pte)
+        if let Some(w) = self.sets[set][way].as_mut() {
+            w.used = true;
+        }
+        Some(way)
     }
 
     /// Read-only probe without NRU side effects (tests, OS inspection).
@@ -169,22 +202,21 @@ impl Mtlb {
     }
 
     /// Installs a just-filled entry, evicting an NRU victim if the set is
-    /// full. The evicted entry (with any accumulated bit updates) is
-    /// returned for merging into the in-memory table.
+    /// full, and returns the victim.
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, index: u64, pte: ShadowPte) -> Option<Evicted> {
-        let set = self.set_of(index);
         debug_assert!(
-            !self.sets[set].iter().flatten().any(|w| w.tag == index),
+            self.probe(index).is_none(),
             "inserting an entry that is already cached"
         );
-        let new = Way {
-            tag: index,
-            pte,
-            used: true,
-        };
-        if let Some(slot) = self.sets[set].iter_mut().find(|w| w.is_none()) {
-            *slot = Some(new);
-            return None;
+        self.lookup_or_fill(index, || pte).1.flatten()
+    }
+
+    /// Empties a way of `set` for a fill: a free way, else the NRU
+    /// victim, which is returned.
+    fn make_room(&mut self, set: usize) -> (usize, Option<Evicted>) {
+        if let Some(way) = self.sets[set].iter().position(Option::is_none) {
+            return (way, None);
         }
         // NRU within the set, with a rotating hand, mirroring the CPU TLB.
         let assoc = self.config.assoc;
@@ -214,12 +246,13 @@ impl Mtlb {
             clippy::expect_used,
             reason = "Structure invariant: the victim way was selected from occupied ways in the same pass."
         )]
-        let old = self.sets[set][victim].replace(new).expect("victim exists");
+        let old = self.sets[set][victim].take().expect("victim exists");
         self.hands[set] = (victim + 1) % assoc;
-        Some(Evicted {
+        let evicted = Evicted {
             index: old.tag,
             pte: old.pte,
-        })
+        };
+        (victim, Some(evicted))
     }
 
     /// Removes the entry for `index` (OS updated the mapping). Returns

@@ -1192,7 +1192,7 @@ impl Kernel {
         )
         .expect("PTEs always describe aligned mappings");
         let contig = if ctx.tlb.wants_contiguity() {
-            self.contiguity_of(&entry)
+            contiguity_of(&self.proc().aspace, &entry)
         } else {
             ContigInfo::for_entry(&entry)
         };
@@ -1200,69 +1200,6 @@ impl Kernel {
         cycles += self.config.costs.tlb_insert;
         self.stats.tlb_miss_cycles += cycles;
         Ok((entry, cycles))
-    }
-
-    /// Mapping-contiguity metadata for a miss-handler refill: the
-    /// maximal run of virtually- and physically-contiguous base pages
-    /// with uniform protection containing `entry`, bounded to the
-    /// aligned [`CONTIG_SCAN_WINDOW`]-page window around it.
-    ///
-    /// Costs no simulated cycles: a hardware coalescing TLB reads the
-    /// neighbouring PTEs from the same cache line the walk already
-    /// fetched (Ban et al., arXiv:1908.08774), so the metadata is free
-    /// at fill time; only schemes that opt in via
-    /// [`TranslationScheme::wants_contiguity`] trigger the host-side
-    /// scan at all.
-    fn contiguity_of(&self, entry: &TlbEntry) -> ContigInfo {
-        if entry.size() != PageSize::Base4K {
-            return ContigInfo::for_entry(entry);
-        }
-        let anchor = entry.vpn_base().index();
-        let window_base = anchor & !(CONTIG_SCAN_WINDOW - 1);
-        let window_end = window_base + CONTIG_SCAN_WINDOW;
-        // The CPU-visible (bus) frame of a neighbouring base page, if it
-        // is mapped with the same protection at base-page granularity.
-        let frame_of = |p: u64| -> Option<u64> {
-            let info = self.proc().aspace.page(Vpn::new(p))?;
-            if info.mapping_size != PageSize::Base4K || info.prot != entry.prot() {
-                return None;
-            }
-            match info.backing {
-                Backing::Real(f) => Some(f.index()),
-                Backing::Shadow { shadow_spn } => {
-                    let bus = shadow_spn.bus();
-                    Some(bus.index())
-                }
-            }
-        };
-        let anchor_frame = entry.pfn_base().index();
-        let mut lo = anchor;
-        let mut lo_frame = anchor_frame;
-        while lo > window_base {
-            match frame_of(lo - 1) {
-                Some(f) if f + 1 == lo_frame => {
-                    lo -= 1;
-                    lo_frame = f;
-                }
-                _ => break,
-            }
-        }
-        let mut hi = anchor;
-        let mut hi_frame = anchor_frame;
-        while hi + 1 < window_end {
-            match frame_of(hi + 1) {
-                Some(f) if f == hi_frame + 1 => {
-                    hi += 1;
-                    hi_frame = f;
-                }
-                _ => break,
-            }
-        }
-        ContigInfo {
-            base: Vpn::new(lo),
-            pfn: Ppn::new(lo_frame),
-            pages: hi - lo + 1,
-        }
     }
 
     /// Services a shadow page fault (§4): the MMC found an invalid
@@ -1684,6 +1621,66 @@ impl Kernel {
     }
 }
 
+/// Mapping-contiguity metadata for a miss-handler refill: the maximal
+/// run of virtually- and physically-contiguous base pages with uniform
+/// protection containing `entry`, bounded to the aligned
+/// [`CONTIG_SCAN_WINDOW`]-page window around it.
+///
+/// Costs no simulated cycles: a hardware coalescing TLB reads the
+/// neighbouring PTEs from the same cache line the walk already fetched
+/// (Ban et al., arXiv:1908.08774), so the metadata is free at fill time;
+/// only schemes that opt in via [`TranslationScheme::wants_contiguity`]
+/// trigger the host-side scan at all, and it is one range walk of the
+/// address space over the window.
+fn contiguity_of(aspace: &AddressSpace, entry: &TlbEntry) -> ContigInfo {
+    if entry.size() != PageSize::Base4K {
+        return ContigInfo::for_entry(entry);
+    }
+    let anchor = entry.vpn_base().index();
+    let window_base = anchor & !(CONTIG_SCAN_WINDOW - 1);
+    let window_end = window_base + CONTIG_SCAN_WINDOW;
+    // The CPU-visible (bus) frame of each page of the window mapped with
+    // the entry's protection at base-page granularity.
+    let mut frames = [None; CONTIG_SCAN_WINDOW as usize];
+    for (vpn, info) in aspace.pages_in(Vpn::new(window_base), CONTIG_SCAN_WINDOW) {
+        if info.mapping_size == PageSize::Base4K && info.prot == entry.prot() {
+            frames[(vpn.index() - window_base) as usize] = Some(match info.backing {
+                Backing::Real(f) => f.index(),
+                Backing::Shadow { shadow_spn } => shadow_spn.bus().index(),
+            });
+        }
+    }
+    let frame_of = |p: u64| frames[(p - window_base) as usize];
+    let anchor_frame = entry.pfn_base().index();
+    let mut lo = anchor;
+    let mut lo_frame = anchor_frame;
+    while lo > window_base {
+        match frame_of(lo - 1) {
+            Some(f) if f + 1 == lo_frame => {
+                lo -= 1;
+                lo_frame = f;
+            }
+            _ => break,
+        }
+    }
+    let mut hi = anchor;
+    let mut hi_frame = anchor_frame;
+    while hi + 1 < window_end {
+        match frame_of(hi + 1) {
+            Some(f) if f == hi_frame + 1 => {
+                hi += 1;
+                hi_frame = f;
+            }
+            _ => break,
+        }
+    }
+    ContigInfo {
+        base: Vpn::new(lo),
+        pfn: Ppn::new(lo_frame),
+        pages: hi - lo + 1,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1771,7 +1768,7 @@ mod tests {
             assert!(cycles > Cycles::ZERO);
         });
         // The entry is now in the TLB.
-        assert!(r.tlb.probe(base.vpn()).is_some());
+        assert!(r.tlb.entry_for(base.vpn()).is_some());
     }
 
     #[test]
@@ -1876,7 +1873,7 @@ mod tests {
             assert_eq!(entry.vpn_base(), base.vpn());
             // One TLB entry now covers all 16 pages.
         });
-        assert!(r.tlb.probe(Vpn::new(base.vpn().index() + 15)).is_some());
+        assert!(r.tlb.entry_for(Vpn::new(base.vpn().index() + 15)).is_some());
     }
 
     #[test]
@@ -2222,5 +2219,137 @@ mod tests {
                 "warm page copy cost {cycles} out of the paper's band"
             );
         });
+    }
+
+    /// The page-by-page neighbour walk `contiguity_of` replaced: one
+    /// address-space lookup per neighbouring page.
+    fn contiguity_per_page(aspace: &AddressSpace, entry: &TlbEntry) -> ContigInfo {
+        if entry.size() != PageSize::Base4K {
+            return ContigInfo::for_entry(entry);
+        }
+        let anchor = entry.vpn_base().index();
+        let window_base = anchor & !(CONTIG_SCAN_WINDOW - 1);
+        let window_end = window_base + CONTIG_SCAN_WINDOW;
+        let frame_of = |p: u64| -> Option<u64> {
+            let info = aspace.page(Vpn::new(p))?;
+            if info.mapping_size != PageSize::Base4K || info.prot != entry.prot() {
+                return None;
+            }
+            Some(match info.backing {
+                Backing::Real(f) => f.index(),
+                Backing::Shadow { shadow_spn } => shadow_spn.bus().index(),
+            })
+        };
+        let (mut lo, mut lo_frame) = (anchor, entry.pfn_base().index());
+        while lo > window_base {
+            match frame_of(lo - 1) {
+                Some(f) if f + 1 == lo_frame => (lo, lo_frame) = (lo - 1, f),
+                _ => break,
+            }
+        }
+        let (mut hi, mut hi_frame) = (anchor, entry.pfn_base().index());
+        while hi + 1 < window_end {
+            match frame_of(hi + 1) {
+                Some(f) if f == hi_frame + 1 => (hi, hi_frame) = (hi + 1, f),
+                _ => break,
+            }
+        }
+        ContigInfo {
+            base: Vpn::new(lo),
+            pfn: Ppn::new(lo_frame),
+            pages: hi - lo + 1,
+        }
+    }
+
+    #[test]
+    fn contiguity_is_the_per_page_walk_in_one_range_walk() {
+        let mut aspace = AddressSpace::new();
+        let real = |f: u64| Backing::Real(Ppn::new(f));
+        let shadow = |f: u64| Backing::Shadow {
+            shadow_spn: Spn::from_bus(Ppn::new(f)),
+        };
+        let mut map = |vpn: u64, backing, prot, mapping_size| {
+            let info = PageInfo {
+                backing,
+                prot,
+                mapping_size,
+            };
+            aspace.map_page(Vpn::new(vpn), info);
+        };
+        // Window 0x100: a run, a gap at 0x103, a protection change at
+        // 0x106, and a page whose frame breaks the run at 0x107.
+        for p in [0x100, 0x101, 0x102, 0x104, 0x105] {
+            map(p, real(0x500 + p - 0x100), Prot::RW, PageSize::Base4K);
+        }
+        map(0x106, real(0x506), Prot::READ, PageSize::Base4K);
+        map(0x107, real(0x900), Prot::RW, PageSize::Base4K);
+        // Window 0x108: shadow frames, then a 16 KB superpage neighbour
+        // whose frames continue the run.
+        for p in 0x108..0x10c {
+            map(p, shadow(0x8_0000 + p - 0x108), Prot::RW, PageSize::Base4K);
+        }
+        for p in 0x10c..0x110 {
+            map(p, shadow(0x8_0000 + p - 0x108), Prot::RW, PageSize::Size16K);
+        }
+        // Window 0x110: real frames that run on into shadow frames (a
+        // bus frame is a bus frame), and an unmapped window edge.
+        for p in 0x111..0x114 {
+            map(p, real(0x7_fffd + p - 0x111), Prot::RW, PageSize::Base4K);
+        }
+        for p in 0x114..0x117 {
+            map(p, shadow(0x8_0000 + p - 0x114), Prot::RW, PageSize::Base4K);
+        }
+        let mut checked = 0;
+        for vpn in 0x100..0x118 {
+            let Some(info) = aspace.page(Vpn::new(vpn)) else {
+                continue;
+            };
+            let frame = match info.backing {
+                Backing::Real(f) => f,
+                Backing::Shadow { shadow_spn } => shadow_spn.bus(),
+            };
+            let size = info.mapping_size;
+            let (base, frame) = if size == PageSize::Base4K {
+                (Vpn::new(vpn), frame)
+            } else {
+                let base = Vpn::new(vpn).align_down_to(size);
+                (base, Ppn::new(frame.index() - (vpn - base.index())))
+            };
+            let entry = TlbEntry::new(base, frame, size, info.prot).unwrap();
+            assert_eq!(
+                contiguity_of(&aspace, &entry),
+                contiguity_per_page(&aspace, &entry),
+                "anchor {vpn:#x}"
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 21);
+        // Spot checks: the run across real and shadow frames is the
+        // whole mapped window, and the gap and protection change cut
+        // the first window's runs.
+        let e = |vpn: u64, f: u64, prot| {
+            TlbEntry::new(Vpn::new(vpn), Ppn::new(f), PageSize::Base4K, prot).unwrap()
+        };
+        let run = |base: u64, pfn: u64, pages| ContigInfo {
+            base: Vpn::new(base),
+            pfn: Ppn::new(pfn),
+            pages,
+        };
+        assert_eq!(
+            contiguity_of(&aspace, &e(0x112, 0x7_fffe, Prot::RW)),
+            run(0x111, 0x7_fffd, 6)
+        );
+        assert_eq!(
+            contiguity_of(&aspace, &e(0x101, 0x501, Prot::RW)),
+            run(0x100, 0x500, 3)
+        );
+        assert_eq!(
+            contiguity_of(&aspace, &e(0x104, 0x504, Prot::RW)),
+            run(0x104, 0x504, 2)
+        );
+        assert_eq!(
+            contiguity_of(&aspace, &e(0x10a, 0x8_0002, Prot::RW)),
+            run(0x108, 0x8_0000, 4)
+        );
     }
 }

@@ -12,10 +12,8 @@
 //! which is exactly the design point fig5 compares against shadow
 //! superpages.
 
-use mtlb_tlb::{ContigInfo, TlbEntry};
+use mtlb_tlb::{ContigInfo, SlotEntry, SlotTlb, TlbEntry};
 use mtlb_types::{PageSize, Ppn, Prot, Vpn, PAGE_SIZE};
-
-use crate::{RivalEntry, RivalTlb};
 
 /// Maximum base pages one coalesced entry may span — the PTE-cache-line
 /// neighbourhood a hardware coalescing TLB can inspect during one walk
@@ -32,38 +30,58 @@ pub struct Range {
     prot: Prot,
 }
 
+impl Range {
+    /// The one range `self` and `other` make when they are adjacent in
+    /// both virtual and physical pages, share a protection and stay
+    /// within the coalescing limit.
+    fn merge(&self, other: &Range) -> Option<Range> {
+        if self.prot != other.prot || self.pages + other.pages > MAX_COALESCE {
+            return None;
+        }
+        let (lo, hi) = if self.base_vpn < other.base_vpn {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let adjacent =
+            lo.base_vpn + lo.pages == hi.base_vpn && lo.base_pfn + lo.pages == hi.base_pfn;
+        adjacent.then_some(Range {
+            pages: lo.pages + hi.pages,
+            ..*lo
+        })
+    }
+}
+
 /// The coalesced TLB: a fixed number of ranged entries on the shared
 /// NRU slot store (use bit per entry, rotating hand, generation reset —
 /// mirroring the paper TLB's policy so the comparison isolates *reach*,
 /// not replacement).
-pub type CoalescedTlb = RivalTlb<Range>;
+pub type CoalescedTlb = SlotTlb<Range>;
 
-impl CoalescedTlb {
-    /// Creates an empty coalesced TLB with `capacity` ranged entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self::with_capacity(capacity)
-    }
-}
-
-impl RivalEntry for Range {
+impl SlotEntry for Range {
     const NAME: &'static str = "coalesced";
     const WANTS_CONTIGUITY: bool = true;
 
-    /// The first slot whose range covers `vpn`, viewed as the plain 4 KB
-    /// entry for that page.
-    fn find(tlb: &CoalescedTlb, vpn: Vpn) -> Option<(usize, TlbEntry)> {
-        let delta = |r: &Range| vpn.index().wrapping_sub(r.base_vpn);
-        let (i, r) = tlb.slots.iter().enumerate().find_map(|(i, s)| {
-            let r = &s.as_ref()?.entry;
-            (delta(r) < r.pages).then_some((i, r))
-        })?;
-        let pfn = Ppn::new(r.base_pfn + delta(r));
-        Some((i, TlbEntry::new(vpn, pfn, PageSize::Base4K, r.prot)?))
+    fn span(&self) -> (Vpn, u64) {
+        (Vpn::new(self.base_vpn), self.pages)
+    }
+
+    /// The plain 4 KB entry for `vpn`'s page of the range.
+    fn at(&self, vpn: Vpn) -> Option<TlbEntry> {
+        let delta = vpn.index().wrapping_sub(self.base_vpn);
+        if delta >= self.pages {
+            return None;
+        }
+        TlbEntry::new(
+            vpn,
+            Ppn::new(self.base_pfn + delta),
+            PageSize::Base4K,
+            self.prot,
+        )
+    }
+
+    fn reach_bytes(&self) -> u64 {
+        self.pages * PAGE_SIZE
     }
 
     fn fill(tlb: &mut CoalescedTlb, entry: TlbEntry, contig: &ContigInfo) {
@@ -88,44 +106,32 @@ impl RivalEntry for Range {
             // A (shadow) superpage is one contiguous run by construction.
             (anchor, entry.pfn_base().index(), entry.size().base_pages())
         };
-        tlb.discard(|r| r.overlaps(Vpn::new(base_vpn), pages));
-        // Extend an adjacent resident range instead of spending a slot,
-        // when the combined run stays within the coalescing limit.
-        let prot = entry.prot();
-        if pages < MAX_COALESCE {
-            for s in tlb.slots.iter_mut().flatten() {
-                let r = &mut s.entry;
-                if r.prot != prot || r.pages + pages > MAX_COALESCE {
-                    continue;
-                }
-                let after = r.base_vpn + r.pages == base_vpn && r.base_pfn + r.pages == base_pfn;
-                let before = base_vpn + pages == r.base_vpn && base_pfn + pages == r.base_pfn;
-                if after || before {
-                    if before {
-                        r.base_vpn = base_vpn;
-                        r.base_pfn = base_pfn;
-                    }
-                    r.pages += pages;
-                    s.used = true;
-                    return;
-                }
-            }
-        }
-        tlb.install(Range {
+        let range = Range {
             base_vpn,
             base_pfn,
             pages,
-            prot,
-        });
-    }
-
-    fn overlaps(&self, vpn: Vpn, pages: u64) -> bool {
-        let vpn = vpn.index();
-        self.base_vpn < vpn.saturating_add(pages) && vpn < self.base_vpn + self.pages
-    }
-
-    fn reach_bytes(&self) -> u64 {
-        self.pages * PAGE_SIZE
+            prot: entry.prot(),
+        };
+        tlb.discard(Vpn::new(base_vpn), pages);
+        // Extend an adjacent resident range instead of spending a slot,
+        // when the combined run stays within the coalescing limit. After
+        // the discard only the range ending just below and the range
+        // starting just above can be adjacent; the lower slot wins.
+        let below = base_vpn
+            .checked_sub(1)
+            .and_then(|v| tlb.slot_at(Vpn::new(v)));
+        let above = tlb.slot_at(Vpn::new(base_vpn + pages));
+        let merged = [below, above]
+            .into_iter()
+            .flatten()
+            .filter_map(|s| Some((s, tlb.entry(s)?.merge(&range)?)))
+            .min_by_key(|&(s, _)| s);
+        match merged {
+            Some((s, r)) => tlb.replace(s, r),
+            None => {
+                tlb.install(range);
+            }
+        }
     }
 }
 
@@ -221,7 +227,11 @@ mod tests {
             PrivilegeLevel::Supervisor,
         );
         assert_eq!(out, LookupOutcome::Hit(PhysAddr::new(0x1000)));
-        assert_eq!(tlb.last_hit_slot(), 2, "locked slots sit above capacity");
+        assert_eq!(
+            tlb.last_hit_slot(),
+            0,
+            "locked entries take the lowest tokens"
+        );
     }
 
     #[test]
@@ -248,5 +258,44 @@ mod tests {
         let (slot, e2) = tlb.slot_for(Vpn::new(0x12)).expect("covered");
         assert_eq!(e2, e);
         assert!(slot < tlb.capacity());
+    }
+
+    #[test]
+    fn a_fill_between_two_ranges_merges_into_the_lower_slot() {
+        let mut tlb = CoalescedTlb::new(4);
+        fill4k(&mut tlb, 0x13, 0x83, 0x13, 0x83, 1);
+        fill4k(&mut tlb, 0x11, 0x81, 0x11, 0x81, 1);
+        // Both neighbours qualify; slot 0 (the range above) takes it.
+        fill4k(&mut tlb, 0x12, 0x82, 0x12, 0x82, 1);
+        let slot = |vpn| tlb.slot_for(Vpn::new(vpn)).map(|(s, _)| s);
+        assert_eq!(
+            [slot(0x11), slot(0x12), slot(0x13)],
+            [Some(1), Some(0), Some(0)]
+        );
+        assert_eq!(tlb.occupancy(), 2);
+    }
+
+    #[test]
+    fn a_merge_across_a_16mb_boundary_translates_on_both_sides() {
+        let region = PageSize::Size16M.base_pages();
+        let mut tlb = CoalescedTlb::new(4);
+        fill4k(&mut tlb, region - 1, 0x7ff, region - 4, 0x7fc, 4);
+        fill4k(&mut tlb, region, 0x800, region, 0x800, 4);
+        assert_eq!(tlb.occupancy(), 1, "one range of 8 pages");
+        for (vpn, pfn) in [
+            (region - 4, 0x7fc),
+            (region - 1, 0x7ff),
+            (region + 3, 0x803),
+        ] {
+            assert_eq!(
+                read(&mut tlb, vpn * PAGE_SIZE),
+                LookupOutcome::Hit(PhysAddr::new(pfn * PAGE_SIZE))
+            );
+        }
+        assert_eq!(tlb.purge_range(Vpn::new(region + 3), 1), 1);
+        assert_eq!(
+            read(&mut tlb, (region - 4) * PAGE_SIZE),
+            LookupOutcome::Miss
+        );
     }
 }

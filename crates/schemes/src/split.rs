@@ -14,10 +14,8 @@
 //! 64-entry array no matter what. Locked kernel block entries live in
 //! a side list (PA-RISC block-TLB style) and survive every purge.
 
-use mtlb_tlb::{ContigInfo, TlbEntry};
+use mtlb_tlb::{ContigInfo, SlotEntry, SlotTlb, TlbEntry};
 use mtlb_types::{PageSize, Vpn};
-
-use crate::{RivalEntry, RivalTlb, Slot};
 
 /// 4 KB array: 64 entries, 4-way (16 sets).
 const BASE_WAYS: usize = 4;
@@ -52,106 +50,61 @@ fn class_of(size: PageSize) -> Class {
     }
 }
 
+/// Flat slot range `[start, start + ways)` an entry of this size and
+/// base VPN may occupy.
+fn set_range(size: PageSize, vpn_base: Vpn) -> (usize, usize) {
+    let frame = vpn_base.index() / size.base_pages();
+    match class_of(size) {
+        Class::Base => {
+            let set = (frame as usize) % BASE_SETS;
+            (set * BASE_WAYS, BASE_WAYS)
+        }
+        Class::Mid => {
+            let set = (frame as usize) % MID_SETS;
+            (MID_BASE + set * MID_WAYS, MID_WAYS)
+        }
+        Class::Large => (LARGE_BASE, LARGE_ENTRIES),
+    }
+}
+
+/// One entry of the split TLB: a plain 4 KB or superpage entry, kept in
+/// the array of its size class.
+#[derive(Clone, Copy, Debug)]
+pub struct Way(TlbEntry);
+
 /// The split multi-page-size TLB: plain entries on the shared slot
-/// store, flat — 4 KB sets, then mid sets, then the large array — so
-/// slot tokens index the store and locked entries use tokens
-/// `>= TOTAL_ENTRIES`. Geometry is fixed (the point of the scheme); the
-/// `entries` knob other schemes sweep does not apply.
-pub type SplitTlb = RivalTlb<TlbEntry>;
+/// store, flat — 4 KB sets, then mid sets, then the large array.
+/// Geometry is fixed (the point of the scheme); the `entries` knob
+/// other schemes sweep does not apply, so [`SlotTlb::new`] builds these
+/// 104 entries whatever capacity it is given.
+pub type SplitTlb = SlotTlb<Way>;
 
-impl Default for SplitTlb {
-    fn default() -> Self {
-        SplitTlb::new()
-    }
-}
-
-impl SplitTlb {
-    /// Creates an empty split TLB with the fixed 64/32/8 geometry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_capacity(TOTAL_ENTRIES)
-    }
-
-    /// Flat slot range `[start, start + ways)` an entry of this size
-    /// and base VPN may occupy.
-    fn set_range(size: PageSize, vpn_base: Vpn) -> (usize, usize) {
-        let frame = vpn_base.index() / size.base_pages();
-        match class_of(size) {
-            Class::Base => {
-                let set = (frame as usize) % BASE_SETS;
-                (set * BASE_WAYS, BASE_WAYS)
-            }
-            Class::Mid => {
-                let set = (frame as usize) % MID_SETS;
-                (MID_BASE + set * MID_WAYS, MID_WAYS)
-            }
-            Class::Large => (LARGE_BASE, LARGE_ENTRIES),
-        }
-    }
-
-    /// The slot holding an entry of exactly `size` covering `vpn`.
-    fn find_sized(&self, size: PageSize, vpn: Vpn) -> Option<usize> {
-        let base = vpn.align_down_to(size);
-        let (start, ways) = Self::set_range(size, base);
-        (start..start + ways).find(|&i| {
-            self.slots[i]
-                .as_ref()
-                .is_some_and(|s| s.entry.size() == size && s.entry.vpn_base() == base)
-        })
-    }
-
-    /// Victim way within `[start, start + ways)`: first free, else first
-    /// not-recently-used, else reset the set's use bits and take the
-    /// first way.
-    fn pick_way(&mut self, start: usize, ways: usize) -> usize {
-        for i in start..start + ways {
-            if self.slots[i].is_none() {
-                return i;
-            }
-        }
-        for i in start..start + ways {
-            if self.slots[i].as_ref().is_some_and(|s| !s.used) {
-                self.stats.replacements = self.stats.replacements.saturating_add(1);
-                return i;
-            }
-        }
-        self.stats.nru_resets = self.stats.nru_resets.saturating_add(1);
-        for i in start + 1..start + ways {
-            if let Some(s) = self.slots[i].as_mut() {
-                s.used = false;
-            }
-        }
-        self.stats.replacements = self.stats.replacements.saturating_add(1);
-        start
-    }
-}
-
-impl RivalEntry for TlbEntry {
+impl SlotEntry for Way {
     const NAME: &'static str = "split";
+    const FIXED_CAPACITY: Option<usize> = Some(TOTAL_ENTRIES);
 
-    /// Each page size's own set, smallest size first.
-    fn find(tlb: &SplitTlb, vpn: Vpn) -> Option<(usize, TlbEntry)> {
-        let i = PageSize::ALL
-            .iter()
-            .find_map(|&size| tlb.find_sized(size, vpn))?;
-        tlb.slots[i].as_ref().map(|s| (i, s.entry))
+    fn span(&self) -> (Vpn, u64) {
+        self.0.span()
     }
 
-    fn fill(tlb: &mut SplitTlb, entry: TlbEntry, _contig: &ContigInfo) {
-        // Discard overlapping unlocked entries across every array.
-        let pages = entry.size().base_pages();
-        tlb.discard(|e| e.overlaps(entry.vpn_base(), pages));
-        let (start, ways) = SplitTlb::set_range(entry.size(), entry.vpn_base());
-        let way = tlb.pick_way(start, ways);
-        tlb.slots[way] = Some(Slot { entry, used: true });
-    }
-
-    fn overlaps(&self, vpn: Vpn, pages: u64) -> bool {
-        TlbEntry::overlaps(self, vpn, pages)
+    fn at(&self, vpn: Vpn) -> Option<TlbEntry> {
+        self.0.at(vpn)
     }
 
     fn reach_bytes(&self) -> u64 {
-        self.size().bytes()
+        self.0.reach_bytes()
+    }
+
+    /// Discards overlapping entries across every array, then takes a way
+    /// of the entry's own set: the first free one, else the first not
+    /// recently used from the set's first way, else (after clearing the
+    /// set's use bits) the first way.
+    fn fill(tlb: &mut SplitTlb, entry: TlbEntry, _contig: &ContigInfo) {
+        let way = Way(entry);
+        let (base, pages) = way.span();
+        tlb.discard(base, pages);
+        let (start, ways) = set_range(entry.size(), base);
+        tlb.place(way, start..start + ways, start);
     }
 }
 
@@ -173,7 +126,7 @@ mod tests {
 
     #[test]
     fn each_size_class_lands_in_its_own_array() {
-        let mut tlb = SplitTlb::new();
+        let mut tlb = SplitTlb::new(8);
         fill(&mut tlb, 1, 0x10, PageSize::Base4K);
         fill(&mut tlb, 4, 0x80240, PageSize::Size16K);
         fill(&mut tlb, 0x400, 0x400, PageSize::Size1M);
@@ -205,7 +158,7 @@ mod tests {
 
     #[test]
     fn base_array_conflicts_within_one_set() {
-        let mut tlb = SplitTlb::new();
+        let mut tlb = SplitTlb::new(8);
         // Five 4 KB pages mapping to the same set (stride = BASE_SETS
         // pages) overflow the 4 ways; the NRU victim is evicted.
         for i in 0..5u64 {
@@ -228,13 +181,13 @@ mod tests {
 
     #[test]
     fn capacity_is_the_fixed_geometry() {
-        let tlb = SplitTlb::new();
+        let tlb = SplitTlb::new(8);
         assert_eq!(tlb.capacity(), 104);
     }
 
     #[test]
     fn superpage_fill_discards_covered_base_entries() {
-        let mut tlb = SplitTlb::new();
+        let mut tlb = SplitTlb::new(8);
         fill(&mut tlb, 4, 0x80240, PageSize::Base4K);
         fill(&mut tlb, 5, 0x80241, PageSize::Base4K);
         fill(&mut tlb, 4, 0x80240, PageSize::Size16K);
@@ -247,7 +200,7 @@ mod tests {
 
     #[test]
     fn purge_and_locked_semantics() {
-        let mut tlb = SplitTlb::new();
+        let mut tlb = SplitTlb::new(8);
         let block = TlbEntry::new(
             Vpn::new(0),
             Ppn::new(0),
@@ -267,12 +220,16 @@ mod tests {
             PrivilegeLevel::Supervisor,
         );
         assert_eq!(out, LookupOutcome::Hit(PhysAddr::new(0x2000)));
-        assert_eq!(tlb.last_hit_slot(), TOTAL_ENTRIES);
+        assert_eq!(
+            tlb.last_hit_slot(),
+            0,
+            "locked entries take the lowest tokens"
+        );
     }
 
     #[test]
     fn fast_hit_replay_matches_translate_side_effects() {
-        let mut tlb = SplitTlb::new();
+        let mut tlb = SplitTlb::new(8);
         fill(&mut tlb, 7, 0x70, PageSize::Base4K);
         let _ = read(&mut tlb, 0x7000);
         let slot = tlb.last_hit_slot();

@@ -16,10 +16,8 @@
 //! hand, as in the paper's TLB, and locked kernel block entries live in
 //! its side list.
 
-use mtlb_tlb::{ContigInfo, TlbEntry};
+use mtlb_tlb::{ContigInfo, SlotEntry, SlotTlb, TlbEntry};
 use mtlb_types::{PageSize, Ppn, Prot, Vpn, PAGE_SIZE};
-
-use crate::{RivalEntry, RivalTlb, Slot};
 
 /// The region one entry tags.
 const BLOCK: PageSize = PageSize::Size64K;
@@ -63,74 +61,21 @@ impl Mapping {
 /// The complete-subblock TLB: `capacity` fully-associative entries of
 /// one 64 KB block (or one larger superpage) each, on the shared NRU
 /// slot store.
-pub type SubblockTlb = RivalTlb<Mapping>;
+pub type SubblockTlb = SlotTlb<Mapping>;
 
-impl SubblockTlb {
-    /// Creates an empty TLB with `capacity` block entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self::with_capacity(capacity)
-    }
-}
-
-impl RivalEntry for Mapping {
+impl SlotEntry for Mapping {
     const NAME: &'static str = "subblock";
 
-    /// The first slot with a valid translation for `vpn`: a resident
-    /// block whose subblock is invalid does not stop the scan.
-    fn find(tlb: &SubblockTlb, vpn: Vpn) -> Option<(usize, TlbEntry)> {
-        let mut slots = tlb.slots.iter().enumerate();
-        slots.find_map(|(i, s)| Some((i, s.as_ref()?.entry.entry_at(vpn)?)))
-    }
-
-    fn fill(tlb: &mut SubblockTlb, entry: TlbEntry, _contig: &ContigInfo) {
-        let vpn = entry.vpn_base();
-        let pages = entry.size().base_pages();
-        if pages > BLOCK.base_pages() {
-            tlb.discard(|m| m.overlaps(vpn, pages));
-            tlb.install(Mapping::Whole(entry));
-            return;
-        }
-        // The block's own entry takes the fill; an overlapping whole
-        // superpage goes.
-        let base = vpn.align_down_to(BLOCK);
-        let is_block = |m: &Mapping| matches!(m, Mapping::Block { base: b, .. } if *b == base);
-        tlb.discard(|m| m.overlaps(base, BLOCK.base_pages()) && !is_block(m));
-        let resident = tlb
-            .slots
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|s| is_block(&s.entry)));
-        let i = resident.unwrap_or_else(|| {
-            tlb.install(Mapping::Block {
-                base,
-                subs: [None; SUBBLOCKS],
-            })
-        });
-        if let Some(Slot {
-            entry: Mapping::Block { subs, .. },
-            used,
-        }) = &mut tlb.slots[i]
-        {
-            *used = true;
-            let first = vpn.index() - base.index();
-            for k in 0..pages {
-                if let Some(sub) = subs.get_mut((first + k) as usize) {
-                    *sub = Some((Ppn::new(entry.pfn_base().index() + k), entry.prot()));
-                }
-            }
+    /// The block's whole 64 KB tag, valid subblocks or not.
+    fn span(&self) -> (Vpn, u64) {
+        match self {
+            Mapping::Block { base, .. } => (*base, BLOCK.base_pages()),
+            Mapping::Whole(e) => (e.vpn_base(), e.size().base_pages()),
         }
     }
 
-    fn overlaps(&self, vpn: Vpn, pages: u64) -> bool {
-        let (first, len) = match self {
-            Mapping::Block { base, .. } => (base.index(), BLOCK.base_pages()),
-            Mapping::Whole(e) => (e.vpn_base().index(), e.size().base_pages()),
-        };
-        first < vpn.index().saturating_add(pages) && vpn.index() < first + len
+    fn at(&self, vpn: Vpn) -> Option<TlbEntry> {
+        self.entry_at(vpn)
     }
 
     /// Bytes the valid subblocks (or the whole superpage) translate.
@@ -138,6 +83,46 @@ impl RivalEntry for Mapping {
         match self {
             Mapping::Block { subs, .. } => subs.iter().flatten().count() as u64 * PAGE_SIZE,
             Mapping::Whole(e) => e.size().bytes(),
+        }
+    }
+
+    fn fill(tlb: &mut SubblockTlb, entry: TlbEntry, _contig: &ContigInfo) {
+        let vpn = entry.vpn_base();
+        let pages = entry.size().base_pages();
+        if pages > BLOCK.base_pages() {
+            tlb.discard(vpn, pages);
+            tlb.install(Mapping::Whole(entry));
+            return;
+        }
+        // The block's own entry takes the fill; an overlapping whole
+        // superpage goes. Tags never overlap, so the page map names the
+        // resident block, if any.
+        let base = vpn.align_down_to(BLOCK);
+        let resident = tlb.slot_at(base).and_then(|s| match tlb.entry(s) {
+            Some(&block @ Mapping::Block { .. }) => Some((s, block)),
+            _ => None,
+        });
+        let mut block = resident.map_or(
+            Mapping::Block {
+                base,
+                subs: [None; SUBBLOCKS],
+            },
+            |(_, block)| block,
+        );
+        if let Mapping::Block { subs, .. } = &mut block {
+            let first = vpn.index() - base.index();
+            for k in 0..pages {
+                if let Some(sub) = subs.get_mut((first + k) as usize) {
+                    *sub = Some((Ppn::new(entry.pfn_base().index() + k), entry.prot()));
+                }
+            }
+        }
+        match resident {
+            Some((s, _)) => tlb.replace(s, block),
+            None => {
+                tlb.discard(base, BLOCK.base_pages());
+                tlb.install(block);
+            }
         }
     }
 }

@@ -41,30 +41,35 @@ impl TlbEntry {
 
     /// The first virtual page covered.
     #[must_use]
+    #[inline]
     pub fn vpn_base(&self) -> Vpn {
         self.vpn_base
     }
 
     /// The first physical page frame of the mapping.
     #[must_use]
+    #[inline]
     pub fn pfn_base(&self) -> Ppn {
         self.pfn_base
     }
 
     /// The (super)page size.
     #[must_use]
+    #[inline]
     pub fn size(&self) -> PageSize {
         self.size
     }
 
     /// The protection bits (shared by every base page under the entry).
     #[must_use]
+    #[inline]
     pub fn prot(&self) -> Prot {
         self.prot
     }
 
     /// Returns `true` when `vpn` falls inside this entry's virtual range.
     #[must_use]
+    #[inline]
     pub fn covers(&self, vpn: Vpn) -> bool {
         let delta = vpn.index().wrapping_sub(self.vpn_base.index());
         delta < self.size.base_pages()
@@ -79,6 +84,7 @@ impl TlbEntry {
     /// release builds — with cross-core shootdowns in play, a stale
     /// entry is an ordinary hazard, not a programming error.
     #[must_use]
+    #[inline]
     pub fn translate(&self, va: VirtAddr) -> Option<PhysAddr> {
         self.covers(va.vpn())
             .then(|| self.pfn_base.base_addr() + va.offset_in(self.size))

@@ -16,10 +16,14 @@
 //!   performed through the [`PteMemory`] trait so the machine model can
 //!   route PTE reads through the simulated cache — reproducing the §3.5
 //!   observation that CPU TLB refills benefit from cached page tables.
+//! * [`SlotTlb`] — the one slot store behind every translation front
+//!   end: NRU slots, locked entries, an exact page map for O(1) lookup,
+//!   purges and statistics. [`CpuTlb`] is the store over plain
+//!   [`TlbEntry`]s; the rival designs (coalescing, split and
+//!   complete-subblock TLBs) in `mtlb-schemes` are the store over their
+//!   own [`SlotEntry`] types.
 //! * [`TranslationScheme`] — the trait the machine drives every
-//!   translation front end through. [`CpuTlb`] implements it here; the
-//!   rival designs (coalescing, split and complete-subblock TLBs)
-//!   implement it in `mtlb-schemes`.
+//!   translation front end through, implemented once by [`SlotTlb`].
 //!
 //! Nothing in this crate knows about shadow addresses: the TLB maps
 //! virtual pages to *bus* physical pages, which may equally be real DRAM
@@ -29,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use mtlb_tlb::{CpuTlb, LookupOutcome, TlbEntry};
+//! use mtlb_tlb::{CpuTlb, LookupOutcome, TlbEntry, TranslationScheme};
 //! use mtlb_types::{AccessKind, PageSize, PhysAddr, PrivilegeLevel, Ppn, Prot, VirtAddr, Vpn};
 //!
 //! let mut tlb = CpuTlb::new(64);
@@ -69,9 +73,11 @@ mod entry;
 mod hpt;
 mod micro_itlb;
 mod scheme;
+mod store;
 
-pub use cpu_tlb::{CpuTlb, LookupOutcome, TlbStats};
+pub use cpu_tlb::CpuTlb;
 pub use entry::TlbEntry;
 pub use hpt::{HashedPageTable, HptConfig, HptFull, HptLookup, HptStats, Pte, PteMemory};
 pub use micro_itlb::MicroItlb;
 pub use scheme::{ContigInfo, TranslationScheme};
+pub use store::{LookupOutcome, SlotEntry, SlotTlb, TlbStats};

@@ -1,11 +1,13 @@
 //! The pluggable translation-scheme layer.
 //!
-//! The machine model does not talk to [`CpuTlb`] directly: it holds a
-//! `Box<dyn TranslationScheme>` and drives every translation front end —
-//! the paper's fully-associative NRU TLB, and rival designs such as a
-//! coalesced TLB or a multi-page-size split TLB — through this one
-//! trait. The surface is exactly the set of operations the machine and
-//! the kernel already performed on `CpuTlb`, plus two additions rivals
+//! The machine model does not talk to [`CpuTlb`](crate::CpuTlb)
+//! directly: it holds a `Box<dyn TranslationScheme>` and drives every
+//! translation front end — the paper's fully-associative NRU TLB, and
+//! rival designs such as a coalesced TLB or a multi-page-size split
+//! TLB — through this one trait. All of them are the one slot store,
+//! [`SlotTlb`](crate::SlotTlb), over their own entry types, and it
+//! implements the trait once. The surface is the set of operations the
+//! machine and the kernel perform on a TLB, plus two additions rivals
 //! need:
 //!
 //! * [`TranslationScheme::fill`] takes a [`ContigInfo`] describing the
@@ -36,7 +38,7 @@ use core::fmt;
 
 use mtlb_types::{AccessKind, Ppn, PrivilegeLevel, VirtAddr, Vpn};
 
-use crate::{CpuTlb, LookupOutcome, TlbEntry, TlbStats};
+use crate::{LookupOutcome, TlbEntry, TlbStats};
 
 /// Mapping-contiguity metadata handed to [`TranslationScheme::fill`].
 ///
@@ -69,11 +71,11 @@ impl ContigInfo {
 
 /// A complete CPU translation front end.
 ///
-/// Implemented by [`CpuTlb`] (the paper's fully-associative NRU TLB,
-/// the default — bit-identical to the pre-trait machine) and by the
-/// rival designs in the `mtlb-schemes` crate. See the module
-/// documentation for the invalidation contract; see `DESIGN.md` §11
-/// for how to add a scheme.
+/// Implemented once, by the slot store [`SlotTlb`](crate::SlotTlb),
+/// for the paper's fully-associative NRU TLB ([`CpuTlb`](crate::CpuTlb),
+/// the default) and the rival designs in the `mtlb-schemes` crate. See
+/// the module documentation for the invalidation contract; see
+/// `DESIGN.md` §11 for how to add a scheme.
 pub trait TranslationScheme: fmt::Debug + Send {
     /// Short stable identifier (used in experiment tables).
     fn name(&self) -> &'static str;
@@ -160,86 +162,16 @@ pub trait TranslationScheme: fmt::Debug + Send {
     /// answer a cell that differs from a finished run only in capacity,
     /// at least this, with that run. The default (`None`) claims
     /// nothing, so such a scheme is reused only at its own capacity.
-    /// [`CpuTlb::reach_demand`] states the paper TLB's proof.
+    /// The slot store's implementation states its proof.
     fn reach_demand(&self) -> Option<usize> {
         None
-    }
-}
-
-impl TranslationScheme for CpuTlb {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn translate(
-        &mut self,
-        va: VirtAddr,
-        kind: AccessKind,
-        level: PrivilegeLevel,
-    ) -> LookupOutcome {
-        CpuTlb::translate(self, va, kind, level)
-    }
-
-    fn slot_for(&self, vpn: Vpn) -> Option<(usize, TlbEntry)> {
-        self.probe_slot(vpn).map(|(slot, entry)| (slot, *entry))
-    }
-
-    fn last_hit_slot(&self) -> usize {
-        CpuTlb::last_hit_slot(self)
-    }
-
-    fn note_fast_hits(&mut self, slot: usize, n: u64) {
-        CpuTlb::note_fast_hits(self, slot, n);
-    }
-
-    fn fill(&mut self, entry: TlbEntry, _contig: &ContigInfo) {
-        self.insert(entry);
-    }
-
-    fn insert_locked(&mut self, entry: TlbEntry) {
-        CpuTlb::insert_locked(self, entry);
-    }
-
-    fn purge_range(&mut self, vpn: Vpn, pages: u64) -> usize {
-        CpuTlb::purge_range(self, vpn, pages)
-    }
-
-    fn purge_all(&mut self) -> usize {
-        CpuTlb::purge_all(self)
-    }
-
-    fn stats(&self) -> TlbStats {
-        CpuTlb::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        CpuTlb::reset_stats(self);
-    }
-
-    fn capacity(&self) -> usize {
-        CpuTlb::capacity(self)
-    }
-
-    fn occupancy(&self) -> usize {
-        CpuTlb::occupancy(self)
-    }
-
-    fn reach_bytes(&self) -> u64 {
-        self.iter().map(|e| e.size().bytes()).sum()
-    }
-
-    fn generation(&self) -> u64 {
-        CpuTlb::generation(self)
-    }
-
-    fn reach_demand(&self) -> Option<usize> {
-        CpuTlb::reach_demand(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CpuTlb;
     use mtlb_types::{PageSize, PhysAddr, Prot};
 
     fn entry(vpn: u64, ppn: u64) -> TlbEntry {

@@ -4,14 +4,17 @@
 //! The production TLB accelerates lookups with an exact page map (per
 //! 16 MB region, the unlocked slot covering each 4 KB page) plus a side
 //! list of locked slots and an MRU fast path; this test replays random
-//! operation streams — inserts of base pages and superpages up to
-//! 16 MB across several regions, locked block entries, translates at
-//! mixed access kinds and privilege levels (biased toward resident
-//! entries), range and full purges — against both implementations and
-//! demands identical outcomes, MRU slot, statistics, occupancy, entry
-//! order, and NRU victim choice after every single step.
+//! operation streams — up to three locked block entries installed into
+//! the empty TLB first (as boot installs the kernel's), then inserts of
+//! base pages and superpages up to 16 MB across several regions,
+//! translates at mixed access kinds and privilege levels (biased toward
+//! resident entries), range and full purges — against both
+//! implementations and demands identical outcomes, MRU slot,
+//! statistics, occupancy, entry order, and NRU victim choice after
+//! every single step. The reference keeps its locked entries in its
+//! lowest slots, where the paper TLB's kernel block entry sits.
 
-use mtlb_tlb::{CpuTlb, LookupOutcome, TlbEntry};
+use mtlb_tlb::{CpuTlb, LookupOutcome, TlbEntry, TranslationScheme};
 use mtlb_types::{AccessKind, Fault, PageSize, PrivilegeLevel, Prot, VirtAddr, Vpn};
 use proptest::prelude::*;
 
@@ -191,7 +194,6 @@ enum Op {
         ppn: u64,
         size: u8,
         prot: u8,
-        locked: bool,
     },
     PurgeRange {
         vpn: u64,
@@ -300,20 +302,28 @@ fn check_equal(tlb: &CpuTlb, model: &RefTlb, step: usize) {
     let stride = (step as u64 % 37..VPN_SPACE).step_by(37);
     for vpn in edges.chain(stride) {
         assert_eq!(
-            tlb.probe(Vpn::new(vpn)),
+            tlb.entry_for(Vpn::new(vpn)).as_ref(),
             model.probe(Vpn::new(vpn)),
             "probe({vpn}) diverged"
         );
     }
 }
 
-/// Replays `ops` against the production TLB and the reference model,
-/// demanding identical observable state after every step; returns the
-/// production TLB.
-fn run(capacity: usize, ops: Vec<Op>) -> CpuTlb {
+/// Installs the `locked` entries, then replays `ops`, against the
+/// production TLB and the reference model, demanding identical
+/// observable state after every step; returns the production TLB.
+fn run(capacity: usize, locked: &[(u64, u64, u8, u8)], ops: Vec<Op>) -> CpuTlb {
     let mut tlb = CpuTlb::new(capacity);
     let mut model = RefTlb::new(capacity);
-    let mut locked_count = 0usize;
+    // Never let locked entries fill the TLB: a replaceable insert into
+    // an all-locked TLB panics (identically in both implementations,
+    // but it would abort the case).
+    for &(vpn, ppn, size, prot) in locked.iter().take(capacity - 1) {
+        let entry = entry_of(vpn, ppn, size, prot);
+        tlb.insert_locked(entry);
+        model.insert(entry, true);
+        check_equal(&tlb, &model, 0);
+    }
     for (step, op) in ops.into_iter().enumerate() {
         match op {
             Op::Translate {
@@ -340,24 +350,10 @@ fn run(capacity: usize, ops: Vec<Op>) -> CpuTlb {
                 ppn,
                 size,
                 prot,
-                locked,
             } => {
-                // Never let locked entries fill the TLB: a replaceable
-                // insert into an all-locked TLB panics (identically in
-                // both implementations, but it would abort the case).
-                let locked = locked && locked_count + 1 < capacity;
                 let entry = entry_of(vpn, ppn, size, prot);
-                if locked {
-                    // Locked entries overlapping an existing locked one
-                    // would grow past capacity; the production TLB
-                    // allows it, so mirror the count conservatively.
-                    locked_count += 1;
-                    tlb.insert_locked(entry);
-                    model.insert(entry, true);
-                } else {
-                    tlb.insert(entry);
-                    model.insert(entry, false);
-                }
+                tlb.insert(entry);
+                model.insert(entry, false);
             }
             Op::PurgeRange { vpn, pages } => {
                 let vpn = Vpn::new(vpn_of(vpn));
@@ -378,6 +374,10 @@ proptest! {
     #[test]
     fn indexed_tlb_matches_linear_scan_reference(
         capacity in 1usize..24,
+        locked in proptest::collection::vec(
+            (any::<u64>(), any::<u64>(), any::<u8>(), any::<u8>()),
+            0..4,
+        ),
         ops in proptest::collection::vec(prop_oneof![
             6 => (any::<u64>(), any::<u8>(), any::<u8>(), any::<u8>())
                 .prop_map(|(va, kind, level, resident)| Op::Translate {
@@ -386,20 +386,19 @@ proptest! {
                     level,
                     resident: resident % 4 != 0,
                 }),
-            4 => (any::<u64>(), any::<u64>(), any::<u8>(), any::<u8>())
-                .prop_map(|(vpn, ppn, size_prot, locked)| Op::Insert {
+            4 => (any::<u64>(), any::<u64>(), any::<u8>())
+                .prop_map(|(vpn, ppn, size_prot)| Op::Insert {
                     vpn,
                     ppn,
                     size: size_prot & 0x0f,
                     prot: size_prot >> 4,
-                    locked: locked % 8 == 0,
                 }),
             1 => (any::<u64>(), 1u64..64)
                 .prop_map(|(vpn, pages)| Op::PurgeRange { vpn, pages }),
             1 => Just(Op::PurgeAll),
         ], 1..200),
     ) {
-        run(capacity, ops);
+        run(capacity, &locked, ops);
     }
 }
 
@@ -415,7 +414,6 @@ fn superpage_inserts_outside_region_zero_discard_several_entries() {
         ppn: vpn,
         size: PageSize::ALL.iter().position(|&s| s == size).unwrap() as u8,
         prot: 0,
-        locked: false,
     };
     let read = |raw: u64| Op::Translate {
         va: raw,
@@ -442,7 +440,7 @@ fn superpage_inserts_outside_region_zero_discard_several_entries() {
     ops.push(insert(hot(2, 3), PageSize::Base4K));
     // Without the discards the sixteen inserts would overflow the eight
     // slots and force replacements.
-    let tlb = run(8, ops);
+    let tlb = run(8, &[], ops);
     let stats = tlb.stats();
     assert_eq!((stats.hits, stats.misses, stats.replacements), (12, 0, 0));
     assert_eq!(tlb.occupancy(), 1);
