@@ -112,7 +112,7 @@ impl SchemeConfig {
         match self {
             SchemeConfig::Cpu => Box::new(CpuTlb::new(entries)),
             SchemeConfig::Coalesced => Box::new(CoalescedTlb::new(entries)),
-            SchemeConfig::Split => Box::new(SplitTlb::new(entries)),
+            SchemeConfig::Split => Box::new(split::new()),
             SchemeConfig::Subblock => Box::new(SubblockTlb::new(entries)),
         }
     }

@@ -14,7 +14,7 @@
 //! 64-entry array no matter what. Locked kernel block entries live in
 //! a side list (PA-RISC block-TLB style) and survive every purge.
 
-use mtlb_tlb::{ContigInfo, SlotEntry, SlotTlb, TlbEntry};
+use mtlb_tlb::{ContigInfo, SlotEntry, SlotTlb, TlbEntry, TranslationScheme};
 use mtlb_types::{PageSize, Vpn};
 
 /// 4 KB array: 64 entries, 4-way (16 sets).
@@ -75,13 +75,18 @@ pub struct Way(TlbEntry);
 /// The split multi-page-size TLB: plain entries on the shared slot
 /// store, flat — 4 KB sets, then mid sets, then the large array.
 /// Geometry is fixed (the point of the scheme); the `entries` knob
-/// other schemes sweep does not apply, so [`SlotTlb::new`] builds these
-/// 104 entries whatever capacity it is given.
+/// other schemes sweep does not apply, so
+/// [`SchemeConfig::Split`](crate::SchemeConfig::Split) builds it at its
+/// 104 entries.
 pub type SplitTlb = SlotTlb<Way>;
+
+/// An empty split TLB of the fixed geometry.
+pub(crate) fn new() -> SplitTlb {
+    SlotTlb::new(TOTAL_ENTRIES)
+}
 
 impl SlotEntry for Way {
     const NAME: &'static str = "split";
-    const FIXED_CAPACITY: Option<usize> = Some(TOTAL_ENTRIES);
 
     fn span(&self) -> (Vpn, u64) {
         self.0.span()
@@ -100,6 +105,11 @@ impl SlotEntry for Way {
     /// recently used from the set's first way, else (after clearing the
     /// set's use bits) the first way.
     fn fill(tlb: &mut SplitTlb, entry: TlbEntry, _contig: &ContigInfo) {
+        debug_assert_eq!(
+            tlb.capacity(),
+            TOTAL_ENTRIES,
+            "a split TLB is built at its fixed geometry"
+        );
         let way = Way(entry);
         let (base, pages) = way.span();
         tlb.discard(base, pages);
@@ -111,7 +121,7 @@ impl SlotEntry for Way {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtlb_tlb::{LookupOutcome, TranslationScheme};
+    use mtlb_tlb::LookupOutcome;
     use mtlb_types::{AccessKind, PhysAddr, Ppn, PrivilegeLevel, Prot, VirtAddr};
 
     fn fill(tlb: &mut SplitTlb, vpn: u64, ppn: u64, size: PageSize) {
@@ -126,7 +136,7 @@ mod tests {
 
     #[test]
     fn each_size_class_lands_in_its_own_array() {
-        let mut tlb = SplitTlb::new(8);
+        let mut tlb = new();
         fill(&mut tlb, 1, 0x10, PageSize::Base4K);
         fill(&mut tlb, 4, 0x80240, PageSize::Size16K);
         fill(&mut tlb, 0x400, 0x400, PageSize::Size1M);
@@ -158,7 +168,7 @@ mod tests {
 
     #[test]
     fn base_array_conflicts_within_one_set() {
-        let mut tlb = SplitTlb::new(8);
+        let mut tlb = new();
         // Five 4 KB pages mapping to the same set (stride = BASE_SETS
         // pages) overflow the 4 ways; the NRU victim is evicted.
         for i in 0..5u64 {
@@ -181,13 +191,13 @@ mod tests {
 
     #[test]
     fn capacity_is_the_fixed_geometry() {
-        let tlb = SplitTlb::new(8);
+        let tlb = new();
         assert_eq!(tlb.capacity(), 104);
     }
 
     #[test]
     fn superpage_fill_discards_covered_base_entries() {
-        let mut tlb = SplitTlb::new(8);
+        let mut tlb = new();
         fill(&mut tlb, 4, 0x80240, PageSize::Base4K);
         fill(&mut tlb, 5, 0x80241, PageSize::Base4K);
         fill(&mut tlb, 4, 0x80240, PageSize::Size16K);
@@ -200,7 +210,7 @@ mod tests {
 
     #[test]
     fn purge_and_locked_semantics() {
-        let mut tlb = SplitTlb::new(8);
+        let mut tlb = new();
         let block = TlbEntry::new(
             Vpn::new(0),
             Ppn::new(0),
@@ -229,7 +239,7 @@ mod tests {
 
     #[test]
     fn fast_hit_replay_matches_translate_side_effects() {
-        let mut tlb = SplitTlb::new(8);
+        let mut tlb = new();
         fill(&mut tlb, 7, 0x70, PageSize::Base4K);
         let _ = read(&mut tlb, 0x7000);
         let slot = tlb.last_hit_slot();

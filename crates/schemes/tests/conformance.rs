@@ -248,10 +248,21 @@ fn stats_reconcile_with_the_operations_performed() {
 #[test]
 fn generation_bumps_on_content_changes_and_only_those() {
     for scheme in &mut all_schemes() {
+        // Locked entries are installed at boot, into the empty TLB.
         let g0 = scheme.generation();
-        fill4k(scheme.as_mut(), 0x11, 0x210);
+        let block = TlbEntry::new(
+            Vpn::new(0x4000),
+            Ppn::new(0x4000),
+            PageSize::Size16M,
+            Prot::RW | Prot::SUPERVISOR_ONLY,
+        )
+        .expect("aligned");
+        scheme.insert_locked(block);
         let g1 = scheme.generation();
-        assert_ne!(g0, g1, "{}: fill bumps the generation", scheme.name());
+        assert_ne!(g1, g0, "{}: insert_locked bumps", scheme.name());
+        fill4k(scheme.as_mut(), 0x11, 0x210);
+        let g2 = scheme.generation();
+        assert_ne!(g2, g1, "{}: fill bumps the generation", scheme.name());
 
         // Lookups (hit and miss) and fast-hit replays must not bump it.
         assert!(matches!(
@@ -264,23 +275,13 @@ fn generation_bumps_on_content_changes_and_only_those() {
         scheme.reset_stats();
         assert_eq!(
             scheme.generation(),
-            g1,
+            g2,
             "{}: lookups, replays, and stats resets leave the generation alone",
             scheme.name()
         );
 
-        // Every content mutation bumps it, even a purge that removes
-        // nothing — the memo layer treats any purge as invalidating.
-        let block = TlbEntry::new(
-            Vpn::new(0x4000),
-            Ppn::new(0x4000),
-            PageSize::Size16M,
-            Prot::RW | Prot::SUPERVISOR_ONLY,
-        )
-        .expect("aligned");
-        scheme.insert_locked(block);
-        let g2 = scheme.generation();
-        assert_ne!(g2, g1, "{}: insert_locked bumps", scheme.name());
+        // Every purge bumps it, even one that removes nothing — the
+        // memo layer treats any purge as invalidating.
         assert_eq!(scheme.purge_range(Vpn::new(0x77770), 1), 0);
         let g3 = scheme.generation();
         assert_ne!(

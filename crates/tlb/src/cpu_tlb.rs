@@ -253,4 +253,10 @@ mod tests {
         assert_eq!(tlb.stats().lookups(), 3);
         assert!((tlb.stats().miss_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
+
+    #[test]
+    fn display_summarises() {
+        let tlb = CpuTlb::new(4);
+        assert!(tlb.to_string().contains("0/4"));
+    }
 }

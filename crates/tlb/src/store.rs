@@ -186,10 +186,18 @@ pub trait SlotEntry: Copy + fmt::Debug + Send {
     /// slots sit below every replaceable one. Otherwise (the default)
     /// they are a side list beside the capacity, as in a PA-RISC block
     /// TLB, tried before the replaceable slots.
+    ///
+    /// The lookup order rides on the same constant because the two
+    /// orders differ only when a replaceable entry overlaps a locked
+    /// one, and each front end keeps the order it has always had there
+    /// (the reference tests lock overlapping entries and pin both). The
+    /// simulated machine never builds such an overlap: its one locked
+    /// entry maps the kernel's reserved `[0, 16 MB)`, the only fill is
+    /// the miss handler's for a page a lookup missed (so a page above
+    /// it), and every entry a fill makes is aligned within its own size
+    /// (at most 16 MB), its coalescing window or its 64 KB block, so it
+    /// lies wholly above 16 MB too.
     const LOCKED_IN_SLOTS: bool = false;
-    /// A capacity fixed by the design, which [`SlotTlb::new`] uses
-    /// whatever it is asked for (a set-associative geometry).
-    const FIXED_CAPACITY: Option<usize> = None;
 
     /// The first page and page count of the virtual range the entry's
     /// tag covers: what the page map maps to its slot, what a fill
@@ -282,8 +290,7 @@ pub struct SlotTlb<E> {
 }
 
 impl<E: SlotEntry> SlotTlb<E> {
-    /// Creates an empty TLB with room for `capacity` entries (the
-    /// entry type's fixed capacity, if it has one).
+    /// Creates an empty TLB with room for `capacity` entries.
     ///
     /// # Panics
     ///
@@ -291,14 +298,13 @@ impl<E: SlotEntry> SlotTlb<E> {
     /// map stores `slot + 1` in a `u16`).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let capacity = E::FIXED_CAPACITY.unwrap_or(capacity);
         assert!(capacity > 0, "TLB must have at least one entry");
         assert!(
             capacity < usize::from(u16::MAX),
             "TLB capacity {capacity} exceeds the page map's u16::MAX - 1 slots"
         );
         let mut free = vec![u64::MAX; capacity.div_ceil(64)];
-        if capacity % 64 != 0 {
+        if !capacity.is_multiple_of(64) {
             free[capacity / 64] = (1 << (capacity % 64)) - 1;
         }
         SlotTlb {
@@ -595,6 +601,12 @@ impl<E: SlotEntry> TranslationScheme for SlotTlb<E> {
     /// lowest `L` slots: the same lowest-free order, the same hand order
     /// over the `C - L` others, and the locked entries still win
     /// lookups.
+    ///
+    /// # Panics
+    ///
+    /// When locked entries are slots of the capacity: panics if a
+    /// replaceable entry is resident (its slot would be lost uncounted)
+    /// or no replaceable slot is left to lock.
     #[expect(
         clippy::panic,
         reason = "Documented contract: locking every entry then inserting is a configuration error (paper's locked block entries are a bounded handful)."
@@ -602,13 +614,16 @@ impl<E: SlotEntry> TranslationScheme for SlotTlb<E> {
     fn insert_locked(&mut self, entry: TlbEntry) {
         self.generation = self.generation.wrapping_add(1);
         if E::LOCKED_IN_SLOTS {
+            assert_eq!(
+                self.resident, 0,
+                "locked entries are installed into an empty TLB"
+            );
             let Some(last) = self.slots.len().checked_sub(1) else {
                 panic!(
                     "TLB has no unlocked entry to replace (all {} locked)",
                     self.locked.len()
                 );
             };
-            self.vacate(last);
             self.slots.pop();
             self.free[last / 64] &= !(1 << (last % 64));
             if self.hand >= last {
@@ -672,10 +687,25 @@ impl<E: SlotEntry> TranslationScheme for SlotTlb<E> {
     /// `last_hit_slot`, the statistics, the page map, `reach_bytes` and
     /// so everything the machine derives from them are therefore the
     /// same at every capacity at or above the peak, and a run at one
-    /// such capacity *is* the run at any other. (A fixed-capacity front
-    /// end is the same front end at every requested capacity anyway.)
+    /// such capacity *is* the run at any other. (The split TLB is built
+    /// at its fixed geometry whatever capacity a sweep asks for, so it is
+    /// the same front end at every requested capacity anyway.)
     fn reach_demand(&self) -> Option<usize> {
         (!self.evicted).then_some(self.peak + self.locked_slots())
+    }
+}
+
+impl<E: SlotEntry> fmt::Display for SlotTlb<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} TLB ({}/{} entries, {} hits, {} misses)",
+            E::NAME,
+            self.occupancy(),
+            self.capacity(),
+            self.stats.hits,
+            self.stats.misses
+        )
     }
 }
 
@@ -769,5 +799,13 @@ mod tests {
         // Tokens: the locked entry first, then the replaceable slots.
         assert_eq!(tlb.slot_for(Vpn::new(100)).map(|(t, _)| t), Some(0));
         assert_eq!(tlb.slot_for(Vpn::new(3)).map(|(t, _)| t), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "installed into an empty TLB")]
+    fn a_locked_slot_is_never_taken_from_a_resident_entry() {
+        let mut tlb = CpuTlb::new(3);
+        tlb.insert(entry(1, 1));
+        tlb.insert_locked(entry(100, 100));
     }
 }
