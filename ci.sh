@@ -65,8 +65,25 @@ echo "== served == simulated (repro all: result cache on vs --trace, which bypas
 # never evicted, at any capacity that holds its peak; `--trace`
 # simulates every job. Its stdout must be byte-identical to the served
 # `--jobs 1` stdout above (which the step above ties to `--jobs 4`).
-./target/release/repro all --test-scale --trace > "$DET_DIR/all_simulated" 2>/dev/null
+# The diff is vacuous unless the traced run really simulated: its
+# stderr must name no serving run and carry one `[trace]` line per
+# `[job]` line.
+./target/release/repro all --test-scale --trace > "$DET_DIR/all_simulated" \
+  2> "$DET_DIR/all_simulated_err"
 diff "$DET_DIR/all_j1" "$DET_DIR/all_simulated"
+if grep -q 'served by' "$DET_DIR/all_simulated_err"; then
+  echo "repro --trace served a job from the result cache" >&2
+  exit 1
+fi
+line_labels() {
+  sed -n "s/^$1 \([^:]*\):.*/\1/p" "$2" | sort
+}
+diff <(line_labels '\[job\]' "$DET_DIR/all_simulated_err") \
+  <(line_labels '\[trace\]' "$DET_DIR/all_simulated_err")
+if ! grep -q '^\[job\]' "$DET_DIR/all_simulated_err"; then
+  echo "repro --trace printed no [job] line" >&2
+  exit 1
+fi
 
 echo "== multi-core determinism (fig6 jobs-invariant)"
 # The fig6 co-scheduling tables must not depend on how many job threads

@@ -8,17 +8,18 @@
 //! ```
 //!
 //! With `--test-scale` the workloads run at reduced sizes (seconds);
-//! without it they run at the paper's §3.1 sizes (two to three minutes
-//! in total at `--jobs 1`; EXPERIMENTS.md has the measured split).
+//! without it they run at the paper's §3.1 sizes (EXPERIMENTS.md has
+//! the measured wall time and its split).
 //! `--csv-dir` additionally writes each table as a CSV file.
 //! `--json-dir` writes one machine-readable JSON report per simulated
 //! experiment row (Figures 3, 4, 5 and 6) — the full [`RunReport`]
 //! including time buckets, every component's counters, the front ends'
 //! reach and the log-bucketed fill-latency and TLB-miss-interval
-//! histograms. `--trace` attaches a ring-buffer event trace to every
-//! `JobSpec` sweep's simulation (fig3, fig4, fig5, fig6, the ablations
-//! and the §5 subblock table) and prints a per-job cycle-attribution
-//! summary on stderr; the hand-driven experiments are not traced.
+//! histograms. `--trace` simulates every job of the `JobSpec` sweeps
+//! (fig3, fig4, fig5, fig6, the ablations and the §5 subblock table),
+//! bypassing the result cache, and prints each job's time buckets as a
+//! `[trace]` line on stderr; they sum to its `[job]` line's simulated
+//! cycles. The hand-driven experiments print no `[trace]` line.
 //!
 //! The sweeps are sets of independent simulations; `--jobs N` runs them
 //! on N OS threads (default: the host's available parallelism; `--jobs

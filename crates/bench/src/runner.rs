@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use mtlb_sim::{Bucket, Machine, MachineConfig, RingTrace, RunReport};
+use mtlb_sim::{Machine, MachineConfig, RunReport};
 use mtlb_trace::corun_with;
 use mtlb_workloads::{Outcome, Scale};
 
@@ -252,10 +252,10 @@ impl Runner {
         self
     }
 
-    /// Attaches a [`RingTrace`] sink to every simulated machine and
-    /// prints a per-job cycle-attribution summary (events seen, cycles
-    /// per bucket) on stderr when the job completes. Stdout — and the
-    /// simulated cycle counts themselves — are unaffected.
+    /// Simulates every job, bypassing the result cache, and prints each
+    /// job's own [`RunReport`] buckets on stderr when it completes; they
+    /// sum to the job's simulated cycles. Stdout — and the simulated
+    /// cycle counts themselves — are unaffected.
     #[must_use]
     pub fn with_trace(mut self, on: bool) -> Self {
         self.trace = on;
@@ -323,10 +323,20 @@ impl Runner {
     /// simulated otherwise ([`ResultCache`]). The label is the serving
     /// run's job, when that is another job.
     fn simulate(&self, spec: &JobSpec) -> (Outcome, RunReport, Option<String>) {
-        // Trace mode bypasses the cache so every job still prints its
-        // own cycle-attribution summary.
+        // Trace mode bypasses the cache so every job prints the
+        // buckets of its own run.
         if self.trace {
             let run = self.live(spec);
+            let b = run.report.buckets;
+            eprintln!(
+                "[trace] {}: cycles by bucket: user {}, tlb-miss {}, mem-stall {}, kernel {}, fault {}",
+                spec.label,
+                b.user.get(),
+                b.tlb_miss.get(),
+                b.mem_stall.get(),
+                b.kernel.get(),
+                b.fault.get()
+            );
             return (run.outcome, run.report, None);
         }
         let key = class_key(spec);
@@ -349,13 +359,9 @@ impl Runner {
     }
 
     /// Runs `spec` live on a fresh machine — as instance 0 of a
-    /// [`corun_live`] when `spec` is a co-run — with a [`RingTrace`]
-    /// attached and its summary printed when `--trace` is on.
+    /// [`corun_live`] when `spec` is a co-run.
     fn live(&self, spec: &JobSpec) -> Run {
         let mut machine = Machine::new(spec.cfg.clone());
-        if self.trace {
-            machine.set_trace_sink(Box::new(RingTrace::new(1024)));
-        }
         let mut workload = workload_by_name(spec.workload, spec.scale);
         let outcome = if spec.instances > 1 {
             corun_live(&spec.label, &mut machine, spec.instances, |m| {
@@ -365,32 +371,12 @@ impl Runner {
             workload.run(&mut machine)
         };
         let report = machine.report();
-        self.trace_summary(&spec.label, &mut machine);
         Run {
             label: spec.label.clone(),
             capacity: spec.cfg.cpu_tlb_entries,
             outcome,
             report,
             demand: machine.tlb_reach_demand(),
-        }
-    }
-
-    /// Prints the per-job cycle-attribution summary when `--trace` is
-    /// on.
-    fn trace_summary(&self, label: &str, machine: &mut Machine) {
-        if let Some(sink) = machine.take_trace_sink() {
-            if let Some(ring) = sink.as_any().downcast_ref::<RingTrace>() {
-                let per_bucket: Vec<String> = Bucket::ALL
-                    .iter()
-                    .map(|&b| format!("{} {}", b.name(), ring.bucket_cycles(b).get()))
-                    .collect();
-                eprintln!(
-                    "[trace] {label}: {} events ({} retained), cycles by bucket: {}",
-                    ring.events(),
-                    ring.records().count(),
-                    per_bucket.join(", ")
-                );
-            }
         }
     }
 

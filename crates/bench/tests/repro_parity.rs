@@ -74,8 +74,25 @@ fn stderr_labels<'a>(stderr: &'a str, prefix: &str) -> Vec<&'a str> {
         .collect()
 }
 
+/// The numbers of the `prefix` lines on stderr that follow `marker`,
+/// e.g. every bucket value of a `[trace]` line.
+fn stderr_numbers(stderr: &str, prefix: &str, marker: &str) -> Vec<Vec<u64>> {
+    stderr
+        .lines()
+        .filter(|l| l.starts_with(prefix))
+        .map(|l| {
+            let (_, tail) = l.split_once(marker).expect("marker on the line");
+            tail.split(|c: char| !c.is_ascii_digit())
+                .filter(|n| !n.is_empty())
+                .map(|n| n.parse().expect("a number"))
+                .collect()
+        })
+        .collect()
+}
+
 /// `experiment`'s cells are runner jobs, so `--trace` covers them: one
-/// cycle-attribution summary per job, in job order, `jobs` of them.
+/// cycle-attribution summary per job, in job order, `jobs` of them,
+/// whose five buckets sum to that job's simulated cycles.
 fn trace_prints_one_summary_per_job(experiment: &str, jobs: usize) {
     let out = repro_output(&[experiment, "--test-scale", "--trace", "--jobs", "1"]);
     assert!(out.status.success(), "repro {experiment} --trace failed");
@@ -83,6 +100,16 @@ fn trace_prints_one_summary_per_job(experiment: &str, jobs: usize) {
     let traced = stderr_labels(&stderr, "[trace] ");
     assert_eq!(traced.len(), jobs, "{stderr}");
     assert_eq!(traced, stderr_labels(&stderr, "[job] "));
+    let buckets = stderr_numbers(&stderr, "[trace] ", "cycles by bucket: ");
+    let cycles = stderr_numbers(&stderr, "[job] ", " wall, ");
+    for ((label, b), c) in traced.iter().zip(&buckets).zip(&cycles) {
+        assert_eq!(b.len(), 5, "{label}: five buckets");
+        assert_eq!(
+            b.iter().sum::<u64>(),
+            c[0],
+            "{label}: the [trace] buckets must sum to the [job] cycles"
+        );
+    }
 }
 
 /// 5 workloads x (reference + 10 cells).

@@ -859,7 +859,7 @@ impl Kernel {
         assert!(len > 0, "map_region of zero bytes");
         assert!(
             start.get() >= self.layout.reserved_bytes,
-            "user mappings must lie above the locked kernel block window              (first {} bytes)",
+            "user mappings must lie above the locked kernel block window (first {} bytes)",
             self.layout.reserved_bytes
         );
         let pages = len.div_ceil(PAGE_SIZE);
@@ -1769,6 +1769,15 @@ mod tests {
         });
         // The entry is now in the TLB.
         assert!(r.tlb.entry_for(base.vpn()).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel block window (first 16777216 bytes)")]
+    fn map_region_below_the_kernel_reservation_panics() {
+        let mut r = rig();
+        r.with(|k, ctx| {
+            k.map_region(ctx, VirtAddr::new(0x10_0000), PAGE_SIZE, Prot::RW);
+        });
     }
 
     #[test]

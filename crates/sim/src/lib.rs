@@ -55,11 +55,9 @@ mod machine;
 pub mod ops;
 mod report;
 mod scalar;
-pub mod trace;
 
 pub use config::MachineConfig;
 pub use machine::Machine;
 pub use ops::{MachineOp, OpSink, VecOpSink};
 pub use report::{CoreStats, RunReport, TimeBuckets};
 pub use scalar::Scalar;
-pub use trace::{Bucket, RingTrace, TraceEvent, TraceRecord, TraceSink};

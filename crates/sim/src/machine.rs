@@ -13,8 +13,7 @@ use mtlb_types::{
 use crate::ops::{MachineOp, OpSink};
 #[cfg(debug_assertions)]
 use crate::report::TimeBuckets;
-use crate::report::{CoreStats, RunReport};
-use crate::trace::{Bucket, Ledger, TraceEvent, TraceSink};
+use crate::report::{Bucket, CoreStats, Ledger, RunReport};
 use crate::{MachineConfig, Scalar};
 
 /// Builds a [`KernelCtx`] from the machine's fields without borrowing
@@ -103,8 +102,7 @@ pub struct Machine {
     mmc: Mmc,
     mem: GuestMemory,
     kernel: Kernel,
-    /// Time buckets and the optional event trace: every simulated
-    /// cycle is charged through it.
+    /// Time buckets: every simulated cycle is charged through it.
     ledger: Ledger,
     /// Kernel counters at construction / last [`reset_stats`]
     /// (`Machine::reset_stats`), so the attribution auditor can compare
@@ -268,17 +266,13 @@ impl Machine {
             contention_cycles: Cycles::ZERO,
         };
         let boot = m.kernel.boot(&mut kctx!(m));
-        m.ledger.charge(Bucket::Kernel, boot, || TraceEvent::Boot);
+        m.ledger.charge(Bucket::Kernel, boot);
         // A minimal text page so `try_execute` works before
         // `load_program`.
         let c = m
             .kernel
             .map_region(&mut kctx!(m), UserLayout::TEXT_BASE, PAGE_SIZE, Prot::RX);
-        m.ledger
-            .charge(Bucket::Kernel, c, || TraceEvent::MapRegion {
-                start: UserLayout::TEXT_BASE,
-                len: PAGE_SIZE,
-            });
+        m.ledger.charge(Bucket::Kernel, c);
         // Secondary front ends: fresh TLB (pinning the same locked
         // kernel block entry boot installed on core 0), micro-ITLB and
         // L1 cache, all starting on process 0. Boot is charged once —
@@ -373,32 +367,23 @@ impl Machine {
         }
         let n = requests.len() as u64;
         let c = self.kernel.note_shootdown(n, remote_cores);
-        self.ledger
-            .charge(Bucket::Kernel, c, || TraceEvent::Shootdown {
-                requests: n,
-                remote_cores,
-            });
+        self.ledger.charge(Bucket::Kernel, c);
     }
 
     /// The epilogue of every kernel entry: translation memos die, the
     /// entry's cycles land in `bucket`, and the page flushes and
     /// shootdowns it queued reach the other cores before the machine
     /// runs user code again.
-    fn kernel_exit(&mut self, bucket: Bucket, cycles: Cycles, event: impl FnOnce() -> TraceEvent) {
+    fn kernel_exit(&mut self, bucket: Bucket, cycles: Cycles) {
         self.invalidate_memos();
-        self.kernel_return(bucket, cycles, event);
+        self.kernel_return(bucket, cycles);
     }
 
     /// [`kernel_exit`](Machine::kernel_exit) for a kernel entry that
     /// changed no translation, protection, residency or TLB entry: the
     /// translation memos stay valid.
-    fn kernel_return(
-        &mut self,
-        bucket: Bucket,
-        cycles: Cycles,
-        event: impl FnOnce() -> TraceEvent,
-    ) {
-        self.ledger.charge(bucket, cycles, event);
+    fn kernel_return(&mut self, bucket: Bucket, cycles: Cycles) {
+        self.ledger.charge(bucket, cycles);
         let active = self.active;
         for (vpn, pfn) in self.kernel.drain_flushed_pages() {
             for (i, core) in self.cores.iter_mut().enumerate() {
@@ -428,19 +413,7 @@ impl Machine {
         self.contention_events = self.contention_events.saturating_add(1);
         self.contention_cycles += self.cfg.bus_arbitration;
         self.ledger
-            .charge(Bucket::MemStall, self.cfg.bus_arbitration, || {
-                TraceEvent::MtlbContention { core: core as u64 }
-            });
-    }
-
-    /// Attaches a trace sink; subsequent charges are recorded into it.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.ledger.set_sink(sink);
-    }
-
-    /// Detaches and returns the trace sink, if one was attached.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.ledger.take_sink()
+            .charge(Bucket::MemStall, self.cfg.bus_arbitration);
     }
 
     /// Mirrors one public-API operation to the attached op sink (if
@@ -656,17 +629,10 @@ impl Machine {
         let c = self
             .kernel
             .map_region(&mut kctx!(self), base, len, Prot::RX);
-        self.kernel_exit(Bucket::Kernel, c, || TraceEvent::MapRegion {
-            start: base,
-            len,
-        });
+        self.kernel_exit(Bucket::Kernel, c);
         if remap_text {
             let rep = self.kernel.remap(&mut kctx!(self), base, len);
-            self.kernel_exit(Bucket::Kernel, rep.total_cycles(), || TraceEvent::Remap {
-                start: base,
-                len,
-                superpages: rep.superpages.len() as u64,
-            });
+            self.kernel_exit(Bucket::Kernel, rep.total_cycles());
         }
         let core = self.core_mut();
         core.code_base = base;
@@ -706,10 +672,7 @@ impl Machine {
     /// for internal callers (the batch engine), so a recorded stream
     /// operation replays as one op rather than one op per item.
     fn execute_inner(&mut self, n: u64) -> Result<(), Fault> {
-        self.ledger
-            .charge(Bucket::User, Cycles::new(n), || TraceEvent::Execute {
-                instructions: n,
-            });
+        self.ledger.charge(Bucket::User, Cycles::new(n));
         // One lookup of the active core serves the whole call unless a
         // fetch misses the micro-ITLB.
         let mut core = self.core_mut();
@@ -762,7 +725,7 @@ impl Machine {
                 // may auto-promote a region, shooting down the remapped
                 // range on the other cores.
                 let (entry, c) = self.kernel.handle_tlb_miss(&mut kctx!(self), va)?;
-                self.kernel_exit(Bucket::TlbMiss, c, || TraceEvent::ItlbMiss { va });
+                self.kernel_exit(Bucket::TlbMiss, c);
                 self.core_mut().itlb.refill(entry);
                 Ok(())
             }
@@ -783,7 +746,7 @@ impl Machine {
                 LookupOutcome::Miss => {
                     self.note_tlb_miss();
                     let (_, c) = self.kernel.handle_tlb_miss(&mut kctx!(self), va)?;
-                    self.kernel_exit(Bucket::TlbMiss, c, || TraceEvent::TlbMiss { va });
+                    self.kernel_exit(Bucket::TlbMiss, c);
                 }
                 LookupOutcome::Fault(f) => return Err(f),
             }
@@ -795,13 +758,9 @@ impl Machine {
     /// outcome of the active core's [`cache_probe`](CoreState::cache_probe)
     /// for this access — taken by the caller, which already holds the
     /// core, so the hit path looks the active core up once.
-    fn cached_access(&mut self, va: VirtAddr, pa: PhysAddr, write: bool, probe: AccessResult) {
+    fn cached_access(&mut self, va: VirtAddr, pa: PhysAddr, probe: AccessResult) {
         // Single-cycle cache pipeline, hit or miss.
-        self.ledger
-            .charge(Bucket::User, Cycles::new(1), || TraceEvent::CacheAccess {
-                va,
-                write,
-            });
+        self.ledger.charge(Bucket::User, Cycles::new(1));
         let AccessResult::Miss { fill, writeback } = probe else {
             return;
         };
@@ -822,7 +781,6 @@ impl Machine {
             self.ledger.charge(
                 Bucket::MemStall,
                 self.cfg.ratio.device_to_cpu(resp.mmc_cycles),
-                || TraceEvent::CacheWriteback { pa: victim },
             );
         }
         let op = match fill {
@@ -835,7 +793,6 @@ impl Machine {
                     self.ledger.charge(
                         Bucket::MemStall,
                         self.cfg.ratio.device_to_cpu(resp.mmc_cycles),
-                        || TraceEvent::CacheFill { pa },
                     );
                     return;
                 }
@@ -847,8 +804,7 @@ impl Machine {
                         // Per-base-page swap-in needs no shootdown
                         // (residency is checked at the shared MMC), but
                         // the exit drains anything the service queued.
-                        Ok(c) => self
-                            .kernel_exit(Bucket::Fault, c, || TraceEvent::ShadowFault { shadow }),
+                        Ok(c) => self.kernel_exit(Bucket::Fault, c),
                         #[expect(
                             clippy::panic,
                             reason = "Harness boundary: the kernel services every shadow fault it raised; failure means the swap state is corrupt."
@@ -923,7 +879,7 @@ impl Machine {
         let tlb_gen = core.tlb.generation();
         let probe = core.cache_probe(va, pa, write);
         let gen = self.memo_gen;
-        self.cached_access(va, pa, write, probe);
+        self.cached_access(va, pa, probe);
         let real = self.functional_addr(pa);
         if self.fast_paths && gen == self.memo_gen {
             // Nothing invalidated during the access, so the slot, the
@@ -993,7 +949,7 @@ impl Machine {
             "access memo diverged from the TLB"
         );
         let probe = core.cache_probe(va, pa, write);
-        self.cached_access(va, pa, write, probe);
+        self.cached_access(va, pa, probe);
         if mo.gen == self.memo_gen {
             return Some((pa, mo.real_page + off));
         }
@@ -1110,9 +1066,8 @@ impl Machine {
     /// page without wrapping — and replays that run in bulk: data moves
     /// through the real-address anchors, hit counters and NRU/MRU bits
     /// advance exactly as `k` slow iterations would have advanced them,
-    /// and one summed [`TraceEvent::BatchedRun`] charge lands in the
-    /// user bucket where the slow path would have made `k × (lanes +
-    /// instr)` single-cycle charges.
+    /// and one summed charge lands in the user bucket where the slow
+    /// path would have made `k × (lanes + instr)` single-cycle charges.
     ///
     /// `io` is invoked once per item per lane (item-major, lane-minor,
     /// matching the scalar order) with the guest memory, the lane index
@@ -1281,13 +1236,7 @@ impl Machine {
             let accesses = k * lanes.len() as u64;
             let instructions = k * instr;
             self.ledger
-                .charge(Bucket::User, Cycles::new(accesses + instructions), || {
-                    TraceEvent::BatchedRun {
-                        items: k,
-                        accesses,
-                        instructions,
-                    }
-                });
+                .charge(Bucket::User, Cycles::new(accesses + instructions));
             i += k;
         }
         Ok(())
@@ -1499,7 +1448,7 @@ impl Machine {
     pub fn map_region(&mut self, start: VirtAddr, len: u64, prot: Prot) {
         self.record_op(|| MachineOp::MapRegion { start, len, prot });
         let c = self.kernel.map_region(&mut kctx!(self), start, len, prot);
-        self.kernel_exit(Bucket::Kernel, c, || TraceEvent::MapRegion { start, len });
+        self.kernel_exit(Bucket::Kernel, c);
     }
 
     /// The `remap()` syscall: promotes the region to shadow-backed
@@ -1507,11 +1456,7 @@ impl Machine {
     pub fn remap(&mut self, start: VirtAddr, len: u64) -> RemapReport {
         self.record_op(|| MachineOp::Remap { start, len });
         let rep = self.kernel.remap(&mut kctx!(self), start, len);
-        self.kernel_exit(Bucket::Kernel, rep.total_cycles(), || TraceEvent::Remap {
-            start,
-            len,
-            superpages: rep.superpages.len() as u64,
-        });
+        self.kernel_exit(Bucket::Kernel, rep.total_cycles());
         rep
     }
 
@@ -1520,12 +1465,11 @@ impl Machine {
         self.record_op(|| MachineOp::Sbrk { increment });
         let grows = !self.kernel.sbrk_fits(increment);
         let (old, c) = self.kernel.sbrk(&mut kctx!(self), increment);
-        let event = || TraceEvent::Sbrk { increment };
         if grows {
-            self.kernel_exit(Bucket::Kernel, c, event);
+            self.kernel_exit(Bucket::Kernel, c);
         } else {
             // Only the break moved: the memos outlive the call.
-            self.kernel_return(Bucket::Kernel, c, event);
+            self.kernel_return(Bucket::Kernel, c);
         }
         old
     }
@@ -1535,11 +1479,7 @@ impl Machine {
     pub fn swap_out_superpage(&mut self, vpn: Vpn) -> SwapOutReport {
         self.record_op(|| MachineOp::SwapOutSuperpage { vpn });
         let rep = self.kernel.swap_out_superpage(&mut kctx!(self), vpn);
-        self.kernel_exit(Bucket::Kernel, rep.cycles, || {
-            TraceEvent::SwapOutSuperpage {
-                pages_written: rep.pages_written,
-            }
-        });
+        self.kernel_exit(Bucket::Kernel, rep.cycles);
         rep
     }
 
@@ -1547,7 +1487,7 @@ impl Machine {
     pub fn demote_superpage(&mut self, vpn: Vpn) {
         self.record_op(|| MachineOp::DemoteSuperpage { vpn });
         let c = self.kernel.demote_superpage(&mut kctx!(self), vpn);
-        self.kernel_exit(Bucket::Kernel, c, || TraceEvent::Demote);
+        self.kernel_exit(Bucket::Kernel, c);
     }
 
     /// Reads the per-base-page referenced/dirty bits of the superpage
@@ -1579,9 +1519,7 @@ impl Machine {
     pub fn try_switch_process(&mut self, pid: usize) -> Result<(), Fault> {
         self.record_op(|| MachineOp::SwitchProcess { pid: pid as u64 });
         let c = self.kernel.switch_process(&mut kctx!(self), pid)?;
-        self.kernel_exit(Bucket::Kernel, c, || TraceEvent::ContextSwitch {
-            pid: pid as u64,
-        });
+        self.kernel_exit(Bucket::Kernel, c);
         Ok(())
     }
 
@@ -1628,7 +1566,7 @@ impl Machine {
     pub fn recolor_page(&mut self, vpn: Vpn, color: u64) {
         self.record_op(|| MachineOp::RecolorPage { vpn, color });
         let c = self.kernel.recolor_page(&mut kctx!(self), vpn, color);
-        self.kernel_exit(Bucket::Kernel, c, || TraceEvent::Recolor);
+        self.kernel_exit(Bucket::Kernel, c);
     }
 
     /// Resets all statistics and timing buckets (e.g. after warmup),

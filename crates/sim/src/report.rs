@@ -35,6 +35,60 @@ impl TimeBuckets {
     }
 }
 
+/// The bucket a charge lands in: one variant per field of
+/// [`TimeBuckets`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Bucket {
+    User,
+    TlbMiss,
+    MemStall,
+    Kernel,
+    Fault,
+}
+
+/// The machine's cycle ledger.
+///
+/// Its buckets are private to this module, so [`charge`](Ledger::charge)
+/// is the only way a simulated cycle enters a bucket. That is what makes
+/// the debug attribution audit exact: a bucket write anywhere else does
+/// not compile.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    buckets: TimeBuckets,
+}
+
+impl Ledger {
+    /// Adds `cycles` to `bucket`.
+    #[inline]
+    pub(crate) fn charge(&mut self, bucket: Bucket, cycles: Cycles) {
+        let b = &mut self.buckets;
+        match bucket {
+            Bucket::User => b.user += cycles,
+            Bucket::TlbMiss => b.tlb_miss += cycles,
+            Bucket::MemStall => b.mem_stall += cycles,
+            Bucket::Kernel => b.kernel += cycles,
+            Bucket::Fault => b.fault += cycles,
+        }
+    }
+
+    /// Total cycles charged since construction or the last
+    /// [`reset`](Ledger::reset).
+    #[inline]
+    pub(crate) fn total(&self) -> Cycles {
+        self.buckets.total()
+    }
+
+    /// The buckets as they stand.
+    pub(crate) fn buckets(&self) -> TimeBuckets {
+        self.buckets
+    }
+
+    /// Zeroes every bucket.
+    pub(crate) fn reset(&mut self) {
+        self.buckets = TimeBuckets::default();
+    }
+}
+
 /// One CPU front end's private counters (its CPU TLB, micro-ITLB, L1
 /// data cache, and retired-operation counts). [`RunReport`] carries the
 /// across-core merge of these;

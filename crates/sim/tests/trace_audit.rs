@@ -1,137 +1,14 @@
-//! Trace/attribution integration tests.
-//!
-//! Two claims the observability layer makes are checked here end to end:
-//!
-//! 1. **Trace completeness** (property test): for arbitrary op streams,
-//!    the per-bucket cycle sums reconstructed from the event trace alone
-//!    equal the machine's `TimeBuckets` — every charged cycle is traced
-//!    exactly once. Each `report()` call along the way also runs the
-//!    debug-build attribution auditor.
-//! 2. **Misaligned fault semantics**: a misaligned scalar straddling a
-//!    page boundary commits each aligned half immediately after its own
-//!    access, so a shadow fault on the second half that evicts the first
-//!    half's frame (CLOCK under memory pressure) neither re-runs nor
-//!    half-commits the first access.
+//! Misaligned fault semantics, end to end: a misaligned scalar
+//! straddling a page boundary commits each aligned half immediately
+//! after its own access, so a shadow fault on the second half that
+//! evicts the first half's frame (CLOCK under memory pressure) neither
+//! re-runs nor half-commits the first access. Each `report()` call also
+//! runs the debug-build attribution auditor.
 
-use mtlb_sim::{Bucket, Machine, MachineConfig, RingTrace};
+use mtlb_sim::{Machine, MachineConfig};
 use mtlb_types::{Cycles, Prot, VirtAddr};
-use proptest::prelude::*;
 
-const REGION: u64 = 64 * 1024;
 const BASE: VirtAddr = VirtAddr::new(0x1000_0000);
-
-#[derive(Clone, Debug)]
-enum Op {
-    Execute(u64),
-    Read8(u64),
-    Write8(u64, u8),
-    Read16(u64),
-    Read32(u64),
-    Write32(u64, u32),
-    Read64(u64),
-    Sbrk(u64),
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let off = 0u64..(REGION - 8);
-    prop_oneof![
-        2 => (1u64..200).prop_map(Op::Execute),
-        2 => off.clone().prop_map(Op::Read8),
-        2 => (off.clone(), any::<u8>()).prop_map(|(o, v)| Op::Write8(o, v)),
-        // Arbitrary offsets: roughly half of these are misaligned and
-        // take the two-access path.
-        1 => off.clone().prop_map(Op::Read16),
-        2 => off.clone().prop_map(Op::Read32),
-        2 => (off.clone(), any::<u32>()).prop_map(|(o, v)| Op::Write32(o, v)),
-        1 => off.prop_map(Op::Read64),
-        1 => (1u64..3).prop_map(|n| Op::Sbrk(n * 4096)),
-    ]
-}
-
-fn apply(m: &mut Machine, op: &Op) {
-    match *op {
-        Op::Execute(n) => m.try_execute(n).unwrap(),
-        Op::Read8(o) => {
-            let _ = m.try_read::<u8>(BASE + o).unwrap();
-        }
-        Op::Write8(o, v) => m.try_write::<u8>(BASE + o, v).unwrap(),
-        Op::Read16(o) => {
-            let _ = m.try_read::<u16>(BASE + o).unwrap();
-        }
-        Op::Read32(o) => {
-            let _ = m.try_read::<u32>(BASE + o).unwrap();
-        }
-        Op::Write32(o, v) => m.try_write::<u32>(BASE + o, v).unwrap(),
-        Op::Read64(o) => {
-            let _ = m.try_read::<u64>(BASE + o).unwrap();
-        }
-        Op::Sbrk(n) => {
-            let _ = m.sbrk(n);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// `TimeBuckets` reconstructed from the trace equals the machine's
-    /// own accounting, bucket by bucket, for random op streams on both
-    /// the MTLB and the baseline machine.
-    #[test]
-    fn trace_reconstructs_time_buckets(
-        mtlb in (0u8..2).prop_map(|b| b == 1),
-        ops in proptest::collection::vec(op_strategy(), 1..120),
-    ) {
-        let cfg = if mtlb {
-            MachineConfig::paper_mtlb(16)
-        } else {
-            MachineConfig::paper_base(16)
-        };
-        let mut m = Machine::new(cfg);
-        m.map_region(BASE, REGION, Prot::RW);
-        m.remap(BASE, REGION);
-        // Attach after setup: the trace must account for exactly the
-        // cycles charged while it was attached.
-        m.set_trace_sink(Box::new(RingTrace::new(64)));
-        let before = m.report(); // debug auditor runs here
-        for op in &ops {
-            apply(&mut m, op);
-        }
-        let after = m.report(); // and here
-        let sink = m.take_trace_sink().expect("sink attached");
-        let ring = sink
-            .as_any()
-            .downcast_ref::<RingTrace>()
-            .expect("RingTrace sink");
-        prop_assert_eq!(
-            ring.total_cycles(),
-            after.total_cycles - before.total_cycles
-        );
-        prop_assert_eq!(
-            ring.bucket_cycles(Bucket::User),
-            after.buckets.user - before.buckets.user
-        );
-        prop_assert_eq!(
-            ring.bucket_cycles(Bucket::TlbMiss),
-            after.buckets.tlb_miss - before.buckets.tlb_miss
-        );
-        prop_assert_eq!(
-            ring.bucket_cycles(Bucket::MemStall),
-            after.buckets.mem_stall - before.buckets.mem_stall
-        );
-        prop_assert_eq!(
-            ring.bucket_cycles(Bucket::Kernel),
-            after.buckets.kernel - before.buckets.kernel
-        );
-        prop_assert_eq!(
-            ring.bucket_cycles(Bucket::Fault),
-            after.buckets.fault - before.buckets.fault
-        );
-        // The ring is tiny on purpose: long streams must overflow it
-        // without losing the totals.
-        prop_assert_eq!(ring.events(), ring.records().count() as u64 + ring.dropped());
-    }
-}
 
 /// Drives a 16-user-frame machine into the exact corner the misaligned
 /// path must survive: a misaligned `u32` whose low half hits a resident
