@@ -23,6 +23,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release --workspace
 
+echo "== examples (release, each run to completion)"
+# dirty_paging, recoloring and quickstart assert guest data through
+# remap, swap-out and recolor; every example must exit 0.
+cargo build --release --examples
+for example in examples/*.rs; do
+  ./target/release/examples/"$(basename "$example" .rs)" > /dev/null
+done
+
 echo "== cargo test"
 cargo test -q --workspace
 

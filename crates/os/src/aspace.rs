@@ -24,6 +24,16 @@ impl Backing {
     pub fn is_real(self) -> bool {
         matches!(self, Backing::Real(_))
     }
+
+    /// The CPU-visible (bus) frame the page's PTE maps: the real frame,
+    /// or the shadow page's bus frame.
+    #[must_use]
+    pub fn frame(self) -> Ppn {
+        match self {
+            Backing::Real(frame) => frame,
+            Backing::Shadow { shadow_spn } => shadow_spn.bus(),
+        }
+    }
 }
 
 /// Kernel bookkeeping for one mapped virtual page.

@@ -97,17 +97,6 @@ struct PageFlush {
     cycles: Cycles,
 }
 
-/// A region `pick_superpage` proved promotable, with what it proved.
-struct Promotion {
-    size: PageSize,
-    /// The shadow region allocated for it.
-    shadow_base: ShadowAddr,
-    /// The protection every page of the region shares.
-    prot: Prot,
-    /// The real frame behind each base page, in virtual order.
-    frames: Vec<Ppn>,
-}
-
 /// Software cost constants (CPU cycles) for kernel services, calibrated
 /// against the paper's §3.3 measurements — see each field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -443,10 +432,12 @@ pub struct Kernel {
     /// Shadow regions by base shadow-page index, for reverse lookup.
     shadow_regions: BTreeMap<u64, SuperpageInfo>,
     swap: SwapDevice,
-    /// Individual shadow base pages reserved for recoloring, by color.
-    recolor_pool: BTreeMap<u64, Vec<Spn>>,
-    /// Individual shadow base pages for all-shadow 4 KB mappings.
-    shadow_page_pool: Vec<Spn>,
+    /// Single shadow pages for one-page shadow regions (all-shadow 4 KB
+    /// mappings, recoloring), in the order they were pooled.
+    page_pool: Vec<Spn>,
+    /// The region a whole-superpage fault is paging in, which CLOCK
+    /// must leave alone until the fault is done.
+    paging_in: Option<SuperpageInfo>,
     /// Per-candidate-region TLB miss counters for online promotion.
     promo_counters: BTreeMap<u64, u64>,
     /// CLOCK ring of resident shadow page indices.
@@ -491,8 +482,8 @@ impl Kernel {
             current: 0,
             shadow_regions: BTreeMap::new(),
             swap: SwapDevice::new(),
-            recolor_pool: BTreeMap::new(),
-            shadow_page_pool: Vec::new(),
+            page_pool: Vec::new(),
+            paging_in: None,
             promo_counters: BTreeMap::new(),
             resident: Vec::new(),
             resident_pos: RingIndex::default(),
@@ -729,6 +720,26 @@ impl Kernel {
         tm.take_cycles()
     }
 
+    /// Re-points mapped page `vpn` at `backing` with mapping size
+    /// `size`: the address-space record and the PTE, which keeps the
+    /// page's protection. Returns the PTE write's cycles.
+    fn repoint(
+        &mut self,
+        ctx: &mut KernelCtx<'_>,
+        vpn: Vpn,
+        backing: Backing,
+        size: PageSize,
+    ) -> Cycles {
+        let prot = self.proc_mut().aspace.remap_page(vpn, backing, size);
+        let pte = Pte {
+            vpn,
+            pfn: backing.frame(),
+            size,
+            prot,
+        };
+        self.install_pte(ctx, pte)
+    }
+
     /// The MMC table index of a shadow page.
     fn shadow_index(&self, spn: Spn) -> u64 {
         self.mmc_config.shadow.page_index(spn.base_addr())
@@ -783,6 +794,17 @@ impl Kernel {
         );
     }
 
+    /// Points shadow page `index` at real `frame` with an uncached MMC
+    /// control-register write (§2.4) and enters it in the CLOCK ring;
+    /// returns the write's CPU cycles.
+    fn back_shadow_page(&mut self, ctx: &mut KernelCtx<'_>, index: u64, frame: Ppn) -> Cycles {
+        let mmc_cycles = ctx
+            .mmc
+            .set_mapping(index, ShadowPte::present(frame), ctx.mem);
+        self.push_resident(index);
+        ctx.ratio.device_to_cpu(mmc_cycles)
+    }
+
     fn alloc_frame(&mut self, ctx: &mut KernelCtx<'_>) -> (Ppn, Cycles) {
         if let Some(f) = self.frames.alloc() {
             return (f, Cycles::ZERO);
@@ -798,31 +820,29 @@ impl Kernel {
         }
     }
 
-    /// Allocates a 16 KB shadow region to carve into single shadow
-    /// pages (all-shadow 4 KB mappings, recoloring).
-    fn alloc_pool_region(&mut self) -> ShadowAddr {
-        #[expect(
-            clippy::expect_used,
-            reason = "Documented contract: all-shadow and recoloring experiments size the shadow window to the pages they shadow; exhaustion is an experiment misconfiguration."
-        )]
-        self.shadow
-            .alloc(PageSize::Size16K)
-            .expect("shadow space exhausted")
-    }
-
-    /// Takes one shadow base page for an all-shadow 4 KB mapping,
-    /// provisioning 16 KB at a time.
-    fn take_shadow_page(&mut self) -> Spn {
-        if let Some(p) = self.shadow_page_pool.pop() {
-            return p;
+    /// Takes the most recently pooled single shadow page that `fits`,
+    /// carving fresh 16 KB shadow regions into the pool, their pages in
+    /// address order, until one does. Returns the page and the number
+    /// of regions carved.
+    fn take_pool_page(&mut self, fits: impl Fn(Spn) -> bool) -> (Spn, u64) {
+        let mut carved = 0;
+        loop {
+            if let Some(at) = self.page_pool.iter().rposition(|&p| fits(p)) {
+                return (self.page_pool.remove(at), carved);
+            }
+            #[expect(
+                clippy::expect_used,
+                reason = "Documented contract: all-shadow and recoloring experiments size the shadow window to the pages they shadow; exhaustion is an experiment misconfiguration."
+            )]
+            let region = self
+                .shadow
+                .alloc(PageSize::Size16K)
+                .expect("shadow space exhausted")
+                .spn();
+            let pages = PageSize::Size16K.base_pages();
+            self.page_pool.extend((0..pages).map(|i| region.offset(i)));
+            carved += 1;
         }
-        let region = self.alloc_pool_region();
-        // Pool pages 0..3 and hand out page 3 directly — the same order a
-        // push-all-then-pop sequence would produce.
-        for i in 0..3u64 {
-            self.shadow_page_pool.push(region.spn().offset(i));
-        }
-        region.spn().offset(3)
     }
 
     /// Maps `[start, start+len)` with fresh zeroed frames at 4 KB
@@ -871,29 +891,25 @@ impl Kernel {
             ctx.mem.zero_page(frame);
             // §4 all-shadow mode: the CPU-visible frame is a shadow page
             // remapped by the MTLB even for ordinary 4 KB mappings.
-            let (pfn, backing) = if self.config.all_shadow {
-                let shadow_spn = self.take_shadow_page();
+            let backing = if self.config.all_shadow {
+                let (shadow_spn, _) = self.take_pool_page(|_| true);
                 let index = self.shadow_index(shadow_spn);
-                let mmc_cycles = ctx
-                    .mmc
-                    .set_mapping(index, ShadowPte::present(frame), ctx.mem);
-                cycles += ctx.ratio.device_to_cpu(mmc_cycles);
+                cycles += self.back_shadow_page(ctx, index, frame);
                 let sp = SuperpageInfo {
                     vpn_base: vpn,
                     size: PageSize::Base4K,
                     shadow_base: shadow_spn,
                 };
                 self.shadow_regions.insert(index, sp);
-                self.push_resident(index);
-                (shadow_spn.bus(), Backing::Shadow { shadow_spn })
+                Backing::Shadow { shadow_spn }
             } else {
-                (frame, Backing::Real(frame))
+                Backing::Real(frame)
             };
             cycles += self.install_pte(
                 ctx,
                 Pte {
                     vpn,
-                    pfn,
+                    pfn: backing.frame(),
                     size: PageSize::Base4K,
                     prot,
                 },
@@ -942,10 +958,9 @@ impl Kernel {
         let mut va = aligned_start;
         while va + PageSize::Size16K.bytes() <= end {
             match self.pick_superpage(va, end.offset_from(va)) {
-                Some(promotion) => {
-                    let bytes = promotion.size.bytes();
-                    self.create_superpage(ctx, va, promotion, &mut report);
-                    va += bytes;
+                Some((sp, frames)) => {
+                    self.create_superpage(ctx, sp, &frames, &mut report);
+                    va += sp.size.bytes();
                 }
                 None => {
                     // Hole, foreign backing, mixed protection or shadow
@@ -963,32 +978,36 @@ impl Kernel {
     /// Chooses the largest usable superpage size at `va` given
     /// `remaining` bytes, per the §2.4 walk: virtual alignment, fit,
     /// uniform 4 KB real mappings underneath, and shadow availability —
-    /// allocating the shadow region it settles on.
-    fn pick_superpage(&mut self, va: VirtAddr, remaining: u64) -> Option<Promotion> {
+    /// allocating the shadow region it settles on. Returns the superpage
+    /// and the real frame behind each of its base pages.
+    fn pick_superpage(
+        &mut self,
+        va: VirtAddr,
+        remaining: u64,
+    ) -> Option<(SuperpageInfo, Vec<Ppn>)> {
         for size in PageSize::SUPERPAGES.iter().copied().rev() {
             if size.bytes() > remaining || !va.is_aligned(size.bytes()) {
                 continue;
             }
-            let Some((prot, frames)) = self.promotable_frames(va.vpn(), size) else {
+            let Some(frames) = self.promotable_frames(va.vpn(), size) else {
                 continue;
             };
             if let Some(shadow_base) = self.shadow.alloc(size) {
-                return Some(Promotion {
+                let sp = SuperpageInfo {
+                    vpn_base: va.vpn(),
                     size,
-                    shadow_base,
-                    prot,
-                    frames,
-                });
+                    shadow_base: shadow_base.spn(),
+                };
+                return Some((sp, frames));
             }
         }
         None
     }
 
-    /// The shared protection and the real frames of the `size` region at
-    /// `vpn_base`, when all its pages are present, real-backed, and of
-    /// uniform protection (the paper requires identical protection
-    /// across a superpage, §2.1).
-    fn promotable_frames(&self, vpn_base: Vpn, size: PageSize) -> Option<(Prot, Vec<Ppn>)> {
+    /// The real frames of the `size` region at `vpn_base`, when all its
+    /// pages are present, real-backed, and of uniform protection (the
+    /// paper requires identical protection across a superpage, §2.1).
+    fn promotable_frames(&self, vpn_base: Vpn, size: PageSize) -> Option<Vec<Ppn>> {
         let mut prot = None;
         let mut frames = Vec::new();
         for (_, info) in self.proc().aspace.pages_in(vpn_base, size.base_pages()) {
@@ -1000,85 +1019,61 @@ impl Kernel {
             }
             frames.push(frame);
         }
-        let prot = prot?;
-        (frames.len() as u64 == size.base_pages()).then_some((prot, frames))
+        (frames.len() as u64 == size.base_pages()).then_some(frames)
     }
 
     fn create_superpage(
         &mut self,
         ctx: &mut KernelCtx<'_>,
-        va: VirtAddr,
-        promotion: Promotion,
+        sp: SuperpageInfo,
+        frames: &[Ppn],
         report: &mut RemapReport,
     ) {
-        let Promotion {
-            size,
-            shadow_base,
-            prot,
-            frames,
-        } = promotion;
-        let shadow_base = shadow_base.spn();
-        let base_index = self.shadow_index(shadow_base);
-        let vpn_base = va.vpn();
-        let pages = size.base_pages();
-        let mut cycles = self.config.costs.per_superpage_overhead;
+        report.other_cycles += self.config.costs.per_superpage_overhead;
+        self.shadow_region(ctx, sp, frames, report);
+        report.superpages.push((sp.vpn_base.base_addr(), sp.size));
+        self.stats.superpages_created = self.stats.superpages_created.saturating_add(1);
+        self.stats.pages_remapped = self
+            .stats
+            .pages_remapped
+            .saturating_add(sp.size.base_pages());
+    }
 
-        // Shoot down stale CPU TLB entries for the range (§2.3).
+    /// Backs `sp`'s pages with its shadow pages (§2.3–2.4): shoots the
+    /// range down, then per page flushes its lines (their tags change
+    /// from real to shadow addresses), points its shadow page at its
+    /// real frame in `frames` and re-points its PTE at the shadow page
+    /// with `sp`'s size; then records the region. Flush cost lands in
+    /// `report`'s flush fields, the rest in `other_cycles`.
+    fn shadow_region(
+        &mut self,
+        ctx: &mut KernelCtx<'_>,
+        sp: SuperpageInfo,
+        frames: &[Ppn],
+        report: &mut RemapReport,
+    ) {
+        let base_index = self.shadow_index(sp.shadow_base);
         self.invalidate(
             ctx,
             ShootdownRequest::Range {
-                vpn: vpn_base,
-                pages,
+                vpn: sp.vpn_base,
+                pages: sp.size.base_pages(),
             },
         );
-
-        for (i, frame) in (0..).zip(frames) {
-            let vpn = vpn_base.offset(i);
-            let shadow_spn = shadow_base.offset(i);
-
-            // Flush the page's cache lines: the tags are about to change
-            // from real to shadow addresses (§2.3).
+        for (i, &frame) in (0..).zip(frames) {
+            let vpn = sp.vpn_base.offset(i);
             let flush = self.flush_page(ctx, vpn, frame);
             report.lines_flushed = report.lines_flushed.saturating_add(flush.lines);
             report.flush_writebacks = report.flush_writebacks.saturating_add(flush.writebacks);
             report.flush_cycles += flush.cycles;
-
-            // Point shadow page at the (discontiguous) real frame via the
-            // MMC control register (§2.4).
-            let mmc_cycles =
-                ctx.mmc
-                    .set_mapping(base_index + i, ShadowPte::present(frame), ctx.mem);
-            cycles += ctx.ratio.device_to_cpu(mmc_cycles);
-
-            // Re-point the PTE at the shadow frame with the superpage size.
-            cycles += self.install_pte(
-                ctx,
-                Pte {
-                    vpn,
-                    pfn: shadow_spn.bus(),
-                    size,
-                    prot,
-                },
-            );
-            self.proc_mut()
-                .aspace
-                .remap_page(vpn, Backing::Shadow { shadow_spn }, size);
-            self.push_resident(base_index + i);
-            cycles += self.config.costs.remap_page_overhead;
+            let shadow_spn = sp.shadow_base.offset(i);
+            report.other_cycles += self.back_shadow_page(ctx, base_index + i, frame)
+                + self.repoint(ctx, vpn, Backing::Shadow { shadow_spn }, sp.size)
+                + self.config.costs.remap_page_overhead;
             report.pages_remapped = report.pages_remapped.saturating_add(1);
         }
-
-        let sp = SuperpageInfo {
-            vpn_base,
-            size,
-            shadow_base,
-        };
         self.proc_mut().aspace.add_superpage(sp);
         self.shadow_regions.insert(base_index, sp);
-        report.superpages.push((va, size));
-        report.other_cycles += cycles;
-        self.stats.superpages_created = self.stats.superpages_created.saturating_add(1);
-        self.stats.pages_remapped = self.stats.pages_remapped.saturating_add(pages);
     }
 
     /// Whether [`sbrk`](Kernel::sbrk)`(increment)` keeps the break
@@ -1227,6 +1222,7 @@ impl Kernel {
             }
             PagingPolicy::WholeSuperpage => {
                 // Conventional behaviour: the whole superpage comes back.
+                self.paging_in = Some(region);
                 let base = self.shadow_index(region.shadow_base);
                 for i in 0..region.size.base_pages() {
                     let idx = base + i;
@@ -1236,6 +1232,7 @@ impl Kernel {
                         cycles += self.swap_in_page(ctx, idx);
                     }
                 }
+                self.paging_in = None;
             }
         }
         self.stats.fault_cycles += cycles;
@@ -1258,11 +1255,7 @@ impl Kernel {
             .unwrap_or_else(|| vec![0u8; PAGE_SIZE as usize]);
         ctx.mem.write(frame.base_addr(), &bytes);
         cycles += self.config.swap_costs.page_read;
-        let mmc_cycles = ctx
-            .mmc
-            .set_mapping(index, ShadowPte::present(frame), ctx.mem);
-        cycles += ctx.ratio.device_to_cpu(mmc_cycles);
-        self.push_resident(index);
+        cycles += self.back_shadow_page(ctx, index, frame);
         self.stats.pages_swapped_in = self.stats.pages_swapped_in.saturating_add(1);
         cycles
     }
@@ -1309,50 +1302,51 @@ impl Kernel {
 
     /// One CLOCK eviction: sweep the resident ring clearing referenced
     /// bits until an unreferenced page is found, then swap it (or, under
-    /// the conventional policy, its whole superpage) out.
+    /// the conventional policy, its whole superpage) out. The sweep
+    /// passes over the pages of a region a whole-superpage fault is
+    /// paging in: evicting them would re-fault the access forever.
     fn clock_evict_one(&mut self, ctx: &mut KernelCtx<'_>) -> Cycles {
+        let pinned = self.paging_in.map_or(0..0, |sp| {
+            let base = self.shadow_index(sp.shadow_base);
+            base..base + sp.size.base_pages()
+        });
         assert!(
-            !self.resident.is_empty(),
+            self.resident.iter().any(|index| !pinned.contains(index)),
             "out of physical memory with nothing evictable"
         );
         let mut cycles = Cycles::ZERO;
-        loop {
+        let index = loop {
             self.stats.clock_sweeps = self.stats.clock_sweeps.saturating_add(1);
-            assert!(
-                !self.resident.is_empty(),
-                "out of physical memory with nothing evictable"
-            );
             if self.clock_hand >= self.resident.len() {
                 self.clock_hand = 0;
             }
             let index = self.resident[self.clock_hand];
-            let (pte, c) = ctx.mmc.read_mapping(index, ctx.mem);
-            cycles += ctx.ratio.device_to_cpu(c);
-            if pte.referenced {
+            if !pinned.contains(&index) {
+                let (pte, c) = ctx.mmc.read_mapping(index, ctx.mem);
+                cycles += ctx.ratio.device_to_cpu(c);
+                if !pte.referenced {
+                    break index;
+                }
                 let c = ctx.mmc.clear_bits(index, true, false, ctx.mem);
                 cycles += ctx.ratio.device_to_cpu(c);
-                self.clock_hand = (self.clock_hand + 1) % self.resident.len();
-                continue;
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "Structure invariant: pages enter the resident ring only when their region is registered."
-            )]
-            let sp = self
-                .region_of_index(index)
-                .expect("resident ring holds only region pages");
-            match self.config.paging {
-                PagingPolicy::PerBasePage => {
-                    let vpn = sp
-                        .vpn_base
-                        .offset(index - self.shadow_index(sp.shadow_base));
-                    cycles += self.swap_out_page(ctx, index, vpn, false);
-                }
-                PagingPolicy::WholeSuperpage => {
-                    cycles += self.swap_out_pages(ctx, sp, true).cycles;
-                }
+            self.clock_hand = (self.clock_hand + 1) % self.resident.len();
+        };
+        #[expect(
+            clippy::expect_used,
+            reason = "Structure invariant: pages enter the resident ring only when their region is registered."
+        )]
+        let sp = self
+            .region_of_index(index)
+            .expect("resident ring holds only region pages");
+        match self.config.paging {
+            PagingPolicy::PerBasePage => {
+                let vpn = sp
+                    .vpn_base
+                    .offset(index - self.shadow_index(sp.shadow_base));
+                cycles + self.swap_out_page(ctx, index, vpn, false)
             }
-            return cycles;
+            PagingPolicy::WholeSuperpage => cycles + self.swap_out_pages(ctx, sp, true).cycles,
         }
     }
 
@@ -1366,20 +1360,7 @@ impl Kernel {
     /// Panics when `vpn` is not inside a shadow-backed superpage.
     pub fn swap_out_superpage(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn) -> SwapOutReport {
         let sp = self.superpage_at(vpn);
-        let write_all = match self.config.paging {
-            PagingPolicy::PerBasePage => false,
-            PagingPolicy::WholeSuperpage => {
-                // Conventional superpages also lose their TLB mapping.
-                self.invalidate(
-                    ctx,
-                    ShootdownRequest::Range {
-                        vpn: sp.vpn_base,
-                        pages: sp.size.base_pages(),
-                    },
-                );
-                true
-            }
-        };
+        let write_all = self.config.paging == PagingPolicy::WholeSuperpage;
         let report = self.swap_out_pages(ctx, sp, write_all);
         self.stats.service_cycles += report.cycles;
         report
@@ -1387,8 +1368,9 @@ impl Kernel {
 
     /// Pages out every resident base page of `sp`. With `write_all`
     /// (conventional superpages, whose dirty information is unusable)
-    /// each one is written to swap; otherwise only dirty pages and pages
-    /// with no swap copy yet are.
+    /// each one is written to swap and the superpage loses its TLB
+    /// mapping; otherwise only dirty pages and pages with no swap copy
+    /// yet are written, and the TLB entry stays.
     fn swap_out_pages(
         &mut self,
         ctx: &mut KernelCtx<'_>,
@@ -1400,6 +1382,15 @@ impl Kernel {
             pages_total: sp.size.base_pages(),
             ..SwapOutReport::default()
         };
+        if write_all {
+            self.invalidate(
+                ctx,
+                ShootdownRequest::Range {
+                    vpn: sp.vpn_base,
+                    pages: sp.size.base_pages(),
+                },
+            );
+        }
         for i in 0..sp.size.base_pages() {
             let index = base + i;
             let (pte, c) = ctx.mmc.read_mapping(index, ctx.mem);
@@ -1427,7 +1418,8 @@ impl Kernel {
     /// Panics when the page is unmapped, not real-backed, the color is
     /// out of range, or shadow space for the pool is exhausted.
     pub fn recolor_page(&mut self, ctx: &mut KernelCtx<'_>, vpn: Vpn, color: u64) -> Cycles {
-        let colors = ctx.cache.config().page_colors();
+        let palette = ctx.cache.config();
+        let colors = palette.page_colors();
         assert!(color < colors, "color {color} out of range 0..{colors}");
         #[expect(
             clippy::panic,
@@ -1435,64 +1427,30 @@ impl Kernel {
         )]
         let Some(&PageInfo {
             backing: Backing::Real(frame),
-            prot,
             ..
         }) = self.proc().aspace.page(vpn)
         else {
             panic!("recolor of unmapped or non-real-backed vpn {vpn}");
         };
-        let mut cycles = self.config.costs.syscall_overhead;
-
-        // Find (or provision) a shadow base page of the wanted color.
-        // Each 16 KB allocation contributes four consecutive colors, so
-        // at most `colors / 4` allocations cover the whole palette.
-        let shadow_spn = loop {
-            if let Some(p) = self.recolor_pool.get_mut(&color).and_then(Vec::pop) {
-                break p;
-            }
-            let region = self.alloc_pool_region();
-            for i in 0..4u64 {
-                let addr = region + i * PAGE_SIZE;
-                let c = ctx.cache.config().color_of(addr.bus());
-                self.recolor_pool.entry(c).or_default().push(addr.spn());
-            }
-            cycles += self.config.costs.per_superpage_overhead;
+        // Each 16 KB region carved contributes four consecutive colors,
+        // so at most `colors / 4` carvings cover the whole palette.
+        let (shadow_base, carved) =
+            self.take_pool_page(|spn| palette.color_of(spn.bus().base_addr()) == color);
+        let mut report = RemapReport {
+            other_cycles: self.config.costs.syscall_overhead
+                + self.config.costs.per_superpage_overhead * carved,
+            ..RemapReport::default()
         };
-
-        // The page's lines move to new index slots: flush under the old
-        // (real) address, shoot down the stale translation.
-        cycles += self.flush_page(ctx, vpn, frame).cycles;
-        self.invalidate(ctx, ShootdownRequest::Range { vpn, pages: 1 });
-
-        let index = self.shadow_index(shadow_spn);
-        let mmc_cycles = ctx
-            .mmc
-            .set_mapping(index, ShadowPte::present(frame), ctx.mem);
-        cycles += ctx.ratio.device_to_cpu(mmc_cycles);
-
-        cycles += self.install_pte(
-            ctx,
-            Pte {
-                vpn,
-                pfn: shadow_spn.bus(),
-                size: PageSize::Base4K,
-                prot,
-            },
-        );
-        self.proc_mut()
-            .aspace
-            .remap_page(vpn, Backing::Shadow { shadow_spn }, PageSize::Base4K);
-        // Track as a one-page shadow region so faults/paging find it.
+        // A one-page shadow region, which faults, paging and demotion
+        // treat like any other.
         let sp = SuperpageInfo {
             vpn_base: vpn,
             size: PageSize::Base4K,
-            shadow_base: shadow_spn,
+            shadow_base,
         };
-        self.proc_mut().aspace.add_superpage(sp);
-        self.shadow_regions.insert(index, sp);
-        self.push_resident(index);
-        cycles += self.config.costs.remap_page_overhead;
+        self.shadow_region(ctx, sp, &[frame], &mut report);
         self.stats.pages_recolored = self.stats.pages_recolored.saturating_add(1);
+        let cycles = report.total_cycles();
         self.stats.service_cycles += cycles;
         cycles
     }
@@ -1502,7 +1460,7 @@ impl Kernel {
     /// addresses (or back)"): swapped-out base pages are brought in, the
     /// virtual region is flushed and shot down, PTEs are re-pointed at
     /// the real frames, and the shadow region returns to the allocator
-    /// (a recolored page's shadow page returns to the recolor pool).
+    /// (a recolored page's shadow page returns to the single-page pool).
     ///
     /// # Panics
     ///
@@ -1543,19 +1501,7 @@ impl Kernel {
                 pte.rpfn
             };
 
-            let prot =
-                self.proc_mut()
-                    .aspace
-                    .remap_page(page_vpn, Backing::Real(frame), PageSize::Base4K);
-            cycles += self.install_pte(
-                ctx,
-                Pte {
-                    vpn: page_vpn,
-                    pfn: frame,
-                    size: PageSize::Base4K,
-                    prot,
-                },
-            );
+            cycles += self.repoint(ctx, page_vpn, Backing::Real(frame), PageSize::Base4K);
 
             let mmc_cycles = ctx.mmc.set_mapping(index, ShadowPte::invalid(), ctx.mem);
             cycles += ctx.ratio.device_to_cpu(mmc_cycles);
@@ -1570,15 +1516,8 @@ impl Kernel {
         self.shadow_regions.remove(&base);
         if sp.size == PageSize::Base4K {
             // A recolored page: its shadow page was carved out of a
-            // 16 KB pool allocation and goes back to the pool.
-            let color = ctx
-                .cache
-                .config()
-                .color_of(sp.shadow_base.bus().base_addr());
-            self.recolor_pool
-                .entry(color)
-                .or_default()
-                .push(sp.shadow_base);
+            // 16 KB pool region and goes back to the pool.
+            self.page_pool.push(sp.shadow_base);
         } else {
             self.shadow.free(sp.shadow_base.base_addr(), sp.size);
         }
@@ -1644,10 +1583,7 @@ fn contiguity_of(aspace: &AddressSpace, entry: &TlbEntry) -> ContigInfo {
     let mut frames = [None; CONTIG_SCAN_WINDOW as usize];
     for (vpn, info) in aspace.pages_in(Vpn::new(window_base), CONTIG_SCAN_WINDOW) {
         if info.mapping_size == PageSize::Base4K && info.prot == entry.prot() {
-            frames[(vpn.index() - window_base) as usize] = Some(match info.backing {
-                Backing::Real(f) => f.index(),
-                Backing::Shadow { shadow_spn } => shadow_spn.bus().index(),
-            });
+            frames[(vpn.index() - window_base) as usize] = Some(info.backing.frame().index());
         }
     }
     let frame_of = |p: u64| frames[(p - window_base) as usize];
@@ -2084,6 +2020,58 @@ mod tests {
         });
     }
 
+    /// The shadow page a shadow-backed `vpn` maps to.
+    fn shadow_spn_of(k: &Kernel, vpn: Vpn) -> Spn {
+        match k.aspace().page(vpn).expect("vpn is mapped").backing {
+            Backing::Shadow { shadow_spn } => shadow_spn,
+            Backing::Real(_) => panic!("vpn {vpn} is real-backed"),
+        }
+    }
+
+    #[test]
+    fn single_shadow_pages_come_most_recently_pooled_first() {
+        let base = UserLayout::DATA_BASE;
+        // All-shadow mappings take a fresh 16 KB region last to first.
+        let mut r = Rig::new(KernelConfig {
+            all_shadow: true,
+            ..KernelConfig::default()
+        });
+        r.with(|k, ctx| k.map_region(ctx, base, 8 * PAGE_SIZE, Prot::RW));
+        let taken: Vec<Spn> = (0..8)
+            .map(|i| shadow_spn_of(&r.kernel, base.vpn().offset(i)))
+            .collect();
+        for region in taken.chunks(4) {
+            let first = region[3];
+            assert_eq!(first.index() % 4, 0, "{first} starts a 16 KB region");
+            assert_eq!(region, [3, 2, 1, 0].map(|i| first.offset(i)));
+        }
+        assert_ne!(taken[3], taken[7], "the second 16 KB is a new region");
+
+        // A recolor takes the most recently pooled page of its color,
+        // and a demoted recolored page is the next one handed out.
+        let mut r = rig();
+        r.with(|k, ctx| {
+            k.map_region(ctx, base, 8 * PAGE_SIZE, Prot::RW);
+            let palette = ctx.cache.config();
+            let recolor = |k: &mut Kernel, ctx: &mut KernelCtx<'_>, page: u64, color| {
+                k.recolor_page(ctx, base.vpn().offset(page), color);
+                let spn = shadow_spn_of(k, base.vpn().offset(page));
+                assert_eq!(palette.color_of(spn.bus().base_addr()), color);
+                spn
+            };
+            // Three pages of color 0 carve a palette's worth of 16 KB
+            // regions twice over; each carving pools a color-1 page.
+            let zeros = [0, 1, 2].map(|page| recolor(k, ctx, page, 0));
+            assert_eq!(recolor(k, ctx, 3, 1), zeros[2].offset(1));
+            k.demote_superpage(ctx, base.vpn().offset(3));
+            assert_eq!(recolor(k, ctx, 4, 1), zeros[2].offset(1));
+            k.demote_superpage(ctx, base.vpn());
+            k.demote_superpage(ctx, base.vpn().offset(1));
+            assert_eq!(recolor(k, ctx, 5, 0), zeros[1]);
+            assert_eq!(recolor(k, ctx, 6, 0), zeros[0]);
+        });
+    }
+
     #[test]
     fn clock_eviction_frees_frames_under_pressure() {
         // A machine with few user frames: map + remap a region, then
@@ -2244,10 +2232,7 @@ mod tests {
             if info.mapping_size != PageSize::Base4K || info.prot != entry.prot() {
                 return None;
             }
-            Some(match info.backing {
-                Backing::Real(f) => f.index(),
-                Backing::Shadow { shadow_spn } => shadow_spn.bus().index(),
-            })
+            Some(info.backing.frame().index())
         };
         let (mut lo, mut lo_frame) = (anchor, entry.pfn_base().index());
         while lo > window_base {
@@ -2313,10 +2298,7 @@ mod tests {
             let Some(info) = aspace.page(Vpn::new(vpn)) else {
                 continue;
             };
-            let frame = match info.backing {
-                Backing::Real(f) => f,
-                Backing::Shadow { shadow_spn } => shadow_spn.bus(),
-            };
+            let frame = info.backing.frame();
             let size = info.mapping_size;
             let (base, frame) = if size == PageSize::Base4K {
                 (Vpn::new(vpn), frame)

@@ -1554,11 +1554,7 @@ impl Machine {
             .aspace()
             .page(vpn)
             .unwrap_or_else(|| panic!("page_color of unmapped vpn {vpn}"));
-        let ppn = match info.backing {
-            mtlb_os::Backing::Real(f) => f,
-            mtlb_os::Backing::Shadow { shadow_spn } => shadow_spn.bus(),
-        };
-        self.cfg.cache.color_of(ppn.base_addr())
+        self.cfg.cache.color_of(info.backing.frame().base_addr())
     }
 
     /// No-copy page recoloring via shadow memory (§6 extension): moves

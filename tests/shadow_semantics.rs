@@ -87,6 +87,60 @@ fn swap_cycle_preserves_data_whole_superpage() {
     assert_eq!(m.kernel().stats().shadow_faults_serviced, 1);
 }
 
+/// A conventional-paging machine with 96 user frames, holding 64 KB
+/// superpages at `BASE + i * 64 KB` for `i < superpages`, each with
+/// `i + 1` in its first word; then every free frame plus one is mapped,
+/// so CLOCK evicts one of them whole.
+fn conventional_machine_under_pressure(superpages: u64) -> Machine {
+    let len = 64 * 1024;
+    let mut cfg = MachineConfig::paper_mtlb(64).with_dram((16 << 20) + 96 * PAGE_SIZE);
+    cfg.kernel.paging = PagingPolicy::WholeSuperpage;
+    let mut m = Machine::new(cfg);
+    for i in 0..superpages {
+        let at = BASE + i * len;
+        m.map_region(at, len, Prot::RW);
+        m.remap(at, len);
+        m.write::<u64>(at, i + 1);
+    }
+    let free = m.kernel().free_frames();
+    m.map_region(BASE + (1 << 20), (free + 1) * PAGE_SIZE, Prot::RW);
+    assert!(m.kernel().stats().pages_swapped_out >= 16);
+    m
+}
+
+#[test]
+fn clock_eviction_of_a_conventional_superpage_drops_its_tlb_entry() {
+    // Paging a conventional superpage out removes its translation, so
+    // the next access misses in the TLB before it faults the page in —
+    // whether the eviction was asked for or made by CLOCK.
+    let mut m = conventional_machine_under_pressure(2);
+    let mut faulted = 0;
+    for i in 0..2u64 {
+        let before = m.kernel().stats();
+        assert_eq!(m.read::<u64>(BASE + i * 64 * 1024), i + 1);
+        let after = m.kernel().stats();
+        if after.shadow_faults_serviced > before.shadow_faults_serviced {
+            faulted += 1;
+            assert_eq!(
+                after.tlb_miss_handler_calls - before.tlb_miss_handler_calls,
+                1,
+                "superpage {i} was paged out under a live TLB entry"
+            );
+        }
+    }
+    assert!(faulted > 0);
+}
+
+#[test]
+#[should_panic(expected = "out of physical memory with nothing evictable")]
+fn conventional_superpage_too_big_for_free_memory_cannot_fault_in() {
+    // Bringing the evicted superpage back needs 16 frames and 15 are
+    // free; its own pages are all CLOCK could evict, and evicting them
+    // would re-fault the access forever.
+    let mut m = conventional_machine_under_pressure(1);
+    m.read::<u64>(BASE);
+}
+
 #[test]
 fn referenced_and_dirty_bits_reflect_traffic_exactly() {
     let len = 64 * 1024;
