@@ -31,6 +31,14 @@ for example in examples/*.rs; do
   ./target/release/examples/"$(basename "$example" .rs)" > /dev/null
 done
 
+echo "== examples (debug build, each run to completion)"
+# Debug assertions on: every report() an example takes runs the cycle
+# attribution audit, and every access-memo hit its debug asserts.
+cargo build --examples
+for example in examples/*.rs; do
+  ./target/debug/examples/"$(basename "$example" .rs)" > /dev/null
+done
+
 echo "== cargo test"
 cargo test -q --workspace
 

@@ -3,7 +3,8 @@
 //! co-run needs no recorded trace. Mirroring a live run must be
 //! indistinguishable from mirroring the run's recording, and both from
 //! the round-robin interleaving of that recording spelled out here;
-//! instance 0 must compute exactly its solo answer; and a mirrored op
+//! instance 0 must compute exactly its solo answer; every instance's
+//! TLB must count what instance 0's counts; and a mirrored op
 //! that fails comes back as a typed error once instance 0 is done.
 
 use mtlb_bench::experiments::{workload_by_name, WORKLOADS};
@@ -87,6 +88,27 @@ fn mirroring_a_live_run_equals_mirroring_its_trace() {
                 live, reference,
                 "{name} x{n}: not the round-robin interleaving"
             );
+        }
+    }
+}
+
+/// Each mirrored instance replays core 0's ops relocated into its own
+/// window, so its translations are instance 0's: every core's TLB
+/// counters equal core 0's. The test above cannot see a relocation bug,
+/// because its three paths all share `MachineOp::relocated`; this one
+/// compares each copy with the original. L1 counters are not compared:
+/// they differ between instances.
+#[test]
+fn mirroring_preserves_each_instances_translations() {
+    for name in WORKLOADS {
+        for n in [2, 4] {
+            let mut m = Machine::new(cfg().with_cores(n));
+            corun_with(&mut m, n, |m| workload_by_name(name, Scale::Test).run(m))
+                .expect("the live co-run mirrors");
+            let cores = m.per_core_stats();
+            for (core, stats) in cores.iter().enumerate() {
+                assert_eq!(stats.tlb, cores[0].tlb, "{name} x{n}: core {core}");
+            }
         }
     }
 }

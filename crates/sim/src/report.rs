@@ -112,6 +112,39 @@ pub struct CoreStats {
     pub instructions: u64,
 }
 
+impl CoreStats {
+    /// Field-by-field (saturating) sum of two cores' counters. The struct
+    /// literals name every field, so a new counter here, in [`TlbStats`]
+    /// or in [`CacheStats`] is a compile error until the merge adds it.
+    pub(crate) fn merge(self, o: CoreStats) -> CoreStats {
+        let add = u64::saturating_add;
+        let (t, u, c, d) = (self.tlb, o.tlb, self.cache, o.cache);
+        CoreStats {
+            tlb: TlbStats {
+                hits: add(t.hits, u.hits),
+                misses: add(t.misses, u.misses),
+                replacements: add(t.replacements, u.replacements),
+                purges: add(t.purges, u.purges),
+                nru_resets: add(t.nru_resets, u.nru_resets),
+                fills: add(t.fills, u.fills),
+            },
+            cache: CacheStats {
+                hits: add(c.hits, d.hits),
+                misses: add(c.misses, d.misses),
+                replacement_writebacks: add(c.replacement_writebacks, d.replacement_writebacks),
+                flush_writebacks: add(c.flush_writebacks, d.flush_writebacks),
+                lines_flushed: add(c.lines_flushed, d.lines_flushed),
+                flush_walks: add(c.flush_walks, d.flush_walks),
+            },
+            itlb_hits: add(self.itlb_hits, o.itlb_hits),
+            itlb_misses: add(self.itlb_misses, o.itlb_misses),
+            loads: add(self.loads, o.loads),
+            stores: add(self.stores, o.stores),
+            instructions: add(self.instructions, o.instructions),
+        }
+    }
+}
+
 /// A complete snapshot of a run's statistics.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {

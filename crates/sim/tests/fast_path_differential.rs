@@ -13,6 +13,12 @@
 //! (every cycle bucket, every counter, every TLB-miss interval) and the
 //! final guest memory contents to match.
 //!
+//! Some ops fault: scalars and streams running past the region's end
+//! onto the unmapped page there, and writes to a read-only page mapped
+//! after it. Both machines must return the same [`Fault`], and a
+//! faulting access is neither counted nor charged, which the debug
+//! build's attribution audit inside `report()` checks.
+//!
 //! Agreement between the two machines cannot catch a bug both share, so
 //! every read on both is also checked against a flat host image of the
 //! region — a byte vector with no TLB, cache, MMC or paging behind it —
@@ -20,19 +26,23 @@
 //!
 //! On the one-core cases the op stream recorded from the fast machine
 //! is additionally replayed (`mtlb-trace` round trip) through a fresh
-//! machine with fast paths randomly on or off, which must reproduce
-//! the same report byte-for-byte (`set_active_core` is a host-level
-//! call, not a recorded op, so multi-core runs have no trace form).
+//! machine with fast paths randomly on or off, which must raise the
+//! same faults and reproduce the same report byte-for-byte
+//! (`set_active_core` is a host-level call, not a recorded op, so
+//! multi-core runs have no trace form).
 //! Replay writes zeros instead of data, so guest-memory digests are
 //! compared between the live machines only.
 
 use mtlb_os::Backing;
 use mtlb_sim::{Machine, MachineConfig, Scalar, VecOpSink};
-use mtlb_types::{Prot, VirtAddr};
+use mtlb_trace::{apply_op, TraceError, TraceReader};
+use mtlb_types::{Fault, Prot, VirtAddr};
 use proptest::prelude::*;
 
 const BASE: VirtAddr = VirtAddr::new(0x1000_0000);
 const REGION: u64 = 128 * 1024;
+/// A read-only page one unmapped page past the region's end.
+const READ_ONLY: VirtAddr = VirtAddr::new(BASE.get() + REGION + 4096);
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -91,6 +101,28 @@ enum Op {
     /// remote shootdowns and bus arbitration across `set_active_core`.
     SwitchCore,
     Sbrk(u64),
+    /// A scalar at region offset `REGION - 8 + off`: inside the region,
+    /// straddling its end (the second half faults) or on the unmapped
+    /// page after it.
+    PastEnd {
+        off: u64,
+        width: u64,
+        write: bool,
+        value: u64,
+    },
+    /// A `u32` stream from `back` words before the region's end that
+    /// runs `count` items, onto the unmapped page when `count > back`.
+    StreamPastEnd {
+        back: u64,
+        count: u64,
+        write: bool,
+    },
+    /// A scalar on the read-only page: loads read zero, stores fault.
+    ReadOnly {
+        off: u64,
+        width: u64,
+        write: bool,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -132,6 +164,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::ContextSwitchAwayAndBack),
         2 => Just(Op::SwitchCore),
         1 => (1u64..3).prop_map(|n| Op::Sbrk(n * 4096)),
+        1 => (0u64..16, 0u32..4, 0u8..2, any::<u64>()).prop_map(|(off, log, write, value)| {
+            Op::PastEnd { off, width: 1 << log, write: write == 1, value }
+        }),
+        1 => (1u64..8, 1u64..16, 0u8..2).prop_map(|(back, count, write)| {
+            Op::StreamPastEnd { back, count, write: write == 1 }
+        }),
+        1 => (0u64..4088, 0u32..4, 0u8..2).prop_map(|(off, log, write)| {
+            Op::ReadOnly { off, width: 1 << log, write: write == 1 }
+        }),
     ]
 }
 
@@ -167,13 +208,26 @@ fn store(image: &mut [u8], off: u64, bytes: &[u8]) {
 
 /// One scalar access of width `T` on `m`, a store of `value` when
 /// given; returns the value moved, zero-extended.
-fn scalar<T: Scalar>(m: &mut Machine, va: VirtAddr, value: Option<T>) -> u64 {
+fn scalar<T: Scalar>(m: &mut Machine, va: VirtAddr, value: Option<T>) -> Result<u64, Fault> {
     match value {
-        Some(v) => {
-            m.try_write(va, v).unwrap();
-            v.to_bits()
-        }
-        None => m.try_read::<T>(va).unwrap().to_bits(),
+        Some(v) => m.try_write(va, v).map(|()| v.to_bits()),
+        None => m.try_read::<T>(va).map(Scalar::to_bits),
+    }
+}
+
+/// [`scalar`] at `width` bytes.
+fn scalar_of_width(
+    m: &mut Machine,
+    va: VirtAddr,
+    width: u64,
+    write: bool,
+    value: u64,
+) -> Result<u64, Fault> {
+    match width {
+        1 => scalar(m, va, write.then_some(value as u8)),
+        2 => scalar(m, va, write.then_some(value as u16)),
+        4 => scalar(m, va, write.then_some(value as u32)),
+        _ => scalar(m, va, write.then_some(value)),
     }
 }
 
@@ -181,8 +235,9 @@ fn scalar<T: Scalar>(m: &mut Machine, va: VirtAddr, value: Option<T>) -> u64 {
 /// host copy of the region (no TLB, cache, MMC or paging), and every
 /// write is mirrored into it. Writes are deterministic, so mirroring the
 /// same op twice (once per machine) leaves the image as mirroring it
-/// once. Returns a digest of the op's non-data result.
-fn apply(m: &mut Machine, op: &Op, image: &mut [u8]) -> u64 {
+/// once. Returns a digest of the op's non-data result, or the fault it
+/// raised.
+fn apply(m: &mut Machine, op: &Op, image: &mut [u8]) -> Result<u64, Fault> {
     let mut digest = 0u64;
     match *op {
         Op::Execute(n) => m.try_execute(n).unwrap(),
@@ -192,13 +247,7 @@ fn apply(m: &mut Machine, op: &Op, image: &mut [u8]) -> u64 {
             write,
             value,
         } => {
-            let va = BASE + off;
-            let moved = match width {
-                1 => scalar(m, va, write.then_some(value as u8)),
-                2 => scalar(m, va, write.then_some(value as u16)),
-                4 => scalar(m, va, write.then_some(value as u32)),
-                _ => scalar(m, va, write.then_some(value)),
-            };
+            let moved = scalar_of_width(m, BASE + off, width, write, value).unwrap();
             let bytes = &moved.to_le_bytes()[..width as usize];
             if write {
                 store(image, off, bytes);
@@ -309,8 +358,82 @@ fn apply(m: &mut Machine, op: &Op, image: &mut [u8]) -> u64 {
         }
         Op::SwitchCore => m.set_active_core((m.active_core() + 1) % m.num_cores()),
         Op::Sbrk(n) => digest = m.sbrk(n).get(),
+        Op::PastEnd {
+            off,
+            width,
+            write,
+            value,
+        } => {
+            let off = REGION - 8 + off;
+            let moved = scalar_of_width(m, BASE + off, width, write, value);
+            let bytes = &value.to_le_bytes()[..width as usize];
+            match moved {
+                Ok(v) if !write => check(image, off, &v.to_le_bytes()[..width as usize], op),
+                // A misaligned store commits its low half before the
+                // high half faults.
+                _ if write && off < REGION => {
+                    store(
+                        image,
+                        off,
+                        &bytes[..bytes.len().min((REGION - off) as usize)],
+                    );
+                }
+                _ => {}
+            }
+            moved?;
+        }
+        Op::StreamPastEnd { back, count, write } => {
+            let off = REGION - back * 4;
+            let done = count.min(back);
+            let result = if write {
+                m.try_stream_write_u32(BASE + off, count, 0, stream_word)
+            } else {
+                let mut seen = 0;
+                let result = m.try_stream_read_u32(BASE + off, count, 0, |i, v| {
+                    check(image, off + i * 4, &v.to_le_bytes(), op);
+                    seen += 1;
+                });
+                assert_eq!(seen, done, "{op:?}");
+                result
+            };
+            if write {
+                for i in 0..done {
+                    store(image, off + i * 4, &stream_word(i).to_le_bytes());
+                }
+            }
+            result?;
+        }
+        Op::ReadOnly { off, width, write } => {
+            let moved = scalar_of_width(m, READ_ONLY + off, width, write, u64::MAX)?;
+            assert_eq!(moved, 0, "{op:?}");
+        }
     }
-    digest
+    Ok(digest)
+}
+
+/// Maps the region read-write and the read-only page past it, and loads
+/// a program.
+fn setup(m: &mut Machine) {
+    m.map_region(BASE, REGION, Prot::RW);
+    m.map_region(READ_ONLY, 4096, Prot::READ);
+    m.load_program(16 * 4096, false);
+}
+
+/// Replays the trace `bytes` on `m` op by op; the ops that fault must
+/// raise exactly `faults`, in order.
+fn replay_with_faults(m: &mut Machine, bytes: &[u8], faults: &[Fault]) {
+    let mut reader = TraceReader::new(bytes).expect("header decodes");
+    let mut raised = Vec::new();
+    let mut i = 0;
+    while let Some(op) = reader.next_op().expect("op decodes") {
+        match apply_op(m, &op, i) {
+            Ok(()) => {}
+            Err(TraceError::ReplayFault { fault, .. }) => raised.push(fault),
+            Err(e) => panic!("op {i} does not replay: {e}"),
+        }
+        i += 1;
+    }
+    assert_eq!(raised, faults, "replayed faults");
 }
 
 /// The fast machine and the slow-path reference stay bit-identical —
@@ -332,20 +455,21 @@ fn differential(mtlb: bool, cores: usize, replay_fast: bool, ops: &[Op]) {
     fast.set_op_sink(Box::new(mtlb_trace::TraceWriter::new()));
     let mut slow = Machine::new(cfg.clone());
     slow.set_fast_paths(false);
-    for m in [&mut fast, &mut slow] {
-        m.map_region(BASE, REGION, Prot::RW);
-        m.load_program(16 * 4096, false);
-    }
+    setup(&mut fast);
+    setup(&mut slow);
     // map_region hands out zeroed pages.
     let mut image = vec![0u8; REGION as usize];
+    let mut faults = Vec::new();
     for (i, op) in ops.iter().enumerate() {
+        let result = apply(&mut fast, op, &mut image);
         assert_eq!(
-            apply(&mut fast, op, &mut image),
+            result,
             apply(&mut slow, op, &mut image),
             "op {} result divergence: {:?}",
             i,
             op
         );
+        faults.extend(result.err());
     }
     let reference_json = slow.report().to_json();
     assert_eq!(
@@ -373,7 +497,7 @@ fn differential(mtlb: bool, cores: usize, replay_fast: bool, ops: &[Op]) {
         let bytes = writer.finish("differential", 0, 0, true);
         let mut replayed = Machine::new(cfg);
         replayed.set_fast_paths(replay_fast);
-        mtlb_trace::replay(&mut replayed, &bytes).expect("replay");
+        replay_with_faults(&mut replayed, &bytes, &faults);
         assert_eq!(
             &replayed.report().to_json(),
             &reference_json,
@@ -440,12 +564,12 @@ proptest! {
         let cfg = MachineConfig::paper_mtlb(16);
         let mut recorded = Machine::new(cfg.clone());
         recorded.set_op_sink(Box::new(VecOpSink::default()));
-        recorded.map_region(BASE, REGION, Prot::RW);
-        recorded.load_program(16 * 4096, false);
+        setup(&mut recorded);
         let mut image = vec![0u8; REGION as usize];
-        for op in &ops {
-            apply(&mut recorded, op, &mut image);
-        }
+        let faults: Vec<Fault> = ops
+            .iter()
+            .filter_map(|op| apply(&mut recorded, op, &mut image).err())
+            .collect();
         let reference_json = recorded.report().to_json();
         let sink = recorded
             .take_op_sink()
@@ -460,7 +584,7 @@ proptest! {
             w.push(op);
         }
         let bytes = w.finish("mem", 0, 0, true);
-        mtlb_trace::replay(&mut fresh, &bytes).expect("replay");
+        replay_with_faults(&mut fresh, &bytes, &faults);
         prop_assert_eq!(fresh.report().to_json(), reference_json);
     }
 }
