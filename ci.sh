@@ -48,45 +48,45 @@ echo "== cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
   --exclude proptest --exclude rand
 
-echo "== determinism double-run (stdout + JSON reports byte-identical at --jobs 1 and 4)"
+echo "== jobs invariance (repro all: stdout, JSON reports and [job] lines at --jobs 1 and 4)"
+# `repro all` runs every experiment: its stdout holds the fig3, fig5,
+# fig6 and extensions sections, its JSON directory a report per fig3-fig6
+# row, and fig6's 2/4/8-instance co-runs cover 4 cores. None of it may
+# depend on how many job threads computed it. The Runner hands each
+# class (specs that differ only in CPU-TLB size) to one thread, which
+# runs its jobs in spec order, so which job simulates a run and which
+# run serves every other job is a function of the spec list: with wall
+# times stripped and the lines sorted, the `[job]` stderr lines (cycles
+# and `served by`) must match too. Stdout names each run's JSON
+# directory in its `[written ...]` lines, normalised away here.
 DET_DIR="$(mktemp -d)"
 trap 'rm -rf "$DET_DIR"' EXIT
-./target/release/repro fig3 --test-scale --jobs 1 --json-dir "$DET_DIR/json1" \
-  > "$DET_DIR/stdout1" 2>/dev/null
-./target/release/repro fig3 --test-scale --jobs 4 --json-dir "$DET_DIR/json2" \
-  > "$DET_DIR/stdout2" 2>/dev/null
-# The stdout captures name different json paths; compare them with the
-# directory prefixes normalised away.
-sed "s|$DET_DIR/json1|JSON_DIR|" "$DET_DIR/stdout1" > "$DET_DIR/stdout1.norm"
-sed "s|$DET_DIR/json2|JSON_DIR|" "$DET_DIR/stdout2" > "$DET_DIR/stdout2.norm"
-diff "$DET_DIR/stdout1.norm" "$DET_DIR/stdout2.norm"
-diff -r "$DET_DIR/json1" "$DET_DIR/json2"
-
-echo "== served-by lines are jobs-invariant (repro all: [job] lines at --jobs 1 and 4)"
-# The Runner hands each class (specs that differ only in CPU-TLB size)
-# to one thread, which runs its jobs in spec order, so which job
-# simulates a run and which run serves every other job is a function of
-# the spec list. With wall times stripped and the lines sorted, the
-# `[job]` stderr lines (cycles and `served by`) must match.
+repro_all() {
+  local name="$1"
+  shift
+  ./target/release/repro all --test-scale --json-dir "$DET_DIR/${name}_json" "$@" \
+    2> "$DET_DIR/${name}_err" | sed "s|$DET_DIR/${name}_json|JSON_DIR|" > "$DET_DIR/$name"
+}
 job_lines() {
   grep 'simulated cycles' "$1" | sed -E 's/: +[0-9.]+[^ ]*s wall, /: /' | sort
 }
-./target/release/repro all --test-scale --jobs 1 > "$DET_DIR/all_j1" 2> "$DET_DIR/all_j1_err"
-./target/release/repro all --test-scale --jobs 4 > "$DET_DIR/all_j4" 2> "$DET_DIR/all_j4_err"
+repro_all all_j1 --jobs 1
+repro_all all_j4 --jobs 4
 diff "$DET_DIR/all_j1" "$DET_DIR/all_j4"
+diff -r "$DET_DIR/all_j1_json" "$DET_DIR/all_j4_json"
 diff <(job_lines "$DET_DIR/all_j1_err") <(job_lines "$DET_DIR/all_j4_err")
 
 echo "== served == simulated (repro all: result cache on vs --trace, which bypasses it)"
 # The Runner serves a cell from a run of the same class whose CPU TLB
 # never evicted, at any capacity that holds its peak; `--trace`
-# simulates every job. Its stdout must be byte-identical to the served
-# `--jobs 1` stdout above (which the step above ties to `--jobs 4`).
-# The diff is vacuous unless the traced run really simulated: its
-# stderr must name no serving run and carry one `[trace]` line per
-# `[job]` line.
-./target/release/repro all --test-scale --trace > "$DET_DIR/all_simulated" \
-  2> "$DET_DIR/all_simulated_err"
+# simulates every job. Its stdout and JSON reports must be byte-identical
+# to the served `--jobs 1` ones above (which the step above ties to
+# `--jobs 4`). The diff is vacuous unless the traced run really
+# simulated: its stderr must name no serving run and carry one `[trace]`
+# line per `[job]` line.
+repro_all all_simulated --trace
 diff "$DET_DIR/all_j1" "$DET_DIR/all_simulated"
+diff -r "$DET_DIR/all_j1_json" "$DET_DIR/all_simulated_json"
 if grep -q 'served by' "$DET_DIR/all_simulated_err"; then
   echo "repro --trace served a job from the result cache" >&2
   exit 1
@@ -100,35 +100,6 @@ if ! grep -q '^\[job\]' "$DET_DIR/all_simulated_err"; then
   echo "repro --trace printed no [job] line" >&2
   exit 1
 fi
-
-echo "== multi-core determinism (fig6 jobs-invariant)"
-# The fig6 co-scheduling tables must not depend on how many job threads
-# computed them.
-./target/release/repro fig6 --test-scale --cores 4 --jobs 1 > "$DET_DIR/fig6_j1" 2>/dev/null
-./target/release/repro fig6 --test-scale --cores 4 --jobs 4 > "$DET_DIR/fig6_j4" 2>/dev/null
-diff "$DET_DIR/fig6_j1" "$DET_DIR/fig6_j4"
-
-echo "== fig5 scheme shoot-out determinism (stdout + JSON jobs-invariant)"
-# The rival-scheme comparison runs every (workload, front end) cell as
-# a runner job (the op streams are identical by determinism); neither
-# the table nor the per-cell JSON reports may depend on how many job
-# threads computed them.
-./target/release/repro fig5 --test-scale --jobs 1 --json-dir "$DET_DIR/fig5_json1" \
-  > "$DET_DIR/fig5_j1" 2>/dev/null
-./target/release/repro fig5 --test-scale --jobs 4 --json-dir "$DET_DIR/fig5_json2" \
-  > "$DET_DIR/fig5_j4" 2>/dev/null
-sed "s|$DET_DIR/fig5_json1|JSON_DIR|" "$DET_DIR/fig5_j1" > "$DET_DIR/fig5_j1.norm"
-sed "s|$DET_DIR/fig5_json2|JSON_DIR|" "$DET_DIR/fig5_j4" > "$DET_DIR/fig5_j4.norm"
-diff "$DET_DIR/fig5_j1.norm" "$DET_DIR/fig5_j4.norm"
-diff -r "$DET_DIR/fig5_json1" "$DET_DIR/fig5_json2"
-
-echo "== extensions determinism (stdout jobs-invariant)"
-# The §5 complete-subblock table runs its cells through the Runner, and
-# the Runner re-serves cells other extensions already ran; no extension
-# table may depend on how many job threads computed it.
-./target/release/repro extensions --test-scale --jobs 1 > "$DET_DIR/ext_j1" 2>/dev/null
-./target/release/repro extensions --test-scale --jobs 4 > "$DET_DIR/ext_j4" 2>/dev/null
-diff "$DET_DIR/ext_j1" "$DET_DIR/ext_j4"
 
 echo "== paper-scale repro all golden (stdout byte-identical to the committed fixture)"
 # The only paper-scale pin on fig4, §2.5, §3.3 and the extensions (the

@@ -55,7 +55,7 @@ pub use access::TimedMem;
 pub use aspace::{AddressSpace, Backing, PageInfo, SuperpageInfo};
 pub use kernel::{
     Kernel, KernelConfig, KernelCosts, KernelCtx, KernelStats, PromotionConfig, RemapReport,
-    SbrkConfig, ShootdownRequest, SwapOutReport,
+    RemoteWork, SbrkConfig, ShootdownRequest, SwapOutReport,
 };
 pub use layout::{KernelLayout, UserLayout};
 pub use paging::{PagingPolicy, SwapCosts, SwapDevice};

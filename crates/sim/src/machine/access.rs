@@ -102,27 +102,26 @@ impl Machine {
         self.fast_paths = on;
     }
 
-    /// Runs the software miss handler for `va` after a CPU TLB miss. A
-    /// successful walk refills the TLB (and may auto-promote a region,
-    /// shooting down the remapped range on the other cores). A walk
-    /// that finds no PTE fills nothing and changes no TLB or mapping
-    /// state, so the memos outlive it; it is counted for the audit.
+    /// Runs the software miss handler for `va` after a CPU TLB miss,
+    /// charging its cycles to the tlb-miss bucket. A successful walk
+    /// refills the TLB (and may auto-promote a region, shooting down the
+    /// remapped range on the other cores). A walk that finds no PTE
+    /// fills nothing and changes no TLB or mapping state, so the memos
+    /// outlive it; it is counted for the audit.
     fn refill(&mut self, va: VirtAddr) -> Result<TlbEntry, Fault> {
         // The miss-interval histogram.
         let now = self.ledger.total();
         if let Some(prev) = self.last_miss_at.replace(now) {
             self.miss_intervals.record((now - prev).get());
         }
-        match self.kernel.handle_tlb_miss(&mut kctx!(self), va) {
-            Ok((entry, c)) => {
-                self.kernel_exit(Bucket::TlbMiss, c);
-                Ok(entry)
-            }
-            Err(f) => {
-                self.walk_faults += 1;
-                Err(f)
-            }
+        let (filled, c) = self.kernel.handle_tlb_miss(&mut kctx!(self), va);
+        if filled.is_ok() {
+            self.kernel_exit(Bucket::TlbMiss, c);
+        } else {
+            self.walk_faults += 1;
+            self.kernel_return(Bucket::TlbMiss, c);
         }
+        filled
     }
 
     /// Executes `n` single-cycle instructions, advancing the simulated PC

@@ -99,9 +99,7 @@ impl Machine {
         self.contention_events = 0;
         self.contention_cycles = Cycles::ZERO;
         self.last_bus_core = None;
-        // Kernel counters are cumulative; snapshot them so the auditor
-        // reconciles post-reset deltas only.
-        self.kernel_base = self.kernel.stats();
+        self.kernel.reset_stats();
         self.walk_faults = 0;
         self.miss_intervals = Histogram::new();
         self.last_miss_at = None;
@@ -115,7 +113,6 @@ impl Machine {
     /// wrong bucket, double-counted, or dropped shows up immediately.
     #[cfg(debug_assertions)]
     fn audit(&self, r: &RunReport) {
-        let base = &self.kernel_base;
         // Exhaustive, `..`-free destructures of the report and of every
         // stats struct in it: a new field anywhere in `RunReport` is a
         // compile error until the auditor decides how it reconciles.
@@ -207,29 +204,26 @@ impl Machine {
             "attribution audit: user bucket != instructions + single-cycle accesses"
         );
         assert_eq!(
-            tlb_miss,
-            tlb_miss_cycles - base.tlb_miss_cycles,
+            tlb_miss, tlb_miss_cycles,
             "attribution audit: tlb_miss bucket != kernel handler cycles"
         );
         assert_eq!(
-            fault,
-            fault_cycles - base.fault_cycles,
+            fault, fault_cycles,
             "attribution audit: fault bucket != kernel shadow-fault cycles"
         );
         assert_eq!(
             kernel,
-            (service_cycles - base.service_cycles) + (shootdown_cycles - base.shootdown_cycles),
+            service_cycles + shootdown_cycles,
             "attribution audit: kernel bucket != kernel service + shootdown cycles"
         );
         assert_eq!(
-            tlb_misses,
-            tlb_miss_handler_calls - base.tlb_miss_handler_calls,
+            tlb_misses, tlb_miss_handler_calls,
             "attribution audit: TLB misses != miss-handler invocations"
         );
         // A walk that found no PTE ran the handler and filled nothing.
         assert_eq!(
             tlb_fills + self.walk_faults,
-            tlb_miss_handler_calls - base.tlb_miss_handler_calls,
+            tlb_miss_handler_calls,
             "attribution audit: TLB refills + faulting walks != miss-handler invocations"
         );
         assert_eq!(
@@ -242,8 +236,7 @@ impl Machine {
             "attribution audit: MMC writebacks != cache writebacks"
         );
         assert_eq!(
-            shadow_faults,
-            shadow_faults_serviced - base.shadow_faults_serviced,
+            shadow_faults, shadow_faults_serviced,
             "attribution audit: MMC shadow faults != kernel services"
         );
         assert_eq!(
@@ -308,6 +301,22 @@ mod tests {
             assert_eq!(core.loads, 0);
             assert_eq!(core.tlb.misses, 0);
         }
+    }
+
+    #[test]
+    fn reset_stats_restarts_the_kernel_counters() {
+        let mut m = base_machine();
+        m.map_region(DATA, 64 * PAGE_SIZE, Prot::RW);
+        for page in 0..64 {
+            m.try_read::<u32>(DATA + page * PAGE_SIZE).unwrap();
+        }
+        m.reset_stats();
+        m.try_read::<u32>(DATA + 64).unwrap();
+        let r = m.report();
+        assert_eq!(r.tlb.misses, 1);
+        assert_eq!(r.kernel.tlb_miss_handler_calls, r.tlb.misses);
+        assert_eq!(r.kernel.tlb_miss_cycles, r.buckets.tlb_miss);
+        assert_eq!(r.kernel.service_cycles, r.buckets.kernel);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! cores, and arbitration of the shared bus.
 
 use mtlb_cache::{AccessResult, DataCache};
-use mtlb_os::UserLayout;
+use mtlb_os::{RemoteWork, UserLayout};
 use mtlb_tlb::{MicroItlb, TranslationScheme};
 use mtlb_types::{PhysAddr, VirtAddr, PAGE_SIZE};
 
@@ -116,40 +116,29 @@ impl Machine {
         self.kernel.set_current_process(self.cores[core].pid);
     }
 
-    /// Delivers what a kernel entry queued for the other cores: each
-    /// flushed page leaves every remote L1, and each TLB shootdown
-    /// reaches every remote CPU TLB and micro-ITLB, its delivery cost
-    /// charged to the kernel bucket. On a single core the shootdown
-    /// queue drains at zero cost — there is no remote core to purge,
-    /// count or charge for, which is what keeps the 1-core machine
-    /// bit-identical.
+    /// Delivers what a kernel entry queued for the other cores, in one
+    /// pass over the kernel's queue: each flushed page leaves every
+    /// remote L1, and each TLB shootdown reaches every remote CPU TLB
+    /// and micro-ITLB, its delivery cost charged to the kernel bucket.
+    /// On a single core the queue drains at zero cost — there is no
+    /// remote core to purge, count or charge for, which is what keeps
+    /// the 1-core machine bit-identical.
     pub(super) fn deliver_remote(&mut self) {
         let active = self.active;
-        for (vpn, pfn) in self.kernel.drain_flushed_pages() {
+        let mut requests = 0;
+        for work in self.kernel.drain_remote() {
+            requests += u64::from(matches!(work, RemoteWork::Shootdown(_)));
             for (i, core) in self.cores.iter_mut().enumerate() {
                 if i != active {
-                    core.cache.invalidate_page(vpn, pfn);
+                    work.apply(core.tlb.as_mut(), &mut core.itlb, &mut core.cache);
                 }
             }
         }
-        if !self.kernel.has_pending_shootdowns() {
-            return;
-        }
-        let requests = self.kernel.take_shootdowns();
         let remote_cores = (self.cores.len() - 1) as u64;
-        if remote_cores == 0 {
-            return;
+        if requests > 0 && remote_cores > 0 {
+            let c = self.kernel.note_shootdown(requests, remote_cores);
+            self.ledger.charge(Bucket::Kernel, c);
         }
-        for request in &requests {
-            for (i, core) in self.cores.iter_mut().enumerate() {
-                if i != active {
-                    request.apply(core.tlb.as_mut(), &mut core.itlb);
-                }
-            }
-        }
-        let n = requests.len() as u64;
-        let c = self.kernel.note_shootdown(n, remote_cores);
-        self.ledger.charge(Bucket::Kernel, c);
     }
 
     /// Charges the bus-arbitration penalty when a user-path bus

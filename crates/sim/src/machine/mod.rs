@@ -7,7 +7,7 @@
 
 use mtlb_mem::GuestMemory;
 use mtlb_mmc::Mmc;
-use mtlb_os::{Kernel, KernelStats, UserLayout};
+use mtlb_os::{Kernel, UserLayout};
 use mtlb_types::{Cycles, Histogram, Prot, PAGE_SIZE};
 
 use crate::ops::{MachineOp, OpSink};
@@ -76,7 +76,8 @@ use cores::CoreState;
 /// runs, charging the identical cycles in bulk through the same
 /// internal `charge` funnel. The memos die at every kernel exit (TLB
 /// fill, shadow fault, remap, paging operation, context switch) but an
-/// `sbrk` that only moves the break.
+/// `sbrk` that only moves the break and a miss-handler walk that finds
+/// no PTE.
 /// [`set_fast_paths`](Machine::set_fast_paths) turns both off to
 /// recover the pure slow-path reference machine.
 ///
@@ -110,10 +111,6 @@ pub struct Machine {
     kernel: Kernel,
     /// Time buckets: every simulated cycle is charged through it.
     ledger: Ledger,
-    /// Kernel counters at construction / last [`reset_stats`]
-    /// (`Machine::reset_stats`), so the attribution auditor can compare
-    /// bucket deltas even though kernel stats are never reset.
-    kernel_base: KernelStats,
     /// Miss-handler walks since the last reset that found no PTE: the
     /// handler ran but filled nothing (the access returned
     /// `PageNotMapped`).
@@ -156,7 +153,6 @@ impl Machine {
             kernel: Kernel::new(cfg.mmc, cfg.kernel.clone(), cfg.cores),
             cfg,
             ledger: Ledger::default(),
-            kernel_base: KernelStats::default(),
             walk_faults: 0,
             miss_intervals: Histogram::new(),
             last_miss_at: None,

@@ -1,7 +1,8 @@
 //! Kernel entry and exit, and the syscall shims: each service leaves
 //! the kernel through [`kernel_exit`](Machine::kernel_exit), or through
 //! [`kernel_return`](Machine::kernel_return) when it changed no
-//! translation (an `sbrk` inside the mapped heap).
+//! translation (an `sbrk` inside the mapped heap, a miss-handler walk
+//! that found no PTE).
 
 use mtlb_os::{Kernel, RemapReport, SwapOutReport, UserLayout};
 use mtlb_types::{Cycles, Fault, Prot, VirtAddr, Vpn, PAGE_SIZE};
@@ -23,7 +24,7 @@ impl Machine {
     /// [`kernel_exit`](Machine::kernel_exit) for a kernel entry that
     /// changed no translation, protection, residency or TLB entry: the
     /// translation memos stay valid.
-    fn kernel_return(&mut self, bucket: Bucket, cycles: Cycles) {
+    pub(super) fn kernel_return(&mut self, bucket: Bucket, cycles: Cycles) {
         self.ledger.charge(bucket, cycles);
         self.deliver_remote();
     }
@@ -115,7 +116,9 @@ impl Machine {
     pub fn page_bits(&mut self, vpn: Vpn) -> Vec<(Vpn, bool, bool)> {
         self.record_op(|| MachineOp::PageBits { vpn });
         let bits = self.kernel.page_bits(&mut kctx!(self), vpn);
-        // Harvesting referenced bits may consult/adjust TLB state.
+        // The reads change no translation (they only count MMC control
+        // ops), so `kernel_return` would do; `page_bits` is rare, so it
+        // keeps the memo rule simple and leaves through `kernel_exit`.
         self.kernel_exit(Bucket::Kernel, Cycles::ZERO);
         bits
     }

@@ -98,8 +98,8 @@ pub enum MachineOp {
     SwapOutSuperpage { vpn: Vpn },
     /// `demote_superpage(vpn)`.
     DemoteSuperpage { vpn: Vpn },
-    /// `page_bits(vpn)` (recorded because harvesting referenced bits
-    /// may adjust TLB state).
+    /// `page_bits(vpn)` (recorded because each bit read is an MMC
+    /// control op the report counts).
     PageBits { vpn: Vpn },
     /// `spawn_process()`.
     SpawnProcess,

@@ -49,8 +49,13 @@ fn unmapped_read_is_not_counted() {
         );
     });
     assert_eq!((r.loads, r.buckets.user.get()), (0, 0));
-    // The handler ran and filled nothing.
+    // The handler ran and filled nothing, but its trap and walk cost
+    // what a successful walk's do.
     assert_eq!((r.tlb.misses, r.tlb.fills), (1, 0));
+    let trap = MachineConfig::paper_mtlb(64).kernel.costs.tlb_trap_overhead;
+    assert!(r.buckets.tlb_miss > trap, "{:?}", r.buckets);
+    assert_eq!(r.buckets.tlb_miss, r.kernel.tlb_miss_cycles);
+    assert_eq!(r.total_cycles, r.buckets.tlb_miss);
 }
 
 #[test]

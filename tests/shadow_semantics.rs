@@ -333,3 +333,73 @@ fn shadow_space_exhaustion_falls_back_gracefully() {
     assert!(rep.superpages.iter().all(|(_, s)| *s == PageSize::Size4M));
     assert_eq!(rep.superpages.len(), 4);
 }
+
+/// The page numbers (relative to `BASE`) of `pages` whose shadow page
+/// has a swap copy.
+fn pages_on_swap(m: &Machine, pages: u64) -> Vec<u64> {
+    (0..pages)
+        .filter(|&p| {
+            let Some(sp) = m.kernel().aspace().superpage_of(BASE.vpn().offset(p)) else {
+                return false;
+            };
+            let spn = sp
+                .shadow_base
+                .offset(BASE.vpn().offset(p).index() - sp.vpn_base.index());
+            let index = m.config().mmc.shadow.page_index(spn.base_addr());
+            m.kernel().swap().has_copy(index)
+        })
+        .collect()
+}
+
+/// `report().to_json()` of the run in
+/// `clock_evicts_in_pinned_order_after_mid_ring_removals`.
+const CLOCK_RUN_REPORT: &str = "{\"total_cycles\":2269639,\"buckets\":{\"user\":7,\"tlb_miss\":144,\"mem_stall\":574,\"kernel\":2268914,\"fault\":0},\"instructions\":0,\"loads\":7,\"stores\":0,\"tlb\":{\"hits\":7,\"misses\":3,\"fills\":3,\"replacements\":0,\"purges\":0,\"nru_resets\":0},\"itlb\":{\"hits\":0,\"misses\":0},\"cache\":{\"hits\":348,\"misses\":45,\"replacement_writebacks\":0,\"flush_writebacks\":0,\"lines_flushed\":3968,\"flush_walks\":31},\"mmc\":{\"fills_shared\":45,\"fills_exclusive\":0,\"writebacks\":0,\"shadow_ops\":7,\"real_ops\":38,\"mtlb_hits\":0,\"mtlb_misses\":7,\"shadow_faults\":0,\"bus_errors\":0,\"fill_mmc_cycles\":1389,\"control_ops\":71,\"fill_hist\":[{\"lo\":16,\"hi\":31,\"count\":38},{\"lo\":32,\"hi\":63,\"count\":7}]},\"kernel\":{\"tlb_miss_handler_calls\":3,\"remaps\":4,\"superpages_created\":4,\"pages_remapped\":16,\"sbrk_calls\":0,\"shadow_faults_serviced\":0,\"pages_swapped_out\":11,\"pages_swapped_in\":0,\"clock_sweeps\":14,\"pages_recolored\":0,\"auto_promotions\":0,\"processes_spawned\":0,\"context_switches\":0,\"tlb_miss_cycles\":144,\"fault_cycles\":0,\"service_cycles\":2268914,\"shootdowns\":0,\"shootdown_cycles\":0},\"mtlb_contention\":{\"events\":0,\"cycles\":0},\"tlb_reach_bytes\":16826368,\"tlb_miss_intervals\":[{\"lo\":128,\"hi\":255,\"count\":1},{\"lo\":256,\"hi\":511,\"count\":1}]}";
+
+#[test]
+fn clock_evicts_in_pinned_order_after_mid_ring_removals() {
+    // Four 16 KB superpages over pages 0..16 enter the CLOCK ring page
+    // by page; a few are referenced. Demoting the second drops ring
+    // slots 4..8 before any eviction, and a swap-out of the first once
+    // the hand has moved past it drops slots behind the hand; a fault
+    // brings one of its pages back at the ring's end. Every other frame
+    // is then taken one fresh page at a time, each costing exactly one
+    // eviction, and the pages CLOCK picks are pinned in order.
+    let mut m = Machine::new(MachineConfig::paper_mtlb(64).with_dram((16 << 20) + 64 * PAGE_SIZE));
+    m.map_region(BASE, 16 * PAGE_SIZE, Prot::RW);
+    for sp in 0..4u64 {
+        m.remap(BASE + sp * 16 * 1024, 16 * 1024);
+    }
+    for p in [0u64, 1, 2, 3, 9, 14, 15] {
+        m.read::<u32>(BASE + p * PAGE_SIZE);
+    }
+    m.demote_superpage(BASE.vpn().offset(4));
+    let fresh = VirtAddr::new(0x3000_0000);
+    let mut mapped = 0u64;
+    let mut victims = Vec::new();
+    let mut map_one = |m: &mut Machine, victims: &mut Vec<u64>| {
+        let before = pages_on_swap(m, 16);
+        m.map_region(fresh + mapped * PAGE_SIZE, PAGE_SIZE, Prot::RW);
+        mapped += 1;
+        victims.extend(
+            pages_on_swap(m, 16)
+                .into_iter()
+                .filter(|p| !before.contains(p)),
+        );
+    };
+    while m.kernel().free_frames() > 0 {
+        map_one(&mut m, &mut victims);
+    }
+    assert!(victims.is_empty(), "free frames go first");
+    for _ in 0..3 {
+        map_one(&mut m, &mut victims);
+    }
+    m.swap_out_superpage(BASE.vpn());
+    while m.kernel().free_frames() > 0 {
+        map_one(&mut m, &mut victims);
+    }
+    for _ in 0..4 {
+        map_one(&mut m, &mut victims);
+    }
+    assert_eq!(victims, [13, 11, 10, 14, 15, 8, 12]);
+    assert_eq!(m.report().to_json(), CLOCK_RUN_REPORT);
+}
