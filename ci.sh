@@ -20,6 +20,23 @@ echo "== cargo clippy (deny warnings)"
 # fast_path_differential proptest and the golden fixtures.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== size counts (information only, no gate)"
+# The two numbers ROADMAP tracks, counted one way for every change:
+# non-test lines in crates/*/src (each file's lines above its first
+# #[cfg(test)], indented or not) and the #[expect] attributes there that
+# name clippy::{expect_used, panic, unreachable}.
+shopt -s globstar
+src_files=(crates/*/src/**/*.rs)
+awk 'FNR == 1 { in_test = 0 }
+  /^[ \t]*#\[cfg\(test\)\]/ { in_test = 1 }
+  !in_test { n++ }
+  END { print "   non-test lines in crates/*/src: " n }' "${src_files[@]}"
+awk '/#\[expect\(/ { open = 1; hit = 0 }
+  open && /clippy::(expect_used|panic|unreachable)([^_a-z]|$)/ { hit = 1 }
+  open && /\)\]/ { n += hit; open = 0 }
+  END { print "   #[expect]s naming clippy::{expect_used, panic, unreachable}: " n + 0 }' \
+  "${src_files[@]}"
+
 echo "== cargo build --release"
 cargo build --release --workspace
 

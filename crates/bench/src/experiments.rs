@@ -20,7 +20,7 @@ use mtlb_os::{
 use mtlb_schemes::SchemeConfig;
 use mtlb_sim::{Machine, MachineConfig, RunReport};
 use mtlb_tlb::{CpuTlb, MicroItlb};
-use mtlb_types::{ClockRatio, PageSize, Ppn, Prot, VirtAddr, PAGE_SIZE};
+use mtlb_types::{PageSize, Ppn, Prot, VirtAddr, PAGE_SIZE};
 use mtlb_workloads::{AccessExt, Cc1, Compress95, Em3d, Oltp, Radix, Scale, Vortex, Workload};
 
 use crate::runner::{JobResult, JobSpec, Runner};
@@ -243,6 +243,7 @@ pub fn fig4(runner: &Runner, scale: Scale, sizes: &[usize], assocs: &[usize]) ->
         }
     }
     let results = grid(runner, scale, "fig4", &["em3d"], &machines).remove(0);
+    assert_verified(&results);
     let reference = &results[0].report;
     let ref_total = reference.total_cycles.get() as f64;
     let ref_fill = reference.avg_fill_mmc_cycles();
@@ -320,14 +321,13 @@ pub fn init_costs(pages: u64) -> CostsReport {
         cache: &mut cache,
         mmc: &mut mmc,
         mem: &mut mem,
-        ratio: ClockRatio::paper_default(),
     };
     kernel.boot(&mut ctx);
     let (src, dst) = (Ppn::new(0x5000), Ppn::new(0x5010));
     // Warm the source page; the block ends tm's borrow of ctx before
     // handing ctx to the kernel.
     {
-        let mut tm = mtlb_os::TimedMem::new(ctx.cache, ctx.mmc, ctx.mem, ctx.ratio);
+        let mut tm = mtlb_os::TimedMem::new(ctx.cache, ctx.mmc, ctx.mem);
         for w in 0..(PAGE_SIZE / 4) {
             tm.charge_access(src.base_addr() + w * 4, false);
         }
@@ -487,6 +487,7 @@ pub fn bit_writeback_ablation(runner: &Runner, scale: Scale) -> (u64, u64) {
         JobSpec::new("ablation/bit-writeback-off", "em3d", scale, off),
         JobSpec::new("ablation/bit-writeback-on", "em3d", scale, on),
     ]);
+    assert_verified(&results);
     (
         results[0].report.total_cycles.get(),
         results[1].report.total_cycles.get(),
@@ -509,8 +510,8 @@ pub fn fragmentation_ablation(runner: &Runner, scale: Scale) -> (u64, u64) {
         JobSpec::new("ablation/frames-sequential", "radix", scale, seq),
         JobSpec::new("ablation/frames-scrambled", "radix", scale, scrambled),
     ]);
+    assert_verified(&results);
     let (r1, r2) = (&results[0], &results[1]);
-    assert!(r1.outcome.verified && r2.outcome.verified);
     assert_eq!(
         r1.outcome.checksum, r2.outcome.checksum,
         "frame order must not change results"
@@ -751,8 +752,8 @@ pub fn commercial(runner: &Runner, scale: Scale) -> CommercialReport {
             MachineConfig::paper_mtlb(64),
         ),
     ]);
+    assert_verified(&results);
     let (b, m) = (&results[0], &results[1]);
-    assert!(b.outcome.verified && m.outcome.verified);
     assert_eq!(b.outcome.checksum, m.outcome.checksum);
     CommercialReport {
         base_cycles: b.report.total_cycles.get(),
@@ -798,6 +799,7 @@ pub fn all_shadow_sensitivity(runner: &Runner, scale: Scale) -> Vec<AllShadowRow
         machines.push((label, cfg));
     }
     let results = grid(runner, scale, "all-shadow", &["em3d"], &machines).remove(0);
+    assert_verified(&results);
     let base_total = results[0].report.total_cycles.get();
     let mut rows = vec![AllShadowRow {
         label: "conventional (no MTLB)".to_string(),
@@ -806,7 +808,6 @@ pub fn all_shadow_sensitivity(runner: &Runner, scale: Scale) -> Vec<AllShadowRow
         mtlb_hit_rate: 0.0,
     }];
     for ((label, _, _), r) in geometries.into_iter().zip(&results[1..]) {
-        assert!(r.outcome.verified);
         rows.push(AllShadowRow {
             label: label.to_string(),
             cycles: r.report.total_cycles.get(),
@@ -839,9 +840,7 @@ pub struct StreamReport {
 pub fn stream_buffers() -> StreamReport {
     fn run(stream: bool, random: bool) -> (u64, f64) {
         let mut cfg = MachineConfig::paper_mtlb(64);
-        if stream {
-            cfg.mmc.stream = Some(mtlb_mmc::StreamConfig::jouppi_default());
-        }
+        cfg.mmc.stream_buffers = stream;
         let mut m = Machine::new(cfg);
         let base = UserLayout::DATA_BASE;
         let len = 4 << 20;
@@ -917,9 +916,9 @@ pub fn subblock(runner: &Runner, scale: Scale, workloads: &[&'static str]) -> Ve
     let results = grid(runner, scale, "subblock", workloads, &machines);
     let mut rows = Vec::new();
     for (&workload, cells) in workloads.iter().zip(&results) {
+        assert_verified(cells);
         let base = cells[0].report.total_cycles.get() as f64;
         for ((machine, _), r) in machines.iter().zip(cells).skip(1) {
-            assert_verified([r]);
             rows.push(SubblockRow {
                 workload,
                 machine,

@@ -6,9 +6,11 @@ use mtlb_types::{Fault, PhysAddr, RealAddr, PAGE_SIZE};
 
 use crate::mtlb::Evicted;
 use crate::stream::StreamBuffers;
-use crate::{
-    MmcStats, MmcTiming, Mtlb, MtlbConfig, ShadowPte, ShadowRange, StreamConfig, StreamStats,
-};
+use crate::{MmcStats, MmcTiming, Mtlb, MtlbConfig, ShadowPte, ShadowRange, StreamStats};
+
+/// Real base address of the flat shadow-to-real mapping table: physical
+/// 0, as in the paper's example (§2.2).
+pub const TABLE_BASE: PhysAddr = PhysAddr::new(0);
 
 /// A bus operation presented to the MMC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -27,7 +29,8 @@ pub struct BusResponse {
     /// The real DRAM address the operation was steered to (equal to the
     /// bus address for non-shadow operations).
     pub real_pa: RealAddr,
-    /// MMC cycles consumed (convert with the machine's clock ratio).
+    /// MMC cycles consumed (convert with
+    /// [`Cycles::from_bus_cycles`](mtlb_types::Cycles::from_bus_cycles)).
     pub mmc_cycles: u64,
 }
 
@@ -38,14 +41,12 @@ pub struct MmcConfig {
     pub installed_dram: u64,
     /// The shadow physical address range.
     pub shadow: ShadowRange,
-    /// Real base address of the flat shadow-to-real mapping table
-    /// (the paper's example places it at physical 0, §2.2).
-    pub table_base: PhysAddr,
     /// MTLB geometry; `None` models the conventional (baseline) MMC.
     pub mtlb: Option<MtlbConfig>,
-    /// Stream-buffer geometry (§6 extension); `None` (the paper's
-    /// evaluation) fits no prefetcher.
-    pub stream: Option<StreamConfig>,
+    /// Whether the MMC fits stream buffers (§6 extension; the geometry
+    /// is fixed in [`StreamBuffers`]). `false`, the paper's evaluation,
+    /// fits no prefetcher.
+    pub stream_buffers: bool,
     /// Latency parameters.
     pub timing: MmcTiming,
 }
@@ -63,9 +64,8 @@ impl MmcConfig {
         let cfg = MmcConfig {
             installed_dram,
             shadow: ShadowRange::paper_default(),
-            table_base: PhysAddr::new(0),
             mtlb: Some(MtlbConfig::paper_default()),
-            stream: None,
+            stream_buffers: false,
             timing: MmcTiming::paper_default(),
         };
         cfg.validate();
@@ -78,9 +78,8 @@ impl MmcConfig {
         let cfg = MmcConfig {
             installed_dram,
             shadow: ShadowRange::paper_default(),
-            table_base: PhysAddr::new(0),
             mtlb: None,
-            stream: None,
+            stream_buffers: false,
             timing: MmcTiming::paper_default(),
         };
         cfg.validate();
@@ -104,7 +103,7 @@ impl MmcConfig {
             "shadow range must lie above installed DRAM"
         );
         assert!(
-            (self.table_base + self.table_bytes()).get() <= self.installed_dram,
+            (TABLE_BASE + self.table_bytes()).get() <= self.installed_dram,
             "mapping table must fit in installed DRAM"
         );
     }
@@ -133,7 +132,7 @@ impl Mmc {
         Mmc {
             config,
             mtlb: config.mtlb.map(Mtlb::new),
-            streams: config.stream.map(StreamBuffers::new),
+            streams: config.stream_buffers.then(StreamBuffers::default),
             stats: MmcStats::default(),
         }
     }
@@ -171,7 +170,7 @@ impl Mmc {
     }
 
     fn table_entry_addr(&self, index: u64) -> PhysAddr {
-        self.config.table_base + index * 4
+        TABLE_BASE + index * 4
     }
 
     /// Reads a mapping entry straight from the in-memory table (no MTLB,

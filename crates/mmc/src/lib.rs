@@ -64,9 +64,9 @@ mod stats;
 mod stream;
 mod timing;
 
-pub use controller::{BusOp, BusResponse, Mmc, MmcConfig};
+pub use controller::{BusOp, BusResponse, Mmc, MmcConfig, TABLE_BASE};
 pub use mtlb::{Mtlb, MtlbConfig};
 pub use shadow::{ShadowPte, ShadowRange};
 pub use stats::MmcStats;
-pub use stream::{StreamBuffers, StreamConfig, StreamStats};
+pub use stream::{StreamBuffers, StreamStats};
 pub use timing::MmcTiming;

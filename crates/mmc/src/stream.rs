@@ -3,9 +3,9 @@
 //!
 //! A small set of FIFO prefetch buffers living in the memory controller.
 //! When a demand fill misses every buffer, a new stream is allocated
-//! (LRU) and the next `depth` lines are prefetched into it; when a fill
-//! hits the head of a buffer, the line is returned without a DRAM access
-//! and the stream advances, prefetching one more line.
+//! (LRU) and the next `STREAM_DEPTH` lines are prefetched into it; when
+//! a fill hits the head of a buffer, the line is returned without a DRAM
+//! access and the stream advances, prefetching one more line.
 //!
 //! Because the buffers sit *behind* the MTLB, they work on **real**
 //! addresses: a stream through a shadow superpage keeps streaming even
@@ -14,31 +14,11 @@
 
 use mtlb_types::{PhysAddr, CACHE_LINE_SHIFT};
 
-/// Stream-buffer geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct StreamConfig {
-    /// Number of independent stream buffers.
-    pub buffers: usize,
-    /// Lines prefetched ahead per stream.
-    pub depth: usize,
-}
+/// Independent stream buffers: Jouppi's classic four.
+const STREAM_BUFFERS: usize = 4;
 
-impl StreamConfig {
-    /// Jouppi's classic configuration: four 4-deep buffers.
-    #[must_use]
-    pub const fn jouppi_default() -> Self {
-        StreamConfig {
-            buffers: 4,
-            depth: 4,
-        }
-    }
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig::jouppi_default()
-    }
-}
+/// Lines each stream prefetches ahead (Jouppi's 4-deep buffers).
+const STREAM_DEPTH: usize = 4;
 
 /// Stream-buffer event counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,7 +50,7 @@ impl StreamStats {
 struct Stream {
     /// Real line address at the buffer head.
     head_line: u64,
-    /// Valid lines buffered ahead (≤ depth).
+    /// Valid lines buffered ahead (≤ `STREAM_DEPTH`).
     valid: usize,
     /// LRU stamp.
     last_use: u64,
@@ -78,37 +58,15 @@ struct Stream {
 
 /// The stream-buffer array. Purely a hit/miss/advance model — the data
 /// itself lives in [`GuestMemory`](mtlb_mem::GuestMemory) as everywhere
-/// else in the simulator.
-#[derive(Debug, Clone)]
+/// else in the simulator. [`Default`] builds them empty.
+#[derive(Debug, Clone, Default)]
 pub struct StreamBuffers {
-    config: StreamConfig,
-    streams: Vec<Option<Stream>>,
+    streams: [Option<Stream>; STREAM_BUFFERS],
     clock: u64,
     stats: StreamStats,
 }
 
 impl StreamBuffers {
-    /// Creates empty buffers.
-    #[must_use]
-    pub fn new(config: StreamConfig) -> Self {
-        assert!(
-            config.buffers > 0 && config.depth > 0,
-            "degenerate stream config"
-        );
-        StreamBuffers {
-            config,
-            streams: vec![None; config.buffers],
-            clock: 0,
-            stats: StreamStats::default(),
-        }
-    }
-
-    /// The configured geometry.
-    #[must_use]
-    pub fn config(&self) -> StreamConfig {
-        self.config
-    }
-
     /// Accumulated counters.
     #[must_use]
     pub fn stats(&self) -> StreamStats {
@@ -157,14 +115,11 @@ impl StreamBuffers {
         };
         self.streams[slot] = Some(Stream {
             head_line: line + 1,
-            valid: self.config.depth,
+            valid: STREAM_DEPTH,
             last_use: self.clock,
         });
         self.stats.allocations = self.stats.allocations.saturating_add(1);
-        self.stats.prefetches = self
-            .stats
-            .prefetches
-            .saturating_add(self.config.depth as u64);
+        self.stats.prefetches = self.stats.prefetches.saturating_add(STREAM_DEPTH as u64);
         false
     }
 
@@ -196,7 +151,7 @@ mod tests {
 
     #[test]
     fn sequential_stream_hits_after_first_miss() {
-        let mut sb = StreamBuffers::new(StreamConfig::jouppi_default());
+        let mut sb = StreamBuffers::default();
         assert!(!sb.demand_fill(pa(100)), "cold miss allocates");
         for line in 101..120 {
             assert!(sb.demand_fill(pa(line)), "line {line} should stream");
@@ -207,7 +162,7 @@ mod tests {
 
     #[test]
     fn four_interleaved_streams_coexist() {
-        let mut sb = StreamBuffers::new(StreamConfig::jouppi_default());
+        let mut sb = StreamBuffers::default();
         let bases = [1000u64, 2000, 3000, 4000];
         for b in bases {
             sb.demand_fill(pa(b));
@@ -222,7 +177,7 @@ mod tests {
 
     #[test]
     fn fifth_stream_steals_lru() {
-        let mut sb = StreamBuffers::new(StreamConfig::jouppi_default());
+        let mut sb = StreamBuffers::default();
         for b in [1000u64, 2000, 3000, 4000] {
             sb.demand_fill(pa(b));
         }
@@ -240,7 +195,7 @@ mod tests {
 
     #[test]
     fn random_traffic_never_hits() {
-        let mut sb = StreamBuffers::new(StreamConfig::jouppi_default());
+        let mut sb = StreamBuffers::default();
         let mut x = 7u64;
         for _ in 0..100 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -251,20 +206,11 @@ mod tests {
 
     #[test]
     fn invalidate_page_kills_overlapping_streams() {
-        let mut sb = StreamBuffers::new(StreamConfig::jouppi_default());
+        let mut sb = StreamBuffers::default();
         sb.demand_fill(pa(128)); // stream heads at line 129 (page 1)
         sb.demand_fill(pa(100_000));
         sb.invalidate_page(PhysAddr::new(4096)); // lines 128..256
         assert!(!sb.demand_fill(pa(129)), "purged stream cannot hit");
         assert!(sb.demand_fill(pa(100_001)), "unrelated stream survives");
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate")]
-    fn zero_buffers_rejected() {
-        let _ = StreamBuffers::new(StreamConfig {
-            buffers: 0,
-            depth: 4,
-        });
     }
 }

@@ -1,10 +1,10 @@
 //! MMC latency parameters.
 //!
 //! All values are **MMC (bus) cycles** at the paper's 120 MHz; the machine
-//! model converts to CPU cycles with the configured [`ClockRatio`]
-//! (2 CPU cycles per MMC cycle by default).
+//! model converts to CPU cycles with [`Cycles::from_bus_cycles`]
+//! (2 CPU cycles per MMC cycle).
 //!
-//! [`ClockRatio`]: mtlb_types::ClockRatio
+//! [`Cycles::from_bus_cycles`]: mtlb_types::Cycles::from_bus_cycles
 
 /// Latency parameters of the memory controller, in MMC cycles.
 ///

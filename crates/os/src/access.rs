@@ -12,7 +12,7 @@ use mtlb_cache::{AccessResult, DataCache, FillKind};
 use mtlb_mem::GuestMemory;
 use mtlb_mmc::{BusOp, Mmc};
 use mtlb_tlb::PteMemory;
-use mtlb_types::{ClockRatio, Cycles, PhysAddr, VirtAddr};
+use mtlb_types::{Cycles, PhysAddr, VirtAddr};
 
 /// A borrowed view of the memory system performing kernel-privilege,
 /// identity-mapped, *timed* accesses.
@@ -24,25 +24,17 @@ pub struct TimedMem<'a> {
     pub mmc: &'a mut Mmc,
     /// Backing DRAM.
     pub mem: &'a mut GuestMemory,
-    /// CPU-per-bus clock ratio for cycle conversion.
-    pub ratio: ClockRatio,
     /// CPU cycles accumulated by accesses made through this view.
     pub cycles: Cycles,
 }
 
 impl<'a> TimedMem<'a> {
     /// Creates a view with a zeroed cycle accumulator.
-    pub fn new(
-        cache: &'a mut DataCache,
-        mmc: &'a mut Mmc,
-        mem: &'a mut GuestMemory,
-        ratio: ClockRatio,
-    ) -> Self {
+    pub fn new(cache: &'a mut DataCache, mmc: &'a mut Mmc, mem: &'a mut GuestMemory) -> Self {
         TimedMem {
             cache,
             mmc,
             mem,
-            ratio,
             cycles: Cycles::ZERO,
         }
     }
@@ -73,7 +65,7 @@ impl<'a> TimedMem<'a> {
                     .mmc
                     .bus_access(victim, BusOp::Writeback, self.mem)
                     .expect("victim writeback cannot fault");
-                self.cycles += self.ratio.device_to_cpu(resp.mmc_cycles);
+                self.cycles += Cycles::from_bus_cycles(resp.mmc_cycles);
             }
             let op = match fill {
                 FillKind::Shared => BusOp::FillShared,
@@ -87,7 +79,7 @@ impl<'a> TimedMem<'a> {
                 .mmc
                 .bus_access(pa, op, self.mem)
                 .expect("kernel memory never faults");
-            self.cycles += self.ratio.device_to_cpu(resp.mmc_cycles);
+            self.cycles += Cycles::from_bus_cycles(resp.mmc_cycles);
         }
     }
 
@@ -134,12 +126,7 @@ mod tests {
     #[test]
     fn cold_read_pays_fill_then_hits_are_single_cycle() {
         let mut r = rig();
-        let mut tm = TimedMem::new(
-            &mut r.cache,
-            &mut r.mmc,
-            &mut r.mem,
-            ClockRatio::paper_default(),
-        );
+        let mut tm = TimedMem::new(&mut r.cache, &mut r.mmc, &mut r.mem);
         let pa = PhysAddr::new(0x8_0000);
         let _ = tm.read_u64(pa);
         // 1 (cache) + 29 MMC cycles * 2 = 59 CPU cycles.
@@ -151,12 +138,7 @@ mod tests {
     #[test]
     fn writes_functionally_update_memory() {
         let mut r = rig();
-        let mut tm = TimedMem::new(
-            &mut r.cache,
-            &mut r.mmc,
-            &mut r.mem,
-            ClockRatio::paper_default(),
-        );
+        let mut tm = TimedMem::new(&mut r.cache, &mut r.mmc, &mut r.mem);
         tm.write_u64(PhysAddr::new(0x9_0000), 0xfeed);
         assert_eq!(tm.read_u64(PhysAddr::new(0x9_0000)), 0xfeed);
         assert_eq!(r.mem.read_u64(PhysAddr::new(0x9_0000)), 0xfeed);
@@ -165,12 +147,7 @@ mod tests {
     #[test]
     fn conflicting_kernel_lines_produce_writebacks() {
         let mut r = rig();
-        let mut tm = TimedMem::new(
-            &mut r.cache,
-            &mut r.mmc,
-            &mut r.mem,
-            ClockRatio::paper_default(),
-        );
+        let mut tm = TimedMem::new(&mut r.cache, &mut r.mmc, &mut r.mem);
         let a = PhysAddr::new(0x10_0000);
         let b = PhysAddr::new(0x10_0000 + 512 * 1024); // same index, different tag
         tm.write_u64(a, 1);

@@ -16,6 +16,14 @@ use crate::aspace::{AddressSpace, Backing, PageInfo, SuperpageInfo};
 /// walk).
 pub(super) const CONTIG_SCAN_WINDOW: u64 = 8;
 
+/// Bytes a process's first heap extension maps (§2.3: the modified
+/// `sbrk` "pre-allocates a large region, from which it satisfies
+/// subsequent small requests"; §3.1 gives vortex's 8 MB).
+const SBRK_INITIAL_CHUNK: u64 = 8 << 20;
+
+/// Bytes each later heap extension maps (vortex's 2 MB, §3.1).
+const SBRK_LATER_CHUNK: u64 = 2 << 20;
+
 impl Kernel {
     /// Writes `pte` into the hashed page table through the cache (a new
     /// entry, or an in-place update of the page's old one); returns the
@@ -262,12 +270,12 @@ impl Kernel {
         if !self.sbrk_fits(increment) {
             let base = self.proc().heap_mapped_end;
             let need = (old_brk + increment).offset_from(base);
-            let chunk_cfg = if self.proc().heap_extended {
-                self.config.sbrk.later_chunk
+            let min_chunk = if self.proc().heap_extended {
+                SBRK_LATER_CHUNK
             } else {
-                self.config.sbrk.initial_chunk
+                SBRK_INITIAL_CHUNK
             };
-            let chunk = need.max(chunk_cfg).div_ceil(PAGE_SIZE) * PAGE_SIZE;
+            let chunk = need.max(min_chunk).div_ceil(PAGE_SIZE) * PAGE_SIZE;
             cycles += self.map_region(ctx, base, chunk, Prot::RW);
             if self.config.use_superpages {
                 cycles += self.remap(ctx, base, chunk).total_cycles();

@@ -12,16 +12,14 @@ use mtlb_cache::{DataCache, FlushOutcome};
 use mtlb_mem::{FrameOrder, GuestMemory};
 use mtlb_mmc::{BusOp, Mmc, MmcConfig, ShadowPte};
 use mtlb_tlb::{HashedPageTable, MicroItlb, TlbEntry, TranslationScheme};
-use mtlb_types::{
-    ClockRatio, Cycles, Fault, PageSize, PhysAddr, Ppn, Prot, VirtAddr, Vpn, PAGE_SIZE,
-};
+use mtlb_types::{Cycles, Fault, PageSize, PhysAddr, Ppn, Prot, VirtAddr, Vpn, PAGE_SIZE};
 
 use std::collections::BTreeMap;
 
 use crate::access::TimedMem;
 use crate::aspace::{AddressSpace, SuperpageInfo};
 use crate::layout::{KernelLayout, UserLayout};
-use crate::paging::{PagingPolicy, SwapCosts, SwapDevice};
+use crate::paging::{PagingPolicy, SwapDevice};
 use crate::shadow_alloc::BucketPartition;
 
 mod mapping;
@@ -45,8 +43,6 @@ pub struct KernelCtx<'a> {
     pub mmc: &'a mut Mmc,
     /// Installed DRAM.
     pub mem: &'a mut GuestMemory,
-    /// CPU-per-bus clock ratio.
-    pub ratio: ClockRatio,
 }
 
 /// The kernel's MMC operations, each priced here in CPU cycles.
@@ -54,19 +50,19 @@ impl KernelCtx<'_> {
     /// Reads shadow page `index`'s mapping entry.
     fn read_mapping(&mut self, index: u64) -> (ShadowPte, Cycles) {
         let (pte, mmc_cycles) = self.mmc.read_mapping(index, self.mem);
-        (pte, self.ratio.device_to_cpu(mmc_cycles))
+        (pte, Cycles::from_bus_cycles(mmc_cycles))
     }
 
     /// Overwrites shadow page `index`'s mapping entry.
     fn set_mapping(&mut self, index: u64, pte: ShadowPte) -> Cycles {
         let mmc_cycles = self.mmc.set_mapping(index, pte, self.mem);
-        self.ratio.device_to_cpu(mmc_cycles)
+        Cycles::from_bus_cycles(mmc_cycles)
     }
 
     /// Clears shadow page `index`'s referenced bit (the CLOCK hand).
     fn clear_referenced(&mut self, index: u64) -> Cycles {
         let mmc_cycles = self.mmc.clear_bits(index, true, false, self.mem);
-        self.ratio.device_to_cpu(mmc_cycles)
+        Cycles::from_bus_cycles(mmc_cycles)
     }
 
     /// Writes back one dirty line a page flush evicted.
@@ -79,12 +75,12 @@ impl KernelCtx<'_> {
             .mmc
             .bus_access(line, BusOp::Writeback, self.mem)
             .expect("flush writeback cannot fault");
-        self.ratio.device_to_cpu(resp.mmc_cycles)
+        Cycles::from_bus_cycles(resp.mmc_cycles)
     }
 
     /// Kernel memory accesses charged through the cache and the MMC.
     fn timed(&mut self) -> TimedMem<'_> {
-        TimedMem::new(&mut *self.cache, &mut *self.mmc, &mut *self.mem, self.ratio)
+        TimedMem::new(&mut *self.cache, &mut *self.mmc, &mut *self.mem)
     }
 }
 
@@ -236,34 +232,6 @@ impl Default for KernelCosts {
     }
 }
 
-/// `sbrk()` pre-allocation behaviour (§2.3: the modified `sbrk`
-/// "pre-allocates a large region, from which it satisfies subsequent
-/// small requests"; §3.1 gives vortex's 8 MB-then-2 MB settings).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SbrkConfig {
-    /// Bytes mapped by the first extension.
-    pub initial_chunk: u64,
-    /// Bytes mapped by subsequent extensions.
-    pub later_chunk: u64,
-}
-
-impl SbrkConfig {
-    /// Vortex's configuration from §3.1.
-    #[must_use]
-    pub const fn paper_default() -> Self {
-        SbrkConfig {
-            initial_chunk: 8 << 20,
-            later_chunk: 2 << 20,
-        }
-    }
-}
-
-impl Default for SbrkConfig {
-    fn default() -> Self {
-        SbrkConfig::paper_default()
-    }
-}
-
 /// Online superpage promotion policy (§5's Romer et al., adapted: the
 /// paper notes such a mechanism "would be useful in the kernel of a
 /// machine exploiting shadow memory, although the specific parameters
@@ -297,8 +265,6 @@ pub struct KernelConfig {
     pub use_superpages: bool,
     /// Partition of shadow space into per-size buckets (§2.4, Figure 2).
     pub shadow_alloc: BucketPartition,
-    /// `sbrk` pre-allocation.
-    pub sbrk: SbrkConfig,
     /// Frame hand-out order (scrambled reproduces long-running-system
     /// fragmentation; the mechanism's whole point is tolerating it).
     pub frame_order: FrameOrder,
@@ -306,8 +272,6 @@ pub struct KernelConfig {
     pub costs: KernelCosts,
     /// Paging policy for superpages.
     pub paging: PagingPolicy,
-    /// Swap I/O costs.
-    pub swap_costs: SwapCosts,
     /// §5 extension: online superpage promotion — the kernel watches
     /// per-region TLB miss counts and promotes hot regions to shadow
     /// superpages automatically, without any `remap()` calls from the
@@ -326,11 +290,9 @@ impl Default for KernelConfig {
         KernelConfig {
             use_superpages: true,
             shadow_alloc: BucketPartition::paper_default(),
-            sbrk: SbrkConfig::default(),
             frame_order: FrameOrder::Scrambled { seed: 0x5eed },
             costs: KernelCosts::default(),
             paging: PagingPolicy::default(),
-            swap_costs: SwapCosts::default(),
             promotion: None,
             all_shadow: false,
         }
@@ -760,7 +722,6 @@ mod tests {
                 cache: &mut rig.cache,
                 mmc: &mut rig.mmc,
                 mem: &mut rig.mem,
-                ratio: ClockRatio::paper_default(),
             };
             rig.kernel.boot(&mut ctx);
             rig
@@ -773,7 +734,6 @@ mod tests {
                 cache: &mut self.cache,
                 mmc: &mut self.mmc,
                 mem: &mut self.mem,
-                ratio: ClockRatio::paper_default(),
             };
             f(&mut self.kernel, &mut ctx)
         }
@@ -1310,7 +1270,7 @@ mod tests {
             let src = Ppn::new(0x5000);
             let dst = Ppn::new(0x5010);
             // Warm the source.
-            let mut tm = TimedMem::new(ctx.cache, ctx.mmc, ctx.mem, ctx.ratio);
+            let mut tm = TimedMem::new(ctx.cache, ctx.mmc, ctx.mem);
             for w in 0..(PAGE_SIZE / 4) {
                 tm.charge_access(src.base_addr() + w * 4, false);
             }

@@ -12,6 +12,14 @@ use super::{Kernel, KernelCtx, ShootdownRequest, SwapOutReport};
 use crate::aspace::SuperpageInfo;
 use crate::paging::{PagingPolicy, SwapDevice};
 
+/// CPU cycles charged per page written to swap: a deliberately moderate
+/// disk (≈ 0.8 ms at 240 MHz), large enough that swap traffic dominates
+/// when paging, small enough that paging experiments finish quickly.
+const SWAP_PAGE_WRITE: Cycles = Cycles::new(200_000);
+
+/// CPU cycles charged per page read from swap (the same disk).
+const SWAP_PAGE_READ: Cycles = Cycles::new(200_000);
+
 /// Shadow page indices per [`RingIndex`] chunk: one 4 KB page of `u32`s.
 const RING_CHUNK: usize = 1024;
 
@@ -155,14 +163,14 @@ impl ResidentSet {
 
     /// Pages resident shadow page `index` out: writes it to swap when
     /// `force_write`, dirty or never yet copied (each write costing
-    /// `write_cost`), marks its mapping swapped out, frees its frame and
-    /// drops it from the ring. Returns the cycles and whether it wrote.
+    /// [`SWAP_PAGE_WRITE`]), marks its mapping swapped out, frees its
+    /// frame and drops it from the ring. Returns the cycles and whether
+    /// it wrote.
     fn page_out(
         &mut self,
         ctx: &mut KernelCtx<'_>,
         index: u64,
         force_write: bool,
-        write_cost: Cycles,
     ) -> (Cycles, bool) {
         let (pte, mut cycles) = ctx.read_mapping(index);
         assert!(pte.valid, "swapping out a non-resident page");
@@ -171,7 +179,7 @@ impl ResidentSet {
             let mut buf = vec![0u8; PAGE_SIZE as usize];
             ctx.mem.read(pte.rpfn.base_addr(), &mut buf);
             self.swap.write(index, buf);
-            cycles += write_cost;
+            cycles += SWAP_PAGE_WRITE;
         }
         cycles += ctx.set_mapping(index, ShadowPte::swapped_out());
         self.frames.free(pte.rpfn);
@@ -245,7 +253,7 @@ impl Kernel {
             .read(index)
             .unwrap_or_else(|| vec![0u8; PAGE_SIZE as usize]);
         ctx.mem.write(frame.base_addr(), &bytes);
-        cycles += self.config.swap_costs.page_read;
+        cycles += SWAP_PAGE_READ;
         cycles += self.back_shadow_page(ctx, index, frame);
         self.stats.pages_swapped_in = self.stats.pages_swapped_in.saturating_add(1);
         cycles
@@ -268,8 +276,7 @@ impl Kernel {
         // bit is final (§2.5's "cleaning process"). The lines are tagged
         // with the page's *shadow* address.
         let (flush, _) = self.flush_page(ctx, vpn, self.shadow.bus_frame(index));
-        let write_cost = self.config.swap_costs.page_write;
-        let (cycles, written) = self.residency.page_out(ctx, index, force_write, write_cost);
+        let (cycles, written) = self.residency.page_out(ctx, index, force_write);
         self.stats.pages_swapped_out = self.stats.pages_swapped_out.saturating_add(1);
         (flush + cycles, written)
     }

@@ -1,6 +1,6 @@
 //! Physical and virtual memory layout of the simulated machine.
 
-use mtlb_mmc::MmcConfig;
+use mtlb_mmc::{MmcConfig, TABLE_BASE};
 use mtlb_tlb::HptConfig;
 use mtlb_types::{PageSize, PhysAddr, VirtAddr, PAGE_SIZE};
 
@@ -13,9 +13,6 @@ use mtlb_types::{PageSize, PhysAddr, VirtAddr, PAGE_SIZE};
 /// reserved region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelLayout {
-    /// Base of the MMC's flat shadow-to-real mapping table (the paper's
-    /// example uses physical 0).
-    pub mmc_table_base: PhysAddr,
     /// Base of the hashed page table.
     pub hpt_base: PhysAddr,
     /// Bytes of low DRAM reserved for the kernel (tables + text + data),
@@ -29,22 +26,11 @@ pub struct KernelLayout {
 
 impl KernelLayout {
     /// Computes the standard layout for a machine with the given MMC
-    /// geometry: mapping table at 0, HPT immediately after (page
-    /// aligned), 16 MB reserved in total.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tables do not fit in the reservation or the
-    /// reservation exceeds installed DRAM.
-    #[must_use]
-    pub fn standard(mmc: &MmcConfig) -> Self {
-        Self::standard_scaled(mmc, 1)
-    }
-
-    /// [`standard`](Self::standard) with the hashed page table scaled
-    /// by `hpt_scale` (power of two; `Kernel::new` passes the machine's
-    /// core count rounded up). `standard_scaled(mmc, 1)` is exactly
-    /// [`standard`](Self::standard).
+    /// geometry: the MMC's mapping table at [`TABLE_BASE`], the hashed
+    /// page table immediately after (page aligned) and scaled by
+    /// `hpt_scale` (power of two; `Kernel::new` passes the machine's
+    /// core count rounded up, and `1` is the paper's table), 16 MB
+    /// reserved in total.
     ///
     /// # Panics
     ///
@@ -82,12 +68,11 @@ impl KernelLayout {
         scale
     }
 
-    /// Mapping table at its configured base, HPT immediately after (page
+    /// Mapping table at [`TABLE_BASE`], HPT immediately after (page
     /// aligned), 16 MB reserved; nothing checked.
     fn place(mmc: &MmcConfig, hpt_scale: u64) -> Self {
-        let table_end = mmc.table_base + mmc.table_bytes();
+        let table_end = TABLE_BASE + mmc.table_bytes();
         KernelLayout {
-            mmc_table_base: mmc.table_base,
             hpt_base: table_end.align_up(PAGE_SIZE),
             reserved_bytes: PageSize::Size16M.bytes(),
             hpt_scale,
@@ -143,9 +128,8 @@ mod tests {
     #[test]
     fn standard_layout_fits_paper_tables() {
         let mmc = MmcConfig::paper_default(256 << 20);
-        let l = KernelLayout::standard(&mmc);
+        let l = KernelLayout::standard_scaled(&mmc, 1);
         // 512 MB shadow / 4 KB pages * 4 B = 512 KB table at 0.
-        assert_eq!(l.mmc_table_base, PhysAddr::new(0));
         assert_eq!(l.hpt_base, PhysAddr::new(512 * 1024));
         // HPT: 16 K buckets + overflow, 16 B each = 512 KB.
         assert_eq!(l.hpt_config().table_bytes(), 512 * 1024);
@@ -156,7 +140,7 @@ mod tests {
     #[test]
     fn user_regions_clear_the_kernel_block() {
         let mmc = MmcConfig::paper_default(256 << 20);
-        let l = KernelLayout::standard(&mmc);
+        let l = KernelLayout::standard_scaled(&mmc, 1);
         for base in [
             UserLayout::TEXT_BASE,
             UserLayout::DATA_BASE,
@@ -189,6 +173,6 @@ mod tests {
     fn tiny_dram_rejected() {
         let mut mmc = MmcConfig::paper_default(256 << 20);
         mmc.installed_dram = 8 << 20;
-        let _ = KernelLayout::standard(&mmc);
+        let _ = KernelLayout::standard_scaled(&mmc, 1);
     }
 }

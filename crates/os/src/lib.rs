@@ -55,8 +55,8 @@ pub use access::TimedMem;
 pub use aspace::{AddressSpace, Backing, PageInfo, SuperpageInfo};
 pub use kernel::{
     Kernel, KernelConfig, KernelCosts, KernelCtx, KernelStats, PromotionConfig, RemapReport,
-    RemoteWork, SbrkConfig, ShootdownRequest, SwapOutReport,
+    RemoteWork, ShootdownRequest, SwapOutReport,
 };
 pub use layout::{KernelLayout, UserLayout};
-pub use paging::{PagingPolicy, SwapCosts, SwapDevice};
+pub use paging::{PagingPolicy, SwapDevice};
 pub use shadow_alloc::{BucketAllocator, BucketPartition, BuddyAllocator, ShadowAllocator};

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use mtlb_types::{Cycles, PAGE_SIZE};
+use mtlb_types::PAGE_SIZE;
 
 /// How superpages are paged to disk.
 ///
@@ -81,34 +81,6 @@ impl SwapDevice {
     #[must_use]
     pub fn reads(&self) -> u64 {
         self.reads
-    }
-}
-
-/// Per-page I/O cost model for the swap device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SwapCosts {
-    /// CPU cycles charged per page written to swap.
-    pub page_write: Cycles,
-    /// CPU cycles charged per page read from swap.
-    pub page_read: Cycles,
-}
-
-impl SwapCosts {
-    /// A deliberately moderate default (≈ 0.8 ms at 240 MHz): large
-    /// enough that swap traffic dominates when paging, small enough that
-    /// paging experiments finish quickly.
-    #[must_use]
-    pub const fn default_disk() -> Self {
-        SwapCosts {
-            page_write: Cycles::new(200_000),
-            page_read: Cycles::new(200_000),
-        }
-    }
-}
-
-impl Default for SwapCosts {
-    fn default() -> Self {
-        SwapCosts::default_disk()
     }
 }
 

@@ -4,7 +4,6 @@ use mtlb_cache::CacheConfig;
 use mtlb_mmc::MmcConfig;
 use mtlb_os::{KernelConfig, KernelLayout};
 use mtlb_schemes::SchemeConfig;
-use mtlb_types::{ClockRatio, Cycles};
 
 /// Default installed DRAM for experiments (256 MB — comfortably holding
 /// every benchmark while leaving the shadow range far above it).
@@ -26,17 +25,11 @@ pub struct MachineConfig {
     pub mmc: MmcConfig,
     /// Kernel policy (superpage use, allocators, paging, costs).
     pub kernel: KernelConfig,
-    /// CPU-per-bus clock ratio (2 = the paper's 240/120 MHz).
-    pub ratio: ClockRatio,
     /// CPU cores sharing the bus, MMC, and MTLB. Each core has a
     /// private CPU TLB, micro-ITLB, and L1 data cache; `1` (the
     /// default, and the paper's setup) is bit-identical to the machine
     /// before cores existed.
     pub cores: usize,
-    /// Bus-arbitration penalty charged (as a memory stall) when a bus
-    /// transaction comes from a different core than the previous one —
-    /// the multi-core contention model. Irrelevant at `cores == 1`.
-    pub bus_arbitration: Cycles,
 }
 
 impl MachineConfig {
@@ -51,9 +44,7 @@ impl MachineConfig {
             cache: CacheConfig::paper_default(),
             mmc: MmcConfig::paper_default(DEFAULT_DRAM),
             kernel: KernelConfig::default(),
-            ratio: ClockRatio::paper_default(),
             cores: 1,
-            bus_arbitration: Cycles::new(8),
         }
     }
 
@@ -71,9 +62,7 @@ impl MachineConfig {
                 use_superpages: false,
                 ..KernelConfig::default()
             },
-            ratio: ClockRatio::paper_default(),
             cores: 1,
-            bus_arbitration: Cycles::new(8),
         }
     }
 

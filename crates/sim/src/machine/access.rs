@@ -235,10 +235,8 @@ impl Machine {
                 .expect(
                     "a dirty victim's page cannot be swapped out: the OS flushes before swapping",
                 );
-            self.ledger.charge(
-                Bucket::MemStall,
-                self.cfg.ratio.device_to_cpu(resp.mmc_cycles),
-            );
+            self.ledger
+                .charge(Bucket::MemStall, Cycles::from_bus_cycles(resp.mmc_cycles));
         }
         let op = match fill {
             FillKind::Shared => BusOp::FillShared,
@@ -248,10 +246,8 @@ impl Machine {
         loop {
             match self.mmc.bus_access(pa, op, &mut self.mem) {
                 Ok(resp) => {
-                    self.ledger.charge(
-                        Bucket::MemStall,
-                        self.cfg.ratio.device_to_cpu(resp.mmc_cycles),
-                    );
+                    self.ledger
+                        .charge(Bucket::MemStall, Cycles::from_bus_cycles(resp.mmc_cycles));
                     return faulted;
                 }
                 Err(Fault::ShadowPageFault { shadow }) => {

@@ -6,6 +6,8 @@
 use mtlb_os::KernelStats;
 use mtlb_types::{Cycles, Histogram};
 
+#[cfg(debug_assertions)]
+use super::cores::BUS_ARBITRATION;
 use super::Machine;
 use crate::ops::MachineOp;
 #[cfg(debug_assertions)]
@@ -256,11 +258,11 @@ impl Machine {
             tlb_miss_intervals.checked_sum().is_some(),
             "attribution audit: TLB miss-interval histogram saturated"
         );
-        // Every bus-arbitration stall costs the configured penalty, and
+        // Every bus-arbitration stall costs `BUS_ARBITRATION`, and
         // the stalls are part of the mem-stall bucket.
         assert_eq!(
             mtlb_contention_cycles,
-            self.cfg.bus_arbitration * mtlb_contention_events,
+            BUS_ARBITRATION * mtlb_contention_events,
             "attribution audit: contention cycles != stalls x arbitration penalty"
         );
         assert!(

@@ -5,12 +5,17 @@
 use mtlb_cache::{AccessResult, DataCache};
 use mtlb_os::{RemoteWork, UserLayout};
 use mtlb_tlb::{MicroItlb, TranslationScheme};
-use mtlb_types::{PhysAddr, VirtAddr, PAGE_SIZE};
+use mtlb_types::{Cycles, PhysAddr, VirtAddr, PAGE_SIZE};
 
 use super::access::Memos;
 use super::Machine;
 use crate::report::Bucket;
 use crate::MachineConfig;
+
+/// Bus-arbitration penalty charged (as a memory stall) when a user-path
+/// bus transaction comes from a different core than the previous one —
+/// the multi-core contention model.
+pub(super) const BUS_ARBITRATION: Cycles = Cycles::new(8);
 
 /// One CPU front end: everything private to a core — its translation
 /// and cache state, program-counter state, retired-op counters, the
@@ -141,7 +146,7 @@ impl Machine {
         }
     }
 
-    /// Charges the bus-arbitration penalty when a user-path bus
+    /// Charges [`BUS_ARBITRATION`] when a user-path bus
     /// transaction comes from a different core than the previous one —
     /// the shared-bus/MTLB contention model. Kernel-internal bus
     /// traffic (page-table walks, flush writebacks inside services) is
@@ -157,9 +162,8 @@ impl Machine {
             return;
         }
         self.contention_events = self.contention_events.saturating_add(1);
-        self.contention_cycles += self.cfg.bus_arbitration;
-        self.ledger
-            .charge(Bucket::MemStall, self.cfg.bus_arbitration);
+        self.contention_cycles += BUS_ARBITRATION;
+        self.ledger.charge(Bucket::MemStall, BUS_ARBITRATION);
     }
 }
 

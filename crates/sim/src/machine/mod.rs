@@ -26,7 +26,6 @@ macro_rules! kctx {
             cache: &mut core.cache,
             mmc: &mut $self.mmc,
             mem: &mut $self.mem,
-            ratio: $self.cfg.ratio,
         }
     }};
 }
@@ -126,7 +125,7 @@ pub struct Machine {
     /// costs one branch per public API call.
     op_sink: Option<Box<dyn OpSink>>,
     /// Core that issued the previous user bus transaction. A different
-    /// core taking the bus pays [`MachineConfig::bus_arbitration`] —
+    /// core taking the bus pays `BUS_ARBITRATION` —
     /// the shared-bus contention model (irrelevant at one core).
     last_bus_core: Option<usize>,
     /// Bus-arbitration stalls charged so far.

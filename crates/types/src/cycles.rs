@@ -2,12 +2,16 @@
 //!
 //! All latencies in the simulator are expressed in **CPU cycles** of the
 //! modelled 240 MHz single-issue processor. Bus and memory-controller
-//! devices run at 120 MHz; [`ClockRatio`] converts their cycle counts into
-//! CPU cycles (2 CPU cycles per MMC cycle with the paper's clocks).
+//! devices run at 120 MHz; [`Cycles::from_bus_cycles`] converts their cycle
+//! counts into CPU cycles ([`CPU_CYCLES_PER_BUS_CYCLE`] each).
 
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Mul, Sub, SubAssign};
+
+/// CPU cycles per bus (and MMC) cycle: the paper's 240 MHz CPU over HP's
+/// 120 MHz Runway bus.
+pub const CPU_CYCLES_PER_BUS_CYCLE: u64 = 2;
 
 /// A duration measured in simulated CPU clock cycles.
 ///
@@ -41,6 +45,19 @@ impl Cycles {
     #[must_use]
     pub const fn saturating_sub(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
+    }
+
+    /// Converts a bus/MMC cycle count into CPU cycles
+    /// ([`CPU_CYCLES_PER_BUS_CYCLE`] each), checked like the counters.
+    ///
+    /// ```
+    /// use mtlb_types::Cycles;
+    ///
+    /// assert_eq!(Cycles::from_bus_cycles(5), Cycles::new(10));
+    /// ```
+    #[must_use]
+    pub fn from_bus_cycles(bus_cycles: u64) -> Cycles {
+        Cycles(bus_cycles) * CPU_CYCLES_PER_BUS_CYCLE
     }
 
     /// Returns this duration as a fraction of `total` (0.0 when `total`
@@ -127,71 +144,6 @@ impl fmt::Display for Cycles {
     }
 }
 
-/// The ratio between the CPU clock and a slower device clock (bus / MMC).
-///
-/// The paper models a 240 MHz CPU against HP's 120 MHz Runway bus, i.e. a
-/// ratio of 2 CPU cycles per device cycle.
-///
-/// ```
-/// use mtlb_types::{ClockRatio, Cycles};
-///
-/// let r = ClockRatio::paper_default();
-/// assert_eq!(r.device_to_cpu(5), Cycles::new(10));
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ClockRatio {
-    cpu_cycles_per_device_cycle: u64,
-}
-
-impl ClockRatio {
-    /// Creates a ratio of `cpu_per_device` CPU cycles per device cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cpu_per_device` is zero.
-    #[must_use]
-    pub fn new(cpu_per_device: u64) -> Self {
-        assert!(cpu_per_device > 0, "clock ratio must be non-zero");
-        ClockRatio {
-            cpu_cycles_per_device_cycle: cpu_per_device,
-        }
-    }
-
-    /// The paper's configuration: 240 MHz CPU over a 120 MHz bus/MMC.
-    #[must_use]
-    pub const fn paper_default() -> Self {
-        ClockRatio {
-            cpu_cycles_per_device_cycle: 2,
-        }
-    }
-
-    /// Number of CPU cycles per device cycle.
-    #[must_use]
-    pub const fn cpu_per_device(self) -> u64 {
-        self.cpu_cycles_per_device_cycle
-    }
-
-    /// Converts a device-clock cycle count into CPU cycles.
-    #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "Documented contract: clock-ratio conversion is checked for the same reason as the counters."
-    )]
-    pub fn device_to_cpu(self, device_cycles: u64) -> Cycles {
-        Cycles::new(
-            device_cycles
-                .checked_mul(self.cpu_cycles_per_device_cycle)
-                .expect("cycle conversion overflow"),
-        )
-    }
-}
-
-impl Default for ClockRatio {
-    fn default() -> Self {
-        ClockRatio::paper_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,16 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn paper_clock_ratio_is_two() {
-        let r = ClockRatio::paper_default();
-        assert_eq!(r.cpu_per_device(), 2);
-        assert_eq!(r.device_to_cpu(1), Cycles::new(2));
+    fn bus_cycles_convert_at_the_paper_ratio() {
+        assert_eq!(Cycles::from_bus_cycles(1), Cycles::new(2));
     }
 
     #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_ratio_rejected() {
-        let _ = ClockRatio::new(0);
+    #[should_panic(expected = "overflow")]
+    fn bus_conversion_is_checked() {
+        let _ = Cycles::from_bus_cycles(u64::MAX);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * page and superpage geometry ([`PageSize`], [`PAGE_SIZE`],
 //!   [`CACHE_LINE_SIZE`]) matching the paper's 4 KB base pages and
 //!   power-of-4 superpages (16 KB … 16 MB),
-//! * simulated-time accounting ([`Cycles`], [`ClockRatio`]) for the paper's
+//! * simulated-time accounting ([`Cycles`], [`CPU_CYCLES_PER_BUS_CYCLE`]) for the paper's
 //!   240 MHz CPU / 120 MHz bus split,
 //! * page protection ([`Prot`]) and the precise fault vocabulary
 //!   ([`Fault`]) raised by the TLB, MMC and OS models.
@@ -56,7 +56,7 @@ mod prot;
 pub mod varint;
 
 pub use addr::{PhysAddr, Ppn, RealAddr, ShadowAddr, Spn, VirtAddr, Vpn};
-pub use cycles::{ClockRatio, Cycles};
+pub use cycles::{Cycles, CPU_CYCLES_PER_BUS_CYCLE};
 pub use fastmap::{FastMap, FxHasher};
 pub use fault::Fault;
 pub use histogram::Histogram;
